@@ -9,7 +9,7 @@ from .curvature import (
     pack_at,
     ricci_rank,
 )
-from .exprjet import Jet4, eval_jet, jet_mul, parse_expr
+from .exprjet import Jet4, eval_jet, parse_expr
 from .metrics import MetricJet, MetricSpec, builtin, custom, metric_jets
 from .obstruction import (
     ObstructionValues,
@@ -42,7 +42,6 @@ __all__ = [
     "integrate_riccati",
     "jacobi_frame",
     "jacobi_op",
-    "jet_mul",
     "metric_jets",
     "obstruction_values",
     "pack_at",

@@ -207,9 +207,18 @@ def cmd_classify(args):
     return 0 if verdict.branch != "Infeasible" or args.allow_infeasible else 1
 
 
-def cmd_frame_check(args):
-    seed = args.seed if args.seed is not None else 0
-    count = args.count
+# worst-residual limits of the frame-algebra sweeps, shared by frame-check and selftest
+FRAME_LIMITS = {
+    "b1_factor_worst": 1e-10,
+    "a1_crosscheck_worst": 1e-9,
+    "root_identities_worst": 1e-9,
+    "bianchi_worst": 1e-12,
+}
+
+
+def _frame_algebra_checks(seed, count):
+    """Frame-algebra sweeps over ``count`` frames seeded seed, seed+1, ...:
+    worst residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks."""
     b1_factor_worst = 0.0
     for k in range(count):
         fd = fa.consistent_frame(seed + k, "free")
@@ -235,15 +244,24 @@ def cmd_frame_check(args):
                     and abs(fa.ric111_residual(fd)) < 1e-12
                 )
                 eds_ok = eds_ok and fa.eds_closure(which, -1.0, (e1, e2)).contradiction
-    certs = fa.contradiction_certificates()
-    report = {
-        "frames": count,
+    return {
         "b1_factor_worst": b1_factor_worst,
         "a1_crosscheck_worst": cross_worst,
         "root_identities_worst": roots_worst,
         "bianchi_worst": bianchi_worst,
         "rigid_tables_ok": tables_ok,
         "eds_contradictions_ok": eds_ok,
+    }
+
+
+def cmd_frame_check(args):
+    seed = args.seed if args.seed is not None else 0
+    count = args.count
+    checks = _frame_algebra_checks(seed, count)
+    certs = fa.contradiction_certificates()
+    report = {
+        "frames": count,
+        **checks,
         "certificates": {
             k: v for k, v in certs.items() if k != "silver_ratio_root"
         },
@@ -255,12 +273,9 @@ def cmd_frame_check(args):
             fh.write(fa.frame_to_text(fd))
     _emit(report, args)
     ok = (
-        b1_factor_worst < 1e-10
-        and cross_worst < 1e-9
-        and roots_worst < 1e-9
-        and bianchi_worst < 1e-12
-        and tables_ok
-        and eds_ok
+        all(checks[k] < limit for k, limit in FRAME_LIMITS.items())
+        and checks["rigid_tables_ok"]
+        and checks["eds_contradictions_ok"]
     )
     return 0 if ok else 1
 
@@ -348,36 +363,15 @@ def _selftest_checks(tamper=False):
     hom_ok = all(abs(got / want - 1.0) < 1e-8 for got, want in degs.values())
     yield "homogeneity_degrees", hom_ok, {k: v[0] for k, v in degs.items()}
 
-    b1_factor_worst = 0.0
-    for k in range(200):
-        fd = fa.consistent_frame(k, "free")
-        for case in fa.CASES:
-            b1_factor_worst = max(b1_factor_worst, fa.special_direction_polys(fd, case).b1_factor_residual())
-    yield "b1_factorization", b1_factor_worst < 1e-10, {"max": b1_factor_worst}
-
-    cross = 0.0
-    roots = 0.0
-    for k in range(200):
-        fd = fa.consistent_frame(k, "consistent")
-        cross = max(cross, *fa.a1_crosscheck(fd))
-        roots = max(roots, max(abs(v) for v in fa.root_identities(fd).values()))
-    yield "a1_crosscheck", cross < 1e-9, {"max": cross}
-    yield "root_identities", roots < 1e-9, {"max": roots}
-
-    tables_ok = True
-    eds_ok = True
-    for which in ("eds1", "eds2"):
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                fd = fa.rigid_frame(which, -1.0, (e1, e2))
-                tables_ok = (
-                    tables_ok
-                    and float(np.max(np.abs(fa.bianchi_frame_residuals(fd)))) < 1e-12
-                    and abs(fa.ric111_residual(fd)) < 1e-12
-                )
-                eds_ok = eds_ok and fa.eds_closure(which, -1.0, (e1, e2)).contradiction
-    yield "rigid_tables", tables_ok, {}
-    yield "eds_closure_all_signs", eds_ok, {}
+    frame = _frame_algebra_checks(0, 200)
+    for name, key in (
+        ("b1_factorization", "b1_factor_worst"),
+        ("a1_crosscheck", "a1_crosscheck_worst"),
+        ("root_identities", "root_identities_worst"),
+    ):
+        yield name, frame[key] < FRAME_LIMITS[key], {"max": frame[key]}
+    yield "rigid_tables", frame["rigid_tables_ok"], {}
+    yield "eds_closure_all_signs", frame["eds_contradictions_ok"], {}
 
     certs = fa.contradiction_certificates()
     cert_ok = (

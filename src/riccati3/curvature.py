@@ -93,42 +93,16 @@ def _jet_matrix_inverse(jets):
     # threshold relative to the metric scale: legitimate metrics can have
     # tiny determinants far from coordinate origins (hyperbolic upper half space)
     scale = max(abs(a[i][j].value) for i in range(3) for j in range(3)) ** 3
-    inv_det = det._reciprocal(threshold=1e-14 * max(scale, 1e-290))
+    inv_det = det.ipow(-1, threshold=1e-14 * max(scale, 1e-290))
     # adjugate = transpose of cofactor matrix; symmetric here
     return [[cof[j][i] * inv_det for j in range(3)] for i in range(3)]
 
 
-def _values(jets_nested, shape):
-    out = np.empty(shape)
-    flat = out.reshape(-1)
-    nodes = np.array(jets_nested, dtype=object).reshape(-1)
-    for i, jet in enumerate(nodes):
-        flat[i] = jet.value
-    return out
-
-
-def _grads(jets_nested, shape):
-    out = np.empty(shape + (3,))
-    flat = out.reshape(-1, 3)
-    nodes = np.array(jets_nested, dtype=object).reshape(-1)
-    for i, jet in enumerate(nodes):
-        flat[i] = jet.grad()
-    return out
-
-
-def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
-    """Full curvature package at the base point of the metric jets.
-
-    ``tamper`` flips the sign of the Gamma*Gamma commutator in the curvature
-    formula; it exists so the self-test harness can prove the identity suite
-    actually detects a broken sign convention.
-    """
-    jets = m.jets
-    point = m.point
+def _christoffel_jets(jets):
+    """Jets of g^-1 and of Gamma^k_ij (nested [k][i][j]) from metric jets;
+    Gamma carries one order less than the metric."""
     ginv_j = _jet_matrix_inverse(jets)
-
     dg = [[[jets[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
-
     # lowered Christoffel low[l][i][j] = (d_i g_jl + d_j g_il - d_l g_ij)/2
     gamma_j = [[[None] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
@@ -141,6 +115,25 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
                     acc = term if acc is None else acc + term
                 gamma_j[k][i][j] = acc
                 gamma_j[k][j][i] = acc
+    return ginv_j, gamma_j
+
+
+def _coefs(jets_nested, shape, n):
+    """Leading ``n`` Taylor coefficients of a nested list of jets, shape (n,) + shape:
+    [0] holds the values and [1:4] the partial derivatives d_m."""
+    nodes = np.array(jets_nested, dtype=object).reshape(-1)
+    return np.array([jet.coef[:n] for jet in nodes]).T.reshape((n,) + shape)
+
+
+def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
+    """Full curvature package at the base point of the metric jets.
+
+    ``tamper`` flips the sign of the Gamma*Gamma commutator in the curvature
+    formula; it exists so the self-test harness can prove the identity suite
+    actually detects a broken sign convention.
+    """
+    point = m.point
+    ginv_j, gamma_j = _christoffel_jets(m.jets)
 
     dgamma_j = [
         [[[gamma_j[k][i][j].diff(mm) for mm in range(3)] for j in range(3)] for i in range(3)]
@@ -182,13 +175,13 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
 
     # numeric extraction
     g = m.g
-    ginv = _values(ginv_j, (3, 3))
-    gamma = _values(gamma_j, (3, 3, 3))
-    dgamma = np.transpose(_grads(gamma_j, (3, 3, 3)), (3, 0, 1, 2))
-    R = _values(R_j, (3, 3, 3, 3))
-    dR = np.transpose(_grads(R_j, (3, 3, 3, 3)), (4, 0, 1, 2, 3))
-    ric = _values(ric_j, (3, 3))
-    dric = np.transpose(_grads(ric_j, (3, 3)), (2, 0, 1))
+    ginv = _coefs(ginv_j, (3, 3), 1)[0]
+    c = _coefs(gamma_j, (3, 3, 3), 4)
+    gamma, dgamma = c[0], c[1:]
+    c = _coefs(R_j, (3, 3, 3, 3), 4)
+    R, dR = c[0], c[1:]
+    c = _coefs(ric_j, (3, 3), 4)
+    ric, dric = c[0], c[1:]
     d2ric = np.empty((3, 3, 3, 3))
     for i in range(3):
         for j in range(3):
@@ -257,22 +250,9 @@ def pack_at(spec: MetricSpec, p, tamper: bool = False) -> CurvaturePack:
 def curvature_r_only(spec: MetricSpec, p):
     """(g, ginv, R) only, from order-2 jets; fast path for along-path sampling."""
     m = metric_jets(spec, p, order=2)
-    jets = m.jets
-    ginv_j = _jet_matrix_inverse(jets)
-    dg = [[[jets[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
-    gamma_j = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for k in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                acc = None
-                for l in range(3):
-                    low = (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) * 0.5
-                    term = ginv_j[k][l] * low
-                    acc = term if acc is None else acc + term
-                gamma_j[k][i][j] = acc
-                gamma_j[k][j][i] = acc
-    gamma = _values(gamma_j, (3, 3, 3))
-    dgamma = np.transpose(_grads(gamma_j, (3, 3, 3)), (3, 0, 1, 2))
+    ginv_j, gamma_j = _christoffel_jets(m.jets)
+    c = _coefs(gamma_j, (3, 3, 3), 4)
+    gamma, dgamma = c[0], c[1:]
     R = np.zeros((3, 3, 3, 3))
     for i in range(3):
         for j in range(i + 1, 3):
@@ -286,7 +266,35 @@ def curvature_r_only(spec: MetricSpec, p):
                     )
                     R[i, j, k, l] = val
                     R[j, i, k, l] = -val
-    return m.g, _values(ginv_j, (3, 3)), R
+    return m.g, _coefs(ginv_j, (3, 3), 1)[0], R
+
+
+def orthonormal_perp(g, v, basis):
+    """Deterministic g-orthonormal basis (w1, w2) of the complement of the unit
+    vector v: Gram-Schmidt on the columns of ``basis``, largest projection first."""
+    cands = []
+    for k in range(3):
+        e = basis[:, k]
+        c = e - float(e @ g @ v) * v
+        cands.append((float(c @ g @ c), k, c))
+    cands.sort(key=lambda it: (-it[0], it[1]))
+    w1 = cands[0][2] / math.sqrt(cands[0][0])
+    c = cands[1][2]
+    c = c - float(c @ g @ w1) * w1
+    n = math.sqrt(float(c @ g @ c))
+    if n < 1e-12:
+        c = cands[2][2]
+        c = c - float(c @ g @ w1) * w1 - float(c @ g @ v) * v
+        n = math.sqrt(float(c @ g @ c))
+    return w1, c / n
+
+
+def plane_entries(g, M, w1, w2):
+    """(m11, m22, m12): the symmetrized matrix of the operator M on span(w1, w2)."""
+    m11 = float(w1 @ g @ (M @ w1))
+    m22 = float(w2 @ g @ (M @ w2))
+    m12 = 0.5 * float(w1 @ g @ (M @ w2) + w2 @ g @ (M @ w1))
+    return m11, m22, m12
 
 
 def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:

@@ -1,15 +1,20 @@
-"""Scalar expression language and order-4 truncated Taylor jets in 3 variables.
+"""Scalar expression language and truncated Taylor jets of order <= 4 in 3 variables.
 
 An expression is an AST over the coordinate variables ``x1, x2, x3``, named
 parameters, real constants, the operators ``+ - * /``, integer powers ``^``,
 and the unary functions ``exp, log, sin, cos, sinh, cosh, sqrt``.
 
-Jets store every partial derivative of total order <= 4 at a base point: 35
-coefficients in graded lexicographic multi-index order, with the coefficient
-for multi-index a equal to (d^a f)(p) / a!.  Arithmetic is truncated Taylor
-arithmetic; unary functions are evaluated by composing the function's scalar
-Taylor series with the (constant-free part of the) argument jet, so no
-symbolic differentiation of the AST is ever needed.
+An order-k jet stores every partial derivative of total order <= k at a base
+point: coefficients in graded lexicographic multi-index order, with the
+coefficient for multi-index a equal to (d^a f)(p) / a!.  Graded-lex order puts
+all degrees <= k first, so an order-k jet is exactly the leading
+N(k) = 1, 4, 10, 20, 35 coefficients of the order-4 jet, and its product and
+derivative tables are leading slices of the order-4 tables.  Arithmetic is
+truncated Taylor arithmetic; unary functions and integer powers are evaluated
+by composing a scalar Taylor series (the binomial series for powers, n = -1
+for division) with the constant-free part of the argument jet, so no symbolic
+differentiation of the AST is ever needed.  There is one evaluator,
+``eval_jet``: ``eval_dual`` (value and gradient) is its order-1 case.
 """
 
 from __future__ import annotations
@@ -39,16 +44,18 @@ def _build_multi_indices():
 
 
 MULTI_INDICES = _build_multi_indices()
-N_COEFFS = len(MULTI_INDICES)  # 35
+# graded-lex order puts the N(k) multi-indices of degree <= k first
+N_BY_ORDER = tuple(math.comb(k + NVARS, NVARS) for k in range(MAX_ORDER + 1))  # 1, 4, 10, 20, 35
 INDEX_OF = {m: i for i, m in enumerate(MULTI_INDICES)}
-DEGREES = np.array([sum(m) for m in MULTI_INDICES])
 FACTORIALS = np.array(
     [math.factorial(a) * math.factorial(b) * math.factorial(c) for a, b, c in MULTI_INDICES],
     dtype=float,
 )
 
 
-def _build_mul_table():
+def _build_mul_tables():
+    """Leibniz terms (out, a, b) sorted by output index, so the order-k
+    table is the leading slice that writes the first N(k) outputs."""
     out_idx, a_idx, b_idx = [], [], []
     for gi, gamma in enumerate(MULTI_INDICES):
         for ai, alpha in enumerate(MULTI_INDICES):
@@ -58,30 +65,40 @@ def _build_mul_table():
             out_idx.append(gi)
             a_idx.append(ai)
             b_idx.append(INDEX_OF[beta])
-    return np.array(out_idx), np.array(a_idx), np.array(b_idx)
+    out_idx, a_idx, b_idx = np.array(out_idx), np.array(a_idx), np.array(b_idx)
+    tables = []
+    for n in N_BY_ORDER:
+        m = int(np.searchsorted(out_idx, n))
+        tables.append((out_idx[:m], a_idx[:m], b_idx[:m]))
+    return tuple(tables)
 
 
-_MUL_OUT, _MUL_A, _MUL_B = _build_mul_table()
+_MUL_TABLES = _build_mul_tables()
+
+
+def _mul(a, b, order):
+    """Truncated Leibniz product of two coefficient vectors at ``order``."""
+    out, ia, ib = _MUL_TABLES[order]
+    return np.bincount(out, weights=a[ia] * b[ib], minlength=N_BY_ORDER[order])
 
 
 def _build_diff_tables():
+    """d/dx_i as a gather: output j (the j-th multi-index, degree < 4) reads
+    source src[j] scaled by fac[j]; the order-k jet's derivative is the
+    leading N(k-1) outputs."""
     tables = []
     for i in range(NVARS):
-        src, dst, fac = [], [], []
-        for bi, beta in enumerate(MULTI_INDICES):
-            if sum(beta) >= MAX_ORDER:
-                continue
+        src, fac = [], []
+        for beta in MULTI_INDICES[: N_BY_ORDER[MAX_ORDER - 1]]:
             up = list(beta)
             up[i] += 1
             src.append(INDEX_OF[tuple(up)])
-            dst.append(bi)
             fac.append(beta[i] + 1)
-        tables.append((np.array(src), np.array(dst), np.array(fac, dtype=float)))
+        tables.append((np.array(src), np.array(fac, dtype=float)))
     return tables
 
 
 _DIFF_TABLES = _build_diff_tables()
-_ORDER_MASKS = [DEGREES <= k for k in range(MAX_ORDER + 1)]
 
 
 class ExprError(ValueError):
@@ -305,62 +322,62 @@ def parse_expr(src: str, params=()) -> Expr:
     return _Parser(src, params).parse()
 
 
-def may_fault(e: Expr) -> bool:
-    """Whether the tree contains nodes that can fault at evaluation
-    (division, negative integer powers, log, sqrt)."""
-    if isinstance(e, BinOp):
-        return e.op == "/" or may_fault(e.left) or may_fault(e.right)
-    if isinstance(e, Call):
-        return e.func in ("log", "sqrt") or may_fault(e.arg)
-    if isinstance(e, Power):
-        return e.exponent < 0 or may_fault(e.base)
-    if isinstance(e, Neg):
-        return may_fault(e.arg)
-    return False
-
-
 # --- Jets --------------------------------------------------------------
 
 
 class Jet4:
-    """Truncated Taylor expansion at a point, total order <= 4, 35 coefficients.
+    """Truncated Taylor expansion at a point, total order <= ``order`` <= 4.
 
-    ``coef[i]`` is (d^a f)(p) / a! for the i-th graded-lex multi-index a.
-    ``order`` is the guaranteed-valid truncation order; coefficients of higher
-    degree are stored as zero.
+    ``coef[i]`` is (d^a f)(p) / a! for the i-th graded-lex multi-index a; an
+    order-k jet stores exactly the N(k) = 1, 4, 10, 20, 35 coefficients of
+    degree <= k, so truncating a jet is slicing its coefficients.
     """
 
     __slots__ = ("point", "coef", "order")
 
     def __init__(self, point, coef, order=MAX_ORDER):
-        self.point = tuple(float(x) for x in point)
+        self.point = tuple(map(float, point))
         self.coef = np.asarray(coef, dtype=float)
         self.order = int(order)
+        if self.coef.shape != (N_BY_ORDER[self.order],):
+            raise ExprError(
+                f"an order-{self.order} jet has {N_BY_ORDER[self.order]} coefficients, "
+                f"got shape {self.coef.shape}"
+            )
+
+    @classmethod
+    def _raw(cls, point, coef, order):
+        """Internal constructor: ``point`` is already a float tuple, ``coef`` sized."""
+        jet = object.__new__(cls)
+        jet.point = point
+        jet.coef = coef
+        jet.order = order
+        return jet
 
     @classmethod
     def constant(cls, value, point, order=MAX_ORDER):
-        coef = np.zeros(N_COEFFS)
+        coef = np.zeros(N_BY_ORDER[order])
         coef[0] = value
-        return cls(point, coef, order)
+        return cls._raw(tuple(map(float, point)), coef, order)
 
     @classmethod
     def variable(cls, index, point, order=MAX_ORDER):
-        coef = np.zeros(N_COEFFS)
+        coef = np.zeros(N_BY_ORDER[order])
         coef[0] = point[index]
         if order >= 1:
             coef[1 + index] = 1.0
-        return cls(point, coef, order)
+        return cls._raw(tuple(map(float, point)), coef, order)
 
     @property
     def value(self) -> float:
         return float(self.coef[0])
 
     def grad(self) -> np.ndarray:
-        """First partials (3,)."""
+        """First partials (3,); needs order >= 1."""
         return self.coef[1:4].copy()
 
     def hess(self) -> np.ndarray:
-        """Second partials (3,3), symmetric."""
+        """Second partials (3,3), symmetric; needs order >= 2."""
         h = np.empty((3, 3))
         for i in range(3):
             for j in range(3):
@@ -379,7 +396,7 @@ class Jet4:
         return float(self.coef[k] * FACTORIALS[k])
 
     def _check(self, other):
-        """Mixed validity orders are fine internally; the result order is the min."""
+        """Mixed orders are fine: the result has the lower order."""
         if self.point != other.point:
             raise ExprError(f"base-point mismatch: {self.point} vs {other.point}")
         return min(self.order, other.order)
@@ -387,17 +404,16 @@ class Jet4:
     def __add__(self, other):
         if isinstance(other, Jet4):
             order = self._check(other)
-            coef = self.coef + other.coef
-            coef[~_ORDER_MASKS[order]] = 0.0
-            return Jet4(self.point, coef, order)
+            n = N_BY_ORDER[order]
+            return Jet4._raw(self.point, self.coef[:n] + other.coef[:n], order)
         coef = self.coef.copy()
         coef[0] += other
-        return Jet4(self.point, coef, self.order)
+        return Jet4._raw(self.point, coef, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet4(self.point, -self.coef, self.order)
+        return Jet4._raw(self.point, -self.coef, self.order)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet4) else -float(other))
@@ -408,65 +424,61 @@ class Jet4:
     def __mul__(self, other):
         if isinstance(other, Jet4):
             order = self._check(other)
-            prod = self.coef[_MUL_A] * other.coef[_MUL_B]
-            coef = np.bincount(_MUL_OUT, weights=prod, minlength=N_COEFFS)
-            coef[~_ORDER_MASKS[order]] = 0.0
-            return Jet4(self.point, coef, order)
-        return Jet4(self.point, self.coef * float(other), self.order)
+            return Jet4._raw(self.point, _mul(self.coef, other.coef, order), order)
+        return Jet4._raw(self.point, self.coef * float(other), self.order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet4):
-            return self * other._reciprocal()
-        return Jet4(self.point, self.coef / float(other), self.order)
+            return self * other.ipow(-1)
+        return Jet4._raw(self.point, self.coef / float(other), self.order)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * float(other)
+        return self.ipow(-1) * float(other)
 
     def diff(self, i) -> "Jet4":
-        """Jet of the i-th partial derivative (valid order drops by one)."""
-        src, dst, fac = _DIFF_TABLES[i]
-        coef = np.zeros(N_COEFFS)
-        coef[dst] = self.coef[src] * fac
-        order = max(self.order - 1, 0)
-        coef[~_ORDER_MASKS[order]] = 0.0
-        return Jet4(self.point, coef, order)
+        """Jet of the i-th partial derivative (order drops by one, not below 0)."""
+        if self.order == 0:
+            return Jet4._raw(self.point, np.zeros(1), 0)
+        src, fac = _DIFF_TABLES[i]
+        n = N_BY_ORDER[self.order - 1]
+        return Jet4._raw(self.point, self.coef[src[:n]] * fac[:n], self.order - 1)
 
     def compose_series(self, series) -> "Jet4":
-        """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        h = Jet4(self.point, self.coef.copy(), self.order)
-        h.coef[0] = 0.0
-        res = Jet4.constant(series[MAX_ORDER], self.point, self.order)
-        for k in range(MAX_ORDER - 1, -1, -1):
-            res = res * h
-            res.coef[0] += series[k]
-        return res
+        """Evaluate sum_k series[k] * (self - value)^k by Horner.
 
-    def _reciprocal(self, node=None, threshold=1e-12):
+        Terms beyond the jet order vanish, so only series[:order + 1] is read.
+        """
+        top = min(self.order, len(series) - 1)
+        if top == 0:
+            coef = np.zeros(len(self.coef))
+        else:
+            coef = self.coef * float(series[top])  # series[top] * h, constant term aside
+            if top > 1:
+                h = self.coef.copy()
+                h[0] = 0.0
+                for k in range(top - 1, 0, -1):
+                    coef[0] = series[k]
+                    coef = _mul(coef, h, self.order)
+        coef[0] = series[0]
+        return Jet4._raw(self.point, coef, self.order)
+
+    def ipow(self, n: int, node=None, threshold=1e-12) -> "Jet4":
+        """Integer power by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
+
+        A negative power of a value within ``threshold`` of 0 raises
+        DomainFault naming ``node`` (or the value).
+        """
         a0 = self.value
-        if abs(a0) < threshold:
+        if n < 0 and abs(a0) < threshold:
             raise DomainFault("division by ~0", node if node is not None else Const(a0))
-        return self.compose_series([1 / a0, -1 / a0**2, 1 / a0**3, -1 / a0**4, 1 / a0**5])
-
-    def ipow(self, n: int) -> "Jet4":
-        if n < 0:
-            return self._reciprocal().ipow(-n)
-        res = Jet4.constant(1.0, self.point, self.order)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
-
-
-def jet_mul(a: Jet4, b: Jet4) -> Jet4:
-    """Truncated Leibniz convolution of two jets at the same base point and order."""
-    if a.order != b.order:
-        raise ExprError(f"order mismatch: {a.order} vs {b.order}")
-    return a * b
+        top = self.order if n < 0 else min(self.order, n)
+        series, c = [], 1.0  # c = binomial(n, k)
+        for k in range(top + 1):
+            series.append(c * a0 ** (n - k))
+            c = c * (n - k) / (k + 1)
+        return self.compose_series(series)
 
 
 def _function_series(name, a0, node):
@@ -523,9 +535,9 @@ def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
                 return a - b
             if node.op == "*":
                 return a * b
-            return a * b._reciprocal(node.right)
+            return a * b.ipow(-1, node.right)
         if isinstance(node, Power):
-            return rec(node.base).ipow(node.exponent)
+            return rec(node.base).ipow(node.exponent, node)
         if isinstance(node, Call):
             arg = rec(node.arg)
             return arg.compose_series(_function_series(node.func, arg.value, node))
@@ -560,78 +572,5 @@ def eval_scalar(e: Expr, p, params=None, lib=math):
 
 
 def eval_dual(e: Expr, p, params=None) -> np.ndarray:
-    """Value and first partials as a length-4 array (fast path for integrators)."""
-    params = params or {}
-
-    def rec(node):
-        if isinstance(node, Const):
-            return np.array([node.value, 0.0, 0.0, 0.0])
-        if isinstance(node, Var):
-            out = np.zeros(4)
-            out[0] = p[node.index]
-            out[1 + node.index] = 1.0
-            return out
-        if isinstance(node, Param):
-            return np.array([float(params[node.name]), 0.0, 0.0, 0.0])
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, BinOp):
-            a, b = rec(node.left), rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                out = a * b[0]
-                out[1:] += a[0] * b[1:]
-                return out
-            if abs(b[0]) < 1e-12:
-                raise DomainFault("division by ~0", node.right)
-            out = a / b[0]
-            out[1:] -= a[0] * b[1:] / b[0] ** 2
-            return out
-        if isinstance(node, Power):
-            a = rec(node.base)
-            n = node.exponent
-            if n == 0:
-                return np.array([1.0, 0.0, 0.0, 0.0])
-            if a[0] == 0.0 and n < 0:
-                raise DomainFault("division by ~0", node)
-            out = np.empty(4)
-            out[0] = a[0] ** n
-            out[1:] = n * a[0] ** (n - 1) * a[1:]
-            return out
-        if isinstance(node, Call):
-            a = rec(node.arg)
-            v, d = _scalar_fn_and_deriv(node.func, a[0], node)
-            out = np.empty(4)
-            out[0] = v
-            out[1:] = d * a[1:]
-            return out
-        raise TypeError(f"not an Expr: {node!r}")
-
-    return rec(e)
-
-
-def _scalar_fn_and_deriv(name, x, node):
-    if name == "exp":
-        e = math.exp(x)
-        return e, e
-    if name == "log":
-        if x <= 0:
-            raise DomainFault("log of non-positive value", node)
-        return math.log(x), 1 / x
-    if name == "sqrt":
-        if x <= 0:
-            raise DomainFault("sqrt of non-positive value", node)
-        s = math.sqrt(x)
-        return s, 1 / (2 * s)
-    if name == "sin":
-        return math.sin(x), math.cos(x)
-    if name == "cos":
-        return math.cos(x), -math.sin(x)
-    if name == "sinh":
-        return math.sinh(x), math.cosh(x)
-    if name == "cosh":
-        return math.cosh(x), math.sinh(x)
-    raise ExprError(f"unknown function '{name}'")
+    """Value and first partials as a length-4 array: the order-1 jet."""
+    return eval_jet(e, p, params, order=1).coef

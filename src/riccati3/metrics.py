@@ -158,7 +158,7 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
 
 
 def gamma_at(spec: MetricSpec, p):
-    """Fast (g, ginv, Gamma) at a point via first-order dual numbers.
+    """Fast (g, ginv, Gamma) at a point from order-1 jets (``eval_dual``).
 
     Gamma[k,i,j] = Christoffel symbol of the second kind.  Used by the
     geodesic/transport integrators where full jets are wasteful.

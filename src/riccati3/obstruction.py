@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvaturePack, jacobi_op, pack_at, ricci_rank
+from .curvature import (
+    CurvaturePack,
+    jacobi_op,
+    orthonormal_perp,
+    pack_at,
+    plane_entries,
+    ricci_rank,
+)
 from .metrics import MetricSpec
 from .riccati import geodesic_step
 
@@ -105,27 +112,6 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _orthonormal_perp(pack: CurvaturePack, v):
-    """Deterministic g-orthonormal basis of v-perp, built from the pack frame."""
-    g = pack.g
-    cands = []
-    for k in range(3):
-        e = pack.frame[:, k]
-        c = e - float(e @ g @ v) * v
-        cands.append((float(c @ g @ c), k, c))
-    cands.sort(key=lambda it: (-it[0], it[1]))
-    w1 = cands[0][2] / math.sqrt(cands[0][0])
-    c = cands[1][2]
-    c = c - float(c @ g @ w1) * w1
-    n = math.sqrt(float(c @ g @ c))
-    if n < 1e-12:
-        c = cands[2][2]
-        c = c - float(c @ g @ w1) * w1 - float(c @ g @ v) * v
-        n = math.sqrt(float(c @ g @ c))
-    w2 = c / n
-    return w1, w2
-
-
 def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0."""
     X = np.asarray(X, dtype=float)
@@ -133,12 +119,8 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     if nX == 0.0:
         raise ValueError("zero direction")
     v = X / nX
-    w1, w2 = _orthonormal_perp(pack, v)
-    J = jacobi_op(pack, X)
-    g = pack.g
-    m11 = float(w1 @ g @ (J @ w1))
-    m22 = float(w2 @ g @ (J @ w2))
-    m12 = 0.5 * float(w1 @ g @ (J @ w2) + w2 @ g @ (J @ w1))
+    w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
+    m11, m22, m12 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
     t = float(X @ pack.ric @ X)
     A = 0.5 * (m11 - m22)
     B = m12
@@ -157,11 +139,7 @@ def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> Derived
     """J'(X) = (nabla_X R)(., X) X projected to the frame plane."""
     X = np.asarray(X, dtype=float)
     Jp = np.einsum("mijkl,m,j,k->li", pack.nablaR, X, X, X)
-    g = pack.g
-    w1, w2 = frame.w1, frame.w2
-    m11 = float(w1 @ g @ (Jp @ w1))
-    m22 = float(w2 @ g @ (Jp @ w2))
-    m12 = 0.5 * float(w1 @ g @ (Jp @ w2) + w2 @ g @ (Jp @ w1))
+    m11, m22, m12 = plane_entries(pack.g, Jp, frame.w1, frame.w2)
     return DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
 
 
@@ -184,24 +162,7 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     tr_JJp = 2.0 * (A * A1 + B * B1)
     D2 = tr_JJ + float(np.einsum("klij,k,l,i,j->", pack.nabla2_ric, X, X, X, X))
 
-    # D as the determinant of the commutator of the 3x3 trace-free operators,
-    # restricted to the plane; cross-checked elsewhere against 4(A B1 - A1 B)^2.
-    g = pack.g
-    J3 = np.einsum("ijkl,j,k->li", pack.R, X, X)
-    Jp3 = np.einsum("mijkl,m,j,k->li", pack.nablaR, X, X, X)
-    v = fr.v
-    P_perp = np.eye(3) - np.outer(v, v @ g)
-    Jo = J3 - 0.5 * ric_xx * P_perp
-    Jpo = Jp3 - 0.5 * D1 * P_perp
-    C = Jo @ Jpo - Jpo @ Jo
-    w1, w2 = fr.w1, fr.w2
-    c2 = np.array(
-        [
-            [float(w1 @ g @ (C @ w1)), float(w1 @ g @ (C @ w2))],
-            [float(w2 @ g @ (C @ w1)), float(w2 @ g @ (C @ w2))],
-        ]
-    )
-    D = float(np.linalg.det(c2))
+    D = 4.0 * (A * B1 - A1 * B) ** 2
 
     P = 2.0 * ((A * A + B * B) * D2 - (A * A1 + B * B1) * D1)
     lhs = P * P

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_r_only
+from .curvature import curvature_r_only, orthonormal_perp, plane_entries
 from .metrics import MetricSpec, gamma_at
 
 BLOWUP_NORM = 1e8
@@ -101,26 +101,13 @@ def geodesic_step(spec: MetricSpec, p, v, dt: float):
     return y[0:3], y[3:6]
 
 
-def _initial_frame(spec, p, v):
-    g, _, _ = gamma_at(spec, p)
-    n = math.sqrt(float(v @ g @ v))
-    v = v / n
-    cands = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        c = e - float(e @ g @ v) * v
-        cands.append((float(c @ g @ c), k, c))
-    cands.sort(key=lambda it: (-it[0], it[1]))
-    w1 = cands[0][2] / math.sqrt(cands[0][0])
-    c = cands[1][2]
-    c = c - float(c @ g @ w1) * w1
-    nc = math.sqrt(float(c @ g @ c))
-    if nc < 1e-12:
-        c = cands[2][2] - float(cands[2][2] @ g @ w1) * w1 - float(cands[2][2] @ g @ v) * v
-        nc = math.sqrt(float(c @ g @ c))
-    w2 = c / nc
-    return v, w1, w2
+def _sample_times(T: float, dt: float) -> np.ndarray:
+    """0, dt, 2 dt, ..., T: ceil(T/dt) steps, t_k = k dt, the last one shortened to end at T."""
+    n_steps = max(0, math.ceil(T / dt * (1.0 - 1e-12)))
+    ts = np.arange(n_steps + 1) * dt
+    if n_steps:
+        ts[-1] = T
+    return ts
 
 
 def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicPath:
@@ -133,25 +120,18 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
         raise ValueError("dt must be positive")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    v, w1, w2 = _initial_frame(spec, p, v)
-    n_steps = int(round(T / dt))
-    ts = [0.0]
+    g, _, _ = gamma_at(spec, p)
+    v = v / math.sqrt(float(v @ g @ v))
+    w1, w2 = orthonormal_perp(g, v, np.eye(3))
+    ts = _sample_times(T, dt)
     ys = [np.concatenate([p, v, w1, w2])]
-    y = ys[0]
-    t = 0.0
-    for _ in range(n_steps):
-        h = min(dt, T - t)
-        if h <= 0:
-            break
-        y = _rk4(spec, y, h)
-        t += h
-        ts.append(t)
-        ys.append(y)
+    for k in range(1, len(ts)):
+        ys.append(_rk4(spec, ys[-1], dt if k < len(ts) - 1 else T - ts[-2]))
     ys = np.array(ys)
     return GeodesicPath(
         spec=spec,
         dt=dt,
-        ts=np.array(ts),
+        ts=ts,
         xs=ys[:, 0:3],
         vs=ys[:, 3:6],
         w1s=ys[:, 6:9],
@@ -165,9 +145,7 @@ def jacobi_along(spec: MetricSpec, path: GeodesicPath) -> np.ndarray:
     for i, (x, v, w1, w2) in enumerate(zip(path.xs, path.vs, path.w1s, path.w2s)):
         g, _, R = curvature_r_only(spec, x)
         J = np.einsum("ijkl,j,k->li", R, v, v)
-        m11 = float(w1 @ g @ (J @ w1))
-        m22 = float(w2 @ g @ (J @ w2))
-        m12 = 0.5 * float(w1 @ g @ (J @ w2) + w2 @ g @ (J @ w1))
+        m11, m22, m12 = plane_entries(g, J, w1, w2)
         out[i] = [[m11, m12], [m12, m22]]
     return out
 
@@ -215,13 +193,13 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
 
     states = [RiccatiState(0.0, u.copy(), abs(float(np.trace(u))))]
     defect = states[0].trace_defect
-    t = 0.0
-    dt = float(path.dt)
-    while t < t_end - 1e-14:
-        h = min(dt, t_end - t)
+    # step on the path's sample times, the last one cut at t_end
+    times = np.append(ts[ts < t_end], t_end).tolist()
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
         u_next = step(t, u, h)
         if not np.all(np.isfinite(u_next)) or np.linalg.norm(u_next) > BLOWUP_NORM:
-            lo, hi = t, t + h
+            lo, hi = t, t_next
             u_lo = u.copy()
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
@@ -232,11 +210,10 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
                     lo, u_lo = mid, u_mid
             t_blow = 0.5 * (lo + hi)
             return RiccatiResult(states, defect, True, t_blow, (lo, hi))
-        t += h
         u = u_next
         d = abs(float(np.trace(u)))
         defect = max(defect, d)
-        states.append(RiccatiState(t, u.copy(), d))
+        states.append(RiccatiState(t_next, u.copy(), d))
     return RiccatiResult(states, defect, False, None, None)
 
 

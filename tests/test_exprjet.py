@@ -10,13 +10,15 @@ from riccati3.exprjet import (
     DomainFault,
     Jet4,
     MULTI_INDICES,
+    N_BY_ORDER,
     ParseError,
+    eval_dual,
     eval_jet,
     eval_scalar,
     format_expr,
-    jet_mul,
     parse_expr,
 )
+from riccati3.metrics import custom, gamma_at
 
 mpmath.mp.dps = 50
 
@@ -121,14 +123,17 @@ def test_jet_against_finite_differences(src, point, params):
     """Every coefficient matches a step-1e-4 central stencil to 1e-6 relative."""
     expr = parse_expr(src, params=params.keys())
     j = eval_jet(expr, point, params)
+    dual = eval_dual(expr, point, params)
     mp_point = tuple(mpmath.mpf(repr(x)) for x in point)
-    for alpha in MULTI_INDICES:
+    for k, alpha in enumerate(MULTI_INDICES):
         got = j.partial(alpha)
         want = float(fd_partial(expr, mp_point, params, alpha))
         if abs(got) > 1e-8:
             assert got == pytest.approx(want, rel=1e-6), (src, alpha)
         else:
             assert abs(want) < 1e-6, (src, alpha)
+        if k < len(dual):  # value and first partials
+            assert dual[k] == pytest.approx(want, rel=1e-6, abs=1e-6), (src, alpha)
 
 
 def test_jet_mul_identity_and_square():
@@ -136,8 +141,8 @@ def test_jet_mul_identity_and_square():
     one = Jet4.constant(1.0, p)
     x1 = Jet4.variable(0, p)
     j = eval_jet(parse_expr("exp(x1)+x2*x3"), p)
-    assert np.array_equal(jet_mul(one, j).coef, j.coef)
-    sq = jet_mul(x1, x1)
+    assert np.array_equal((one * j).coef, j.coef)
+    sq = x1 * x1
     expected = np.zeros(len(MULTI_INDICES))
     expected[MULTI_INDICES.index((2, 0, 0))] = 1.0
     assert np.array_equal(sq.coef, expected)
@@ -150,14 +155,14 @@ def test_jet_mul_matches_product_expression():
     g = "x1*x3 - 3*x2 + 2"
     jf, jg = eval_jet(parse_expr(f), p), eval_jet(parse_expr(g), p)
     jprod = eval_jet(parse_expr(f"({f})*({g})"), p)
-    assert np.allclose(jet_mul(jf, jg).coef, jprod.coef, atol=1e-13)
+    assert np.allclose((jf * jg).coef, jprod.coef, atol=1e-13)
 
 
 def test_jet_mul_base_point_mismatch():
     a = Jet4.constant(1.0, (0, 0, 0))
     b = Jet4.constant(1.0, (1, 0, 0))
     with pytest.raises(Exception):
-        jet_mul(a, b)
+        a * b
 
 
 coef_strategy = st.lists(
@@ -186,18 +191,34 @@ def test_division_by_zero_faults():
     assert "sqrt" in str(err.value)
 
 
-def test_may_fault_marks_partial_nodes():
-    from riccati3.exprjet import may_fault
-
-    assert not may_fault(parse_expr("x1^2 + sinh(x2)*x3"))
-    assert may_fault(parse_expr("x1/x2"))
-    assert may_fault(parse_expr("log(1 + x1)"))
-    assert may_fault(parse_expr("x2 + sqrt(x3)"))
-
-
 def test_order_truncation():
     j = eval_jet(parse_expr("exp(x1)"), (0.0, 0, 0), order=2)
     assert j.order == 2
-    assert j.coef[MULTI_INDICES.index((3, 0, 0))] == 0.0
+    assert len(j.coef) == 10
     with pytest.raises(Exception):
         j.partial((3, 0, 0))
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_order_k_jet_is_prefix_of_order_4(order):
+    """An order-k jet is exactly the leading N(k) coefficients of the order-4 jet."""
+    src = "exp(x1)*sin(x2)/(1 + x3^2) + log(2 + x1*x2)^3 - sqrt(3 + x3)*x2^-2 + cosh(L*x1)"
+    expr = parse_expr(src, params=["L"])
+    p, params = (0.3, -0.7, 0.4), {"L": 1.5}
+    full = eval_jet(expr, p, params)
+    j = eval_jet(expr, p, params, order=order)
+    assert j.order == order
+    assert np.array_equal(j.coef, full.coef[: N_BY_ORDER[order]])
+
+
+def test_negative_power_near_zero_faults_in_gamma_at():
+    """One division rule for every order: a negative power of a base within
+    1e-12 of zero faults, also in the order-1 evaluation gamma_at uses."""
+    comps = {"g11": "1 + x3^-2", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = custom(comps)
+    gamma_at(spec, (0.0, 0.0, 0.5))
+    with pytest.raises(DomainFault) as err:
+        gamma_at(spec, (0.0, 0.0, 1e-13))
+    assert "x3^-2" in str(err.value)
+    with pytest.raises(DomainFault):
+        eval_jet(parse_expr("x1^-3"), (-5e-13, 0.0, 0.0))

@@ -121,12 +121,21 @@ def test_commutator_determinant_identity():
         spec = metrics.builtin(name)
         p = tuple(rng.uniform(lo, hi) for lo, hi in spec.box)
         pk = pack_at(spec, p)
+        g = pk.g
         for _ in range(10):
             X = rng.standard_normal(3)
             ov = obstruction_values(pk, X)
-            A, B = ov.frame.A, ov.frame.B
-            A1, B1 = ov.derived.A1, ov.derived.B1
-            want = 4.0 * (A * B1 - A1 * B) ** 2
+            # oracle: det of the commutator of the 3x3 trace-free Jacobi and
+            # derived Jacobi operators, restricted to the frame plane
+            J3 = np.einsum("ijkl,j,k->li", pk.R, X, X)
+            Jp3 = np.einsum("mijkl,m,j,k->li", pk.nablaR, X, X, X)
+            v = ov.frame.v
+            P_perp = np.eye(3) - np.outer(v, v @ g)
+            Jo = J3 - 0.5 * ov.frame.t * P_perp
+            Jpo = Jp3 - 0.5 * ov.D1 * P_perp
+            C = Jo @ Jpo - Jpo @ Jo
+            w = (ov.frame.w1, ov.frame.w2)
+            want = float(np.linalg.det([[a @ g @ (C @ b) for b in w] for a in w]))
             assert ov.D == pytest.approx(want, rel=1e-8, abs=1e-12)
             assert ov.derived.trace == pytest.approx(ov.D1, rel=1e-8, abs=1e-8)
 

@@ -175,3 +175,20 @@ def test_probe_heisenberg_no_candidate():
     )
     assert rep.min_combined > 1e-6
     assert not rep.first_jet_inconsistency
+
+
+@pytest.mark.parametrize("T,dt,n_steps", [(1.0, 0.4, 3), (1.0, 0.3, 4), (1.2, 1e-3, 1200)])
+def test_integrators_end_exactly_at_T(T, dt, n_steps):
+    """ceil(T/dt) steps at t_k = k dt, the last one shortened to end at T;
+    the Riccati states sit on the same sample times."""
+    spec = metrics.builtin("flat")
+    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T, dt)
+    assert len(path.ts) == n_steps + 1
+    assert path.ts[-1] == T
+    assert all(path.ts[k] == k * dt for k in range(n_steps))
+    assert np.allclose(path.xs[-1], [0.1 + T, 0.2, 0.3], atol=1e-12)
+    res = integrate_riccati(path, jacobi_along(spec, path), np.diag([0.5, 0.5]))
+    assert not res.blown_up
+    assert [st.t for st in res.states] == list(path.ts)
+    # u' = -u^2 from 0.5 id: u(T) = 0.5 / (1 + 0.5 T) id
+    assert np.allclose(res.final, 0.5 / (1.0 + 0.5 * T) * np.eye(2), atol=1e-4)
