@@ -19,6 +19,7 @@ import numpy as np
 from . import frame_algebra as fa
 from . import metrics, polyclass
 from .curvature import identity_residuals, pack_at, ricci_rank
+from .exprjet import ExprError
 from .obstruction import (
     RankPrecondition,
     fibonacci_directions,
@@ -29,6 +30,10 @@ from .riccati import integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
+
+
+class UsageError(ValueError):
+    """A command-line value that fails validation."""
 
 
 def load_config(path):
@@ -49,10 +54,22 @@ def _parse_params(items):
     out = {}
     for item in items or []:
         key, _, val = item.partition("=")
-        if not val:
-            raise SystemExit(f"--param needs key=value, got '{item}'")
-        out[key.strip()] = float(val)
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise UsageError(f"--param needs key=number, got {item!r}") from None
     return out
+
+
+def _floats(text, option):
+    """The three finite numbers of a comma-separated option value."""
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != 3 or not all(math.isfinite(x) for x in vals):
+        raise UsageError(f"{option} needs 3 finite comma-separated numbers, got {text!r}")
+    return vals
 
 
 def _emit(report, args):
@@ -78,6 +95,8 @@ def cmd_analyze(args):
     tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-9))
     n_points = args.points if args.points is not None else int(cfg.get("points", 10))
     n_dirs = args.dirs if args.dirs is not None else int(cfg.get("dirs", 64))
+    if n_points < 1 or n_dirs < 1:
+        raise UsageError(f"-n/--points and -m/--dirs must be at least 1, got {n_points}, {n_dirs}")
 
     spec = metrics.resolve(args.metric, _parse_params(args.param))
     rng = np.random.default_rng(seed)
@@ -168,10 +187,15 @@ def cmd_analyze(args):
 
 def cmd_riccati(args):
     spec = metrics.resolve(args.metric, _parse_params(args.param))
-    p = [float(x) for x in args.point.split(",")]
-    v = np.array([float(x) for x in args.dir.split(",")])
-    u0_vals = [float(x) for x in args.u0.split(",")]
-    u0 = np.array([[u0_vals[0], u0_vals[1]], [u0_vals[1], u0_vals[2]]])
+    p = _floats(args.point, "--point")
+    v = np.array(_floats(args.dir, "--dir"))
+    if not v.any():
+        raise UsageError("--dir must be a nonzero vector")
+    u11, u12, u22 = _floats(args.u0, "--u0")
+    u0 = np.array([[u11, u12], [u12, u22]])
+    for option, value in (("--T", args.T), ("--dt", args.dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{option} must be a positive number, got {value}")
     path = integrate_geodesic(spec, p, v, args.T, args.dt)
     Js = jacobi_along(spec, path)
     res = integrate_riccati(path, Js, u0)
@@ -498,8 +522,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a bad input value, metric or instance is reported as one
+    line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, metrics.MetricError, ExprError, polyclass.PolyclassError) as exc:
+        print(f"riccati3 {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

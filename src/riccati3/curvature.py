@@ -90,10 +90,11 @@ def _jet_matrix_inverse(jets):
             minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
             cof[i][j] = minor if (i + j) % 2 == 0 else -minor
     det = a[0][0] * cof[0][0] + a[0][1] * cof[0][1] + a[0][2] * cof[0][2]
-    # threshold relative to the metric scale: legitimate metrics can have
-    # tiny determinants far from coordinate origins (hyperbolic upper half space)
-    scale = max(abs(a[i][j].value) for i in range(3) for j in range(3)) ** 3
-    inv_det = det.ipow(-1, threshold=1e-14 * max(scale, 1e-290))
+    # threshold relative to each point's own metric scale: legitimate metrics can
+    # have tiny determinants far from coordinate origins (hyperbolic upper half
+    # space).  The scale is max |g_ij|, which is max g_ii for a positive-definite g.
+    scale = np.maximum(np.maximum(a[0][0].value, a[1][1].value), a[2][2].value) ** 3
+    inv_det = det.ipow(-1, threshold=1e-14 * np.maximum(scale, 1e-290))
     # adjugate = transpose of cofactor matrix; symmetric here
     return [[cof[j][i] * inv_det for j in range(3)] for i in range(3)]
 
@@ -119,10 +120,14 @@ def _christoffel_jets(jets):
 
 
 def _coefs(jets_nested, shape, n):
-    """Leading ``n`` Taylor coefficients of a nested list of jets, shape (n,) + shape:
-    [0] holds the values and [1:4] the partial derivatives d_m."""
-    nodes = np.array(jets_nested, dtype=object).reshape(-1)
-    return np.array([jet.coef[:n] for jet in nodes]).T.reshape((n,) + shape)
+    """Leading ``n`` Taylor coefficients of a nested list of jets, shape (n,) + shape,
+    or (n, batch) + shape for batched jets: [0] holds the values and [1:4] the
+    partial derivatives d_m."""
+    nodes = jets_nested
+    for _ in shape[1:]:
+        nodes = [jet for inner in nodes for jet in inner]
+    c = np.array([jet.coef[:n] for jet in nodes])
+    return c.transpose(*range(1, c.ndim), 0).reshape(c.shape[1:] + shape)
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
@@ -248,24 +253,20 @@ def pack_at(spec: MetricSpec, p, tamper: bool = False) -> CurvaturePack:
 
 
 def curvature_r_only(spec: MetricSpec, p):
-    """(g, ginv, R) only, from order-2 jets; fast path for along-path sampling."""
+    """(g, ginv, R) from order-2 jets: the fast path for along-path sampling.
+
+    ``p`` is one point, giving g and ginv of shape (3, 3) and R of shape
+    (3, 3, 3, 3), or an (n, 3) array of points, giving the same with a
+    leading batch axis from one batched jet evaluation.
+    """
     m = metric_jets(spec, p, order=2)
     ginv_j, gamma_j = _christoffel_jets(m.jets)
     c = _coefs(gamma_j, (3, 3, 3), 4)
-    gamma, dgamma = c[0], c[1:]
-    R = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(3):
-                for l in range(3):
-                    val = (
-                        dgamma[i, l, j, k]
-                        - dgamma[j, l, i, k]
-                        + gamma[l, i] @ gamma[:, j, k]
-                        - gamma[l, j] @ gamma[:, i, k]
-                    )
-                    R[i, j, k, l] = val
-                    R[j, i, k, l] = -val
+    gamma = c[0]
+    dgamma = np.moveaxis(c[1:], 0, -4)  # [..., m, k, i, j] = d_m Gamma^k_ij
+    # T[..., i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; R is T - (i <-> j)
+    T = np.einsum("...iljk->...ijkl", dgamma) + np.einsum("...lim,...mjk->...ijkl", gamma, gamma)
+    R = T - np.swapaxes(T, -4, -3)
     return m.g, _coefs(ginv_j, (3, 3), 1)[0], R
 
 

@@ -4,10 +4,14 @@ An expression is an AST over the coordinate variables ``x1, x2, x3``, named
 parameters, real constants, the operators ``+ - * /``, integer powers ``^``,
 and the unary functions ``exp, log, sin, cos, sinh, cosh, sqrt``.
 
-An order-k jet stores every partial derivative of total order <= k at a base
-point: coefficients in graded lexicographic multi-index order, with the
-coefficient for multi-index a equal to (d^a f)(p) / a!.  Graded-lex order puts
-all degrees <= k first, so an order-k jet is exactly the leading
+An order-k jet stores every partial derivative of total order <= k at one
+base point, or at each point of a batch: coefficients in graded lexicographic
+multi-index order, with the coefficient for multi-index a equal to
+(d^a f)(p) / a!.  The coefficient axis comes first, so a batch of n points is
+one jet whose coefficients are length-n arrays, and every operation below is
+the same code at one point and at a batch (vectorized Taylor arithmetic,
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Graded-lex
+order puts all degrees <= k first, so an order-k jet is exactly the leading
 N(k) = 1, 4, 10, 20, 35 coefficients of the order-4 jet, and its product and
 derivative tables are leading slices of the order-4 tables.  Arithmetic is
 truncated Taylor arithmetic; unary functions and integer powers are evaluated
@@ -53,6 +57,22 @@ FACTORIALS = np.array(
 )
 
 
+def _build_hess_index():
+    """[i, j] -> index of the multi-index e_i + e_j, whose coefficient is
+    d_i d_j f, halved on the diagonal."""
+    index = np.empty((NVARS, NVARS), dtype=int)
+    for i in range(NVARS):
+        for j in range(NVARS):
+            m = [0] * NVARS
+            m[i] += 1
+            m[j] += 1
+            index[i, j] = INDEX_OF[tuple(m)]
+    return index
+
+
+_HESS_INDEX = _build_hess_index()
+
+
 def _build_mul_tables():
     """Leibniz terms (out, a, b) sorted by output index, so the order-k
     table is the leading slice that writes the first N(k) outputs."""
@@ -74,12 +94,18 @@ def _build_mul_tables():
 
 
 _MUL_TABLES = _build_mul_tables()
+# where each output's run of terms starts in the (sorted) order-4 table
+_MUL_STARTS = np.searchsorted(_MUL_TABLES[MAX_ORDER][0], np.arange(N_BY_ORDER[MAX_ORDER]))
 
 
 def _mul(a, b, order):
-    """Truncated Leibniz product of two coefficient vectors at ``order``."""
+    """Truncated Leibniz product of two coefficient arrays at ``order``:
+    (N,) at one point, (N, n) at a batch."""
     out, ia, ib = _MUL_TABLES[order]
-    return np.bincount(out, weights=a[ia] * b[ib], minlength=N_BY_ORDER[order])
+    terms = a[ia] * b[ib]
+    if terms.ndim == 1:  # bincount is the faster sum at one point
+        return np.bincount(out, weights=terms, minlength=N_BY_ORDER[order])
+    return np.add.reduceat(terms, _MUL_STARTS[: N_BY_ORDER[order]], axis=0)
 
 
 def _build_diff_tables():
@@ -325,29 +351,61 @@ def parse_expr(src: str, params=()) -> Expr:
 # --- Jets --------------------------------------------------------------
 
 
+def as_point(p):
+    """The base point of jets at p: a float tuple for one point, a float (n, 3)
+    array for a batch of n points.  A converted point is returned as is, so
+    callers that convert once and evaluate several expressions get jets that
+    share one point object, and their point checks are identity tests."""
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        if p.shape[1] != NVARS:
+            raise ExprError(f"a batch of points has shape (n, {NVARS}), got {p.shape}")
+        return np.asarray(p, dtype=float)
+    if type(p) is tuple and len(p) == NVARS and type(p[0]) is type(p[1]) is type(p[2]) is float:
+        return p
+    return tuple(map(float, p))
+
+
+def _same_batch(p, q):
+    if isinstance(p, tuple) or isinstance(q, tuple):
+        return False  # one point against a batch
+    return p.shape == q.shape and bool(np.array_equal(p, q))
+
+
+def _any(mask):
+    """Whether a fault mask is set: a bool at one point, a bool array at a batch."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 class Jet4:
-    """Truncated Taylor expansion at a point, total order <= ``order`` <= 4.
+    """Truncated Taylor expansion of total order <= ``order`` <= 4, at one
+    point or at each point of a batch.
 
     ``coef[i]`` is (d^a f)(p) / a! for the i-th graded-lex multi-index a; an
     order-k jet stores exactly the N(k) = 1, 4, 10, 20, 35 coefficients of
-    degree <= k, so truncating a jet is slicing its coefficients.
+    degree <= k, so truncating a jet is slicing its coefficients.  At one
+    point ``point`` is a float tuple and ``coef`` has shape (N(k),); at a
+    batch of n points ``point`` is an (n, 3) array and ``coef`` has shape
+    (N(k), n), so ``value`` and ``partial`` give length-n arrays.
     """
 
     __slots__ = ("point", "coef", "order")
 
     def __init__(self, point, coef, order=MAX_ORDER):
-        self.point = tuple(map(float, point))
+        self.point = as_point(point)
         self.coef = np.asarray(coef, dtype=float)
         self.order = int(order)
-        if self.coef.shape != (N_BY_ORDER[self.order],):
+        shape = (N_BY_ORDER[self.order],)
+        if not isinstance(self.point, tuple):
+            shape += (len(self.point),)
+        if self.coef.shape != shape:
             raise ExprError(
-                f"an order-{self.order} jet has {N_BY_ORDER[self.order]} coefficients, "
-                f"got shape {self.coef.shape}"
+                f"an order-{self.order} jet at this point has coefficient shape {shape}, "
+                f"got {self.coef.shape}"
             )
 
     @classmethod
     def _raw(cls, point, coef, order):
-        """Internal constructor: ``point`` is already a float tuple, ``coef`` sized."""
+        """Internal constructor: ``point`` is already converted, ``coef`` sized."""
         jet = object.__new__(cls)
         jet.point = point
         jet.coef = coef
@@ -355,50 +413,58 @@ class Jet4:
         return jet
 
     @classmethod
-    def constant(cls, value, point, order=MAX_ORDER):
-        coef = np.zeros(N_BY_ORDER[order])
+    def _constant(cls, value, point, order):
+        n = N_BY_ORDER[order]
+        coef = np.zeros(n if isinstance(point, tuple) else (n, len(point)))
         coef[0] = value
-        return cls._raw(tuple(map(float, point)), coef, order)
+        return cls._raw(point, coef, order)
+
+    @classmethod
+    def _variable(cls, index, point, order):
+        x = point[index] if isinstance(point, tuple) else point[:, index]
+        jet = cls._constant(x, point, order)
+        if order >= 1:
+            jet.coef[1 + index] = 1.0
+        return jet
+
+    @classmethod
+    def constant(cls, value, point, order=MAX_ORDER):
+        return cls._constant(value, as_point(point), order)
 
     @classmethod
     def variable(cls, index, point, order=MAX_ORDER):
-        coef = np.zeros(N_BY_ORDER[order])
-        coef[0] = point[index]
-        if order >= 1:
-            coef[1 + index] = 1.0
-        return cls._raw(tuple(map(float, point)), coef, order)
+        return cls._variable(index, as_point(point), order)
 
     @property
-    def value(self) -> float:
-        return float(self.coef[0])
+    def value(self):
+        """The value: a float at one point, an (n,) array at a batch."""
+        return float(self.coef[0]) if self.coef.ndim == 1 else self.coef[0]
 
     def grad(self) -> np.ndarray:
-        """First partials (3,); needs order >= 1."""
+        """First partials, (3,) or (3, n); needs order >= 1."""
         return self.coef[1:4].copy()
 
     def hess(self) -> np.ndarray:
-        """Second partials (3,3), symmetric; needs order >= 2."""
-        h = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                m = [0, 0, 0]
-                m[i] += 1
-                m[j] += 1
-                k = INDEX_OF[tuple(m)]
-                h[i, j] = self.coef[k] * (2.0 if i == j else 1.0)
+        """Second partials, (3, 3) or (3, 3, n), symmetric; needs order >= 2."""
+        h = self.coef[_HESS_INDEX]
+        h[[0, 1, 2], [0, 1, 2]] *= 2.0
         return h
 
-    def partial(self, alpha) -> float:
-        """Exact partial derivative d^alpha at the base point."""
+    def partial(self, alpha):
+        """Exact partial derivative d^alpha at the base point(s)."""
         if sum(alpha) > self.order:
             raise ExprError(f"partial {alpha} beyond jet order {self.order}")
         k = INDEX_OF[tuple(alpha)]
-        return float(self.coef[k] * FACTORIALS[k])
+        d = self.coef[k] * FACTORIALS[k]
+        return float(d) if self.coef.ndim == 1 else d
 
     def _check(self, other):
-        """Mixed orders are fine: the result has the lower order."""
-        if self.point != other.point:
-            raise ExprError(f"base-point mismatch: {self.point} vs {other.point}")
+        """Mixed orders are fine: the result has the lower order.  Jets of one
+        evaluation share their point object, so identity settles most checks;
+        one-point jets otherwise compare float tuples, batches their arrays."""
+        p, q = self.point, other.point
+        if p is not q and (p != q if type(p) is type(q) is tuple else not _same_batch(p, q)):
+            raise ExprError(f"base-point mismatch: {p} vs {q}")
         return min(self.order, other.order)
 
     def __add__(self, other):
@@ -440,21 +506,24 @@ class Jet4:
     def diff(self, i) -> "Jet4":
         """Jet of the i-th partial derivative (order drops by one, not below 0)."""
         if self.order == 0:
-            return Jet4._raw(self.point, np.zeros(1), 0)
+            return Jet4._raw(self.point, np.zeros(self.coef.shape), 0)
         src, fac = _DIFF_TABLES[i]
         n = N_BY_ORDER[self.order - 1]
-        return Jet4._raw(self.point, self.coef[src[:n]] * fac[:n], self.order - 1)
+        coef = self.coef[src[:n]]
+        coef *= fac[:n] if coef.ndim == 1 else fac[:n, None]
+        return Jet4._raw(self.point, coef, self.order - 1)
 
     def compose_series(self, series) -> "Jet4":
         """Evaluate sum_k series[k] * (self - value)^k by Horner.
 
+        ``series[k]`` is a float at one point and an (n,) array at a batch.
         Terms beyond the jet order vanish, so only series[:order + 1] is read.
         """
         top = min(self.order, len(series) - 1)
         if top == 0:
-            coef = np.zeros(len(self.coef))
+            coef = np.zeros(self.coef.shape)
         else:
-            coef = self.coef * float(series[top])  # series[top] * h, constant term aside
+            coef = self.coef * series[top]  # series[top] * h, constant term aside
             if top > 1:
                 h = self.coef.copy()
                 h[0] = 0.0
@@ -467,12 +536,17 @@ class Jet4:
     def ipow(self, n: int, node=None, threshold=1e-12) -> "Jet4":
         """Integer power by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
 
-        A negative power of a value within ``threshold`` of 0 raises
-        DomainFault naming ``node`` (or the value).
+        A negative power of a value within ``threshold`` of 0 (at any point of
+        a batch; ``threshold`` may be one value per point) raises DomainFault
+        naming ``node`` (or the first such value).
         """
         a0 = self.value
-        if n < 0 and abs(a0) < threshold:
-            raise DomainFault("division by ~0", node if node is not None else Const(a0))
+        if n < 0:
+            small = abs(a0) < threshold
+            if _any(small):
+                if node is None:  # name the (first) offending value
+                    node = Const(float(a0[np.argmax(small)]) if isinstance(a0, np.ndarray) else a0)
+                raise DomainFault("division by ~0", node)
         top = self.order if n < 0 else min(self.order, n)
         series, c = [], 1.0  # c = binomial(n, k)
         for k in range(top + 1):
@@ -482,47 +556,51 @@ class Jet4:
 
 
 def _function_series(name, a0, node):
+    """Taylor coefficients of a unary function at a0 (a float, or an (n,) array)."""
+    lib = np if isinstance(a0, np.ndarray) else math
     if name == "exp":
-        e = math.exp(a0)
+        e = lib.exp(a0)
         return [e, e, e / 2, e / 6, e / 24]
     if name == "log":
-        if a0 <= 0:
+        if _any(a0 <= 0):
             raise DomainFault("log of non-positive value", node)
-        return [math.log(a0), 1 / a0, -1 / (2 * a0**2), 1 / (3 * a0**3), -1 / (4 * a0**4)]
+        return [lib.log(a0), 1 / a0, -1 / (2 * a0**2), 1 / (3 * a0**3), -1 / (4 * a0**4)]
     if name == "sqrt":
-        if a0 <= 0:
+        if _any(a0 <= 0):
             raise DomainFault("sqrt of non-positive value", node)
-        s = math.sqrt(a0)
+        s = lib.sqrt(a0)
         return [s, s / (2 * a0), -s / (8 * a0**2), s / (16 * a0**3), -5 * s / (128 * a0**4)]
     if name == "sin":
-        s, c = math.sin(a0), math.cos(a0)
+        s, c = lib.sin(a0), lib.cos(a0)
         return [s, c, -s / 2, -c / 6, s / 24]
     if name == "cos":
-        s, c = math.sin(a0), math.cos(a0)
+        s, c = lib.sin(a0), lib.cos(a0)
         return [c, -s, -c / 2, s / 6, c / 24]
     if name == "sinh":
-        s, c = math.sinh(a0), math.cosh(a0)
+        s, c = lib.sinh(a0), lib.cosh(a0)
         return [s, c, s / 2, c / 6, s / 24]
     if name == "cosh":
-        s, c = math.sinh(a0), math.cosh(a0)
+        s, c = lib.sinh(a0), lib.cosh(a0)
         return [c, s, c / 2, s / 6, c / 24]
     raise ExprError(f"unknown function '{name}'")
 
 
 def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
-    """Evaluate an expression as a jet of the given order at point p."""
+    """Evaluate an expression as a jet of the given order at point p, or at
+    each row of an (n, 3) array p (one batched jet, see ``Jet4``)."""
     if not 0 <= order <= MAX_ORDER:
         raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
     params = params or {}
+    point = as_point(p)
 
     def rec(node):
         if isinstance(node, Const):
-            return Jet4.constant(node.value, p, order)
+            return Jet4._constant(node.value, point, order)
         if isinstance(node, Var):
-            return Jet4.variable(node.index, p, order)
+            return Jet4._variable(node.index, point, order)
         if isinstance(node, Param):
             try:
-                return Jet4.constant(float(params[node.name]), p, order)
+                return Jet4._constant(float(params[node.name]), point, order)
             except KeyError:
                 raise ExprError(f"unbound parameter '{node.name}'") from None
         if isinstance(node, Neg):
@@ -572,5 +650,5 @@ def eval_scalar(e: Expr, p, params=None, lib=math):
 
 
 def eval_dual(e: Expr, p, params=None) -> np.ndarray:
-    """Value and first partials as a length-4 array: the order-1 jet."""
+    """Value and first partials as a length-4 array, (4, n) at a batch: the order-1 jet."""
     return eval_jet(e, p, params, order=1).coef

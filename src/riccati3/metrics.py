@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprjet import Expr, Jet4, eval_dual, eval_jet, parse_expr
+from .exprjet import Expr, Jet4, as_point, eval_dual, eval_jet, parse_expr
 
 COMPONENT_NAMES = ("g11", "g12", "g13", "g22", "g23", "g33")
 _SYM_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
+# component index of every entry of the full 3x3 matrix
+_FULL_INDEX = np.array([[_SYM_INDEX[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
 
 BUILTIN_NAMES = ("flat", "hyperbolic", "sphere", "heisenberg", "sol", "h2xr")
 
@@ -38,11 +40,17 @@ class MetricSpec:
 
 @dataclass
 class MetricJet:
-    """Order-4 jets of all six independent metric components at one point."""
+    """Jets of all six independent metric components, of the order asked of
+    ``metric_jets``, at one point or at each point of a batch.
 
-    point: tuple
+    At one point ``point`` is a float tuple and ``g`` is (3, 3); at a batch of
+    n points ``point`` is the (n, 3) array, ``g`` is (n, 3, 3) and each Jet4
+    holds the coefficients of all n points.
+    """
+
+    point: tuple | np.ndarray
     jets: list  # 3x3 nested list of Jet4, symmetric by sharing
-    g: np.ndarray  # (3,3) value part
+    g: np.ndarray  # value part, (3, 3) or (n, 3, 3)
     spec: MetricSpec
 
 
@@ -142,19 +150,26 @@ def resolve(name_or_path, params=None) -> MetricSpec:
 
 
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
-    """Jets of all six components at p; rejects non-positive-definite values."""
-    comps = [eval_jet(e, p, spec.params, order) for e in spec.components]
+    """Jets of all six components at the point p, or at each row of an (n, 3)
+    array p; rejects a non-positive-definite value, naming the first such point."""
+    point = as_point(p)
+    comps = [eval_jet(e, point, spec.params, order) for e in spec.components]
     jets = [[None] * 3 for _ in range(3)]
     for (i, j), k in _SYM_INDEX.items():
         jets[i][j] = comps[k]
         jets[j][i] = comps[k]
-    g = np.array([[jets[i][j].value for j in range(3)] for i in range(3)])
-    eig = np.linalg.eigvalsh(g)
-    if eig[0] <= 1e-10:
+    # (6,) values at one point, (n, 6) at a batch, spread to the full matrices
+    g = np.array([c.coef[0] for c in comps]).T[..., _FULL_INDEX]
+    min_eig = np.linalg.eigvalsh(g)[..., 0]
+    bad = min_eig <= 1e-10
+    if bad.any():
+        k = int(np.argmax(bad))
+        at = point if isinstance(point, tuple) else tuple(map(float, point[k]))
         raise MetricError(
-            f"metric '{spec.name}' not positive definite at {tuple(p)}: min eigenvalue {eig[0]:.3e}"
+            f"metric '{spec.name}' not positive definite at {at}: "
+            f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}"
         )
-    return MetricJet(tuple(float(x) for x in p), jets, g, spec)
+    return MetricJet(point, jets, g, spec)
 
 
 def gamma_at(spec: MetricSpec, p):

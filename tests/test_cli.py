@@ -1,5 +1,11 @@
+import contextlib
 import csv
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati3.cli import main
 
@@ -123,6 +129,9 @@ def test_classify_cmd(tmp_path, capsys):
     code, out = run(capsys, "classify", str(f3), "--json", "--allow-infeasible")
     rep = json.loads(out)
     assert rep["branch"] == "Infeasible" and rep["oracle_residual"] > 0
+    assert code == 0
+    code, out = run(capsys, "classify", str(f3), "--json")
+    assert code == 1 and json.loads(out)["branch"] == "Infeasible"
 
 
 def test_custom_metric_file(tmp_path, capsys):
@@ -164,3 +173,71 @@ def test_selftest_pass_and_tamper(capsys):
     assert code == 1 and rep["failures"] >= 1
     failed = {r["check"] for r in rep["results"] if not r["pass"]}
     assert "identity_suite" in failed
+
+
+def run_bad(argv):
+    """A rejected input: exit code 2, nothing on stdout, one line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("riccati3 "), err.getvalue()
+    return lines[0]
+
+
+RICCATI = ("riccati", "flat", "--point", "0,0,0", "--dir", "1,0,0")
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("riccati", "flat", "--point", "0,0", "--dir", "1,0,0"), "--point"),
+        (RICCATI + ("--u0", "1,2"), "--u0"),
+        (("riccati", "flat", "--point", "a,0,0", "--dir", "1,0,0"), "--point"),
+        (("riccati", "flat", "--point", "0,0,0", "--dir", "0,0,0"), "--dir"),
+        (RICCATI + ("--dt", "0"), "--dt"),
+        (RICCATI + ("--T", "-1"), "--T"),
+    ],
+)
+def test_riccati_bad_input_exits_2(tmp_path, argv, words):
+    out = tmp_path / "traj.csv"
+    line = run_bad(argv + ("--out", str(out)))
+    assert words in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("analyze", "flat", "-m", "0"), "--dirs"),
+        (("analyze", "flat", "-n", "0"), "--points"),
+        (("analyze", "nosuch"), "nosuch"),
+        (("analyze", "heisenberg", "--param", "Q=1"), "'Q'"),
+        (("analyze", "hyperbolic", "--param", "c=0"), "division by ~0"),
+    ],
+)
+def test_analyze_bad_input_exits_2(argv, words):
+    assert words in run_bad(argv)
+
+
+_number = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+_bad_token = st.sampled_from(["", "a", "nan", "inf", "-inf", "1e999", "0x1", "1..2", " ", "--"])
+_malformed = st.one_of(
+    # the wrong count of numbers
+    st.lists(_number, min_size=0, max_size=6).filter(lambda xs: len(xs) != 3).map(",".join),
+    # three fields, at least one not a finite number
+    st.tuples(_number, _number, _bad_token).flatmap(
+        lambda t: st.permutations(list(t)).map(",".join)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(option=st.sampled_from(["--point", "--dir", "--u0"]), value=_malformed)
+def test_riccati_malformed_lists_exit_2(tmp_path_factory, option, value):
+    out = tmp_path_factory.mktemp("bad") / "traj.csv"
+    args = {"--point": "0.1,0.2,0.3", "--dir": "1,0,0", "--u0": "0,0,0", option: value}
+    argv = ["riccati", "flat", "--T", "0.01", "--dt", "0.01", "--out", str(out)]
+    assert option in run_bad(argv + [f"{key}={val}" for key, val in args.items()])

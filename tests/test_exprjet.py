@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riccati3.exprjet import (
     DomainFault,
+    ExprError,
     Jet4,
     MULTI_INDICES,
     N_BY_ORDER,
@@ -18,7 +19,7 @@ from riccati3.exprjet import (
     format_expr,
     parse_expr,
 )
-from riccati3.metrics import custom, gamma_at
+from riccati3.metrics import MetricError, custom, gamma_at, metric_jets
 
 mpmath.mp.dps = 50
 
@@ -199,11 +200,13 @@ def test_order_truncation():
         j.partial((3, 0, 0))
 
 
+MIXED = "exp(x1)*sin(x2)/(1 + x3^2) + log(2 + x1*x2)^3 - sqrt(3 + x3)*x2^-2 + cosh(L*x1)"
+
+
 @pytest.mark.parametrize("order", range(5))
 def test_order_k_jet_is_prefix_of_order_4(order):
     """An order-k jet is exactly the leading N(k) coefficients of the order-4 jet."""
-    src = "exp(x1)*sin(x2)/(1 + x3^2) + log(2 + x1*x2)^3 - sqrt(3 + x3)*x2^-2 + cosh(L*x1)"
-    expr = parse_expr(src, params=["L"])
+    expr = parse_expr(MIXED, params=["L"])
     p, params = (0.3, -0.7, 0.4), {"L": 1.5}
     full = eval_jet(expr, p, params)
     j = eval_jet(expr, p, params, order=order)
@@ -222,3 +225,71 @@ def test_negative_power_near_zero_faults_in_gamma_at():
     assert "x3^-2" in str(err.value)
     with pytest.raises(DomainFault):
         eval_jet(parse_expr("x1^-3"), (-5e-13, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_batch_jet_is_stack_of_point_jets(order):
+    """A jet at an (n, 3) array holds, in column k, the jet at row k."""
+    expr = parse_expr(MIXED, params=["L"])
+    params = {"L": 1.5}
+    rng = np.random.default_rng(order)
+    xs = np.column_stack(
+        [
+            rng.uniform(-0.5, 0.5, 40),
+            rng.uniform(0.3, 0.9, 40) * rng.choice([-1.0, 1.0], 40),
+            rng.uniform(-0.5, 0.5, 40),
+        ]
+    )
+    batch = eval_jet(expr, xs, params, order=order)
+    assert batch.order == order and batch.coef.shape == (N_BY_ORDER[order], len(xs))
+    stack = np.stack([eval_jet(expr, tuple(x), params, order=order).coef for x in xs], axis=-1)
+    assert np.all(np.abs(batch.coef - stack) <= 1e-15 * np.maximum(1.0, np.abs(stack)))
+    assert np.array_equal(batch.value, batch.coef[0])
+    if order >= 1:
+        dual = eval_dual(expr, xs, params)
+        assert dual.shape == (4, len(xs)) and np.array_equal(dual, batch.coef[:4])
+
+
+@pytest.mark.parametrize(
+    "src,bad_row,subtree",
+    [
+        ("x1^-3", (4e-13, 0.0, 0.0), "(x1^-3)"),
+        ("log(x1)", (-0.5, 0.0, 0.0), "log(x1)"),
+        ("sqrt(x2 - 4)", (0.0, 1.0, 0.0), "sqrt((x2 - 4.0))"),
+    ],
+)
+def test_batch_with_one_faulting_row_raises(src, bad_row, subtree):
+    """One bad row faults the whole batch, with the one-point message."""
+    xs = np.array([[0.7, 5.0, 0.1], bad_row, [0.9, 6.0, -0.2]])
+    eval_jet(parse_expr(src), np.delete(xs, 1, axis=0))  # the good rows alone are fine
+    with pytest.raises(DomainFault) as err:
+        eval_jet(parse_expr(src), xs)
+    assert subtree in str(err.value)
+    with pytest.raises(DomainFault) as one:
+        eval_jet(parse_expr(src), bad_row)
+    assert str(one.value) == str(err.value)
+
+
+def test_metric_jets_batch_names_non_positive_definite_row():
+    """A batch with one non-positive-definite row names that row's point."""
+    comps = {"g11": "x1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = custom(comps, name="half")
+    xs = np.array([[0.5, 0.1, 0.2], [0.25, 0.0, 0.0], [-0.125, 0.5, 0.75], [-0.5, 0.0, 0.0]])
+    mj = metric_jets(spec, xs[:2], order=2)
+    assert mj.g.shape == (2, 3, 3) and np.array_equal(mj.g[:, 0, 0], xs[:2, 0])
+    with pytest.raises(MetricError) as err:
+        metric_jets(spec, xs, order=2)
+    assert "at (-0.125, 0.5, 0.75)" in str(err.value)
+    with pytest.raises(MetricError) as one:
+        metric_jets(spec, (-0.125, 0.5, 0.75), order=2)
+    assert str(one.value) == str(err.value)
+
+
+def test_batch_and_point_jets_do_not_mix():
+    xs = np.zeros((2, 3))
+    with pytest.raises(ExprError):
+        Jet4.constant(1.0, xs) * Jet4.constant(1.0, (0.0, 0.0, 0.0))
+    with pytest.raises(ExprError):
+        Jet4.constant(1.0, xs) + Jet4.constant(1.0, np.ones((2, 3)))
+    same = Jet4.variable(0, xs) * Jet4.variable(1, xs.copy())  # equal points, other object
+    assert same.coef.shape == (35, 2)

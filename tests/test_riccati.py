@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from riccati3 import metrics
+from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.riccati import (
+    SAMPLE_BLOCK,
     constrained_probe,
     integrate_geodesic,
     integrate_riccati,
@@ -63,8 +65,6 @@ def test_jacobi_along_constant_curvature():
 
 
 def test_jacobi_along_heisenberg_crosscheck():
-    from riccati3.curvature import jacobi_op, pack_at
-
     spec = metrics.builtin("heisenberg", L=1.0)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.5, 1e-2)
     Js = jacobi_along(spec, path)
@@ -80,6 +80,33 @@ def test_jacobi_along_heisenberg_crosscheck():
         assert abs(m12 - Js[k][0, 1]) < 1e-6
         assert abs(m22 - Js[k][1, 1]) < 1e-6
         assert abs(np.trace(Js[k]) - float(v @ pk.ric @ v)) < 1e-8
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_curvature_r_only_batch_is_stack_of_points(name):
+    spec = metrics.builtin(name)
+    rng = np.random.default_rng(3)
+    xs = np.column_stack([rng.uniform(lo, hi, 12) for lo, hi in spec.box])
+    g, ginv, R = curvature_r_only(spec, xs)
+    assert g.shape == ginv.shape == (12, 3, 3) and R.shape == (12, 3, 3, 3, 3)
+    for k, x in enumerate(xs):
+        for got, want in zip((g[k], ginv[k], R[k]), curvature_r_only(spec, tuple(x))):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_jacobi_along_matches_pack_at_every_sample():
+    """The batched J(t), over more than one block of samples, against the
+    order-4 pack at each sample projected on the parallel frame."""
+    spec = metrics.builtin("heisenberg", L=1.0)
+    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.6, 2e-3)
+    assert len(path.ts) > SAMPLE_BLOCK
+    Js = jacobi_along(spec, path)
+    for k, (x, v, w1, w2) in enumerate(zip(path.xs, path.vs, path.w1s, path.w2s)):
+        pk = pack_at(spec, x)
+        gJ = pk.g @ jacobi_op(pk, v)
+        m12 = 0.5 * float(w1 @ gJ @ w2 + w2 @ gJ @ w1)
+        want = np.array([[w1 @ gJ @ w1, m12], [m12, w2 @ gJ @ w2]])
+        assert np.max(np.abs(Js[k] - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_riccati_flat_zero():
@@ -148,6 +175,14 @@ def test_metric_fault_along_path():
     spec = metrics.custom(comps, name="half_space")
     with pytest.raises(DomainFault):
         integrate_geodesic(spec, (0.2, 0, 0), (-1.0, 0, 0), 1.0, 1e-2)
+
+
+def test_zero_direction_or_step_rejected():
+    spec = metrics.builtin("flat")
+    with pytest.raises(ValueError, match="direction"):
+        integrate_geodesic(spec, (0, 0, 0), (0, 0, 0), 1.0, 1e-2)
+    with pytest.raises(ValueError, match="dt"):
+        integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.0, 0.0)
 
 
 def test_probe_flat():
