@@ -196,7 +196,14 @@ def cmd_riccati(args):
     for option, value in (("--T", args.T), ("--dt", args.dt)):
         if not (math.isfinite(value) and value > 0):
             raise UsageError(f"{option} must be a positive number, got {value}")
-    path = integrate_geodesic(spec, p, v, args.T, args.dt)
+    try:
+        path = integrate_geodesic(spec, p, v, args.T, args.dt)
+    except ValueError as exc:
+        # a plain ValueError is an argument check, and dt and the direction are
+        # checked above: past MAX_STEPS.  Its subclasses are metric faults.
+        if type(exc) is not ValueError:
+            raise
+        raise UsageError(f"--T/--dt: {exc}") from None
     Js = jacobi_along(spec, path)
     res = integrate_riccati(path, Js, u0)
     out = args.out or "trajectory.csv"
@@ -453,6 +460,9 @@ def cmd_selftest(args):
         results.append({"check": name, "pass": bool(ok), "detail": _plain(detail)})
         if not args.json:
             print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+            if not ok:
+                for key, value in results[-1]["detail"].items():
+                    print(f"    {key} = {value}")
     n_fail = sum(1 for r in results if not r["pass"])
     if args.json:
         print(json.dumps({"results": results, "failures": n_fail}, indent=2))
@@ -522,12 +532,19 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; a bad input value, metric or instance is reported as one
-    line on stderr with exit code 2."""
+    """Run one command; a bad input value, metric or instance, or a file that
+    cannot be read or parsed, is reported as one line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, metrics.MetricError, ExprError, polyclass.PolyclassError) as exc:
+    except (
+        UsageError,
+        metrics.MetricError,
+        ExprError,
+        polyclass.PolyclassError,
+        OSError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"riccati3 {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,14 @@ Conventions (recorded here because the literature varies):
   R(X,Y) = Ric X ^ Y + X ^ Ric Y - (scal/2) X ^ Y with
   (X ^ Y)Z = g(Y,Z)X - g(X,Z)Y.
 
-Everything is computed in coordinates from order-4 metric jets: Christoffel
-jets carry three orders, curvature two, so nabla^2 ric (which needs four
-metric derivatives) comes out exactly.
+Everything is computed in coordinates by one kernel on coefficient arrays:
+the metric's order-k Taylor coefficients G, shape (N(k),) + batch + (3, 3)
+as in ``MetricJet.coef``, give those of g^-1 and Gamma (order k - 1) and R
+(order k - 2), each product a truncated Leibniz product (``exprjet.contract``)
+and each derivative a gather of coefficients (``exprjet.partials``).
+``curvature_pack`` runs it at k = 4, so nabla^2 ric (which needs four metric
+derivatives) comes out exactly; ``curvature_r_only`` runs it at k = 2, at
+one point or at a batch of points, for the value of R alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import Jet4
+from .exprjet import N_BY_ORDER, Const, DomainFault, contract, hessian, partials
 from .metrics import MetricJet, MetricSpec, metric_jets
 
 
@@ -79,120 +84,73 @@ class RankReport:
     tol: float
 
 
-def _jet_matrix_inverse(jets):
-    """Adjugate-over-determinant inverse of a symmetric 3x3 jet matrix."""
-    a = jets
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-    det = a[0][0] * cof[0][0] + a[0][1] * cof[0][1] + a[0][2] * cof[0][2]
-    # threshold relative to each point's own metric scale: legitimate metrics can
-    # have tiny determinants far from coordinate origins (hyperbolic upper half
-    # space).  The scale is max |g_ij|, which is max g_ii for a positive-definite g.
-    scale = np.maximum(np.maximum(a[0][0].value, a[1][1].value), a[2][2].value) ** 3
-    inv_det = det.ipow(-1, threshold=1e-14 * np.maximum(scale, 1e-290))
-    # adjugate = transpose of cofactor matrix; symmetric here
-    return [[cof[j][i] * inv_det for j in range(3)] for i in range(3)]
+def _inverse(G, order):
+    """Coefficients of g^-1 at ``order``: the Neumann series
+    sum_m (-A H)^m A around A = inv(G[0]), H = G - G[0], by Horner.
+
+    A determinant below 1e-14 max(g_ii)^3 (each point's own scale: legitimate
+    metrics have tiny determinants far from coordinate origins, as hyperbolic
+    upper half space does) raises DomainFault naming the first such value.
+    """
+    g0 = G[0]
+    det = np.linalg.det(g0)
+    scale = np.max(np.diagonal(g0, axis1=-2, axis2=-1), axis=-1) ** 3
+    small = np.abs(det) < 1e-14 * np.maximum(scale, 1e-290)
+    if small.any():
+        raise DomainFault("division by ~0", Const(float(np.ravel(det)[np.argmax(small)])))
+    A = np.linalg.inv(g0)
+    AH = A @ G[: N_BY_ORDER[order]]
+    AH[0] = 0.0
+    S = np.zeros_like(AH)
+    S[0] = A
+    for _ in range(order):
+        S = -contract("kl,lj->kj", AH, S, order)
+        S[0] = A
+    return S
 
 
-def _christoffel_jets(jets):
-    """Jets of g^-1 and of Gamma^k_ij (nested [k][i][j]) from metric jets;
-    Gamma carries one order less than the metric."""
-    ginv_j = _jet_matrix_inverse(jets)
-    dg = [[[jets[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
-    # lowered Christoffel low[l][i][j] = (d_i g_jl + d_j g_il - d_l g_ij)/2
-    gamma_j = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for k in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                acc = None
-                for l in range(3):
-                    low = (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) * 0.5
-                    term = ginv_j[k][l] * low
-                    acc = term if acc is None else acc + term
-                gamma_j[k][i][j] = acc
-                gamma_j[k][j][i] = acc
-    return ginv_j, gamma_j
+def _curvature_jets(G, tamper=False):
+    """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
+    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2.
 
-
-def _coefs(jets_nested, shape, n):
-    """Leading ``n`` Taylor coefficients of a nested list of jets, shape (n,) + shape,
-    or (n, batch) + shape for batched jets: [0] holds the values and [1:4] the
-    partial derivatives d_m."""
-    nodes = jets_nested
-    for _ in shape[1:]:
-        nodes = [jet for inner in nodes for jet in inner]
-    c = np.array([jet.coef[:n] for jet in nodes])
-    return c.transpose(*range(1, c.ndim), 0).reshape(c.shape[1:] + shape)
+    g^-1 and Gamma[..., k, i, j] = Gamma^k_ij carry order k - 1, and
+    R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l carries order k - 2:
+    R = dGamma + sign Gamma Gamma - (i <-> j), where ``tamper`` flips the sign.
+    """
+    order = N_BY_ORDER.index(len(G))
+    ginv = _inverse(G, order - 1)
+    dg = partials(G)  # [..., i, j, m] = d_m g_ij
+    # lowered symbol low[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    di_gjl = np.einsum("...jli->...lij", dg)
+    low = 0.5 * (di_gjl + np.swapaxes(di_gjl, -1, -2) - np.einsum("...ijl->...lij", dg))
+    gamma = contract("kl,lij->kij", ginv, low, order - 1)
+    sign = -1.0 if tamper else 1.0
+    # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
+    T = np.einsum("...ljki->...ijkl", partials(gamma))
+    T = T + sign * contract("lim,mjk->ijkl", gamma, gamma, order - 2)
+    return ginv, gamma, T - np.swapaxes(T, -4, -3)
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
-    """Full curvature package at the base point of the metric jets.
+    """Full curvature package at the base point of order-4 metric jets.
 
     ``tamper`` flips the sign of the Gamma*Gamma commutator in the curvature
     formula; it exists so the self-test harness can prove the identity suite
     actually detects a broken sign convention.
     """
-    point = m.point
-    ginv_j, gamma_j = _christoffel_jets(m.jets)
+    ginv_c, gamma_c, R_c = _curvature_jets(m.coef, tamper)
+    ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
+    scal_c = contract("ij,ij->", ginv_c, ric_c, 2)
 
-    dgamma_j = [
-        [[[gamma_j[k][i][j].diff(mm) for mm in range(3)] for j in range(3)] for i in range(3)]
-        for k in range(3)
-    ]
-
-    sign = -1.0 if tamper else 1.0
-    # R_j[i][j][k][l]: (R(d_i,d_j)d_k)^l, antisymmetric in (i,j)
-    zero = Jet4.constant(0.0, point, gamma_j[0][0][0].order - 1)
-    R_j = [[[[zero] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(3):
-                for l in range(3):
-                    acc = dgamma_j[l][j][k][i] - dgamma_j[l][i][k][j]
-                    quad = None
-                    for mm in range(3):
-                        q = gamma_j[l][i][mm] * gamma_j[mm][j][k] - gamma_j[l][j][mm] * gamma_j[mm][i][k]
-                        quad = q if quad is None else quad + q
-                    entry = acc + sign * quad
-                    R_j[i][j][k][l] = entry
-                    R_j[j][i][k][l] = -entry
-
-    # ric_ij = sum_k (R(d_k,d_i)d_j)^k
-    ric_j = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                term = R_j[k][i][j][k]
-                acc = term if acc is None else acc + term
-            ric_j[i][j] = acc
-
-    scal_j = None
-    for i in range(3):
-        for j in range(3):
-            term = ginv_j[i][j] * ric_j[i][j]
-            scal_j = term if scal_j is None else scal_j + term
-
-    # numeric extraction
+    # numeric extraction: [0] holds the values and [1:4] the partials d_m
     g = m.g
-    ginv = _coefs(ginv_j, (3, 3), 1)[0]
-    c = _coefs(gamma_j, (3, 3, 3), 4)
-    gamma, dgamma = c[0], c[1:]
-    c = _coefs(R_j, (3, 3, 3, 3), 4)
-    R, dR = c[0], c[1:]
-    c = _coefs(ric_j, (3, 3), 4)
-    ric, dric = c[0], c[1:]
-    d2ric = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            d2ric[:, :, i, j] = ric_j[i][j].hess()
-    scal = scal_j.value
-    dscal = scal_j.grad()
+    ginv = ginv_c[0]
+    gamma, dgamma = gamma_c[0], gamma_c[1:4]
+    R, dR = R_c[0], R_c[1:4]
+    ric, dric = ric_c[0], ric_c[1:4]
+    d2ric = hessian(ric_c)  # [k, l, i, j] = d_k d_l ric_ij
+    scal = float(scal_c[0])
+    dscal = scal_c[1:4]
 
     # nabla ric (values and coordinate derivative)
     nabla_ric = (
@@ -230,7 +188,7 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     frame = np.linalg.inv(L).T  # columns orthonormal: E^T g E = I
 
     return CurvaturePack(
-        point=point,
+        point=m.point,
         g=g,
         ginv=ginv,
         gamma=gamma,
@@ -260,14 +218,8 @@ def curvature_r_only(spec: MetricSpec, p):
     leading batch axis from one batched jet evaluation.
     """
     m = metric_jets(spec, p, order=2)
-    ginv_j, gamma_j = _christoffel_jets(m.jets)
-    c = _coefs(gamma_j, (3, 3, 3), 4)
-    gamma = c[0]
-    dgamma = np.moveaxis(c[1:], 0, -4)  # [..., m, k, i, j] = d_m Gamma^k_ij
-    # T[..., i, j, k, l] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; R is T - (i <-> j)
-    T = np.einsum("...iljk->...ijkl", dgamma) + np.einsum("...lim,...mjk->...ijkl", gamma, gamma)
-    R = T - np.swapaxes(T, -4, -3)
-    return m.g, _coefs(ginv_j, (3, 3), 1)[0], R
+    ginv, _, R = _curvature_jets(m.coef)
+    return m.g, ginv[0], R[0]
 
 
 def orthonormal_perp(g, v, basis):

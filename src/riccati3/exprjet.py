@@ -94,18 +94,31 @@ def _build_mul_tables():
 
 
 _MUL_TABLES = _build_mul_tables()
-# where each output's run of terms starts in the (sorted) order-4 table
-_MUL_STARTS = np.searchsorted(_MUL_TABLES[MAX_ORDER][0], np.arange(N_BY_ORDER[MAX_ORDER]))
+# the order-k Leibniz terms summed into their outputs by a one-hot (N(k), terms) matrix
+_MUL_SCATTER = tuple(
+    (out == np.arange(N_BY_ORDER[k])[:, None]).astype(float) for k, (out, _, _) in enumerate(_MUL_TABLES)
+)
 
 
 def _mul(a, b, order):
     """Truncated Leibniz product of two coefficient arrays at ``order``:
     (N,) at one point, (N, n) at a batch."""
-    out, ia, ib = _MUL_TABLES[order]
-    terms = a[ia] * b[ib]
-    if terms.ndim == 1:  # bincount is the faster sum at one point
-        return np.bincount(out, weights=terms, minlength=N_BY_ORDER[order])
-    return np.add.reduceat(terms, _MUL_STARTS[: N_BY_ORDER[order]], axis=0)
+    _, ia, ib = _MUL_TABLES[order]
+    return _MUL_SCATTER[order] @ (a[ia] * b[ib])
+
+
+def contract(subscripts, a, b, order):
+    """Truncated Leibniz product of two tensor-valued coefficient arrays at
+    ``order``, contracted over their tensor axes by the einsum ``subscripts``
+    (``"kl,lij->kij"``): an operand has shape (N,) + batch + its tensor axes
+    (coefficients first, as in ``Jet4.coef``), the result (N(order),) + batch
+    + the output axes.  The terms are summed by the same matrix product as
+    ``_mul``."""
+    _, ia, ib = _MUL_TABLES[order]
+    ins, res = subscripts.split("->")
+    sa, sb = ins.split(",")
+    terms = np.einsum(f"t...{sa},t...{sb}->t...{res}", a[ia], b[ib])
+    return (_MUL_SCATTER[order] @ terms.reshape(len(ia), -1)).reshape((-1,) + terms.shape[1:])
 
 
 def _build_diff_tables():
@@ -125,6 +138,22 @@ def _build_diff_tables():
 
 
 _DIFF_TABLES = _build_diff_tables()
+
+
+def partials(c):
+    """The first partials of a coefficient array of shape (N(k),) + rest,
+    k >= 1: coefficients of order k - 1, d_m on a new last axis."""
+    n = N_BY_ORDER[N_BY_ORDER.index(len(c)) - 1]
+    fac = (1,) * (c.ndim - 1)
+    return np.stack([c[src[:n]] * f[:n].reshape((n,) + fac) for src, f in _DIFF_TABLES], -1)
+
+
+def hessian(c):
+    """The second partials at the base point of a coefficient array of shape
+    (N(k),) + rest, k >= 2: [i, j, ...] = d_i d_j."""
+    h = c[_HESS_INDEX]  # the coefficient of e_i + e_j is d_i d_j, halved on i == j
+    h[range(NVARS), range(NVARS)] *= 2.0
+    return h
 
 
 class ExprError(ValueError):
@@ -440,16 +469,6 @@ class Jet4:
         """The value: a float at one point, an (n,) array at a batch."""
         return float(self.coef[0]) if self.coef.ndim == 1 else self.coef[0]
 
-    def grad(self) -> np.ndarray:
-        """First partials, (3,) or (3, n); needs order >= 1."""
-        return self.coef[1:4].copy()
-
-    def hess(self) -> np.ndarray:
-        """Second partials, (3, 3) or (3, 3, n), symmetric; needs order >= 2."""
-        h = self.coef[_HESS_INDEX]
-        h[[0, 1, 2], [0, 1, 2]] *= 2.0
-        return h
-
     def partial(self, alpha):
         """Exact partial derivative d^alpha at the base point(s)."""
         if sum(alpha) > self.order:
@@ -503,16 +522,6 @@ class Jet4:
     def __rtruediv__(self, other):
         return self.ipow(-1) * float(other)
 
-    def diff(self, i) -> "Jet4":
-        """Jet of the i-th partial derivative (order drops by one, not below 0)."""
-        if self.order == 0:
-            return Jet4._raw(self.point, np.zeros(self.coef.shape), 0)
-        src, fac = _DIFF_TABLES[i]
-        n = N_BY_ORDER[self.order - 1]
-        coef = self.coef[src[:n]]
-        coef *= fac[:n] if coef.ndim == 1 else fac[:n, None]
-        return Jet4._raw(self.point, coef, self.order - 1)
-
     def compose_series(self, series) -> "Jet4":
         """Evaluate sum_k series[k] * (self - value)^k by Horner.
 
@@ -533,16 +542,15 @@ class Jet4:
         coef[0] = series[0]
         return Jet4._raw(self.point, coef, self.order)
 
-    def ipow(self, n: int, node=None, threshold=1e-12) -> "Jet4":
+    def ipow(self, n: int, node=None) -> "Jet4":
         """Integer power by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
 
-        A negative power of a value within ``threshold`` of 0 (at any point of
-        a batch; ``threshold`` may be one value per point) raises DomainFault
-        naming ``node`` (or the first such value).
+        A negative power of a value within 1e-12 of 0 (at any point of a
+        batch) raises DomainFault naming ``node`` (or the first such value).
         """
         a0 = self.value
         if n < 0:
-            small = abs(a0) < threshold
+            small = abs(a0) < 1e-12
             if _any(small):
                 if node is None:  # name the (first) offending value
                     node = Const(float(a0[np.argmax(small)]) if isinstance(a0, np.ndarray) else a0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprjet import Expr, Jet4, as_point, eval_dual, eval_jet, parse_expr
+from .exprjet import Expr, as_point, eval_dual, eval_jet, parse_expr
 
 COMPONENT_NAMES = ("g11", "g12", "g13", "g22", "g23", "g33")
 _SYM_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
@@ -40,18 +40,22 @@ class MetricSpec:
 
 @dataclass
 class MetricJet:
-    """Jets of all six independent metric components, of the order asked of
+    """The metric's Taylor coefficients, of the order k asked of
     ``metric_jets``, at one point or at each point of a batch.
 
-    At one point ``point`` is a float tuple and ``g`` is (3, 3); at a batch of
-    n points ``point`` is the (n, 3) array, ``g`` is (n, 3, 3) and each Jet4
-    holds the coefficients of all n points.
+    ``coef`` has the layout of ``Jet4.coef`` with the 3x3 matrix axes
+    trailing: shape (N(k), 3, 3) at one point (``point`` a float tuple) and
+    (N(k), n, 3, 3) at a batch of n points (``point`` the (n, 3) array).
     """
 
     point: tuple | np.ndarray
-    jets: list  # 3x3 nested list of Jet4, symmetric by sharing
-    g: np.ndarray  # value part, (3, 3) or (n, 3, 3)
+    coef: np.ndarray
     spec: MetricSpec
+
+    @property
+    def g(self) -> np.ndarray:
+        """The metric values, (3, 3) or (n, 3, 3)."""
+        return self.coef[0]
 
 
 def _spec_from_strings(name, comps, params=None, box=None):
@@ -150,17 +154,14 @@ def resolve(name_or_path, params=None) -> MetricSpec:
 
 
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
-    """Jets of all six components at the point p, or at each row of an (n, 3)
-    array p; rejects a non-positive-definite value, naming the first such point."""
+    """The metric's order-``order`` Taylor coefficients (``MetricJet``) at the
+    point p, or at each row of an (n, 3) array p, from the jets of its six
+    components; rejects a non-positive-definite value, naming the first such point."""
     point = as_point(p)
-    comps = [eval_jet(e, point, spec.params, order) for e in spec.components]
-    jets = [[None] * 3 for _ in range(3)]
-    for (i, j), k in _SYM_INDEX.items():
-        jets[i][j] = comps[k]
-        jets[j][i] = comps[k]
-    # (6,) values at one point, (n, 6) at a batch, spread to the full matrices
-    g = np.array([c.coef[0] for c in comps]).T[..., _FULL_INDEX]
-    min_eig = np.linalg.eigvalsh(g)[..., 0]
+    # (N(k), 6) at one point, (N(k), n, 6) at a batch, spread to the full matrices
+    coef = np.stack([eval_jet(e, point, spec.params, order).coef for e in spec.components], -1)
+    coef = coef[..., _FULL_INDEX]
+    min_eig = np.linalg.eigvalsh(coef[0])[..., 0]
     bad = min_eig <= 1e-10
     if bad.any():
         k = int(np.argmax(bad))
@@ -169,7 +170,7 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
             f"metric '{spec.name}' not positive definite at {at}: "
             f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}"
         )
-    return MetricJet(point, jets, g, spec)
+    return MetricJet(point, coef, spec)
 
 
 def gamma_at(spec: MetricSpec, p):

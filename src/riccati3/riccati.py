@@ -23,6 +23,9 @@ from .curvature import curvature_r_only, orthonormal_perp
 from .metrics import MetricSpec, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
+# most integration steps one path may take: bounds the time grid and the states
+# before anything is allocated
+MAX_STEPS = 10**6
 # path samples per batched metric evaluation: one call covers many samples,
 # while the jets of a block stay around a megabyte
 SAMPLE_BLOCK = 256
@@ -114,8 +117,12 @@ def geodesic_step(spec: MetricSpec, p, v, dt: float):
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:
-    """0, dt, 2 dt, ..., T: ceil(T/dt) steps, t_k = k dt, the last one shortened to end at T."""
-    n_steps = max(0, math.ceil(T / dt * (1.0 - 1e-12)))
+    """0, dt, 2 dt, ..., T: ceil(T/dt) steps, t_k = k dt, the last one shortened
+    to end at T; ValueError beyond MAX_STEPS, before anything is allocated."""
+    ratio = T / dt * (1.0 - 1e-12)
+    if not ratio <= MAX_STEPS:  # also rejects an overflow to inf
+        raise ValueError(f"T/dt = {T / dt:.3g} steps is more than MAX_STEPS = {MAX_STEPS}")
+    n_steps = max(0, math.ceil(ratio))
     ts = np.arange(n_steps + 1) * dt
     if n_steps:
         ts[-1] = T
@@ -126,10 +133,12 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
     """Geodesic through (p, v) with a parallel orthonormal frame of v-perp.
 
     v is normalized to unit g-length at p.  Sample times are 0, dt, ..., T
-    (last step shortened if T is not a multiple of dt).
+    (last step shortened if T is not a multiple of dt); more than MAX_STEPS
+    steps raise ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    ts = _sample_times(T, dt)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     g, _, _ = gamma_at(spec, p)
@@ -138,7 +147,6 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
         raise ValueError(f"direction {tuple(map(float, v))} has no positive length")
     v = v / math.sqrt(norm2)
     w1, w2 = orthonormal_perp(g, v, np.eye(3))
-    ts = _sample_times(T, dt)
     ys = [np.concatenate([p, v, w1, w2])]
     for k in range(1, len(ts)):
         ys.append(_rk4(spec, ys[-1], dt if k < len(ts) - 1 else T - ts[-2]))

@@ -173,6 +173,16 @@ def test_selftest_pass_and_tamper(capsys):
     assert code == 1 and rep["failures"] >= 1
     failed = {r["check"] for r in rep["results"] if not r["pass"]}
     assert "identity_suite" in failed
+    # text mode prints a failed check's detail indented under its [FAIL] line
+    code, out = run(capsys, "selftest", "--tamper-sign")
+    lines = out.splitlines()
+    at = lines.index("[FAIL] identity_suite")
+    assert code == 1 and [line.split(" = ")[0] for line in lines[at + 1 : at + 4]] == [
+        "    j2",
+        "    bianchi",
+        "    kulkarni",
+    ]
+    assert lines[at + 4].startswith("[")
 
 
 def run_bad(argv):
@@ -199,6 +209,7 @@ RICCATI = ("riccati", "flat", "--point", "0,0,0", "--dir", "1,0,0")
         (("riccati", "flat", "--point", "0,0,0", "--dir", "0,0,0"), "--dir"),
         (RICCATI + ("--dt", "0"), "--dt"),
         (RICCATI + ("--T", "-1"), "--T"),
+        (RICCATI + ("--dt", "1e-13"), "MAX_STEPS"),
     ],
 )
 def test_riccati_bad_input_exits_2(tmp_path, argv, words):
@@ -220,6 +231,23 @@ def test_riccati_bad_input_exits_2(tmp_path, argv, words):
 )
 def test_analyze_bad_input_exits_2(argv, words):
     assert words in run_bad(argv)
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("analyze", "{missing}.json"), "nosuch.json"),
+        (("analyze", "{truncated}"), "line 1"),
+        (("classify", "{missing}.json"), "nosuch.json"),
+        (("classify", "{truncated}"), "line 1"),
+        (("analyze", "flat", "--config", "{missing}.cfg"), "nosuch.cfg"),
+    ],
+)
+def test_unreadable_input_file_exits_2(tmp_path, argv, words):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"builtin": "heisen')
+    files = {"missing": tmp_path / "nosuch", "truncated": truncated}
+    assert words in run_bad([a.format(**files) for a in argv])
 
 
 _number = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)

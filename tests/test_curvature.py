@@ -6,12 +6,14 @@ import pytest
 from riccati3 import metrics
 from riccati3.curvature import (
     curvature_pack,
+    curvature_r_only,
     identity_residuals,
     jacobi_eigh3,
     jacobi_op,
     pack_at,
     ricci_rank,
 )
+from riccati3.exprjet import INDEX_OF, DomainFault
 from riccati3.metrics import MetricError, metric_jets
 
 
@@ -21,7 +23,7 @@ def test_flat_jets_and_pack():
     assert np.allclose(mj.g, np.eye(3))
     for i in range(3):
         for j in range(3):
-            assert np.max(np.abs(mj.jets[i][j].coef[1:])) == 0.0
+            assert np.max(np.abs(mj.coef[1:, i, j])) == 0.0
     pk = curvature_pack(mj)
     for field in (pk.R, pk.ric, pk.nablaR, pk.nabla_ric, pk.nabla2_ric):
         assert np.max(np.abs(field)) == 0.0
@@ -32,7 +34,7 @@ def test_heisenberg_metric_jets():
     mj = metric_jets(spec, (1.0, 0.0, 0.0))
     assert mj.g[1, 1] == pytest.approx(2.0)
     assert mj.g[1, 2] == pytest.approx(-1.0)
-    assert mj.jets[1][1].partial((1, 0, 0)) == pytest.approx(2.0)
+    assert mj.coef[INDEX_OF[1, 0, 0], 1, 1] == pytest.approx(2.0)  # d_1 g_22, a! = 1
 
 
 def test_degenerate_metric_rejected():
@@ -41,6 +43,19 @@ def test_degenerate_metric_rejected():
     )
     with pytest.raises(MetricError):
         metric_jets(spec, (0, 0, 0))
+
+
+def test_tiny_determinant_is_a_domain_fault():
+    """diag(1e-9, 1e6, 1e6) is positive definite, but its determinant is below
+    1e-14 max(g_ii)^3, so inverting it is refused at either kernel order."""
+    spec = metrics.custom(
+        {"g11": "1e-9", "g12": "0", "g13": "0", "g22": "1e6", "g23": "0", "g33": "1e6"}
+    )
+    p = (0.1, 0.2, 0.3)
+    assert metric_jets(spec, p).g[0, 0] == 1e-9
+    for curvature in (pack_at, curvature_r_only, lambda s, x: curvature_r_only(s, np.array([x, x]))):
+        with pytest.raises(DomainFault, match="division by ~0"):
+            curvature(spec, p)
 
 
 @pytest.mark.parametrize("name,k", [("hyperbolic", -1.0), ("sphere", 1.0)])

@@ -6,7 +6,9 @@ import pytest
 from riccati3 import metrics
 from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.riccati import (
+    MAX_STEPS,
     SAMPLE_BLOCK,
+    _sample_times,
     constrained_probe,
     integrate_geodesic,
     integrate_riccati,
@@ -90,7 +92,12 @@ def test_curvature_r_only_batch_is_stack_of_points(name):
     g, ginv, R = curvature_r_only(spec, xs)
     assert g.shape == ginv.shape == (12, 3, 3) and R.shape == (12, 3, 3, 3, 3)
     for k, x in enumerate(xs):
-        for got, want in zip((g[k], ginv[k], R[k]), curvature_r_only(spec, tuple(x))):
+        point = curvature_r_only(spec, tuple(x))
+        for got, want in zip((g[k], ginv[k], R[k]), point):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        # the order-2 and the order-4 run of the curvature kernel agree
+        pk = pack_at(spec, tuple(x))
+        for got, want in zip(point, (pk.g, pk.ginv, pk.R)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
@@ -183,6 +190,14 @@ def test_zero_direction_or_step_rejected():
         integrate_geodesic(spec, (0, 0, 0), (0, 0, 0), 1.0, 1e-2)
     with pytest.raises(ValueError, match="dt"):
         integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.0, 0.0)
+    # more than MAX_STEPS steps are refused before the time grid is allocated
+    assert len(_sample_times(1.0, 1.0 / MAX_STEPS)) == MAX_STEPS + 1
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        _sample_times(1.0, 0.999 / MAX_STEPS)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.0, 1e-13)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1e308, 1e-10)  # T/dt overflows
 
 
 def test_probe_flat():
