@@ -89,6 +89,11 @@ def _sample_points(spec, n, rng):
     ]
 
 
+def _unit_directions(pack, dirs):
+    """The rows of ``dirs`` scaled to unit length in the metric of ``pack``."""
+    return dirs / np.sqrt(np.einsum("mi,mi->m", dirs @ pack.g, dirs))[:, None]
+
+
 def cmd_analyze(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -108,6 +113,7 @@ def cmd_analyze(args):
     hist = {str(k): 0 for k in range(4)}
     rows = []
     rels = []
+    isotropic = 0
     rank1 = None
     any_nonpositive = True
     for ip, p in enumerate(points):
@@ -132,16 +138,17 @@ def cmd_analyze(args):
                 }
             except RankPrecondition:
                 pass
-        for idir, d in enumerate(dirs):
-            X = d / pack.norm(d)
-            ov = obstruction_values(pack, X)
-            rel = abs(ov.residual) / ov.scale
-            rels.append(rel)
-            rows.append(
-                [ip, *p, idir, *X, ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel]
-            )
+        X = _unit_directions(pack, dirs)
+        ov = obstruction_values(pack, X)
+        rel = np.abs(ov.residual) / ov.scale
+        rels.append(rel)
+        isotropic += int(np.count_nonzero(ov.frame.isotropic))
+        if args.csv:
+            cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
+            sweep = np.column_stack((X,) + cols).tolist()
+            rows += [[ip, *p, idir, *row] for idir, row in enumerate(sweep)]
 
-    rels = np.array(rels)
+    rels = np.concatenate(rels)
     frac = float(np.mean(rels > OBSTRUCTED_REL))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"
@@ -170,6 +177,7 @@ def cmd_analyze(args):
             },
             "fraction_exceeding": frac,
             "threshold": OBSTRUCTED_REL,
+            "isotropic": isotropic,
         },
         "rank1_checks": rank1,
         "verdict": verdict,
@@ -361,18 +369,14 @@ def _selftest_checks(tamper=False):
         spec = metrics.builtin(name)
         for p in _sample_points(spec, 3, rng):
             pack = pack_at(spec, p, tamper=tamper)
-            for d in dirs:
-                ov = obstruction_values(pack, d / pack.norm(d))
-                pass_ok = pass_ok and abs(ov.residual) / ov.scale < 1e-9
+            ov = obstruction_values(pack, _unit_directions(pack, dirs))
+            pass_ok = pass_ok and bool(np.all(np.abs(ov.residual) / ov.scale < 1e-9))
     for name in ("heisenberg", "sol"):
         spec = metrics.builtin(name)
         for p in _sample_points(spec, 3, rng):
             pack = pack_at(spec, p, tamper=tamper)
-            cnt = 0
-            for d in dirs:
-                ov = obstruction_values(pack, d / pack.norm(d))
-                if abs(ov.residual) / ov.scale > 1e-6:
-                    cnt += 1
+            ov = obstruction_values(pack, _unit_directions(pack, dirs))
+            cnt = int(np.count_nonzero(np.abs(ov.residual) / ov.scale > 1e-6))
             fail_ok = fail_ok and cnt >= 0.9 * len(dirs)
     yield "obstruction_separation", pass_ok and fail_ok, {"pass": pass_ok, "fail": fail_ok}
 

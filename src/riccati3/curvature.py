@@ -222,40 +222,56 @@ def curvature_r_only(spec: MetricSpec, p):
     return m.g, ginv[0], R[0]
 
 
+def _dot(x, y):
+    """Row-by-row dot product: x, y of shape (..., 3) give shape (...)."""
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _inner(g, x, y):
+    """g(x, y) row by row."""
+    return _dot(x @ g, y)
+
+
 def orthonormal_perp(g, v, basis):
     """Deterministic g-orthonormal basis (w1, w2) of the complement of the unit
-    vector v: Gram-Schmidt on the columns of ``basis``, largest projection first."""
-    cands = []
-    for k in range(3):
-        e = basis[:, k]
-        c = e - float(e @ g @ v) * v
-        cands.append((float(c @ g @ c), k, c))
-    cands.sort(key=lambda it: (-it[0], it[1]))
-    w1 = cands[0][2] / math.sqrt(cands[0][0])
-    c = cands[1][2]
-    c = c - float(c @ g @ w1) * w1
-    n = math.sqrt(float(c @ g @ c))
-    if n < 1e-12:
-        c = cands[2][2]
-        c = c - float(c @ g @ w1) * w1 - float(c @ g @ v) * v
-        n = math.sqrt(float(c @ g @ c))
-    return w1, c / n
+    vector v, or of each row of an (m, 3) batch v (then w1, w2 are (m, 3)):
+    Gram-Schmidt on the columns of ``basis``, largest projection first, ties
+    to the lower column; the third column stands in when the second is
+    (numerically) in span(v, w1)."""
+    v = np.asarray(v, dtype=float)
+    vs = v.reshape(-1, 3)
+    # cands[:, k, :] = basis[:, k] minus its g-projection on v
+    cands = basis.T - (vs @ g @ basis)[:, :, None] * vs[:, None, :]
+    norm2 = _dot(cands @ g, cands)
+    order = np.argsort(-norm2, axis=-1, kind="stable")
+    rows = np.arange(len(vs))[:, None]
+    c0, c1, c2 = cands[rows, order].transpose(1, 0, 2)
+    w1 = c0 / np.sqrt(norm2[rows, order[:, :1]])
+    c1 = c1 - _inner(g, c1, w1)[:, None] * w1
+    c2 = c2 - _inner(g, c2, w1)[:, None] * w1 - _inner(g, c2, vs)[:, None] * vs
+    n1 = np.sqrt(_inner(g, c1, c1))
+    fallback = n1 < 1e-12
+    c = np.where(fallback[:, None], c2, c1)
+    n = np.where(fallback, np.sqrt(_inner(g, c2, c2)), n1)
+    return w1.reshape(v.shape), (c / n[:, None]).reshape(v.shape)
 
 
 def plane_entries(g, M, w1, w2):
-    """(m11, m22, m12): the symmetrized matrix of the operator M on span(w1, w2)."""
-    m11 = float(w1 @ g @ (M @ w1))
-    m22 = float(w2 @ g @ (M @ w2))
-    m12 = 0.5 * float(w1 @ g @ (M @ w2) + w2 @ g @ (M @ w1))
-    return m11, m22, m12
+    """(m11, m22, m12): the symmetrized matrix of the operator M on span(w1, w2);
+    M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape (...)."""
+    gw1, gw2 = w1 @ g, w2 @ g
+    Mw1 = np.einsum("...li,...i->...l", M, w1)
+    Mw2 = np.einsum("...li,...i->...l", M, w2)
+    return _dot(gw1, Mw1), _dot(gw2, Mw2), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1))
 
 
 def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
-    """Matrix of J(v) = R(.,v)v acting on column vectors: J[l,i] x^i."""
+    """Matrix of J(v) = R(.,v)v acting on column vectors: J[l,i] x^i; v of
+    shape (3,) gives (3, 3) and a batch (m, 3) gives (m, 3, 3)."""
     v = np.asarray(v, dtype=float)
-    if float(v @ pack.g @ v) == 0.0:
+    if (_inner(pack.g, v, v) == 0.0).any():
         raise ValueError("Jacobi operator needs a nonzero vector")
-    return np.einsum("ijkl,j,k->li", pack.R, v, v)
+    return np.einsum("ijkl,...j,...k->...li", pack.R, v, v)
 
 
 def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int = 0):

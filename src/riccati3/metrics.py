@@ -136,8 +136,14 @@ def from_dict(data: dict) -> MetricSpec:
 
 
 def from_file(path) -> MetricSpec:
+    """The metric of a JSON file; malformed JSON raises a JSONDecodeError
+    whose message starts with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    return from_dict(data)
 
 
 def resolve(name_or_path, params=None) -> MetricSpec:

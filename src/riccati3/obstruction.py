@@ -15,12 +15,17 @@ The scalar invariants
 obey  P^2 = D (-D1^2 - 4 tr(Jo o Jo) ric(X,X))  whenever the metric carries
 the constrained Riccati solution family; the signed deviation of the two
 sides is the obstruction residual this module reports.
+
+``jacobi_frame``, ``derived_jacobi_direct`` and ``obstruction_values`` take
+one direction or an (m, 3) batch, with one code path: a batch gives every
+field as an array with a leading direction axis, and one direction is a
+batch of one whose fields come back as floats, bools and (3,) vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -50,6 +55,9 @@ class RankPrecondition(ValueError):
 
 @dataclass
 class JacobiFrame:
+    """Fields are floats and (3,) vectors for one direction, arrays with a
+    leading direction axis for a batch."""
+
     X: np.ndarray
     v: np.ndarray  # unit
     w1: np.ndarray
@@ -112,63 +120,116 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
-    """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0."""
+class IsotropyMask(np.ndarray):
+    """The per-direction isotropy flags of a batch.  Its truth value is
+    whether any direction is isotropic, so ``if frame.isotropic:`` reads the
+    same for one direction and for a batch."""
+
+    def __bool__(self):
+        return bool(self.view(np.ndarray).any())
+
+
+def _directions(X):
+    """X as an (m, 3) float array, and whether it was one (3,) direction."""
     X = np.asarray(X, dtype=float)
-    nX = pack.norm(X)
-    if nX == 0.0:
+    return X.reshape(-1, 3), X.ndim == 1
+
+
+def _first(batch):
+    """The one direction of a batch of one: floats, bools and (3,) vectors."""
+    row = {}
+    for f in fields(batch):
+        x = getattr(batch, f.name)
+        row[f.name] = _first(x) if is_dataclass(x) else (x[0] if x.ndim > 1 else x[0].item())
+    return replace(batch, **row)
+
+
+def _products(X, k):
+    """The k-fold products X^a X^b ..., flattened: shape (m, 3^k)."""
+    out = X
+    for _ in range(k - 1):
+        out = (out[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+    return out
+
+
+def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
+    """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
+    for one direction or an (m, 3) batch.
+
+    Where the operator is isotropic (|(A, B)| below iso_tol times the size of
+    J) the frame keeps the complement basis, A = 0 and ``isotropic`` is set;
+    for a batch that flag is an ``IsotropyMask``.  A zero direction raises
+    ValueError.
+    """
+    X, one = _directions(X)
+    nX = np.sqrt(np.einsum("mi,mi->m", X @ pack.g, X))
+    if (nX == 0.0).any():
         raise ValueError("zero direction")
-    v = X / nX
+    v = X / nX[:, None]
     w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
     m11, m22, m12 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
-    t = float(X @ pack.ric @ X)
+    t = _products(X, 2) @ pack.ric.ravel()
     A = 0.5 * (m11 - m22)
-    B = m12
-    h = math.hypot(A, B)
-    scale = max(1.0, abs(t), abs(m11) + abs(m22))
-    if h < iso_tol * scale:
-        return JacobiFrame(X, v, w1, w2, 0.0, 0.0, t, True)
-    theta = 0.5 * math.atan2(B, A)
-    c, s = math.cos(theta), math.sin(theta)
-    w1n = c * w1 + s * w2
-    w2n = -s * w1 + c * w2
-    return JacobiFrame(X, v, w1n, w2n, h, 0.0, t, False)
+    h = np.hypot(A, m12)
+    scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
+    iso = h < iso_tol * scale
+    theta = 0.5 * np.arctan2(m12, A)
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    keep = iso[:, None]
+    frame = JacobiFrame(
+        X,
+        v,
+        np.where(keep, w1, c * w1 + s * w2),
+        np.where(keep, w2, -s * w1 + c * w2),
+        np.where(iso, 0.0, h),
+        np.zeros_like(h),
+        t,
+        iso.view(IsotropyMask),
+    )
+    return _first(frame) if one else frame
 
 
 def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> DerivedJacobi:
-    """J'(X) = (nabla_X R)(., X) X projected to the frame plane."""
-    X = np.asarray(X, dtype=float)
-    Jp = np.einsum("mijkl,m,j,k->li", pack.nablaR, X, X, X)
-    m11, m22, m12 = plane_entries(pack.g, Jp, frame.w1, frame.w2)
-    return DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
+    """J'(X) = (nabla_X R)(., X) X projected to the frame plane, for one
+    direction or an (m, 3) batch with the frame of the same shape."""
+    X, one = _directions(X)
+    # nablaR[m, i, j, k, l] as the (mjk, li) matrix: one product sums over m, j, k
+    Jp = (_products(X, 3) @ pack.nablaR.transpose(0, 2, 3, 4, 1).reshape(27, 9)).reshape(-1, 3, 3)
+    w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
+    m11, m22, m12 = plane_entries(pack.g, Jp, w1, w2)
+    dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
+    return _first(dj) if one else dj
 
 
 def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
-    """Evaluate both sides of the detector identity at (point, X).
+    """Evaluate both sides of the detector identity at (point, X), for one
+    direction X of shape (3,) (fields are floats) or an (m, 3) batch (fields
+    are arrays with a leading direction axis).
 
     A residual of ~0 is necessary for the constrained Riccati family to exist
     at this point and direction; a residual well above the float noise floor
     certifies the metric admits no such family.
     """
-    X = np.asarray(X, dtype=float)
+    X, one = _directions(X)
     fr = jacobi_frame(pack, X)
     dj = derived_jacobi_direct(pack, X, fr)
     A, B = fr.A, fr.B
     A1, B1 = dj.A1, dj.B1
     ric_xx = fr.t
 
-    D1 = float(np.einsum("kij,k,i,j->", pack.nabla_ric, X, X, X))
+    XX = _products(X, 2)
+    D1 = _products(X, 3) @ pack.nabla_ric.ravel()
     tr_JJ = 2.0 * (A * A + B * B)
     tr_JJp = 2.0 * (A * A1 + B * B1)
-    D2 = tr_JJ + float(np.einsum("klij,k,l,i,j->", pack.nabla2_ric, X, X, X, X))
+    D2 = tr_JJ + np.einsum("mk,mk->m", XX @ pack.nabla2_ric.reshape(9, 9), XX)
 
     D = 4.0 * (A * B1 - A1 * B) ** 2
 
     P = 2.0 * ((A * A + B * B) * D2 - (A * A1 + B * B1) * D1)
     lhs = P * P
     rhs = D * (-D1 * D1 - 4.0 * tr_JJ * ric_xx)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return ObstructionValues(
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    ov = ObstructionValues(
         D1=D1,
         D2=D2,
         D=D,
@@ -182,6 +243,7 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
         frame=fr,
         derived=dj,
     )
+    return _first(ov) if one else ov
 
 
 def reconstruct_u(pack: CurvaturePack, X, rel_tol: float = 1e-10) -> UCandidate:
@@ -287,7 +349,7 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
         raise RankPrecondition(f"rank1_checks needs rank 1, got {rr.rank}")
     idx = int(np.argmax(np.abs(rr.eigenvalues)))
     e3 = rr.eigenframe[:, idx]
-    plane = [rr.eigenframe[:, k] for k in range(3) if k != idx]
+    E = np.delete(rr.eigenframe, idx, axis=1)  # columns: a basis of the kernel plane
 
     de3 = np.empty((3, 3))  # de3[i, k] = d_i e3^k
     for i in range(3):
@@ -301,27 +363,15 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
     div_e3 = float(np.trace(grad_e3))
     lie_scal = float(e3 @ pack.dscal)
 
-    def nabla_e3(v):
-        return np.einsum("i,ik->k", v, grad_e3)
-
-    E1, E2 = plane
-    Q = np.empty((2, 2))
-    basis = (E1, E2)
-    for a in range(2):
-        for b in range(2):
-            Q[a, b] = float(basis[a] @ pack.g @ nabla_e3(basis[b])) + float(
-                basis[b] @ pack.g @ nabla_e3(basis[a])
-            )
+    # Q[a, b] = g(E_a, nabla_{E_b} e3) + g(E_b, nabla_{E_a} e3)
+    gG = pack.g @ grad_e3.T  # g(x, nabla_y e3) = x^T gG y
+    Q = E.T @ (gG + gG.T) @ E
     q_eigs = np.linalg.eigvalsh(Q)
 
     target = -pack.scal / 2.0
     angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    defects = []
-    for phi in angles:
-        v = math.cos(phi) * E1 + math.sin(phi) * E2
-        val = float(v @ pack.g @ nabla_e3(v)) ** 2 - target
-        defects.append(abs(val))
-    defects = np.array(defects)
+    V = np.column_stack([np.cos(angles), np.sin(angles)]) @ E.T  # unit v in the plane
+    defects = np.abs(np.einsum("ai,ai->a", V @ pack.g, V @ grad_e3) ** 2 - target)
     d_min, d_max = float(defects.min()), float(defects.max())
     return Rank1Report(
         scal=pack.scal,

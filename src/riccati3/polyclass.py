@@ -498,8 +498,14 @@ def instance_from_dict(data: dict) -> ConstraintInstance:
 
 
 def instance_from_file(path) -> ConstraintInstance:
+    """The instance of a JSON file; malformed JSON raises a JSONDecodeError
+    whose message starts with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    return instance_from_dict(data)
 
 
 # --- planted-instance generators (used by tests and the self-test) -------

@@ -37,6 +37,16 @@ def test_analyze_heisenberg(tmp_path, capsys):
     assert rep["ric_nonpositive_everywhere"] is False
 
 
+def test_analyze_reports_isotropic_directions(capsys):
+    counts = {}
+    for name in ("sphere", "flat", "heisenberg"):
+        code, out = run(capsys, "analyze", name, "-n", "3", "-m", "16", "--json")
+        assert code == 0
+        counts[name] = json.loads(out)["obstruction"]["isotropic"]
+    assert counts["sphere"] == counts["flat"] == 3 * 16
+    assert counts["heisenberg"] < 3 * 16
+
+
 def test_analyze_sol_rank1(capsys):
     code, out = run(capsys, "analyze", "sol", "-n", "4", "-m", "16", "--json")
     rep = json.loads(out)
@@ -247,7 +257,10 @@ def test_unreadable_input_file_exits_2(tmp_path, argv, words):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"builtin": "heisen')
     files = {"missing": tmp_path / "nosuch", "truncated": truncated}
-    assert words in run_bad([a.format(**files) for a in argv])
+    line = run_bad([a.format(**files) for a in argv])
+    assert words in line
+    if "{truncated}" in argv:
+        assert "truncated.json" in line
 
 
 _number = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)

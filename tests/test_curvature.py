@@ -10,6 +10,7 @@ from riccati3.curvature import (
     identity_residuals,
     jacobi_eigh3,
     jacobi_op,
+    orthonormal_perp,
     pack_at,
     ricci_rank,
 )
@@ -289,3 +290,30 @@ def test_tamper_flag_breaks_identities():
     pk = pack_at(metrics.builtin("heisenberg"), (0.4, 0.7, -0.3), tamper=True)
     res = identity_residuals(pk, n=10, seed=0)
     assert max(res.values()) > 1e-3
+
+
+@pytest.mark.parametrize("case", ["parallel_columns", "heisenberg_frame"])
+def test_orthonormal_perp_batch(case):
+    """A batch of unit vectors gives g-orthonormal complements equal to the
+    one-vector calls, also where the second candidate is parallel to the
+    first and the third column stands in (the n < 1e-12 fallback)."""
+    if case == "parallel_columns":
+        # columns e1, 2 e1, e2: for the first two rows the two largest
+        # candidates are parallel (w2 would be 0/0 without the fallback)
+        g = np.eye(3)
+        basis = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        vs = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]])
+    else:
+        pk = pack_at(metrics.builtin("heisenberg"), (0.4, 0.7, -0.3))
+        g, basis = pk.g, pk.frame
+        vs = np.random.default_rng(4).standard_normal((16, 3))
+        vs /= np.sqrt(np.einsum("mi,ij,mj->m", vs, g, vs))[:, None]
+    w1, w2 = orthonormal_perp(g, vs, basis)
+    assert w1.shape == w2.shape == vs.shape
+    for k, v in enumerate(vs):
+        frame = np.stack([v, w1[k], w2[k]], axis=1)
+        assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
+        one = orthonormal_perp(g, v, basis)
+        for got, want in zip((w1[k], w2[k]), one):
+            assert want.shape == (3,)
+            assert np.all(np.abs(got - want) <= 1e-14)

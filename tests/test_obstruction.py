@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -240,3 +241,61 @@ def test_fibonacci_directions_deterministic():
     d2 = fibonacci_directions(64)
     assert np.array_equal(d1, d2)
     assert np.allclose(np.linalg.norm(d1, axis=1), 1.0, atol=1e-12)
+
+
+BATCH_CASES = metrics.BUILTIN_NAMES + ("heisenberg-L0.3", "model_pack")
+
+
+def _batch_pack(case):
+    """The algebraic model, or the pack at a seeded point of a builtin."""
+    if case == "model_pack":
+        return model_pack(-2.0, -1.0)
+    spec = metrics.builtin("heisenberg", L=0.3) if case == "heisenberg-L0.3" else metrics.builtin(case)
+    rng = np.random.default_rng(11)
+    return pack_at(spec, tuple(rng.uniform(lo, hi) for lo, hi in spec.box))
+
+
+def _leaves(obj, prefix=""):
+    """(dotted field name, value) of every field of nested dataclasses."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, value
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_obstruction_values_batch_is_stack_of_directions(case):
+    """Every field of a 64-direction batch is the stack of the one-direction
+    calls: floats, bools and (3,) vectors per direction."""
+    pk = _batch_pack(case)
+    X = fibonacci_directions(64) * np.linspace(0.5, 2.0, 64)[:, None]
+    batch = dict(_leaves(obstruction_values(pk, X)))
+    assert batch["frame.isotropic"].shape == (64,)
+    for k, x in enumerate(X):
+        for name, want in _leaves(obstruction_values(pk, x)):
+            got = batch[name][k]
+            if name == "frame.isotropic":
+                assert type(want) is bool and bool(got) == want, k
+            else:
+                assert isinstance(want, float if np.ndim(got) == 0 else np.ndarray), name
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (name, k)
+
+
+def test_isotropy_mask_truth_value():
+    """A batch's isotropy flags are per direction; the mask is true when any is set."""
+    X = fibonacci_directions(8)
+    flat = jacobi_frame(pack_at(metrics.builtin("flat"), (0, 0, 0)), X)
+    heis = jacobi_frame(pack_at(metrics.builtin("heisenberg"), (0.4, 0.7, -0.3)), X)
+    assert flat.isotropic.all() and flat.isotropic
+    assert not heis.isotropic.any() and not heis.isotropic
+
+
+def test_batch_with_a_zero_row_raises():
+    pk = pack_at(metrics.builtin("heisenberg"), (0.4, 0.7, -0.3))
+    X = fibonacci_directions(5)
+    X[3] = 0.0
+    for fn in (obstruction_values, jacobi_frame):
+        with pytest.raises(ValueError, match="zero direction"):
+            fn(pk, X)
