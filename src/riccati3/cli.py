@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -485,7 +486,9 @@ def _plain(obj):
     return obj
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     ap = argparse.ArgumentParser(prog="riccati3")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -4,21 +4,23 @@ An expression is an AST over the coordinate variables ``x1, x2, x3``, named
 parameters, real constants, the operators ``+ - * /``, integer powers ``^``,
 and the unary functions ``exp, log, sin, cos, sinh, cosh, sqrt``.
 
-An order-k jet stores every partial derivative of total order <= k at one
-base point, or at each point of a batch: coefficients in graded lexicographic
+A jet is its coefficient array: every partial derivative of total order
+<= k at one base point, or at each point of a batch, in graded lexicographic
 multi-index order, with the coefficient for multi-index a equal to
-(d^a f)(p) / a!.  The coefficient axis comes first, so a batch of n points is
-one jet whose coefficients are length-n arrays, and every operation below is
-the same code at one point and at a batch (vectorized Taylor arithmetic,
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Graded-lex
-order puts all degrees <= k first, so an order-k jet is exactly the leading
-N(k) = 1, 4, 10, 20, 35 coefficients of the order-4 jet, and its product and
-derivative tables are leading slices of the order-4 tables.  Arithmetic is
-truncated Taylor arithmetic; unary functions and integer powers are evaluated
-by composing a scalar Taylor series (the binomial series for powers, n = -1
-for division) with the constant-free part of the argument jet, so no symbolic
+(d^a f)(p) / a!.  The coefficient axis comes first, so at one point an
+order-k jet has shape (N(k),) and at a batch of n points (N(k), n), and every
+operation below is the same module function on both (vectorized Taylor
+arithmetic, Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+Graded-lex order puts all degrees <= k first, so an order-k jet is exactly
+the leading N(k) = 1, 4, 10, 20, 35 coefficients of the order-4 jet, and its
+product and derivative tables are leading slices of the order-4 tables.
+Sums are array sums and products are the truncated Leibniz product
+``_mul``; unary functions and integer powers compose a scalar Taylor series
+(the binomial series for powers, n = -1 for division) with the
+constant-free part of the argument (``_compose``), so no symbolic
 differentiation of the AST is ever needed.  There is one evaluator,
-``eval_jet``: ``eval_dual`` (value and gradient) is its order-1 case.
+``eval_jet``, which returns its array in a ``Jet4`` record; ``eval_dual``
+(value and gradient) is its order-1 case.
 """
 
 from __future__ import annotations
@@ -382,22 +384,12 @@ def parse_expr(src: str, params=()) -> Expr:
 
 def as_point(p):
     """The base point of jets at p: a float tuple for one point, a float (n, 3)
-    array for a batch of n points.  A converted point is returned as is, so
-    callers that convert once and evaluate several expressions get jets that
-    share one point object, and their point checks are identity tests."""
+    array for a batch of n points."""
     if isinstance(p, np.ndarray) and p.ndim == 2:
         if p.shape[1] != NVARS:
             raise ExprError(f"a batch of points has shape (n, {NVARS}), got {p.shape}")
         return np.asarray(p, dtype=float)
-    if type(p) is tuple and len(p) == NVARS and type(p[0]) is type(p[1]) is type(p[2]) is float:
-        return p
     return tuple(map(float, p))
-
-
-def _same_batch(p, q):
-    if isinstance(p, tuple) or isinstance(q, tuple):
-        return False  # one point against a batch
-    return p.shape == q.shape and bool(np.array_equal(p, q))
 
 
 def _any(mask):
@@ -405,9 +397,15 @@ def _any(mask):
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def _value(c):
+    """The value of a coefficient array: a float at one point, an (n,) array at a batch."""
+    return float(c[0]) if c.ndim == 1 else c[0]
+
+
+@dataclass(slots=True)
 class Jet4:
-    """Truncated Taylor expansion of total order <= ``order`` <= 4, at one
-    point or at each point of a batch.
+    """The jet ``eval_jet`` returns: the coefficient array of an expression
+    of total order <= ``order`` <= 4 at ``point``.
 
     ``coef[i]`` is (d^a f)(p) / a! for the i-th graded-lex multi-index a; an
     order-k jet stores exactly the N(k) = 1, 4, 10, 20, 35 coefficients of
@@ -417,57 +415,14 @@ class Jet4:
     (N(k), n), so ``value`` and ``partial`` give length-n arrays.
     """
 
-    __slots__ = ("point", "coef", "order")
-
-    def __init__(self, point, coef, order=MAX_ORDER):
-        self.point = as_point(point)
-        self.coef = np.asarray(coef, dtype=float)
-        self.order = int(order)
-        shape = (N_BY_ORDER[self.order],)
-        if not isinstance(self.point, tuple):
-            shape += (len(self.point),)
-        if self.coef.shape != shape:
-            raise ExprError(
-                f"an order-{self.order} jet at this point has coefficient shape {shape}, "
-                f"got {self.coef.shape}"
-            )
-
-    @classmethod
-    def _raw(cls, point, coef, order):
-        """Internal constructor: ``point`` is already converted, ``coef`` sized."""
-        jet = object.__new__(cls)
-        jet.point = point
-        jet.coef = coef
-        jet.order = order
-        return jet
-
-    @classmethod
-    def _constant(cls, value, point, order):
-        n = N_BY_ORDER[order]
-        coef = np.zeros(n if isinstance(point, tuple) else (n, len(point)))
-        coef[0] = value
-        return cls._raw(point, coef, order)
-
-    @classmethod
-    def _variable(cls, index, point, order):
-        x = point[index] if isinstance(point, tuple) else point[:, index]
-        jet = cls._constant(x, point, order)
-        if order >= 1:
-            jet.coef[1 + index] = 1.0
-        return jet
-
-    @classmethod
-    def constant(cls, value, point, order=MAX_ORDER):
-        return cls._constant(value, as_point(point), order)
-
-    @classmethod
-    def variable(cls, index, point, order=MAX_ORDER):
-        return cls._variable(index, as_point(point), order)
+    point: tuple | np.ndarray
+    coef: np.ndarray
+    order: int
 
     @property
     def value(self):
         """The value: a float at one point, an (n,) array at a batch."""
-        return float(self.coef[0]) if self.coef.ndim == 1 else self.coef[0]
+        return _value(self.coef)
 
     def partial(self, alpha):
         """Exact partial derivative d^alpha at the base point(s)."""
@@ -477,90 +432,43 @@ class Jet4:
         d = self.coef[k] * FACTORIALS[k]
         return float(d) if self.coef.ndim == 1 else d
 
-    def _check(self, other):
-        """Mixed orders are fine: the result has the lower order.  Jets of one
-        evaluation share their point object, so identity settles most checks;
-        one-point jets otherwise compare float tuples, batches their arrays."""
-        p, q = self.point, other.point
-        if p is not q and (p != q if type(p) is type(q) is tuple else not _same_batch(p, q)):
-            raise ExprError(f"base-point mismatch: {p} vs {q}")
-        return min(self.order, other.order)
 
-    def __add__(self, other):
-        if isinstance(other, Jet4):
-            order = self._check(other)
-            n = N_BY_ORDER[order]
-            return Jet4._raw(self.point, self.coef[:n] + other.coef[:n], order)
-        coef = self.coef.copy()
-        coef[0] += other
-        return Jet4._raw(self.point, coef, self.order)
+def _compose(c, series, order):
+    """sum_k series[k] * (c - value)^k by Horner, for a coefficient array c.
 
-    __radd__ = __add__
+    ``series[k]`` is a float at one point and an (n,) array at a batch.
+    Terms beyond ``order`` vanish, so only series[:order + 1] is read.
+    """
+    top = min(order, len(series) - 1)
+    if top == 0:
+        out = np.zeros(c.shape)
+    else:
+        out = c * series[top]  # series[top] * h, constant term aside
+        if top > 1:
+            h = c.copy()
+            h[0] = 0.0
+            for k in range(top - 1, 0, -1):
+                out[0] = series[k]
+                out = _mul(out, h, order)
+    out[0] = series[0]
+    return out
 
-    def __neg__(self):
-        return Jet4._raw(self.point, -self.coef, self.order)
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet4) else -float(other))
+def _ipow(c, n, order, node):
+    """c^n by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet4):
-            order = self._check(other)
-            return Jet4._raw(self.point, _mul(self.coef, other.coef, order), order)
-        return Jet4._raw(self.point, self.coef * float(other), self.order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet4):
-            return self * other.ipow(-1)
-        return Jet4._raw(self.point, self.coef / float(other), self.order)
-
-    def __rtruediv__(self, other):
-        return self.ipow(-1) * float(other)
-
-    def compose_series(self, series) -> "Jet4":
-        """Evaluate sum_k series[k] * (self - value)^k by Horner.
-
-        ``series[k]`` is a float at one point and an (n,) array at a batch.
-        Terms beyond the jet order vanish, so only series[:order + 1] is read.
-        """
-        top = min(self.order, len(series) - 1)
-        if top == 0:
-            coef = np.zeros(self.coef.shape)
-        else:
-            coef = self.coef * series[top]  # series[top] * h, constant term aside
-            if top > 1:
-                h = self.coef.copy()
-                h[0] = 0.0
-                for k in range(top - 1, 0, -1):
-                    coef[0] = series[k]
-                    coef = _mul(coef, h, self.order)
-        coef[0] = series[0]
-        return Jet4._raw(self.point, coef, self.order)
-
-    def ipow(self, n: int, node=None) -> "Jet4":
-        """Integer power by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
-
-        A negative power of a value within 1e-12 of 0 (at any point of a
-        batch) raises DomainFault naming ``node`` (or the first such value).
-        """
-        a0 = self.value
-        if n < 0:
-            small = abs(a0) < 1e-12
-            if _any(small):
-                if node is None:  # name the (first) offending value
-                    node = Const(float(a0[np.argmax(small)]) if isinstance(a0, np.ndarray) else a0)
-                raise DomainFault("division by ~0", node)
-        top = self.order if n < 0 else min(self.order, n)
-        series, c = [], 1.0  # c = binomial(n, k)
-        for k in range(top + 1):
-            series.append(c * a0 ** (n - k))
-            c = c * (n - k) / (k + 1)
-        return self.compose_series(series)
+    A negative power of a value within 1e-12 of 0 (at any point of a batch)
+    raises DomainFault naming ``node``.
+    """
+    a0 = _value(c)
+    if n < 0 and _any(abs(a0) < 1e-12):
+        raise DomainFault("division by ~0", node)
+    top = order if n < 0 else min(order, n)
+    series, b = [], 1.0  # b = binomial(n, k)
+    for k in range(top + 1):
+        series.append(b * a0 ** (n - k))
+        b = b * (n - k) / (k + 1)
+    return _compose(c, series, order)
 
 
 def _function_series(name, a0, node):
@@ -595,20 +503,35 @@ def _function_series(name, a0, node):
 
 def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
     """Evaluate an expression as a jet of the given order at point p, or at
-    each row of an (n, 3) array p (one batched jet, see ``Jet4``)."""
+    each row of an (n, 3) array p (one batched jet, see ``Jet4``).  Every
+    node evaluates to a coefficient array: (N(order),) at one point,
+    (N(order), n) at a batch."""
     if not 0 <= order <= MAX_ORDER:
         raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
     params = params or {}
     point = as_point(p)
+    # coords[i]: x_i at the point, or at each point of the batch
+    if isinstance(point, tuple):
+        shape, coords = (N_BY_ORDER[order],), point
+    else:
+        shape, coords = (N_BY_ORDER[order], len(point)), point.T
+
+    def constant(value):
+        c = np.zeros(shape)
+        c[0] = value
+        return c
 
     def rec(node):
         if isinstance(node, Const):
-            return Jet4._constant(node.value, point, order)
+            return constant(node.value)
         if isinstance(node, Var):
-            return Jet4._variable(node.index, point, order)
+            c = constant(coords[node.index])
+            if order >= 1:
+                c[1 + node.index] = 1.0
+            return c
         if isinstance(node, Param):
             try:
-                return Jet4._constant(float(params[node.name]), point, order)
+                return constant(float(params[node.name]))
             except KeyError:
                 raise ExprError(f"unbound parameter '{node.name}'") from None
         if isinstance(node, Neg):
@@ -620,16 +543,16 @@ def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
             if node.op == "-":
                 return a - b
             if node.op == "*":
-                return a * b
-            return a * b.ipow(-1, node.right)
+                return _mul(a, b, order)
+            return _mul(a, _ipow(b, -1, order, node.right), order)
         if isinstance(node, Power):
-            return rec(node.base).ipow(node.exponent, node)
+            return _ipow(rec(node.base), node.exponent, order, node)
         if isinstance(node, Call):
             arg = rec(node.arg)
-            return arg.compose_series(_function_series(node.func, arg.value, node))
+            return _compose(arg, _function_series(node.func, _value(arg), node), order)
         raise TypeError(f"not an Expr: {node!r}")
 
-    return rec(e)
+    return Jet4(point, rec(e), order)
 
 
 def eval_scalar(e: Expr, p, params=None, lib=math):

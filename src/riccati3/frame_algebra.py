@@ -431,14 +431,13 @@ def isolate_roots(coeffs, lo=0.0, hi=1.0, n_scan: int = 4096, tol: float = 1e-14
 
     eps = (hi - lo) * 1e-9
     xs = np.linspace(lo + eps, hi - eps, n_scan + 1)
-    vals = [f(x) for x in xs]
-    roots = []
-    for k in range(n_scan):
-        if vals[k] == 0.0:
-            roots.append(float(xs[k]))
-        elif (vals[k] < 0) != (vals[k + 1] < 0):
-            roots.append(_bisect_root(f, float(xs[k]), float(xs[k + 1]), tol))
-    return roots
+    vals = npoly.polyval(xs, coeffs)
+    # an exact zero at a grid point, or a sign change on the cell that starts there
+    hits = np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] < 0) != (vals[1:] < 0)))
+    return [
+        float(xs[k]) if vals[k] == 0.0 else _bisect_root(f, float(xs[k]), float(xs[k + 1]), tol)
+        for k in hits
+    ]
 
 
 def contradiction_certificates() -> dict:

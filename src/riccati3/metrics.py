@@ -43,7 +43,7 @@ class MetricJet:
     """The metric's Taylor coefficients, of the order k asked of
     ``metric_jets``, at one point or at each point of a batch.
 
-    ``coef`` has the layout of ``Jet4.coef`` with the 3x3 matrix axes
+    ``coef`` has the layout of a jet's coefficient array with the 3x3 matrix axes
     trailing: shape (N(k), 3, 3) at one point (``point`` a float tuple) and
     (N(k), n, 3, 3) at a batch of n points (``point`` the (n, 3) array).
     """

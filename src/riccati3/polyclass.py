@@ -238,30 +238,42 @@ class BranchVerdict:
     certificate: str = ""
 
 
+def _constraint_sides(inst):
+    """The expanded sides P^2 + (t^2+1) (d1 c)^2 and (t^2+1) (a c)^2 w, with w
+    the regime's ``rhs_weight``."""
+    d1c, ac = pmul(inst.d1, inst.c), pmul(inst.a, inst.c)
+    lhs = padd(pmul(inst.P, inst.P), pmul(T2P1, pmul(d1c, d1c)))
+    rhs = pmul(pmul(T2P1, pmul(ac, ac)), inst.rhs_weight())
+    return lhs, rhs
+
+
 def verify_constraint(inst: ConstraintInstance) -> float:
     """Max coefficient deviation of lhs - rhs; exact zero on the rational path
     when the constraint holds.  This expansion is the oracle every
     classification claim is checked against.
     """
-    d1c2 = pmul(pmul(inst.d1, inst.c), pmul(inst.d1, inst.c))
-    ac2 = pmul(pmul(inst.a, inst.c), pmul(inst.a, inst.c))
-    lhs = padd(pmul(inst.P, inst.P), pmul(T2P1, d1c2))
-    if inst.regime == "a12":
-        rhs = pscale(pmul(T2P1, ac2), inst.Lambda)
-    else:
-        rhs = pmul(pmul(T2P1, ac2), inst.rhs_weight())
-    return pmax(psub(lhs, rhs))
+    return pmax(psub(*_constraint_sides(inst)))
 
 
-def _oracle_scale(inst):
-    d1c2 = pmul(pmul(inst.d1, inst.c), pmul(inst.d1, inst.c))
-    ac2 = pmul(pmul(inst.a, inst.c), pmul(inst.a, inst.c))
-    lhs = padd(pmul(inst.P, inst.P), pmul(T2P1, d1c2))
-    if inst.regime == "a12":
-        rhs = pscale(pmul(T2P1, ac2), inst.Lambda)
-    else:
-        rhs = pmul(pmul(T2P1, ac2), inst.rhs_weight())
-    return max(pmax(lhs), pmax(rhs), 1.0)
+def _verdicts(inst):
+    """The two verdict makers of one classification: ``infeasible(cert)``, and
+    ``sound(branch, signs, witness)``, which raises unless the expanded
+    constraint holds to 1e-9 of the size of its sides."""
+    lhs, rhs = _constraint_sides(inst)
+    oracle = pmax(psub(lhs, rhs))
+    scale = max(pmax(lhs), pmax(rhs), 1.0)
+
+    def infeasible(cert):
+        return BranchVerdict("Infeasible", (), {}, oracle, cert)
+
+    def sound(branch, signs, witness):
+        if oracle > 1e-9 * scale:
+            raise PolyclassError(
+                f"classification bug: verdict {branch} but oracle residual {oracle:.3e}"
+            )
+        return BranchVerdict(branch, signs, witness, oracle)
+
+    return infeasible, sound
 
 
 def _exact_divide(num, den, tol):
@@ -276,17 +288,7 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     if inst.regime != "a12":
         raise PolyclassError("classify_a12 needs regime a12")
     tol = inst.tol()
-    oracle = float(verify_constraint(inst))
-
-    def infeasible(cert):
-        return BranchVerdict("Infeasible", (), {}, oracle, cert)
-
-    def sound(branch, signs, witness, cert=""):
-        if oracle > 1e-9 * _oracle_scale(inst):
-            raise PolyclassError(
-                f"classification bug: verdict {branch} but oracle residual {oracle:.3e}"
-            )
-        return BranchVerdict(branch, signs, witness, oracle, cert)
+    infeasible, sound = _verdicts(inst)
 
     if _is_zero(inst.c, tol):
         if _is_zero(inst.P, tol):
@@ -365,17 +367,7 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     if not float(l2) < float(l3):
         raise OrderingError("need lambda2 < lambda3; apply tilde_transform first")
     tol = inst.tol()
-    oracle = float(verify_constraint(inst))
-
-    def infeasible(cert):
-        return BranchVerdict("Infeasible", (), {}, oracle, cert)
-
-    def sound(branch, signs, witness, cert=""):
-        if oracle > 1e-9 * _oracle_scale(inst):
-            raise PolyclassError(
-                f"classification bug: verdict {branch} but oracle residual {oracle:.3e}"
-            )
-        return BranchVerdict(branch, signs, witness, oracle, cert)
+    infeasible, sound = _verdicts(inst)
 
     # a must be the canonical -(lambda3 t^2 + lambda2)/2 up to positive scale,
     # and the whole tuple (a, c, d1; P with weight 2) is normalized by it

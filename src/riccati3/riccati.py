@@ -277,7 +277,9 @@ def constrained_probe(
     grid_n: int = 21,
     dt: float = 1e-2,
 ) -> ProbeReport:
-    """Scan trace-free initial values u0 = [[a,b],[b,-a]] on a grid.
+    """Scan trace-free initial values u0 = [[a,b],[b,-a]] on a grid, given in
+    the trace-free Jacobi eigenframe at p (``jacobi_frame``) and integrated
+    from the same operator in the path's parallel frame.
 
     For each candidate the report carries the two jet-condition residuals at
     t = 0 (the linear conditions 4(aA+bB) = D1 and 4(aA1+bB1) = D2), the
@@ -310,6 +312,9 @@ def constrained_probe(
 
     path = integrate_geodesic(spec, p, v, T, dt)
     Js = jacobi_along(spec, path)
+    # u0 is scored in the Jacobi eigenframe and integrated in the path's parallel
+    # frame: C[i, j] = g(path w_i(0), eigenframe w_j) carries it over
+    C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([ov.frame.w1, ov.frame.w2]).T
 
     if grid_n < 1 or grid_radius == 0.0:
         grid = [0.0]
@@ -318,8 +323,8 @@ def constrained_probe(
     candidates = []
     for a in grid:
         for b in grid:
-            u0 = np.array([[a, b], [b, -a]])
-            res = integrate_riccati(path, Js, u0, T)
+            u0 = C @ np.array([[a, b], [b, -a]]) @ C.T
+            res = integrate_riccati(path, Js, 0.5 * (u0 + u0.T), T)
             candidates.append(
                 ProbeCandidate(
                     a=float(a),

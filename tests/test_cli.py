@@ -37,6 +37,18 @@ def test_analyze_heisenberg(tmp_path, capsys):
     assert rep["ric_nonpositive_everywhere"] is False
 
 
+def test_parser_is_built_once_and_param_lists_are_not_shared(capsys):
+    """The cached parser keeps no --param values from one call to the next."""
+    from riccati3.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ("analyze", "heisenberg", "-n", "1", "-m", "2", "--json")
+    for param, want in (("L=0.5", 0.5), (None, 1.0), ("L=2", 2.0), (None, 1.0)):
+        code, out = run(capsys, *argv, *(("--param", param) if param else ()))
+        assert code == 0
+        assert json.loads(out)["params"] == {"L": want}
+
+
 def test_analyze_reports_isotropic_directions(capsys):
     counts = {}
     for name in ("sphere", "flat", "heisenberg"):

@@ -227,6 +227,22 @@ def test_probe_heisenberg_no_candidate():
     assert not rep.first_jet_inconsistency
 
 
+def test_probe_integrates_the_u0_it_scores():
+    """For trace-free u0 with 2(a^2+b^2) = -ric(v,v), tr u(t) = k t^2/2 + O(t^3)
+    with k = 4(aA+bB) - D1, a frame-free second derivative: the trace defect
+    over a short T must reproduce the candidate's jet1 residual |k|."""
+    spec = metrics.builtin("sol")
+    p, v = (0.1, 0.2, 0.3), (0.5, -0.4, 0.7)
+    ric_vv = constrained_probe(spec, p, v, T=0.01, grid_n=0).ric_vv
+    r = math.sqrt(-ric_vv / 4.0)  # grid_n = 1 puts the one candidate at a = b = -r
+    quot = []
+    for T in (0.01, 0.02):
+        c = constrained_probe(spec, p, v, T=T, grid_radius=r, grid_n=1, dt=T / 20).best
+        assert c.trace0_residual < 1e-12 and not c.blown_up
+        quot.append(c.trace_defect / (0.5 * T * T))  # |k| + O(T)
+    assert 2.0 * quot[0] - quot[1] == pytest.approx(c.jet1_residual, rel=1e-2)
+
+
 @pytest.mark.parametrize("T,dt,n_steps", [(1.0, 0.4, 3), (1.0, 0.3, 4), (1.2, 1e-3, 1200)])
 def test_integrators_end_exactly_at_T(T, dt, n_steps):
     """ceil(T/dt) steps at t_k = k dt, the last one shortened to end at T;
