@@ -18,9 +18,16 @@ Sums are array sums and products are the truncated Leibniz product
 ``_mul``; unary functions and integer powers compose a scalar Taylor series
 (the binomial series for powers, n = -1 for division) with the
 constant-free part of the argument (``_compose``), so no symbolic
-differentiation of the AST is ever needed.  There is one evaluator,
-``eval_jet``, which returns its array in a ``Jet4`` record; ``eval_dual``
-(value and gradient) is its order-1 case.
+differentiation of the AST is ever needed.
+
+There is one jet evaluator, the compiled ``Tape``: a tuple of expressions
+becomes one flat list of operations on registers, with each repeated subtree
+computed once and each constant subtree folded, replayed at any order and at
+one point or a batch.  A metric compiles its six components once
+(``MetricSpec.tape``); ``eval_jet`` is a one-expression tape that returns its
+array in a ``Jet4`` record, and ``eval_dual`` (value and gradient) is its
+order-1 case.  ``eval_scalar`` is a plain-float tree walk kept apart from the
+tape as an independent oracle.
 """
 
 from __future__ import annotations
@@ -106,7 +113,9 @@ def _mul(a, b, order):
     """Truncated Leibniz product of two coefficient arrays at ``order``:
     (N,) at one point, (N, n) at a batch."""
     _, ia, ib = _MUL_TABLES[order]
-    return _MUL_SCATTER[order] @ (a[ia] * b[ib])
+    # ndarray.dot: the same BLAS product as @, without the ufunc dispatch
+    # that dominates at one point
+    return _MUL_SCATTER[order].dot(a[ia] * b[ib])
 
 
 def contract(subscripts, a, b, order):
@@ -385,10 +394,12 @@ def parse_expr(src: str, params=()) -> Expr:
 def as_point(p):
     """The base point of jets at p: a float tuple for one point, a float (n, 3)
     array for a batch of n points."""
-    if isinstance(p, np.ndarray) and p.ndim == 2:
-        if p.shape[1] != NVARS:
-            raise ExprError(f"a batch of points has shape (n, {NVARS}), got {p.shape}")
-        return np.asarray(p, dtype=float)
+    if isinstance(p, np.ndarray):
+        if p.ndim == 2:
+            if p.shape[1] != NVARS:
+                raise ExprError(f"a batch of points has shape (n, {NVARS}), got {p.shape}")
+            return np.asarray(p, dtype=float)
+        p = p.tolist()  # Python numbers, which float() converts fastest
     return tuple(map(float, p))
 
 
@@ -501,62 +512,148 @@ def _function_series(name, a0, node):
     raise ExprError(f"unknown function '{name}'")
 
 
-def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
-    """Evaluate an expression as a jet of the given order at point p, or at
-    each row of an (n, 3) array p (one batched jet, see ``Jet4``).  Every
-    node evaluates to a coefficient array: (N(order),) at one point,
-    (N(order), n) at a batch."""
-    if not 0 <= order <= MAX_ORDER:
-        raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
-    params = params or {}
-    point = as_point(p)
+_LEAVES = ("const", "var", "unbound")
+_BINARY = ("+", "-", "*")
+
+
+class Tape:
+    """A tuple of expressions compiled into one flat list of operations.
+
+    Compilation walks every expression once, in post-order, and gives each
+    operation a register (an evaluation tape, Griewank & Walther, ch. 13):
+
+    - hash-consing: an operation whose kind and input registers were seen
+      before reuses that register, so a subtree repeated within or across the
+      expressions is computed once;
+    - constant folding: an operation whose inputs are all constants (no
+      ``Var`` below it) is evaluated once, by this evaluator at order 0 at
+      one point, and becomes a constant register.  An operation whose folding
+      faults stays on the tape, so every run raises the same ``DomainFault``.
+
+    ``run`` replays the operations at any order 0..4, at one point or a
+    batch, on coefficient arrays with ``_mul``, ``_ipow`` and ``_compose``:
+    the arithmetic of a walk of each tree, in the same order.  A register is
+    computed where the walk would first compute its subtree, so the first
+    fault of a run is the walk's first fault and names the same subtree.
+    Parameters are bound at compilation.
+
+    ``ops[k] = (kind, a, b, node)`` writes register k: ``const`` (a = value),
+    ``var`` (a = coordinate index), ``unbound`` (a = parameter name, raises
+    when run), ``neg`` (a), ``+ - *`` (a, b), ``^`` (a, b = integer
+    exponent) and ``call`` (a, b = function name); ``node`` is the subtree a
+    fault names.
+    """
+
+    def __init__(self, exprs, params=None):
+        self.params = params or {}
+        self.ops = []
+        self._seen = {}  # (kind, a, b) -> register
+        self.outputs = tuple(self._compile(e) for e in exprs)
+
+    def _emit(self, kind, a, b=None, node=None):
+        key = (kind, a.hex() if kind == "const" else a, b)  # hex keeps 0.0 and -0.0 apart
+        reg = self._seen.get(key)
+        if reg is None:
+            ins = () if kind in _LEAVES else (a, b) if kind in _BINARY else (a,)
+            if ins and all(self.ops[r][0] == "const" for r in ins):
+                value = self._fold(kind, ins, b, node)
+                if value is not None:
+                    return self._emit("const", value)
+            reg = self._seen[key] = len(self.ops)
+            self.ops.append((kind, a, b, node))
+        return reg
+
+    def _fold(self, kind, ins, b, node):
+        """The value of an operation on constant registers, from ``_run`` at
+        order 0; None if it faults."""
+        consts = [self.ops[r] for r in ins]
+        op = (kind, 0, 1 if kind in _BINARY else b, node)
+        try:
+            (c,) = _run(consts + [op], (len(consts),), (0.0,) * NVARS, 0)
+        except (ExprError, ArithmeticError):
+            return None
+        return float(c[0])
+
+    def _compile(self, node):
+        if isinstance(node, Const):
+            return self._emit("const", float(node.value))
+        if isinstance(node, Var):
+            return self._emit("var", node.index)
+        if isinstance(node, Param):
+            if node.name in self.params:
+                return self._emit("const", float(self.params[node.name]))
+            return self._emit("unbound", node.name)
+        if isinstance(node, Neg):
+            return self._emit("neg", self._compile(node.arg))
+        if isinstance(node, BinOp):
+            a, b = self._compile(node.left), self._compile(node.right)
+            if node.op == "/":
+                return self._emit("*", a, self._emit("^", b, -1, node.right))
+            return self._emit(node.op, a, b)
+        if isinstance(node, Power):
+            return self._emit("^", self._compile(node.base), node.exponent, node)
+        if isinstance(node, Call):
+            return self._emit("call", self._compile(node.arg), node.func, node)
+        raise TypeError(f"not an Expr: {node!r}")
+
+    def run(self, p, order: int = MAX_ORDER):
+        """The coefficient arrays of the expressions at point p, or at each
+        row of an (n, 3) array p: one (N(order),) or (N(order), n) array per
+        expression, the same array for expressions that share a register."""
+        if not 0 <= order <= MAX_ORDER:
+            raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
+        return _run(self.ops, self.outputs, as_point(p), order)
+
+
+def _run(ops, outputs, point, order):
+    """Replay tape operations at an ``as_point`` point; the output registers."""
     # coords[i]: x_i at the point, or at each point of the batch
     if isinstance(point, tuple):
         shape, coords = (N_BY_ORDER[order],), point
     else:
         shape, coords = (N_BY_ORDER[order], len(point)), point.T
-
-    def constant(value):
-        c = np.zeros(shape)
-        c[0] = value
-        return c
-
-    def rec(node):
-        if isinstance(node, Const):
-            return constant(node.value)
-        if isinstance(node, Var):
-            c = constant(coords[node.index])
+    regs = []
+    for kind, a, b, node in ops:
+        if kind == "const":
+            c = np.zeros(shape)
+            c[0] = a
+        elif kind == "var":
+            c = np.zeros(shape)
+            c[0] = coords[a]
             if order >= 1:
-                c[1 + node.index] = 1.0
-            return c
-        if isinstance(node, Param):
-            try:
-                return constant(float(params[node.name]))
-            except KeyError:
-                raise ExprError(f"unbound parameter '{node.name}'") from None
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, BinOp):
-            a, b = rec(node.left), rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return _mul(a, b, order)
-            return _mul(a, _ipow(b, -1, order, node.right), order)
-        if isinstance(node, Power):
-            return _ipow(rec(node.base), node.exponent, order, node)
-        if isinstance(node, Call):
-            arg = rec(node.arg)
-            return _compose(arg, _function_series(node.func, _value(arg), node), order)
-        raise TypeError(f"not an Expr: {node!r}")
+                c[1 + a] = 1.0
+        elif kind == "*":
+            c = _mul(regs[a], regs[b], order)
+        elif kind == "+":
+            c = regs[a] + regs[b]
+        elif kind == "-":
+            c = regs[a] - regs[b]
+        elif kind == "^":
+            c = _ipow(regs[a], b, order, node)
+        elif kind == "call":
+            c = _compose(regs[a], _function_series(b, _value(regs[a]), node), order)
+        elif kind == "neg":
+            c = -regs[a]
+        else:
+            raise ExprError(f"unbound parameter '{a}'")
+        regs.append(c)
+    return [regs[r] for r in outputs]
 
-    return Jet4(point, rec(e), order)
+
+def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
+    """Evaluate an expression as a jet of the given order at point p, or at
+    each row of an (n, 3) array p (one batched jet, see ``Jet4``): a
+    one-expression ``Tape``."""
+    (coef,) = Tape((e,), params).run(p, order)
+    return Jet4(as_point(p), coef, order)
 
 
 def eval_scalar(e: Expr, p, params=None, lib=math):
-    """Plain scalar tree evaluation; ``lib`` may be mpmath for high precision."""
+    """Plain scalar tree evaluation; ``lib`` may be mpmath for high precision.
+
+    Deliberately not on the ``Tape``: the tests use it, with finite
+    differences, as an oracle independent of the jet evaluator.
+    """
     params = params or {}
 
     def rec(node):

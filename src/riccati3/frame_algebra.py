@@ -432,8 +432,12 @@ def isolate_roots(coeffs, lo=0.0, hi=1.0, n_scan: int = 4096, tol: float = 1e-14
     eps = (hi - lo) * 1e-9
     xs = np.linspace(lo + eps, hi - eps, n_scan + 1)
     vals = npoly.polyval(xs, coeffs)
-    # an exact zero at a grid point, or a sign change on the cell that starts there
-    hits = np.flatnonzero((vals[:-1] == 0.0) | ((vals[:-1] < 0) != (vals[1:] < 0)))
+    # an exact zero at a grid point (the last one included), or a strict sign
+    # change on the cell that starts there; a cell ending in a zero has none,
+    # so a grid zero is counted once
+    sign = np.sign(vals)
+    change = np.append(sign[:-1] * sign[1:] < 0, False)
+    hits = np.flatnonzero((vals == 0.0) | change)
     return [
         float(xs[k]) if vals[k] == 0.0 else _bisect_root(f, float(xs[k]), float(xs[k + 1]), tol)
         for k in hits

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .exprjet import Expr, as_point, eval_dual, eval_jet, parse_expr
+# eval_jet and eval_dual are not called here; they stay importable from this
+# module, where the benchmark's tracer (perfbench/spans.py) looks them up
+from .exprjet import Expr, Tape, as_point, eval_dual, eval_jet, parse_expr
 
 COMPONENT_NAMES = ("g11", "g12", "g13", "g22", "g23", "g33")
 _SYM_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
@@ -36,6 +39,12 @@ class MetricSpec:
 
     def component(self, i, j) -> Expr:
         return self.components[_SYM_INDEX[(min(i, j), max(i, j))]]
+
+    @cached_property
+    def tape(self) -> Tape:
+        """The six components compiled into one ``Tape`` with the spec's
+        parameters, on first use."""
+        return Tape(self.components, self.params)
 
 
 @dataclass
@@ -165,8 +174,7 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     components; rejects a non-positive-definite value, naming the first such point."""
     point = as_point(p)
     # (N(k), 6) at one point, (N(k), n, 6) at a batch, spread to the full matrices
-    coef = np.stack([eval_jet(e, point, spec.params, order).coef for e in spec.components], -1)
-    coef = coef[..., _FULL_INDEX]
+    coef = np.stack(spec.tape.run(point, order), -1)[..., _FULL_INDEX]
     min_eig = np.linalg.eigvalsh(coef[0])[..., 0]
     bad = min_eig <= 1e-10
     if bad.any():
@@ -179,21 +187,19 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     return MetricJet(point, coef, spec)
 
 
-def gamma_at(spec: MetricSpec, p):
-    """Fast (g, ginv, Gamma) at a point from order-1 jets (``eval_dual``).
+_EYE = np.eye(3)
 
-    Gamma[k,i,j] = Christoffel symbol of the second kind.  Used by the
-    geodesic/transport integrators where full jets are wasteful.
+
+def gamma_at(spec: MetricSpec, p):
+    """Fast (g, ginv, Gamma) at one point from the order-1 metric tape.
+
+    Gamma[k,i,j] = Christoffel symbol of the second kind, from one linear
+    solve of g against the lowered symbol and the identity (for ginv).  Used
+    by the geodesic/transport integrators where full jets are wasteful.
     """
-    vals = np.empty((3, 3))
-    grads = np.empty((3, 3, 3))
-    for (i, j), k in _SYM_INDEX.items():
-        d = eval_dual(spec.components[k], p, spec.params)
-        vals[i, j] = vals[j, i] = d[0]
-        grads[i, j] = grads[j, i] = d[1:]
-    ginv = np.linalg.inv(vals)
+    c = np.array(spec.tape.run(p, 1))[_FULL_INDEX]  # (3, 3, 4): g_ij and its gradient
     # dg[k,i,j] = d_k g_ij; lowered symbol: low[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2
-    dg = np.transpose(grads, (2, 0, 1))
-    low = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    gamma = np.einsum("kl,lij->kij", ginv, low)
-    return vals, ginv, gamma
+    g, dg = c[..., 0], c[..., 1:].transpose(2, 0, 1)
+    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
+    sol = np.linalg.solve(g, np.concatenate([low.reshape(3, 9), _EYE], axis=1))
+    return g, sol[:, 9:], sol[:, :9].reshape(3, 3, 3)

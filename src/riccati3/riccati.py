@@ -5,7 +5,12 @@ fourth-order one-step scheme on the combined state (x, x', w1, w2); the
 Riccati equation u' + u^2 + J(t) = 0 is integrated on the 2x2 symmetric
 matrix u expressed in the parallel frame, with J(t) sampled along the path
 and interpolated to stage times by 4-point Lagrange interpolation (also
-fourth order, so the scheme keeps its order).
+fourth order, so the scheme keeps its order).  The values of J at every
+stage time of the path's steps are interpolated before the stepping starts,
+in one vectorized evaluation (``_stage_J``); the blow-up bisection, which
+steps from times off the grid, interpolates as it goes (``_interp_J``).
+The geodesic right-hand side reads the Christoffel symbols from the
+metric's compiled order-1 tape (``gamma_at``).
 
 No projection onto trace-free matrices is performed during integration: the
 trace-free constraint is a hypothesis about the metric, and the measured
@@ -93,12 +98,12 @@ class RiccatiResult:
 
 
 def _rhs(spec, y):
-    x, v, w1, w2 = y[0:3], y[3:6], y[6:9], y[9:12]
-    _, _, gamma = gamma_at(spec, x)
-    acc = -np.einsum("kij,i,j->k", gamma, v, v)
-    dw1 = -np.einsum("kij,i,j->k", gamma, v, w1)
-    dw2 = -np.einsum("kij,i,j->k", gamma, v, w2)
-    return np.concatenate([v, acc, dw1, dw2])
+    v = y[3:6]
+    W = y[3:12].reshape(3, 3)  # rows v, w1, w2
+    _, _, gamma = gamma_at(spec, y[0:3])
+    # [a, k] = -Gamma^k_ij v^i W_a^j: the acceleration and the two frame derivatives
+    d = W @ -(v @ gamma).T
+    return np.concatenate([v, d.ravel()])
 
 
 def _rk4(spec, y, dt):
@@ -199,6 +204,32 @@ def _interp_J(ts, Js, t):
     return out
 
 
+def _stage_J(ts, Js, times):
+    """J at the stage times t, t + h/2, t + h of every step t -> t + h between
+    consecutive ``times``: (steps, 3, 2, 2).
+
+    Each value is ``_interp_J(ts, Js, t)``, vectorized over the times: the
+    same window, the same weight products and the same sum order.
+    """
+    t0 = times[:-1]
+    h = times[1:] - t0
+    t = np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)  # (steps, 3)
+    n = len(ts)
+    if n == 1:
+        return np.broadcast_to(Js[0], t.shape + (2, 2))
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, n - 2)
+    lo = np.maximum(0, np.minimum(i - 1, n - 4))
+    idx = lo[..., None] + np.arange(min(4, n))  # (steps, 3, window)
+    out = np.zeros(t.shape + (2, 2))
+    for a in range(idx.shape[-1]):
+        w = np.ones(t.shape)
+        for b in range(idx.shape[-1]):
+            if a != b:
+                w *= (t - ts[idx[..., b]]) / (ts[idx[..., a]] - ts[idx[..., b]])
+        out += w[..., None, None] * Js[idx[..., a]]
+    return out
+
+
 def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = None) -> RiccatiResult:
     """Integrate u' = -u^2 - J(t) from a symmetric 2x2 initial value.
 
@@ -211,39 +242,46 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
     ts = path.ts
     t_end = float(ts[-1]) if T is None else min(float(T), float(ts[-1]))
 
-    def f(t, u):
-        return -(u @ u) - _interp_J(ts, Js, t)
-
-    def step(t, u, h):
-        k1 = f(t, u)
-        k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = f(t + h, u + h * k3)
+    def step(u, h, J0, Jmid, J1):
+        """One RK4 step of length h, given J at its three stage times."""
+        k1 = -(u @ u) - J0
+        v = u + 0.5 * h * k1
+        k2 = -(v @ v) - Jmid
+        v = u + 0.5 * h * k2
+        k3 = -(v @ v) - Jmid
+        v = u + h * k3
+        k4 = -(v @ v) - J1
         return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def blows_up(u):
+        # also true for a non-finite entry, whose norm is inf or nan
+        return not np.linalg.norm(u) <= BLOWUP_NORM
 
     states = [RiccatiState(0.0, u.copy(), abs(float(np.trace(u))))]
     defect = states[0].trace_defect
     # step on the path's sample times, the last one cut at t_end
-    times = np.append(ts[ts < t_end], t_end).tolist()
-    for t, t_next in zip(times[:-1], times[1:]):
-        h = t_next - t
-        u_next = step(t, u, h)
-        if not np.all(np.isfinite(u_next)) or np.linalg.norm(u_next) > BLOWUP_NORM:
+    times = np.append(ts[ts < t_end], t_end)
+    stage_J = _stage_J(ts, Js, times)
+    times = times.tolist()
+    for k, (t, t_next) in enumerate(zip(times[:-1], times[1:])):
+        u_next = step(u, t_next - t, *stage_J[k])
+        if blows_up(u_next):
             lo, hi = t, t_next
             u_lo = u.copy()
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
-                u_mid = step(lo, u_lo, mid - lo)
-                if not np.all(np.isfinite(u_mid)) or np.linalg.norm(u_mid) > BLOWUP_NORM:
+                h = mid - lo
+                u_mid = step(u_lo, h, *(_interp_J(ts, Js, s) for s in (lo, lo + 0.5 * h, lo + h)))
+                if blows_up(u_mid):
                     hi = mid
                 else:
                     lo, u_lo = mid, u_mid
             t_blow = 0.5 * (lo + hi)
             return RiccatiResult(states, defect, True, t_blow, (lo, hi))
-        u = u_next
-        d = abs(float(np.trace(u)))
+        u = u_next  # a new array every step, so the state can keep it
+        d = abs(float(u[0, 0] + u[1, 1]))
         defect = max(defect, d)
-        states.append(RiccatiState(t_next, u.copy(), d))
+        states.append(RiccatiState(t_next, u, d))
     return RiccatiResult(states, defect, False, None, None)
 
 

@@ -273,3 +273,82 @@ def test_metric_jets_batch_names_non_positive_definite_row():
     with pytest.raises(MetricError) as one:
         metric_jets(spec, (-0.125, 0.5, 0.75), order=2)
     assert str(one.value) == str(err.value)
+
+
+# --- the compiled tape ---------------------------------------------------
+
+# the custom metrics of the benchmark (perfbench/workloads.py), with a box each
+TAPE_CUSTOM = {
+    "h3exp": ({"g11": "1", "g12": "0", "g13": "0", "g22": "exp(2*x1)", "g23": "0", "g33": "exp(2*x1)"},
+              ((-1.0, 1.0),) * 3),
+    "s3sin": ({"g11": "1", "g12": "0", "g13": "0", "g22": "sin(x1)^2", "g23": "0", "g33": "sin(x1)^2*sin(x2)^2"},
+              ((0.6, 2.5), (0.6, 2.5), (-1.0, 1.0))),
+    "h2coshr": ({"g11": "1", "g12": "0", "g13": "0", "g22": "cosh(x1)^2", "g23": "0", "g33": "1"},
+                ((-1.0, 1.0),) * 3),
+}
+
+
+def _tape_specs():
+    from riccati3.metrics import BUILTIN_NAMES, builtin
+
+    specs = [builtin(name) for name in BUILTIN_NAMES] + [builtin("heisenberg", L=0.3)]
+    specs += [custom(comps, name=name, box=box) for name, (comps, box) in TAPE_CUSTOM.items()]
+    return specs
+
+
+def test_tape_shares_repeated_subtrees_and_constants():
+    from riccati3.metrics import builtin
+
+    tape = builtin("sphere").tape
+    g11, g12, g13, g22, g23, g33 = tape.outputs
+    assert g11 == g22 == g33  # one register for the three identical diagonal components
+    assert g12 == g13 == g23 and tape.ops[g12][:2] == ("const", 0.0)
+    # c^2 folds to 1.0, the same constant register as the literal 1 of 1 + x1^2 + ...
+    consts = [op[1] for op in tape.ops if op[0] == "const"]
+    assert sorted(consts) == [0.0, 1.0, 4.0]
+
+
+def test_tape_folding_keeps_constant_faults():
+    """A constant subtree that faults is not folded away: every evaluation
+    raises the walk's DomainFault, naming the same subtree."""
+    comps = {"g11": "1 + x1^2", "g12": "0", "g13": "0", "g22": "1/(1-1)", "g23": "0", "g33": "1"}
+    spec = custom(comps)
+    message = "division by ~0 in subtree '(1.0 - 1.0)'"
+    for run in (
+        lambda: metric_jets(spec, (0.1, 0.2, 0.3)),
+        lambda: metric_jets(spec, np.zeros((4, 3)), order=2),
+        lambda: gamma_at(spec, (0.1, 0.2, 0.3)),
+        lambda: eval_jet(parse_expr("x1 + 1/(1-1)"), (0.1, 0.2, 0.3), order=0),
+    ):
+        with pytest.raises(DomainFault) as err:
+            run()
+        assert str(err.value) == message
+
+
+def test_tape_fault_order_follows_the_walk():
+    """With shared subtrees, the first fault of a run is the one a walk of
+    the trees meets first."""
+    expr = parse_expr("log(x1) + sqrt(x2) + log(x1)")
+    with pytest.raises(DomainFault) as err:
+        eval_jet(expr, (-1.0, -1.0, 0.0))
+    assert str(err.value) == "log of non-positive value in subtree 'log(x1)'"
+    with pytest.raises(DomainFault) as err:
+        eval_jet(expr, (1.0, -1.0, 0.0))
+    assert str(err.value) == "sqrt of non-positive value in subtree 'sqrt(x2)'"
+
+
+@pytest.mark.parametrize("spec", _tape_specs(), ids=lambda s: f"{s.name}{s.params}")
+def test_gamma_at_matches_order4_pack(spec):
+    """gamma_at (order-1 tape, one solve) against the independent order-4
+    curvature kernel of pack_at."""
+    from riccati3.curvature import pack_at
+
+    rng = np.random.default_rng(3)
+    box = np.array(spec.box)
+    for _ in range(4):
+        p = rng.uniform(box[:, 0], box[:, 1])
+        g, ginv, gamma = gamma_at(spec, p)
+        pack = pack_at(spec, tuple(p))
+        for got, want in ((g, pack.g), (ginv, pack.ginv), (gamma, pack.gamma)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))

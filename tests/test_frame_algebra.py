@@ -16,6 +16,7 @@ from riccati3.frame_algebra import (
     eds_closure,
     frame_from_text,
     frame_to_text,
+    isolate_roots,
     rigid_frame,
     ric111_residual,
     root_identities,
@@ -165,6 +166,21 @@ def test_contradiction_certificates():
     assert abs(rep["silver_ratio_root"] - (3 - 2 * math.sqrt(2))) < 1e-12
     # positivity of the first cubic at the left endpoint
     assert 8.0 > 0.0
+
+
+def test_isolate_roots_counts_a_grid_zero_once():
+    """A root on a scan point, after a value of the other sign, is one root."""
+    assert isolate_roots([0.0, 1.0], -1.0, 1.0, 4) == [0.0]
+
+
+def test_isolate_roots_finds_roots_at_the_last_scan_point():
+    # a root in the last cell, just before the last scan point
+    (root,) = isolate_roots([-1.0, 1.0], 0.0, 1.0 + 2e-9, 2)
+    assert abs(root - 1.0) < 1e-14
+    # an exact zero on the last scan point, after a value of the same sign as before it
+    lo, hi, n = -1.0, 1.0, 4
+    last = np.linspace(lo + (hi - lo) * 1e-9, hi - (hi - lo) * 1e-9, n + 1)[-1]
+    assert isolate_roots([last, -1.0], lo, hi, n) == [last]
 
 
 def test_serialization_roundtrip_and_golden():

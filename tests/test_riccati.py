@@ -8,7 +8,9 @@ from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.riccati import (
     MAX_STEPS,
     SAMPLE_BLOCK,
+    _interp_J,
     _sample_times,
+    _stage_J,
     constrained_probe,
     integrate_geodesic,
     integrate_riccati,
@@ -258,3 +260,29 @@ def test_integrators_end_exactly_at_T(T, dt, n_steps):
     assert [st.t for st in res.states] == list(path.ts)
     # u' = -u^2 from 0.5 id: u(T) = 0.5 / (1 + 0.5 T) id
     assert np.allclose(res.final, 0.5 / (1.0 + 0.5 * T) * np.eye(2), atol=1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("cut", [False, True])
+def test_stage_values_are_interp_at_every_stage_time(n, cut):
+    """The J values precomputed for the Riccati steps are _interp_J at each
+    stage time t, t + h/2, t + h, also where fewer than 4 samples give a
+    narrower window and where the last step is shortened."""
+    dt = 0.1
+    ts = np.zeros(1) if n == 1 else _sample_times((n - 1.4) * dt, dt)  # last step 0.6 dt
+    assert len(ts) == n
+    rng = np.random.default_rng(n)
+    Js = rng.standard_normal((n, 2, 2))
+    Js = Js + np.swapaxes(Js, 1, 2)
+    if n == 1:
+        times = np.array([0.0, 0.04, 0.07])  # steps on a path of one sample: J is constant
+    else:
+        t_end = ts[-1] - 0.3 * (ts[-1] - ts[-2]) if cut else ts[-1]
+        times = np.append(ts[ts < t_end], t_end)
+    stages = _stage_J(ts, Js, times)
+    assert stages.shape == (len(times) - 1, 3, 2, 2)
+    for k, (t, t_next) in enumerate(zip(times[:-1].tolist(), times[1:].tolist())):
+        h = t_next - t
+        for s, t_stage in enumerate((t, t + 0.5 * h, t + h)):
+            want = _interp_J(ts, Js, t_stage)
+            assert np.all(np.abs(stages[k, s] - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
