@@ -5,10 +5,11 @@ fourth-order one-step scheme on the combined state (x, x', w1, w2); the
 Riccati equation u' + u^2 + J(t) = 0 is integrated on the 2x2 symmetric
 matrix u expressed in the parallel frame, with J(t) sampled along the path
 and interpolated to stage times by 4-point Lagrange interpolation (also
-fourth order, so the scheme keeps its order).  The values of J at every
-stage time of the path's steps are interpolated before the stepping starts,
-in one vectorized evaluation (``_stage_J``); the blow-up bisection, which
-steps from times off the grid, interpolates as it goes (``_interp_J``).
+fourth order, so the scheme keeps its order).  The values of J at the
+stage times of the path's steps are interpolated in one vectorized
+evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the stepping
+reaches the block; the blow-up bisection interpolates its off-grid steps
+with the same function.
 The geodesic right-hand side reads the Christoffel symbols from the
 metric's compiled order-1 tape (``gamma_at``).
 
@@ -185,31 +186,13 @@ def jacobi_along(spec: MetricSpec, path: GeodesicPath) -> np.ndarray:
     return out
 
 
-def _interp_J(ts, Js, t):
-    """4-point Lagrange interpolation of the J samples at time t."""
-    n = len(ts)
-    if n == 1:
-        return Js[0]
-    i = int(np.searchsorted(ts, t)) - 1
-    i = max(0, min(i, n - 2))
-    lo = max(0, min(i - 1, n - 4))
-    idx = range(lo, min(lo + 4, n))
-    out = np.zeros((2, 2))
-    for a in idx:
-        w = 1.0
-        for b in idx:
-            if a != b:
-                w *= (t - ts[b]) / (ts[a] - ts[b])
-        out += w * Js[a]
-    return out
-
-
 def _stage_J(ts, Js, times):
     """J at the stage times t, t + h/2, t + h of every step t -> t + h between
     consecutive ``times``: (steps, 3, 2, 2).
 
-    Each value is ``_interp_J(ts, Js, t)``, vectorized over the times: the
-    same window, the same weight products and the same sum order.
+    Each value is the 4-point Lagrange interpolation of the J samples on the
+    window of (up to) four samples around the sample interval holding the
+    stage time, clamped at the ends of the path.
     """
     t0 = times[:-1]
     h = times[1:] - t0
@@ -257,21 +240,24 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
         # also true for a non-finite entry, whose norm is inf or nan
         return not np.linalg.norm(u) <= BLOWUP_NORM
 
+    def steps():
+        """(t, t_next, J at the stage times) for each step on the path's sample
+        times, the last one cut at t_end; J one SAMPLE_BLOCK of steps at a time."""
+        times = np.append(ts[ts < t_end], t_end)
+        for s in range(0, len(times) - 1, SAMPLE_BLOCK):
+            block = times[s : s + SAMPLE_BLOCK + 1]
+            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_J(ts, Js, block))
+
     states = [RiccatiState(0.0, u.copy(), abs(float(np.trace(u))))]
     defect = states[0].trace_defect
-    # step on the path's sample times, the last one cut at t_end
-    times = np.append(ts[ts < t_end], t_end)
-    stage_J = _stage_J(ts, Js, times)
-    times = times.tolist()
-    for k, (t, t_next) in enumerate(zip(times[:-1], times[1:])):
-        u_next = step(u, t_next - t, *stage_J[k])
+    for t, t_next, stage_J in steps():
+        u_next = step(u, t_next - t, *stage_J)
         if blows_up(u_next):
             lo, hi = t, t_next
             u_lo = u.copy()
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
-                h = mid - lo
-                u_mid = step(u_lo, h, *(_interp_J(ts, Js, s) for s in (lo, lo + 0.5 * h, lo + h)))
+                u_mid = step(u_lo, mid - lo, *_stage_J(ts, Js, np.array([lo, mid]))[0])
                 if blows_up(u_mid):
                     hi = mid
                 else:

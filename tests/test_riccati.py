@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.riccati import (
     MAX_STEPS,
     SAMPLE_BLOCK,
-    _interp_J,
     _sample_times,
     _stage_J,
     constrained_probe,
@@ -264,16 +264,31 @@ def test_integrators_end_exactly_at_T(T, dt, n_steps):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
 @pytest.mark.parametrize("cut", [False, True])
-def test_stage_values_are_interp_at_every_stage_time(n, cut):
-    """The J values precomputed for the Riccati steps are _interp_J at each
-    stage time t, t + h/2, t + h, also where fewer than 4 samples give a
-    narrower window and where the last step is shortened."""
+def test_stage_values_interpolate_on_the_window(n, cut):
+    """Lagrange interpolation through the m = min(n, 4) samples of the window
+    reproduces a polynomial of degree m - 1 and misses t^m by exactly the node
+    polynomial prod(t - t_b). With J of degree m, the precomputed J at every
+    stage time t, t + h/2, t + h checks both the formula and the window: the
+    sample interval holding t and one sample on each side, shifted inward at
+    the ends of the path. Paths of 1, 2 and 3 samples have narrower windows;
+    the last step may be shortened."""
     dt = 0.1
     ts = np.zeros(1) if n == 1 else _sample_times((n - 1.4) * dt, dt)  # last step 0.6 dt
     assert len(ts) == n
+    m = min(n, 4)
     rng = np.random.default_rng(n)
-    Js = rng.standard_normal((n, 2, 2))
-    Js = Js + np.swapaxes(Js, 1, 2)
+    coef = rng.standard_normal((m + 1, 2, 2))
+    coef = coef + np.swapaxes(coef, 1, 2)
+
+    def J(t):
+        return sum(c * t**k for k, c in enumerate(coef))
+
+    def interpolated(t):
+        i = max([j for j in range(n - 1) if ts[j] <= t], default=0)
+        lo = max(0, min(i - 1, n - 4))
+        return J(t) - coef[m] * np.prod(t - ts[lo : lo + m])
+
+    Js = np.array([J(t) for t in ts])
     if n == 1:
         times = np.array([0.0, 0.04, 0.07])  # steps on a path of one sample: J is constant
     else:
@@ -284,5 +299,20 @@ def test_stage_values_are_interp_at_every_stage_time(n, cut):
     for k, (t, t_next) in enumerate(zip(times[:-1].tolist(), times[1:].tolist())):
         h = t_next - t
         for s, t_stage in enumerate((t, t + 0.5 * h, t + h)):
-            want = _interp_J(ts, Js, t_stage)
-            assert np.all(np.abs(stages[k, s] - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+            want = interpolated(t_stage)
+            assert np.all(np.abs(stages[k, s] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_riccati_steps_across_sample_blocks():
+    """J is interpolated one SAMPLE_BLOCK of steps at a time; the solution runs
+    on across the block seams: u' = -u^2 - k^2 from u = 0 is -k tan(k t)."""
+    k, dt = 1.2, 1e-3
+    ts = _sample_times(1.0, dt)
+    assert len(ts) > 3 * SAMPLE_BLOCK
+    path = types.SimpleNamespace(ts=ts)
+    Js = np.broadcast_to(k * k * np.eye(2), (len(ts), 2, 2))
+    res = integrate_riccati(path, Js, np.zeros((2, 2)))
+    assert not res.blown_up
+    assert [st.t for st in res.states] == list(ts)
+    for st in res.states:
+        assert np.allclose(st.u, -k * math.tan(k * st.t) * np.eye(2), rtol=0.0, atol=1e-9)
