@@ -18,9 +18,14 @@ the metric's order-k Taylor coefficients G, shape (N(k),) + batch + (3, 3)
 as in ``MetricJet.coef``, give those of g^-1 and Gamma (order k - 1) and R
 (order k - 2), each product a truncated Leibniz product (``exprjet.contract``)
 and each derivative a gather of coefficients (``exprjet.partials``).
-``curvature_pack`` runs it at k = 4, so nabla^2 ric (which needs four metric
-derivatives) comes out exactly; ``curvature_r_only`` runs it at k = 2, at
-one point or at a batch of points, for the value of R alone.
+Covariant derivatives come from one rule on the same arrays (``_nabla``): a
+tensor's coefficients of order q give those of its covariant derivative at
+order q - 1, the coordinate derivative plus one Gamma contraction per slot.
+``curvature_pack`` runs the kernel at k = 4 and the rule on ric (order 2)
+twice and on R once, so nabla ric, nabla^2 ric (which needs four metric
+derivatives) and nabla R come out exactly; ``curvature_r_only`` runs the
+kernel at k = 2, at one point or at a batch of points, for the value of R
+alone.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprjet import N_BY_ORDER, Const, DomainFault, contract, hessian, partials
-from .metrics import MetricJet, MetricSpec, metric_jets
+from .exprjet import N_BY_ORDER, Const, DomainFault, contract, partials
+from .metrics import MetricJet, MetricSpec, lowered_symbol, metric_jets
 
 
 @dataclass
@@ -40,7 +45,6 @@ class CurvaturePack:
 
     Index layouts (coordinate frame):
       gamma[k,i,j]   = Gamma^k_ij
-      dgamma[m,k,i,j] = d_m Gamma^k_ij
       R[i,j,k,l]     = l-component of R(d_i,d_j)d_k
       nablaR[m,i,j,k,l] = l-component of (nabla_m R)(d_i,d_j)d_k
       nabla_ric[k,i,j]   = (nabla_k ric)(d_i,d_j)
@@ -52,7 +56,6 @@ class CurvaturePack:
     g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray
-    dgamma: np.ndarray
     R: np.ndarray
     nablaR: np.ndarray
     ric: np.ndarray
@@ -64,14 +67,8 @@ class CurvaturePack:
     nabla2_ric: np.ndarray
     frame: np.ndarray
 
-    def ric_of(self, x, y) -> float:
-        return float(x @ self.ric @ y)
-
     def norm(self, x) -> float:
         return math.sqrt(float(x @ self.g @ x))
-
-    def inner(self, x, y) -> float:
-        return float(x @ self.g @ y)
 
 
 @dataclass
@@ -119,16 +116,33 @@ def _curvature_jets(G, tamper=False):
     """
     order = N_BY_ORDER.index(len(G))
     ginv = _inverse(G, order - 1)
-    dg = partials(G)  # [..., i, j, m] = d_m g_ij
-    # lowered symbol low[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    di_gjl = np.einsum("...jli->...lij", dg)
-    low = 0.5 * (di_gjl + np.swapaxes(di_gjl, -1, -2) - np.einsum("...ijl->...lij", dg))
-    gamma = contract("kl,lij->kij", ginv, low, order - 1)
+    gamma = contract("kl,lij->kij", ginv, lowered_symbol(partials(G)), order - 1)
     sign = -1.0 if tamper else 1.0
     # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
     T = np.einsum("...ljki->...ijkl", partials(gamma))
     T = T + sign * contract("lim,mjk->ijkl", gamma, gamma, order - 2)
     return ginv, gamma, T - np.swapaxes(T, -4, -3)
+
+
+def _nabla(T, gamma, up=0):
+    """Coefficients of the covariant derivative of a tensor: T of shape
+    (N(q),) + batch + (3,) * r, q >= 1, whose last ``up`` slots are
+    contravariant, and Gamma (as from ``_curvature_jets``, of order >= q - 1
+    and with the same batch) give nabla T at order q - 1 with the derivative slot first,
+    (nabla T)[m, a, ...] = d_m T[a, ...] - Gamma^n_ma T[n, ...] - ...
+    + Gamma^a_mn T[..., n] for a contravariant slot, each product one
+    ``contract``."""
+    order = N_BY_ORDER.index(len(T)) - 1
+    r = T.ndim - gamma.ndim + 3
+    idx = "abcdef"[:r]
+    out = np.moveaxis(partials(T), -1, -1 - r)
+    for s, a in enumerate(idx):
+        sub = idx[:s] + "n" + idx[s + 1 :]
+        if s < r - up:
+            out = out - contract(f"nm{a},{sub}->m{idx}", gamma, T, order)
+        else:
+            out = out + contract(f"{a}mn,{sub}->m{idx}", gamma, T, order)
+    return out
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
@@ -141,47 +155,12 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     ginv_c, gamma_c, R_c = _curvature_jets(m.coef, tamper)
     ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
     scal_c = contract("ij,ij->", ginv_c, ric_c, 2)
+    nabla_ric_c = _nabla(ric_c, gamma_c)  # order 1, for nabla^2 ric
 
-    # numeric extraction: [0] holds the values and [1:4] the partials d_m
     g = m.g
     ginv = ginv_c[0]
-    gamma, dgamma = gamma_c[0], gamma_c[1:4]
-    R, dR = R_c[0], R_c[1:4]
-    ric, dric = ric_c[0], ric_c[1:4]
-    d2ric = hessian(ric_c)  # [k, l, i, j] = d_k d_l ric_ij
+    ric = ric_c[0]
     scal = float(scal_c[0])
-    dscal = scal_c[1:4]
-
-    # nabla ric (values and coordinate derivative)
-    nabla_ric = (
-        dric
-        - np.einsum("mki,mj->kij", gamma, ric)
-        - np.einsum("mkj,im->kij", gamma, ric)
-    )
-    # d_k (nabla ric)_{lij} = d_k d_l ric_ij - dG^m_{li,k} ric_mj - G^m_li d_k ric_mj
-    #                                        - dG^m_{lj,k} ric_im - G^m_lj d_k ric_im
-    d_nabla_ric = (
-        d2ric
-        - np.einsum("kmli,mj->klij", dgamma, ric)
-        - np.einsum("mli,kmj->klij", gamma, dric)
-        - np.einsum("kmlj,im->klij", dgamma, ric)
-        - np.einsum("mlj,kim->klij", gamma, dric)
-    )
-    nabla2_ric = (
-        d_nabla_ric
-        - np.einsum("mkl,mij->klij", gamma, nabla_ric)
-        - np.einsum("mki,lmj->klij", gamma, nabla_ric)
-        - np.einsum("mkj,lim->klij", gamma, nabla_ric)
-    )
-
-    nablaR = (
-        dR
-        + np.einsum("lmn,ijkn->mijkl", gamma, R)
-        - np.einsum("nmi,njkl->mijkl", gamma, R)
-        - np.einsum("nmj,inkl->mijkl", gamma, R)
-        - np.einsum("nmk,ijnl->mijkl", gamma, R)
-    )
-
     Ric_op = ginv @ ric
     rho = Ric_op - (scal / 4.0) * np.eye(3)
     L = np.linalg.cholesky(g)
@@ -191,17 +170,16 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
         point=m.point,
         g=g,
         ginv=ginv,
-        gamma=gamma,
-        dgamma=dgamma,
-        R=R,
-        nablaR=nablaR,
+        gamma=gamma_c[0],
+        R=R_c[0],
+        nablaR=_nabla(R_c[:4], gamma_c, up=1)[0],
         ric=ric,
         Ric_op=Ric_op,
         scal=scal,
-        dscal=dscal,
+        dscal=scal_c[1:4],
         rho=rho,
-        nabla_ric=nabla_ric,
-        nabla2_ric=nabla2_ric,
+        nabla_ric=nabla_ric_c[0],
+        nabla2_ric=_nabla(nabla_ric_c, gamma_c)[0],
         frame=frame,
     )
 
@@ -279,7 +257,11 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
 
     j2:      tr(J(v) o J(v)) against its Schouten-form right-hand side
     bianchi: contracted second Bianchi, g^{ab} (nabla_a ric)_{bj} - d_j scal / 2
-    kulkarni: R(X,Y) against Ric X ^ Y + X ^ Ric Y - (scal/2) X ^ Y
+    kulkarni: R(X,Y) against Ric X ^ Y + X ^ Ric Y - (scal/2) X ^ Y, which is
+              rho X ^ Y + X ^ rho Y, on the pairs of consecutive and
+              next-but-one vectors
+    Each is computed over all the vectors at once; with fewer than two
+    vectors there is no pair and kulkarni is 0.
     """
     if vectors is None:
         rng = np.random.default_rng(seed)
@@ -287,36 +269,23 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     vectors = np.asarray(vectors, dtype=float)
 
     g, rho = pack.g, pack.rho
-    j2 = 0.0
-    for v in vectors:
-        J = jacobi_op(pack, v)
-        lhs = np.trace(J @ J)
-        gvv = float(v @ g @ v)
-        rv = rho @ v
-        rhs = (
-            np.trace(rho @ rho) * gvv
-            + 2.0 * np.trace(rho) * float(v @ g @ rv)
-            - 2.0 * float(rv @ g @ rv)
-        ) * gvv + float(v @ g @ rv) ** 2
-        j2 = max(j2, abs(lhs - rhs))
+    J = jacobi_op(pack, vectors)
+    rv = vectors @ rho.T
+    gvv, gvrv, grr = _inner(g, vectors, vectors), _inner(g, vectors, rv), _inner(g, rv, rv)
+    rhs = (np.trace(rho @ rho) * gvv + 2.0 * np.trace(rho) * gvrv - 2.0 * grr) * gvv + gvrv**2
+    j2 = float(np.max(np.abs(np.einsum("pab,pba->p", J, J) - rhs), initial=0.0))
 
     bianchi = float(
         np.max(np.abs(np.einsum("ab,abj->j", pack.ginv, pack.nabla_ric) - 0.5 * pack.dscal))
     )
 
-    kulkarni = 0.0
-    Ric = pack.Ric_op
-    scal = pack.scal
-    for a in range(len(vectors)):
-        for b in range(a + 1, min(a + 3, len(vectors))):
-            X, Y = vectors[a], vectors[b]
-            lhs_op = np.einsum("ijkl,i,j->lk", pack.R, X, Y)
-
-            def wedge(u, w):
-                return np.outer(u, w @ g) - np.outer(w, u @ g)
-
-            rhs_op = wedge(Ric @ X, Y) + wedge(X, Ric @ Y) - (scal / 2.0) * wedge(X, Y)
-            kulkarni = max(kulkarni, float(np.max(np.abs(lhs_op - rhs_op))))
+    # the pairs (a, a + 1) and (a, a + 2); (u ^ w)[l, k] = u^l (g w)_k - w^l (g u)_k
+    X = np.concatenate([vectors[:-1], vectors[:-2]])
+    Y = np.concatenate([vectors[1:], vectors[2:]])
+    u, w = np.stack([X @ rho.T, X]), np.stack([Y, Y @ rho.T])
+    rhs_op = np.einsum("spl,spk->plk", u, w @ g) - np.einsum("spl,spk->plk", w, u @ g)
+    lhs_op = np.einsum("ijkl,pi,pj->plk", pack.R, X, Y)
+    kulkarni = float(np.max(np.abs(lhs_op - rhs_op), initial=0.0))
 
     return {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
 

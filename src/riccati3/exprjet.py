@@ -66,22 +66,6 @@ FACTORIALS = np.array(
 )
 
 
-def _build_hess_index():
-    """[i, j] -> index of the multi-index e_i + e_j, whose coefficient is
-    d_i d_j f, halved on the diagonal."""
-    index = np.empty((NVARS, NVARS), dtype=int)
-    for i in range(NVARS):
-        for j in range(NVARS):
-            m = [0] * NVARS
-            m[i] += 1
-            m[j] += 1
-            index[i, j] = INDEX_OF[tuple(m)]
-    return index
-
-
-_HESS_INDEX = _build_hess_index()
-
-
 def _build_mul_tables():
     """Leibniz terms (out, a, b) sorted by output index, so the order-k
     table is the leading slice that writes the first N(k) outputs."""
@@ -124,47 +108,42 @@ def contract(subscripts, a, b, order):
     (``"kl,lij->kij"``): an operand has shape (N,) + batch + its tensor axes
     (coefficients first, as in ``Jet4.coef``), the result (N(order),) + batch
     + the output axes.  The terms are summed by the same matrix product as
-    ``_mul``."""
-    _, ia, ib = _MUL_TABLES[order]
+    ``_mul``; at order 0, the one term is the product of the values."""
     ins, res = subscripts.split("->")
     sa, sb = ins.split(",")
-    terms = np.einsum(f"t...{sa},t...{sb}->t...{res}", a[ia], b[ib])
+    subscripts = f"t...{sa},t...{sb}->t...{res}"
+    if order == 0:  # C order, as the matrix product below gives
+        return np.ascontiguousarray(np.einsum(subscripts, a[:1], b[:1]))
+    _, ia, ib = _MUL_TABLES[order]
+    terms = np.einsum(subscripts, a[ia], b[ib])
     return (_MUL_SCATTER[order] @ terms.reshape(len(ia), -1)).reshape((-1,) + terms.shape[1:])
 
 
 def _build_diff_tables():
     """d/dx_i as a gather: output j (the j-th multi-index, degree < 4) reads
-    source src[j] scaled by fac[j]; the order-k jet's derivative is the
-    leading N(k-1) outputs."""
-    tables = []
-    for i in range(NVARS):
-        src, fac = [], []
-        for beta in MULTI_INDICES[: N_BY_ORDER[MAX_ORDER - 1]]:
+    source src[j, i] scaled by fac[j, i]; the order-k jet's derivative is
+    the leading N(k-1) outputs."""
+    n = N_BY_ORDER[MAX_ORDER - 1]
+    src, fac = np.empty((n, NVARS), dtype=int), np.empty((n, NVARS))
+    for j, beta in enumerate(MULTI_INDICES[:n]):
+        for i in range(NVARS):
             up = list(beta)
             up[i] += 1
-            src.append(INDEX_OF[tuple(up)])
-            fac.append(beta[i] + 1)
-        tables.append((np.array(src), np.array(fac, dtype=float)))
-    return tables
+            src[j, i] = INDEX_OF[tuple(up)]
+            fac[j, i] = beta[i] + 1
+    return src, fac
 
 
-_DIFF_TABLES = _build_diff_tables()
+_DIFF_SRC, _DIFF_FAC = _build_diff_tables()
 
 
 def partials(c):
     """The first partials of a coefficient array of shape (N(k),) + rest,
-    k >= 1: coefficients of order k - 1, d_m on a new last axis."""
+    k >= 1: coefficients of order k - 1, d_m on a new last axis (a view of
+    one gather)."""
     n = N_BY_ORDER[N_BY_ORDER.index(len(c)) - 1]
-    fac = (1,) * (c.ndim - 1)
-    return np.stack([c[src[:n]] * f[:n].reshape((n,) + fac) for src, f in _DIFF_TABLES], -1)
-
-
-def hessian(c):
-    """The second partials at the base point of a coefficient array of shape
-    (N(k),) + rest, k >= 2: [i, j, ...] = d_i d_j."""
-    h = c[_HESS_INDEX]  # the coefficient of e_i + e_j is d_i d_j, halved on i == j
-    h[range(NVARS), range(NVARS)] *= 2.0
-    return h
+    d = c[_DIFF_SRC[:n]] * _DIFF_FAC[:n].reshape((n, NVARS) + (1,) * (c.ndim - 1))
+    return d.transpose((0,) + tuple(range(2, d.ndim)) + (1,))
 
 
 class ExprError(ValueError):

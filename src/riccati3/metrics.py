@@ -190,6 +190,13 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
 _EYE = np.eye(3)
 
 
+def lowered_symbol(dg):
+    """Christoffel symbols of the first kind from the metric's first partials
+    in the ``partials`` layout dg[..., i, j, m] = d_m g_ij (symmetric in i, j):
+    low[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    return 0.5 * (dg.swapaxes(-1, -2) + dg - dg.swapaxes(-3, -1))
+
+
 def gamma_at(spec: MetricSpec, p):
     """Fast (g, ginv, Gamma) at one point from the order-1 metric tape.
 
@@ -198,8 +205,6 @@ def gamma_at(spec: MetricSpec, p):
     by the geodesic/transport integrators where full jets are wasteful.
     """
     c = np.array(spec.tape.run(p, 1))[_FULL_INDEX]  # (3, 3, 4): g_ij and its gradient
-    # dg[k,i,j] = d_k g_ij; lowered symbol: low[l,i,j] = (d_i g_jl + d_j g_il - d_l g_ij)/2
-    g, dg = c[..., 0], c[..., 1:].transpose(2, 0, 1)
-    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)
+    g, low = c[..., 0], lowered_symbol(c[..., 1:])
     sol = np.linalg.solve(g, np.concatenate([low.reshape(3, 9), _EYE], axis=1))
     return g, sol[:, 9:], sol[:, :9].reshape(3, 3, 3)

@@ -296,7 +296,6 @@ def model_pack(lambda2: float, lambda3: float) -> CurvaturePack:
         g=g,
         ginv=g.copy(),
         gamma=np.zeros((3, 3, 3)),
-        dgamma=np.zeros((3, 3, 3, 3)),
         R=R,
         nablaR=np.zeros((3, 3, 3, 3, 3)),
         ric=ric,

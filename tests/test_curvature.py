@@ -17,6 +17,16 @@ from riccati3.curvature import (
 from riccati3.exprjet import INDEX_OF, DomainFault
 from riccati3.metrics import MetricError, metric_jets
 
+# a custom metric with random-looking polynomial (and one sine) components
+RANDOM_POLY = {
+    "g11": "1 + 0.3*x2^2 + 0.1*x1*x3",
+    "g12": "0.2*x1*x2 - 0.05*x3",
+    "g13": "0.1*sin(x2)",
+    "g22": "1 + 0.2*x1^2",
+    "g23": "0.15*x1 - 0.1*x2*x3",
+    "g33": "1 + 0.25*x3^2 + 0.1*x1",
+}
+
 
 def test_flat_jets_and_pack():
     spec = metrics.builtin("flat")
@@ -148,15 +158,7 @@ def test_heisenberg_vertical_positive_direction():
 def test_identity_residuals_universal():
     """J2 / Bianchi / Kulkarni vanish for any metric, including a custom
     random-coefficient polynomial metric."""
-    comps = {
-        "g11": "1 + 0.3*x2^2 + 0.1*x1*x3",
-        "g12": "0.2*x1*x2 - 0.05*x3",
-        "g13": "0.1*sin(x2)",
-        "g22": "1 + 0.2*x1^2",
-        "g23": "0.15*x1 - 0.1*x2*x3",
-        "g33": "1 + 0.25*x3^2 + 0.1*x1",
-    }
-    spec = metrics.custom(comps, name="random_poly")
+    spec = metrics.custom(RANDOM_POLY, name="random_poly")
     rng = np.random.default_rng(2)
     for _ in range(5):
         p = tuple(rng.uniform(-0.5, 0.5, 3))
@@ -165,6 +167,116 @@ def test_identity_residuals_universal():
         assert res["j2"] < 1e-7
         assert res["bianchi"] < 1e-7
         assert res["kulkarni"] < 1e-7
+
+
+def test_identity_residuals_one_and_two_vectors():
+    """One vector has no pair, so kulkarni is exactly 0; two vectors give the
+    one pair, whose residual on a tampered pack matches the Kulkarni-Nomizu
+    form written out with Ric and scal."""
+    spec = metrics.builtin("heisenberg")
+    p = (0.4, 0.7, -0.3)
+    v = np.array([[0.3, -1.1, 0.6], [1.2, 0.4, -0.5]])
+    one = identity_residuals(pack_at(spec, p), vectors=v[:1])
+    assert one["kulkarni"] == 0.0
+    assert one["j2"] < 1e-12 and one["bianchi"] < 1e-12
+
+    pk = pack_at(spec, p, tamper=True)
+    X, Y = v
+    g = pk.g
+
+    def wedge(u, w):
+        return np.outer(u, w @ g) - np.outer(w, u @ g)
+
+    Ric = pk.Ric_op
+    rhs = wedge(Ric @ X, Y) + wedge(X, Ric @ Y) - 0.5 * pk.scal * wedge(X, Y)
+    want = np.max(np.abs(np.einsum("ijkl,i,j->lk", pk.R, X, Y) - rhs))
+    got = identity_residuals(pk, vectors=v)["kulkarni"]
+    assert want > 1e-3
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_second_bianchi_on_nabla_R():
+    """The cyclic sum of (nabla_m R)(d_i, d_j) over (m, i, j) vanishes, at
+    three points of each builtin, heisenberg L=0.3 and the random polynomial
+    metric."""
+    rng = np.random.default_rng(11)
+    specs = [metrics.builtin(name) for name in metrics.BUILTIN_NAMES]
+    specs += [
+        metrics.builtin("heisenberg", L=0.3),
+        metrics.custom(RANDOM_POLY, name="random_poly", box=((-0.5, 0.5),) * 3),
+    ]
+    for spec in specs:
+        for _ in range(3):
+            p = tuple(rng.uniform(lo, hi) for lo, hi in spec.box)
+            nR = pack_at(spec, p).nablaR
+            cyc = nR + np.einsum("ijmkl->mijkl", nR) + np.einsum("jmikl->mijkl", nR)
+            assert np.max(np.abs(cyc)) <= 1e-12 * max(1.0, np.max(np.abs(nR))), (spec.name, p)
+
+
+def _sympy_covariant_derivatives(spec, point):
+    """Exact nabla ric, nabla^2 ric and nabla R of a metric at a rational
+    point, from the metric's components in sympy by the textbook formulas;
+    float arrays in the pack's layouts."""
+    sp = pytest.importorskip("sympy")
+    from riccati3.exprjet import BinOp, Call, Const, Neg, Param, Power, Var
+
+    x = sp.symbols("x1 x2 x3")
+
+    def expr(e):
+        if isinstance(e, Const):
+            return sp.Rational(repr(e.value))
+        if isinstance(e, Var):
+            return x[e.index]
+        if isinstance(e, Param):
+            return sp.Rational(repr(spec.params[e.name]))
+        if isinstance(e, Neg):
+            return -expr(e.arg)
+        if isinstance(e, Power):
+            return expr(e.base) ** e.exponent
+        if isinstance(e, Call):
+            return getattr(sp, e.func)(expr(e.arg))
+        assert isinstance(e, BinOp)
+        a, b = expr(e.left), expr(e.right)
+        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[e.op]
+
+    I3 = range(3)
+    g = sp.Matrix(3, 3, lambda i, j: expr(spec.component(i, j)))
+    gi = g.inv()
+    d = sp.diff
+    G = [[[sum(gi[k, l] * (d(g[j, l], x[i]) + d(g[i, l], x[j]) - d(g[i, j], x[l])) for l in I3) / 2
+           for j in I3] for i in I3] for k in I3]  # G[k][i][j] = Gamma^k_ij
+    R = [[[[d(G[l][j][k], x[i]) - d(G[l][i][k], x[j])
+            + sum(G[l][i][m] * G[m][j][k] - G[l][j][m] * G[m][i][k] for m in I3)
+            for l in I3] for k in I3] for j in I3] for i in I3]
+    ric = [[sum(R[k][i][j][k] for k in I3) for j in I3] for i in I3]
+    nric = [[[d(ric[i][j], x[k]) - sum(G[m][k][i] * ric[m][j] + G[m][k][j] * ric[i][m] for m in I3)
+              for j in I3] for i in I3] for k in I3]
+    n2ric = [[[[d(nric[l][i][j], x[k])
+                - sum(G[m][k][l] * nric[m][i][j] + G[m][k][i] * nric[l][m][j] + G[m][k][j] * nric[l][i][m]
+                      for m in I3)
+                for j in I3] for i in I3] for l in I3] for k in I3]
+    nR = [[[[[d(R[i][j][k][l], x[m])
+              - sum(G[n][m][i] * R[n][j][k][l] + G[n][m][j] * R[i][n][k][l] + G[n][m][k] * R[i][j][n][l]
+                    - G[l][m][n] * R[i][j][k][n] for n in I3)
+              for l in I3] for k in I3] for j in I3] for i in I3] for m in I3]
+    at = dict(zip(x, point))
+    value = np.vectorize(lambda e: float(e.subs(at)), otypes=[float])
+    return [value(np.array(t, dtype=object)) for t in (nric, n2ric, nR)]
+
+
+@pytest.mark.parametrize("name,params", [("sol", {}), ("heisenberg", {"L": 0.3}), ("h2xr", {})])
+def test_covariant_derivatives_match_sympy(name, params):
+    """nabla ric, nabla^2 ric and nabla R of the pack against exact symbolic
+    values, relative to the largest entry (or to the largest entry of R where
+    the exact tensor vanishes, as every covariant derivative does on h2xr)."""
+    sp = pytest.importorskip("sympy")
+    spec = metrics.builtin(name, **params)
+    point = (sp.Rational(1, 5), sp.Rational(7, 10), sp.Rational(-3, 10))
+    pk = pack_at(spec, tuple(float(c) for c in point))
+    exact = _sympy_covariant_derivatives(spec, point)
+    for want, got in zip(exact, (pk.nabla_ric, pk.nabla2_ric, pk.nablaR)):
+        scale = max(np.max(np.abs(want)), np.max(np.abs(pk.R)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_hyperbolic_j2_hand_value():
@@ -182,18 +294,7 @@ def test_nabla_ric_contractions_via_geodesic_transport():
 
     h = 5e-3
     rng = np.random.default_rng(6)
-    bumpy = metrics.custom(
-        {
-            "g11": "1 + 0.3*x2^2 + 0.1*x1*x3",
-            "g12": "0.2*x1*x2 - 0.05*x3",
-            "g13": "0.1*sin(x2)",
-            "g22": "1 + 0.2*x1^2",
-            "g23": "0.15*x1 - 0.1*x2*x3",
-            "g33": "1 + 0.25*x3^2 + 0.1*x1",
-        },
-        name="bumpy",
-        box=((-0.5, 0.5),) * 3,
-    )
+    bumpy = metrics.custom(RANDOM_POLY, name="bumpy", box=((-0.5, 0.5),) * 3)
     for spec in (metrics.builtin("heisenberg"), metrics.builtin("sol"), bumpy):
         p = tuple(rng.uniform(lo, hi) for lo, hi in spec.box)
         pk = pack_at(spec, p)
