@@ -31,6 +31,9 @@ from .riccati import integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
+# sample points per batched curvature pack in ``analyze``: bounds the memory
+# of the (points, directions) arrays at large -n
+POINT_BLOCK = 64
 
 
 class UsageError(ValueError):
@@ -91,8 +94,43 @@ def _sample_points(spec, n, rng):
 
 
 def _unit_directions(pack, dirs):
-    """The rows of ``dirs`` scaled to unit length in the metric of ``pack``."""
-    return dirs / np.sqrt(np.einsum("mi,mi->m", dirs @ pack.g, dirs))[:, None]
+    """The rows of ``dirs`` scaled to unit length in the metric of ``pack``:
+    (m, 3), or (n, m, 3) at a pack of n points."""
+    return dirs / np.sqrt(np.einsum("...i,...i->...", dirs @ pack.g, dirs))[..., None]
+
+
+_FAULTS = (metrics.MetricError, ExprError)
+
+
+def _point_blocks(spec, points):
+    """(index of the first point, points, their batched ``pack_at``) for each
+    block of POINT_BLOCK sample points.
+
+    Where a point of a block faults, the block is cut before the first such
+    point in sample order and that point's one-point ``pack_at`` error is
+    raised after it, so the run stops at the same point, with the same
+    message, as a point-by-point loop."""
+    for start in range(0, len(points), POINT_BLOCK):
+        block = points[start : start + POINT_BLOCK]
+        try:
+            pack = pack_at(spec, np.array(block))
+        except _FAULTS as exc:
+            k, fault = _first_fault(spec, block, exc)
+            if k:
+                yield start, block[:k], pack_at(spec, np.array(block[:k]))
+            raise fault from None
+        yield start, block, pack
+
+
+def _first_fault(spec, points, default):
+    """The index of the first of ``points`` whose one-point ``pack_at``
+    faults, and its error; (0, default) if none does."""
+    for k, p in enumerate(points):
+        try:
+            pack_at(spec, p)
+        except _FAULTS as exc:
+            return k, exc
+    return 0, default
 
 
 def cmd_analyze(args):
@@ -117,37 +155,37 @@ def cmd_analyze(args):
     isotropic = 0
     rank1 = None
     any_nonpositive = True
-    for ip, p in enumerate(points):
-        pack = pack_at(spec, p)
-        res = identity_residuals(pack, n=8, seed=seed + ip)
-        per_point.append({"point": list(p), **{k: float(v) for k, v in res.items()}})
-        for k in ident:
-            ident[k] = max(ident[k], res[k])
-        rr = ricci_rank(pack)
-        per_point[-1]["rank"] = rr.rank
-        hist[str(rr.rank)] += 1
-        any_nonpositive = any_nonpositive and rr.ric_nonpositive
-        if rr.rank == 1 and rank1 is None:
-            try:
-                rep = rank1_checks(spec, p, rr)
-                rank1 = {
-                    "lie_e3_scal": rep.lie_e3_scal,
-                    "div_e3": rep.div_e3,
-                    "defect_min": rep.defect_min,
-                    "defect_max": rep.defect_max,
-                    "flagged": rep.flagged,
-                }
-            except RankPrecondition:
-                pass
+    for start, block, pack in _point_blocks(spec, points):
+        res = identity_residuals(pack, n=8, seed=seed + start)
         X = _unit_directions(pack, dirs)
         ov = obstruction_values(pack, X)
         rel = np.abs(ov.residual) / ov.scale
-        rels.append(rel)
+        rels.append(rel.ravel())
         isotropic += int(np.count_nonzero(ov.frame.isotropic))
-        if args.csv:
-            cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
-            sweep = np.column_stack((X,) + cols).tolist()
-            rows += [[ip, *p, idir, *row] for idir, row in enumerate(sweep)]
+        for k, p in enumerate(block):
+            per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}})
+            for key in ident:
+                ident[key] = max(ident[key], per_point[-1][key])
+            rr = ricci_rank(pack.row(k))
+            per_point[-1]["rank"] = rr.rank
+            hist[str(rr.rank)] += 1
+            any_nonpositive = any_nonpositive and rr.ric_nonpositive
+            if rr.rank == 1 and rank1 is None:
+                try:
+                    rep = rank1_checks(spec, p, rr)
+                    rank1 = {
+                        "lie_e3_scal": rep.lie_e3_scal,
+                        "div_e3": rep.div_e3,
+                        "defect_min": rep.defect_min,
+                        "defect_max": rep.defect_max,
+                        "flagged": rep.flagged,
+                    }
+                except RankPrecondition:
+                    pass
+            if args.csv:
+                cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
+                sweep = np.column_stack([X[k]] + [c[k] for c in cols]).tolist()
+                rows += [[start + k, *p, idir, *row] for idir, row in enumerate(sweep)]
 
     rels = np.concatenate(rels)
     frac = float(np.mean(rels > OBSTRUCTED_REL))

@@ -24,14 +24,19 @@ order q - 1, the coordinate derivative plus one Gamma contraction per slot.
 ``curvature_pack`` runs the kernel at k = 4 and the rule on ric (order 2)
 twice and on R once, so nabla ric, nabla^2 ric (which needs four metric
 derivatives) and nabla R come out exactly; ``curvature_r_only`` runs the
-kernel at k = 2, at one point or at a batch of points, for the value of R
-alone.
+kernel at k = 2 for the value of R alone.
+
+Both take one point or a batch of n points.  A pack of a batch carries a
+leading point axis on every field (``scal`` is then an (n,) array), and the
+consumers below broadcast it against directions of shape (n, m, 3), m per
+point.  One point is a batch of one, whose fields come back with the point
+axis taken off: ``scal`` a float, ``g`` (3, 3), ``R`` (3, 3, 3, 3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,9 +46,10 @@ from .metrics import MetricJet, MetricSpec, lowered_symbol, metric_jets
 
 @dataclass
 class CurvaturePack:
-    """All point-wise curvature data used downstream.
+    """All point-wise curvature data used downstream, at one point or, with
+    a leading point axis on every field, at each point of a batch.
 
-    Index layouts (coordinate frame):
+    Index layouts (coordinate frame), after the point axis:
       gamma[k,i,j]   = Gamma^k_ij
       R[i,j,k,l]     = l-component of R(d_i,d_j)d_k
       nablaR[m,i,j,k,l] = l-component of (nabla_m R)(d_i,d_j)d_k
@@ -69,6 +75,13 @@ class CurvaturePack:
 
     def norm(self, x) -> float:
         return math.sqrt(float(x @ self.g @ x))
+
+    def row(self, k: int) -> CurvaturePack:
+        """The pack of point k of a batch, with the types of a one-point pack."""
+        row = {f.name: getattr(self, f.name)[k] for f in fields(self)}
+        row["point"] = tuple(map(float, row["point"]))
+        row["scal"] = float(row["scal"])
+        return CurvaturePack(**row)
 
 
 @dataclass
@@ -146,28 +159,31 @@ def _nabla(T, gamma, up=0):
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
-    """Full curvature package at the base point of order-4 metric jets.
+    """Full curvature package from order-4 metric jets, at their base point
+    or at each point of their batch.
 
     ``tamper`` flips the sign of the Gamma*Gamma commutator in the curvature
     formula; it exists so the self-test harness can prove the identity suite
     actually detects a broken sign convention.
     """
-    ginv_c, gamma_c, R_c = _curvature_jets(m.coef, tamper)
+    one = isinstance(m.point, tuple)
+    G = m.coef[:, None] if one else m.coef  # one point is a batch of one
+    ginv_c, gamma_c, R_c = _curvature_jets(G, tamper)
     ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
     scal_c = contract("ij,ij->", ginv_c, ric_c, 2)
     nabla_ric_c = _nabla(ric_c, gamma_c)  # order 1, for nabla^2 ric
 
-    g = m.g
+    g = G[0]
     ginv = ginv_c[0]
     ric = ric_c[0]
-    scal = float(scal_c[0])
+    scal = scal_c[0]
     Ric_op = ginv @ ric
-    rho = Ric_op - (scal / 4.0) * np.eye(3)
+    rho = Ric_op - (scal[:, None, None] / 4.0) * np.eye(3)
     L = np.linalg.cholesky(g)
-    frame = np.linalg.inv(L).T  # columns orthonormal: E^T g E = I
+    frame = np.linalg.inv(L).swapaxes(-1, -2)  # columns orthonormal: E^T g E = I
 
-    return CurvaturePack(
-        point=m.point,
+    pack = CurvaturePack(
+        point=np.array([m.point]) if one else m.point,
         g=g,
         ginv=ginv,
         gamma=gamma_c[0],
@@ -176,15 +192,17 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
         ric=ric,
         Ric_op=Ric_op,
         scal=scal,
-        dscal=scal_c[1:4],
+        dscal=scal_c[1:4].T,
         rho=rho,
         nabla_ric=nabla_ric_c[0],
         nabla2_ric=_nabla(nabla_ric_c, gamma_c)[0],
         frame=frame,
     )
+    return pack.row(0) if one else pack
 
 
 def pack_at(spec: MetricSpec, p, tamper: bool = False) -> CurvaturePack:
+    """The curvature pack at the point p, or at each row of an (n, 3) array p."""
     return curvature_pack(metric_jets(spec, p), tamper=tamper)
 
 
@@ -212,31 +230,32 @@ def _inner(g, x, y):
 
 def orthonormal_perp(g, v, basis):
     """Deterministic g-orthonormal basis (w1, w2) of the complement of the unit
-    vector v, or of each row of an (m, 3) batch v (then w1, w2 are (m, 3)):
-    Gram-Schmidt on the columns of ``basis``, largest projection first, ties
-    to the lower column; the third column stands in when the second is
-    (numerically) in span(v, w1)."""
+    vector v, or of each row of an (m, 3) batch v (then w1, w2 are (m, 3)),
+    or, with g and basis of shape (n, 3, 3), of each v[k, a] of an (n, m, 3)
+    batch against g[k] and basis[k]: Gram-Schmidt on the columns of
+    ``basis``, largest projection first, ties to the lower column; the third
+    column stands in when the second is (numerically) in span(v, w1)."""
     v = np.asarray(v, dtype=float)
-    vs = v.reshape(-1, 3)
-    # cands[:, k, :] = basis[:, k] minus its g-projection on v
-    cands = basis.T - (vs @ g @ basis)[:, :, None] * vs[:, None, :]
-    norm2 = _dot(cands @ g, cands)
+    vs = np.atleast_2d(v)
+    # cands[..., k, :] = basis[..., :, k] minus its g-projection on v
+    cands = basis.swapaxes(-1, -2)[..., None, :, :] - (vs @ g @ basis)[..., None] * vs[..., None, :]
+    norm2 = _dot(cands @ g[..., None, :, :], cands)
     order = np.argsort(-norm2, axis=-1, kind="stable")
-    rows = np.arange(len(vs))[:, None]
-    c0, c1, c2 = cands[rows, order].transpose(1, 0, 2)
-    w1 = c0 / np.sqrt(norm2[rows, order[:, :1]])
-    c1 = c1 - _inner(g, c1, w1)[:, None] * w1
-    c2 = c2 - _inner(g, c2, w1)[:, None] * w1 - _inner(g, c2, vs)[:, None] * vs
+    c0, c1, c2 = np.moveaxis(np.take_along_axis(cands, order[..., None], axis=-2), -2, 0)
+    w1 = c0 / np.sqrt(np.take_along_axis(norm2, order[..., :1], axis=-1))
+    c1 = c1 - _inner(g, c1, w1)[..., None] * w1
+    c2 = c2 - _inner(g, c2, w1)[..., None] * w1 - _inner(g, c2, vs)[..., None] * vs
     n1 = np.sqrt(_inner(g, c1, c1))
     fallback = n1 < 1e-12
-    c = np.where(fallback[:, None], c2, c1)
+    c = np.where(fallback[..., None], c2, c1)
     n = np.where(fallback, np.sqrt(_inner(g, c2, c2)), n1)
-    return w1.reshape(v.shape), (c / n[:, None]).reshape(v.shape)
+    return w1.reshape(v.shape), (c / n[..., None]).reshape(v.shape)
 
 
 def plane_entries(g, M, w1, w2):
     """(m11, m22, m12): the symmetrized matrix of the operator M on span(w1, w2);
-    M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape (...)."""
+    M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape
+    (...).  A batch of metrics g (n, 3, 3) takes w1, w2 of shape (n, m, 3)."""
     gw1, gw2 = w1 @ g, w2 @ g
     Mw1 = np.einsum("...li,...i->...l", M, w1)
     Mw2 = np.einsum("...li,...i->...l", M, w2)
@@ -245,11 +264,13 @@ def plane_entries(g, M, w1, w2):
 
 def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     """Matrix of J(v) = R(.,v)v acting on column vectors: J[l,i] x^i; v of
-    shape (3,) gives (3, 3) and a batch (m, 3) gives (m, 3, 3)."""
+    shape (3,) gives (3, 3), a batch (m, 3) gives (m, 3, 3), and at a batch
+    of n points, v of shape (n, m, 3) gives (n, m, 3, 3)."""
     v = np.asarray(v, dtype=float)
     if (_inner(pack.g, v, v) == 0.0).any():
         raise ValueError("Jacobi operator needs a nonzero vector")
-    return np.einsum("ijkl,...j,...k->...li", pack.R, v, v)
+    R = pack.R if pack.g.ndim == 2 else pack.R[:, None]  # a direction axis after the point axis
+    return np.einsum("...ijkl,...j,...k->...li", R, v, v)
 
 
 def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int = 0):
@@ -261,33 +282,44 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
               rho X ^ Y + X ^ rho Y, on the pairs of consecutive and
               next-but-one vectors
     Each is computed over all the vectors at once; with fewer than two
-    vectors there is no pair and kulkarni is 0.
+    vectors there is no pair and kulkarni is 0.  At one point the values
+    are floats and ``vectors`` is (p, 3), by default n draws of
+    default_rng(seed).  At a batch of points they are arrays with one value
+    per point, ``vectors`` is (n_points, p, 3), and point k draws its n
+    vectors from default_rng(seed + k).
     """
-    if vectors is None:
-        rng = np.random.default_rng(seed)
-        vectors = rng.standard_normal((n, 3))
+    one = pack.g.ndim == 2
+    if vectors is None and one:
+        vectors = np.random.default_rng(seed).standard_normal((n, 3))
+    elif vectors is None:
+        draws = [np.random.default_rng(seed + k).standard_normal((n, 3)) for k in range(len(pack.g))]
+        vectors = np.stack(draws)
     vectors = np.asarray(vectors, dtype=float)
 
     g, rho = pack.g, pack.rho
     J = jacobi_op(pack, vectors)
-    rv = vectors @ rho.T
+    rhoT = rho.swapaxes(-1, -2)
+    rv = vectors @ rhoT
     gvv, gvrv, grr = _inner(g, vectors, vectors), _inner(g, vectors, rv), _inner(g, rv, rv)
-    rhs = (np.trace(rho @ rho) * gvv + 2.0 * np.trace(rho) * gvrv - 2.0 * grr) * gvv + gvrv**2
-    j2 = float(np.max(np.abs(np.einsum("pab,pba->p", J, J) - rhs), initial=0.0))
+    tr2 = np.trace(rho @ rho, axis1=-2, axis2=-1)[..., None]
+    tr1 = np.trace(rho, axis1=-2, axis2=-1)[..., None]
+    rhs = (tr2 * gvv + 2.0 * tr1 * gvrv - 2.0 * grr) * gvv + gvrv**2
+    j2 = np.max(np.abs(np.einsum("...pab,...pba->...p", J, J) - rhs), axis=-1, initial=0.0)
 
-    bianchi = float(
-        np.max(np.abs(np.einsum("ab,abj->j", pack.ginv, pack.nabla_ric) - 0.5 * pack.dscal))
-    )
+    div = np.einsum("...ab,...abj->...j", pack.ginv, pack.nabla_ric)
+    bianchi = np.max(np.abs(div - 0.5 * pack.dscal), axis=-1)
 
     # the pairs (a, a + 1) and (a, a + 2); (u ^ w)[l, k] = u^l (g w)_k - w^l (g u)_k
-    X = np.concatenate([vectors[:-1], vectors[:-2]])
-    Y = np.concatenate([vectors[1:], vectors[2:]])
-    u, w = np.stack([X @ rho.T, X]), np.stack([Y, Y @ rho.T])
-    rhs_op = np.einsum("spl,spk->plk", u, w @ g) - np.einsum("spl,spk->plk", w, u @ g)
-    lhs_op = np.einsum("ijkl,pi,pj->plk", pack.R, X, Y)
-    kulkarni = float(np.max(np.abs(lhs_op - rhs_op), initial=0.0))
+    X = np.concatenate([vectors[..., :-1, :], vectors[..., :-2, :]], axis=-2)
+    Y = np.concatenate([vectors[..., 1:, :], vectors[..., 2:, :]], axis=-2)
+    u, w = np.stack([X @ rhoT, X]), np.stack([Y, Y @ rhoT])
+    wedge = "s...pl,s...pk->...plk"
+    rhs_op = np.einsum(wedge, u, w @ g) - np.einsum(wedge, w, u @ g)
+    lhs_op = np.einsum("...ijkl,...pi,...pj->...plk", pack.R, X, Y)
+    kulkarni = np.max(np.abs(lhs_op - rhs_op), axis=(-3, -2, -1), initial=0.0)
 
-    return {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
+    res = {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
+    return {key: float(x) for key, x in res.items()} if one else res
 
 
 def jacobi_eigh3(S: np.ndarray, sweeps: int = 50):

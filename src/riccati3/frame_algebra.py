@@ -116,6 +116,30 @@ def p_polys(fd: FrameData):
     return p12, p13, p23
 
 
+def _trim(c):
+    """The coefficients c without their trailing zeros, but at least one, as
+    ``numpy.polynomial`` trims a series."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _pmul(a, b):
+    """The product of two polynomials (ascending coefficients), trimmed."""
+    return _trim(np.convolve(_trim(a), _trim(b)))
+
+
+def _padd(a, b):
+    """The sum of two polynomials, the shorter one padded with zeros, trimmed."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] += b
+    return _trim(out)
+
+
 @dataclass
 class PolyBundle:
     case: str
@@ -127,7 +151,7 @@ class PolyBundle:
 
     def b1_factor_residual(self) -> float:
         """Coefficient-wise residual of b1 + (t^2 + 1) c."""
-        lhs = npoly.polyadd(self.b1, npoly.polymul(np.array([1.0, 0.0, 1.0]), self.c))
+        lhs = _padd(self.b1, _pmul(np.array([1.0, 0.0, 1.0]), self.c))
         return float(np.max(np.abs(lhs))) if len(lhs) else 0.0
 
 
@@ -200,7 +224,7 @@ def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
     s1 = np.array([G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j)])
     s2 = np.array([G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w)])
     ric_x = np.array([0.0, lam[i] - lam[j]])
-    b1 = npoly.polyadd(npoly.polymul(2.0 * a, s1), npoly.polymul(s2, ric_x))
+    b1 = _padd(_pmul(2.0 * a, s1), _pmul(s2, ric_x))
     b1 = np.concatenate([b1, np.zeros(5 - len(b1))])[:5]
     return PolyBundle(case, a, c, d1, a1, b1)
 
@@ -505,7 +529,7 @@ def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
             rng = rng or np.random.default_rng(0)
             d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
     d2_coeffs = np.asarray(d2_coeffs, dtype=float)
-    P = npoly.polysub(npoly.polymul(bundle.a, d2_coeffs), npoly.polymul(bundle.a1, bundle.d1))
+    P = _padd(_pmul(bundle.a, d2_coeffs), -_pmul(bundle.a1, bundle.d1))
     inst = {
         "a": list(bundle.a),
         "c": list(bundle.c),

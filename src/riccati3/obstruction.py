@@ -19,7 +19,10 @@ sides is the obstruction residual this module reports.
 ``jacobi_frame``, ``derived_jacobi_direct`` and ``obstruction_values`` take
 one direction or an (m, 3) batch, with one code path: a batch gives every
 field as an array with a leading direction axis, and one direction is a
-batch of one whose fields come back as floats, bools and (3,) vectors.
+batch of one whose fields come back as floats, bools and (3,) vectors.  A
+pack of n points (see ``curvature``) takes directions of shape (n, m, 3),
+m at each point, and gives every field a leading point axis before the
+direction axis.
 """
 
 from __future__ import annotations
@@ -130,9 +133,10 @@ class IsotropyMask(np.ndarray):
 
 
 def _directions(X):
-    """X as an (m, 3) float array, and whether it was one (3,) direction."""
+    """X as an (m, 3) or (n, m, 3) float array, and whether it was one (3,)
+    direction."""
     X = np.asarray(X, dtype=float)
-    return X.reshape(-1, 3), X.ndim == 1
+    return np.atleast_2d(X), X.ndim == 1
 
 
 def _first(batch):
@@ -145,16 +149,23 @@ def _first(batch):
 
 
 def _products(X, k):
-    """The k-fold products X^a X^b ..., flattened: shape (m, 3^k)."""
+    """The k-fold products X^a X^b ..., flattened: shape (..., 3^k)."""
     out = X
     for _ in range(k - 1):
-        out = (out[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+        out = (out[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
     return out
+
+
+def _matrix(pack, T, rows):
+    """The tensor axes of T, a field of ``pack``, as a matrix whose 3^rows rows
+    are its first ``rows`` axes, at each point of a batch: a right factor of
+    ``_products(X, rows)``."""
+    return T.reshape(T.shape[: pack.g.ndim - 2] + (3**rows, -1))
 
 
 def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
-    for one direction or an (m, 3) batch.
+    for one direction, an (m, 3) batch, or (n, m, 3) at a pack of n points.
 
     Where the operator is isotropic (|(A, B)| below iso_tol times the size of
     J) the frame keeps the complement basis, A = 0 and ``isotropic`` is set;
@@ -162,20 +173,20 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     ValueError.
     """
     X, one = _directions(X)
-    nX = np.sqrt(np.einsum("mi,mi->m", X @ pack.g, X))
+    nX = np.sqrt(np.einsum("...i,...i->...", X @ pack.g, X))
     if (nX == 0.0).any():
         raise ValueError("zero direction")
-    v = X / nX[:, None]
+    v = X / nX[..., None]
     w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
     m11, m22, m12 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
-    t = _products(X, 2) @ pack.ric.ravel()
+    t = (_products(X, 2) @ _matrix(pack, pack.ric, 2))[..., 0]
     A = 0.5 * (m11 - m22)
     h = np.hypot(A, m12)
     scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
     iso = h < iso_tol * scale
     theta = 0.5 * np.arctan2(m12, A)
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    keep = iso[:, None]
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    keep = iso[..., None]
     frame = JacobiFrame(
         X,
         v,
@@ -191,10 +202,12 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
 
 def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> DerivedJacobi:
     """J'(X) = (nabla_X R)(., X) X projected to the frame plane, for one
-    direction or an (m, 3) batch with the frame of the same shape."""
+    direction or a batch (as for ``jacobi_frame``) with the frame of the same
+    shape."""
     X, one = _directions(X)
     # nablaR[m, i, j, k, l] as the (mjk, li) matrix: one product sums over m, j, k
-    Jp = (_products(X, 3) @ pack.nablaR.transpose(0, 2, 3, 4, 1).reshape(27, 9)).reshape(-1, 3, 3)
+    nablaR = np.moveaxis(pack.nablaR, -4, -1)
+    Jp = (_products(X, 3) @ _matrix(pack, nablaR, 3)).reshape(X.shape + (3,))
     w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
     m11, m22, m12 = plane_entries(pack.g, Jp, w1, w2)
     dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
@@ -203,8 +216,9 @@ def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> Derived
 
 def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     """Evaluate both sides of the detector identity at (point, X), for one
-    direction X of shape (3,) (fields are floats) or an (m, 3) batch (fields
-    are arrays with a leading direction axis).
+    direction X of shape (3,) (fields are floats), an (m, 3) batch (fields
+    are arrays with a leading direction axis), or an (n, m, 3) batch at a
+    pack of n points (fields of shape (n, m)).
 
     A residual of ~0 is necessary for the constrained Riccati family to exist
     at this point and direction; a residual well above the float noise floor
@@ -218,10 +232,10 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     ric_xx = fr.t
 
     XX = _products(X, 2)
-    D1 = _products(X, 3) @ pack.nabla_ric.ravel()
+    D1 = (_products(X, 3) @ _matrix(pack, pack.nabla_ric, 3))[..., 0]
     tr_JJ = 2.0 * (A * A + B * B)
     tr_JJp = 2.0 * (A * A1 + B * B1)
-    D2 = tr_JJ + np.einsum("mk,mk->m", XX @ pack.nabla2_ric.reshape(9, 9), XX)
+    D2 = tr_JJ + np.einsum("...k,...k->...", XX @ _matrix(pack, pack.nabla2_ric, 2), XX)
 
     D = 4.0 * (A * B1 - A1 * B) ** 2
 
@@ -342,7 +356,12 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
     cannot vanish for every v unless scal = 0.
     """
     p = np.asarray(p, dtype=float)
-    pack = pack_at(spec, p)
+    # one batch: p, then p + step e_i and p - step e_i for i = 1, 2, 3
+    shifts = [np.zeros(3)]
+    for e in step * np.eye(3):
+        shifts += [e, -e]
+    packs = pack_at(spec, p + np.array(shifts))
+    pack = packs.row(0)
     rr = rank_report or ricci_rank(pack)
     if rr.rank != 1:
         raise RankPrecondition(f"rank1_checks needs rank 1, got {rr.rank}")
@@ -352,10 +371,8 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
 
     de3 = np.empty((3, 3))  # de3[i, k] = d_i e3^k
     for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = step
-        col_p = _e3_at(spec, p + shift, e3)
-        col_m = _e3_at(spec, p - shift, e3)
+        col_p = _e3_at(packs.row(1 + 2 * i), e3)
+        col_m = _e3_at(packs.row(2 + 2 * i), e3)
         de3[i] = (col_p - col_m) / (2.0 * step)
 
     grad_e3 = de3 + np.einsum("kim,m->ik", pack.gamma, e3)  # grad_e3[i,k] = (nabla_i e3)^k
@@ -384,8 +401,7 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
     )
 
 
-def _e3_at(spec, q, reference):
-    pk = pack_at(spec, q)
+def _e3_at(pk, reference):
     rr = ricci_rank(pk)
     idx = int(np.argmax(np.abs(rr.eigenvalues)))
     return _match_sign(rr.eigenframe[:, idx], reference)

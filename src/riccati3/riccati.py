@@ -178,6 +178,8 @@ def jacobi_along(spec: MetricSpec, path: GeodesicPath) -> np.ndarray:
     out = np.empty((len(path.ts), 2, 2))
     for b in _blocks(len(path.ts)):
         g, _, R = curvature_r_only(spec, path.xs[b])
+        # in C order, so the einsums sum in an order their shapes alone fix
+        g, R = np.ascontiguousarray(g), np.ascontiguousarray(R)
         v = path.vs[b]
         J = np.einsum("...ijkl,...j,...k->...li", R, v, v)
         W = np.stack([path.w1s[b], path.w2s[b]], axis=-2)  # rows w1, w2

@@ -1,13 +1,18 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati3.cli import main
+from riccati3 import metrics
+from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, main
+from riccati3.curvature import identity_residuals, pack_at, ricci_rank
+from riccati3.obstruction import fibonacci_directions, obstruction_values
 
 
 def run(capsys, *argv):
@@ -294,3 +299,92 @@ def test_riccati_malformed_lists_exit_2(tmp_path_factory, option, value):
     args = {"--point": "0.1,0.2,0.3", "--dir": "1,0,0", "--u0": "0,0,0", option: value}
     argv = ["riccati", "flat", "--T", "0.01", "--dt", "0.01", "--out", str(out)]
     assert option in run_bad(argv + [f"{key}={val}" for key, val in args.items()])
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sol", "h2xr", "sphere"])
+def test_analyze_blocks_match_point_by_point_calls(name, capsys):
+    """More points than one block: the batched run gives the ranks, verdict,
+    quantiles and identity residuals of one-point calls on the same points."""
+    n = POINT_BLOCK + 3
+    code, out = run(capsys, "analyze", name, "-n", str(n), "-m", "8", "--seed", "3", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    spec = metrics.builtin(name)
+    points = _sample_points(spec, n, np.random.default_rng(3))
+    dirs = fibonacci_directions(8)
+    rels = []
+    for ip, p in enumerate(points):
+        pack = pack_at(spec, p)
+        assert rep["per_point"][ip]["point"] == list(p)
+        assert rep["per_point"][ip]["rank"] == ricci_rank(pack).rank
+        for key, value in identity_residuals(pack, n=8, seed=3 + ip).items():
+            assert abs(rep["per_point"][ip][key] - value) <= 1e-11, (ip, key)
+        ov = obstruction_values(pack, _unit_directions(pack, dirs))
+        rels.append(np.abs(ov.residual) / ov.scale)
+    rels = np.concatenate(rels)
+    frac = float(np.mean(rels > OBSTRUCTED_REL))
+    assert rep["obstruction"]["fraction_exceeding"] == frac
+    if frac >= 0.1:
+        assert rep["verdict"] == "obstructed"
+    else:
+        assert rep["verdict"] == ("unobstructed-at-samples" if rels.max() <= 1e-9 else "degenerate")
+    want = {"min": rels.min(), "q25": np.quantile(rels, 0.25), "median": np.quantile(rels, 0.5),
+            "q75": np.quantile(rels, 0.75), "max": rels.max()}
+    for key, value in want.items():
+        assert abs(rep["obstruction"]["quantiles"][key] - value) <= 1e-10 * abs(value), key
+
+
+def test_analyze_draws_identity_vectors_per_point(capsys, monkeypatch):
+    """Across blocks, point ip checks the identities on the vectors of
+    default_rng(seed + ip): with the curvature sign tampered the residuals
+    are O(1) and tell the draws apart."""
+    tampered = functools.partial(pack_at, tamper=True)
+    monkeypatch.setattr("riccati3.cli.pack_at", tampered)
+    n = POINT_BLOCK + 3
+    code, out = run(capsys, "analyze", "heisenberg", "-n", str(n), "-m", "2", "--seed", "4", "--json")
+    assert code == 0
+    per_point = json.loads(out)["per_point"]
+    spec = metrics.builtin("heisenberg")
+    for ip, p in enumerate(_sample_points(spec, n, np.random.default_rng(4))):
+        for key, value in identity_residuals(tampered(spec, p), n=8, seed=4 + ip).items():
+            assert abs(per_point[ip][key] - value) <= 1e-12 * max(1.0, value), (ip, key)
+        assert per_point[ip]["kulkarni"] > 1e-3
+
+
+MIXED_FAULTS = {"g11": "2+log(x1+0.9)", "g22": "x2+0.9", "g33": "1/(x3-0.95)^2"}
+
+
+@pytest.mark.parametrize(
+    "comps,argv,line",
+    [
+        # the default run: the second sample point is not positive definite
+        (
+            {"g11": "x1"},
+            (),
+            "metric 'custom' not positive definite at (-0.9669447289429418, 0.6265404784005448, "
+            "0.8255111545554434): min eigenvalue -9.669e-01",
+        ),
+        # the first fault is the 69th point, in the second block
+        (
+            {"g11": "x1+0.99"},
+            ("-n", "100", "--seed", "5"),
+            "metric 'custom' not positive definite at (-0.9999972797485162, -0.879144983102643, "
+            "-0.570697083593666): min eigenvalue -9.997e-03",
+        ),
+        # a domain fault later in the block does not mask the earlier point
+        (
+            MIXED_FAULTS,
+            ("-n", "100", "--seed", "2"),
+            "metric 'custom' not positive definite at (-0.8161681157298062, 0.200201051931308, "
+            "0.45712105362358924): min eigenvalue -4.789e-01",
+        ),
+        (MIXED_FAULTS, ("-n", "100", "--seed", "0"), "log of non-positive value in subtree 'log((x1 + 0.9))'"),
+    ],
+)
+def test_analyze_fault_names_the_first_faulting_point(tmp_path, comps, argv, line):
+    """A faulting point stops the run with the one-point message of the first
+    faulting point in sample order, whatever else faults in its block."""
+    path = tmp_path / "metric.json"
+    components = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1", **comps}
+    path.write_text(json.dumps({"components": components}))
+    assert run_bad(("analyze", str(path), *argv, "--json")) == "riccati3 analyze: error: " + line

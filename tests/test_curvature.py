@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from riccati3 import metrics
 from riccati3.curvature import (
+    CurvaturePack,
     curvature_pack,
     curvature_r_only,
     identity_residuals,
@@ -418,3 +420,147 @@ def test_orthonormal_perp_batch(case):
         for got, want in zip((w1[k], w2[k]), one):
             assert want.shape == (3,)
             assert np.all(np.abs(got - want) <= 1e-14)
+
+
+# the benchmark's custom metrics: H^3, S^3 and H^2 x R in exp/sin/cosh coordinates
+CUSTOM_ZOO = {
+    "h3exp": ({"g11": "1", "g12": "0", "g13": "0", "g22": "exp(2*x1)", "g23": "0", "g33": "exp(2*x1)"}, None),
+    "s3sin": (
+        {"g11": "1", "g12": "0", "g13": "0", "g22": "sin(x1)^2", "g23": "0", "g33": "sin(x1)^2*sin(x2)^2"},
+        [[0.6, 2.5], [0.6, 2.5], [-1.0, 1.0]],
+    ),
+    "h2coshr": ({"g11": "1", "g12": "0", "g13": "0", "g22": "cosh(x1)^2", "g23": "0", "g33": "1"}, None),
+}
+PACK_ZOO = list(metrics.BUILTIN_NAMES) + ["heisenberg-L0.3"] + list(CUSTOM_ZOO)
+
+
+def _zoo_spec(name):
+    if name in CUSTOM_ZOO:
+        comps, box = CUSTOM_ZOO[name]
+        return metrics.custom(comps, name=name, box=box)
+    if name == "heisenberg-L0.3":
+        return metrics.builtin("heisenberg", L=0.3)
+    return metrics.builtin(name)
+
+
+def _zoo_points(spec, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(lo, hi) for lo, hi in spec.box] for _ in range(n)])
+
+
+def _pack_fields(pk):
+    return {f.name: getattr(pk, f.name) for f in dataclasses.fields(pk)}
+
+
+# fields that are covariant derivatives, summed from the order-2..4 metric
+# coefficients: their rounding noise scales with the square of the largest
+# coefficient, not with the (often cancelling, as on constant curvature) value
+DERIVATIVE_FIELDS = ("dscal", "nabla_ric", "nabla2_ric", "nablaR")
+
+
+def _pack_tolerance(spec, p, field, want):
+    scale = 1.0
+    if field in DERIVATIVE_FIELDS:
+        scale = 5.0 * max(1.0, float(np.max(np.abs(metric_jets(spec, p).coef)))) ** 2
+    return 1e-13 * np.maximum(scale, np.abs(want))
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_batched_pack_matches_pack_at_every_point(name):
+    """The pack of a batch of points, row by row, against the one-point pack:
+    every field within 1e-13 max(1, |x|) (see DERIVATIVE_FIELDS), with a
+    one-point pack's types."""
+    spec = _zoo_spec(name)
+    pts = _zoo_points(spec, 9)
+    batch = pack_at(spec, pts)
+    assert batch.g.shape == (9, 3, 3) and batch.scal.shape == (9,) and batch.nablaR.shape == (9,) + (3,) * 5
+    for k, p in enumerate(map(tuple, pts)):
+        one = _pack_fields(pack_at(spec, p))
+        row = _pack_fields(batch.row(k))
+        assert row["point"] == one["point"] == p
+        for field, want in one.items():
+            if field == "point":
+                continue
+            got = row[field]
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), field
+            assert np.all(np.abs(got - want) <= _pack_tolerance(spec, p, field, want)), (field, k)
+
+
+def test_pack_of_one_point_has_point_types():
+    """One point is a batch of one with the point axis taken off; a (1, 3)
+    array is a batch of one point and keeps its axis."""
+    spec = metrics.builtin("heisenberg")
+    pk = pack_at(spec, (0.4, 0.7, -0.3))
+    assert pk.point == (0.4, 0.7, -0.3)
+    assert type(pk.scal) is float
+    shapes = {"g": (3, 3), "ginv": (3, 3), "gamma": (3,) * 3, "R": (3,) * 4, "nablaR": (3,) * 5,
+              "ric": (3, 3), "Ric_op": (3, 3), "dscal": (3,), "rho": (3, 3), "nabla_ric": (3,) * 3,
+              "nabla2_ric": (3,) * 4, "frame": (3, 3)}
+    for field, shape in shapes.items():
+        assert getattr(pk, field).shape == shape, field
+    res = identity_residuals(pk, n=8, seed=2)
+    assert all(type(v) is float for v in res.values())
+
+    batch = pack_at(spec, np.array([[0.4, 0.7, -0.3]]))
+    assert batch.scal.shape == (1,) and batch.g.shape == (1, 3, 3)
+    for field, want in _pack_fields(pk).items():
+        got = _pack_fields(batch.row(0))[field]
+        assert np.all(np.abs(np.asarray(got) - np.asarray(want)) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_batched_identity_residuals_are_per_point(tamper):
+    """At a batch, point k draws its vectors from default_rng(seed + k), as a
+    one-point call with that seed does, and gets its own residuals: noise on
+    a true pack, and O(1) values that depend on the vectors on a tampered one."""
+    spec = metrics.builtin("sol")
+    pts = _zoo_points(spec, 5, seed=3)
+    batch = identity_residuals(pack_at(spec, pts, tamper=tamper), n=8, seed=40)
+    for key, vals in batch.items():
+        assert vals.shape == (5,)
+    for k, p in enumerate(pts):
+        one = identity_residuals(pack_at(spec, tuple(p), tamper=tamper), n=8, seed=40 + k)
+        for key, want in one.items():
+            assert abs(batch[key][k] - want) <= 1e-12 * max(1.0, want), (key, k)
+        assert (max(one.values()) > 1e-3) if tamper else (max(one.values()) < 1e-9)
+
+
+# metrics whose packs round by a point's position in the batch: exprjet sums
+# the Leibniz terms of all points of a batch in one BLAS product (``_mul``,
+# ``contract``), whose rounding depends on the column a point lands in
+POSITION_ROUNDED = ("hyperbolic", "sphere", "h3exp", "s3sin", "h2coshr")
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_permuting_points_permutes_pack(name):
+    """The sample order cannot change a point's numbers: a permuted batch
+    gives every pack field permuted, bit for bit, and within
+    _pack_tolerance for the POSITION_ROUNDED metrics."""
+    spec = _zoo_spec(name)
+    pts = _zoo_points(spec, 11, seed=5)
+    perm = np.random.default_rng(7).permutation(11)
+    fields = _pack_fields(pack_at(spec, pts))
+    permuted = _pack_fields(pack_at(spec, pts[perm]))
+    for field, value in fields.items():
+        if name not in POSITION_ROUNDED or field == "point":
+            assert np.array_equal(permuted[field], value[perm]), field
+            continue
+        for k, p in enumerate(map(tuple, pts[perm])):
+            want = value[perm][k]
+            assert np.all(np.abs(permuted[field][k] - want) <= _pack_tolerance(spec, p, field, want)), field
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_identity_residuals_of_a_permuted_pack_are_permuted_bitwise(name):
+    """Given the same per-point data in another order, the batched identity
+    residuals come out in that order, bit for bit, for every metric."""
+    spec = _zoo_spec(name)
+    pts = _zoo_points(spec, 13, seed=8)
+    vectors = np.random.default_rng(9).standard_normal((13, 8, 3))
+    perm = np.random.default_rng(10).permutation(13)
+    pk = pack_at(spec, pts)
+    pk_perm = CurvaturePack(**{f: v[perm] for f, v in _pack_fields(pk).items()})
+    res = identity_residuals(pk, vectors)
+    res_perm = identity_residuals(pk_perm, vectors[perm])
+    for key, value in res.items():
+        assert np.array_equal(res_perm[key], value[perm]), key

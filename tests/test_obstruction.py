@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riccati3 import metrics
-from riccati3.curvature import pack_at, ricci_rank
+from riccati3.curvature import CurvaturePack, pack_at, ricci_rank
 from riccati3.obstruction import (
     DegenerateSystem,
     EigengapError,
@@ -299,3 +299,65 @@ def test_batch_with_a_zero_row_raises():
     for fn in (obstruction_values, jacobi_frame):
         with pytest.raises(ValueError, match="zero direction"):
             fn(pk, X)
+
+
+def _zoo_batch(name, n, seed):
+    spec = metrics.builtin("heisenberg", L=0.3) if name == "heisenberg-L0.3" else metrics.builtin(name)
+    rng = np.random.default_rng(seed)
+    pts = np.array([[rng.uniform(lo, hi) for lo, hi in spec.box] for _ in range(n)])
+    return pack_at(spec, pts)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES[:-1])
+def test_obstruction_values_point_batch_is_stack_of_points(case):
+    """At a pack of n points and (n, m, 3) directions, every field has shape
+    (n, m) (vectors (n, m, 3)) and row k is the one-point call at that point."""
+    pk = _zoo_batch(case, 5, seed=12)
+    X = np.random.default_rng(13).standard_normal((5, 7, 3))
+    batch = dict(_leaves(obstruction_values(pk, X)))
+    assert batch["D1"].shape == batch["frame.isotropic"].shape == (5, 7)
+    assert batch["frame.w1"].shape == (5, 7, 3)
+    for k in range(5):
+        for name, want in _leaves(obstruction_values(pk.row(k), X[k])):
+            got = batch[name][k]
+            assert np.shape(got) == np.shape(want), name
+            if name == "frame.isotropic":
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (name, k)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES[:-1])
+def test_detector_of_a_permuted_pack_is_permuted_bitwise(case):
+    """Given the same per-point data in another order, every detector field
+    comes out in that order, bit for bit: a point's values do not depend on
+    where it sits in the batch."""
+    pk = _zoo_batch(case, 13, seed=14)
+    X = np.random.default_rng(15).standard_normal((13, 6, 3))
+    perm = np.random.default_rng(16).permutation(13)
+    pk_perm = CurvaturePack(**{f.name: getattr(pk, f.name)[perm] for f in fields(pk)})
+    want = dict(_leaves(obstruction_values(pk, X)))
+    for name, got in _leaves(obstruction_values(pk_perm, X[perm])):
+        assert np.array_equal(got, want[name][perm]), name
+
+
+def test_rank1_checks_at_a_batch_of_shifts():
+    """The centre and its six shifts come from one batched pack; div e3 and
+    the Lie derivative agree with those of one-point packs."""
+    spec = metrics.builtin("sol")
+    p = np.array([0.1, 0.2, 0.3])
+    rep = rank1_checks(spec, p)
+
+    def e3_at(q, reference=None):
+        rr = ricci_rank(pack_at(spec, tuple(q)))
+        e = rr.eigenframe[:, int(np.argmax(np.abs(rr.eigenvalues)))]
+        return e if reference is None or e @ reference >= 0 else -e
+
+    step = 1e-4
+    e3 = e3_at(p)
+    de3 = np.array([(e3_at(p + step * e, e3) - e3_at(p - step * e, e3)) / (2 * step) for e in np.eye(3)])
+    pk = pack_at(spec, tuple(p))
+    div = float(np.trace(de3 + np.einsum("kim,m->ik", pk.gamma, e3)))
+    assert rep.flagged
+    assert abs(rep.div_e3 - div) <= 1e-9
+    assert abs(rep.lie_e3_scal - float(e3 @ pk.dscal)) <= 1e-12

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from riccati3 import metrics
+from riccati3 import metrics, riccati
 from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.riccati import (
     MAX_STEPS,
@@ -116,6 +116,23 @@ def test_jacobi_along_matches_pack_at_every_sample():
         m12 = 0.5 * float(w1 @ gJ @ w2 + w2 @ gJ @ w1)
         want = np.array([[w1 @ gJ @ w1, m12], [m12, w2 @ gJ @ w2]])
         assert np.max(np.abs(Js[k] - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name", ["sol", "sphere"])
+def test_jacobi_along_does_not_depend_on_curvature_strides(name, monkeypatch):
+    """Fortran-ordered copies of g and R, with the same values, give a
+    bitwise-equal J(t): the contraction's summation order is fixed by the
+    shapes, not by the memory layout of the kernel's output."""
+    spec = metrics.builtin(name)
+    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.3, 1e-2)
+    want = jacobi_along(spec, path)
+
+    def fortran_ordered(spec, p):
+        g, ginv, R = curvature_r_only(spec, p)
+        return np.asfortranarray(g), ginv, np.asfortranarray(R)
+
+    monkeypatch.setattr(riccati, "curvature_r_only", fortran_ordered)
+    assert np.array_equal(jacobi_along(spec, path), want)
 
 
 def test_riccati_flat_zero():
