@@ -141,6 +141,8 @@ def cmd_analyze(args):
     n_dirs = args.dirs if args.dirs is not None else int(cfg.get("dirs", 64))
     if n_points < 1 or n_dirs < 1:
         raise UsageError(f"-n/--points and -m/--dirs must be at least 1, got {n_points}, {n_dirs}")
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
 
     spec = metrics.resolve(args.metric, _parse_params(args.param))
     rng = np.random.default_rng(seed)
@@ -285,6 +287,9 @@ def cmd_classify(args):
     return 0 if verdict.branch != "Infeasible" or args.allow_infeasible else 1
 
 
+# frames per batched identity check in the frame-algebra sweeps: bounds the
+# memory of the per-frame arrays at large --count
+FRAME_BLOCK = 256
 # worst-residual limits of the frame-algebra sweeps, shared by frame-check and selftest
 FRAME_LIMITS = {
     "b1_factor_worst": 1e-10,
@@ -296,21 +301,25 @@ FRAME_LIMITS = {
 
 def _frame_algebra_checks(seed, count):
     """Frame-algebra sweeps over ``count`` frames seeded seed, seed+1, ...:
-    worst residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks."""
-    b1_factor_worst = 0.0
-    for k in range(count):
-        fd = fa.consistent_frame(seed + k, "free")
-        for case in fa.CASES:
-            b1_factor_worst = max(b1_factor_worst, fa.special_direction_polys(fd, case).b1_factor_residual())
-    cross_worst = 0.0
-    roots_worst = 0.0
-    bianchi_worst = 0.0
-    for k in range(count):
-        fd = fa.consistent_frame(seed + k, "consistent")
-        r13, r23 = fa.a1_crosscheck(fd)
-        cross_worst = max(cross_worst, r13, r23)
-        roots_worst = max(roots_worst, max(abs(v) for v in fa.root_identities(fd).values()))
-        bianchi_worst = max(bianchi_worst, float(np.max(np.abs(fa.bianchi_frame_residuals(fd)))))
+    worst residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks.
+
+    Each identity runs once per block of up to FRAME_BLOCK frames; the free
+    and the consistent frames of a seed come from one draw."""
+    worst = dict.fromkeys(FRAME_LIMITS, 0.0)
+    for start in range(seed, seed + count, FRAME_BLOCK):
+        free = fa.consistent_frame(range(start, min(start + FRAME_BLOCK, seed + count)), "free")
+        cons = fa.consistent_from_free(free)
+        r13, r23 = fa.a1_crosscheck(cons)
+        block = {
+            "b1_factor_worst": max(
+                np.max(fa.special_direction_polys(free, case).b1_factor_residual()) for case in fa.CASES
+            ),
+            "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
+            "root_identities_worst": max(np.max(np.abs(v)) for v in fa.root_identities(cons).values()),
+            "bianchi_worst": np.max(np.abs(fa.bianchi_frame_residuals(cons))),
+        }
+        for key, value in block.items():
+            worst[key] = max(worst[key], float(value))
     tables_ok = True
     eds_ok = True
     for which in ("eds1", "eds2"):
@@ -323,10 +332,7 @@ def _frame_algebra_checks(seed, count):
                 )
                 eds_ok = eds_ok and fa.eds_closure(which, -1.0, (e1, e2)).contradiction
     return {
-        "b1_factor_worst": b1_factor_worst,
-        "a1_crosscheck_worst": cross_worst,
-        "root_identities_worst": roots_worst,
-        "bianchi_worst": bianchi_worst,
+        **worst,
         "rigid_tables_ok": tables_ok,
         "eds_contradictions_ok": eds_ok,
     }
@@ -335,6 +341,8 @@ def _frame_algebra_checks(seed, count):
 def cmd_frame_check(args):
     seed = args.seed if args.seed is not None else 0
     count = args.count
+    if seed < 0 or count < 0:
+        raise UsageError(f"--seed and --count must be at least 0, got {seed}, {count}")
     checks = _frame_algebra_checks(seed, count)
     certs = fa.contradiction_certificates()
     report = {

@@ -18,6 +18,13 @@ The bundle polynomials a, c, d1, a1, b1 are produced from general expansions
 (a1 via A1 = L_X A - ric(X, nabla_X X), b1 via the projected derived-Jacobi
 formula), and the factorization b1 = -(t^2+1) c with c one of the pij
 polynomials holds identically and doubles as a cross-check of the expansion code.
+
+Frames may carry a leading batch axis: at n frames lambda2 and lambda3 are
+(n,) arrays, the derivative table is (n, 3, 2), the connection coefficients
+are (n, 3, 3, 3) and a polynomial is an (n, deg+1) array of fixed length.
+The polynomial and identity functions broadcast over that axis, and each row
+is bitwise the value the same function gives at that one frame; at one frame
+they return floats and trimmed coefficient arrays.
 """
 
 from __future__ import annotations
@@ -33,70 +40,114 @@ R_SILVER = 3.0 - 2.0 * math.sqrt(2.0)  # unique eigenvalue ratio of the rigid fr
 CASES = ("a1", "a2", "a3")
 
 
+def _value(x):
+    """A float at one frame, the (n,) array of a batch."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _stack(*cols):
+    """Values stacked along a new last axis; each is a float or an array of the batch's shape."""
+    out = np.empty(max(map(np.shape, cols), key=len) + (len(cols),))
+    for k, c in enumerate(cols):
+        out[..., k] = c
+    return out
+
+
 @dataclass
 class FrameData:
-    lambda2: float
-    lambda3: float
-    dlam: np.ndarray  # (3,2): dlam[i,0] = L_{e_{i+1}} lambda2, dlam[i,1] = ... lambda3
-    gamma: np.ndarray  # (3,3,3), gamma[i,j,k] = g(nabla_{e_i} e_j, e_k), antisym in (j,k)
+    lambda2: float | np.ndarray  # a float, or (n,) at a batch of n frames
+    lambda3: float | np.ndarray
+    dlam: np.ndarray  # (..., 3, 2): dlam[i,0] = L_{e_{i+1}} lambda2, dlam[i,1] = ... lambda3
+    gamma: np.ndarray  # (..., 3, 3, 3), gamma[i,j,k] = g(nabla_{e_i} e_j, e_k), antisym in (j,k)
     mode: str = "free"  # "free" or "consistent"
     d2: dict = field(default_factory=dict)  # optional per-case second-order data
 
-    def G(self, i, j, k) -> float:
+    def G(self, i, j, k):
         """1-based connection coefficient g(nabla_{e_i} e_j, e_k)."""
-        return float(self.gamma[i - 1, j - 1, k - 1])
+        return _value(self.gamma[..., i - 1, j - 1, k - 1])
 
-    def L(self, i, j) -> float:
+    def L(self, i, j):
         """1-based eigenvalue derivative L_{e_i} lambda_j (j in {2,3})."""
-        return float(self.dlam[i - 1, j - 2])
+        return _value(self.dlam[..., i - 1, j - 2])
 
 
 GAMMA_KEYS = [(i, j, k) for i in (1, 2, 3) for (j, k) in ((1, 2), (1, 3), (2, 3))]
+_GI, _GJ, _GK = (np.array(ax) - 1 for ax in zip(*GAMMA_KEYS))
 
 
 def _gamma_from_nine(vals):
-    g = np.zeros((3, 3, 3))
-    for (i, j, k), v in zip(GAMMA_KEYS, vals):
-        g[i - 1, j - 1, k - 1] = v
-        g[i - 1, k - 1, j - 1] = -v
+    """The antisymmetric table from the nine coefficients of GAMMA_KEYS (last axis)."""
+    vals = np.asarray(vals, dtype=float)
+    g = np.zeros(vals.shape[:-1] + (3, 3, 3))
+    g[..., _GI, _GJ, _GK] = vals
+    g[..., _GI, _GK, _GJ] = -vals
     return g
 
 
-def consistent_frame(seed: int, mode: str = "consistent") -> FrameData:
-    """Random FrameData; in mode consistent the five linear relations between
-    the derivative table and the connection coefficients hold exactly.
+_DRAW_LO = np.array([2.0, 0.2] + [-1.0] * 15)
+_DRAW_HI = np.array([4.0, 1.5] + [1.0] * 15)
+
+
+def _free_frames(seeds) -> FrameData:
+    """The free frames of a sequence of seeds, one generator per seed.
+
+    Each generator draws -lambda2 in [2, 4), -lambda3 in [0.2, 1.5), then the
+    nine connection coefficients and the derivative table in [-1, 1).  A draw
+    in [lo, hi) is lo + (hi - lo) u for the generator's next double u, as
+    ``Generator.uniform`` makes it.
     """
-    if mode not in ("free", "consistent"):
-        raise ValueError(f"unknown mode '{mode}'")
-    rng = np.random.default_rng(seed)
-    l2 = -float(rng.uniform(2.0, 4.0))
-    l3 = -float(rng.uniform(0.2, 1.5))
-    gamma = _gamma_from_nine(rng.uniform(-1.0, 1.0, size=9))
-    fd = FrameData(l2, l3, np.zeros((3, 2)), gamma, mode)
-    if mode == "free":
-        fd.dlam = rng.uniform(-1.0, 1.0, size=(3, 2))
-        return fd
+    u = np.array([np.random.default_rng(seed).random(17) for seed in seeds]).reshape(-1, 17)
+    draws = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * u
+    gamma = _gamma_from_nine(draws[:, 2:11])
+    return FrameData(-draws[:, 0], -draws[:, 1], draws[:, 11:].reshape(-1, 3, 2), gamma, "free")
+
+
+def consistent_from_free(fd: FrameData) -> FrameData:
+    """The consistent frame with fd's eigenvalues and connection coefficients.
+
+    Its derivative table solves the five linear relations exactly, with
+    L_{e3} lambda2 taken from fd's first entry L_{e1} lambda2, so the free and
+    the consistent frame of a seed share one draw.
+    """
+    l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
     l3l2 = l3 - l2
     L2l2 = 2.0 * l2 * l3 / (l2 - l3) * G(1, 1, 2)
     L1l2 = -2.0 * l2 * G(2, 2, 1)
-    L3l2 = float(rng.uniform(-1.0, 1.0))
+    L3l2 = fd.L(1, 2)
     L1l3 = 2.0 * l2 * G(2, 2, 1) + 2.0 * l3 * G(3, 3, 1) - L1l2
     L2l3 = L2l2 + 2.0 * l3l2 * G(3, 3, 2) - 2.0 * l2 * G(1, 1, 2)
     L3l3 = L3l2 + 2.0 * l3l2 * G(2, 2, 3) + 2.0 * l3 * G(1, 1, 3)
-    fd.dlam = np.array([[L1l2, L1l3], [L2l2, L2l3], [L3l2, L3l3]])
+    dlam = np.stack([_stack(L1l2, L1l3), _stack(L2l2, L2l3), _stack(L3l2, L3l3)], axis=-2)
+    return FrameData(l2, l3, dlam, fd.gamma, "consistent")
+
+
+def consistent_frame(seed, mode: str = "consistent") -> FrameData:
+    """Random FrameData; in mode consistent the five linear relations between
+    the derivative table and the connection coefficients hold exactly.
+
+    A sequence of seeds gives one batch whose rows are the one-seed frames.
+    """
+    if mode not in ("free", "consistent"):
+        raise ValueError(f"unknown mode '{mode}'")
+    one = np.ndim(seed) == 0
+    fd = _free_frames([seed] if one else seed)
+    if mode == "consistent":
+        fd = consistent_from_free(fd)
+    if one:
+        return FrameData(float(fd.lambda2[0]), float(fd.lambda3[0]), fd.dlam[0], fd.gamma[0], mode)
     return fd
 
 
 def bianchi_frame_residuals(fd: FrameData) -> np.ndarray:
-    """Left minus right of the three frame Bianchi equations."""
+    """Left minus right of the three frame Bianchi equations (last axis)."""
     l2, l3 = fd.lambda2, fd.lambda3
     G, L = fd.G, fd.L
     d = l3 - l2
     r1 = 0.5 * (L(1, 2) + L(1, 3)) - (l2 * G(2, 2, 1) + l3 * G(3, 3, 1))
     r2 = 0.5 * (L(2, 3) - L(2, 2)) - (d * G(3, 3, 2) - l2 * G(1, 1, 2))
     r3 = 0.5 * (L(3, 3) - L(3, 2)) - (d * G(2, 2, 3) + l3 * G(1, 1, 3))
-    return np.array([r1, r2, r3])
+    return _stack(r1, r2, r3)
 
 
 def ric111_residual(fd: FrameData) -> float:
@@ -110,9 +161,9 @@ def p_polys(fd: FrameData):
     """The three connection-coefficient polynomials (ascending coefficients)."""
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
-    p12 = np.array([l3 * G(2, 1, 3), (l2 - l3) * G(2, 2, 3) + l3 * G(1, 1, 3), (l2 - l3) * G(1, 2, 3)])
-    p13 = np.array([l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), (l2 - l3) * G(1, 2, 3)])
-    p23 = np.array([-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1)])
+    p12 = _stack(l3 * G(2, 1, 3), (l2 - l3) * G(2, 2, 3) + l3 * G(1, 1, 3), (l2 - l3) * G(1, 2, 3))
+    p13 = _stack(l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), (l2 - l3) * G(1, 2, 3))
+    p23 = _stack(-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1))
     return p12, p13, p23
 
 
@@ -126,18 +177,46 @@ def _trim(c):
 
 
 def _pmul(a, b):
-    """The product of two polynomials (ascending coefficients), trimmed."""
-    return _trim(np.convolve(_trim(a), _trim(b)))
+    """The product of two polynomials, coefficients ascending along the last axis.
+
+    Each coefficient sums its terms as ``numpy.convolve`` does, so a product
+    is bitwise the same at one frame and in a batch: the longer factor comes
+    first, the coefficients where it overlaps all of the shorter one are
+    left-to-right sums, and the others go through the BLAS dot product that
+    ``numpy.convolve`` and ``np.vecdot`` share.  At one frame (both factors
+    1-D) the factors and the product are trimmed.
+    """
+    one = a.ndim == b.ndim == 1
+    if one:
+        a, b = _trim(a), _trim(b)
+    if b.shape[-1] > a.shape[-1]:
+        a, b = b, a
+    n, m = a.shape[-1], b.shape[-1]
+    out = np.empty(max(a.shape[:-1], b.shape[:-1], key=len) + (n + m - 1,))
+    rev = np.ascontiguousarray(b[..., ::-1])  # rev[..., m-1-i] = b[..., i]
+    for k in range(n + m - 1):
+        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1  # terms a[j] b[k-j], j in [lo, hi)
+        if m - 1 <= k < n:
+            s = 0.0
+            for j in range(lo, hi):
+                s = s + a[..., j] * b[..., k - j]
+            out[..., k] = s
+        else:
+            out[..., k] = np.vecdot(a[..., lo:hi], rev[..., m - 1 - k + lo : m - 1 - k + hi])
+    return _trim(out) if one else out
 
 
 def _padd(a, b):
-    """The sum of two polynomials, the shorter one padded with zeros, trimmed."""
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
+    """The sum of two polynomials, the shorter one padded with zeros; trimmed
+    at one frame."""
+    one = a.ndim == b.ndim == 1
+    if one:
+        a, b = _trim(a), _trim(b)
+    if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     out = a.copy()
-    out[: len(b)] += b
-    return _trim(out)
+    out[..., : b.shape[-1]] += b
+    return _trim(out) if one else out
 
 
 @dataclass
@@ -149,10 +228,10 @@ class PolyBundle:
     a1: np.ndarray
     b1: np.ndarray
 
-    def b1_factor_residual(self) -> float:
+    def b1_factor_residual(self):
         """Coefficient-wise residual of b1 + (t^2 + 1) c."""
         lhs = _padd(self.b1, _pmul(np.array([1.0, 0.0, 1.0]), self.c))
-        return float(np.max(np.abs(lhs))) if len(lhs) else 0.0
+        return _value(np.max(np.abs(lhs), axis=-1))
 
 
 _CASE_FRAME = {"a1": (1, 2, 3), "a2": (1, 3, 2), "a3": (2, 3, 1)}
@@ -169,63 +248,55 @@ def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
     i, j, w = _CASE_FRAME[case]
 
     if case == "a1":
-        a = np.array([l3 / 2.0, 0.0, (l3 - l2) / 2.0])
+        a = _stack(l3 / 2.0, 0.0, (l3 - l2) / 2.0)
         c = p12
         if fd.mode == "consistent":
-            d1 = (4.0 * l2 / (l2 - l3)) * G(1, 1, 2) * a
+            d1 = np.asarray((4.0 * l2 / (l2 - l3)) * G(1, 1, 2))[..., None] * a
         else:
-            d1 = np.array([L(2, 2), 2.0 * l2 * G(2, 2, 1) + L(1, 2), -2.0 * l2 * G(1, 1, 2)])
-        a1 = np.array(
-            [
-                0.5 * L(2, 3),
-                0.5 * L(1, 3) + l2 * G(2, 2, 1),
-                0.5 * (L(2, 3) - L(2, 2)) - l2 * G(1, 1, 2),
-                0.5 * (L(1, 3) - L(1, 2)),
-            ]
+            d1 = _stack(L(2, 2), 2.0 * l2 * G(2, 2, 1) + L(1, 2), -2.0 * l2 * G(1, 1, 2))
+        a1 = _stack(
+            0.5 * L(2, 3),
+            0.5 * L(1, 3) + l2 * G(2, 2, 1),
+            0.5 * (L(2, 3) - L(2, 2)) - l2 * G(1, 1, 2),
+            0.5 * (L(1, 3) - L(1, 2)),
         )
     elif case == "a2":
-        a = np.array([l2 / 2.0, 0.0, (l2 - l3) / 2.0])
+        a = _stack(l2 / 2.0, 0.0, (l2 - l3) / 2.0)
         c = p13
-        d1 = np.array([L(3, 3), L(1, 3) + 2.0 * l3 * G(3, 3, 1), -2.0 * l3 * G(1, 1, 3)])
-        a1 = np.array(
-            [
-                0.5 * L(3, 2),
-                0.5 * L(1, 2) + l3 * G(3, 3, 1),
-                0.5 * (L(3, 2) - L(3, 3)) - l3 * G(1, 1, 3),
-                0.5 * (L(1, 2) - L(1, 3)),
-            ]
+        d1 = _stack(L(3, 3), L(1, 3) + 2.0 * l3 * G(3, 3, 1), -2.0 * l3 * G(1, 1, 3))
+        a1 = _stack(
+            0.5 * L(3, 2),
+            0.5 * L(1, 2) + l3 * G(3, 3, 1),
+            0.5 * (L(3, 2) - L(3, 3)) - l3 * G(1, 1, 3),
+            0.5 * (L(1, 2) - L(1, 3)),
         )
     else:
-        a = np.array([-l2 / 2.0, 0.0, -l3 / 2.0])
+        a = _stack(-l2 / 2.0, 0.0, -l3 / 2.0)
         c = p23
         if fd.mode == "consistent":
             t3 = 2.0 * l2 * l3 / (l2 - l3) * G(1, 1, 2)
         else:
             t3 = L(2, 2)
-        d1 = np.array(
-            [
-                L(3, 3),
-                L(2, 3) - 2.0 * (l2 - l3) * G(3, 3, 2),
-                L(3, 2) - 2.0 * (l3 - l2) * G(2, 2, 3),
-                t3,
-            ]
+        d1 = _stack(
+            L(3, 3),
+            L(2, 3) - 2.0 * (l2 - l3) * G(3, 3, 2),
+            L(3, 2) - 2.0 * (l3 - l2) * G(2, 2, 3),
+            t3,
         )
-        a1 = np.array(
-            [
-                -0.5 * L(3, 2),
-                -0.5 * L(2, 2) - (l2 - l3) * G(3, 3, 2),
-                -0.5 * L(3, 3) - (l3 - l2) * G(2, 2, 3),
-                -0.5 * L(2, 3),
-            ]
+        a1 = _stack(
+            -0.5 * L(3, 2),
+            -0.5 * L(2, 2) - (l2 - l3) * G(3, 3, 2),
+            -0.5 * L(3, 3) - (l3 - l2) * G(2, 2, 3),
+            -0.5 * L(2, 3),
         )
 
     # general derived-Jacobi off-diagonal: b1 = 2a * g(nabla_X e_w, e_i - t e_j)
     #                                         + g(nabla_X X, e_w) * ric(X, e_i - t e_j)
-    s1 = np.array([G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j)])
-    s2 = np.array([G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w)])
-    ric_x = np.array([0.0, lam[i] - lam[j]])
+    s1 = _stack(G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
+    s2 = _stack(G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
+    ric_x = _stack(0.0, lam[i] - lam[j])
     b1 = _padd(_pmul(2.0 * a, s1), _pmul(s2, ric_x))
-    b1 = np.concatenate([b1, np.zeros(5 - len(b1))])[:5]
+    b1 = np.concatenate([b1, np.zeros(b1.shape[:-1] + (5 - b1.shape[-1],))], axis=-1)
     return PolyBundle(case, a, c, d1, a1, b1)
 
 
@@ -236,37 +307,36 @@ def a1_crosscheck(fd: FrameData):
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
     p12, p13, p23 = p_polys(fd)
-    p12p, p13p, p23p = p12[1], p13[1], p23[1]
+    p12p, p13p, p23p = p12[..., 1], p13[..., 1], p23[..., 1]
     d113_0 = fd.L(3, 3)
     D2c = -2.0 * l3 * G(1, 1, 3)  # t^2 coefficient of d1^13
 
-    a13_closed = np.array(
-        [
-            p12p - 2.0 * l3 * G(1, 1, 3) + 0.5 * d113_0,
-            p23p,
-            p12p - 3.0 * l3 * G(1, 1, 3),
-            3.0 * p23p - 4.0 * l3 * G(3, 3, 1),
-        ]
+    a13_closed = _stack(
+        p12p - 2.0 * l3 * G(1, 1, 3) + 0.5 * d113_0,
+        p23p,
+        p12p - 3.0 * l3 * G(1, 1, 3),
+        3.0 * p23p - 4.0 * l3 * G(3, 3, 1),
     )
     c3 = l2 * (3.0 * l3 - 2.0 * l2) / (l2 - l3) * G(1, 1, 2) + p13p
     c2 = 0.5 * d113_0 - 0.5 * D2c - p12p
     c1 = l2 * l2 / (l2 - l3) * G(1, 1, 2) - p13p
     c0 = 0.5 * d113_0 + D2c + p12p
-    a23_closed = -np.array([c0, c1, c2, c3])
+    a23_closed = -_stack(c0, c1, c2, c3)
 
     gen13 = special_direction_polys(fd, "a2").a1
     gen23 = special_direction_polys(fd, "a3").a1
-    res13 = float(np.max(np.abs(gen13 - a13_closed)))
-    res23 = float(np.max(np.abs(gen23 - a23_closed)))
-    return res13, res23
+    res13 = np.max(np.abs(gen13 - a13_closed), axis=-1)
+    res23 = np.max(np.abs(gen23 - a23_closed), axis=-1)
+    return _value(res13), _value(res23)
 
 
-def _eval_at_imag(coeffs, kappa: float):
+def _eval_at_imag(coeffs, kappa):
     """(Re, Im) of the polynomial at i*kappa by alternating coefficient sums."""
     re = 0.0
     im = 0.0
     power = 1.0  # kappa^k
-    for k, ck in enumerate(coeffs):
+    for k in range(coeffs.shape[-1]):
+        ck = coeffs[..., k]
         if k % 2 == 0:
             re += ck * power * (-1.0) ** (k // 2)
         else:
@@ -280,7 +350,7 @@ def root_identities(fd: FrameData) -> dict:
     roots; all six vanish on consistent-consistent data with lambda2 < lambda3.
     """
     l2, l3 = fd.lambda2, fd.lambda3
-    if not (l2 < l3 < 0):
+    if not np.all((l2 < l3) & (l3 < 0)):
         raise ValueError("need lambda2 < lambda3 < 0 for the root arguments")
     G = fd.G
     p12, p13, p23 = p_polys(fd)
@@ -289,38 +359,38 @@ def root_identities(fd: FrameData) -> dict:
     d113, a113 = b_a2.d1, b_a2.a1
     d123, a123 = b_a3.d1, b_a3.a1
 
-    kappa = math.sqrt(l2 / l3)
-    mu = math.sqrt(l2 / (l2 - l3))
-    nu = math.sqrt((l2 + 2.0 * l3) / (l2 - l3))
-    D2c = d113[2]
+    kappa = np.sqrt(l2 / l3)
+    mu = np.sqrt(l2 / (l2 - l3))
+    nu = np.sqrt((l2 + 2.0 * l3) / (l2 - l3))
+    D2c = d113[..., 2]
 
     re_d123, im_d123 = _eval_at_imag(d123, kappa)
     res_re = re_d123 - (
-        (l3 - l2) / l3 * (d113[0] + 3.0 * l2 / (l2 - l3) * D2c) - 4.0 * l2 / l3 * p12[1]
+        (l3 - l2) / l3 * (d113[..., 0] + 3.0 * l2 / (l2 - l3) * D2c) - 4.0 * l2 / l3 * p12[..., 1]
     )
-    res_im = im_d123 - 4.0 * (p13[1] - 2.0 * l2 * G(1, 1, 2)) * kappa
+    res_im = im_d123 - 4.0 * (p13[..., 1] - 2.0 * l2 * G(1, 1, 2)) * kappa
 
     re_a113, im_a113 = _eval_at_imag(a113, mu)
     res_re2 = 2.0 * re_a113 - (
-        2.0 * l3 / (l3 - l2) * p12[1] - (l2 + 2.0 * l3) / (l2 - l3) * D2c + d113[0]
+        2.0 * l3 / (l3 - l2) * p12[..., 1] - (l2 + 2.0 * l3) / (l2 - l3) * D2c + d113[..., 0]
     )
 
     re_a123, im_a123 = _eval_at_imag(a123, kappa)
     re_d113_nu, _ = _eval_at_imag(d113, nu)
-    res_re3 = re_a123 - ((l2 - l3) / (2.0 * l3) * re_d113_nu - (l2 + l3) / l3 * p12[1])
-    res_im3 = -math.sqrt(l3 / l2) * im_a123 - (
-        2.0 * l2 * l2 / l3 * G(1, 1, 2) - (l2 + l3) / l3 * p13[1]
+    res_re3 = re_a123 - ((l2 - l3) / (2.0 * l3) * re_d113_nu - (l2 + l3) / l3 * p12[..., 1])
+    res_im3 = -np.sqrt(l3 / l2) * im_a123 - (
+        2.0 * l2 * l2 / l3 * G(1, 1, 2) - (l2 + l3) / l3 * p13[..., 1]
     )
 
-    res_im1 = im_a113 + mu / (l2 - l3) * ((2.0 * l2 + l3) * p23[1] - 4.0 * l2 * l3 * G(3, 3, 1))
+    res_im1 = im_a113 + mu / (l2 - l3) * ((2.0 * l2 + l3) * p23[..., 1] - 4.0 * l2 * l3 * G(3, 3, 1))
 
     return {
-        "re_d123": float(res_re),
-        "im_d123": float(res_im),
-        "re2_a113": float(res_re2),
-        "re3_a123": float(res_re3),
-        "im3_a123": float(res_im3),
-        "im1_a113": float(res_im1),
+        "re_d123": _value(res_re),
+        "im_d123": _value(res_im),
+        "re2_a113": _value(res_re2),
+        "re3_a123": _value(res_re3),
+        "im3_a123": _value(res_im3),
+        "im1_a113": _value(res_im1),
     }
 
 

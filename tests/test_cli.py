@@ -263,6 +263,30 @@ def test_analyze_bad_input_exits_2(argv, words):
 @pytest.mark.parametrize(
     "argv,words",
     [
+        (("analyze", "flat", "--seed", "-1"), "--seed"),
+        (("analyze", "flat", "--config", "{config}"), "--seed"),
+        (("frame-check", "--seed", "-1"), "--seed"),
+        (("frame-check", "--count", "-3"), "--count"),
+    ],
+)
+def test_negative_seed_or_count_exits_2(tmp_path, argv, words):
+    config = tmp_path / "neg.cfg"
+    config.write_text("seed = -5\n")
+    line = run_bad([a.format(config=config) for a in argv])
+    assert words in line and "at least 0" in line
+
+
+def test_frame_check_count_zero(capsys):
+    code, out = run(capsys, "frame-check", "--count", "0", "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["frames"] == 0
+    for key in ("b1_factor_worst", "a1_crosscheck_worst", "root_identities_worst", "bianchi_worst"):
+        assert rep[key] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
         (("analyze", "{missing}.json"), "nosuch.json"),
         (("analyze", "{truncated}"), "line 1"),
         (("classify", "{missing}.json"), "nosuch.json"),

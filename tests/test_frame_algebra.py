@@ -4,19 +4,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riccati3 import cli
 from riccati3.frame_algebra import (
     CASES,
+    GAMMA_KEYS,
     R_SILVER,
     FrameData,
+    _eval_at_imag,
+    _pmul,
     a1_crosscheck,
     bianchi_frame_residuals,
     consistent_frame,
+    consistent_from_free,
     constraint_instance,
     contradiction_certificates,
     eds_closure,
     frame_from_text,
     frame_to_text,
     isolate_roots,
+    p_polys,
     rigid_frame,
     ric111_residual,
     root_identities,
@@ -289,3 +295,118 @@ def test_constraint_instance_coupling():
         inst = polyclass.instance_from_dict(data)
         verdict, _ = polyclass.classify(inst)
         assert verdict.branch in ("Infeasible", "CZero")  # random d2 has no reason to solve it
+
+
+# --- frame batches ------------------------------------------------------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _batched_values(fd):
+    """Every batched function's values at fd, as (name, array) pairs whose
+    leading axis is the frame axis at a batch."""
+    out = [
+        ("lambda2", fd.lambda2),
+        ("lambda3", fd.lambda3),
+        ("dlam", fd.dlam),
+        ("gamma", fd.gamma),
+        ("bianchi", bianchi_frame_residuals(fd)),
+        ("a1_crosscheck", np.stack(np.broadcast_arrays(*a1_crosscheck(fd)), axis=-1)),
+    ]
+    out += [(f"p{k}", p) for k, p in enumerate(p_polys(fd))]
+    for case in CASES:
+        b = special_direction_polys(fd, case)
+        out += [(f"{case}.{name}", getattr(b, name)) for name in ("a", "c", "d1", "a1", "b1")]
+        out.append((f"{case}.b1_factor_residual", b.b1_factor_residual()))
+        re, im = _eval_at_imag(b.a1, np.sqrt(fd.lambda2 / fd.lambda3))
+        out += [(f"{case}.a1_at_imag_re", re), (f"{case}.a1_at_imag_im", im)]
+    out += [(f"roots.{k}", v) for k, v in root_identities(fd).items()]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["free", "consistent"])
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_batch_rows_are_the_one_frame_values(mode, size):
+    seeds = [3 * k + 11 for k in range(size)]
+    batch = _batched_values(consistent_frame(seeds, mode))
+    for k, seed in enumerate(seeds):
+        one = consistent_frame(seed, mode)
+        assert isinstance(one.lambda2, float) and isinstance(one.G(1, 1, 2), float)
+        for (name, rows), (name1, value) in zip(batch, _batched_values(one)):
+            assert name == name1
+            assert _bits(rows[k]) == _bits(value), (mode, size, seed, name)
+
+
+def test_batch_permuted_seeds_permute_rows():
+    seeds = np.array([5, 17, 2, 40, 9, 23])
+    perm = np.random.default_rng(1).permutation(len(seeds))
+    for mode in ("free", "consistent"):
+        base = _batched_values(consistent_frame(seeds, mode))
+        permuted = _batched_values(consistent_frame(seeds[perm], mode))
+        for (name, rows), (_, prows) in zip(base, permuted):
+            assert _bits(np.asarray(rows)[perm]) == _bits(prows), (mode, name)
+
+
+def test_free_and_consistent_frames_share_one_draw():
+    for seed in (0, 3, 7, 123, 99999):
+        free = consistent_frame(seed, "free")
+        cons = consistent_frame(seed, "consistent")
+        assert cons.dlam[2, 0] == free.dlam[0, 0]
+        assert _bits(cons.gamma) == _bits(free.gamma)
+        assert (cons.lambda2, cons.lambda3) == (free.lambda2, free.lambda3)
+        assert _bits(consistent_from_free(free).dlam) == _bits(cons.dlam)
+        # the free frame is the generator's uniform draws, in order
+        rng = np.random.default_rng(seed)
+        assert free.lambda2 == -rng.uniform(2.0, 4.0)
+        assert free.lambda3 == -rng.uniform(0.2, 1.5)
+        nine = rng.uniform(-1.0, 1.0, size=9)
+        assert [free.G(i, j, k) for (i, j, k) in GAMMA_KEYS] == list(nine)
+        assert _bits(free.dlam) == _bits(rng.uniform(-1.0, 1.0, size=(3, 2)))
+
+
+def test_pmul_sums_as_numpy_convolve():
+    """The product helper is bitwise numpy.convolve, at one frame and in a batch."""
+    rng = np.random.default_rng(5)
+    for na in range(1, 7):
+        for nb in range(1, 7):
+            a = rng.standard_normal((40, na)) * 10.0 ** rng.integers(-6, 7, (40, na))
+            b = rng.standard_normal((40, nb)) * 10.0 ** rng.integers(-6, 7, (40, nb))
+            a[:, -1] = np.where(np.abs(a[:, -1]) < 1e-6, 1.0, a[:, -1])  # no trailing zero to trim
+            b[:, -1] = np.where(np.abs(b[:, -1]) < 1e-6, 1.0, b[:, -1])
+            want = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+            assert _bits(_pmul(a, b)) == _bits(want), (na, nb)
+            for x, y, w in zip(a, b, want):
+                assert _bits(_pmul(x, y)) == _bits(w), (na, nb)
+
+
+def _one_frame_sweep(seed, count):
+    """The frame-algebra worst residuals computed one frame at a time."""
+    b1 = cross = roots = bianchi = 0.0
+    for k in range(count):
+        fd = consistent_frame(seed + k, "free")
+        for case in CASES:
+            b1 = max(b1, special_direction_polys(fd, case).b1_factor_residual())
+        fd = consistent_frame(seed + k, "consistent")
+        cross = max(cross, *a1_crosscheck(fd))
+        roots = max(roots, max(abs(v) for v in root_identities(fd).values()))
+        bianchi = max(bianchi, float(np.max(np.abs(bianchi_frame_residuals(fd)))))
+    return {
+        "b1_factor_worst": b1,
+        "a1_crosscheck_worst": cross,
+        "root_identities_worst": roots,
+        "bianchi_worst": bianchi,
+    }
+
+
+@pytest.mark.parametrize("seed,count", [(0, 0), (4, 1), (9, 3), (2, cli.FRAME_BLOCK + 44)])
+def test_frame_sweep_blocks_match_the_one_frame_loop(seed, count):
+    checks = cli._frame_algebra_checks(seed, count)
+    want = _one_frame_sweep(seed, count)
+    for key, value in want.items():
+        assert isinstance(checks[key], float)
+        assert _bits(checks[key]) == _bits(value), (seed, count, key)
+    if count == 0:
+        assert all(checks[key] == 0.0 for key in want)
+    assert checks["rigid_tables_ok"] and checks["eds_contradictions_ok"]
