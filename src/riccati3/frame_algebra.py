@@ -94,7 +94,8 @@ def _free_frames(seeds) -> FrameData:
     Each generator draws -lambda2 in [2, 4), -lambda3 in [0.2, 1.5), then the
     nine connection coefficients and the derivative table in [-1, 1).  A draw
     in [lo, hi) is lo + (hi - lo) u for the generator's next double u, as
-    ``Generator.uniform`` makes it.
+    ``Generator.uniform`` makes it; ``uniform`` with array bounds would take
+    twice as long per seed.
     """
     u = np.array([np.random.default_rng(seed).random(17) for seed in seeds]).reshape(-1, 17)
     draws = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * u
@@ -183,8 +184,10 @@ def _pmul(a, b):
     is bitwise the same at one frame and in a batch: the longer factor comes
     first, the coefficients where it overlaps all of the shorter one are
     left-to-right sums, and the others go through the BLAS dot product that
-    ``numpy.convolve`` and ``np.vecdot`` share.  At one frame (both factors
-    1-D) the factors and the product are trimmed.
+    ``numpy.convolve`` and ``np.vecdot`` share.  ``numpy.convolve`` sums the
+    full-overlap coefficients left to right only while the shorter factor has
+    at most 11 coefficients, so longer factors are refused.  At one frame
+    (both factors 1-D) the factors and the product are trimmed.
     """
     one = a.ndim == b.ndim == 1
     if one:
@@ -192,6 +195,8 @@ def _pmul(a, b):
     if b.shape[-1] > a.shape[-1]:
         a, b = b, a
     n, m = a.shape[-1], b.shape[-1]
+    if m > 11:
+        raise ValueError("_pmul: the shorter factor has more than 11 coefficients")
     out = np.empty(max(a.shape[:-1], b.shape[:-1], key=len) + (n + m - 1,))
     rev = np.ascontiguousarray(b[..., ::-1])  # rev[..., m-1-i] = b[..., i]
     for k in range(n + m - 1):

@@ -379,6 +379,10 @@ def test_pmul_sums_as_numpy_convolve():
             assert _bits(_pmul(a, b)) == _bits(want), (na, nb)
             for x, y, w in zip(a, b, want):
                 assert _bits(_pmul(x, y)) == _bits(w), (na, nb)
+    a, b = rng.uniform(-1.0, 1.0, (2, 30))
+    assert _bits(_pmul(a, b[:11])) == _bits(np.convolve(a, b[:11]))
+    with pytest.raises(ValueError, match="more than 11"):
+        _pmul(a, b[:12])
 
 
 def _one_frame_sweep(seed, count):
