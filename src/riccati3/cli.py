@@ -19,7 +19,7 @@ import numpy as np
 
 from . import frame_algebra as fa
 from . import metrics, polyclass
-from .curvature import identity_residuals, pack_at, ricci_rank
+from .curvature import identity_residuals, jacobi_op, pack_at, ricci_rank
 from .exprjet import ExprError
 from .obstruction import (
     RankPrecondition,
@@ -164,11 +164,12 @@ def cmd_analyze(args):
         rel = np.abs(ov.residual) / ov.scale
         rels.append(rel.ravel())
         isotropic += int(np.count_nonzero(ov.frame.isotropic))
+        ranks = ricci_rank(pack)
         for k, p in enumerate(block):
             per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}})
             for key in ident:
                 ident[key] = max(ident[key], per_point[-1][key])
-            rr = ricci_rank(pack.row(k))
+            rr = ranks.row(k)
             per_point[-1]["rank"] = rr.rank
             hist[str(rr.rank)] += 1
             any_nonpositive = any_nonpositive and rr.ric_nonpositive
@@ -290,12 +291,13 @@ def cmd_classify(args):
 # frames per batched identity check in the frame-algebra sweeps: bounds the
 # memory of the per-frame arrays at large --count
 FRAME_BLOCK = 256
-# worst-residual limits of the frame-algebra sweeps, shared by frame-check and selftest
+# worst-residual limits of the frame-algebra sweeps, shared by frame-check and
+# selftest: report key -> (row name in ``_frame_algebra_rows``, limit)
 FRAME_LIMITS = {
-    "b1_factor_worst": 1e-10,
-    "a1_crosscheck_worst": 1e-9,
-    "root_identities_worst": 1e-9,
-    "bianchi_worst": 1e-12,
+    "b1_factor_worst": ("b1_factorization", 1e-10),
+    "a1_crosscheck_worst": ("a1_crosscheck", 1e-9),
+    "root_identities_worst": ("root_identities", 1e-9),
+    "bianchi_worst": ("frame_bianchi", 1e-12),
 }
 
 
@@ -338,6 +340,24 @@ def _frame_algebra_checks(seed, count):
     }
 
 
+def _frame_algebra_rows(checks, certs):
+    """Yield (name, passed, detail) for the sweep limits, the rigid-table and
+    EDS checks of ``_frame_algebra_checks`` and the contradiction
+    certificates: the rows of selftest, and what frame-check's exit code
+    judges."""
+    for key, (name, limit) in FRAME_LIMITS.items():
+        yield name, checks[key] < limit, {"max": checks[key]}
+    yield "rigid_tables", checks["rigid_tables_ok"], {}
+    yield "eds_closure_all_signs", checks["eds_contradictions_ok"], {}
+    cert_ok = (
+        not certs["r3+6r2+21r+8"]
+        and not certs["(r-1)(r2+4)"]
+        and certs["silver_ratio_root"] is not None
+        and abs(certs["silver_ratio_root"] - fa.R_SILVER) < 1e-12
+    )
+    yield "certificates", cert_ok, certs
+
+
 def cmd_frame_check(args):
     seed = args.seed if args.seed is not None else 0
     count = args.count
@@ -358,12 +378,7 @@ def cmd_frame_check(args):
         with open(args.dump_frame, "w", encoding="utf-8") as fh:
             fh.write(fa.frame_to_text(fd))
     _emit(report, args)
-    ok = (
-        all(checks[k] < limit for k, limit in FRAME_LIMITS.items())
-        and checks["rigid_tables_ok"]
-        and checks["eds_contradictions_ok"]
-    )
-    return 0 if ok else 1
+    return 0 if all(ok for _, ok, _ in _frame_algebra_rows(checks, certs)) else 1
 
 
 def _selftest_checks(tamper=False):
@@ -387,9 +402,10 @@ def _selftest_checks(tamper=False):
             res = identity_residuals(pack, n=10, seed=1)
             for k in worst:
                 worst[k] = max(worst[k], res[k])
-            for v in rng.standard_normal((5, 3)):
-                J = np.einsum("ijkl,j,k->li", pack.R, v, v)
-                sign_lock = max(sign_lock, abs(np.trace(J) - float(v @ pack.ric @ v)))
+            vs = rng.standard_normal((5, 3))
+            trJ = np.trace(jacobi_op(pack, vs), axis1=-2, axis2=-1)
+            ric_vv = np.einsum("ai,ij,aj->a", vs, pack.ric, vs)
+            sign_lock = max(sign_lock, float(np.max(np.abs(trJ - ric_vv))))
     yield "identity_suite", all(v < 1e-7 for v in worst.values()), worst
     yield "sign_lock", sign_lock < 1e-9, {"max": sign_lock}
 
@@ -445,24 +461,7 @@ def _selftest_checks(tamper=False):
     hom_ok = all(abs(got / want - 1.0) < 1e-8 for got, want in degs.values())
     yield "homogeneity_degrees", hom_ok, {k: v[0] for k, v in degs.items()}
 
-    frame = _frame_algebra_checks(0, 200)
-    for name, key in (
-        ("b1_factorization", "b1_factor_worst"),
-        ("a1_crosscheck", "a1_crosscheck_worst"),
-        ("root_identities", "root_identities_worst"),
-    ):
-        yield name, frame[key] < FRAME_LIMITS[key], {"max": frame[key]}
-    yield "rigid_tables", frame["rigid_tables_ok"], {}
-    yield "eds_closure_all_signs", frame["eds_contradictions_ok"], {}
-
-    certs = fa.contradiction_certificates()
-    cert_ok = (
-        not certs["r3+6r2+21r+8"]
-        and not certs["(r-1)(r2+4)"]
-        and certs["silver_ratio_root"] is not None
-        and abs(certs["silver_ratio_root"] - fa.R_SILVER) < 1e-12
-    )
-    yield "certificates", cert_ok, certs
+    yield from _frame_algebra_rows(_frame_algebra_checks(0, 200), fa.contradiction_certificates())
 
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1.0, 0, 0), 1.2, 1e-3)

@@ -31,6 +31,16 @@ leading point axis on every field (``scal`` is then an (n,) array), and the
 consumers below broadcast it against directions of shape (n, m, 3), m per
 point.  One point is a batch of one, whose fields come back with the point
 axis taken off: ``scal`` a float, ``g`` (3, 3), ``R`` (3, 3, 3, 3).
+
+A tensor is contracted with a direction X by one matrix product: the
+flattened products X^a X^b ... (``_products``) times the tensor with those
+axes as rows (``_matrix``).  J(X) = R(., X)X is ``_products(X, 2)`` times R
+(``_jacobi``, behind ``jacobi_op`` and ``riccati.jacobi_along``),
+``obstruction`` builds J', t, D1 and D2 the same way, and the Kulkarni check
+takes R(X, Y) from the products X^i Y^j.  ``ricci_rank``
+diagonalizes ric in ``pack.frame`` for a whole batch by one
+``np.linalg.eigh`` call; its ``RankReport`` takes a point axis and gives
+point k by ``row(k)``, as the pack does.
 """
 
 from __future__ import annotations
@@ -86,12 +96,26 @@ class CurvaturePack:
 
 @dataclass
 class RankReport:
+    """The Ricci eigen-structure at one point or, with a leading point axis
+    on every field but ``tol``, at each point of a batch."""
+
     eigenvalues: np.ndarray  # ascending
     eigenframe: np.ndarray  # columns, g-orthonormal
     rank: int
     ric_nonpositive: bool
     det_zero: bool
     tol: float
+
+    def row(self, k: int) -> RankReport:
+        """The report of point k of a batch, with the types of a one-point report."""
+        return RankReport(
+            eigenvalues=self.eigenvalues[k],
+            eigenframe=self.eigenframe[k],
+            rank=int(self.rank[k]),
+            ric_nonpositive=bool(self.ric_nonpositive[k]),
+            det_zero=bool(self.det_zero[k]),
+            tol=self.tol,
+        )
 
 
 def _inverse(G, order):
@@ -262,6 +286,28 @@ def plane_entries(g, M, w1, w2):
     return _dot(gw1, Mw1), _dot(gw2, Mw2), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1))
 
 
+def _products(X, k):
+    """The k-fold products X^a X^b ..., flattened: shape (..., 3^k)."""
+    out = X
+    for _ in range(k - 1):
+        out = (out[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
+    return out
+
+
+def _matrix(T, rows, cols):
+    """The last rows + cols axes of T as a (3^rows, 3^cols) matrix, at each
+    point of a batch: a right factor of ``_products(X, rows)``."""
+    return T.reshape(T.shape[: T.ndim - rows - cols] + (3**rows, 3**cols))
+
+
+def _jacobi(R, v):
+    """J(v) = R(., v)v from R of shape batch + (3, 3, 3, 3): J[..., l, i]
+    acts on column vectors, shape v.shape + (3,).  v is (3,) or (m, 3) at
+    one point, batch + (m, 3) at a batch."""
+    # R[..., i, j, k, l] as the (jk, li) matrix: one product sums over j, k
+    return (_products(v, 2) @ _matrix(np.moveaxis(R, -4, -1), 2, 2)).reshape(v.shape + (3,))
+
+
 def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     """Matrix of J(v) = R(.,v)v acting on column vectors: J[l,i] x^i; v of
     shape (3,) gives (3, 3), a batch (m, 3) gives (m, 3, 3), and at a batch
@@ -269,8 +315,7 @@ def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if (_inner(pack.g, v, v) == 0.0).any():
         raise ValueError("Jacobi operator needs a nonzero vector")
-    R = pack.R if pack.g.ndim == 2 else pack.R[:, None]  # a direction axis after the point axis
-    return np.einsum("...ijkl,...j,...k->...li", R, v, v)
+    return _jacobi(pack.R, v)
 
 
 def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int = 0):
@@ -315,61 +360,35 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     u, w = np.stack([X @ rhoT, X]), np.stack([Y, Y @ rhoT])
     wedge = "s...pl,s...pk->...plk"
     rhs_op = np.einsum(wedge, u, w @ g) - np.einsum(wedge, w, u @ g)
-    lhs_op = np.einsum("...ijkl,...pi,...pj->...plk", pack.R, X, Y)
+    XY = (X[..., :, None] * Y[..., None, :]).reshape(X.shape[:-1] + (9,))
+    lhs_op = (XY @ _matrix(pack.R, 2, 2)).reshape(X.shape + (3,)).swapaxes(-1, -2)
     kulkarni = np.max(np.abs(lhs_op - rhs_op), axis=(-3, -2, -1), initial=0.0)
 
     res = {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
     return {key: float(x) for key, x in res.items()} if one else res
 
 
-def jacobi_eigh3(S: np.ndarray, sweeps: int = 50):
-    """Cyclic Jacobi rotations for a symmetric 3x3 matrix; deterministic.
-
-    Returns (eigenvalues ascending, eigenvector columns).
-    """
-    a = S.copy()
-    V = np.eye(3)
-    for _ in range(sweeps):
-        off = math.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off < 1e-15 * (1.0 + np.max(np.abs(np.diag(a)))):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            if a[p, q] == 0.0:
-                continue
-            theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            Rot = np.eye(3)
-            Rot[p, p] = Rot[q, q] = c
-            Rot[p, q] = s
-            Rot[q, p] = -s
-            a = Rot.T @ a @ Rot
-            V = V @ Rot
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), V[:, order].copy()
-
-
 def ricci_rank(pack: CurvaturePack, tol: float = 1e-8) -> RankReport:
-    """Eigen-structure of the Ricci operator with deterministic signs."""
-    E = pack.frame
-    S = E.T @ pack.ric @ E  # symmetric matrix of Ric in an orthonormal frame
-    lam, V = jacobi_eigh3(S)
-    W = E @ V  # g-orthonormal eigenvectors in coordinates
-    for k in range(3):
-        col = W[:, k]
-        for comp in col:
-            if abs(comp) > tol:
-                if comp < 0:
-                    W[:, k] = -col
-                break
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    rank = int(np.sum(np.abs(lam) > tol * (1.0 + lam_max)))
-    return RankReport(
+    """Eigen-structure of the Ricci operator, at one point or at each point
+    of a batch: the eigenvalues of ric in the orthonormal ``pack.frame`` by
+    one ``np.linalg.eigh`` call, each eigenvector's first component above
+    ``tol`` made positive.  One point is a batch of one (see ``RankReport``)."""
+    E = pack.frame.reshape(-1, 3, 3)
+    S = E.swapaxes(-1, -2) @ pack.ric.reshape(-1, 3, 3) @ E  # symmetric: Ric in the frame
+    lam, V = np.linalg.eigh(S)
+    W = E @ V  # g-orthonormal eigenvectors in coordinates, as columns
+    # each column's first component above tol (0 where there is none) is made positive
+    big = np.abs(W) > tol
+    first = np.take_along_axis(np.where(big, W, 0.0), np.argmax(big, axis=-2)[:, None], axis=-2)
+    W = np.where(first < 0.0, -W, W)
+    lam_max = np.max(np.abs(lam), axis=-1, keepdims=True)
+    rank = np.sum(np.abs(lam) > tol * (1.0 + lam_max), axis=-1)
+    report = RankReport(
         eigenvalues=lam,
         eigenframe=W,
         rank=rank,
-        ric_nonpositive=bool(lam[-1] <= tol),
-        det_zero=bool(rank <= 2),
+        ric_nonpositive=lam[:, -1] <= tol,
+        det_zero=rank <= 2,
         tol=tol,
     )
+    return report.row(0) if pack.g.ndim == 2 else report

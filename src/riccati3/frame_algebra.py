@@ -180,34 +180,17 @@ def _trim(c):
 def _pmul(a, b):
     """The product of two polynomials, coefficients ascending along the last axis.
 
-    Each coefficient sums its terms as ``numpy.convolve`` does, so a product
-    is bitwise the same at one frame and in a batch: the longer factor comes
-    first, the coefficients where it overlaps all of the shorter one are
-    left-to-right sums, and the others go through the BLAS dot product that
-    ``numpy.convolve`` and ``np.vecdot`` share.  ``numpy.convolve`` sums the
-    full-overlap coefficients left to right only while the shorter factor has
-    at most 11 coefficients, so longer factors are refused.  At one frame
-    (both factors 1-D) the factors and the product are trimmed.
+    Each coefficient sums its terms a[j] b[k - j] left to right in j, so a
+    batch row is bitwise the product at one frame.  At one frame (both
+    factors 1-D) the factors and the product are trimmed.
     """
     one = a.ndim == b.ndim == 1
     if one:
         a, b = _trim(a), _trim(b)
-    if b.shape[-1] > a.shape[-1]:
-        a, b = b, a
     n, m = a.shape[-1], b.shape[-1]
-    if m > 11:
-        raise ValueError("_pmul: the shorter factor has more than 11 coefficients")
-    out = np.empty(max(a.shape[:-1], b.shape[:-1], key=len) + (n + m - 1,))
-    rev = np.ascontiguousarray(b[..., ::-1])  # rev[..., m-1-i] = b[..., i]
-    for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1  # terms a[j] b[k-j], j in [lo, hi)
-        if m - 1 <= k < n:
-            s = 0.0
-            for j in range(lo, hi):
-                s = s + a[..., j] * b[..., k - j]
-            out[..., k] = s
-        else:
-            out[..., k] = np.vecdot(a[..., lo:hi], rev[..., m - 1 - k + lo : m - 1 - k + hi])
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + m - 1,))
+    for j in range(n):
+        out[..., j : j + m] += a[..., j, None] * b
     return _trim(out) if one else out
 
 

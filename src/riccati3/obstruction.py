@@ -34,6 +34,8 @@ import numpy as np
 
 from .curvature import (
     CurvaturePack,
+    _matrix,
+    _products,
     jacobi_op,
     orthonormal_perp,
     pack_at,
@@ -148,21 +150,6 @@ def _first(batch):
     return replace(batch, **row)
 
 
-def _products(X, k):
-    """The k-fold products X^a X^b ..., flattened: shape (..., 3^k)."""
-    out = X
-    for _ in range(k - 1):
-        out = (out[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
-    return out
-
-
-def _matrix(pack, T, rows):
-    """The tensor axes of T, a field of ``pack``, as a matrix whose 3^rows rows
-    are its first ``rows`` axes, at each point of a batch: a right factor of
-    ``_products(X, rows)``."""
-    return T.reshape(T.shape[: pack.g.ndim - 2] + (3**rows, -1))
-
-
 def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
     for one direction, an (m, 3) batch, or (n, m, 3) at a pack of n points.
@@ -179,7 +166,7 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     v = X / nX[..., None]
     w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
     m11, m22, m12 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
-    t = (_products(X, 2) @ _matrix(pack, pack.ric, 2))[..., 0]
+    t = (_products(X, 2) @ _matrix(pack.ric, 2, 0))[..., 0]
     A = 0.5 * (m11 - m22)
     h = np.hypot(A, m12)
     scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
@@ -207,7 +194,7 @@ def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> Derived
     X, one = _directions(X)
     # nablaR[m, i, j, k, l] as the (mjk, li) matrix: one product sums over m, j, k
     nablaR = np.moveaxis(pack.nablaR, -4, -1)
-    Jp = (_products(X, 3) @ _matrix(pack, nablaR, 3)).reshape(X.shape + (3,))
+    Jp = (_products(X, 3) @ _matrix(nablaR, 3, 2)).reshape(X.shape + (3,))
     w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
     m11, m22, m12 = plane_entries(pack.g, Jp, w1, w2)
     dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
@@ -232,10 +219,10 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     ric_xx = fr.t
 
     XX = _products(X, 2)
-    D1 = (_products(X, 3) @ _matrix(pack, pack.nabla_ric, 3))[..., 0]
+    D1 = (_products(X, 3) @ _matrix(pack.nabla_ric, 3, 0))[..., 0]
     tr_JJ = 2.0 * (A * A + B * B)
     tr_JJp = 2.0 * (A * A1 + B * B1)
-    D2 = tr_JJ + np.einsum("...k,...k->...", XX @ _matrix(pack, pack.nabla2_ric, 2), XX)
+    D2 = tr_JJ + np.einsum("...k,...k->...", XX @ _matrix(pack.nabla2_ric, 2, 2), XX)
 
     D = 4.0 * (A * B1 - A1 * B) ** 2
 
@@ -362,18 +349,19 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
         shifts += [e, -e]
     packs = pack_at(spec, p + np.array(shifts))
     pack = packs.row(0)
-    rr = rank_report or ricci_rank(pack)
+    ranks = ricci_rank(packs)
+    rr = rank_report or ranks.row(0)
     if rr.rank != 1:
         raise RankPrecondition(f"rank1_checks needs rank 1, got {rr.rank}")
     idx = int(np.argmax(np.abs(rr.eigenvalues)))
     e3 = rr.eigenframe[:, idx]
     E = np.delete(rr.eigenframe, idx, axis=1)  # columns: a basis of the kernel plane
 
-    de3 = np.empty((3, 3))  # de3[i, k] = d_i e3^k
-    for i in range(3):
-        col_p = _e3_at(packs.row(1 + 2 * i), e3)
-        col_m = _e3_at(packs.row(2 + 2 * i), e3)
-        de3[i] = (col_p - col_m) / (2.0 * step)
+    # e3 at every point of the batch, signed to match e3 at p
+    top = np.argmax(np.abs(ranks.eigenvalues), axis=-1)
+    e3s = np.take_along_axis(ranks.eigenframe, top[:, None, None], axis=-1)[..., 0]
+    e3s = np.where((e3s @ e3 >= 0.0)[:, None], e3s, -e3s)
+    de3 = (e3s[1::2] - e3s[2::2]) / (2.0 * step)  # de3[i, k] = d_i e3^k
 
     grad_e3 = de3 + np.einsum("kim,m->ik", pack.gamma, e3)  # grad_e3[i,k] = (nabla_i e3)^k
     div_e3 = float(np.trace(grad_e3))
@@ -399,12 +387,6 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
         defect_max=d_max,
         flagged=bool(d_max > 1e-6 * max(1.0, abs(pack.scal))),
     )
-
-
-def _e3_at(pk, reference):
-    rr = ricci_rank(pk)
-    idx = int(np.argmax(np.abs(rr.eigenvalues)))
-    return _match_sign(rr.eigenframe[:, idx], reference)
 
 
 def derived_jacobi_crosscheck(spec: MetricSpec, p, v, step: float = 1e-4, eigengap_tol: float = 1e-6):

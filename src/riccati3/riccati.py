@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_r_only, orthonormal_perp
+from .curvature import _jacobi, curvature_r_only, orthonormal_perp, plane_entries
 from .metrics import MetricSpec, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
@@ -171,20 +171,20 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
 def jacobi_along(spec: MetricSpec, path: GeodesicPath) -> np.ndarray:
     """J(t) in the parallel frame at each path sample: (n,2,2) symmetric.
 
-    Entry (a, b) is the symmetrized g(w_a, J(v) w_b) with J(v) = R(., v)v;
-    the curvature of each block of SAMPLE_BLOCK samples comes from one
+    Entry (a, b) is the symmetrized g(w_a, J(v) w_b) with J(v) = R(., v)v,
+    the operator ``curvature.jacobi_op`` builds, as ``plane_entries`` gives
+    it; the curvature of each block of SAMPLE_BLOCK samples comes from one
     batched ``curvature_r_only`` call.
     """
     out = np.empty((len(path.ts), 2, 2))
     for b in _blocks(len(path.ts)):
         g, _, R = curvature_r_only(spec, path.xs[b])
-        # in C order, so the einsums sum in an order their shapes alone fix
-        g, R = np.ascontiguousarray(g), np.ascontiguousarray(R)
-        v = path.vs[b]
-        J = np.einsum("...ijkl,...j,...k->...li", R, v, v)
-        W = np.stack([path.w1s[b], path.w2s[b]], axis=-2)  # rows w1, w2
-        M = np.einsum("...ap,...pq,...qi,...bi->...ab", W, g, J, W)
-        out[b] = 0.5 * (M + np.swapaxes(M, -1, -2))
+        # each sample is a point of a batch with one direction: axis 1
+        J = _jacobi(R, path.vs[b][:, None])
+        # in C order, so the products sum in an order their shapes alone fix
+        g = np.ascontiguousarray(g)
+        m11, m22, m12 = plane_entries(g, J, path.w1s[b][:, None], path.w2s[b][:, None])
+        out[b] = np.stack([m11, m12, m12, m22], axis=-1).reshape(-1, 2, 2)
     return out
 
 

@@ -191,10 +191,28 @@ def test_frame_check_cmd(tmp_path, capsys):
     frame_from_text(dump.read_text())
 
 
+def test_frame_check_fails_on_a_failed_certificate(capsys, monkeypatch):
+    """A root planted into a case-elimination polynomial fails frame-check as
+    it fails selftest's certificate row; the JSON report still shows it."""
+    from riccati3 import frame_algebra as fa
+
+    real = fa.contradiction_certificates
+
+    def planted():
+        return {**real(), "r3+6r2+21r+8": [0.5]}
+
+    monkeypatch.setattr(fa, "contradiction_certificates", planted)
+    code, out = run(capsys, "frame-check", "--count", "10", "--json")
+    assert code == 1
+    assert json.loads(out)["certificates"]["r3+6r2+21r+8"] == [0.5]
+
+
 def test_selftest_pass_and_tamper(capsys):
     code, out = run(capsys, "selftest", "--json")
     rep = json.loads(out)
     assert code == 0 and rep["failures"] == 0
+    # every frame-algebra sweep limit is a row, the Bianchi residual included
+    assert "frame_bianchi" in {r["check"] for r in rep["results"]}
     code, out = run(capsys, "selftest", "--json", "--tamper-sign")
     rep = json.loads(out)
     assert code == 1 and rep["failures"] >= 1

@@ -10,7 +10,6 @@ from riccati3.curvature import (
     curvature_pack,
     curvature_r_only,
     identity_residuals,
-    jacobi_eigh3,
     jacobi_op,
     orthonormal_perp,
     pack_at,
@@ -378,15 +377,54 @@ def test_eigen_reconstruction_and_orthonormality():
             assert np.max(np.abs(resid)) < 1e-8 * (1 + abs(rr.eigenvalues[k]))
 
 
-def test_jacobi_eigh3_deterministic():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((3, 3))
-    S = A + A.T
-    lam1, V1 = jacobi_eigh3(S)
-    lam2, V2 = jacobi_eigh3(S)
-    assert np.array_equal(lam1, lam2) and np.array_equal(V1, V2)
-    assert np.max(np.abs(V1 @ np.diag(lam1) @ V1.T - S)) < 1e-12
-    assert np.all(np.diff(lam1) >= 0)
+def _box_points(spec, n, rng):
+    return np.array([[rng.uniform(lo, hi) for lo, hi in spec.box] for _ in range(n)])
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_jacobi_op_matches_einsum_at_every_shape(name):
+    """J(v) as one matrix product, at one direction, a batch of directions
+    and a batch of points, against the contraction written out."""
+    spec = metrics.builtin(name)
+    rng = np.random.default_rng(11)
+    pack = pack_at(spec, _box_points(spec, 5, rng))
+    V = rng.standard_normal((5, 7, 3))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * max(1.0, float(np.max(np.abs(want)))))
+
+    close(jacobi_op(pack, V), np.einsum("nijkl,naj,nak->nali", pack.R, V, V))
+    one = pack.row(2)
+    close(jacobi_op(one, V[2]), np.einsum("ijkl,aj,ak->ali", one.R, V[2], V[2]))
+    close(jacobi_op(one, V[2, 0]), np.einsum("ijkl,j,k->li", one.R, V[2, 0], V[2, 0]))
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_ricci_rank_batch_rows_are_one_point_reports(name):
+    """One ricci_rank call on more than one analyze block of points gives,
+    row by row, bitwise the one-point report."""
+    from riccati3.cli import POINT_BLOCK
+
+    spec = metrics.builtin(name)
+    pack = pack_at(spec, _box_points(spec, POINT_BLOCK + 3, np.random.default_rng(12)))
+    batch = ricci_rank(pack)
+    for k in range(len(pack.g)):
+        one, row = ricci_rank(pack.row(k)), batch.row(k)
+        for f in dataclasses.fields(one):
+            assert np.asarray(getattr(row, f.name)).tobytes() == np.asarray(getattr(one, f.name)).tobytes()
+
+
+def test_rank_report_row_types():
+    pack = pack_at(metrics.builtin("sol"), np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]]))
+    batch = ricci_rank(pack)
+    assert batch.rank.shape == (2,) and batch.eigenframe.shape == (2, 3, 3)
+    row = batch.row(1)
+    assert type(row.rank) is int and row.rank == 1
+    assert type(row.ric_nonpositive) is bool and type(row.det_zero) is bool
+    assert row.eigenvalues.shape == (3,) and row.eigenframe.shape == (3, 3)
+    one = ricci_rank(pack.row(1))
+    assert type(one.rank) is int and type(one.det_zero) is bool
 
 
 def test_tamper_flag_breaks_identities():

@@ -366,23 +366,43 @@ def test_free_and_consistent_frames_share_one_draw():
         assert _bits(free.dlam) == _bits(rng.uniform(-1.0, 1.0, size=(3, 2)))
 
 
-def test_pmul_sums_as_numpy_convolve():
-    """The product helper is bitwise numpy.convolve, at one frame and in a batch."""
+def _draw_factors(rng, rows, n):
+    """rows polynomials of n coefficients spread over twelve decades, with no
+    trailing zero to trim."""
+    x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, n))
+    x[:, -1] = np.where(np.abs(x[:, -1]) < 1e-6, 1.0, x[:, -1])
+    return x
+
+
+def test_pmul_batch_rows_are_one_frame_products():
+    """A batch product's rows are bitwise the products at one frame, factors
+    of any length included."""
     rng = np.random.default_rng(5)
-    for na in range(1, 7):
-        for nb in range(1, 7):
-            a = rng.standard_normal((40, na)) * 10.0 ** rng.integers(-6, 7, (40, na))
-            b = rng.standard_normal((40, nb)) * 10.0 ** rng.integers(-6, 7, (40, nb))
-            a[:, -1] = np.where(np.abs(a[:, -1]) < 1e-6, 1.0, a[:, -1])  # no trailing zero to trim
-            b[:, -1] = np.where(np.abs(b[:, -1]) < 1e-6, 1.0, b[:, -1])
-            want = np.array([np.convolve(x, y) for x, y in zip(a, b)])
-            assert _bits(_pmul(a, b)) == _bits(want), (na, nb)
-            for x, y, w in zip(a, b, want):
-                assert _bits(_pmul(x, y)) == _bits(w), (na, nb)
-    a, b = rng.uniform(-1.0, 1.0, (2, 30))
-    assert _bits(_pmul(a, b[:11])) == _bits(np.convolve(a, b[:11]))
-    with pytest.raises(ValueError, match="more than 11"):
-        _pmul(a, b[:12])
+    for na in (1, 2, 3, 6, 14):
+        for nb in (1, 3, 5, 12, 30):
+            a, b = _draw_factors(rng, 40, na), _draw_factors(rng, 40, nb)
+            got = _pmul(a, b)
+            assert got.shape == (40, na + nb - 1)
+            for x, y, row in zip(a, b, got):
+                assert _bits(_pmul(x, y)) == _bits(row), (na, nb)
+
+
+def test_pmul_within_ulps_of_exact_product():
+    """A coefficient of n terms is within n ulps of the exact rational product,
+    the ulp taken of the sum of the terms' magnitudes (the coefficient's own
+    size when no term cancels, as with positive factors)."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(6)
+    sizes = ((1, 4), (3, 3), (5, 2), (12, 17))
+    pairs = [(_draw_factors(rng, 10, na), _draw_factors(rng, 10, nb)) for na, nb in sizes]
+    pairs.append(tuple(rng.uniform(0.5, 2.0, (2, 10, 9))))
+    for a, b in pairs:
+        for x, y in zip(a, b):
+            for k, c in enumerate(_pmul(x, y)):
+                terms = [Fraction(x[j]) * Fraction(y[k - j]) for j in range(len(x)) if 0 <= k - j < len(y)]
+                ulp = Fraction(math.ulp(float(sum(abs(t) for t in terms))))
+                assert abs(Fraction(c) - sum(terms)) <= len(terms) * ulp, (len(x), len(y), k)
 
 
 def _one_frame_sweep(seed, count):
