@@ -163,7 +163,7 @@ def cmd_analyze(args):
         ov = obstruction_values(pack, X)
         rel = np.abs(ov.residual) / ov.scale
         rels.append(rel.ravel())
-        isotropic += int(np.count_nonzero(ov.frame.isotropic))
+        isotropic += int(np.count_nonzero(ov.isotropic))
         ranks = ricci_rank(pack)
         for k, p in enumerate(block):
             per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}})
@@ -191,6 +191,7 @@ def cmd_analyze(args):
                 rows += [[start + k, *p, idir, *row] for idir, row in enumerate(sweep)]
 
     rels = np.concatenate(rels)
+    q25, median, q75 = np.quantile(rels, [0.25, 0.5, 0.75]).tolist()
     frac = float(np.mean(rels > OBSTRUCTED_REL))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"
@@ -212,9 +213,9 @@ def cmd_analyze(args):
         "obstruction": {
             "quantiles": {
                 "min": float(rels.min()),
-                "q25": float(np.quantile(rels, 0.25)),
-                "median": float(np.quantile(rels, 0.5)),
-                "q75": float(np.quantile(rels, 0.75)),
+                "q25": q25,
+                "median": median,
+                "q75": q75,
                 "max": float(rels.max()),
             },
             "fraction_exceeding": frac,

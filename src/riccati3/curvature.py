@@ -286,11 +286,16 @@ def plane_entries(g, M, w1, w2):
     return _dot(gw1, Mw1), _dot(gw2, Mw2), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1))
 
 
+def _outer(X, Y):
+    """The products X^a Y^b, flattened: shape (..., 3 * Y.shape[-1])."""
+    return np.einsum("...a,...b->...ab", X, Y).reshape(Y.shape[:-1] + (3 * Y.shape[-1],))
+
+
 def _products(X, k):
     """The k-fold products X^a X^b ..., flattened: shape (..., 3^k)."""
     out = X
     for _ in range(k - 1):
-        out = (out[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
+        out = _outer(X, out)
     return out
 
 
@@ -360,8 +365,7 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     u, w = np.stack([X @ rhoT, X]), np.stack([Y, Y @ rhoT])
     wedge = "s...pl,s...pk->...plk"
     rhs_op = np.einsum(wedge, u, w @ g) - np.einsum(wedge, w, u @ g)
-    XY = (X[..., :, None] * Y[..., None, :]).reshape(X.shape[:-1] + (9,))
-    lhs_op = (XY @ _matrix(pack.R, 2, 2)).reshape(X.shape + (3,)).swapaxes(-1, -2)
+    lhs_op = (_outer(X, Y) @ _matrix(pack.R, 2, 2)).reshape(X.shape + (3,)).swapaxes(-1, -2)
     kulkarni = np.max(np.abs(lhs_op - rhs_op), axis=(-3, -2, -1), initial=0.0)
 
     res = {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}

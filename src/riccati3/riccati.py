@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _jacobi, curvature_r_only, orthonormal_perp, plane_entries
+from .curvature import _jacobi, curvature_r_only, orthonormal_perp, pack_at, plane_entries
 from .metrics import MetricSpec, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
@@ -317,19 +317,17 @@ def constrained_probe(
     coefficients ~ 0) so its minimal-norm solution is u0 = 0, yet
     ric(v,v) != 0 makes the trace condition unsatisfiable at that candidate.
     """
-    from .obstruction import obstruction_values
+    from .obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
 
     p = np.asarray(p, dtype=float)
-    from .curvature import pack_at
-
     pack = pack_at(spec, p)
     v = np.asarray(v, dtype=float)
     v = v / pack.norm(v)
+    fr = jacobi_frame(pack, v)
+    dj = derived_jacobi_direct(pack, v, fr)
     ov = obstruction_values(pack, v)
-    A, B = ov.frame.A, ov.frame.B
-    A1, B1 = ov.derived.A1, ov.derived.B1
+    A, B, A1, B1, ric_vv = fr.A, fr.B, dj.A1, dj.B1, fr.t
     D1, D2 = ov.D1, ov.D2
-    ric_vv = ov.frame.t
 
     if grid_radius is None:
         grid_radius = 2.0 * math.sqrt(max(0.0, -ric_vv) / 2.0)
@@ -340,7 +338,7 @@ def constrained_probe(
     Js = jacobi_along(spec, path)
     # u0 is scored in the Jacobi eigenframe and integrated in the path's parallel
     # frame: C[i, j] = g(path w_i(0), eigenframe w_j) carries it over
-    C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([ov.frame.w1, ov.frame.w2]).T
+    C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([fr.w1, fr.w2]).T
 
     if grid_n < 1 or grid_radius == 0.0:
         grid = [0.0]

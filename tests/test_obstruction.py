@@ -11,8 +11,9 @@ from riccati3.obstruction import (
     EigengapError,
     RankPrecondition,
     fibonacci_directions,
-    jacobi_frame,
     derived_jacobi_crosscheck,
+    derived_jacobi_direct,
+    jacobi_frame,
     model_pack,
     null_jacobi_directions,
     obstruction_values,
@@ -33,8 +34,6 @@ def test_jacobi_frame_hyperbolic():
     fr = jacobi_frame(pk, v / pk.norm(v))
     assert fr.isotropic
     assert fr.t == pytest.approx(-2.0, abs=1e-9)
-    from riccati3.obstruction import derived_jacobi_direct
-
     dj = derived_jacobi_direct(pk, v / pk.norm(v), fr)
     assert abs(dj.A1) < 1e-10 and abs(dj.B1) < 1e-10 and abs(dj.trace) < 1e-10
 
@@ -126,19 +125,19 @@ def test_commutator_determinant_identity():
         for _ in range(10):
             X = rng.standard_normal(3)
             ov = obstruction_values(pk, X)
+            fr = jacobi_frame(pk, X)
             # oracle: det of the commutator of the 3x3 trace-free Jacobi and
-            # derived Jacobi operators, restricted to the frame plane
+            # derived Jacobi operators, restricted to the eigenframe plane
             J3 = np.einsum("ijkl,j,k->li", pk.R, X, X)
             Jp3 = np.einsum("mijkl,m,j,k->li", pk.nablaR, X, X, X)
-            v = ov.frame.v
-            P_perp = np.eye(3) - np.outer(v, v @ g)
-            Jo = J3 - 0.5 * ov.frame.t * P_perp
+            P_perp = np.eye(3) - np.outer(fr.v, fr.v @ g)
+            Jo = J3 - 0.5 * fr.t * P_perp
             Jpo = Jp3 - 0.5 * ov.D1 * P_perp
             C = Jo @ Jpo - Jpo @ Jo
-            w = (ov.frame.w1, ov.frame.w2)
+            w = (fr.w1, fr.w2)
             want = float(np.linalg.det([[a @ g @ (C @ b) for b in w] for a in w]))
             assert ov.D == pytest.approx(want, rel=1e-8, abs=1e-12)
-            assert ov.derived.trace == pytest.approx(ov.D1, rel=1e-8, abs=1e-8)
+            assert derived_jacobi_direct(pk, X, fr).trace == pytest.approx(ov.D1, rel=1e-8, abs=1e-8)
 
 
 def test_c3_equivalence():
@@ -149,11 +148,13 @@ def test_c3_equivalence():
     for _ in range(10):
         X = rng.standard_normal(3)
         ov = obstruction_values(pk, X)
-        A, A1, B1 = ov.frame.A, ov.derived.A1, ov.derived.B1
+        fr = jacobi_frame(pk, X)
+        dj = derived_jacobi_direct(pk, X, fr)
+        A, A1, B1 = fr.A, dj.A1, dj.B1
         c3 = (
             A**2 * (A * ov.D2 - ov.D1 * A1) ** 2
             + (A * B1 * ov.D1) ** 2
-            + 8.0 * (A**2 * B1) ** 2 * ov.frame.t
+            + 8.0 * (A**2 * B1) ** 2 * fr.t
         )
         assert 4.0 * c3 == pytest.approx(ov.lhs - ov.rhs, rel=1e-7, abs=1e-10)
 
@@ -172,8 +173,10 @@ def test_reconstruct_u():
     assert uc.consistency > 1e-3
     assert abs(ov.residual) / ov.scale > 1e-6  # both flag the same failure
     # the linear system itself is satisfied by construction
-    A, B = ov.frame.A, ov.frame.B
-    A1, B1 = ov.derived.A1, ov.derived.B1
+    fr = jacobi_frame(pk, X)
+    dj = derived_jacobi_direct(pk, X, fr)
+    A, B = fr.A, fr.B
+    A1, B1 = dj.A1, dj.B1
     assert 4 * (uc.a * A + uc.b * B) == pytest.approx(ov.D1, rel=1e-9)
     assert 4 * (uc.a * A1 + uc.b * B1) == pytest.approx(ov.D2, rel=1e-9)
 
@@ -186,6 +189,8 @@ def test_null_jacobi_directions():
             assert float(w @ w) == pytest.approx(1.0, abs=1e-12)
             fr = jacobi_frame(mp, w)
             assert fr.A < 1e-12
+            ov = obstruction_values(mp, w)
+            assert ov.isotropic and ov.residual == 0.0
     ws = null_jacobi_directions(-2.0, -1.0)
     assert np.allclose(np.abs(ws[0]), [1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-12)
     ws = null_jacobi_directions(-1.0, -2.0)
@@ -265,18 +270,30 @@ def _leaves(obj, prefix=""):
             yield prefix + f.name, value
 
 
+def _detector_leaves(pk, X):
+    """The detector's fields, then those of its frame oracle as frame.* and
+    derived.* (``jacobi_frame`` and ``derived_jacobi_direct``)."""
+    fr = jacobi_frame(pk, X)
+    yield from _leaves(obstruction_values(pk, X))
+    yield from _leaves(fr, "frame.")
+    yield from _leaves(derived_jacobi_direct(pk, X, fr), "derived.")
+
+
+FLAGS = ("isotropic", "frame.isotropic")
+
+
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_obstruction_values_batch_is_stack_of_directions(case):
     """Every field of a 64-direction batch is the stack of the one-direction
     calls: floats, bools and (3,) vectors per direction."""
     pk = _batch_pack(case)
     X = fibonacci_directions(64) * np.linspace(0.5, 2.0, 64)[:, None]
-    batch = dict(_leaves(obstruction_values(pk, X)))
-    assert batch["frame.isotropic"].shape == (64,)
+    batch = dict(_detector_leaves(pk, X))
+    assert batch["isotropic"].shape == batch["frame.isotropic"].shape == (64,)
     for k, x in enumerate(X):
-        for name, want in _leaves(obstruction_values(pk, x)):
+        for name, want in _detector_leaves(pk, x):
             got = batch[name][k]
-            if name == "frame.isotropic":
+            if name in FLAGS:
                 assert type(want) is bool and bool(got) == want, k
             else:
                 assert isinstance(want, float if np.ndim(got) == 0 else np.ndarray), name
@@ -309,19 +326,60 @@ def _zoo_batch(name, n, seed):
 
 
 @pytest.mark.parametrize("case", BATCH_CASES[:-1])
+def test_trace_form_matches_frame_oracle(case):
+    """The traces of 3x3 operator products agree with the eigenframe
+    formulas on the entries A, B of ``jacobi_frame`` and A1, B1 of
+    ``derived_jacobi_direct``, and both flag the same directions isotropic."""
+    pk = _zoo_batch(case, 4, seed=17)
+    X = np.broadcast_to(fibonacci_directions(64), (4, 64, 3))
+    ov = obstruction_values(pk, X)
+    fr = jacobi_frame(pk, X)
+    dj = derived_jacobi_direct(pk, X, fr)
+    A, B, A1, B1, t = fr.A, fr.B, dj.A1, dj.B1, fr.t
+    D1 = np.einsum("nkij,nak,nai,naj->na", pk.nabla_ric, X, X, X)
+    ric4 = np.einsum("nijkl,nai,naj,nak,nal->na", pk.nabla2_ric, X, X, X, X)
+    tr_JJ = 2.0 * (A * A + B * B)
+    P = 2.0 * ((A * A + B * B) * (tr_JJ + ric4) - (A * A1 + B * B1) * D1)
+    D = 4.0 * (A * B1 - A1 * B) ** 2
+    oracle = {
+        "tr_JJ": tr_JJ,
+        "tr_JJp": 2.0 * (A * A1 + B * B1),
+        "D": D,
+        "P": P,
+        "lhs": P * P,
+        "rhs": D * (-D1 * D1 - 4.0 * tr_JJ * t),
+    }
+    assert np.array_equal(ov.isotropic, fr.isotropic)
+    for name, want in oracle.items():
+        got = getattr(ov, name)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+
+
+@pytest.mark.parametrize("name", ("flat", "hyperbolic", "sphere"))
+def test_constant_curvature_is_isotropic_everywhere(name):
+    """Jo = J - (t/2) proj is built entrywise, so on constant curvature its
+    trace square stays at rounding squared and every sample is isotropic,
+    with a residual of exactly 0."""
+    pk = _zoo_batch(name, 8, seed=18)
+    ov = obstruction_values(pk, np.broadcast_to(fibonacci_directions(64), (8, 64, 3)))
+    assert ov.isotropic.all()
+    assert np.all(ov.residual == 0.0)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES[:-1])
 def test_obstruction_values_point_batch_is_stack_of_points(case):
     """At a pack of n points and (n, m, 3) directions, every field has shape
     (n, m) (vectors (n, m, 3)) and row k is the one-point call at that point."""
     pk = _zoo_batch(case, 5, seed=12)
     X = np.random.default_rng(13).standard_normal((5, 7, 3))
-    batch = dict(_leaves(obstruction_values(pk, X)))
-    assert batch["D1"].shape == batch["frame.isotropic"].shape == (5, 7)
+    batch = dict(_detector_leaves(pk, X))
+    assert batch["D1"].shape == batch["isotropic"].shape == batch["frame.isotropic"].shape == (5, 7)
     assert batch["frame.w1"].shape == (5, 7, 3)
     for k in range(5):
-        for name, want in _leaves(obstruction_values(pk.row(k), X[k])):
+        for name, want in _detector_leaves(pk.row(k), X[k]):
             got = batch[name][k]
             assert np.shape(got) == np.shape(want), name
-            if name == "frame.isotropic":
+            if name in FLAGS:
                 assert np.array_equal(got, want)
             else:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), (name, k)
@@ -336,8 +394,8 @@ def test_detector_of_a_permuted_pack_is_permuted_bitwise(case):
     X = np.random.default_rng(15).standard_normal((13, 6, 3))
     perm = np.random.default_rng(16).permutation(13)
     pk_perm = CurvaturePack(**{f.name: getattr(pk, f.name)[perm] for f in fields(pk)})
-    want = dict(_leaves(obstruction_values(pk, X)))
-    for name, got in _leaves(obstruction_values(pk_perm, X[perm])):
+    want = dict(_detector_leaves(pk, X))
+    for name, got in _detector_leaves(pk_perm, X[perm]):
         assert np.array_equal(got, want[name][perm]), name
 
 
