@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -261,13 +261,9 @@ def _batch_pack(case):
 
 
 def _leaves(obj, prefix=""):
-    """(dotted field name, value) of every field of nested dataclasses."""
+    """(prefixed field name, value) of every field of a dataclass."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, prefix + f.name + ".")
-        else:
-            yield prefix + f.name, value
+        yield prefix + f.name, getattr(obj, f.name)
 
 
 def _detector_leaves(pk, X):
