@@ -312,13 +312,15 @@ def _frame_algebra_checks(seed, count):
     for start in range(seed, seed + count, FRAME_BLOCK):
         free = fa.consistent_frame(range(start, min(start + FRAME_BLOCK, seed + count)), "free")
         cons = fa.consistent_from_free(free)
-        r13, r23 = fa.a1_crosscheck(cons)
+        bundles = fa.a2_a3_bundles(cons)
+        r13, r23 = fa.a1_crosscheck(cons, bundles)
+        roots = fa.root_identities(cons, bundles)
         block = {
             "b1_factor_worst": max(
                 np.max(fa.special_direction_polys(free, case).b1_factor_residual()) for case in fa.CASES
             ),
             "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
-            "root_identities_worst": max(np.max(np.abs(v)) for v in fa.root_identities(cons).values()),
+            "root_identities_worst": max(np.max(np.abs(v)) for v in roots.values()),
             "bianchi_worst": np.max(np.abs(fa.bianchi_frame_residuals(cons))),
         }
         for key, value in block.items():

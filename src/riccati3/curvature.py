@@ -16,8 +16,9 @@ Conventions (recorded here because the literature varies):
 Everything is computed in coordinates by one kernel on coefficient arrays:
 the metric's order-k Taylor coefficients G, shape (N(k),) + batch + (3, 3)
 as in ``MetricJet.coef``, give those of g^-1 and Gamma (order k - 1) and R
-(order k - 2), each product a truncated Leibniz product (``exprjet.contract``)
-and each derivative a gather of coefficients (``exprjet.partials``).
+(order k - 2), each product a truncated Leibniz product (``exprjet.contract``,
+whose tensor contraction is one stacked matrix product over the Leibniz terms
+and points) and each derivative a gather of coefficients (``exprjet.partials``).
 Covariant derivatives come from one rule on the same arrays (``_nabla``): a
 tensor's coefficients of order q give those of its covariant derivative at
 order q - 1, the coordinate derivative plus one Gamma contraction per slot.

@@ -32,6 +32,7 @@ tape as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -102,20 +103,40 @@ def _mul(a, b, order):
     return _MUL_SCATTER[order].dot(a[ia] * b[ib])
 
 
-def contract(subscripts, a, b, order):
-    """Truncated Leibniz product of two tensor-valued coefficient arrays at
-    ``order``, contracted over their tensor axes by the einsum ``subscripts``
-    (``"kl,lij->kij"``): an operand has shape (N,) + batch + its tensor axes
-    (coefficients first, as in ``Jet4.coef``), the result (N(order),) + batch
-    + the output axes.  The terms are summed by the same matrix product as
-    ``_mul``; at order 0, the one term is the product of the values."""
+@functools.lru_cache(maxsize=None)
+def _contraction(subscripts, ndim):
+    """``contract``'s plan at operands of ``ndim`` axes: the count n of leading
+    (term and batch) axes, the operands' axis orders and matrix shapes, and
+    the product's free axes with the order that takes them to the output's."""
     ins, res = subscripts.split("->")
     sa, sb = ins.split(",")
-    subscripts = f"t...{sa},t...{sb}->t...{res}"
-    if order == 0:  # C order, as the matrix product below gives
-        return np.ascontiguousarray(np.einsum(subscripts, a[:1], b[:1]))
+    summed = [c for c in sa if c in sb]
+    fa, fb = [c for c in sa if c not in sb], [c for c in sb if c not in sa]
+    n = ndim - len(sa)
+
+    def axes(sub, letters):  # the leading axes, then sub's in the order of letters
+        return tuple(range(n)) + tuple(n + sub.index(c) for c in letters)
+    k, s, m = NVARS ** len(fa), NVARS ** len(summed), NVARS ** len(fb)
+    free = (NVARS,) * len(fa + fb)
+    return n, axes(sa, fa + summed), axes(sb, summed + fb), (k, s), (s, m), free, axes(fa + fb, res)
+
+
+def contract(subscripts, a, b, order):
+    """Truncated Leibniz product of two tensor-valued coefficient arrays at
+    ``order``, contracted over their tensor axes by the einsum-style
+    ``subscripts`` (``"kl,lij->kij"``, each index summed or kept): an operand
+    has shape (N,) + batch + its tensor axes of length 3 (coefficients first,
+    as in ``Jet4.coef``), the C-contiguous result (N(order),) + batch + the
+    output axes.  The gathered terms become stacks of (free, summed) and
+    (summed, free) matrices, multiplied by one stacked ``np.matmul``, then
+    summed by the same matrix product as ``_mul`` (at order 0, one term)."""
+    n, axes_a, axes_b, mat_a, mat_b, free, axes_out = _contraction(subscripts, a.ndim)
     _, ia, ib = _MUL_TABLES[order]
-    terms = np.einsum(subscripts, a[ia], b[ib])
+    shape = (len(ia),) + a.shape[1:n]
+    x, y = a[ia].transpose(axes_a).reshape(shape + mat_a), b[ib].transpose(axes_b).reshape(shape + mat_b)
+    terms = (x @ y).reshape(shape + free).transpose(axes_out)
+    if order == 0:  # C order, as the matrix product below gives
+        return np.ascontiguousarray(terms)
     return (_MUL_SCATTER[order] @ terms.reshape(len(ia), -1)).reshape((-1,) + terms.shape[1:])
 
 

@@ -288,9 +288,15 @@ def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
     return PolyBundle(case, a, c, d1, a1, b1)
 
 
-def a1_crosscheck(fd: FrameData):
+def a2_a3_bundles(fd: FrameData):
+    """fd's a2 and a3 bundles, which ``a1_crosscheck`` and ``root_identities`` read."""
+    return special_direction_polys(fd, "a2"), special_direction_polys(fd, "a3")
+
+
+def a1_crosscheck(fd: FrameData, bundles=None):
     """Closed-form coefficient expressions for a1 in cases a2/a3 against the general
     expansion; both residuals vanish exactly on consistent-consistent data.
+    ``bundles`` is fd's ``a2_a3_bundles``, built here when not given.
     """
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
@@ -311,8 +317,7 @@ def a1_crosscheck(fd: FrameData):
     c0 = 0.5 * d113_0 + D2c + p12p
     a23_closed = -_stack(c0, c1, c2, c3)
 
-    gen13 = special_direction_polys(fd, "a2").a1
-    gen23 = special_direction_polys(fd, "a3").a1
+    gen13, gen23 = (b.a1 for b in bundles or a2_a3_bundles(fd))
     res13 = np.max(np.abs(gen13 - a13_closed), axis=-1)
     res23 = np.max(np.abs(gen23 - a23_closed), axis=-1)
     return _value(res13), _value(res23)
@@ -333,17 +338,17 @@ def _eval_at_imag(coeffs, kappa):
     return re, im
 
 
-def root_identities(fd: FrameData) -> dict:
+def root_identities(fd: FrameData, bundles=None) -> dict:
     """Residuals of the evaluation identities at the distinguished imaginary
-    roots; all six vanish on consistent-consistent data with lambda2 < lambda3.
+    roots; all six vanish on consistent-consistent data with lambda2 < lambda3;
+    ``bundles`` as for ``a1_crosscheck``.
     """
     l2, l3 = fd.lambda2, fd.lambda3
     if not np.all((l2 < l3) & (l3 < 0)):
         raise ValueError("need lambda2 < lambda3 < 0 for the root arguments")
     G = fd.G
     p12, p13, p23 = p_polys(fd)
-    b_a2 = special_direction_polys(fd, "a2")
-    b_a3 = special_direction_polys(fd, "a3")
+    b_a2, b_a3 = bundles or a2_a3_bundles(fd)
     d113, a113 = b_a2.d1, b_a2.a1
     d123, a123 = b_a3.d1, b_a3.a1
 

@@ -140,14 +140,15 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
 
     v is normalized to unit g-length at p.  Sample times are 0, dt, ..., T
     (last step shortened if T is not a multiple of dt); more than MAX_STEPS
-    steps raise ValueError.
+    steps raise ValueError, and a start point where the metric is not positive
+    definite raises MetricError naming it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     ts = _sample_times(T, dt)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    g, _, _ = gamma_at(spec, p)
+    g = metric_jets(spec, p, order=0).g
     norm2 = float(v @ g @ v)
     if not norm2 > 0.0:
         raise ValueError(f"direction {tuple(map(float, v))} has no positive length")

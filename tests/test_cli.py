@@ -264,6 +264,20 @@ def test_riccati_bad_input_exits_2(tmp_path, argv, words):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("direction", ["1,0,0", "0,1,0"])
+def test_riccati_non_positive_definite_start_point_exits_2(tmp_path, direction):
+    """A start point where the metric is not positive definite is named as
+    such, not blamed on --T/--dt."""
+    f = tmp_path / "m.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": "x1", **flat}}))
+    out = tmp_path / "traj.csv"
+    line = run_bad(("riccati", str(f), "--point=-0.5,0,0", "--dir", direction, "--out", str(out)))
+    assert "--T/--dt" not in line
+    assert "not positive definite at (-0.5, 0.0, 0.0)" in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,words",
     [

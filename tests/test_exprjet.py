@@ -11,14 +11,18 @@ from riccati3.exprjet import (
     MULTI_INDICES,
     N_BY_ORDER,
     ParseError,
+    _MUL_SCATTER,
+    _MUL_TABLES,
     _mul,
+    contract,
     eval_dual,
     eval_jet,
     eval_scalar,
     format_expr,
     parse_expr,
 )
-from riccati3.metrics import MetricError, custom, gamma_at, metric_jets
+from riccati3 import curvature
+from riccati3.metrics import MetricError, builtin, custom, gamma_at, metric_jets
 
 mpmath.mp.dps = 50
 
@@ -352,3 +356,64 @@ def test_gamma_at_matches_order4_pack(spec):
         for got, want in ((g, pack.g), (ginv, pack.ginv), (gamma, pack.gamma)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+# every subscript string the curvature kernel passes to ``contract``
+CURVATURE_SUBSCRIPTS = (
+    "kl,lj->kj",
+    "kl,lij->kij",
+    "lim,mjk->ijkl",
+    "ij,ij->",
+    "nma,nb->mab",
+    "nmb,an->mab",
+    "nma,nbc->mabc",
+    "nmb,anc->mabc",
+    "nmc,abn->mabc",
+    "nma,nbcd->mabcd",
+    "nmb,ancd->mabcd",
+    "nmc,abnd->mabcd",
+    "dmn,abcn->mabcd",
+)
+
+
+def test_curvature_subscripts_are_the_kernels(monkeypatch):
+    """CURVATURE_SUBSCRIPTS is the set the kernel uses, at one point and a batch."""
+    seen = set()
+
+    def recording(subscripts, a, b, order):
+        seen.add(subscripts)
+        return contract(subscripts, a, b, order)
+
+    monkeypatch.setattr(curvature, "contract", recording)
+    spec = builtin("heisenberg")
+    curvature.pack_at(spec, (0.1, 0.2, 0.3))
+    curvature.pack_at(spec, np.array([[0.1, 0.2, 0.3], [0.0, -0.1, 0.2]]))
+    curvature.curvature_r_only(spec, (0.1, 0.2, 0.3))
+    assert seen == set(CURVATURE_SUBSCRIPTS)
+
+
+def _contract_reference(subscripts, a, b, order):
+    """The gathered Leibniz terms contracted by ``np.einsum``, then summed by the scatter."""
+    ins, res = subscripts.split("->")
+    sa, sb = ins.split(",")
+    _, ia, ib = _MUL_TABLES[order]
+    terms = np.einsum(f"t...{sa},t...{sb}->t...{res}", a[ia], b[ib])
+    return np.tensordot(_MUL_SCATTER[order], terms, axes=1)
+
+
+@pytest.mark.parametrize("subscripts", CURVATURE_SUBSCRIPTS)
+@pytest.mark.parametrize("batch", [(), (1,), (7,)])
+def test_contract_matches_einsum_reference(subscripts, batch):
+    """``contract``'s stacked matrix product gives the einsum contraction of the
+    same terms, at one point (no batch axis) and at batches of 1 and 7."""
+    ins, res = subscripts.split("->")
+    sa, sb = ins.split(",")
+    rng = np.random.default_rng(len(batch) + 17 * CURVATURE_SUBSCRIPTS.index(subscripts))
+    a = rng.uniform(-1.0, 1.0, (N_BY_ORDER[4],) + batch + (3,) * len(sa))
+    b = rng.uniform(-1.0, 1.0, (N_BY_ORDER[4],) + batch + (3,) * len(sb))
+    for order in range(5):
+        got = contract(subscripts, a, b, order)
+        want = _contract_reference(subscripts, a, b, order)
+        assert got.shape == want.shape == (N_BY_ORDER[order],) + batch + (3,) * len(res)
+        assert got.flags.c_contiguous
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (order, batch)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riccati3 import cli
+from riccati3 import cli, frame_algebra
 from riccati3.frame_algebra import (
     CASES,
     GAMMA_KEYS,
@@ -434,3 +434,30 @@ def test_frame_sweep_blocks_match_the_one_frame_loop(seed, count):
     if count == 0:
         assert all(checks[key] == 0.0 for key in want)
     assert checks["rigid_tables_ok"] and checks["eds_contradictions_ok"]
+
+
+def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
+    """A block of the sweep builds the three bundles of its free frames and
+    the a2 and a3 bundles of its consistent frames, which the a1 cross-check
+    and the root identities share: five calls, not seven."""
+    calls = []
+    build = frame_algebra.special_direction_polys
+
+    def counted(fd, case):
+        calls.append((fd.mode, case))
+        return build(fd, case)
+
+    monkeypatch.setattr(frame_algebra, "special_direction_polys", counted)
+    cli._frame_algebra_checks(3, cli.FRAME_BLOCK + 5)
+    block = [("free", case) for case in CASES] + [("consistent", "a2"), ("consistent", "a3")]
+    assert sorted(calls) == sorted(block * 2)
+
+
+def test_shared_bundles_give_the_same_residuals():
+    fd = consistent_frame(range(5, 17), "consistent")
+    bundles = (special_direction_polys(fd, "a2"), special_direction_polys(fd, "a3"))
+    for got, want in zip(a1_crosscheck(fd, bundles), a1_crosscheck(fd)):
+        assert np.array_equal(got, want)
+    shared, own = root_identities(fd, bundles), root_identities(fd)
+    assert shared.keys() == own.keys()
+    assert all(np.array_equal(shared[k], own[k]) for k in own)
