@@ -27,7 +27,7 @@ from .obstruction import (
     obstruction_values,
     rank1_checks,
 )
-from .riccati import integrate_geodesic, integrate_riccati, jacobi_along
+from .riccati import DirectionError, integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
@@ -249,9 +249,11 @@ def cmd_riccati(args):
             raise UsageError(f"{option} must be a positive number, got {value}")
     try:
         path = integrate_geodesic(spec, p, v, args.T, args.dt)
+    except DirectionError as exc:
+        raise UsageError(f"--dir: {exc}") from None
     except ValueError as exc:
-        # a plain ValueError is an argument check, and dt and the direction are
-        # checked above: past MAX_STEPS.  Its subclasses are metric faults.
+        # a plain ValueError is an argument check, and dt is checked above:
+        # past MAX_STEPS.  Its other subclasses are metric faults.
         if type(exc) is not ValueError:
             raise
         raise UsageError(f"--T/--dt: {exc}") from None

@@ -180,11 +180,12 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     if bad.any():
         k = int(np.argmax(bad))
         at = point if isinstance(point, tuple) else tuple(map(float, point[k]))
-        raise MetricError(
-            f"metric '{spec.name}' not positive definite at {at}: "
-            f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}"
-        )
+        raise _not_positive_definite(spec, at, f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}")
     return MetricJet(point, coef, spec)
+
+
+def _not_positive_definite(spec, at, detail):
+    return MetricError(f"metric '{spec.name}' not positive definite at {at}: {detail}")
 
 
 _EYE = np.eye(3)
@@ -202,9 +203,17 @@ def gamma_at(spec: MetricSpec, p):
 
     Gamma[k,i,j] = Christoffel symbol of the second kind, from one linear
     solve of g against the lowered symbol and the identity (for ginv).  Used
-    by the geodesic/transport integrators where full jets are wasteful.
+    by the geodesic/transport integrators where full jets are wasteful.  A
+    point where g is not positive definite (a leading principal minor is not
+    positive) raises MetricError naming it.
     """
     c = np.array(spec.tape.run(p, 1))[_FULL_INDEX]  # (3, 3, 4): g_ij and its gradient
     g, low = c[..., 0], lowered_symbol(c[..., 1:])
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = g.tolist()
+    m2 = g11 * g22 - g12 * g12
+    m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
+    if not (g11 > 0 and m2 > 0 and m3 > 0):  # a nan minor fails too
+        minors = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
+        raise _not_positive_definite(spec, tuple(map(float, p)), minors)
     sol = np.linalg.solve(g, np.concatenate([low.reshape(3, 9), _EYE], axis=1))
     return g, sol[:, 9:], sol[:, :9].reshape(3, 3, 3)

@@ -31,6 +31,15 @@ All branch decisions run on exact rational arithmetic whenever every input
 coefficient is rational (fractions.Fraction); the float path uses a relative
 coefficient tolerance of 1e-12.  Every non-Infeasible verdict is re-checked
 against the expanded constraint (the brute-force oracle).
+
+Exact arithmetic runs on Python integers (fraction-free, as in Bareiss,
+Math. Comp. 22 (1968), and Collins, J. ACM 14 (1967)): ``pmul`` brings each
+rational operand to integer numerators over one common denominator (the lcm
+of its coefficients' denominators), convolves the numerators with the same
+loop floats use, and builds one Fraction per output coefficient; the oracle
+expands both sides of the constraint on integers over one common
+denominator and divides only for its float residuals, which Python's
+correctly rounded int / int makes equal to those of the Fraction values.
 """
 
 from __future__ import annotations
@@ -80,14 +89,37 @@ def psub(a, b):
     return padd(a, pneg(b))
 
 
+def _rational(coefficients):
+    """Whether the coefficients are ints and Fractions with at least one
+    Fraction: the operands the integer kernel takes."""
+    kinds = set(map(type, coefficients))
+    return Fraction in kinds and kinds <= {int, Fraction}
+
+
+def _numerators(p):
+    """(integer numerators, D) with p = numerators / D, for int/Fraction
+    coefficients: D is the lcm of their denominators."""
+    D = math.lcm(*(x.denominator for x in p))
+    return [x.numerator * (D // x.denominator) for x in p], D
+
+
 def pmul(a, b):
+    """Product of two polynomials.  When a Fraction is among int/Fraction
+    coefficients, the convolution runs on the operands' integer numerators
+    and one Fraction is built per output coefficient."""
     a, b = trim(a), trim(b)
     if not a or not b:
         return ()
+    rational = _rational(a + b)
+    if rational:
+        (a, da), (b, db) = _numerators(a), _numerators(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    if rational:  # nonzero leading numerators: nothing to trim
+        D = da * db
+        return tuple(Fraction(n, D) for n in out)
     return trim(out)
 
 
@@ -96,21 +128,36 @@ def pscale(a, s):
 
 
 def pdivmod(num, den):
-    """Polynomial long division over a field."""
+    """Polynomial long division over a field.  When a Fraction is among
+    int/Fraction coefficients, it runs on integer numerators: num is first
+    scaled by lead^(deg num - deg den + 1), lead the leading numerator of den,
+    so every quotient step divides exactly (pseudo-division), and the
+    Fractions are built at the end."""
     num, den = list(trim(num)), trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(0, len(num) - len(den) + 1)
+    rational = _rational(num + list(den))
+    steps = max(0, len(num) - len(den) + 1)
+    if rational:
+        (num, dn), (den, dd) = _numerators(num), _numerators(den)
+        scale = den[-1] ** steps
+        num = [x * scale for x in num]
+    q = [0] * steps
     lead = den[-1]
     while len(num) >= len(den) and any(x != 0 for x in num):
         k = len(num) - len(den)
-        coef = num[-1] / lead
+        coef = num[-1] // lead if rational else num[-1] / lead
         q[k] = coef
         for i, d in enumerate(den):
             num[k + i] -= coef * d
         num.pop()
         while num and num[-1] == 0:
             num.pop()
+    if rational:
+        return (
+            tuple(Fraction(x * dd, scale * dn) for x in trim(q)),
+            tuple(Fraction(x, scale * dn) for x in num),
+        )
     return trim(q), trim(num)
 
 
@@ -137,19 +184,27 @@ def _reverse(c, deg):
 
 
 def _coerce(value):
-    """Exact Fraction for ints/Fractions/strings, float otherwise."""
-    if isinstance(value, Fraction):
-        return value
+    """Exact Fraction for ints/Fractions/strings, float otherwise; a value that
+    is not a number a float can hold raises PolyclassError."""
     if isinstance(value, bool):
         raise PolyclassError("boolean coefficient")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    return float(value)
+    try:
+        if isinstance(value, Fraction):
+            x = value
+        elif isinstance(value, (int, str)):
+            x = Fraction(value)
+        else:
+            x = float(value)
+        if math.isfinite(x):  # float(x) for a Fraction, OverflowError beyond the float range
+            return x
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        pass
+    raise PolyclassError(f"coefficient {value!r} is not a finite number within the float range")
 
 
-def _coerce_list(values):
+def _coerce_list(values, name):
+    if not isinstance(values, (list, tuple)):
+        raise PolyclassError(f"'{name}' must be a list of coefficients, got {values!r}")
     return tuple(_coerce(v) for v in values)
 
 
@@ -168,10 +223,10 @@ class ConstraintInstance:
     def __post_init__(self):
         if self.regime not in ("a12", "a3"):
             raise PolyclassError(f"unknown regime '{self.regime}'")
-        self.a = _coerce_list(self.a)
-        self.c = _coerce_list(self.c)
-        self.d1 = _coerce_list(self.d1)
-        self.P = _coerce_list(self.P)
+        self.a = _coerce_list(self.a, "a")
+        self.c = _coerce_list(self.c, "c")
+        self.d1 = _coerce_list(self.d1, "d1")
+        self.P = _coerce_list(self.P, "P")
         scalars = []
         if self.regime == "a12":
             if self.Lambda is None:
@@ -203,6 +258,9 @@ class ConstraintInstance:
             if self.lambda2 is not None:
                 self.lambda2 = float(self.lambda2)
                 self.lambda3 = float(self.lambda3)
+        if self.regime == "a3" and self.lambda2 == self.lambda3:
+            # no tilde transform orders equal eigenvalues
+            raise PolyclassError(f"lambda2 and lambda3 must differ, both are {self.lambda2}")
         self._check_degrees()
 
     def _check_degrees(self):
@@ -240,11 +298,25 @@ class BranchVerdict:
 
 def _constraint_sides(inst):
     """The expanded sides P^2 + (t^2+1) (d1 c)^2 and (t^2+1) (a c)^2 w, with w
-    the regime's ``rhs_weight``."""
-    d1c, ac = pmul(inst.d1, inst.c), pmul(inst.a, inst.c)
-    lhs = padd(pmul(inst.P, inst.P), pmul(T2P1, pmul(d1c, d1c)))
-    rhs = pmul(pmul(T2P1, pmul(ac, ac)), inst.rhs_weight())
-    return lhs, rhs
+    the regime's ``rhs_weight``, as (lhs, rhs, D): the sides' coefficients
+    times D.  On the exact path they are integers over one common denominator
+    D, so the expansion builds no Fraction; on the float path they are the
+    float coefficients and D is 1."""
+    polys = (inst.P, inst.d1, inst.c, inst.a, inst.rhs_weight())
+    parts = map(_numerators, polys) if inst.exact else ((p, 1) for p in polys)
+    (P, dP), (d1, dd), (c, dc), (a, da), (w, dw) = parts
+    d1c, ac = pmul(d1, c), pmul(a, c)
+    sq, sq_den = pmul(P, P), dP * dP
+    cross, cross_den = pmul(T2P1, pmul(d1c, d1c)), (dd * dc) ** 2
+    rhs, rhs_den = pmul(pmul(T2P1, pmul(ac, ac)), w), (da * dc) ** 2 * dw
+    D = math.lcm(sq_den, cross_den, rhs_den)
+    lhs = padd(pscale(sq, D // sq_den), pscale(cross, D // cross_den))
+    return lhs, pscale(rhs, D // rhs_den), D
+
+
+def _fmax(p, D):
+    """max |coefficient| / D as a float, correctly rounded for integers."""
+    return max(map(abs, p), default=0) / D
 
 
 def verify_constraint(inst: ConstraintInstance) -> float:
@@ -252,16 +324,19 @@ def verify_constraint(inst: ConstraintInstance) -> float:
     when the constraint holds.  This expansion is the oracle every
     classification claim is checked against.
     """
-    return pmax(psub(*_constraint_sides(inst)))
+    lhs, rhs, D = _constraint_sides(inst)
+    return _fmax(psub(lhs, rhs), D)
 
 
 def _verdicts(inst):
     """The two verdict makers of one classification: ``infeasible(cert)``, and
     ``sound(branch, signs, witness)``, which raises unless the expanded
     constraint holds to 1e-9 of the size of its sides."""
-    lhs, rhs = _constraint_sides(inst)
-    oracle = pmax(psub(lhs, rhs))
-    scale = max(pmax(lhs), pmax(rhs), 1.0)
+    lhs, rhs, D = _constraint_sides(inst)
+    oracle = _fmax(psub(lhs, rhs), D)
+    scale = max(_fmax(lhs, D), _fmax(rhs, D), 1.0)
+    if not (math.isfinite(oracle) and math.isfinite(scale)):
+        raise PolyclassError("the instance exceeds the float range: its expansion is not finite")
 
     def infeasible(cert):
         return BranchVerdict("Infeasible", (), {}, oracle, cert)
@@ -446,12 +521,17 @@ def tilde_transform(inst: ConstraintInstance) -> ConstraintInstance:
 
 
 def classify(inst: ConstraintInstance):
-    """Dispatch; a3 instances with swapped ordering are tilde-transformed."""
-    if inst.regime == "a12":
-        return classify_a12(inst), False
-    if float(inst.lambda2) < float(inst.lambda3):
-        return classify_a3(inst), False
-    return classify_a3(tilde_transform(inst)), True
+    """Dispatch; a3 instances with swapped ordering are tilde-transformed.  An
+    instance whose products leave the float range of the checks raises
+    PolyclassError."""
+    try:
+        if inst.regime == "a12":
+            return classify_a12(inst), False
+        if float(inst.lambda2) < float(inst.lambda3):
+            return classify_a3(inst), False
+        return classify_a3(tilde_transform(inst)), True
+    except OverflowError as exc:
+        raise PolyclassError(f"the instance exceeds the float range: {exc}") from None
 
 
 # --- instance files -----------------------------------------------------
@@ -477,6 +557,11 @@ def instance_to_dict(inst: ConstraintInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> ConstraintInstance:
+    if not isinstance(data, dict):
+        raise PolyclassError(f"an instance is a JSON object, got {type(data).__name__}")
+    missing = [k for k in ("regime", "a", "c", "d1", "P") if k not in data]
+    if missing:
+        raise PolyclassError(f"instance lacks {', '.join(missing)}")
     return ConstraintInstance(
         regime=data["regime"],
         a=data["a"],
@@ -491,7 +576,8 @@ def instance_from_dict(data: dict) -> ConstraintInstance:
 
 def instance_from_file(path) -> ConstraintInstance:
     """The instance of a JSON file; malformed JSON raises a JSONDecodeError
-    whose message starts with the path."""
+    whose message starts with the path, and a malformed instance a
+    PolyclassError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

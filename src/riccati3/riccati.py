@@ -37,6 +37,10 @@ MAX_STEPS = 10**6
 SAMPLE_BLOCK = 256
 
 
+class DirectionError(ValueError):
+    """A geodesic's initial direction with no positive length in the metric."""
+
+
 def _blocks(n):
     return [slice(s, s + SAMPLE_BLOCK) for s in range(0, n, SAMPLE_BLOCK)]
 
@@ -140,8 +144,9 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
 
     v is normalized to unit g-length at p.  Sample times are 0, dt, ..., T
     (last step shortened if T is not a multiple of dt); more than MAX_STEPS
-    steps raise ValueError, and a start point where the metric is not positive
-    definite raises MetricError naming it.
+    steps raise ValueError, a direction with no positive g-length raises
+    DirectionError, and a start point or RK4 stage point where the metric is
+    not positive definite raises MetricError naming it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -151,7 +156,7 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
     g = metric_jets(spec, p, order=0).g
     norm2 = float(v @ g @ v)
     if not norm2 > 0.0:
-        raise ValueError(f"direction {tuple(map(float, v))} has no positive length")
+        raise DirectionError(f"direction {tuple(map(float, v))} has no positive length")
     v = v / math.sqrt(norm2)
     w1, w2 = orthonormal_perp(g, v, np.eye(3))
     ys = [np.concatenate([p, v, w1, w2])]

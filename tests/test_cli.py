@@ -278,6 +278,62 @@ def test_riccati_non_positive_definite_start_point_exits_2(tmp_path, direction):
     assert not out.exists()
 
 
+def test_riccati_direction_without_positive_length_names_dir(tmp_path):
+    """A direction whose g-length underflows to 0 is blamed on --dir."""
+    out = tmp_path / "traj.csv"
+    line = run_bad(("riccati", "flat", "--point", "0,0,0", "--dir", "1e-200,0,0", "--out", str(out)))
+    assert "--dir: direction (1e-200, 0.0, 0.0) has no positive length" in line
+    assert "--T/--dt" not in line
+    assert not out.exists()
+
+
+def test_riccati_path_leaving_positive_definite_region_exits_2(tmp_path):
+    """g11 = x1 with the direction toward x1 = 0: an RK4 stage point crosses
+    into x1 < 0, which is named instead of integrated through."""
+    f = tmp_path / "m.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": "x1", **flat}}))
+    out = tmp_path / "traj.csv"
+    argv = ("riccati", str(f), "--point", "0.3,0,0", "--dir=-1,0,0", "--T", "1", "--dt", "0.01")
+    line = run_bad(argv + ("--out", str(out)))
+    assert "metric 'custom' not positive definite at (-" in line
+    assert not out.exists()
+
+
+_INSTANCE = {"regime": "a12", "Lambda": "4", "a": ["1", "0", "1"], "c": ["1"], "d1": ["2"], "P": []}
+
+
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        (json.dumps({**_INSTANCE, "Lambda": "1/0"}), "'1/0'"),
+        (json.dumps({**_INSTANCE, "a": ["1", "0", "x"]}), "'x'"),
+        (json.dumps({**_INSTANCE, "a": ["1", "0", "1e400"]}), "'1e400' is not a finite number"),
+        (json.dumps({**_INSTANCE, "c": [None]}), "None"),
+        (json.dumps({**_INSTANCE, "d1": "2"}), "'d1' must be a list"),
+        (json.dumps([_INSTANCE]), "JSON object, got list"),
+        (json.dumps({k: v for k, v in _INSTANCE.items() if k != "regime"}), "lacks regime"),
+        (json.dumps({**_INSTANCE, "a": [1.0, 0.0, float("nan")]}), "coefficient nan"),
+        (json.dumps({**_INSTANCE, "P": [float("inf")]}), "coefficient inf"),
+        (json.dumps({**_INSTANCE, "a": ["1", "0", "1e300"], "c": ["1e300"]}), "float range"),
+        (json.dumps({**_INSTANCE, "a": [1.0, 0.0, 1e300], "c": [1e300]}), "float range"),
+        (
+            json.dumps({**_INSTANCE, "regime": "a3", "lambda2": "-1", "lambda3": "-1"}),
+            "lambda2 and lambda3 must differ",
+        ),
+    ],
+    ids=[
+        "zero-denominator", "not-a-number", "beyond-float-range", "null", "not-a-list",
+        "not-an-object", "no-regime", "nan", "inf", "exact-products-overflow",
+        "float-products-overflow", "equal-eigenvalues",
+    ],
+)
+def test_classify_malformed_instance_exits_2(tmp_path, text, words):
+    f = tmp_path / "inst.json"
+    f.write_text(text)
+    assert words in run_bad(("classify", str(f), "--json"))
+
+
 @pytest.mark.parametrize(
     "argv,words",
     [

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riccati3 import polyclass
 from riccati3.polyclass import (
+    T2P1,
     ConstraintInstance,
     OrderingError,
     PolyclassError,
@@ -16,12 +18,161 @@ from riccati3.polyclass import (
     classify_a12,
     instance_from_dict,
     instance_to_dict,
+    padd,
+    pdivmod,
     plant_a3,
     plant_a12,
+    pmul,
     pscale,
+    psub,
     tilde_transform,
+    trim,
     verify_constraint,
 )
+
+
+# --- reference arithmetic: one Fraction (or float) operation per term ----
+
+
+def reference_pmul(a, b):
+    """The plain convolution."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def reference_pdivmod(num, den):
+    """Plain long division."""
+    num, den = list(trim(num)), trim(den)
+    q = [0] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(x != 0 for x in num):
+        k = len(num) - len(den)
+        coef = num[-1] / den[-1]
+        q[k] = coef
+        for i, d in enumerate(den):
+            num[k + i] -= coef * d
+        num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+    return trim(q), trim(num)
+
+
+def reference_residual(inst):
+    """max |lhs - rhs| of the constraint expanded in the instance's own
+    coefficients by the reference convolution."""
+    d1c, ac = reference_pmul(inst.d1, inst.c), reference_pmul(inst.a, inst.c)
+    lhs = padd(reference_pmul(inst.P, inst.P), reference_pmul(T2P1, reference_pmul(d1c, d1c)))
+    rhs = reference_pmul(reference_pmul(T2P1, reference_pmul(ac, ac)), inst.rhs_weight())
+    return max((abs(float(x)) for x in psub(lhs, rhs)), default=0.0)
+
+
+def same_values_and_fraction_types(got, want):
+    """Equal values, and a Fraction wherever the reference has one."""
+    assert got == want
+    for x, y in zip(got, want):
+        if isinstance(y, Fraction):
+            assert isinstance(x, Fraction), (got, want)
+
+
+_coefficient = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+_poly = st.one_of(
+    st.lists(_coefficient, max_size=7),
+    st.lists(st.integers(-(10**20), 10**20), max_size=7),  # int-only
+    st.lists(st.sampled_from([0, Fraction(0)]), max_size=4),  # empty and zero
+    # trailing zeros
+    st.tuples(st.lists(_coefficient, max_size=4), st.lists(st.just(0), max_size=3)).map(
+        lambda t: t[0] + t[1]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly, _poly)
+def test_pmul_equals_fraction_convolution(a, b):
+    got, want = pmul(tuple(a), tuple(b)), reference_pmul(a, b)
+    same_values_and_fraction_types(got, want)
+    assert pmul(tuple(b), tuple(a)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly, _poly.filter(lambda d: any(x != 0 for x in d)))
+def test_pdivmod_equals_fraction_long_division(num, den):
+    """On a Fraction dividend, as the classifiers divide, the quotient and
+    remainder are the reference's.  (The reference turns int/int steps into
+    floats, which a dividend of mixed ints and Fractions can reach.)"""
+    num = [Fraction(x) for x in num]
+    (q, r), (q_want, r_want) = pdivmod(num, den), reference_pdivmod(num, den)
+    same_values_and_fraction_types(q, q_want)
+    same_values_and_fraction_types(r, r_want)
+    assert padd(pmul(q, den), r) == trim(num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), max_size=6),
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5)), max_size=6),
+)
+def test_pmul_on_floats_is_the_plain_convolution(a, b):
+    got, want = pmul(tuple(a), tuple(b)), reference_pmul(a, b)
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+def _planted(seed):
+    """The instances of one benchmark round: every a12 branch, and every a3
+    branch in both eigenvalue orders."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for branch in ("CZero", "DEqualsSqrtLambdaA", "CaseIII", "CaseIV", "Infeasible"):
+        out.append(plant_a12(rng, branch, 1 if rng.integers(0, 2) else -1)[0])
+    for branch in ("CZero", "A3BranchII", "Infeasible"):
+        signs = (1 if rng.integers(0, 2) else -1, 1 if rng.integers(0, 2) else -1)
+        inst = plant_a3(rng, branch, signs)[0]
+        out += [inst, tilde_transform(inst)]
+    return out
+
+
+def test_planted_verdicts_equal_the_reference_arithmetic(monkeypatch):
+    """Every BranchVerdict field, on seeds 0-199 of every planted branch, is
+    the one the plain Fraction convolution and long division give; the oracle
+    residual is also the reference expansion's."""
+    instances = [inst for seed in range(200) for inst in _planted(seed)]
+    got = [classify(inst) for inst in instances]
+    monkeypatch.setattr(polyclass, "pmul", reference_pmul)
+    monkeypatch.setattr(polyclass, "pdivmod", reference_pdivmod)
+    for inst, (verdict, tilded) in zip(instances, got):
+        want, want_tilded = classify(inst)
+        assert tilded == want_tilded
+        assert verdict == want, (verdict, want)
+        for key, value in want.witness.items():
+            if isinstance(value, tuple):
+                same_values_and_fraction_types(verdict.witness[key], value)
+        assert verdict.oracle_residual == reference_residual(inst)
+
+
+def test_float_instances_keep_their_verdicts(monkeypatch):
+    """Float instances coupled from frame data classify as under the plain
+    arithmetic, bit for bit."""
+    from riccati3.frame_algebra import CASES, consistent_frame, constraint_instance
+
+    instances = []
+    for seed in range(12):
+        fd, rng = consistent_frame(seed), np.random.default_rng(seed)
+        instances += [instance_from_dict(constraint_instance(fd, case, rng=rng)) for case in CASES]
+    got = [classify(inst) for inst in instances]
+    monkeypatch.setattr(polyclass, "pmul", reference_pmul)
+    monkeypatch.setattr(polyclass, "pdivmod", reference_pdivmod)
+    assert all(not inst.exact for inst in instances)
+    assert got == [classify(inst) for inst in instances]
+    assert [v.oracle_residual for v, _ in got] == [reference_residual(i) for i in instances]
 
 
 def test_verify_czero():
@@ -186,14 +337,20 @@ def test_degree_validation():
 small_fraction = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
 )
+# exact coefficients with large numerators and denominators: the common
+# denominators of the integer kernel grow with them
+exact_fraction = st.one_of(
+    small_fraction,
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9),
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(small_fraction, min_size=3, max_size=3),
-    st.lists(small_fraction, min_size=2, max_size=3),
-    st.lists(small_fraction, min_size=1, max_size=3),
-    st.lists(small_fraction, min_size=1, max_size=6),
+    st.lists(exact_fraction, min_size=3, max_size=3),
+    st.lists(exact_fraction, min_size=2, max_size=3),
+    st.lists(exact_fraction, min_size=1, max_size=3),
+    st.lists(exact_fraction, min_size=1, max_size=6),
 )
 def test_classifier_never_unsound(a, c, d1, P):
     """Fuzz: any instance either gets Infeasible or passes the oracle exactly."""
@@ -202,5 +359,24 @@ def test_classifier_never_unsound(a, c, d1, P):
         a[2] = Fraction(1)
     inst = ConstraintInstance("a12", a, c, d1, P, Lambda=Fraction(9, 4))
     v = classify_a12(inst)
+    assert v.oracle_residual == verify_constraint(inst) == reference_residual(inst)
     if v.branch != "Infeasible":
         assert verify_constraint(inst) == 0
+
+
+def test_equal_eigenvalues_rejected_when_built():
+    with pytest.raises(PolyclassError, match="lambda2 and lambda3 must differ"):
+        ConstraintInstance("a3", ("1", "0", "1"), (), (), (), lambda2="-2", lambda3="-2")
+    with pytest.raises(PolyclassError, match="lambda2 and lambda3 must differ"):
+        ConstraintInstance("a3", (1.0, 0.0, 1.0), (), (), (), lambda2=-0.5, lambda3="-1/2")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("Lambda", "1/0"), ("Lambda", "x"), ("Lambda", "1e400"), ("Lambda", float("nan")),
+     ("a", ["1", "0", float("inf")]), ("a", ["1", "0", 10**400]), ("c", "1"), ("P", [[1]])],
+)
+def test_malformed_coefficients_raise_polyclass_error(field, value):
+    data = {"regime": "a12", "Lambda": "1", "a": ["1", "0", "1"], "c": [], "d1": [], "P": []}
+    with pytest.raises(PolyclassError):
+        instance_from_dict({**data, field: value})

@@ -203,9 +203,31 @@ def test_metric_fault_along_path():
         integrate_geodesic(spec, (0.2, 0, 0), (-1.0, 0, 0), 1.0, 1e-2)
 
 
+def test_gamma_at_rejects_a_non_positive_definite_point():
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = metrics.custom({"g11": "x1", **flat})
+    metrics.gamma_at(spec, (0.3, 0.0, 0.0))
+    for x1 in (0.0, -0.5, float("nan")):
+        with pytest.raises(metrics.MetricError, match=rf"not positive definite at \({x1}, 0.0, 0.0\)"):
+            metrics.gamma_at(spec, (x1, 0.0, 0.0))
+    # indefinite with positive diagonal: only the second minor is negative
+    tilted = metrics.custom({"g11": "1", "g12": "2", "g13": "0", "g22": "1", "g23": "0", "g33": "1"})
+    with pytest.raises(metrics.MetricError, match="leading principal minors 1.000e\\+00, -3.000e\\+00"):
+        metrics.gamma_at(tilted, (0.0, 0.0, 0.0))
+
+
+def test_geodesic_stage_outside_positive_definite_region_raises():
+    """g11 = x1 heading to x1 = 0: the first RK4 stage point with x1 <= 0 stops
+    the integration instead of stepping through it."""
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = metrics.custom({"g11": "x1", **flat})
+    with pytest.raises(metrics.MetricError, match=r"not positive definite at \(-"):
+        integrate_geodesic(spec, (0.3, 0.0, 0.0), (-1.0, 0.0, 0.0), 1.0, 0.01)
+
+
 def test_zero_direction_or_step_rejected():
     spec = metrics.builtin("flat")
-    with pytest.raises(ValueError, match="direction"):
+    with pytest.raises(riccati.DirectionError, match="direction"):
         integrate_geodesic(spec, (0, 0, 0), (0, 0, 0), 1.0, 1e-2)
     with pytest.raises(ValueError, match="dt"):
         integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.0, 0.0)
