@@ -180,7 +180,8 @@ class ParseError(ExprError):
 
 
 class DomainFault(ExprError):
-    """Evaluation fault (log/sqrt of non-positive value, division by ~0)."""
+    """Evaluation fault (log/sqrt of non-positive value, division by ~0, exp,
+    sinh or cosh beyond the float range)."""
 
     def __init__(self, message, node):
         super().__init__(f"{message} in subtree '{format_expr(node)}'")
@@ -482,11 +483,28 @@ def _ipow(c, n, order, node):
     return _compose(c, series, order)
 
 
+def _growing(f, a0, name, node):
+    """f(a0) for f = exp, sinh or cosh from ``math`` at one point or ``np`` at a
+    batch; a finite a0 where the value overflows the float range raises
+    DomainFault naming ``node``, at one point and at a batch alike."""
+    if isinstance(a0, np.ndarray):
+        with np.errstate(over="ignore"):
+            y = f(a0)
+        if not np.any(np.isinf(y) & np.isfinite(a0)):
+            return y
+    else:
+        try:
+            return f(a0)
+        except OverflowError:
+            pass
+    raise DomainFault(f"{name} overflows the float range", node)
+
+
 def _function_series(name, a0, node):
     """Taylor coefficients of a unary function at a0 (a float, or an (n,) array)."""
     lib = np if isinstance(a0, np.ndarray) else math
     if name == "exp":
-        e = lib.exp(a0)
+        e = _growing(lib.exp, a0, name, node)
         return [e, e, e / 2, e / 6, e / 24]
     if name == "log":
         if _any(a0 <= 0):
@@ -503,12 +521,9 @@ def _function_series(name, a0, node):
     if name == "cos":
         s, c = lib.sin(a0), lib.cos(a0)
         return [c, -s, -c / 2, s / 6, c / 24]
-    if name == "sinh":
-        s, c = lib.sinh(a0), lib.cosh(a0)
-        return [s, c, s / 2, c / 6, s / 24]
-    if name == "cosh":
-        s, c = lib.sinh(a0), lib.cosh(a0)
-        return [c, s, c / 2, s / 6, c / 24]
+    if name in ("sinh", "cosh"):
+        s, c = _growing(lib.sinh, a0, name, node), _growing(lib.cosh, a0, name, node)
+        return [s, c, s / 2, c / 6, s / 24] if name == "sinh" else [c, s, c / 2, s / 6, c / 24]
     raise ExprError(f"unknown function '{name}'")
 
 

@@ -188,9 +188,6 @@ def _not_positive_definite(spec, at, detail):
     return MetricError(f"metric '{spec.name}' not positive definite at {at}: {detail}")
 
 
-_EYE = np.eye(3)
-
-
 def lowered_symbol(dg):
     """Christoffel symbols of the first kind from the metric's first partials
     in the ``partials`` layout dg[..., i, j, m] = d_m g_ij (symmetric in i, j):
@@ -201,11 +198,13 @@ def lowered_symbol(dg):
 def gamma_at(spec: MetricSpec, p):
     """Fast (g, ginv, Gamma) at one point from the order-1 metric tape.
 
-    Gamma[k,i,j] = Christoffel symbol of the second kind, from one linear
-    solve of g against the lowered symbol and the identity (for ginv).  Used
-    by the geodesic/transport integrators where full jets are wasteful.  A
-    point where g is not positive definite (a leading principal minor is not
-    positive) raises MetricError naming it.
+    ginv is the adjugate of g over its determinant, both from the leading
+    principal minors g11, m2, m3 that the positive-definiteness check
+    computes, so it is exactly symmetric.  Gamma[k,i,j] = Christoffel symbol
+    of the second kind, ginv times the lowered symbol as one (3, 3) x (3, 9)
+    product.  Used by the geodesic/transport integrators where full jets are
+    wasteful.  A point where g is not positive definite (a leading principal
+    minor is not positive) raises MetricError naming it.
     """
     c = np.array(spec.tape.run(p, 1))[_FULL_INDEX]  # (3, 3, 4): g_ij and its gradient
     g, low = c[..., 0], lowered_symbol(c[..., 1:])
@@ -215,5 +214,12 @@ def gamma_at(spec: MetricSpec, p):
     if not (g11 > 0 and m2 > 0 and m3 > 0):  # a nan minor fails too
         minors = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
         raise _not_positive_definite(spec, tuple(map(float, p)), minors)
-    sol = np.linalg.solve(g, np.concatenate([low.reshape(3, 9), _EYE], axis=1))
-    return g, sol[:, 9:], sol[:, :9].reshape(3, 3, 3)
+    # the cofactors of the symmetric g; m2 is the (3, 3) one
+    a11 = (g22 * g33 - g23 * g23) / m3
+    a12 = (g13 * g23 - g12 * g33) / m3
+    a13 = (g12 * g23 - g13 * g22) / m3
+    a22 = (g11 * g33 - g13 * g13) / m3
+    a23 = (g12 * g13 - g11 * g23) / m3
+    a33 = m2 / m3
+    ginv = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+    return g, ginv, (ginv @ low.reshape(3, 9)).reshape(3, 3, 3)

@@ -232,7 +232,7 @@ class ConstraintInstance:
             if self.Lambda is None:
                 raise PolyclassError("regime a12 needs Lambda")
             self.Lambda = _coerce(self.Lambda)
-            if float(self.Lambda) <= 0:
+            if self.Lambda <= 0:  # exact, so a positive Fraction that underflows as a float passes
                 raise PolyclassError("Lambda must be positive")
             scalars.append(self.Lambda)
         else:
@@ -240,7 +240,7 @@ class ConstraintInstance:
                 raise PolyclassError("regime a3 needs lambda2 and lambda3")
             self.lambda2 = _coerce(self.lambda2)
             self.lambda3 = _coerce(self.lambda3)
-            if float(self.lambda2) >= 0 or float(self.lambda3) >= 0:
+            if self.lambda2 >= 0 or self.lambda3 >= 0:
                 raise PolyclassError("eigenvalues must be negative")
             scalars.extend([self.lambda2, self.lambda3])
         self.exact = all(
@@ -383,7 +383,7 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     if _is_zero(W, max(tol, wtol)):
         if not _is_zero(v, tol):
             return infeasible("Lambda a^2 = d1^2 but P/c has a (t^2+1) cofactor")
-        s = _match_sqrt_sign(inst.a, inst.d1, float(inst.Lambda))
+        s = _match_sqrt_sign(inst.a, inst.d1, _sqrt_lambda(inst))
         return sound("DEqualsSqrtLambdaA", (s,), {"v": ()})
 
     Q = _exact_divide(W, T2P1, max(tol, FLOAT_TOL if not inst.exact else 0))
@@ -394,12 +394,12 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     if not _is_zero(diff, max(tol, tol * pmax(Q))):
         cert = "constraint violated: (Lambda a^2 - d1^2)/(t^2+1) != v^2"
         Qt = trim(Q)
-        if Qt and float(Qt[-1]) < 0:
+        if Qt and Qt[-1] < 0:
             cert += " (sign clash: cofactor has negative leading coefficient, x1 x2 < 0)"
         return infeasible(cert)
 
     dv = degree(v)
-    m = math.sqrt(float(inst.Lambda))
+    m = _sqrt_lambda(inst)
     fa = [float(x) for x in inst.a] + [0.0] * (3 - len(inst.a))
     fd = [float(x) for x in inst.d1] + [0.0] * (3 - len(inst.d1))
     if dv == 0:
@@ -421,8 +421,19 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     return infeasible(f"unexpected cofactor degree {dv}")
 
 
-def _match_sqrt_sign(a, d1, lam):
-    m = math.sqrt(lam)
+def _sqrt_lambda(inst):
+    """sqrt(Lambda) as a float; a positive Lambda that underflows to 0.0 as a
+    float raises PolyclassError."""
+    lam = float(inst.Lambda)
+    if lam == 0.0:
+        raise PolyclassError(
+            "Lambda is positive but underflows to 0.0 as a float, so sqrt(Lambda) has no float value"
+        )
+    return math.sqrt(lam)
+
+
+def _match_sqrt_sign(a, d1, m):
+    """The sign s with d1 closest to s m a, m = sqrt(Lambda)."""
     best, s_best = None, 1
     n = max(len(a), len(d1))
     fa = [float(x) for x in a] + [0.0] * (n - len(a))
@@ -439,7 +450,7 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     if inst.regime != "a3":
         raise PolyclassError("classify_a3 needs regime a3")
     l2, l3 = inst.lambda2, inst.lambda3
-    if not float(l2) < float(l3):
+    if not l2 < l3:
         raise OrderingError("need lambda2 < lambda3; apply tilde_transform first")
     tol = inst.tol()
     infeasible, sound = _verdicts(inst)
@@ -449,7 +460,7 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     canon = pscale((l2, 0, l3), Fraction(-1, 2) if inst.exact else -0.5)
     lead = trim(inst.a)[-1]
     s_scale = lead / canon[2]
-    if float(s_scale) <= 0 or not _is_zero(psub(inst.a, pscale(canon, s_scale)), tol):
+    if s_scale <= 0 or not _is_zero(psub(inst.a, pscale(canon, s_scale)), tol):
         return infeasible("a is not a positive multiple of -(lambda3 t^2 + lambda2)/2")
     c_n = pscale(inst.c, 1 / s_scale)
     d1_n = pscale(inst.d1, 1 / s_scale)
@@ -494,8 +505,8 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
         return infeasible("solution does not match the rigid branch shapes")
     d1t = list(trim(d1_n)) + [0] * (4 - len(trim(d1_n)))
     qt = list(trim(q)) + [0] * (3 - len(trim(q)))
-    s_d = -1 if float(d1t[3]) > 0 else 1  # d1 lead = s_d sqrt(2(l3-l2)) lambda3 < 0 for s_d=+1
-    s_p = -1 if float(qt[2]) > 0 else 1
+    s_d = -1 if d1t[3] > 0 else 1  # d1 lead = s_d sqrt(2(l3-l2)) lambda3 < 0 for s_d=+1
+    s_p = -1 if qt[2] > 0 else 1
     return sound(
         "A3BranchII",
         (s_d, s_p),
@@ -527,7 +538,7 @@ def classify(inst: ConstraintInstance):
     try:
         if inst.regime == "a12":
             return classify_a12(inst), False
-        if float(inst.lambda2) < float(inst.lambda3):
+        if inst.lambda2 < inst.lambda3:
             return classify_a3(inst), False
         return classify_a3(tilde_transform(inst)), True
     except OverflowError as exc:

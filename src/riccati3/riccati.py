@@ -8,8 +8,11 @@ and interpolated to stage times by 4-point Lagrange interpolation (also
 fourth order, so the scheme keeps its order).  The values of J at the
 stage times of the path's steps are interpolated in one vectorized
 evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the stepping
-reaches the block; the blow-up bisection interpolates its off-grid steps
-with the same function.
+reaches the block, and handed to the stepping as Python floats; the
+blow-up bisection interpolates its off-grid steps with the same function.
+Both u and J are symmetric, so a Riccati step works on the three entries
+(u11, u12, u22) as floats, with u u written out on them: a 2x2 step has
+too little arithmetic to pay numpy's cost per call.
 The geodesic right-hand side reads the Christoffel symbols from the
 metric's compiled order-1 tape (``gamma_at``).
 
@@ -221,32 +224,55 @@ def _stage_J(ts, Js, times):
     return out
 
 
+def _slope(a, b, c, J):
+    """-u u - J on the entries (u11, u12, u22) of the symmetric u = [[a, b], [b, c]]
+    and of the symmetric J."""
+    return -(a * a + b * b) - J[0], -(a * b + b * c) - J[1], -(b * b + c * c) - J[2]
+
+
+def _riccati_step(u, h, J0, Jmid, J1):
+    """One RK4 step of length h of u' = -u u - J on the entries (u11, u12, u22),
+    given those of J at the step's three stage times."""
+    a, b, c = u
+    h2 = 0.5 * h
+    k1 = _slope(a, b, c, J0)
+    k2 = _slope(a + h2 * k1[0], b + h2 * k1[1], c + h2 * k1[2], Jmid)
+    k3 = _slope(a + h2 * k2[0], b + h2 * k2[1], c + h2 * k2[2], Jmid)
+    k4 = _slope(a + h * k3[0], b + h * k3[1], c + h * k3[2], J1)
+    w = h / 6.0
+    return (
+        a + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        b + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        c + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+    )
+
+
+def _blows_up(u):
+    """The Frobenius norm of u is above BLOWUP_NORM, or is inf or nan."""
+    a, b, c = u
+    return not math.sqrt(a * a + 2.0 * b * b + c * c) <= BLOWUP_NORM
+
+
+def _stage_entries(ts, Js, times):
+    """``_stage_J`` as nested lists of the entries (J11, J12, J22): [step][stage][entry]."""
+    return _stage_J(ts, Js, times)[..., (0, 0, 1), (0, 1, 1)].tolist()
+
+
 def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = None) -> RiccatiResult:
     """Integrate u' = -u^2 - J(t) from a symmetric 2x2 initial value.
 
-    Blow-up (Frobenius norm above 1e8) is a return value, not an error; the
+    The state is the three entries (u11, u12, u22) as floats; u0's off-diagonal
+    entry is the mean of its two entries, which may differ by up to 1e-12.
+    Every state's u is an exactly symmetric 2x2 array.  Blow-up (Frobenius
+    norm above 1e8, or not finite) is a return value, not an error; the
     crossing time is refined by step bisection to about 1e-3.
     """
     u = np.asarray(u0, dtype=float)
     if u.shape != (2, 2) or abs(u[0, 1] - u[1, 0]) > 1e-12:
         raise ValueError("u0 must be symmetric 2x2")
+    (u11, u12), (u21, u22) = u.tolist()
     ts = path.ts
     t_end = float(ts[-1]) if T is None else min(float(T), float(ts[-1]))
-
-    def step(u, h, J0, Jmid, J1):
-        """One RK4 step of length h, given J at its three stage times."""
-        k1 = -(u @ u) - J0
-        v = u + 0.5 * h * k1
-        k2 = -(v @ v) - Jmid
-        v = u + 0.5 * h * k2
-        k3 = -(v @ v) - Jmid
-        v = u + h * k3
-        k4 = -(v @ v) - J1
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def blows_up(u):
-        # also true for a non-finite entry, whose norm is inf or nan
-        return not np.linalg.norm(u) <= BLOWUP_NORM
 
     def steps():
         """(t, t_next, J at the stage times) for each step on the path's sample
@@ -254,29 +280,35 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
         times = np.append(ts[ts < t_end], t_end)
         for s in range(0, len(times) - 1, SAMPLE_BLOCK):
             block = times[s : s + SAMPLE_BLOCK + 1]
-            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_J(ts, Js, block))
+            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_entries(ts, Js, block))
 
-    states = [RiccatiState(0.0, u.copy(), abs(float(np.trace(u))))]
-    defect = states[0].trace_defect
+    u = (u11, u12 + 0.5 * (u21 - u12), u22)  # the mean, exactly u12 when the two are equal
+    times, entries, defects = [0.0], [u], [abs(u11 + u22)]
+
+    def result(blown_up, t_blow, bracket):
+        U = np.array(entries)[:, (0, 1, 1, 2)].reshape(-1, 2, 2)
+        states = [RiccatiState(t, m, d) for t, m, d in zip(times, U, defects)]
+        return RiccatiResult(states, max(defects), blown_up, t_blow, bracket)
+
     for t, t_next, stage_J in steps():
-        u_next = step(u, t_next - t, *stage_J)
-        if blows_up(u_next):
+        u_next = _riccati_step(u, t_next - t, *stage_J)
+        if _blows_up(u_next):
             lo, hi = t, t_next
-            u_lo = u.copy()
+            u_lo = u
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
-                u_mid = step(u_lo, mid - lo, *_stage_J(ts, Js, np.array([lo, mid]))[0])
-                if blows_up(u_mid):
+                (stage_mid,) = _stage_entries(ts, Js, np.array([lo, mid]))
+                u_mid = _riccati_step(u_lo, mid - lo, *stage_mid)
+                if _blows_up(u_mid):
                     hi = mid
                 else:
                     lo, u_lo = mid, u_mid
-            t_blow = 0.5 * (lo + hi)
-            return RiccatiResult(states, defect, True, t_blow, (lo, hi))
-        u = u_next  # a new array every step, so the state can keep it
-        d = abs(float(u[0, 0] + u[1, 1]))
-        defect = max(defect, d)
-        states.append(RiccatiState(t_next, u, d))
-    return RiccatiResult(states, defect, False, None, None)
+            return result(True, 0.5 * (lo + hi), (lo, hi))
+        u = u_next
+        times.append(t_next)
+        entries.append(u)
+        defects.append(abs(u[0] + u[2]))
+    return result(False, None, None)
 
 
 @dataclass

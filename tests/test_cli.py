@@ -300,6 +300,18 @@ def test_riccati_path_leaving_positive_definite_region_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_riccati_exp_overflow_exits_2(tmp_path):
+    """exp of a stage point beyond the float range is a domain fault naming
+    the subtree, not a traceback."""
+    f = tmp_path / "m.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": "1 + exp(x1) - exp(x1)", **flat}}))
+    out = tmp_path / "traj.csv"
+    line = run_bad(("riccati", str(f), "--point", "1000,0,0", "--dir", "1,0,0", "--out", str(out)))
+    assert line == "riccati3 riccati: error: exp overflows the float range in subtree 'exp(x1)'"
+    assert not out.exists()
+
+
 _INSTANCE = {"regime": "a12", "Lambda": "4", "a": ["1", "0", "1"], "c": ["1"], "d1": ["2"], "P": []}
 
 
@@ -321,11 +333,15 @@ _INSTANCE = {"regime": "a12", "Lambda": "4", "a": ["1", "0", "1"], "c": ["1"], "
             json.dumps({**_INSTANCE, "regime": "a3", "lambda2": "-1", "lambda3": "-1"}),
             "lambda2 and lambda3 must differ",
         ),
+        (
+            json.dumps({**_INSTANCE, "Lambda": "1e-800", "d1": ["1e-400", "0", "1e-400"]}),
+            "Lambda is positive but underflows to 0.0 as a float",
+        ),
     ],
     ids=[
         "zero-denominator", "not-a-number", "beyond-float-range", "null", "not-a-list",
         "not-an-object", "no-regime", "nan", "inf", "exact-products-overflow",
-        "float-products-overflow", "equal-eigenvalues",
+        "float-products-overflow", "equal-eigenvalues", "sqrt-Lambda-underflows",
     ],
 )
 def test_classify_malformed_instance_exits_2(tmp_path, text, words):

@@ -250,6 +250,9 @@ def test_batch_jet_is_stack_of_point_jets(order):
         ("x1^-3", (4e-13, 0.0, 0.0), "(x1^-3)"),
         ("log(x1)", (-0.5, 0.0, 0.0), "log(x1)"),
         ("sqrt(x2 - 4)", (0.0, 1.0, 0.0), "sqrt((x2 - 4.0))"),
+        ("exp(x1)", (800.0, 0.0, 0.0), "exp(x1)"),
+        ("sinh(x3)", (0.0, 0.0, -800.0), "sinh(x3)"),
+        ("cosh(x2)", (0.0, 800.0, 0.0), "cosh(x2)"),
     ],
 )
 def test_batch_with_one_faulting_row_raises(src, bad_row, subtree):
@@ -277,6 +280,24 @@ def test_metric_jets_batch_names_non_positive_definite_row():
     with pytest.raises(MetricError) as one:
         metric_jets(spec, (-0.125, 0.5, 0.75), order=2)
     assert str(one.value) == str(err.value)
+
+
+def test_exp_overflow_is_a_domain_fault_not_an_indefinite_metric():
+    """exp beyond the float range is named as such at one point (where math.exp
+    raises OverflowError) and at a batch (where np.exp gives inf), also when the
+    overflow cancels out of the metric; a nan argument is not an overflow."""
+    comps = {"g11": "1 + exp(x1) - exp(x1)", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = custom(comps)
+    for call in (
+        lambda: gamma_at(spec, (1000.0, 0.0, 0.0)),
+        lambda: metric_jets(spec, (1000.0, 0.0, 0.0), order=1),
+        lambda: metric_jets(spec, np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]), order=1),
+    ):
+        with pytest.raises(DomainFault, match=r"^exp overflows the float range in subtree 'exp\(x1\)'$"):
+            call()
+    assert gamma_at(spec, (30.0, 0.0, 0.0))[0][0, 0] == 1.0
+    with pytest.raises(MetricError, match="not positive definite"):
+        gamma_at(spec, (math.nan, 0.0, 0.0))
 
 
 # --- the compiled tape ---------------------------------------------------

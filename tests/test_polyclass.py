@@ -380,3 +380,25 @@ def test_malformed_coefficients_raise_polyclass_error(field, value):
     data = {"regime": "a12", "Lambda": "1", "a": ["1", "0", "1"], "c": [], "d1": [], "P": []}
     with pytest.raises(PolyclassError):
         instance_from_dict({**data, field: value})
+
+
+def test_signs_of_lambdas_below_the_float_range_are_exact():
+    """Lambda, lambda2 and lambda3 are compared with 0 and with each other as
+    exact values: 1e-400 is positive although float() gives 0.0.  A branch
+    that needs sqrt(Lambda) as a float refuses an underflowing Lambda by name."""
+    tiny = ConstraintInstance("a12", ("1", "0", "1"), (), ("1",), (), Lambda="1e-400")
+    assert tiny.exact and tiny.Lambda > 0 and float(tiny.Lambda) == 0.0
+    assert classify(tiny)[0].branch == "CZero"
+    with pytest.raises(PolyclassError, match="Lambda must be positive"):
+        ConstraintInstance("a12", ("1", "0", "1"), (), (), (), Lambda="-1e-400")
+    with pytest.raises(PolyclassError, match="eigenvalues must be negative"):
+        ConstraintInstance("a3", ("1", "0", "1"), (), (), (), lambda2="-1", lambda3="1e-400")
+    # lambda2 < lambda3 < 0 below the float range: a3 without the tilde transform
+    a3 = ConstraintInstance("a3", ("1e-400", "0", "2e-400"), (), (), (), lambda2="-4e-400", lambda3="-2e-400")
+    verdict, swapped = classify(a3)
+    assert (verdict.branch, swapped) == ("CZero", False)
+    assert classify(tilde_transform(a3))[1]
+    # d1 = sqrt(Lambda) a exactly, with Lambda = 1e-800: the sign needs sqrt(Lambda)
+    sqrt_branch = ConstraintInstance("a12", ("1", "0", "1"), ("1",), ("1e-400", "0", "1e-400"), (), Lambda="1e-800")
+    with pytest.raises(PolyclassError, match="underflows to 0.0 as a float"):
+        classify(sqrt_branch)

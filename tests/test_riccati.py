@@ -355,3 +355,100 @@ def test_riccati_steps_across_sample_blocks():
     assert [st.t for st in res.states] == list(ts)
     for st in res.states:
         assert np.allclose(st.u, -k * math.tan(k * st.t) * np.eye(2), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_gamma_at_inverse_is_the_symmetric_adjugate(name, monkeypatch):
+    """ginv is exactly symmetric and agrees with np.linalg.inv(g) to 1e-14 of
+    cond(g); gamma_at itself makes no linear-algebra call for it."""
+    spec = metrics.builtin(name)
+    rng = np.random.default_rng(15)
+    box = np.array(spec.box)
+    points = rng.uniform(box[:, 0], box[:, 1], (8, 3))
+    want = {}
+    for p in points:
+        g = metrics.metric_jets(spec, tuple(p), order=0).g
+        want[tuple(p)] = (np.linalg.inv(g), np.linalg.cond(g))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("gamma_at called a numpy linear solver")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    for p in points:
+        _, ginv, gamma = metrics.gamma_at(spec, p)
+        inv, cond = want[tuple(p)]
+        assert np.array_equal(ginv, ginv.T)
+        assert np.max(np.abs(ginv - inv)) <= 1e-14 * cond * np.max(np.abs(inv))
+        # the lowered symbol is symmetric in its last two slots, and so is Gamma
+        assert np.array_equal(gamma, gamma.swapaxes(1, 2))
+
+
+def _full_matrix_step(u, h, J0, Jmid, J1):
+    """One RK4 step on full 2x2 arrays with u @ u: the reference for the
+    integrator's step on the three entries of the symmetric u."""
+    k1 = -(u @ u) - J0
+    k2 = -((u + 0.5 * h * k1) @ (u + 0.5 * h * k1)) - Jmid
+    k3 = -((u + 0.5 * h * k2) @ (u + 0.5 * h * k2)) - Jmid
+    k4 = -((u + h * k3) @ (u + h * k3)) - J1
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _entries(m):
+    return (float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
+
+
+def _close(got, want, rel):
+    return np.all(np.abs(np.asarray(got) - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+def test_three_entry_step_matches_the_full_matrix_step():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        u, J0, Jmid, J1 = (m + m.T for m in rng.standard_normal((4, 2, 2)))
+        h = rng.uniform(1e-3, 0.1)
+        got = riccati._riccati_step(_entries(u), h, _entries(J0), _entries(Jmid), _entries(J1))
+        assert _close(got, _entries(_full_matrix_step(u, h, J0, Jmid, J1)), 1e-14)
+
+
+def test_riccati_trajectory_matches_the_full_matrix_reference():
+    """Every state against full-matrix RK4 steps on the same stage values of
+    J, over more than one SAMPLE_BLOCK; every state's u is exactly symmetric."""
+    spec = metrics.builtin("heisenberg", L=1.0)
+    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.6, 2e-3)
+    Js = jacobi_along(spec, path)
+    u = np.array([[0.3, 0.1], [0.1, -0.3]])
+    res = integrate_riccati(path, Js, u)
+    assert not res.blown_up and len(res.states) == len(path.ts) > SAMPLE_BLOCK
+    stages = _stage_J(path.ts, Js, path.ts)
+    for k, st in enumerate(res.states):
+        assert isinstance(st.u, np.ndarray) and st.u.shape == (2, 2)
+        assert st.u[0, 1] == st.u[1, 0]
+        assert _close(st.u, u, 1e-14)
+        assert st.trace_defect == abs(st.u[0, 0] + st.u[1, 1])
+        if k < len(stages):
+            u = _full_matrix_step(u, path.ts[k + 1] - path.ts[k], *stages[k])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_counts_as_blow_up(bad):
+    assert riccati._blows_up((bad, 0.0, 0.0)) and riccati._blows_up((0.0, bad, 0.0))
+    assert not riccati._blows_up((1e7, 1e7, 1e7))
+    spec = metrics.builtin("flat")
+    path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 0.5, 1e-2)
+    res = integrate_riccati(path, jacobi_along(spec, path), np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert res.blown_up and len(res.states) == 1
+
+
+def test_nearly_symmetric_u0_is_symmetrized():
+    """An off-diagonal pair within 1e-12 is accepted and replaced by its mean;
+    a wider gap is refused."""
+    spec = metrics.builtin("flat")
+    path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 0.1, 1e-2)
+    Js = jacobi_along(spec, path)
+    res = integrate_riccati(path, Js, np.array([[0.3, 0.1], [0.1 + 1e-13, -0.3]]))
+    u = res.states[0].u
+    assert u[0, 1] == u[1, 0] == pytest.approx(0.1 + 5e-14, abs=1e-17)
+    assert all(st.u[0, 1] == st.u[1, 0] for st in res.states)
+    with pytest.raises(ValueError, match="symmetric"):
+        integrate_riccati(path, Js, np.array([[0.3, 0.1], [0.1 + 1e-11, -0.3]]))
