@@ -283,11 +283,11 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
             yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_entries(ts, Js, block))
 
     u = (u11, u12 + 0.5 * (u21 - u12), u22)  # the mean, exactly u12 when the two are equal
-    times, entries, defects = [0.0], [u], [abs(u11 + u22)]
+    state_ts, entries, defects = [0.0], [u], [abs(u11 + u22)]
 
     def result(blown_up, t_blow, bracket):
         U = np.array(entries)[:, (0, 1, 1, 2)].reshape(-1, 2, 2)
-        states = [RiccatiState(t, m, d) for t, m, d in zip(times, U, defects)]
+        states = [RiccatiState(t, m, d) for t, m, d in zip(state_ts, U, defects)]
         return RiccatiResult(states, max(defects), blown_up, t_blow, bracket)
 
     for t, t_next, stage_J in steps():
@@ -305,7 +305,7 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
                     lo, u_lo = mid, u_mid
             return result(True, 0.5 * (lo + hi), (lo, hi))
         u = u_next
-        times.append(t_next)
+        state_ts.append(t_next)
         entries.append(u)
         defects.append(abs(u[0] + u[2]))
     return result(False, None, None)

@@ -357,11 +357,16 @@ def test_riccati_steps_across_sample_blocks():
         assert np.allclose(st.u, -k * math.tan(k * st.t) * np.eye(2), rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+# every off-diagonal entry nonzero, so that each cofactor of the adjugate counts
+TILTED = {"g11": "2 + x1^2", "g12": "0.3*x2", "g13": "0.2 + 0.1*x3",
+          "g22": "2 + sin(x1)", "g23": "0.25*x1", "g33": "2 + x2^2"}
+
+
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES + ("tilted",))
 def test_gamma_at_inverse_is_the_symmetric_adjugate(name, monkeypatch):
     """ginv is exactly symmetric and agrees with np.linalg.inv(g) to 1e-14 of
     cond(g); gamma_at itself makes no linear-algebra call for it."""
-    spec = metrics.builtin(name)
+    spec = metrics.custom(TILTED, name=name) if name == "tilted" else metrics.builtin(name)
     rng = np.random.default_rng(15)
     box = np.array(spec.box)
     points = rng.uniform(box[:, 0], box[:, 1], (8, 3))
