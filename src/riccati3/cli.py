@@ -21,12 +21,7 @@ from . import frame_algebra as fa
 from . import metrics, polyclass
 from .curvature import identity_residuals, jacobi_op, pack_at, ricci_rank
 from .exprjet import ExprError
-from .obstruction import (
-    RankPrecondition,
-    fibonacci_directions,
-    obstruction_values,
-    rank1_checks,
-)
+from .obstruction import fibonacci_directions, obstruction_values, rank1_checks
 from .riccati import DirectionError, integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
@@ -174,17 +169,14 @@ def cmd_analyze(args):
             hist[str(rr.rank)] += 1
             any_nonpositive = any_nonpositive and rr.ric_nonpositive
             if rr.rank == 1 and rank1 is None:
-                try:
-                    rep = rank1_checks(spec, p, rr)
-                    rank1 = {
-                        "lie_e3_scal": rep.lie_e3_scal,
-                        "div_e3": rep.div_e3,
-                        "defect_min": rep.defect_min,
-                        "defect_max": rep.defect_max,
-                        "flagged": rep.flagged,
-                    }
-                except RankPrecondition:
-                    pass
+                rep = rank1_checks(pack.row(k), rr)
+                rank1 = {
+                    "lie_e3_scal": rep.lie_e3_scal,
+                    "div_e3": rep.div_e3,
+                    "defect_min": rep.defect_min,
+                    "defect_max": rep.defect_max,
+                    "flagged": rep.flagged,
+                }
             if args.csv:
                 cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
                 sweep = np.column_stack([X[k]] + [c[k] for c in cols]).tolist()

@@ -180,8 +180,8 @@ class ParseError(ExprError):
 
 
 class DomainFault(ExprError):
-    """Evaluation fault (log/sqrt of non-positive value, division by ~0, exp,
-    sinh or cosh beyond the float range)."""
+    """Evaluation fault (log/sqrt of non-positive value, division by ~0, an
+    integer power, exp, sinh or cosh beyond the float range)."""
 
     def __init__(self, message, node):
         super().__init__(f"{message} in subtree '{format_expr(node)}'")
@@ -466,20 +466,37 @@ def _compose(c, series, order):
     return out
 
 
+def _binomial_series(a0, n, top):
+    """binomial(n, k) a0^(n - k) for k = 0..top."""
+    series, b = [], 1.0  # b = binomial(n, k)
+    for k in range(top + 1):
+        series.append(b * a0 ** (n - k))
+        b = b * (n - k) / (k + 1)
+    return series
+
+
 def _ipow(c, n, order, node):
     """c^n by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
 
     A negative power of a value within 1e-12 of 0 (at any point of a batch)
-    raises DomainFault naming ``node``.
+    raises DomainFault naming ``node``; so does a finite a0 where a term of
+    the series overflows the float range, at one point and at a batch alike.
     """
     a0 = _value(c)
     if n < 0 and _any(abs(a0) < 1e-12):
         raise DomainFault("division by ~0", node)
     top = order if n < 0 else min(order, n)
-    series, b = [], 1.0  # b = binomial(n, k)
-    for k in range(top + 1):
-        series.append(b * a0 ** (n - k))
-        b = b * (n - k) / (k + 1)
+    try:  # a float power raises OverflowError, numpy under ``over="raise"`` FloatingPointError
+        if isinstance(a0, np.ndarray):
+            with np.errstate(over="raise"):
+                series = _binomial_series(a0, n, top)
+        else:
+            series = _binomial_series(a0, n, top)
+            # a float product overflows to inf without raising
+            if (math.inf in series or -math.inf in series) and math.isfinite(a0):
+                raise OverflowError
+    except (OverflowError, FloatingPointError):
+        raise DomainFault(f"power {n} overflows the float range", node) from None
     return _compose(c, series, order)
 
 

@@ -25,6 +25,10 @@ In a g-orthonormal eigenbasis of Jo on X-perp (``jacobi_frame``), Jo is
 (``derived_jacobi_direct``): tr(Jo o Jo) = 2(A^2 + B^2), D = 4 (A B1 - A1 B)^2.
 ``reconstruct_u`` and ``riccati.constrained_probe`` solve in that frame.
 
+``rank1_checks`` certifies a point of Ricci rank 1 from that point's pack
+alone: the covariant derivative of the eigenvector e3 of the simple nonzero
+Ricci eigenvalue is exact, from nabla ric, with no neighbouring point.
+
 ``jacobi_frame``, ``derived_jacobi_direct`` and ``obstruction_values`` take
 one direction or an (m, 3) batch, with one code path: a batch gives every
 field as an array with a leading direction axis, and one direction is a batch
@@ -48,20 +52,13 @@ from .curvature import (
     _products,
     jacobi_op,
     orthonormal_perp,
-    pack_at,
     plane_entries,
     ricci_rank,
 )
-from .metrics import MetricSpec
-from .riccati import geodesic_step
 
 
 class DegenerateSystem(ValueError):
     """The 2x2 reconstruction system for u is singular at this (point, X)."""
-
-
-class EigengapError(ValueError):
-    """Trace-free Jacobi eigenframe is ill-defined (isotropic direction)."""
 
 
 class RankPrecondition(ValueError):
@@ -328,42 +325,42 @@ def null_jacobi_directions(lambda2: float, lambda3: float, tol: float = 1e-12):
     return [np.array([x, 0.0, y]), np.array([x, 0.0, -y])]
 
 
-def _match_sign(vec, reference):
-    return vec if float(vec @ reference) >= 0.0 else -vec
+def _eigenvector_gradient(pack: CurvaturePack, rr, j: int) -> np.ndarray:
+    """grad[i, k] = (nabla_i e_j)^k for the g-orthonormal Ricci eigenvector
+    e_j of the report ``rr`` at a one-point pack, where eigenvalue j is simple.
 
-
-def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_angles: int = 720) -> Rank1Report:
-    """Numeric certificate of the rank-1 contradiction at a point.
-
-    e3 is the eigenvector field of the nonzero Ricci eigenvalue, continued to
-    nearby points by nearest-rotation (sign) matching so finite differences of
-    the field are meaningful.  The defect compares (g(nabla_v e3, v))^2 with
-    -scal/2 over unit v in the kernel plane; by the supporting theory both the
-    Lie derivative of scal along e3 and div e3 must vanish, while the defect
-    cannot vanish for every v unless scal = 0.
+    Differentiating ric(e_l, e_j) = lambda_j delta_lj with g(e_l, e_j) =
+    delta_lj and nabla g = 0 gives the first-order perturbation formula for a
+    simple eigenvector (Kato, Perturbation Theory for Linear Operators, ch. II):
+    g(e_l, nabla_i e_j) = (nabla_i ric)(e_l, e_j) / (lambda_j - lambda_l) for
+    l != j, and 0 for l = j.
     """
-    p = np.asarray(p, dtype=float)
-    # one batch: p, then p + step e_i and p - step e_i for i = 1, 2, 3
-    shifts = [np.zeros(3)]
-    for e in step * np.eye(3):
-        shifts += [e, -e]
-    packs = pack_at(spec, p + np.array(shifts))
-    pack = packs.row(0)
-    ranks = ricci_rank(packs)
-    rr = rank_report or ranks.row(0)
+    lam, E = rr.eigenvalues, rr.eigenframe
+    gap = lam[j] - lam
+    gap[j] = math.inf
+    M = (pack.nabla_ric @ E[:, j]) @ E  # M[i, l] = (nabla_i ric)(e_l, e_j)
+    return (M / gap) @ E.T
+
+
+def rank1_checks(pack: CurvaturePack, rank_report=None, n_angles: int = 720) -> Rank1Report:
+    """Numeric certificate of the rank-1 contradiction at a one-point pack,
+    with ``rank_report`` its ``ricci_rank`` (computed when not given).
+
+    e3 is the unit eigenvector of the simple nonzero Ricci eigenvalue; its
+    covariant derivative comes exactly from nabla ric (``_eigenvector_gradient``).
+    The defect compares (g(nabla_v e3, v))^2 with -scal/2 over unit v in the
+    kernel plane; by the supporting theory both the Lie derivative of scal
+    along e3 and div e3 must vanish, while the defect cannot vanish for every
+    v unless scal = 0.
+    """
+    rr = rank_report or ricci_rank(pack)
     if rr.rank != 1:
         raise RankPrecondition(f"rank1_checks needs rank 1, got {rr.rank}")
     idx = int(np.argmax(np.abs(rr.eigenvalues)))
     e3 = rr.eigenframe[:, idx]
     E = np.delete(rr.eigenframe, idx, axis=1)  # columns: a basis of the kernel plane
 
-    # e3 at every point of the batch, signed to match e3 at p
-    top = np.argmax(np.abs(ranks.eigenvalues), axis=-1)
-    e3s = np.take_along_axis(ranks.eigenframe, top[:, None, None], axis=-1)[..., 0]
-    e3s = np.where((e3s @ e3 >= 0.0)[:, None], e3s, -e3s)
-    de3 = (e3s[1::2] - e3s[2::2]) / (2.0 * step)  # de3[i, k] = d_i e3^k
-
-    grad_e3 = de3 + np.einsum("kim,m->ik", pack.gamma, e3)  # grad_e3[i,k] = (nabla_i e3)^k
+    grad_e3 = _eigenvector_gradient(pack, rr, idx)  # grad_e3[i,k] = (nabla_i e3)^k
     div_e3 = float(np.trace(grad_e3))
     lie_scal = float(e3 @ pack.dscal)
 
@@ -387,50 +384,3 @@ def rank1_checks(spec: MetricSpec, p, rank_report=None, step: float = 1e-4, n_an
         defect_max=d_max,
         flagged=bool(d_max > 1e-6 * max(1.0, abs(pack.scal))),
     )
-
-
-def derived_jacobi_crosscheck(spec: MetricSpec, p, v, step: float = 1e-4, eigengap_tol: float = 1e-6):
-    """Check the derived Jacobi entries against an eigenframe-transport oracle.
-
-    Builds the geodesic through (p, v), continues the eigenframe of the
-    trace-free Jacobi operator along it, and evaluates
-
-        A1 = L_v A          (geodesic: nabla_v v = 0)
-        B1 = 2 A g(nabla_v w1, w2)
-
-    by central finite differences.  Returns (dA1, dB1), the deviations from
-    the direct covariant-derivative computation in the same basis at t = 0.
-    """
-    p = np.asarray(p, dtype=float)
-    pack0 = pack_at(spec, p)
-    v = np.asarray(v, dtype=float)
-    v = v / pack0.norm(v)
-    fr0 = jacobi_frame(pack0, v)
-    if fr0.isotropic or 2.0 * fr0.A < eigengap_tol:
-        raise EigengapError(f"eigengap {2.0 * fr0.A:.3e} too small along direction")
-
-    states = {}
-    for s in (-1, 1):
-        x, u = geodesic_step(spec, p, s * v, step)
-        states[s] = (x, s * u)
-
-    frames = {}
-    for s in (-1, 1):
-        x, u = states[s]
-        pk = pack_at(spec, x)
-        fr = jacobi_frame(pk, u)
-        if fr.isotropic or 2.0 * fr.A < eigengap_tol:
-            raise EigengapError("eigengap collapses along the geodesic")
-        w1 = _match_sign(fr.w1, fr0.w1)
-        w2 = _match_sign(fr.w2, fr0.w2)
-        frames[s] = (fr.A, w1, w2)
-
-    A_plus, w1_plus, _ = frames[1]
-    A_minus, w1_minus, _ = frames[-1]
-    A1_fd = (A_plus - A_minus) / (2.0 * step)
-    dw1 = (w1_plus - w1_minus) / (2.0 * step)
-    nabla_v_w1 = dw1 + np.einsum("kij,i,j->k", pack0.gamma, v, fr0.w1)
-    B1_fd = 2.0 * fr0.A * float(nabla_v_w1 @ pack0.g @ fr0.w2)
-
-    dj = derived_jacobi_direct(pack0, v, fr0)
-    return (A1_fd - dj.A1, B1_fd - dj.B1)

@@ -122,13 +122,6 @@ def _rk4(spec, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def geodesic_step(spec: MetricSpec, p, v, dt: float):
-    """Single fourth-order step of the geodesic equation; returns (x, v)."""
-    y = np.concatenate([np.asarray(p, float), np.asarray(v, float), np.zeros(6)])
-    y = _rk4(spec, y, dt)
-    return y[0:3], y[3:6]
-
-
 def _sample_times(T: float, dt: float) -> np.ndarray:
     """0, dt, 2 dt, ..., T: ceil(T/dt) steps, t_k = k dt, the last one shortened
     to end at T; ValueError beyond MAX_STEPS, before anything is allocated."""

@@ -1,0 +1,85 @@
+"""Finite-difference oracles: independent checks of exact quantities that the
+package computes from one point's jets, built from packs at nearby points."""
+
+import numpy as np
+
+from riccati3.curvature import pack_at, ricci_rank
+from riccati3.obstruction import derived_jacobi_direct, jacobi_frame
+from riccati3.riccati import _rk4
+
+
+class EigengapError(ValueError):
+    """Trace-free Jacobi eigenframe is ill-defined (isotropic direction)."""
+
+
+def geodesic_step(spec, p, v, dt):
+    """Single fourth-order step of the geodesic equation; returns (x, v)."""
+    y = np.concatenate([np.asarray(p, float), np.asarray(v, float), np.zeros(6)])
+    y = _rk4(spec, y, dt)
+    return y[0:3], y[3:6]
+
+
+def _match_sign(vec, reference):
+    return vec if float(vec @ reference) >= 0.0 else -vec
+
+
+def eigenvector_gradient_fd(spec, p, j, step=1e-4):
+    """grad[i, k] = (nabla_i e_j)^k for the Ricci eigenvector e_j (columns of
+    ``ricci_rank(...).eigenframe``) at p, by central differences of e_j over
+    one-point packs at p +- step e_i, each signed to match e_j at p."""
+    p = np.asarray(p, dtype=float)
+    pack = pack_at(spec, tuple(p))
+    e = ricci_rank(pack).eigenframe[:, j]
+
+    def e_at(q):
+        return _match_sign(ricci_rank(pack_at(spec, tuple(q))).eigenframe[:, j], e)
+
+    de = np.array([(e_at(p + step * d) - e_at(p - step * d)) / (2.0 * step) for d in np.eye(3)])
+    return de + np.einsum("kim,m->ik", pack.gamma, e)
+
+
+def derived_jacobi_crosscheck(spec, p, v, step=1e-4, eigengap_tol=1e-6):
+    """Check the derived Jacobi entries against an eigenframe-transport oracle.
+
+    Builds the geodesic through (p, v), continues the eigenframe of the
+    trace-free Jacobi operator along it, and evaluates
+
+        A1 = L_v A          (geodesic: nabla_v v = 0)
+        B1 = 2 A g(nabla_v w1, w2)
+
+    by central finite differences.  Returns (dA1, dB1), the deviations from
+    the direct covariant-derivative computation in the same basis at t = 0.
+    """
+    p = np.asarray(p, dtype=float)
+    pack0 = pack_at(spec, p)
+    v = np.asarray(v, dtype=float)
+    v = v / pack0.norm(v)
+    fr0 = jacobi_frame(pack0, v)
+    if fr0.isotropic or 2.0 * fr0.A < eigengap_tol:
+        raise EigengapError(f"eigengap {2.0 * fr0.A:.3e} too small along direction")
+
+    states = {}
+    for s in (-1, 1):
+        x, u = geodesic_step(spec, p, s * v, step)
+        states[s] = (x, s * u)
+
+    frames = {}
+    for s in (-1, 1):
+        x, u = states[s]
+        pk = pack_at(spec, x)
+        fr = jacobi_frame(pk, u)
+        if fr.isotropic or 2.0 * fr.A < eigengap_tol:
+            raise EigengapError("eigengap collapses along the geodesic")
+        w1 = _match_sign(fr.w1, fr0.w1)
+        w2 = _match_sign(fr.w2, fr0.w2)
+        frames[s] = (fr.A, w1, w2)
+
+    A_plus, w1_plus, _ = frames[1]
+    A_minus, w1_minus, _ = frames[-1]
+    A1_fd = (A_plus - A_minus) / (2.0 * step)
+    dw1 = (w1_plus - w1_minus) / (2.0 * step)
+    nabla_v_w1 = dw1 + np.einsum("kij,i,j->k", pack0.gamma, v, fr0.w1)
+    B1_fd = 2.0 * fr0.A * float(nabla_v_w1 @ pack0.g @ fr0.w2)
+
+    dj = derived_jacobi_direct(pack0, v, fr0)
+    return (A1_fd - dj.A1, B1_fd - dj.B1)

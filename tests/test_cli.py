@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from riccati3 import metrics
 from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, main
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
-from riccati3.obstruction import fibonacci_directions, obstruction_values
+from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
 
 
 def run(capsys, *argv):
@@ -71,6 +71,20 @@ def test_analyze_sol_rank1(capsys):
     assert rep["rank_histogram"]["1"] == 4
     assert rep["rank1_checks"]["flagged"]
     assert rep["rank1_checks"]["defect_max"] > 0
+
+
+def test_analyze_rank1_checks_come_from_the_first_rank1_point(capsys):
+    """The report's rank-1 block is ``rank1_checks`` at the first rank-1
+    point's own one-point pack."""
+    _, out = run(capsys, "analyze", "sol", "--seed", "5", "--json")
+    rep = json.loads(out)
+    p = next(row["point"] for row in rep["per_point"] if row["rank"] == 1)
+    want = rank1_checks(pack_at(metrics.builtin("sol"), tuple(p)))
+    for key, got in rep["rank1_checks"].items():
+        if key == "flagged":
+            assert got is want.flagged
+        else:
+            assert got == pytest.approx(getattr(want, key), abs=1e-12), key
 
 
 def test_analyze_remaining_zoo_verdicts(capsys):
@@ -309,6 +323,18 @@ def test_riccati_exp_overflow_exits_2(tmp_path):
     out = tmp_path / "traj.csv"
     line = run_bad(("riccati", str(f), "--point", "1000,0,0", "--dir", "1,0,0", "--out", str(out)))
     assert line == "riccati3 riccati: error: exp overflows the float range in subtree 'exp(x1)'"
+    assert not out.exists()
+
+
+def test_riccati_power_overflow_exits_2(tmp_path):
+    """An integer power of a stage point beyond the float range is a domain
+    fault naming the subtree, not a traceback."""
+    f = tmp_path / "pw.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": "1 + x1^4 - x1^4", **flat}}))
+    out = tmp_path / "traj.csv"
+    line = run_bad(("riccati", str(f), "--point", "1e100,0,0", "--dir", "1,0,0", "--out", str(out)))
+    assert line == "riccati3 riccati: error: power 4 overflows the float range in subtree '(x1^4)'"
     assert not out.exists()
 
 

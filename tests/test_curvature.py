@@ -291,7 +291,7 @@ def test_hyperbolic_j2_hand_value():
 def test_nabla_ric_contractions_via_geodesic_transport():
     """Along a geodesic, d/dt ric(v,v) = (nabla_v ric)(v,v) and
     d^2/dt^2 ric(v,v) = (nabla^2_{v,v} ric)(v,v); finite-difference both."""
-    from riccati3.riccati import geodesic_step
+    from oracles import geodesic_step
 
     h = 5e-3
     rng = np.random.default_rng(6)

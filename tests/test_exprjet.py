@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -298,6 +299,33 @@ def test_exp_overflow_is_a_domain_fault_not_an_indefinite_metric():
     assert gamma_at(spec, (30.0, 0.0, 0.0))[0][0, 0] == 1.0
     with pytest.raises(MetricError, match="not positive definite"):
         gamma_at(spec, (math.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "g11,x1,power",
+    [
+        ("1 + x1^4 - x1^4", 1e100, 4),  # the power itself overflows
+        ("1 + 1e-300*x1^200", 34.6, 200),  # x1^200 is finite, 200 x1^199 is not
+    ],
+)
+def test_power_overflow_is_a_domain_fault_not_an_indefinite_metric(g11, x1, power):
+    """An integer power whose series leaves the float range is named as such
+    at one point (where the float power raises OverflowError, or a product
+    gives inf) and at a batch (where numpy overflows to inf), with no
+    RuntimeWarning, also when the overflow cancels out of the metric."""
+    comps = {"g11": g11, "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    spec = custom(comps)
+    message = rf"^power {power} overflows the float range in subtree '\(x1\^{power}\)'$"
+    for call in (
+        lambda: gamma_at(spec, (x1, 0.0, 0.0)),
+        lambda: metric_jets(spec, (x1, 0.0, 0.0), order=1),
+        lambda: metric_jets(spec, np.array([[0.0, 0.0, 0.0], [x1, 0.0, 0.0]]), order=1),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainFault, match=message):
+                call()
+    assert gamma_at(spec, (1.5, 0.0, 0.0))[0][0, 0] >= 1.0
 
 
 # --- the compiled tape ---------------------------------------------------

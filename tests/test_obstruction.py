@@ -4,14 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from oracles import EigengapError, derived_jacobi_crosscheck, eigenvector_gradient_fd
 from riccati3 import metrics
 from riccati3.curvature import CurvaturePack, pack_at, ricci_rank
 from riccati3.obstruction import (
     DegenerateSystem,
-    EigengapError,
     RankPrecondition,
+    _eigenvector_gradient,
     fibonacci_directions,
-    derived_jacobi_crosscheck,
     derived_jacobi_direct,
     jacobi_frame,
     model_pack,
@@ -209,7 +209,7 @@ def test_derived_jacobi_crosscheck():
 
 
 def test_rank1_checks_sol():
-    rep = rank1_checks(metrics.builtin("sol"), (0.1, 0.2, 0.3))
+    rep = rank1_checks(pack_at(metrics.builtin("sol"), (0.1, 0.2, 0.3)))
     assert abs(rep.lie_e3_scal) < 1e-9
     assert abs(rep.div_e3) < 1e-9
     assert np.allclose(np.sort(rep.q_eigenvalues), [-2.0, 2.0], atol=1e-6)
@@ -221,7 +221,7 @@ def test_rank1_checks_sol():
 
 def test_rank1_checks_precondition():
     with pytest.raises(RankPrecondition):
-        rank1_checks(metrics.builtin("flat"), (0, 0, 0))
+        rank1_checks(pack_at(metrics.builtin("flat"), (0, 0, 0)))
 
 
 def test_rank1_checks_perturbed_sol():
@@ -235,10 +235,11 @@ def test_rank1_checks_perturbed_sol():
     }
     spec = metrics.custom(comps, name="sol_perturbed")
     p = (0.05, 0.1, 0.0)
-    rr = ricci_rank(pack_at(spec, p), tol=2e-3)
-    if rr.rank == 1:
-        rep = rank1_checks(spec, p, rr)
-        assert rep.defect_max > 0.1
+    pk = pack_at(spec, p)
+    rr = ricci_rank(pk, tol=2e-3)
+    assert rr.rank == 1
+    rep = rank1_checks(pk, rr)
+    assert rep.defect_max > 0.1
 
 
 def test_fibonacci_directions_deterministic():
@@ -395,23 +396,48 @@ def test_detector_of_a_permuted_pack_is_permuted_bitwise(case):
         assert np.array_equal(got, want[name][perm]), name
 
 
-def test_rank1_checks_at_a_batch_of_shifts():
-    """The centre and its six shifts come from one batched pack; div e3 and
-    the Lie derivative agree with those of one-point packs."""
+def test_sol_eigenvector_gradient_closed_form():
+    """On sol, e3 = d_z with nabla_x d_z = d_x, nabla_y d_z = -d_y and
+    nabla_z d_z = 0: grad e3 = diag(1, -1, 0), so Q has eigenvalues +-2 and
+    div e3 = 0, at every point of the box."""
     spec = metrics.builtin("sol")
-    p = np.array([0.1, 0.2, 0.3])
-    rep = rank1_checks(spec, p)
+    rng = np.random.default_rng(21)
+    for _ in range(8):
+        pk = pack_at(spec, tuple(rng.uniform(lo, hi) for lo, hi in spec.box))
+        rr = ricci_rank(pk)
+        grad = _eigenvector_gradient(pk, rr, int(np.argmax(np.abs(rr.eigenvalues))))
+        assert np.max(np.abs(grad - np.diag([1.0, -1.0, 0.0]))) <= 1e-12
+        rep = rank1_checks(pk, rr)
+        assert np.max(np.abs(rep.q_eigenvalues - [-2.0, 2.0])) <= 1e-12
+        assert abs(rep.div_e3) <= 1e-12
+        assert rep.flagged
 
-    def e3_at(q, reference=None):
-        rr = ricci_rank(pack_at(spec, tuple(q)))
-        e = rr.eigenframe[:, int(np.argmax(np.abs(rr.eigenvalues)))]
-        return e if reference is None or e @ reference >= 0 else -e
 
-    step = 1e-4
-    e3 = e3_at(p)
-    de3 = np.array([(e3_at(p + step * e, e3) - e3_at(p - step * e, e3)) / (2 * step) for e in np.eye(3)])
-    pk = pack_at(spec, tuple(p))
-    div = float(np.trace(de3 + np.einsum("kim,m->ik", pk.gamma, e3)))
-    assert rep.flagged
-    assert abs(rep.div_e3 - div) <= 1e-9
-    assert abs(rep.lie_e3_scal - float(e3 @ pk.dscal)) <= 1e-12
+# three simple Ricci eigenvalues at SKEW_POINT, with off-diagonal metric entries
+SKEW = {
+    "g11": "1 + 0.3*x2^2",
+    "g12": "0.2*x3",
+    "g13": "0.1*x1*x2",
+    "g22": "exp(0.4*x1)",
+    "g23": "0.2*sin(x1)",
+    "g33": "1 + 0.2*x1^2 + 0.1*x2",
+}
+SKEW_POINT = (0.2, -0.1, 0.3)
+
+
+def test_eigenvector_gradient_matches_fd_oracle():
+    """The exact covariant derivative of every Ricci eigenvector agrees with
+    central differences of sign-matched eigenvectors at p +- h e_i."""
+    spec = metrics.custom(SKEW, name="skew")
+    pk = pack_at(spec, SKEW_POINT)
+    rr = ricci_rank(pk)
+    assert np.min(np.diff(rr.eigenvalues)) > 1e-2 and pk.g[0, 1] != 0.0
+    for j in range(3):
+        exact = _eigenvector_gradient(pk, rr, j)
+        fd = eigenvector_gradient_fd(spec, SKEW_POINT, j)
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+    # and the rank-1 certificate's div e3 against the oracle's, on sol
+    sol, p = metrics.builtin("sol"), (0.1, 0.2, 0.3)
+    rr = ricci_rank(pack_at(sol, p))
+    fd = eigenvector_gradient_fd(sol, p, int(np.argmax(np.abs(rr.eigenvalues))))
+    assert abs(rank1_checks(pack_at(sol, p)).div_e3 - np.trace(fd)) <= 1e-9
