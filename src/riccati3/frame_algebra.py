@@ -24,16 +24,15 @@ Frames may carry a leading batch axis: at n frames lambda2 and lambda3 are
 are (n, 3, 3, 3) and a polynomial is an (n, deg+1) array of fixed length.
 The polynomial and identity functions broadcast over that axis, and each row
 is bitwise the value the same function gives at that one frame; at one frame
-they return floats and trimmed coefficient arrays.
+they return floats and coefficient arrays of the same fixed length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 R_SILVER = 3.0 - 2.0 * math.sqrt(2.0)  # unique eigenvalue ratio of the rigid frames
 
@@ -60,7 +59,6 @@ class FrameData:
     dlam: np.ndarray  # (..., 3, 2): dlam[i,0] = L_{e_{i+1}} lambda2, dlam[i,1] = ... lambda3
     gamma: np.ndarray  # (..., 3, 3, 3), gamma[i,j,k] = g(nabla_{e_i} e_j, e_k), antisym in (j,k)
     mode: str = "free"  # "free" or "consistent"
-    d2: dict = field(default_factory=dict)  # optional per-case second-order data
 
     def G(self, i, j, k):
         """1-based connection coefficient g(nabla_{e_i} e_j, e_k)."""
@@ -168,43 +166,26 @@ def p_polys(fd: FrameData):
     return p12, p13, p23
 
 
-def _trim(c):
-    """The coefficients c without their trailing zeros, but at least one, as
-    ``numpy.polynomial`` trims a series."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
 def _pmul(a, b):
     """The product of two polynomials, coefficients ascending along the last axis.
 
     Each coefficient sums its terms a[j] b[k - j] left to right in j, so a
-    batch row is bitwise the product at one frame.  At one frame (both
-    factors 1-D) the factors and the product are trimmed.
+    batch row is bitwise the product at one frame.
     """
-    one = a.ndim == b.ndim == 1
-    if one:
-        a, b = _trim(a), _trim(b)
     n, m = a.shape[-1], b.shape[-1]
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + m - 1,))
     for j in range(n):
         out[..., j : j + m] += a[..., j, None] * b
-    return _trim(out) if one else out
+    return out
 
 
 def _padd(a, b):
-    """The sum of two polynomials, the shorter one padded with zeros; trimmed
-    at one frame."""
-    one = a.ndim == b.ndim == 1
-    if one:
-        a, b = _trim(a), _trim(b)
+    """The sum of two polynomials, the shorter one padded with zeros."""
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     out = a.copy()
     out[..., : b.shape[-1]] += b
-    return _trim(out) if one else out
+    return out
 
 
 @dataclass
@@ -284,7 +265,6 @@ def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
     s2 = _stack(G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
     ric_x = _stack(0.0, lam[i] - lam[j])
     b1 = _padd(_pmul(2.0 * a, s1), _pmul(s2, ric_x))
-    b1 = np.concatenate([b1, np.zeros(b1.shape[:-1] + (5 - b1.shape[-1],))], axis=-1)
     return PolyBundle(case, a, c, d1, a1, b1)
 
 
@@ -495,51 +475,53 @@ def eds_closure(which: str, lambda2: float, eps=(1, 1), r_override: float | None
     return ClosureVerdict(contradiction, cert, det, de2, de3, struct_resid)
 
 
-def _bisect_root(f, lo, hi, tol=1e-14):
-    flo = f(lo)
-    for _ in range(200):
+def _roots_in_unit_interval(coeffs):
+    """The roots in (0, 1) of the polynomial sum_i coeffs[i] r^i with integer
+    coefficients, as a list, counted exactly by Descartes' rule of signs.
+
+    r = 1/(1+s) maps (0, 1) onto s > 0, and q(s) = (1+s)^d p(1/(1+s)) has the
+    integer coefficients q_k = sum_i coeffs[i] C(d-i, k).  The sign changes of
+    q's nonzero coefficients bound its positive roots and share their parity:
+    none proves p root-free on (0, 1), one proves exactly one root, which float
+    bisection then locates to 1e-15.  Endpoint roots are not counted: r = 1 is
+    a zero constant term of q, r = 0 a zero leading term.  More sign changes
+    decide nothing and raise ValueError (Collins & Akritas, SYMSAC 1976).
+    """
+    d = len(coeffs) - 1
+    q = [sum(c * math.comb(d - i, k) for i, c in enumerate(coeffs)) for k in range(d + 1)]
+    positive = [x > 0 for x in q if x]
+    changes = sum(u != v for u, v in zip(positive, positive[1:]))
+    if changes > 1:
+        raise ValueError(f"{coeffs}: {changes} sign changes, Descartes' rule does not count the roots in (0, 1)")
+    if not changes:
+        return []
+    # p just right of 0 has the sign of q as s -> infinity, its last nonzero coefficient
+    lo, hi, left = 0.0, 1.0, positive[-1]
+    while hi - lo >= 1e-15:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if hi - lo < tol:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
+        p = 0.0
+        for c in reversed(coeffs):
+            p = p * mid + c
+        if (p > 0) == left:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def isolate_roots(coeffs, lo=0.0, hi=1.0, n_scan: int = 4096, tol: float = 1e-14):
-    """All roots of a polynomial in the open interval (lo, hi) by sign scan
-    and bisection.  Endpoint roots are excluded.
-    """
-    def f(x):
-        return float(npoly.polyval(x, coeffs))
-
-    eps = (hi - lo) * 1e-9
-    xs = np.linspace(lo + eps, hi - eps, n_scan + 1)
-    vals = npoly.polyval(xs, coeffs)
-    # an exact zero at a grid point (the last one included), or a strict sign
-    # change on the cell that starts there; a cell ending in a zero has none,
-    # so a grid zero is counted once
-    sign = np.sign(vals)
-    change = np.append(sign[:-1] * sign[1:] < 0, False)
-    hits = np.flatnonzero((vals == 0.0) | change)
-    return [
-        float(xs[k]) if vals[k] == 0.0 else _bisect_root(f, float(xs[k]), float(xs[k + 1]), tol)
-        for k in hits
-    ]
+    return [0.5 * (lo + hi)]
 
 
 def contradiction_certificates() -> dict:
-    """Root-freeness of the three case-elimination polynomials on (0, 1)."""
-    cubic_a = [8.0, 21.0, 6.0, 1.0]  # r^3 + 6 r^2 + 21 r + 8
-    cubic_b = [-4.0, 4.0, -1.0, 1.0]  # (r - 1)(r^2 + 4)
-    quad = [1.0, -6.0, 1.0]  # 2(1-r)^2 - (1+r)^2
+    """The roots in (0, 1) of the three case-elimination polynomials, each
+    counted exactly on integers (``_roots_in_unit_interval``): a proof that
+    r^3+6r^2+21r+8 and (r-1)(r^2+4) have none, and that
+    2(1-r)^2-(1+r)^2 = r^2-6r+1 has exactly one, the silver ratio 3-2 sqrt(2),
+    reported as a float within 1e-15."""
+    cubic_a = [8, 21, 6, 1]  # r^3 + 6 r^2 + 21 r + 8
+    cubic_b = [-4, 4, -1, 1]  # (r - 1)(r^2 + 4)
+    quad = [1, -6, 1]  # 2(1-r)^2 - (1+r)^2
     report = {
-        "r3+6r2+21r+8": isolate_roots(cubic_a),
-        "(r-1)(r2+4)": isolate_roots(cubic_b),
-        "2(1-r)2-(1+r)2": isolate_roots(quad),
+        "r3+6r2+21r+8": _roots_in_unit_interval(cubic_a),
+        "(r-1)(r2+4)": _roots_in_unit_interval(cubic_b),
+        "2(1-r)2-(1+r)2": _roots_in_unit_interval(quad),
     }
     report["silver_ratio_root"] = report["2(1-r)2-(1+r)2"][0] if report["2(1-r)2-(1+r)2"] else None
     return report
@@ -585,12 +567,8 @@ def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
     """
     bundle = special_direction_polys(fd, case)
     if d2_coeffs is None:
-        key = f"d2_{case}"
-        if key in fd.d2:
-            d2_coeffs = fd.d2[key]
-        else:
-            rng = rng or np.random.default_rng(0)
-            d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
+        rng = rng or np.random.default_rng(0)
+        d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
     d2_coeffs = np.asarray(d2_coeffs, dtype=float)
     P = _padd(_pmul(bundle.a, d2_coeffs), -_pmul(bundle.a1, bundle.d1))
     inst = {

@@ -9,6 +9,7 @@ custom metrics come from a JSON spec file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -171,20 +172,30 @@ def resolve(name_or_path, params=None) -> MetricSpec:
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     """The metric's order-``order`` Taylor coefficients (``MetricJet``) at the
     point p, or at each row of an (n, 3) array p, from the jets of its six
-    components; rejects a non-positive-definite value, naming the first such point."""
+    components; a value that is not positive definite, or not finite, raises
+    the MetricError of ``_metric_fault`` at the first such point."""
     point = as_point(p)
     # (N(k), 6) at one point, (N(k), n, 6) at a batch, spread to the full matrices
     coef = np.stack(spec.tape.run(point, order), -1)[..., _FULL_INDEX]
-    min_eig = np.linalg.eigvalsh(coef[0])[..., 0]
-    bad = min_eig <= 1e-10
+    min_eig = np.linalg.eigvalsh(coef[0]).min(-1)  # nan where a value of g is not finite
+    bad = ~(min_eig > 1e-10)
     if bad.any():
         k = int(np.argmax(bad))
         at = point if isinstance(point, tuple) else tuple(map(float, point[k]))
-        raise _not_positive_definite(spec, at, f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}")
+        values = np.reshape(coef[0], (-1, 3, 3))[k][np.triu_indices(3)].tolist()
+        raise _metric_fault(spec, at, values, f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}")
     return MetricJet(point, coef, spec)
 
 
-def _not_positive_definite(spec, at, detail):
+def _metric_fault(spec, at, values, detail):
+    """The MetricError of the point ``at``, where the component values
+    ``values`` (g11, g12, g13, g22, g23, g33) fail the positive-definiteness
+    check told by ``detail``: at a finite point, a value that is inf or nan is
+    named as such, the first one in component order."""
+    if all(map(math.isfinite, at)):
+        for name, value in zip(COMPONENT_NAMES, values):
+            if not math.isfinite(value):
+                return MetricError(f"metric '{spec.name}' is not finite at {at}: {name} = {value}")
     return MetricError(f"metric '{spec.name}' not positive definite at {at}: {detail}")
 
 
@@ -211,9 +222,9 @@ def gamma_at(spec: MetricSpec, p):
     (g11, g12, g13), (_, g22, g23), (_, _, g33) = g.tolist()
     m2 = g11 * g22 - g12 * g12
     m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
-    if not (g11 > 0 and m2 > 0 and m3 > 0):  # a nan minor fails too
+    if not (g11 > 0 and m2 > 0 and 0 < m3 < math.inf):  # a nan minor fails too
         minors = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
-        raise _not_positive_definite(spec, tuple(map(float, p)), minors)
+        raise _metric_fault(spec, tuple(map(float, p)), (g11, g12, g13, g22, g23, g33), minors)
     # the cofactors of the symmetric g; m2 is the (3, 3) one
     a11 = (g22 * g33 - g23 * g23) / m3
     a12 = (g13 * g23 - g12 * g33) / m3

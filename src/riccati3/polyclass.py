@@ -166,9 +166,6 @@ def pmax(a):
 
 
 def _is_zero(a, tol):
-    a = trim(a)
-    if not a:
-        return True
     return pmax(a) <= tol
 
 
@@ -370,10 +367,10 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
             return sound("CZero", (), {})
         return infeasible("c = 0 forces P = 0, but P is nonzero")
 
-    q = _exact_divide(inst.P, inst.c, max(tol, FLOAT_TOL if not inst.exact else 0))
+    q = _exact_divide(inst.P, inst.c, tol)
     if q is None:
         return infeasible("c does not divide P")
-    v = _exact_divide(q, T2P1, max(tol, FLOAT_TOL if not inst.exact else 0))
+    v = _exact_divide(q, T2P1, tol)
     if v is None:
         return infeasible("(t^2+1) does not divide P / c")
 
@@ -386,7 +383,7 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
         s = _match_sqrt_sign(inst.a, inst.d1, _sqrt_lambda(inst))
         return sound("DEqualsSqrtLambdaA", (s,), {"v": ()})
 
-    Q = _exact_divide(W, T2P1, max(tol, FLOAT_TOL if not inst.exact else 0))
+    Q = _exact_divide(W, T2P1, tol)
     if Q is None:
         return infeasible("(t^2+1) does not divide Lambda a^2 - d1^2")
 
@@ -404,20 +401,15 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     fd = [float(x) for x in inst.d1] + [0.0] * (3 - len(inst.d1))
     if dv == 0:
         # one of sqrt(Lambda) a +- d1 is the constant cofactor
-        best, s_best = None, 1
-        for s in (1, -1):
-            resid = abs(m * fa[1] + s * fd[1]) + abs(m * fa[2] + s * fd[2])
-            if best is None or resid < best:
-                best, s_best = resid, s
-        return sound("CaseIII", (s_best,), {"v": v, "x2": m * fa[0] + s_best * fd[0]})
+        s = min((1, -1), key=lambda s: abs(m * fa[1] + s * fd[1]) + abs(m * fa[2] + s * fd[2]))
+        return sound("CaseIII", (s,), {"v": v, "x2": m * fa[0] + s * fd[0]})
     if dv == 1:
-        best, s_best = None, 1
-        for s in (1, -1):
+        def resid(s):
             f = [m * fa[k] + s * fd[k] for k in range(3)]
-            resid = abs(f[1]) + abs(f[2] - f[0])  # proportional to t^2+1
-            if best is None or resid < best:
-                best, s_best = resid, s
-        return sound("CaseIV", (s_best,), {"v": v})
+            return abs(f[1]) + abs(f[2] - f[0])  # proportional to t^2+1
+
+        s = min((1, -1), key=resid)
+        return sound("CaseIV", (s,), {"v": v})
     return infeasible(f"unexpected cofactor degree {dv}")
 
 
@@ -434,15 +426,10 @@ def _sqrt_lambda(inst):
 
 def _match_sqrt_sign(a, d1, m):
     """The sign s with d1 closest to s m a, m = sqrt(Lambda)."""
-    best, s_best = None, 1
     n = max(len(a), len(d1))
     fa = [float(x) for x in a] + [0.0] * (n - len(a))
     fd = [float(x) for x in d1] + [0.0] * (n - len(d1))
-    for s in (1, -1):
-        resid = sum(abs(fd[k] - s * m * fa[k]) for k in range(n))
-        if best is None or resid < best:
-            best, s_best = resid, s
-    return s_best
+    return min((1, -1), key=lambda s: sum(abs(fd[k] - s * m * fa[k]) for k in range(n)))
 
 
 def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
@@ -471,10 +458,10 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
             return sound("CZero", (), {})
         return infeasible("c = 0 forces P = 0, but P is nonzero")
 
-    q1 = _exact_divide(P_n, c_n, max(tol, FLOAT_TOL if not inst.exact else 0))
+    q1 = _exact_divide(P_n, c_n, tol)
     if q1 is None:
         return infeasible("c does not divide P")
-    q = _exact_divide(q1, T2P1, max(tol, FLOAT_TOL if not inst.exact else 0))
+    q = _exact_divide(q1, T2P1, tol)
     if q is None:
         return infeasible("(t^2+1) does not divide P / c")
     if degree(q) > 2:

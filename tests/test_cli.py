@@ -3,6 +3,9 @@ import csv
 import functools
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +329,23 @@ def test_riccati_exp_overflow_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "g11,direction,value",
+    [("1 + x1*x1*x1*x1 - x1*x1*x1*x1", "1,0,0", "nan"), ("1 + x1*x1*x1*x1", "0,1,0", "inf")],
+)
+def test_riccati_non_finite_metric_exits_2(tmp_path, g11, direction, value):
+    """A metric value that overflows at the start point is named as not
+    finite, not as an indefinite metric or a direction without length."""
+    f = tmp_path / "m.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": g11, **flat}}))
+    out = tmp_path / "traj.csv"
+    with np.errstate(all="ignore"):
+        line = run_bad(("riccati", str(f), "--point", "1e100,0,0", "--dir", direction, "--out", str(out)))
+    assert line == f"riccati3 riccati: error: metric 'custom' is not finite at (1e+100, 0.0, 0.0): g11 = {value}"
+    assert not out.exists()
+
+
 def test_riccati_power_overflow_exits_2(tmp_path):
     """An integer power of a stage point beyond the float range is a domain
     fault naming the subtree, not a traceback."""
@@ -542,3 +562,15 @@ def test_analyze_fault_names_the_first_faulting_point(tmp_path, comps, argv, lin
     components = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1", **comps}
     path.write_text(json.dumps({"components": components}))
     assert run_bad(("analyze", str(path), *argv, "--json")) == "riccati3 analyze: error: " + line
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    """Importing the command line in a fresh interpreter does not load
+    numpy.polynomial, which numpy does not import on its own and which would
+    add its import time to every start."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import json, sys; sys.path.insert(0, {str(src)!r}); import riccati3.cli; print(json.dumps(list(sys.modules)))"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    modules = json.loads(out.stdout)
+    assert "riccati3.cli" in modules and "numpy" in modules
+    assert "numpy.polynomial" not in modules

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -326,6 +327,45 @@ def test_power_overflow_is_a_domain_fault_not_an_indefinite_metric(g11, x1, powe
             with pytest.raises(DomainFault, match=message):
                 call()
     assert gamma_at(spec, (1.5, 0.0, 0.0))[0][0, 0] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "comps,point,named",
+    [
+        # the product overflows and cancels to nan
+        ({"g11": "1 + x1*x1*x1*x1 - x1*x1*x1*x1"}, (1e100, 0.0, 0.0), "g11 = nan"),
+        # inf on the diagonal, where the minors read inf, inf, nan
+        ({"g11": "1 + x1*x1*x1*x1"}, (1e100, 0.0, 0.0), "g11 = inf"),
+        # inf in the last diagonal entry only: the minors read 1, 1, inf
+        ({"g33": "1 + x3*x3*x3*x3"}, (0.0, 0.0, 1e100), "g33 = inf"),
+        # the first non-finite component in the order g11, g12, g13, g22, g23, g33
+        ({"g23": "x2*x2*x2*x2", "g33": "1 + x2*x2*x2*x2"}, (0.0, 1e100, 0.0), "g23 = inf"),
+    ],
+)
+def test_non_finite_metric_value_is_named(comps, point, named):
+    """A metric value that is inf or nan at a finite point is named as such,
+    with its point and its first non-finite component, at one point and at the
+    first such point of a batch; at a nan point the metric is not positive
+    definite, as before."""
+    spec = custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1", **comps})
+    message = rf"^metric 'custom' is not finite at \({re.escape(repr(point)[1:-1])}\): {named}$"
+    batch = np.array([[0.0, 0.0, 0.0], point, 2.0 * np.array(point)])
+    nan_point = tuple(math.nan if x else 0.0 for x in point)
+    with np.errstate(all="ignore"):  # the overflowing products warn at a batch
+        for call in (
+            lambda: gamma_at(spec, point),
+            lambda: metric_jets(spec, point, order=1),
+            lambda: metric_jets(spec, batch, order=1),
+        ):
+            with pytest.raises(MetricError, match=message):
+                call()
+        for call in (
+            lambda: gamma_at(spec, nan_point),
+            lambda: metric_jets(spec, nan_point, order=1),
+            lambda: metric_jets(spec, np.array([[0.0, 0.0, 0.0], nan_point]), order=1),
+        ):
+            with pytest.raises(MetricError, match=rf"not positive definite at \({re.escape(repr(nan_point)[1:-1])}\)"):
+                call()
 
 
 # --- the compiled tape ---------------------------------------------------

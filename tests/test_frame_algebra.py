@@ -12,6 +12,7 @@ from riccati3.frame_algebra import (
     FrameData,
     _eval_at_imag,
     _pmul,
+    _roots_in_unit_interval,
     a1_crosscheck,
     bianchi_frame_residuals,
     consistent_frame,
@@ -21,7 +22,6 @@ from riccati3.frame_algebra import (
     eds_closure,
     frame_from_text,
     frame_to_text,
-    isolate_roots,
     p_polys,
     rigid_frame,
     ric111_residual,
@@ -169,24 +169,23 @@ def test_contradiction_certificates():
     rep = contradiction_certificates()
     assert rep["r3+6r2+21r+8"] == []
     assert rep["(r-1)(r2+4)"] == []
-    assert abs(rep["silver_ratio_root"] - (3 - 2 * math.sqrt(2))) < 1e-12
-    # positivity of the first cubic at the left endpoint
-    assert 8.0 > 0.0
+    (root,) = rep["2(1-r)2-(1+r)2"]
+    assert rep["silver_ratio_root"] == root
+    assert abs(root - (3 - 2 * math.sqrt(2))) < 1e-15
 
 
-def test_isolate_roots_counts_a_grid_zero_once():
-    """A root on a scan point, after a value of the other sign, is one root."""
-    assert isolate_roots([0.0, 1.0], -1.0, 1.0, 4) == [0.0]
+def test_two_close_roots_are_not_certified_root_free():
+    """1e6 (r - 0.3)(r - 0.30001) has two roots in (0, 1), 1e-5 apart: the
+    sign-change count cannot tell them from none, so it raises."""
+    with pytest.raises(ValueError, match="2 sign changes"):
+        _roots_in_unit_interval([90003, -600010, 1000000])
 
 
-def test_isolate_roots_finds_roots_at_the_last_scan_point():
-    # a root in the last cell, just before the last scan point
-    (root,) = isolate_roots([-1.0, 1.0], 0.0, 1.0 + 2e-9, 2)
-    assert abs(root - 1.0) < 1e-14
-    # an exact zero on the last scan point, after a value of the same sign as before it
-    lo, hi, n = -1.0, 1.0, 4
-    last = np.linspace(lo + (hi - lo) * 1e-9, hi - (hi - lo) * 1e-9, n + 1)[-1]
-    assert isolate_roots([last, -1.0], lo, hi, n) == [last]
+def test_endpoint_roots_are_not_counted():
+    assert _roots_in_unit_interval([0, -1, 1]) == []  # r^2 - r = r (r - 1)
+    # a root at 0 beside one inside: r (2r - 1)
+    (root,) = _roots_in_unit_interval([0, -1, 2])
+    assert abs(root - 0.5) < 1e-15
 
 
 def test_serialization_roundtrip_and_golden():
@@ -324,6 +323,27 @@ def _batched_values(fd):
         out += [(f"{case}.a1_at_imag_re", re), (f"{case}.a1_at_imag_im", im)]
     out += [(f"roots.{k}", v) for k, v in root_identities(fd).items()]
     return out
+
+
+def test_one_frame_bundles_are_the_batch_rows_in_shape_and_bits():
+    """A bundle at one frame has the fixed coefficient lengths of a batch row,
+    also where trailing coefficients vanish (zero connection coefficients)."""
+    frames = [_zero_gamma_frame("free"), consistent_frame(7, "free")]
+    batch = FrameData(
+        np.array([fd.lambda2 for fd in frames]),
+        np.array([fd.lambda3 for fd in frames]),
+        np.stack([fd.dlam for fd in frames]),
+        np.stack([fd.gamma for fd in frames]),
+        "free",
+    )
+    for case in CASES:
+        rows = special_direction_polys(batch, case)
+        for k, fd in enumerate(frames):
+            one = special_direction_polys(fd, case)
+            for name in ("a", "c", "d1", "a1", "b1"):
+                got, want = getattr(one, name), getattr(rows, name)[k]
+                assert got.shape == want.shape and _bits(got) == _bits(want), (case, k, name)
+            assert one.b1.shape == (5,)
 
 
 @pytest.mark.parametrize("mode", ["free", "consistent"])
