@@ -255,8 +255,8 @@ def cmd_riccati(args):
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow("t x1 x2 x3 u11 u12 u22 trace_defect".split())
-        for st, x in zip(res.states, path.xs):
-            w.writerow([st.t, *x, st.u[0, 0], st.u[0, 1], st.u[1, 1], st.trace_defect])
+        us = np.array([st.u for st in res.states])[:, (0, 0, 1), (0, 1, 1)].tolist()
+        w.writerows([st.t, *x, *u, st.trace_defect] for st, x, u in zip(res.states, path.xs.tolist(), us))
     summary = {
         "samples": len(res.states),
         "trace_defect_max": res.trace_defect_max,
@@ -585,7 +585,10 @@ def main(argv=None):
     cannot be read or parsed, is reported as one line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or nan is caught by the checks and reported as the one
+        # line below, so numpy's warnings about it would only add lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (
         UsageError,
         metrics.MetricError,

@@ -207,30 +207,35 @@ def lowered_symbol(dg):
 
 
 def gamma_at(spec: MetricSpec, p):
-    """Fast (g, ginv, Gamma) at one point from the order-1 metric tape.
+    """The pieces of the Christoffel symbols at one point, as Python floats,
+    from one run of the order-1 metric tape: (jet, inv).
 
-    ginv is the adjugate of g over its determinant, both from the leading
-    principal minors g11, m2, m3 that the positive-definiteness check
-    computes, so it is exactly symmetric.  Gamma[k,i,j] = Christoffel symbol
-    of the second kind, ginv times the lowered symbol as one (3, 3) x (3, 9)
-    product.  Used by the geodesic/transport integrators where full jets are
-    wasteful.  A point where g is not positive definite (a leading principal
-    minor is not positive) raises MetricError naming it.
+    ``jet`` is four lists of the six components g11, g12, g13, g22, g23, g33:
+    their values, then their partials d_1, d_2 and d_3.  ``inv`` is the six
+    entries of g^-1 in the same order, the adjugate of g over its determinant,
+    both from the leading principal minors g11, m2, m3 that the
+    positive-definiteness check computes, so g^-1 is exactly symmetric.  The
+    Christoffel symbols are Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2;
+    the geodesic stage (``riccati._slopes``) contracts the lowered symbols with
+    its vectors and raises the index once, and never builds the full Gamma.
+    The one per-stage metric call of the geodesic integrator.  A point where
+    g is not positive definite (a leading principal minor is not positive)
+    raises MetricError naming it.
     """
-    c = np.array(spec.tape.run(p, 1))[_FULL_INDEX]  # (3, 3, 4): g_ij and its gradient
-    g, low = c[..., 0], lowered_symbol(c[..., 1:])
-    (g11, g12, g13), (_, g22, g23), (_, _, g33) = g.tolist()
+    jet = np.array(spec.tape.run(p, 1)).T.tolist()
+    g11, g12, g13, g22, g23, g33 = jet[0]
     m2 = g11 * g22 - g12 * g12
     m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
     if not (g11 > 0 and m2 > 0 and 0 < m3 < math.inf):  # a nan minor fails too
         minors = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
-        raise _metric_fault(spec, tuple(map(float, p)), (g11, g12, g13, g22, g23, g33), minors)
+        raise _metric_fault(spec, tuple(map(float, p)), jet[0], minors)
     # the cofactors of the symmetric g; m2 is the (3, 3) one
-    a11 = (g22 * g33 - g23 * g23) / m3
-    a12 = (g13 * g23 - g12 * g33) / m3
-    a13 = (g12 * g23 - g13 * g22) / m3
-    a22 = (g11 * g33 - g13 * g13) / m3
-    a23 = (g12 * g13 - g11 * g23) / m3
-    a33 = m2 / m3
-    ginv = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-    return g, ginv, (ginv @ low.reshape(3, 9)).reshape(3, 3, 3)
+    inv = (
+        (g22 * g33 - g23 * g23) / m3,
+        (g13 * g23 - g12 * g33) / m3,
+        (g12 * g23 - g13 * g22) / m3,
+        (g11 * g33 - g13 * g13) / m3,
+        (g12 * g13 - g11 * g23) / m3,
+        m2 / m3,
+    )
+    return jet, inv

@@ -165,7 +165,18 @@ def pmax(a):
     return max((abs(float(x)) for x in a), default=0.0)
 
 
+def _rel_tol(tol, a):
+    """max(tol, tol * max |a|): tol relative to the largest coefficient of a,
+    and at least tol; 0 at tol 0, with no float conversion of a."""
+    return max(tol, tol * pmax(a)) if tol else 0
+
+
 def _is_zero(a, tol):
+    """Every coefficient of a is within tol of 0; at tol 0, the tolerance of an
+    exact instance, every one is exactly 0 (no float conversion, which would
+    take a nonzero Fraction below the float range for 0)."""
+    if tol == 0:
+        return not any(a)
     return pmax(a) <= tol
 
 
@@ -350,7 +361,7 @@ def _verdicts(inst):
 
 def _exact_divide(num, den, tol):
     q, r = pdivmod(num, den)
-    if not _is_zero(r, tol * max(pmax(num), 1.0)):
+    if not _is_zero(r, _rel_tol(tol, num)):
         return None
     return q
 
@@ -388,7 +399,7 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
         return infeasible("(t^2+1) does not divide Lambda a^2 - d1^2")
 
     diff = psub(Q, pmul(v, v))
-    if not _is_zero(diff, max(tol, tol * pmax(Q))):
+    if not _is_zero(diff, _rel_tol(tol, Q)):
         cert = "constraint violated: (Lambda a^2 - d1^2)/(t^2+1) != v^2"
         Qt = trim(Q)
         if Qt and Qt[-1] < 0:
@@ -471,7 +482,7 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     rhs = pmul(pmul(base, base), pscale((l3, 0, l2), -2))  # -2 (l3 t^2+l2)^2 (l2 t^2 + l3)
     target = psub(rhs, pmul(T2P1, pmul(q, q)))  # must equal d1^2
     resid = psub(pmul(d1_n, d1_n), target)
-    if not _is_zero(resid, max(tol, tol * pmax(target))):
+    if not _is_zero(resid, _rel_tol(tol, target)):
         cert = "constraint violated: d1^2 != -2(l3 t^2+l2)^2(l2 t^2+l3) - (t^2+1) q^2"
         qt = list(trim(q)) + [0] * (3 - len(trim(q)))
         lead_sq = qt[2] * qt[2] + 2 * l2 * l3 * l3
@@ -486,8 +497,8 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     t_base = pmul((0, 1), base)  # t (lambda3 t^2 + lambda2)
     d1_shape = psub(pmul(d1_n, d1_n), pscale(pmul(t_base, t_base), 2 * (l3 - l2)))
     q_shape = psub(pmul(q, q), pscale(pmul(base, base), -2 * l3))
-    if not _is_zero(d1_shape, max(tol, tol * pmax(pmul(d1_n, d1_n)))) or not _is_zero(
-        q_shape, max(tol, tol * pmax(pmul(q, q)))
+    if not _is_zero(d1_shape, _rel_tol(tol, pmul(d1_n, d1_n))) or not _is_zero(
+        q_shape, _rel_tol(tol, pmul(q, q))
     ):
         return infeasible("solution does not match the rigid branch shapes")
     d1t = list(trim(d1_n)) + [0] * (4 - len(trim(d1_n)))

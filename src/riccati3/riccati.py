@@ -13,8 +13,15 @@ blow-up bisection interpolates its off-grid steps with the same function.
 Both u and J are symmetric, so a Riccati step works on the three entries
 (u11, u12, u22) as floats, with u u written out on them: a 2x2 step has
 too little arithmetic to pay numpy's cost per call.
-The geodesic right-hand side reads the Christoffel symbols from the
-metric's compiled order-1 tape (``gamma_at``).
+The geodesic step runs the same way on the 12 floats of the state
+(x, v, w1, w2).  Each of its four stages makes one metric call,
+``gamma_at``: one run of the metric's compiled order-1 tape, handed over as
+floats by one ``.tolist()``, with the leading-minor check and the adjugate
+inverse.  The stage contracts the lowered Christoffel symbols with v first,
+as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises
+each of the three vectors once with g^-1; the full Gamma is never built.
+The states of a path go into one preallocated (steps + 1, 12) array, one
+row a step.
 
 No projection onto trace-free matrices is performed during integration: the
 trace-free constraint is a hypothesis about the metric, and the measured
@@ -105,21 +112,57 @@ class RiccatiResult:
         return self.states[-1].u
 
 
-def _rhs(spec, y):
-    v = y[3:6]
-    W = y[3:12].reshape(3, 3)  # rows v, w1, w2
-    _, _, gamma = gamma_at(spec, y[0:3])
-    # [a, k] = -Gamma^k_ij v^i W_a^j: the acceleration and the two frame derivatives
-    d = W @ -(v @ gamma).T
-    return np.concatenate([v, d.ravel()])
+def _slopes(spec, y):
+    """The slopes (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)) of the state
+    y = (x, v, w1, w2), 12 floats, as a list of 12 floats.
+
+    Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2 is linear in q:
+    its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
+    antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
+    lowered vectors is raised once with ``gamma_at``'s g^-1.
+    """
+    _, _, _, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2
+    (_, d1, d2, d3), (i11, i12, i13, i22, i23, i33) = gamma_at(spec, y[:3])
+    g11_1, g12_1, g13_1, g22_1, g23_1, g33_1 = d1
+    g11_2, g12_2, g13_2, g22_2, g23_2, g33_2 = d2
+    g11_3, g12_3, g13_3, g22_3, g23_3, g33_3 = d3
+    # M = D_v g
+    m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
+    m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
+    m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3
+    m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3
+    m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3
+    m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3
+    # the entries of S above the diagonal
+    s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3
+    s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3
+    s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3
+    # M + S, whose diagonal is that of M
+    b12, b21 = m12 + s12, m12 - s12
+    b13, b31 = m13 + s13, m13 - s13
+    b23, b32 = m23 + s23, m23 - s23
+    # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
+    h11, h12, h13 = -0.5 * i11, -0.5 * i12, -0.5 * i13
+    h22, h23, h33 = -0.5 * i22, -0.5 * i23, -0.5 * i33
+    out = [v1, v2, v3]
+    for c1, c2, c3 in ((v1, v2, v3), (p1, p2, p3), (r1, r2, r3)):
+        l1 = m11 * c1 + b12 * c2 + b13 * c3
+        l2 = b21 * c1 + m22 * c2 + b23 * c3
+        l3 = b31 * c1 + b32 * c2 + m33 * c3
+        out += (h11 * l1 + h12 * l2 + h13 * l3, h12 * l1 + h22 * l2 + h23 * l3, h13 * l1 + h23 * l2 + h33 * l3)
+    return out
 
 
 def _rk4(spec, y, dt):
-    k1 = _rhs(spec, y)
-    k2 = _rhs(spec, y + 0.5 * dt * k1)
-    k3 = _rhs(spec, y + 0.5 * dt * k2)
-    k4 = _rhs(spec, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step of length dt of the geodesic and transport system from the
+    state y (12 floats); the next state as a list of 12 floats."""
+    h = 0.5 * dt
+    k1 = _slopes(spec, y)
+    k2 = _slopes(spec, [a + h * b for a, b in zip(y, k1)])
+    k3 = _slopes(spec, [a + h * b for a, b in zip(y, k2)])
+    k4 = _slopes(spec, [a + dt * b for a, b in zip(y, k3)])
+    w = dt / 6.0
+    return [a + w * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:
@@ -155,10 +198,11 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
         raise DirectionError(f"direction {tuple(map(float, v))} has no positive length")
     v = v / math.sqrt(norm2)
     w1, w2 = orthonormal_perp(g, v, np.eye(3))
-    ys = [np.concatenate([p, v, w1, w2])]
+    ys = np.empty((len(ts), 12))
+    ys[0] = y = np.concatenate([p, v, w1, w2]).tolist()
+    last = len(ts) - 1
     for k in range(1, len(ts)):
-        ys.append(_rk4(spec, ys[-1], dt if k < len(ts) - 1 else T - ts[-2]))
-    ys = np.array(ys)
+        ys[k] = y = _rk4(spec, y, dt if k < last else float(T - ts[-2]))
     return GeodesicPath(
         spec=spec,
         dt=dt,

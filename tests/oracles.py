@@ -1,9 +1,14 @@
-"""Finite-difference oracles: independent checks of exact quantities that the
-package computes from one point's jets, built from packs at nearby points."""
+"""Oracles: independent checks of quantities the package computes by a
+leaner route.  Finite differences check exact quantities computed from one
+point's jets against packs at nearby points; a numpy geodesic stage, with
+Gamma from the order-1 metric jets and a linear solve, checks the float stage
+of ``riccati._rk4``."""
 
 import numpy as np
 
 from riccati3.curvature import pack_at, ricci_rank
+from riccati3.exprjet import partials
+from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import derived_jacobi_direct, jacobi_frame
 from riccati3.riccati import _rk4
 
@@ -14,9 +19,46 @@ class EigengapError(ValueError):
 
 def geodesic_step(spec, p, v, dt):
     """Single fourth-order step of the geodesic equation; returns (x, v)."""
-    y = np.concatenate([np.asarray(p, float), np.asarray(v, float), np.zeros(6)])
-    y = _rk4(spec, y, dt)
-    return y[0:3], y[3:6]
+    y = _rk4(spec, [*map(float, p), *map(float, v)] + [0.0] * 6, dt)
+    return np.array(y[0:3]), np.array(y[3:6])
+
+
+def gamma_arrays(spec, p):
+    """``gamma_at``'s floats as the arrays (g, ginv, Gamma), (3, 3), (3, 3) and
+    (3, 3, 3): Gamma[k, i, j] is ginv times the lowered symbol of its partials."""
+    jet, inv = gamma_at(spec, p)
+    c = np.array(jet)[:, _FULL_INDEX]  # (4, 3, 3): g_ij, then its partials
+    ginv = np.array(inv)[_FULL_INDEX]
+    low = lowered_symbol(np.moveaxis(c[1:], 0, -1))
+    return c[0], ginv, (ginv @ low.reshape(3, 9)).reshape(3, 3, 3)
+
+
+def christoffel_solve(spec, x):
+    """Gamma[k, i, j] at x from the order-1 metric jets and a linear solve,
+    independent of ``gamma_at`` and its adjugate inverse."""
+    G = metric_jets(spec, tuple(map(float, x)), order=1).coef  # (4, 3, 3)
+    low = lowered_symbol(partials(G)[0])
+    return np.linalg.solve(G[0], low.reshape(3, 9)).reshape(3, 3, 3)
+
+
+def reference_rhs(spec, y):
+    """The geodesic and transport slopes of the state y = (x, v, w1, w2) on
+    numpy arrays: the reference for the float stage."""
+    v = y[3:6]
+    W = y[3:12].reshape(3, 3)  # rows v, w1, w2
+    gamma = christoffel_solve(spec, y[0:3])
+    # [a, k] = -Gamma^k_ij v^i W_a^j: the acceleration and the two frame derivatives
+    d = W @ -(v @ gamma).T
+    return np.concatenate([v, d.ravel()])
+
+
+def reference_rk4(spec, y, dt):
+    """One RK4 step of ``reference_rhs`` from the (12,) array y."""
+    k1 = reference_rhs(spec, y)
+    k2 = reference_rhs(spec, y + 0.5 * dt * k1)
+    k3 = reference_rhs(spec, y + 0.5 * dt * k2)
+    k4 = reference_rhs(spec, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _match_sign(vec, reference):

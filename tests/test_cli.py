@@ -346,6 +346,21 @@ def test_riccati_non_finite_metric_exits_2(tmp_path, g11, direction, value):
     assert not out.exists()
 
 
+def test_riccati_overflow_warns_nothing_before_its_error(tmp_path):
+    """In a fresh interpreter, with numpy's warnings on, stderr holds the one
+    error line: the products that overflow and cancel to nan at the start
+    point print no RuntimeWarning before it."""
+    f = tmp_path / "m.json"
+    flat = {"g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+    f.write_text(json.dumps({"components": {"g11": "1 + x1*x1*x1*x1 - x1*x1*x1*x1", **flat}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); from riccati3.cli import main; sys.exit(main())"
+    argv = ("riccati", str(f), "--point", "1e100,0,0", "--dir", "1,0,0", "--out", str(tmp_path / "traj.csv"))
+    proc = subprocess.run([sys.executable, "-I", "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "riccati3 riccati: error: metric 'custom' is not finite at (1e+100, 0.0, 0.0): g11 = nan\n"
+
+
 def test_riccati_power_overflow_exits_2(tmp_path):
     """An integer power of a stage point beyond the float range is a domain
     fault naming the subtree, not a traceback."""

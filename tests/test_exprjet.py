@@ -297,7 +297,7 @@ def test_exp_overflow_is_a_domain_fault_not_an_indefinite_metric():
     ):
         with pytest.raises(DomainFault, match=r"^exp overflows the float range in subtree 'exp\(x1\)'$"):
             call()
-    assert gamma_at(spec, (30.0, 0.0, 0.0))[0][0, 0] == 1.0
+    assert gamma_at(spec, (30.0, 0.0, 0.0))[0][0][0] == 1.0  # g11
     with pytest.raises(MetricError, match="not positive definite"):
         gamma_at(spec, (math.nan, 0.0, 0.0))
 
@@ -326,7 +326,7 @@ def test_power_overflow_is_a_domain_fault_not_an_indefinite_metric(g11, x1, powe
             warnings.simplefilter("error")
             with pytest.raises(DomainFault, match=message):
                 call()
-    assert gamma_at(spec, (1.5, 0.0, 0.0))[0][0, 0] >= 1.0
+    assert gamma_at(spec, (1.5, 0.0, 0.0))[0][0][0] >= 1.0  # g11
 
 
 @pytest.mark.parametrize(
@@ -432,15 +432,17 @@ def test_tape_fault_order_follows_the_walk():
 
 @pytest.mark.parametrize("spec", _tape_specs(), ids=lambda s: f"{s.name}{s.params}")
 def test_gamma_at_matches_order4_pack(spec):
-    """gamma_at (order-1 tape, one solve) against the independent order-4
-    curvature kernel of pack_at."""
+    """gamma_at (order-1 tape, adjugate inverse) against the independent
+    order-4 curvature kernel of pack_at."""
+    from oracles import gamma_arrays
+
     from riccati3.curvature import pack_at
 
     rng = np.random.default_rng(3)
     box = np.array(spec.box)
     for _ in range(4):
         p = rng.uniform(box[:, 0], box[:, 1])
-        g, ginv, gamma = gamma_at(spec, p)
+        g, ginv, gamma = gamma_arrays(spec, p)
         pack = pack_at(spec, tuple(p))
         for got, want in ((g, pack.g), (ginv, pack.ginv), (gamma, pack.gamma)):
             assert got.shape == want.shape

@@ -393,12 +393,36 @@ def test_signs_of_lambdas_below_the_float_range_are_exact():
         ConstraintInstance("a12", ("1", "0", "1"), (), (), (), Lambda="-1e-400")
     with pytest.raises(PolyclassError, match="eigenvalues must be negative"):
         ConstraintInstance("a3", ("1", "0", "1"), (), (), (), lambda2="-1", lambda3="1e-400")
-    # lambda2 < lambda3 < 0 below the float range: a3 without the tilde transform
-    a3 = ConstraintInstance("a3", ("1e-400", "0", "2e-400"), (), (), (), lambda2="-4e-400", lambda3="-2e-400")
+    # lambda2 < lambda3 < 0 below the float range: a3 without the tilde transform,
+    # with a = -(lambda3 t^2 + lambda2)/2 = 2e-400 + 1e-400 t^2
+    a3 = ConstraintInstance("a3", ("2e-400", "0", "1e-400"), (), (), (), lambda2="-4e-400", lambda3="-2e-400")
     verdict, swapped = classify(a3)
     assert (verdict.branch, swapped) == ("CZero", False)
     assert classify(tilde_transform(a3))[1]
+    # 1e-400 + 2e-400 t^2 is not a multiple of that a, although it is as floats
+    skew = ConstraintInstance("a3", ("1e-400", "0", "2e-400"), (), (), (), lambda2="-4e-400", lambda3="-2e-400")
+    verdict, swapped = classify(skew)
+    assert (verdict.branch, verdict.certificate, swapped) == (
+        "Infeasible", "a is not a positive multiple of -(lambda3 t^2 + lambda2)/2", False)
     # d1 = sqrt(Lambda) a exactly, with Lambda = 1e-800: the sign needs sqrt(Lambda)
     sqrt_branch = ConstraintInstance("a12", ("1", "0", "1"), ("1",), ("1e-400", "0", "1e-400"), (), Lambda="1e-800")
     with pytest.raises(PolyclassError, match="underflows to 0.0 as a float"):
         classify(sqrt_branch)
+
+
+@pytest.mark.parametrize(
+    "P,branch,certificate",
+    [
+        # read as CZero, and as "c = 0 forces P = 0", when c went through float()
+        (("1e-400",), "Infeasible", "(t^2+1) does not divide P / c"),
+        (("1",), "Infeasible", "(t^2+1) does not divide P / c"),
+        ((), "DEqualsSqrtLambdaA", ""),
+    ],
+)
+def test_exact_coefficient_below_the_float_range_is_not_zero(P, branch, certificate):
+    """On an exact instance, c = 1e-400 is decided nonzero by exact comparison,
+    although it is 0.0 as a float."""
+    inst = ConstraintInstance("a12", ("1", "0", "1"), ("1e-400",), ("1", "0", "1"), P, Lambda="1")
+    assert inst.exact and inst.tol() == 0
+    verdict, tilded = classify(inst)
+    assert (verdict.branch, verdict.certificate, tilded) == (branch, certificate, False)

@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from oracles import gamma_arrays, reference_rk4
+from test_exprjet import _tape_specs
 
 from riccati3 import metrics, riccati
 from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
@@ -381,12 +383,49 @@ def test_gamma_at_inverse_is_the_symmetric_adjugate(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refused)
     monkeypatch.setattr(np.linalg, "inv", refused)
     for p in points:
-        _, ginv, gamma = metrics.gamma_at(spec, p)
+        _, ginv, gamma = gamma_arrays(spec, p)
         inv, cond = want[tuple(p)]
         assert np.array_equal(ginv, ginv.T)
         assert np.max(np.abs(ginv - inv)) <= 1e-14 * cond * np.max(np.abs(inv))
         # the lowered symbol is symmetric in its last two slots, and so is Gamma
         assert np.array_equal(gamma, gamma.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _tape_specs() + [metrics.custom(TILTED, name="tilted")],
+    ids=lambda s: f"{s.name}{s.params}",
+)
+def test_float_step_matches_the_numpy_reference(spec):
+    """One RK4 step on the 12 floats of (x, v, w1, w2) agrees with the numpy
+    stage of tests/oracles.py, whose Gamma comes from the order-1 metric jets
+    and a linear solve, within 1e-14 of max(1, |y|), entry by entry."""
+    rng = np.random.default_rng(18)
+    box = np.array(spec.box)
+    for dt in (1e-2, -5e-2):
+        for _ in range(4):
+            y = np.concatenate([rng.uniform(box[:, 0], box[:, 1]), rng.uniform(-1.0, 1.0, 9)])
+            got = riccati._rk4(spec, y.tolist(), dt)
+            want = reference_rk4(spec, y, dt)
+            assert type(got) is list and all(type(a) is float for a in got)
+            assert np.all(np.abs(np.array(got) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_one_gamma_at_call_per_stage(monkeypatch):
+    """A geodesic step evaluates the metric once at each of its four stages,
+    through ``riccati.gamma_at``, also on a shortened last step."""
+    calls = []
+
+    def counted(spec, p):
+        calls.append(p)
+        return metrics.gamma_at(spec, p)
+
+    monkeypatch.setattr(riccati, "gamma_at", counted)
+    spec = metrics.builtin("sphere")
+    for T in (0.1, 0.105):
+        calls.clear()
+        path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.3, -0.2, 0.5), T, 0.01)
+        assert len(calls) == 4 * (len(path.ts) - 1)
 
 
 def _full_matrix_step(u, h, J0, Jmid, J1):
