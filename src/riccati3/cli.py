@@ -81,11 +81,10 @@ def _emit(report, args):
 
 
 def _sample_points(spec, n, rng):
-    box = spec.box
-    return [
-        tuple(rng.uniform(lo, hi) for lo, hi in box)
-        for _ in range(n)
-    ]
+    """n points drawn uniformly from the box, as tuples: one (n, 3) draw, the
+    same numbers as 3n scalar draws, point by point and coordinate by coordinate."""
+    lo, hi = np.array(spec.box, dtype=float).T
+    return list(map(tuple, rng.uniform(lo, hi, (n, 3)).tolist()))
 
 
 def _unit_directions(pack, dirs):
@@ -153,7 +152,7 @@ def cmd_analyze(args):
     rank1 = None
     any_nonpositive = True
     for start, block, pack in _point_blocks(spec, points):
-        res = identity_residuals(pack, n=8, seed=seed + start)
+        res = identity_residuals(pack, n=8, seed=seed + start)  # one draw; point start + k reads row k
         X = _unit_directions(pack, dirs)
         ov = obstruction_values(pack, X)
         rel = np.abs(ov.residual) / ov.scale

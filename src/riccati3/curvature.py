@@ -15,10 +15,14 @@ Conventions (recorded here because the literature varies):
 
 Everything is computed in coordinates by one kernel on coefficient arrays:
 the metric's order-k Taylor coefficients G, shape (N(k),) + batch + (3, 3)
-as in ``MetricJet.coef``, give those of g^-1 and Gamma (order k - 1) and R
-(order k - 2), each product a truncated Leibniz product (``exprjet.contract``,
-whose tensor contraction is one stacked matrix product over the Leibniz terms
-and points) and each derivative a gather of coefficients (``exprjet.partials``).
+as in ``MetricJet.coef``, give those of g^-1 (order 1 only: the pack reads
+it at the point and, through d scal, once differentiated), Gamma (order
+k - 1) and R (order k - 2).  Gamma solves g Gamma = lowered symbols by
+forward substitution over the degree of the coefficients, a quotient of
+Taylor series that needs g^-1 only at the point; every other product is a
+truncated Leibniz product (``exprjet.contract``, whose tensor contraction is
+one stacked matrix product over the Leibniz terms and points) and each
+derivative a gather of coefficients (``exprjet.partials``).
 Covariant derivatives come from one rule on the same arrays (``_nabla``): a
 tensor's coefficients of order q give those of its covariant derivative at
 order q - 1, the coordinate derivative plus one Gamma contraction per slot.
@@ -51,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exprjet import N_BY_ORDER, Const, DomainFault, contract, partials
+from .exprjet import N_BY_ORDER, Const, DomainFault, contract, partials, quotient_terms
 from .metrics import MetricJet, MetricSpec, lowered_symbol, metric_jets
 
 
@@ -119,14 +123,26 @@ class RankReport:
         )
 
 
-def _inverse(G, order):
-    """Coefficients of g^-1 at ``order``: the Neumann series
-    sum_m (-A H)^m A around A = inv(G[0]), H = G - G[0], by Horner.
+def _curvature_jets(G, tamper=False):
+    """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
+    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2.
 
-    A determinant below 1e-14 max(g_ii)^3 (each point's own scale: legitimate
-    metrics have tiny determinants far from coordinate origins, as hyperbolic
-    upper half space does) raises DomainFault naming the first such value.
+    g^-1 carries order 1, [A, -A d_i g A] with A = g(p)^-1, which is all the
+    pack reads of it.  Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1:
+    it solves g Gamma = L for the lowered symbols L (``lowered_symbol``), a
+    quotient of Taylor series, by forward substitution over the degree d,
+    Gamma[c] = A (L[c] - sum_{0 < a <= c} G[a] Gamma[c - a]) for |c| = d,
+    one stacked matrix product over the terms of each degree
+    (``exprjet.quotient_terms``).  R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l
+    carries order k - 2: R = dGamma + sign Gamma Gamma - (i <-> j), where
+    ``tamper`` flips the sign.
+
+    A determinant of g(p) below 1e-14 max(g_ii)^3 (each point's own scale:
+    legitimate metrics have tiny determinants far from coordinate origins, as
+    hyperbolic upper half space does) raises DomainFault naming the first
+    such value.
     """
+    order = N_BY_ORDER.index(len(G))
     g0 = G[0]
     det = np.linalg.det(g0)
     scale = np.max(np.diagonal(g0, axis1=-2, axis2=-1), axis=-1) ** 3
@@ -134,27 +150,20 @@ def _inverse(G, order):
     if small.any():
         raise DomainFault("division by ~0", Const(float(np.ravel(det)[np.argmax(small)])))
     A = np.linalg.inv(g0)
-    AH = A @ G[: N_BY_ORDER[order]]
-    AH[0] = 0.0
-    S = np.zeros_like(AH)
-    S[0] = A
-    for _ in range(order):
-        S = -contract("kl,lj->kj", AH, S, order)
-        S[0] = A
-    return S
+    ginv = np.concatenate([A[None], -(A @ G[1:4]) @ A])
 
+    L = lowered_symbol(partials(G))
+    shape = L.shape[:-2] + (9,)  # Gamma^k_ij and L_lij as (3, 9) matrices
+    L = L.reshape(shape)
+    gamma = np.empty(shape)
+    gamma[0] = A @ L[0]
+    for d in range(1, order):
+        ia, ib, S = quotient_terms(d)
+        lo, hi = N_BY_ORDER[d - 1], N_BY_ORDER[d]
+        terms = G[ia] @ gamma[ib]
+        gamma[lo:hi] = A @ (L[lo:hi] - (S @ terms.reshape(len(ia), -1)).reshape(L[lo:hi].shape))
+    gamma = gamma.reshape(shape[:-1] + (3, 3))
 
-def _curvature_jets(G, tamper=False):
-    """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
-    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2.
-
-    g^-1 and Gamma[..., k, i, j] = Gamma^k_ij carry order k - 1, and
-    R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l carries order k - 2:
-    R = dGamma + sign Gamma Gamma - (i <-> j), where ``tamper`` flips the sign.
-    """
-    order = N_BY_ORDER.index(len(G))
-    ginv = _inverse(G, order - 1)
-    gamma = contract("kl,lij->kij", ginv, lowered_symbol(partials(G)), order - 1)
     sign = -1.0 if tamper else 1.0
     # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
     T = np.einsum("...ljki->...ijkl", partials(gamma))
@@ -195,7 +204,7 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     G = m.coef[:, None] if one else m.coef  # one point is a batch of one
     ginv_c, gamma_c, R_c = _curvature_jets(G, tamper)
     ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
-    scal_c = contract("ij,ij->", ginv_c, ric_c, 2)
+    scal_c = contract("ij,ij->", ginv_c, ric_c, 1)
     nabla_ric_c = _nabla(ric_c, gamma_c)  # order 1, for nabla^2 ric
 
     g = G[0]
@@ -336,15 +345,12 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     vectors there is no pair and kulkarni is 0.  At one point the values
     are floats and ``vectors`` is (p, 3), by default n draws of
     default_rng(seed).  At a batch of points they are arrays with one value
-    per point, ``vectors`` is (n_points, p, 3), and point k draws its n
-    vectors from default_rng(seed + k).
+    per point, ``vectors`` is (n_points, p, 3), by default one draw of shape
+    (n_points, n, 3) from default_rng(seed), whose row k is point k's.
     """
     one = pack.g.ndim == 2
-    if vectors is None and one:
-        vectors = np.random.default_rng(seed).standard_normal((n, 3))
-    elif vectors is None:
-        draws = [np.random.default_rng(seed + k).standard_normal((n, 3)) for k in range(len(pack.g))]
-        vectors = np.stack(draws)
+    if vectors is None:
+        vectors = np.random.default_rng(seed).standard_normal(pack.g.shape[:-2] + (n, 3))
     vectors = np.asarray(vectors, dtype=float)
 
     g, rho = pack.g, pack.rho

@@ -18,7 +18,8 @@ Sums are array sums and products are the truncated Leibniz product
 ``_mul``; unary functions and integer powers compose a scalar Taylor series
 (the binomial series for powers, n = -1 for division) with the
 constant-free part of the argument (``_compose``), so no symbolic
-differentiation of the AST is ever needed.
+differentiation of the AST is ever needed.  A quotient of series is solved
+degree by degree by its forward recurrence over ``quotient_terms``.
 
 There is one jet evaluator, the compiled ``Tape``: a tuple of expressions
 becomes one flat list of operations on registers, with each repeated subtree
@@ -128,16 +129,32 @@ def contract(subscripts, a, b, order):
     has shape (N,) + batch + its tensor axes of length 3 (coefficients first,
     as in ``Jet4.coef``), the C-contiguous result (N(order),) + batch + the
     output axes.  The gathered terms become stacks of (free, summed) and
-    (summed, free) matrices, multiplied by one stacked ``np.matmul``, then
-    summed by the same matrix product as ``_mul`` (at order 0, one term)."""
+    (summed, free) matrices, multiplied by one stacked ``np.matmul`` and
+    summed into their outputs by the same matrix product as ``_mul`` (at
+    order 0, one term); only then are the free axes put in the output's
+    order, so that copy runs on N(order) rows, not one per term."""
     n, axes_a, axes_b, mat_a, mat_b, free, axes_out = _contraction(subscripts, a.ndim)
     _, ia, ib = _MUL_TABLES[order]
     shape = (len(ia),) + a.shape[1:n]
     x, y = a[ia].transpose(axes_a).reshape(shape + mat_a), b[ib].transpose(axes_b).reshape(shape + mat_b)
-    terms = (x @ y).reshape(shape + free).transpose(axes_out)
-    if order == 0:  # C order, as the matrix product below gives
-        return np.ascontiguousarray(terms)
-    return (_MUL_SCATTER[order] @ terms.reshape(len(ia), -1)).reshape((-1,) + terms.shape[1:])
+    out = x @ y
+    if order > 0:
+        out = _MUL_SCATTER[order] @ out.reshape(len(ia), -1)
+    return np.ascontiguousarray(out.reshape((N_BY_ORDER[order],) + shape[1:] + free).transpose(axes_out))
+
+
+@functools.lru_cache(maxsize=None)
+def quotient_terms(d):
+    """The Leibniz terms a[alpha] q[gamma - alpha] with alpha > 0 of the
+    outputs gamma of degree d >= 1, as (ia, ib, S): the masked degree-d slice
+    of the order-d product table, and its one-hot (outputs, terms) scatter.
+    They are the terms the forward recurrence of a Taylor quotient q = c / a
+    subtracts, q[gamma] = (c[gamma] - sum a[alpha] q[gamma - alpha]) / a[0],
+    and ib reads only degrees below d (Griewank & Walther, ch. 13)."""
+    lo, hi = len(_MUL_TABLES[d - 1][0]), len(_MUL_TABLES[d][0])
+    _, ia, ib = (t[lo:hi] for t in _MUL_TABLES[d])
+    keep = ia > 0
+    return ia[keep], ib[keep], _MUL_SCATTER[d][N_BY_ORDER[d - 1] :, lo:hi][:, keep]
 
 
 def _build_diff_tables():

@@ -2,12 +2,13 @@
 leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
-of ``riccati._rk4``."""
+of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
+curvature kernel's forward substitution for Gamma."""
 
 import numpy as np
 
 from riccati3.curvature import pack_at, ricci_rank
-from riccati3.exprjet import partials
+from riccati3.exprjet import N_BY_ORDER, contract, partials
 from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import derived_jacobi_direct, jacobi_frame
 from riccati3.riccati import _rk4
@@ -31,6 +32,21 @@ def gamma_arrays(spec, p):
     ginv = np.array(inv)[_FULL_INDEX]
     low = lowered_symbol(np.moveaxis(c[1:], 0, -1))
     return c[0], ginv, (ginv @ low.reshape(3, 9)).reshape(3, 3, 3)
+
+
+def neumann_inverse(G, order):
+    """Coefficients of g^-1 at ``order`` from the metric's coefficients G,
+    shape (N(k),) + batch + (3, 3), k >= order: the Neumann series
+    sum_m (-A H)^m A around A = inv(G[0]), H = G - G[0], by Horner."""
+    A = np.linalg.inv(G[0])
+    AH = A @ G[: N_BY_ORDER[order]]
+    AH[0] = 0.0
+    S = np.zeros_like(AH)
+    S[0] = A
+    for _ in range(order):
+        S = -contract("kl,lj->kj", AH, S, order)
+        S[0] = A
+    return S
 
 
 def christoffel_solve(spec, x):

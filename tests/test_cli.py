@@ -490,6 +490,30 @@ def test_riccati_malformed_lists_exit_2(tmp_path_factory, option, value):
     assert option in run_bad(argv + [f"{key}={val}" for key, val in args.items()])
 
 
+def test_sample_points_are_pinned():
+    """The sample points of a seed are fixed numbers, as Python float tuples:
+    those of 3n scalar draws, point by point, whatever the draw's shape."""
+    rng = np.random.default_rng(1919)
+    points = _sample_points(metrics.builtin("hyperbolic"), 2, rng)
+    assert points == [
+        (-0.12319802611338604, 0.7940713698965829, 1.6623070220289318),
+        (0.2694876931729817, 0.6721325424507629, 0.9590961263221846),
+    ]
+    assert all(type(x) is float for p in points for x in p)
+    scalar = np.random.default_rng(1919)
+    for _ in range(6):
+        scalar.uniform(0.0, 1.0)
+    assert rng.random() == scalar.random()  # the generator advanced by 3n draws
+
+
+def _identity_vectors(seed, n_points, ip):
+    """The 8 identity vectors of sample point ip in ``analyze``: row ip - start
+    of one draw from default_rng(seed + start) for its block at start."""
+    start = ip - ip % POINT_BLOCK
+    size = min(POINT_BLOCK, n_points - start)
+    return np.random.default_rng(seed + start).standard_normal((size, 8, 3))[ip - start]
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "sol", "h2xr", "sphere"])
 def test_analyze_blocks_match_point_by_point_calls(name, capsys):
     """More points than one block: the batched run gives the ranks, verdict,
@@ -506,7 +530,7 @@ def test_analyze_blocks_match_point_by_point_calls(name, capsys):
         pack = pack_at(spec, p)
         assert rep["per_point"][ip]["point"] == list(p)
         assert rep["per_point"][ip]["rank"] == ricci_rank(pack).rank
-        for key, value in identity_residuals(pack, n=8, seed=3 + ip).items():
+        for key, value in identity_residuals(pack, _identity_vectors(3, n, ip)).items():
             assert abs(rep["per_point"][ip][key] - value) <= 1e-11, (ip, key)
         ov = obstruction_values(pack, _unit_directions(pack, dirs))
         rels.append(np.abs(ov.residual) / ov.scale)
@@ -524,9 +548,9 @@ def test_analyze_blocks_match_point_by_point_calls(name, capsys):
 
 
 def test_analyze_draws_identity_vectors_per_point(capsys, monkeypatch):
-    """Across blocks, point ip checks the identities on the vectors of
-    default_rng(seed + ip): with the curvature sign tampered the residuals
-    are O(1) and tell the draws apart."""
+    """Across blocks, point ip checks the identities on its own row of its
+    block's draw (``_identity_vectors``): with the curvature sign tampered the
+    residuals are O(1) and tell the draws apart."""
     tampered = functools.partial(pack_at, tamper=True)
     monkeypatch.setattr("riccati3.cli.pack_at", tampered)
     n = POINT_BLOCK + 3
@@ -535,7 +559,7 @@ def test_analyze_draws_identity_vectors_per_point(capsys, monkeypatch):
     per_point = json.loads(out)["per_point"]
     spec = metrics.builtin("heisenberg")
     for ip, p in enumerate(_sample_points(spec, n, np.random.default_rng(4))):
-        for key, value in identity_residuals(tampered(spec, p), n=8, seed=4 + ip).items():
+        for key, value in identity_residuals(tampered(spec, p), _identity_vectors(4, n, ip)).items():
             assert abs(per_point[ip][key] - value) <= 1e-12 * max(1.0, value), (ip, key)
         assert per_point[ip]["kulkarni"] > 1e-3
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import neumann_inverse
 
 from riccati3 import metrics
 from riccati3.curvature import (
     CurvaturePack,
+    _curvature_jets,
     curvature_pack,
     curvature_r_only,
     identity_residuals,
@@ -15,8 +17,8 @@ from riccati3.curvature import (
     pack_at,
     ricci_rank,
 )
-from riccati3.exprjet import INDEX_OF, DomainFault
-from riccati3.metrics import MetricError, metric_jets
+from riccati3.exprjet import INDEX_OF, DomainFault, contract, partials
+from riccati3.metrics import MetricError, lowered_symbol, metric_jets
 
 # a custom metric with random-looking polynomial (and one sine) components
 RANDOM_POLY = {
@@ -503,6 +505,50 @@ def _pack_tolerance(spec, p, field, want):
     return 1e-13 * np.maximum(scale, np.abs(want))
 
 
+def _zoo_jets(name, n):
+    """The order-4 coefficients G, with a point axis, at one point (n = 1) or
+    a batch of n, and the kernel's (ginv, gamma, R) from them."""
+    spec = _zoo_spec(name)
+    pts = _zoo_points(spec, n, seed=11)
+    G = metric_jets(spec, pts if n > 1 else tuple(pts[0])).coef
+    G = G if n > 1 else G[:, None]
+    return G, _curvature_jets(G)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_gamma_matches_the_neumann_inverse_product(name, n):
+    """Gamma by forward substitution against g^-1 expanded to order 3 by the
+    Neumann series times the lowered symbols: every coefficient, orders 0-3,
+    within 1e-14 max(1, |x|)."""
+    G, (_, gamma, _) = _zoo_jets(name, n)
+    want = contract("kl,lij->kij", neumann_inverse(G, 3), lowered_symbol(partials(G)), 3)
+    assert gamma.shape == want.shape == (20, n, 3, 3, 3)
+    assert np.all(np.abs(gamma - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_gamma_solves_the_defining_equation(name):
+    """g Gamma = L, the lowered symbols, as truncated series at order 3:
+    within 1e-14 of the sum of the absolute Leibniz terms."""
+    G, (_, gamma, _) = _zoo_jets(name, 7)
+    L = lowered_symbol(partials(G))
+    bound = contract("kl,lij->kij", np.abs(G), np.abs(gamma), 3)
+    assert np.all(np.abs(contract("kl,lij->kij", G, gamma, 3) - L) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_inverse_metric_is_expanded_to_order_one(name):
+    """ginv is [A, -A d_i g A] with A = g(p)^-1: four coefficients, the
+    first-order ones within 1e-14 max(1, |x|) of -A (d_i g A)."""
+    G, (ginv, _, _) = _zoo_jets(name, 7)
+    A = np.linalg.inv(G[0])
+    assert ginv.shape == (4, 7, 3, 3)
+    assert np.array_equal(ginv[0], A)
+    want = -(A @ (G[1:4] @ A))
+    assert np.all(np.abs(ginv[1:] - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("name", PACK_ZOO)
 def test_batched_pack_matches_pack_at_every_point(name):
     """The pack of a batch of points, row by row, against the one-point pack:
@@ -548,16 +594,18 @@ def test_pack_of_one_point_has_point_types():
 
 @pytest.mark.parametrize("tamper", [False, True])
 def test_batched_identity_residuals_are_per_point(tamper):
-    """At a batch, point k draws its vectors from default_rng(seed + k), as a
-    one-point call with that seed does, and gets its own residuals: noise on
-    a true pack, and O(1) values that depend on the vectors on a tampered one."""
+    """At a batch, the vectors are one draw of shape (n_points, n, 3) from
+    default_rng(seed), and point k gets the residuals of a one-point call
+    given row k of that draw: noise on a true pack, and O(1) values that
+    depend on the vectors on a tampered one."""
     spec = metrics.builtin("sol")
     pts = _zoo_points(spec, 5, seed=3)
     batch = identity_residuals(pack_at(spec, pts, tamper=tamper), n=8, seed=40)
+    draw = np.random.default_rng(40).standard_normal((5, 8, 3))
     for key, vals in batch.items():
         assert vals.shape == (5,)
     for k, p in enumerate(pts):
-        one = identity_residuals(pack_at(spec, tuple(p), tamper=tamper), n=8, seed=40 + k)
+        one = identity_residuals(pack_at(spec, tuple(p), tamper=tamper), vectors=draw[k])
         for key, want in one.items():
             assert abs(batch[key][k] - want) <= 1e-12 * max(1.0, want), (key, k)
         assert (max(one.values()) > 1e-3) if tamper else (max(one.values()) < 1e-9)
@@ -565,8 +613,10 @@ def test_batched_identity_residuals_are_per_point(tamper):
 
 # metrics whose packs round by a point's position in the batch: exprjet sums
 # the Leibniz terms of all points of a batch in one BLAS product (``_mul``,
-# ``contract``), whose rounding depends on the column a point lands in
-POSITION_ROUNDED = ("hyperbolic", "sphere", "h3exp", "s3sin", "h2coshr")
+# ``contract``), whose rounding depends on the column a point lands in.  At
+# this test's points h2coshr permutes bitwise, but not at every batch: its
+# nabla2_ric rounds by position at other seeds, so it stays listed
+POSITION_ROUNDED = ("sphere", "s3sin", "h2coshr")
 
 
 @pytest.mark.parametrize("name", PACK_ZOO)

@@ -22,6 +22,7 @@ from riccati3.exprjet import (
     eval_scalar,
     format_expr,
     parse_expr,
+    quotient_terms,
 )
 from riccati3 import curvature
 from riccati3.metrics import MetricError, builtin, custom, gamma_at, metric_jets
@@ -449,10 +450,42 @@ def test_gamma_at_matches_order4_pack(spec):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_quotient_terms_are_the_degree_d_terms_with_nonzero_alpha(d):
+    """quotient_terms(d) is every Leibniz pair (alpha, gamma - alpha) with
+    |gamma| = d and alpha != 0, once each, scattered to gamma's row."""
+    ia, ib, S = quotient_terms(d)
+    lo = N_BY_ORDER[d - 1]
+    assert S.shape == (N_BY_ORDER[d] - lo, len(ia)) and np.array_equal(S.sum(axis=0), np.ones(len(ia)))
+    got = sorted((lo + int(np.argmax(S[:, t])), int(ia[t]), int(ib[t])) for t in range(len(ia)))
+    want = sorted(
+        (gi, ai, MULTI_INDICES.index(tuple(g - a for g, a in zip(gamma, alpha))))
+        for gi, gamma in enumerate(MULTI_INDICES)
+        if sum(gamma) == d
+        for ai, alpha in enumerate(MULTI_INDICES)
+        if sum(alpha) > 0 and all(a <= g for a, g in zip(alpha, gamma))
+    )
+    assert got == want
+
+
+def test_forward_recurrence_divides_jets():
+    """q = c / a degree by degree over quotient_terms gives the jet of the
+    quotient expression, at one point and a batch of 3."""
+    num, den = "exp(x1 - x3) + x2", "2 + sin(x1) * x2 + x3^2"
+    for p in ((0.3, -0.2, 0.5), np.array([[0.3, -0.2, 0.5], [0.0, 0.0, 0.0], [-1.0, 0.7, 0.4]])):
+        c, a = eval_jet(parse_expr(num), p).coef, eval_jet(parse_expr(den), p).coef
+        q = np.empty_like(c)
+        q[0] = c[0] / a[0]
+        for d in range(1, 5):
+            ia, ib, S = quotient_terms(d)
+            lo, hi = N_BY_ORDER[d - 1], N_BY_ORDER[d]
+            q[lo:hi] = (c[lo:hi] - S @ (a[ia] * q[ib])) / a[0]
+        want = eval_jet(parse_expr(f"({num}) / ({den})"), p).coef
+        assert np.all(np.abs(q - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
 # every subscript string the curvature kernel passes to ``contract``
 CURVATURE_SUBSCRIPTS = (
-    "kl,lj->kj",
-    "kl,lij->kij",
     "lim,mjk->ijkl",
     "ij,ij->",
     "nma,nb->mab",
@@ -465,6 +498,9 @@ CURVATURE_SUBSCRIPTS = (
     "nmc,abnd->mabcd",
     "dmn,abcn->mabcd",
 )
+# and those of the Neumann-series oracle of Gamma (``oracles.neumann_inverse``
+# and its product with the lowered symbols)
+ORACLE_SUBSCRIPTS = ("kl,lj->kj", "kl,lij->kij")
 
 
 def test_curvature_subscripts_are_the_kernels(monkeypatch):
@@ -492,14 +528,14 @@ def _contract_reference(subscripts, a, b, order):
     return np.tensordot(_MUL_SCATTER[order], terms, axes=1)
 
 
-@pytest.mark.parametrize("subscripts", CURVATURE_SUBSCRIPTS)
+@pytest.mark.parametrize("subscripts", ORACLE_SUBSCRIPTS + CURVATURE_SUBSCRIPTS)
 @pytest.mark.parametrize("batch", [(), (1,), (7,)])
 def test_contract_matches_einsum_reference(subscripts, batch):
     """``contract``'s stacked matrix product gives the einsum contraction of the
     same terms, at one point (no batch axis) and at batches of 1 and 7."""
     ins, res = subscripts.split("->")
     sa, sb = ins.split(",")
-    rng = np.random.default_rng(len(batch) + 17 * CURVATURE_SUBSCRIPTS.index(subscripts))
+    rng = np.random.default_rng(len(batch) + 17 * (ORACLE_SUBSCRIPTS + CURVATURE_SUBSCRIPTS).index(subscripts))
     a = rng.uniform(-1.0, 1.0, (N_BY_ORDER[4],) + batch + (3,) * len(sa))
     b = rng.uniform(-1.0, 1.0, (N_BY_ORDER[4],) + batch + (3,) * len(sb))
     for order in range(5):
