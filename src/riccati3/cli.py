@@ -93,50 +93,43 @@ def _unit_directions(pack, dirs):
     return dirs / np.sqrt(np.einsum("...i,...i->...", dirs @ pack.g, dirs))[..., None]
 
 
-_FAULTS = (metrics.MetricError, ExprError)
-
-
 def _point_blocks(spec, points):
     """(index of the first point, points, their batched ``pack_at``) for each
-    block of POINT_BLOCK sample points.
-
-    Where a point of a block faults, the block is cut before the first such
-    point in sample order and that point's one-point ``pack_at`` error is
-    raised after it, so the run stops at the same point, with the same
-    message, as a point-by-point loop."""
+    block of POINT_BLOCK sample points.  A block that faults is packed point
+    by point, so the run stops at the first faulting point in sample order,
+    with its one-point message."""
     for start in range(0, len(points), POINT_BLOCK):
         block = points[start : start + POINT_BLOCK]
         try:
             pack = pack_at(spec, np.array(block))
-        except _FAULTS as exc:
-            k, fault = _first_fault(spec, block, exc)
-            if k:
-                yield start, block[:k], pack_at(spec, np.array(block[:k]))
-            raise fault from None
+        except (metrics.MetricError, ExprError):
+            for p in block:
+                pack_at(spec, p)
+            raise
         yield start, block, pack
 
 
-def _first_fault(spec, points, default):
-    """The index of the first of ``points`` whose one-point ``pack_at``
-    faults, and its error; (0, default) if none does."""
-    for k, p in enumerate(points):
-        try:
-            pack_at(spec, p)
-        except _FAULTS as exc:
-            return k, exc
-    return 0, default
+def _setting(args, cfg, key, default):
+    """``key``'s command-line value, else its config-file entry parsed as the
+    type of ``default``, else ``default``."""
+    try:
+        return getattr(args, key) if getattr(args, key) is not None else type(default)(cfg.get(key, default))
+    except ValueError:
+        raise UsageError(f"--config: {key} = {cfg[key]!r} is not a valid {type(default).__name__}") from None
 
 
 def cmd_analyze(args):
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-9))
-    n_points = args.points if args.points is not None else int(cfg.get("points", 10))
-    n_dirs = args.dirs if args.dirs is not None else int(cfg.get("dirs", 64))
+    seed = _setting(args, cfg, "seed", 0)
+    tol = _setting(args, cfg, "tol", 1e-9)
+    n_points = _setting(args, cfg, "points", 10)
+    n_dirs = _setting(args, cfg, "dirs", 64)
     if n_points < 1 or n_dirs < 1:
         raise UsageError(f"-n/--points and -m/--dirs must be at least 1, got {n_points}, {n_dirs}")
     if seed < 0:
         raise UsageError(f"--seed must be at least 0, got {seed}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be a finite number at least 0, got {tol}")
 
     spec = metrics.resolve(args.metric, _parse_params(args.param))
     rng = np.random.default_rng(seed)

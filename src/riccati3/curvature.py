@@ -16,13 +16,14 @@ Conventions (recorded here because the literature varies):
 Everything is computed in coordinates by one kernel on coefficient arrays:
 the metric's order-k Taylor coefficients G, shape (N(k),) + batch + (3, 3)
 as in ``MetricJet.coef``, give those of g^-1 (order 1 only: the pack reads
-it at the point and, through d scal, once differentiated), Gamma (order
-k - 1) and R (order k - 2).  Gamma solves g Gamma = lowered symbols by
-forward substitution over the degree of the coefficients, a quotient of
-Taylor series that needs g^-1 only at the point; every other product is a
-truncated Leibniz product (``exprjet.contract``, whose tensor contraction is
-one stacked matrix product over the Leibniz terms and points) and each
-derivative a gather of coefficients (``exprjet.partials``).
+it at the point and, through d scal, once differentiated), Gamma
+(order k - 1) and R (order k - 2).  At the point g^-1 is the adjugate over
+det g (``metrics.cofactors``), as in ``gamma_at``, and Gamma solves
+g Gamma = lowered symbols by forward substitution over the degree, a quotient
+of Taylor series that needs g^-1 only at the point; every other product is a
+truncated Leibniz product (``exprjet.contract``, one stacked matrix product
+over the Leibniz terms and points) and each derivative a gather of
+coefficients (``exprjet.partials``).
 Covariant derivatives come from one rule on the same arrays (``_nabla``): a
 tensor's coefficients of order q give those of its covariant derivative at
 order q - 1, the coordinate derivative plus one Gamma contraction per slot.
@@ -55,8 +56,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exprjet import N_BY_ORDER, Const, DomainFault, contract, partials, quotient_terms
-from .metrics import MetricJet, MetricSpec, lowered_symbol, metric_jets
+from .exprjet import N_BY_ORDER, contract, partials, quotient_terms
+from .metrics import _FULL_INDEX, MetricJet, MetricSpec, cofactors, leading_minors, lowered_symbol, metric_jets
 
 
 @dataclass
@@ -125,31 +126,24 @@ class RankReport:
 
 def _curvature_jets(G, tamper=False):
     """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
-    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2.
+    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2, from
+    ``metric_jets``: every g(p) passes ``metrics.leading_minors``' rule.
 
-    g^-1 carries order 1, [A, -A d_i g A] with A = g(p)^-1, which is all the
-    pack reads of it.  Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1:
-    it solves g Gamma = L for the lowered symbols L (``lowered_symbol``), a
-    quotient of Taylor series, by forward substitution over the degree d,
+    g^-1 carries order 1, [A, -A d_i g A], which is all the pack reads of it;
+    A = g(p)^-1 is ``metrics.cofactors`` over det g, as in ``gamma_at``.
+    Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1: it solves g Gamma = L
+    for the lowered symbols L (``lowered_symbol``), a quotient of Taylor
+    series, by forward substitution over the degree d,
     Gamma[c] = A (L[c] - sum_{0 < a <= c} G[a] Gamma[c - a]) for |c| = d,
     one stacked matrix product over the terms of each degree
     (``exprjet.quotient_terms``).  R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l
     carries order k - 2: R = dGamma + sign Gamma Gamma - (i <-> j), where
     ``tamper`` flips the sign.
-
-    A determinant of g(p) below 1e-14 max(g_ii)^3 (each point's own scale:
-    legitimate metrics have tiny determinants far from coordinate origins, as
-    hyperbolic upper half space does) raises DomainFault naming the first
-    such value.
     """
     order = N_BY_ORDER.index(len(G))
-    g0 = G[0]
-    det = np.linalg.det(g0)
-    scale = np.max(np.diagonal(g0, axis1=-2, axis2=-1), axis=-1) ** 3
-    small = np.abs(det) < 1e-14 * np.maximum(scale, 1e-290)
-    if small.any():
-        raise DomainFault("division by ~0", Const(float(np.ravel(det)[np.argmax(small)])))
-    A = np.linalg.inv(g0)
+    g = [G[0][..., i, j] for i, j in zip(*np.triu_indices(3))]  # g11, g12, g13, g22, g23, g33
+    (_, _, det), _ = leading_minors(*g)
+    A = (np.stack(cofactors(*g), -1) / det[..., None])[..., _FULL_INDEX]
     ginv = np.concatenate([A[None], -(A @ G[1:4]) @ A])
 
     L = lowered_symbol(partials(G))

@@ -171,31 +171,55 @@ def resolve(name_or_path, params=None) -> MetricSpec:
 
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     """The metric's order-``order`` Taylor coefficients (``MetricJet``) at the
-    point p, or at each row of an (n, 3) array p, from the jets of its six
-    components; a value that is not positive definite, or not finite, raises
-    the MetricError of ``_metric_fault`` at the first such point."""
+    point p, or at each row of an (n, 3) array p; the first point where g fails
+    ``leading_minors``' rule raises ``_metric_fault``'s MetricError."""
     point = as_point(p)
-    # (N(k), 6) at one point, (N(k), n, 6) at a batch, spread to the full matrices
-    coef = np.stack(spec.tape.run(point, order), -1)[..., _FULL_INDEX]
-    min_eig = np.linalg.eigvalsh(coef[0]).min(-1)  # nan where a value of g is not finite
-    bad = ~(min_eig > 1e-10)
-    if bad.any():
-        k = int(np.argmax(bad))
+    comps = spec.tape.run(point, order)  # (N(k),) or (N(k), n) each
+    _, usable = leading_minors(*(c[0] for c in comps))
+    if not np.all(usable):
+        k = int(np.argmin(np.ravel(usable)))
         at = point if isinstance(point, tuple) else tuple(map(float, point[k]))
-        values = np.reshape(coef[0], (-1, 3, 3))[k][np.triu_indices(3)].tolist()
-        raise _metric_fault(spec, at, values, f"min eigenvalue {float(np.ravel(min_eig)[k]):.3e}")
-    return MetricJet(point, coef, spec)
+        raise _metric_fault(spec, at, [float(np.ravel(c[0])[k]) for c in comps])
+    return MetricJet(point, np.stack(comps, -1)[..., _FULL_INDEX], spec)
 
 
-def _metric_fault(spec, at, values, detail):
-    """The MetricError of the point ``at``, where the component values
-    ``values`` (g11, g12, g13, g22, g23, g33) fail the positive-definiteness
-    check told by ``detail``: at a finite point, a value that is inf or nan is
-    named as such, the first one in component order."""
+def leading_minors(g11, g12, g13, g22, g23, g33):
+    """((g11, m2, m3 = det g), usable): the leading principal minors of the
+    symmetric g with these entries, floats or arrays alike, and the one rule
+    for a usable g: g11 > 0, m2 > 0, m3 finite and above 1e-14 max(g_ii)^3,
+    a floor on g's own scale that every homothety keeps (a nan fails)."""
+    m2 = g11 * g22 - g12 * g12
+    m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
+    usable = (g11 > 0) & (m2 > 0) & (m3 < math.inf) & (m3 > 1e-14 * g11 * g11 * g11)
+    usable = usable & (m3 > 1e-14 * g22 * g22 * g22) & (m3 > 1e-14 * g33 * g33 * g33)
+    return (g11, m2, m3), usable
+
+
+def cofactors(g11, g12, g13, g22, g23, g33):
+    """The cofactors of the symmetric g with these entries, in the same order:
+    over det g (``leading_minors``) the entries of g^-1, exactly symmetric."""
+    return (
+        g22 * g33 - g23 * g23,
+        g13 * g23 - g12 * g33,
+        g12 * g23 - g13 * g22,
+        g11 * g33 - g13 * g13,
+        g12 * g13 - g11 * g23,
+        g11 * g22 - g12 * g12,
+    )
+
+
+def _metric_fault(spec, at, values):
+    """The MetricError of the point ``at``, whose component values ``values``
+    (floats) fail ``leading_minors``' rule: it names the first value that is
+    inf or nan at a finite point, or else the minors."""
     if all(map(math.isfinite, at)):
         for name, value in zip(COMPONENT_NAMES, values):
             if not math.isfinite(value):
                 return MetricError(f"metric '{spec.name}' is not finite at {at}: {name} = {value}")
+    (g11, m2, m3), _ = leading_minors(*values)
+    detail = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
+    if g11 > 0 and m2 > 0 and 0 < m3 < math.inf:
+        detail += ", det below 1e-14 max(g_ii)^3"
     return MetricError(f"metric '{spec.name}' not positive definite at {at}: {detail}")
 
 
@@ -207,35 +231,14 @@ def lowered_symbol(dg):
 
 
 def gamma_at(spec: MetricSpec, p):
-    """The pieces of the Christoffel symbols at one point, as Python floats,
-    from one run of the order-1 metric tape: (jet, inv).
-
-    ``jet`` is four lists of the six components g11, g12, g13, g22, g23, g33:
-    their values, then their partials d_1, d_2 and d_3.  ``inv`` is the six
-    entries of g^-1 in the same order, the adjugate of g over its determinant,
-    both from the leading principal minors g11, m2, m3 that the
-    positive-definiteness check computes, so g^-1 is exactly symmetric.  The
-    Christoffel symbols are Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2;
-    the geodesic stage (``riccati._slopes``) contracts the lowered symbols with
-    its vectors and raises the index once, and never builds the full Gamma.
-    The one per-stage metric call of the geodesic integrator.  A point where
-    g is not positive definite (a leading principal minor is not positive)
-    raises MetricError naming it.
-    """
+    """(jet, inv) at the point p as Python floats, from one order-1 tape run:
+    ``jet`` is g11, g12, g13, g22, g23, g33 and their partials d_1, d_2, d_3
+    (four lists of six), ``inv`` the six entries of g^-1, ``cofactors`` over
+    det g.  The one metric call of a geodesic stage (``riccati._slopes``); a g
+    that fails ``leading_minors``' rule raises ``metric_jets``' MetricError."""
     jet = np.array(spec.tape.run(p, 1)).T.tolist()
-    g11, g12, g13, g22, g23, g33 = jet[0]
-    m2 = g11 * g22 - g12 * g12
-    m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
-    if not (g11 > 0 and m2 > 0 and 0 < m3 < math.inf):  # a nan minor fails too
-        minors = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
-        raise _metric_fault(spec, tuple(map(float, p)), jet[0], minors)
-    # the cofactors of the symmetric g; m2 is the (3, 3) one
-    inv = (
-        (g22 * g33 - g23 * g23) / m3,
-        (g13 * g23 - g12 * g33) / m3,
-        (g12 * g23 - g13 * g22) / m3,
-        (g11 * g33 - g13 * g13) / m3,
-        (g12 * g13 - g11 * g23) / m3,
-        m2 / m3,
-    )
-    return jet, inv
+    (_, _, m3), usable = leading_minors(*jet[0])
+    if not usable:
+        raise _metric_fault(spec, tuple(map(float, p)), jet[0])
+    c11, c12, c13, c22, c23, c33 = cofactors(*jet[0])
+    return jet, (c11 / m3, c12 / m3, c13 / m3, c22 / m3, c23 / m3, c33 / m3)

@@ -419,10 +419,28 @@ def test_classify_malformed_instance_exits_2(tmp_path, text, words):
         (("analyze", "nosuch"), "nosuch"),
         (("analyze", "heisenberg", "--param", "Q=1"), "'Q'"),
         (("analyze", "hyperbolic", "--param", "c=0"), "division by ~0"),
+        (("analyze", "flat", "--tol", "-1"), "--tol"),
+        (("analyze", "flat", "--tol", "nan"), "--tol"),
     ],
 )
 def test_analyze_bad_input_exits_2(argv, words):
     assert words in run_bad(argv)
+
+
+@pytest.mark.parametrize(
+    "line,words",
+    [
+        ("seed = abc", "--config: seed = 'abc' is not a valid int"),
+        ("tol = x", "--config: tol = 'x' is not a valid float"),
+        ("tol = -1e-9", "--tol must be a finite number at least 0"),
+        ("points = 1.5", "--config: points = '1.5' is not a valid int"),
+        ("dirs = many", "--config: dirs = 'many' is not a valid int"),
+    ],
+)
+def test_analyze_bad_config_value_exits_2(tmp_path, line, words):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    assert words in run_bad(("analyze", "flat", "--config", str(config)))
 
 
 @pytest.mark.parametrize(
@@ -575,21 +593,21 @@ MIXED_FAULTS = {"g11": "2+log(x1+0.9)", "g22": "x2+0.9", "g33": "1/(x3-0.95)^2"}
             {"g11": "x1"},
             (),
             "metric 'custom' not positive definite at (-0.9669447289429418, 0.6265404784005448, "
-            "0.8255111545554434): min eigenvalue -9.669e-01",
+            "0.8255111545554434): leading principal minors -9.669e-01, -9.669e-01, -9.669e-01",
         ),
         # the first fault is the 69th point, in the second block
         (
             {"g11": "x1+0.99"},
             ("-n", "100", "--seed", "5"),
             "metric 'custom' not positive definite at (-0.9999972797485162, -0.879144983102643, "
-            "-0.570697083593666): min eigenvalue -9.997e-03",
+            "-0.570697083593666): leading principal minors -9.997e-03, -9.997e-03, -9.997e-03",
         ),
         # a domain fault later in the block does not mask the earlier point
         (
             MIXED_FAULTS,
             ("-n", "100", "--seed", "2"),
             "metric 'custom' not positive definite at (-0.8161681157298062, 0.200201051931308, "
-            "0.45712105362358924): min eigenvalue -4.789e-01",
+            "0.45712105362358924): leading principal minors -4.789e-01, -5.269e-01, -2.169e+00",
         ),
         (MIXED_FAULTS, ("-n", "100", "--seed", "0"), "log of non-positive value in subtree 'log((x1 + 0.9))'"),
     ],
@@ -601,6 +619,57 @@ def test_analyze_fault_names_the_first_faulting_point(tmp_path, comps, argv, lin
     components = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1", **comps}
     path.write_text(json.dumps({"components": components}))
     assert run_bad(("analyze", str(path), *argv, "--json")) == "riccati3 analyze: error: " + line
+
+
+FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+
+
+def _analyze_reading(capsys, metric, *argv):
+    """(verdict, rank histogram, isotropic count) of ``analyze --json``."""
+    code, out = run(capsys, "analyze", metric, *argv, "--json")
+    assert code == 0
+    rep = json.loads(out)
+    return rep["verdict"], rep["rank_histogram"], rep["obstruction"]["isotropic"]
+
+
+def test_analyze_reads_the_same_under_homothety(tmp_path, capsys):
+    """g -> g / c^2 does not change the geometry: hyperbolic reads the same at
+    c = 1, 1e5 and 1e6, and 1e-12 times flat space reads like flat."""
+    want = _analyze_reading(capsys, "hyperbolic")
+    for c in ("1e5", "1e6"):
+        assert _analyze_reading(capsys, "hyperbolic", "--param", f"c={c}") == want
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"components": {**FLAT, "g11": "1e-12", "g22": "1e-12", "g33": "1e-12"}}))
+    assert _analyze_reading(capsys, str(tiny)) == _analyze_reading(capsys, "flat")
+
+
+def test_riccati_reads_the_same_under_homothety(tmp_path, capsys):
+    """1e-12 times flat space integrates like flat: the same samples and blow-up."""
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"components": {**FLAT, "g11": "1e-12", "g22": "1e-12", "g33": "1e-12"}}))
+    summaries = []
+    for metric in ("flat", str(tiny)):
+        argv = ("riccati", metric, "--point", "0,0,0", "--dir", "1,0,0", "--u0", "1,0,-1", "--T", "1.2")
+        code, out = run(capsys, *argv, "--out", str(tmp_path / "traj.csv"))
+        assert code == 0
+        summaries.append(json.loads(out))
+    assert summaries[1]["samples"] == summaries[0]["samples"]
+    assert summaries[1]["blown_up"] and summaries[0]["blown_up"]
+
+
+def test_tiny_determinant_is_refused_by_analyze_and_riccati(tmp_path):
+    """diag(1e-9, 1e6, 1e6), whose determinant is below 1e-14 max(g_ii)^3, is
+    refused with one line naming the point and its leading minors."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"components": {**FLAT, "g11": "1e-9", "g22": "1e6", "g33": "1e6"}}))
+    minors = "leading principal minors 1.000e-09, 1.000e-03, 1.000e+03, det below 1e-14 max(g_ii)^3"
+    line = run_bad(("analyze", str(f), "--json"))
+    assert line.startswith("riccati3 analyze: error: metric 'custom' not positive definite at (")
+    assert line.endswith("): " + minors)
+    out = tmp_path / "traj.csv"
+    line = run_bad(("riccati", str(f), "--point", "0.1,0.2,0.3", "--dir", "1,0,0", "--out", str(out)))
+    assert line == "riccati3 riccati: error: metric 'custom' not positive definite at (0.1, 0.2, 0.3): " + minors
+    assert not out.exists()
 
 
 def test_cli_import_leaves_numpy_polynomial_out():
