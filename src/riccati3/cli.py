@@ -2,8 +2,8 @@
 
 All commands are deterministic under a fixed --seed.  --json prints the
 machine-readable report to stdout; --out writes it to a file.  A plain-text
-config file (key = value per line, # comments) can supply defaults for
-seed / tol / points / dirs.
+config file (key = value per line, # comments) can supply analyze's defaults
+for seed / tol / points / dirs; any other key is a usage error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ class UsageError(ValueError):
     """A command-line value that fails validation."""
 
 
+CONFIG_KEYS = ("seed", "tol", "points", "dirs")
+
+
 def load_config(path):
+    """The ``key = value`` entries of a config file; a key outside CONFIG_KEYS,
+    a misspelt one say, is a UsageError rather than a silently unused entry."""
     cfg = {}
     if not path:
         return cfg
@@ -45,7 +50,10 @@ def load_config(path):
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"--config: unknown key {key!r} (have {', '.join(CONFIG_KEYS)})")
+            cfg[key] = val.strip()
     return cfg
 
 
@@ -292,40 +300,39 @@ def _frame_algebra_checks(seed, count):
     """Frame-algebra sweeps over ``count`` frames seeded seed, seed+1, ...:
     worst residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks.
 
-    Each identity runs once per block of up to FRAME_BLOCK frames; the free
-    and the consistent frames of a seed come from one draw."""
+    Each identity runs once per block of up to FRAME_BLOCK consistent frames,
+    and each input is built once.  A bundle's b1 and c read only lambda and
+    Gamma, which a seed's free and consistent frames share, so the consistent
+    frames' three bundles serve the b1 factorization, and their a2 and a3
+    bundles the a1 cross-check and the root identities.  The eight rigid
+    frames are built once: their table checks run as one batch, and each
+    frame goes to its EDS closure."""
     worst = dict.fromkeys(FRAME_LIMITS, 0.0)
     for start in range(seed, seed + count, FRAME_BLOCK):
-        free = fa.consistent_frame(range(start, min(start + FRAME_BLOCK, seed + count)), "free")
-        cons = fa.consistent_from_free(free)
-        bundles = fa.a2_a3_bundles(cons)
-        r13, r23 = fa.a1_crosscheck(cons, bundles)
-        roots = fa.root_identities(cons, bundles)
+        cons = fa.consistent_frame(range(start, min(start + FRAME_BLOCK, seed + count)))
+        bundles = [fa.special_direction_polys(cons, case) for case in fa.CASES]
+        r13, r23 = fa.a1_crosscheck(cons, bundles[1:])
+        roots = fa.root_identities(cons, bundles[1:])
         block = {
-            "b1_factor_worst": max(
-                np.max(fa.special_direction_polys(free, case).b1_factor_residual()) for case in fa.CASES
-            ),
+            "b1_factor_worst": max(np.max(b.b1_factor_residual()) for b in bundles),
             "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
             "root_identities_worst": max(np.max(np.abs(v)) for v in roots.values()),
             "bianchi_worst": np.max(np.abs(fa.bianchi_frame_residuals(cons))),
         }
         for key, value in block.items():
             worst[key] = max(worst[key], float(value))
-    tables_ok = True
-    eds_ok = True
-    for which in ("eds1", "eds2"):
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                fd = fa.rigid_frame(which, -1.0, (e1, e2))
-                tables_ok = tables_ok and (
-                    float(np.max(np.abs(fa.bianchi_frame_residuals(fd)))) < 1e-12
-                    and abs(fa.ric111_residual(fd)) < 1e-12
-                )
-                eds_ok = eds_ok and fa.eds_closure(which, -1.0, (e1, e2)).contradiction
+    signs = [(which, (e1, e2)) for which in ("eds1", "eds2") for e1 in (1, -1) for e2 in (1, -1)]
+    rigid = [fa.rigid_frame(which, -1.0, eps) for which, eps in signs]
+    tables = fa.stack_frames(rigid)
     return {
         **worst,
-        "rigid_tables_ok": tables_ok,
-        "eds_contradictions_ok": eds_ok,
+        "rigid_tables_ok": bool(
+            np.max(np.abs(fa.bianchi_frame_residuals(tables))) < 1e-12
+            and np.max(np.abs(fa.ric111_residual(tables))) < 1e-12
+        ),
+        "eds_contradictions_ok": all(
+            fa.eds_closure(which, -1.0, eps, fd=fd).contradiction for (which, eps), fd in zip(signs, rigid)
+        ),
     }
 
 

@@ -87,16 +87,17 @@ _DRAW_HI = np.array([4.0, 1.5] + [1.0] * 15)
 
 
 def _free_frames(seeds) -> FrameData:
-    """The free frames of a sequence of seeds, one generator per seed.
+    """The free frames of a sequence of seeds, one PCG64 stream per seed.
 
-    Each generator draws -lambda2 in [2, 4), -lambda3 in [0.2, 1.5), then the
+    Each stream draws -lambda2 in [2, 4), -lambda3 in [0.2, 1.5), then the
     nine connection coefficients and the derivative table in [-1, 1).  A draw
-    in [lo, hi) is lo + (hi - lo) u for the generator's next double u, as
-    ``Generator.uniform`` makes it; ``uniform`` with array bounds would take
-    twice as long per seed.
+    in [lo, hi) is lo + (hi - lo) u, with u the top 53 bits of the stream's
+    next raw 64-bit output times 2^-53: bitwise the doubles of
+    ``default_rng(seed).random(17)``, without building a ``Generator`` per
+    seed (PCG: O'Neill, HMC-CS-2014-0905).
     """
-    u = np.array([np.random.default_rng(seed).random(17) for seed in seeds]).reshape(-1, 17)
-    draws = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * u
+    raw = np.array([np.random.PCG64(seed).random_raw(17) for seed in seeds], dtype=np.uint64).reshape(-1, 17)
+    draws = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * ((raw >> 11) * 2.0**-53)
     gamma = _gamma_from_nine(draws[:, 2:11])
     return FrameData(-draws[:, 0], -draws[:, 1], draws[:, 11:].reshape(-1, 3, 2), gamma, "free")
 
@@ -149,8 +150,9 @@ def bianchi_frame_residuals(fd: FrameData) -> np.ndarray:
     return _stack(r1, r2, r3)
 
 
-def ric111_residual(fd: FrameData) -> float:
-    """ric(nabla_{e1}e1, nabla_{e1}e1) + scal^2/2 in frame terms."""
+def ric111_residual(fd: FrameData) -> float | np.ndarray:
+    """ric(nabla_{e1}e1, nabla_{e1}e1) + scal^2/2 in frame terms: a float at
+    one frame, the (n,) array of a batch."""
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
     return l2 * G(1, 1, 2) ** 2 + l3 * G(1, 1, 3) ** 2 + 0.5 * (l2 + l3) ** 2
@@ -413,6 +415,17 @@ def rigid_frame(which: str, lambda2: float, eps=(1, 1), r_override: float | None
     return FrameData(l2, l3, dlam, gamma, "consistent")
 
 
+def stack_frames(frames) -> FrameData:
+    """One batch of one-frame FrameData of one mode, row k the k-th frame."""
+    return FrameData(
+        np.array([fd.lambda2 for fd in frames]),
+        np.array([fd.lambda3 for fd in frames]),
+        np.stack([fd.dlam for fd in frames]),
+        np.stack([fd.gamma for fd in frames]),
+        frames[0].mode,
+    )
+
+
 @dataclass
 class ClosureVerdict:
     contradiction: bool
@@ -423,16 +436,19 @@ class ClosureVerdict:
     structure_residual: float
 
 
-def eds_closure(which: str, lambda2: float, eps=(1, 1), r_override: float | None = None) -> ClosureVerdict:
+def eds_closure(
+    which: str, lambda2: float, eps=(1, 1), r_override: float | None = None, fd: FrameData | None = None
+) -> ClosureVerdict:
     """Integrability check of the rigid structure equations.
 
     Two 1-form combinations x e^2 + y e^3 are forced closed: one by the
     structure equations themselves, one because it equals f(lambda2) d lambda2.
     If their coefficient vectors are independent, de^2 = de^3 = 0 follows,
-    contradicting the nonzero connection table.
+    contradicting the nonzero connection table.  ``fd`` is the one-frame
+    ``rigid_frame`` of the other arguments, built here when not given.
     """
     which = which.lower()
-    fd = rigid_frame(which, lambda2, eps, r_override)
+    fd = fd or rigid_frame(which, lambda2, eps, r_override)
     r = fd.lambda3 / fd.lambda2
     e1, e2 = (int(eps[0]), int(eps[1]))
     sr = math.sqrt(r)
@@ -542,46 +558,3 @@ def frame_to_text(fd: FrameData) -> str:
     for (i, j, k) in GAMMA_KEYS:
         lines.append(f"gamma_{i}{j}{k} = {fd.G(i, j, k)!r}")
     return "\n".join(lines) + "\n"
-
-
-def frame_from_text(text: str) -> FrameData:
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    dlam = np.array(
-        [[float(kv[f"dlam_{i}_{j}"]) for j in (2, 3)] for i in (1, 2, 3)]
-    )
-    gamma = _gamma_from_nine([float(kv[f"gamma_{i}{j}{k}"]) for (i, j, k) in GAMMA_KEYS])
-    return FrameData(float(kv["lambda2"]), float(kv["lambda3"]), dlam, gamma, kv.get("mode", "free"))
-
-
-def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
-    """Couple frame data to the polynomial classifiers: a raw instance dict.
-
-    d2 is free second-order data (random if not given); the instance
-    generically violates the constraint, which is informative on its own.
-    """
-    bundle = special_direction_polys(fd, case)
-    if d2_coeffs is None:
-        rng = rng or np.random.default_rng(0)
-        d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
-    d2_coeffs = np.asarray(d2_coeffs, dtype=float)
-    P = _padd(_pmul(bundle.a, d2_coeffs), -_pmul(bundle.a1, bundle.d1))
-    inst = {
-        "a": list(bundle.a),
-        "c": list(bundle.c),
-        "d1": list(bundle.d1),
-        "P": list(P),
-    }
-    if case == "a3":
-        inst["regime"] = "a3"
-        inst["lambda2"] = fd.lambda2
-        inst["lambda3"] = fd.lambda3
-    else:
-        inst["regime"] = "a12"
-        inst["Lambda"] = -8.0 * (fd.lambda2 if case == "a1" else fd.lambda3)
-    return inst

@@ -3,12 +3,15 @@ leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
 of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
-curvature kernel's forward substitution for Gamma."""
+curvature kernel's forward substitution for Gamma.  The FrameData text
+reader (the inverse of ``frame-check --dump-frame``) and the coupling of a
+frame's bundle to a classifier instance live here too: only tests use them."""
 
 import numpy as np
 
 from riccati3.curvature import pack_at, ricci_rank
 from riccati3.exprjet import N_BY_ORDER, contract, partials
+from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _padd, _pmul, special_direction_polys
 from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import derived_jacobi_direct, jacobi_frame
 from riccati3.riccati import _rk4
@@ -141,3 +144,47 @@ def derived_jacobi_crosscheck(spec, p, v, step=1e-4, eigengap_tol=1e-6):
 
     dj = derived_jacobi_direct(pack0, v, fr0)
     return (A1_fd - dj.A1, B1_fd - dj.B1)
+
+
+def frame_from_text(text: str) -> FrameData:
+    """The FrameData of ``frame_to_text``'s format."""
+    kv = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        kv[key.strip()] = val.strip()
+    dlam = np.array(
+        [[float(kv[f"dlam_{i}_{j}"]) for j in (2, 3)] for i in (1, 2, 3)]
+    )
+    gamma = _gamma_from_nine([float(kv[f"gamma_{i}{j}{k}"]) for (i, j, k) in GAMMA_KEYS])
+    return FrameData(float(kv["lambda2"]), float(kv["lambda3"]), dlam, gamma, kv.get("mode", "free"))
+
+
+def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
+    """Couple frame data to the polynomial classifiers: a raw instance dict.
+
+    d2 is free second-order data (random if not given); the instance
+    generically violates the constraint, which is informative on its own.
+    """
+    bundle = special_direction_polys(fd, case)
+    if d2_coeffs is None:
+        rng = rng or np.random.default_rng(0)
+        d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
+    d2_coeffs = np.asarray(d2_coeffs, dtype=float)
+    P = _padd(_pmul(bundle.a, d2_coeffs), -_pmul(bundle.a1, bundle.d1))
+    inst = {
+        "a": list(bundle.a),
+        "c": list(bundle.c),
+        "d1": list(bundle.d1),
+        "P": list(P),
+    }
+    if case == "a3":
+        inst["regime"] = "a3"
+        inst["lambda2"] = fd.lambda2
+        inst["lambda3"] = fd.lambda3
+    else:
+        inst["regime"] = "a12"
+        inst["Lambda"] = -8.0 * (fd.lambda2 if case == "a1" else fd.lambda3)
+    return inst

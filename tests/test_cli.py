@@ -203,7 +203,7 @@ def test_frame_check_cmd(tmp_path, capsys):
     assert rep["b1_factor_worst"] < 1e-10
     assert rep["rigid_tables_ok"] and rep["eds_contradictions_ok"]
     assert dump.exists()
-    from riccati3.frame_algebra import frame_from_text
+    from oracles import frame_from_text
 
     frame_from_text(dump.read_text())
 
@@ -441,6 +441,15 @@ def test_analyze_bad_config_value_exits_2(tmp_path, line, words):
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n")
     assert words in run_bad(("analyze", "flat", "--config", str(config)))
+
+
+@pytest.mark.parametrize("key", ["seeds", "tolerance", "point", "dir", "Seed"])
+def test_analyze_unknown_config_key_exits_2(tmp_path, key):
+    """A misspelt key is refused by name, not run at the default it failed to set."""
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"# defaults\npoints = 2\n{key} = 3\n")
+    line = run_bad(("analyze", "flat", "--config", str(config)))
+    assert f"--config: unknown key {key!r} (have seed, tol, points, dirs)" in line
 
 
 @pytest.mark.parametrize(

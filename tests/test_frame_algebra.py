@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import constraint_instance, frame_from_text
 
 from riccati3 import cli, frame_algebra
 from riccati3.frame_algebra import (
@@ -17,16 +18,15 @@ from riccati3.frame_algebra import (
     bianchi_frame_residuals,
     consistent_frame,
     consistent_from_free,
-    constraint_instance,
     contradiction_certificates,
     eds_closure,
-    frame_from_text,
     frame_to_text,
     p_polys,
     rigid_frame,
     ric111_residual,
     root_identities,
     special_direction_polys,
+    stack_frames,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "frame_seed7.txt"
@@ -329,13 +329,7 @@ def test_one_frame_bundles_are_the_batch_rows_in_shape_and_bits():
     """A bundle at one frame has the fixed coefficient lengths of a batch row,
     also where trailing coefficients vanish (zero connection coefficients)."""
     frames = [_zero_gamma_frame("free"), consistent_frame(7, "free")]
-    batch = FrameData(
-        np.array([fd.lambda2 for fd in frames]),
-        np.array([fd.lambda3 for fd in frames]),
-        np.stack([fd.dlam for fd in frames]),
-        np.stack([fd.gamma for fd in frames]),
-        "free",
-    )
+    batch = stack_frames(frames)
     for case in CASES:
         rows = special_direction_polys(batch, case)
         for k, fd in enumerate(frames):
@@ -384,6 +378,40 @@ def test_free_and_consistent_frames_share_one_draw():
         nine = rng.uniform(-1.0, 1.0, size=9)
         assert [free.G(i, j, k) for (i, j, k) in GAMMA_KEYS] == list(nine)
         assert _bits(free.dlam) == _bits(rng.uniform(-1.0, 1.0, size=(3, 2)))
+
+
+def test_free_frames_are_the_generator_doubles():
+    """The raw PCG64 draws are bitwise the doubles of default_rng(seed).random(17),
+    seeds of two 32-bit words included."""
+    seeds = [*range(1000), 2**32 + 5, 2**62]
+    u = np.array([np.random.default_rng(seed).random(17) for seed in seeds])
+    want = frame_algebra._DRAW_LO + (frame_algebra._DRAW_HI - frame_algebra._DRAW_LO) * u
+    fd = frame_algebra._free_frames(seeds)
+    nine = [fd.gamma[:, i - 1, j - 1, k - 1] for (i, j, k) in GAMMA_KEYS]
+    got = np.column_stack([-fd.lambda2, -fd.lambda3, *nine, fd.dlam.reshape(-1, 6)])
+    assert _bits(got) == _bits(want)
+
+
+def test_b1_and_c_are_shared_by_free_and_consistent_frames():
+    """b1 and c read only lambda and Gamma, which a seed's free and consistent
+    frames share, so the sweep factors b1 on the consistent frames."""
+    free, cons = consistent_frame(range(1000), "free"), consistent_frame(range(1000))
+    assert not np.array_equal(free.dlam, cons.dlam)
+    for case in CASES:
+        f, c = special_direction_polys(free, case), special_direction_polys(cons, case)
+        assert _bits(f.b1) == _bits(c.b1) and _bits(f.c) == _bits(c.c), case
+
+
+def test_rigid_batch_rows_are_the_one_frame_residuals():
+    signs = [(which, (e1, e2)) for which in ("eds1", "eds2") for e1 in (1, -1) for e2 in (1, -1)]
+    frames = [rigid_frame(which, -1.0, eps) for which, eps in signs]
+    batch = stack_frames(frames)
+    bianchi, ric = bianchi_frame_residuals(batch), ric111_residual(batch)
+    assert bianchi.shape == (8, 3) and ric.shape == (8,)
+    for k, ((which, eps), fd) in enumerate(zip(signs, frames)):
+        assert _bits(bianchi[k]) == _bits(bianchi_frame_residuals(fd)), (which, eps)
+        assert _bits(ric[k]) == _bits(ric111_residual(fd)), (which, eps)
+        assert eds_closure(which, -1.0, eps, fd=fd) == eds_closure(which, -1.0, eps)
 
 
 def _draw_factors(rng, rows, n):
@@ -456,10 +484,50 @@ def test_frame_sweep_blocks_match_the_one_frame_loop(seed, count):
     assert checks["rigid_tables_ok"] and checks["eds_contradictions_ok"]
 
 
+def _separate_sweep(seed, count):
+    """The frame-algebra checks with each input built where it is used: free
+    frames and their three bundles for the b1 factorization, the consistent
+    frames' a2 and a3 bundles, and each rigid frame built for its table
+    checks and again by its EDS closure."""
+    worst = dict.fromkeys(cli.FRAME_LIMITS, 0.0)
+    for start in range(seed, seed + count, cli.FRAME_BLOCK):
+        free = consistent_frame(range(start, min(start + cli.FRAME_BLOCK, seed + count)), "free")
+        cons = consistent_from_free(free)
+        bundles = frame_algebra.a2_a3_bundles(cons)
+        r13, r23 = a1_crosscheck(cons, bundles)
+        roots = root_identities(cons, bundles)
+        block = {
+            "b1_factor_worst": max(np.max(special_direction_polys(free, case).b1_factor_residual()) for case in CASES),
+            "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
+            "root_identities_worst": max(np.max(np.abs(v)) for v in roots.values()),
+            "bianchi_worst": np.max(np.abs(bianchi_frame_residuals(cons))),
+        }
+        for key, value in block.items():
+            worst[key] = max(worst[key], float(value))
+    tables_ok = eds_ok = True
+    for which in ("eds1", "eds2"):
+        for e1 in (1, -1):
+            for e2 in (1, -1):
+                fd = rigid_frame(which, -1.0, (e1, e2))
+                tables_ok = tables_ok and (
+                    float(np.max(np.abs(bianchi_frame_residuals(fd)))) < 1e-12 and abs(ric111_residual(fd)) < 1e-12
+                )
+                eds_ok = eds_ok and eds_closure(which, -1.0, (e1, e2)).contradiction
+    return {**worst, "rigid_tables_ok": tables_ok, "eds_contradictions_ok": eds_ok}
+
+
+@pytest.mark.parametrize("seed,count", [(0, 0), (7, 25), (3, cli.FRAME_BLOCK + 44)])
+def test_frame_sweep_equals_the_separately_built_sweep(seed, count):
+    got, want = cli._frame_algebra_checks(seed, count), _separate_sweep(seed, count)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value) and _bits(got[key]) == _bits(value), (seed, count, key)
+
+
 def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
-    """A block of the sweep builds the three bundles of its free frames and
-    the a2 and a3 bundles of its consistent frames, which the a1 cross-check
-    and the root identities share: five calls, not seven."""
+    """A block of the sweep builds the three bundles of its consistent frames
+    once: all three serve the b1 factorization, and the a2 and a3 bundles the
+    a1 cross-check and the root identities too.  Three calls, not seven."""
     calls = []
     build = frame_algebra.special_direction_polys
 
@@ -469,8 +537,7 @@ def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
 
     monkeypatch.setattr(frame_algebra, "special_direction_polys", counted)
     cli._frame_algebra_checks(3, cli.FRAME_BLOCK + 5)
-    block = [("free", case) for case in CASES] + [("consistent", "a2"), ("consistent", "a3")]
-    assert sorted(calls) == sorted(block * 2)
+    assert sorted(calls) == sorted([("consistent", case) for case in CASES] * 2)
 
 
 def test_shared_bundles_give_the_same_residuals():

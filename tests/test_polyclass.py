@@ -161,7 +161,8 @@ def test_planted_verdicts_equal_the_reference_arithmetic(monkeypatch):
 def test_float_instances_keep_their_verdicts(monkeypatch):
     """Float instances coupled from frame data classify as under the plain
     arithmetic, bit for bit."""
-    from riccati3.frame_algebra import CASES, consistent_frame, constraint_instance
+    from oracles import constraint_instance
+    from riccati3.frame_algebra import CASES, consistent_frame
 
     instances = []
     for seed in range(12):
