@@ -281,13 +281,13 @@ def orthonormal_perp(g, v, basis):
 
 
 def plane_entries(g, M, w1, w2):
-    """(m11, m22, m12): the symmetrized matrix of the operator M on span(w1, w2);
+    """(m11, m12, m22): the symmetrized matrix of the operator M on span(w1, w2);
     M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape
     (...).  A batch of metrics g (n, 3, 3) takes w1, w2 of shape (n, m, 3)."""
     gw1, gw2 = w1 @ g, w2 @ g
     Mw1 = np.einsum("...li,...i->...l", M, w1)
     Mw2 = np.einsum("...li,...i->...l", M, w2)
-    return _dot(gw1, Mw1), _dot(gw2, Mw2), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1))
+    return _dot(gw1, Mw1), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1)), _dot(gw2, Mw2)
 
 
 def _outer(X, Y):

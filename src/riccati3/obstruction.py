@@ -179,7 +179,7 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
         raise ValueError("zero direction")
     v = X / nX[..., None]
     w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
-    m11, m22, m12 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
+    m11, m12, m22 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
     t = (_products(X, 2) @ _matrix(pack.ric, 2, 0))[..., 0]
     A = 0.5 * (m11 - m22)
     h = np.hypot(A, m12)
@@ -202,7 +202,7 @@ def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> Derived
     nablaR = np.moveaxis(pack.nablaR, -4, -1)
     Jp = (_products(X, 3) @ _matrix(nablaR, 3, 2)).reshape(X.shape + (3,))
     w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
-    m11, m22, m12 = plane_entries(pack.g, Jp, w1, w2)
+    m11, m12, m22 = plane_entries(pack.g, Jp, w1, w2)
     dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
     return _first(dj) if one else dj
 
@@ -342,16 +342,18 @@ def _eigenvector_gradient(pack: CurvaturePack, rr, j: int) -> np.ndarray:
     return (M / gap) @ E.T
 
 
-def rank1_checks(pack: CurvaturePack, rank_report=None, n_angles: int = 720) -> Rank1Report:
+def rank1_checks(pack: CurvaturePack, rank_report=None) -> Rank1Report:
     """Numeric certificate of the rank-1 contradiction at a one-point pack,
     with ``rank_report`` its ``ricci_rank`` (computed when not given).
 
     e3 is the unit eigenvector of the simple nonzero Ricci eigenvalue; its
     covariant derivative comes exactly from nabla ric (``_eigenvector_gradient``).
-    The defect compares (g(nabla_v e3, v))^2 with -scal/2 over unit v in the
-    kernel plane; by the supporting theory both the Lie derivative of scal
-    along e3 and div e3 must vanish, while the defect cannot vanish for every
-    v unless scal = 0.
+    The defect |q(v)^2 + scal/2|, q(v) = g(v, nabla_v e3), is taken over unit v
+    in the kernel plane; by the supporting theory both the Lie derivative of
+    scal along e3 and div e3 must vanish, while the defect cannot vanish for
+    every v unless scal = 0.  q(v) = v^T Q v / 2 ranges over [mu0, mu1], the
+    halved eigenvalues of Q, so the defect's extremes are exact: q^2 fills
+    [s_lo, s_hi], with s_lo = 0 when mu0 <= 0 <= mu1.
     """
     rr = rank_report or ricci_rank(pack)
     if rr.rank != 1:
@@ -370,10 +372,11 @@ def rank1_checks(pack: CurvaturePack, rank_report=None, n_angles: int = 720) -> 
     q_eigs = np.linalg.eigvalsh(Q)
 
     target = -pack.scal / 2.0
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    V = np.column_stack([np.cos(angles), np.sin(angles)]) @ E.T  # unit v in the plane
-    defects = np.abs(np.einsum("ai,ai->a", V @ pack.g, V @ grad_e3) ** 2 - target)
-    d_min, d_max = float(defects.min()), float(defects.max())
+    mu0, mu1 = (q_eigs / 2.0).tolist()
+    s_lo = 0.0 if mu0 <= 0.0 <= mu1 else min(mu0 * mu0, mu1 * mu1)
+    s_hi = max(mu0 * mu0, mu1 * mu1)
+    d_min = max(s_lo - target, target - s_hi, 0.0)  # the distance from target to [s_lo, s_hi]
+    d_max = max(s_hi - target, target - s_lo)
     return Rank1Report(
         scal=pack.scal,
         lie_e3_scal=lie_scal,

@@ -5,14 +5,17 @@ fourth-order one-step scheme on the combined state (x, x', w1, w2); the
 Riccati equation u' + u^2 + J(t) = 0 is integrated on the 2x2 symmetric
 matrix u expressed in the parallel frame, with J(t) sampled along the path
 and interpolated to stage times by 4-point Lagrange interpolation (also
-fourth order, so the scheme keeps its order).  The values of J at the
-stage times of the path's steps are interpolated in one vectorized
-evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the stepping
-reaches the block, and handed to the stepping as Python floats; the
+fourth order, so the scheme keeps its order).
+Each symmetric 2x2 matrix of the Riccati side, J(t), u0 and u(t), is carried
+as its entries (x11, x12, x22): ``jacobi_along`` gives J as (n, 3) rows,
+``integrate_riccati`` takes u0 as three numbers and returns u as (k, 3)
+rows, with the sample times and trace defects as (k,) arrays.  The values
+of J at the stage times of the path's steps are interpolated in one
+vectorized evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the
+stepping reaches the block, and handed to the stepping as Python floats; the
 blow-up bisection interpolates its off-grid steps with the same function.
-Both u and J are symmetric, so a Riccati step works on the three entries
-(u11, u12, u22) as floats, with u u written out on them: a 2x2 step has
-too little arithmetic to pay numpy's cost per call.
+A Riccati step works on the three entries as floats, with u u written out on
+them: a 2x2 step has too little arithmetic to pay numpy's cost per call.
 The geodesic step runs the same way on the 12 floats of the state
 (x, v, w1, w2).  Each of its four stages makes one metric call,
 ``gamma_at``: one run of the metric's compiled order-1 tape, handed over as
@@ -63,7 +66,6 @@ def _inner(a, g, b):
 @dataclass
 class GeodesicPath:
     spec: MetricSpec
-    dt: float
     ts: np.ndarray  # (n,)
     xs: np.ndarray  # (n,3) positions
     vs: np.ndarray  # (n,3) velocities
@@ -93,23 +95,16 @@ class GeodesicPath:
 
 
 @dataclass
-class RiccatiState:
-    t: float
-    u: np.ndarray  # 2x2 symmetric
-    trace_defect: float
-
-
-@dataclass
 class RiccatiResult:
-    states: list
+    """The trajectory up to the last sample before any blow-up: k samples."""
+
+    ts: np.ndarray  # (k,) sample times
+    u: np.ndarray  # (k, 3) entries (u11, u12, u22)
+    trace_defect: np.ndarray  # (k,) |u11 + u22|
     trace_defect_max: float
     blown_up: bool
     blowup_time: float | None
     blowup_bracket: tuple | None
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1].u
 
 
 def _slopes(spec, y):
@@ -205,7 +200,6 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
         ys[k] = y = _rk4(spec, y, dt if k < last else float(T - ts[-2]))
     return GeodesicPath(
         spec=spec,
-        dt=dt,
         ts=ts,
         xs=ys[:, 0:3],
         vs=ys[:, 3:6],
@@ -214,29 +208,30 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
     )
 
 
-def jacobi_along(spec: MetricSpec, path: GeodesicPath) -> np.ndarray:
-    """J(t) in the parallel frame at each path sample: (n,2,2) symmetric.
+def jacobi_along(path: GeodesicPath) -> np.ndarray:
+    """J(t) in the parallel frame at each path sample, as the entries
+    (J11, J12, J22) of the symmetric 2x2 matrix: (n, 3).
 
     Entry (a, b) is the symmetrized g(w_a, J(v) w_b) with J(v) = R(., v)v,
     the operator ``curvature.jacobi_op`` builds, as ``plane_entries`` gives
     it; the curvature of each block of SAMPLE_BLOCK samples comes from one
-    batched ``curvature_r_only`` call.
+    batched ``curvature_r_only`` call on the path's metric.
     """
-    out = np.empty((len(path.ts), 2, 2))
+    out = np.empty((len(path.ts), 3))
     for b in _blocks(len(path.ts)):
-        g, _, R = curvature_r_only(spec, path.xs[b])
+        g, _, R = curvature_r_only(path.spec, path.xs[b])
         # each sample is a point of a batch with one direction: axis 1
         J = _jacobi(R, path.vs[b][:, None])
         # in C order, so the products sum in an order their shapes alone fix
         g = np.ascontiguousarray(g)
-        m11, m22, m12 = plane_entries(g, J, path.w1s[b][:, None], path.w2s[b][:, None])
-        out[b] = np.stack([m11, m12, m12, m22], axis=-1).reshape(-1, 2, 2)
+        entries = plane_entries(g, J, path.w1s[b][:, None], path.w2s[b][:, None])
+        out[b] = np.stack(entries, axis=-1)[:, 0]
     return out
 
 
 def _stage_J(ts, Js, times):
-    """J at the stage times t, t + h/2, t + h of every step t -> t + h between
-    consecutive ``times``: (steps, 3, 2, 2).
+    """J's entry rows at the stage times t, t + h/2, t + h of every step
+    t -> t + h between consecutive ``times``: (steps, 3 stages, 3 entries).
 
     Each value is the 4-point Lagrange interpolation of the J samples on the
     window of (up to) four samples around the sample interval holding the
@@ -247,23 +242,23 @@ def _stage_J(ts, Js, times):
     t = np.stack([t0, t0 + 0.5 * h, t0 + h], axis=1)  # (steps, 3)
     n = len(ts)
     if n == 1:
-        return np.broadcast_to(Js[0], t.shape + (2, 2))
+        return np.broadcast_to(Js[0], t.shape + (3,))
     i = np.clip(np.searchsorted(ts, t) - 1, 0, n - 2)
     lo = np.maximum(0, np.minimum(i - 1, n - 4))
     idx = lo[..., None] + np.arange(min(4, n))  # (steps, 3, window)
-    out = np.zeros(t.shape + (2, 2))
+    out = np.zeros(t.shape + (3,))
     for a in range(idx.shape[-1]):
         w = np.ones(t.shape)
         for b in range(idx.shape[-1]):
             if a != b:
                 w *= (t - ts[idx[..., b]]) / (ts[idx[..., a]] - ts[idx[..., b]])
-        out += w[..., None, None] * Js[idx[..., a]]
+        out += w[..., None] * Js[idx[..., a]]
     return out
 
 
 def _slope(a, b, c, J):
     """-u u - J on the entries (u11, u12, u22) of the symmetric u = [[a, b], [b, c]]
-    and of the symmetric J."""
+    and (J11, J12, J22) of the symmetric J."""
     return -(a * a + b * b) - J[0], -(a * b + b * c) - J[1], -(b * b + c * c) - J[2]
 
 
@@ -290,43 +285,35 @@ def _blows_up(u):
     return not math.sqrt(a * a + 2.0 * b * b + c * c) <= BLOWUP_NORM
 
 
-def _stage_entries(ts, Js, times):
-    """``_stage_J`` as nested lists of the entries (J11, J12, J22): [step][stage][entry]."""
-    return _stage_J(ts, Js, times)[..., (0, 0, 1), (0, 1, 1)].tolist()
+def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0) -> RiccatiResult:
+    """Integrate u' = -u^2 - J(t) over the path's sample times, from the entries
+    (u11, u12, u22) of the symmetric initial value, with ``Js`` the (n, 3)
+    entries of ``jacobi_along``.
 
-
-def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = None) -> RiccatiResult:
-    """Integrate u' = -u^2 - J(t) from a symmetric 2x2 initial value.
-
-    The state is the three entries (u11, u12, u22) as floats; u0's off-diagonal
-    entry is the mean of its two entries, which may differ by up to 1e-12.
-    Every state's u is an exactly symmetric 2x2 array.  Blow-up (Frobenius
-    norm above 1e8, or not finite) is a return value, not an error; the
-    crossing time is refined by step bisection to about 1e-3.
+    Blow-up (Frobenius norm above 1e8, or not finite) is a return value, not
+    an error; the crossing time is refined by step bisection to about 1e-3.
+    A u0 already blown up is reported at t = 0.
     """
-    u = np.asarray(u0, dtype=float)
-    if u.shape != (2, 2) or abs(u[0, 1] - u[1, 0]) > 1e-12:
-        raise ValueError("u0 must be symmetric 2x2")
-    (u11, u12), (u21, u22) = u.tolist()
+    u = tuple(map(float, u0))
+    if len(u) != 3:
+        raise ValueError("u0 must be the three entries (u11, u12, u22)")
     ts = path.ts
-    t_end = float(ts[-1]) if T is None else min(float(T), float(ts[-1]))
+    entries = [u]
+
+    def result(blown_up, t_blow=None, bracket=None):
+        us = np.array(entries)
+        defect = np.abs(us[:, 0] + us[:, 2])
+        return RiccatiResult(ts[: len(us)], us, defect, float(defect.max()), blown_up, t_blow, bracket)
 
     def steps():
-        """(t, t_next, J at the stage times) for each step on the path's sample
-        times, the last one cut at t_end; J one SAMPLE_BLOCK of steps at a time."""
-        times = np.append(ts[ts < t_end], t_end)
-        for s in range(0, len(times) - 1, SAMPLE_BLOCK):
-            block = times[s : s + SAMPLE_BLOCK + 1]
-            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_entries(ts, Js, block))
+        """(t, t_next, J at the stage times) for each step between the path's
+        sample times; J one SAMPLE_BLOCK of steps at a time."""
+        for s in range(0, len(ts) - 1, SAMPLE_BLOCK):
+            block = ts[s : s + SAMPLE_BLOCK + 1]
+            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_J(ts, Js, block).tolist())
 
-    u = (u11, u12 + 0.5 * (u21 - u12), u22)  # the mean, exactly u12 when the two are equal
-    state_ts, entries, defects = [0.0], [u], [abs(u11 + u22)]
-
-    def result(blown_up, t_blow, bracket):
-        U = np.array(entries)[:, (0, 1, 1, 2)].reshape(-1, 2, 2)
-        states = [RiccatiState(t, m, d) for t, m, d in zip(state_ts, U, defects)]
-        return RiccatiResult(states, max(defects), blown_up, t_blow, bracket)
-
+    if _blows_up(u):
+        return result(True, 0.0, (0.0, 0.0))
     for t, t_next, stage_J in steps():
         u_next = _riccati_step(u, t_next - t, *stage_J)
         if _blows_up(u_next):
@@ -334,7 +321,7 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
             u_lo = u
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
-                (stage_mid,) = _stage_entries(ts, Js, np.array([lo, mid]))
+                (stage_mid,) = _stage_J(ts, Js, np.array([lo, mid])).tolist()
                 u_mid = _riccati_step(u_lo, mid - lo, *stage_mid)
                 if _blows_up(u_mid):
                     hi = mid
@@ -342,10 +329,8 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0, T: float | None = 
                     lo, u_lo = mid, u_mid
             return result(True, 0.5 * (lo + hi), (lo, hi))
         u = u_next
-        state_ts.append(t_next)
         entries.append(u)
-        defects.append(abs(u[0] + u[2]))
-    return result(False, None, None)
+    return result(False)
 
 
 @dataclass
@@ -410,7 +395,7 @@ def constrained_probe(
             grid_radius = 1.0
 
     path = integrate_geodesic(spec, p, v, T, dt)
-    Js = jacobi_along(spec, path)
+    Js = jacobi_along(path)
     # u0 is scored in the Jacobi eigenframe and integrated in the path's parallel
     # frame: C[i, j] = g(path w_i(0), eigenframe w_j) carries it over
     C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([fr.w1, fr.w2]).T
@@ -423,7 +408,7 @@ def constrained_probe(
     for a in grid:
         for b in grid:
             u0 = C @ np.array([[a, b], [b, -a]]) @ C.T
-            res = integrate_riccati(path, Js, 0.5 * (u0 + u0.T), T)
+            res = integrate_riccati(path, Js, (u0[0, 0], u0[0, 1], u0[1, 1]))
             candidates.append(
                 ProbeCandidate(
                     a=float(a),

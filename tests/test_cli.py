@@ -134,6 +134,30 @@ def test_riccati_cmd_flat_blowup(tmp_path, capsys):
     assert rows[0] == "t x1 x2 x3 u11 u12 u22 trace_defect".split()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RICCATI = {
+    "flat_blowup": ("flat", "--point", "0,0,0", "--dir", "1,0,0", "--u0", "1,0,-1", "--T", "1.2", "--dt", "1e-2"),
+    "hyperbolic_tanh": ("hyperbolic", "--point", "0,0,1", "--dir", "0,0,1", "--T", "1", "--dt", "1e-2"),
+    "sphere_bounded": (
+        "sphere", "--point", "0.1,0.2,0.3", "--dir", "0.3,-0.2,0.5", "--u0", "1.5,0.2,2", "--T", "1", "--dt", "1e-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RICCATI)
+def test_riccati_cmd_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    """The summary and the CSV of three requests, byte for byte: a flat
+    blow-up found by bisection, the hyperbolic tanh solution and a bounded
+    sphere trajectory.  The CSV is named relative to the working directory,
+    so the summary's "csv" entry is the same wherever the test runs."""
+    monkeypatch.chdir(tmp_path)
+    csv_name = f"riccati_{name}.csv"
+    code, text = run(capsys, "riccati", *GOLDEN_RICCATI[name], "--out", csv_name)
+    assert code == 0
+    assert text == (GOLDEN / f"riccati_{name}.json").read_text(encoding="utf-8")
+    assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()
+
+
 def test_riccati_cmd_constant_rows(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     _, text = run(

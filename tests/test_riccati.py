@@ -61,20 +61,20 @@ def test_sphere_great_circle_period():
 def test_jacobi_along_constant_curvature():
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 0.5, 1e-2)
-    Js = jacobi_along(spec, path)
+    Js = jacobi_along(path)
     assert np.max(np.abs(Js)) == 0.0
 
     spec = metrics.builtin("hyperbolic", c=1.0)
     path = integrate_geodesic(spec, (0, 0, 1.0), (0.2, 0.1, 0.9), 1.0, 1e-2)
-    Js = jacobi_along(spec, path)
-    assert np.max(np.abs(Js + np.eye(2))) < 1e-8
+    Js = jacobi_along(path)
+    assert np.max(np.abs(Js - [-1.0, 0.0, -1.0])) < 1e-8
 
 
 def test_jacobi_along_heisenberg_crosscheck():
     spec = metrics.builtin("heisenberg", L=1.0)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.5, 1e-2)
-    Js = jacobi_along(spec, path)
-    assert np.std([J[0, 0] for J in Js]) > 1e-6  # genuinely non-constant
+    Js = jacobi_along(path)
+    assert np.std(Js[:, 0]) > 1e-6  # genuinely non-constant
     for k in (0, len(path.ts) // 2, len(path.ts) - 1):
         pk = pack_at(spec, path.xs[k])
         v, w1, w2 = path.vs[k], path.w1s[k], path.w2s[k]
@@ -82,10 +82,10 @@ def test_jacobi_along_heisenberg_crosscheck():
         m11 = float(w1 @ pk.g @ (J3 @ w1))
         m12 = float(w1 @ pk.g @ (J3 @ w2))
         m22 = float(w2 @ pk.g @ (J3 @ w2))
-        assert abs(m11 - Js[k][0, 0]) < 1e-6
-        assert abs(m12 - Js[k][0, 1]) < 1e-6
-        assert abs(m22 - Js[k][1, 1]) < 1e-6
-        assert abs(np.trace(Js[k]) - float(v @ pk.ric @ v)) < 1e-8
+        assert abs(m11 - Js[k, 0]) < 1e-6
+        assert abs(m12 - Js[k, 1]) < 1e-6
+        assert abs(m22 - Js[k, 2]) < 1e-6
+        assert abs(Js[k, 0] + Js[k, 2] - float(v @ pk.ric @ v)) < 1e-8
 
 
 @pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
@@ -111,12 +111,12 @@ def test_jacobi_along_matches_pack_at_every_sample():
     spec = metrics.builtin("heisenberg", L=1.0)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.6, 2e-3)
     assert len(path.ts) > SAMPLE_BLOCK
-    Js = jacobi_along(spec, path)
+    Js = jacobi_along(path)
     for k, (x, v, w1, w2) in enumerate(zip(path.xs, path.vs, path.w1s, path.w2s)):
         pk = pack_at(spec, x)
         gJ = pk.g @ jacobi_op(pk, v)
         m12 = 0.5 * float(w1 @ gJ @ w2 + w2 @ gJ @ w1)
-        want = np.array([[w1 @ gJ @ w1, m12], [m12, w2 @ gJ @ w2]])
+        want = np.array([w1 @ gJ @ w1, m12, w2 @ gJ @ w2])
         assert np.max(np.abs(Js[k] - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
@@ -127,39 +127,39 @@ def test_jacobi_along_does_not_depend_on_curvature_strides(name, monkeypatch):
     shapes, not by the memory layout of the kernel's output."""
     spec = metrics.builtin(name)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.3, 1e-2)
-    want = jacobi_along(spec, path)
+    want = jacobi_along(path)
 
     def fortran_ordered(spec, p):
         g, ginv, R = curvature_r_only(spec, p)
         return np.asfortranarray(g), ginv, np.asfortranarray(R)
 
     monkeypatch.setattr(riccati, "curvature_r_only", fortran_ordered)
-    assert np.array_equal(jacobi_along(spec, path), want)
+    assert np.array_equal(jacobi_along(path), want)
 
 
 def test_riccati_flat_zero():
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.0, 1e-2)
-    Js = jacobi_along(spec, path)
-    res = integrate_riccati(path, Js, np.zeros((2, 2)))
+    Js = jacobi_along(path)
+    res = integrate_riccati(path, Js, (0.0, 0.0, 0.0))
     assert res.trace_defect_max == 0.0
-    assert np.max(np.abs(res.final)) == 0.0
+    assert np.max(np.abs(res.u[-1])) == 0.0
 
 
 def test_riccati_hyperbolic_fixed_point():
     spec = metrics.builtin("hyperbolic", c=1.0)
     path = integrate_geodesic(spec, (0, 0, 1.0), (0, 0, 1.0), 10.0, 1e-2)
-    Js = jacobi_along(spec, path)
-    res = integrate_riccati(path, Js, np.eye(2))
-    dev = max(float(np.max(np.abs(s.u - np.eye(2)))) for s in res.states)
+    Js = jacobi_along(path)
+    res = integrate_riccati(path, Js, (1.0, 0.0, 1.0))
+    dev = float(np.max(np.abs(res.u - [1.0, 0.0, 1.0])))
     assert dev < 1e-8
 
 
 def test_riccati_flat_blowup():
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 1.2, 1e-3)
-    Js = jacobi_along(spec, path)
-    res = integrate_riccati(path, Js, np.diag([1.0, -1.0]))
+    Js = jacobi_along(path)
+    res = integrate_riccati(path, Js, (1.0, 0.0, -1.0))
     assert res.blown_up
     assert res.blowup_time == pytest.approx(1.0, abs=1e-3)
     assert res.blowup_bracket[1] - res.blowup_bracket[0] <= 1e-3 + 1e-12
@@ -168,13 +168,13 @@ def test_riccati_flat_blowup():
 def test_riccati_trace_identity():
     spec = metrics.builtin("heisenberg", L=1.0)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 1.0, 1e-3)
-    Js = jacobi_along(spec, path)
-    res = integrate_riccati(path, Js, np.array([[0.3, 0.1], [0.1, -0.3]]))
-    ts = path.ts[: len(res.states)]
-    tr_u = np.array([np.trace(s.u) for s in res.states])
-    tr_u2 = np.array([np.trace(s.u @ s.u) for s in res.states])
-    tr_J = np.array([np.trace(J) for J in Js[: len(res.states)]])
-    ddt = np.gradient(tr_u, ts)
+    Js = jacobi_along(path)
+    res = integrate_riccati(path, Js, (0.3, 0.1, -0.3))
+    a, b, c = res.u.T
+    tr_u = a + c
+    tr_u2 = a * a + 2.0 * b * b + c * c
+    tr_J = Js[: len(res.ts), 0] + Js[: len(res.ts), 2]
+    ddt = np.gradient(tr_u, res.ts)
     assert np.max(np.abs(ddt + tr_u2 + tr_J)[2:-2]) < 1e-6
 
 
@@ -185,8 +185,8 @@ def test_order4_convergence_both_integrators():
     for dt in (0.02, 0.01, 0.005):
         path = integrate_geodesic(spec, p0, v0, 1.0, dt)
         geo_errs.append(float(np.max(np.abs(path.xs[-1] - np.array([0, 0, math.e])))))
-        res = integrate_riccati(path, jacobi_along(spec, path), np.zeros((2, 2)))
-        ric_errs.append(abs(res.final[0, 0] - math.tanh(1.0)))
+        res = integrate_riccati(path, jacobi_along(path), (0.0, 0.0, 0.0))
+        ric_errs.append(abs(res.u[-1, 0] - math.tanh(1.0)))
     for errs in (geo_errs, ric_errs):
         for k in range(2):
             slope = math.log2(errs[k] / errs[k + 1])
@@ -296,11 +296,11 @@ def test_integrators_end_exactly_at_T(T, dt, n_steps):
     assert path.ts[-1] == T
     assert all(path.ts[k] == k * dt for k in range(n_steps))
     assert np.allclose(path.xs[-1], [0.1 + T, 0.2, 0.3], atol=1e-12)
-    res = integrate_riccati(path, jacobi_along(spec, path), np.diag([0.5, 0.5]))
+    res = integrate_riccati(path, jacobi_along(path), (0.5, 0.0, 0.5))
     assert not res.blown_up
-    assert [st.t for st in res.states] == list(path.ts)
+    assert res.ts.tolist() == path.ts.tolist()
     # u' = -u^2 from 0.5 id: u(T) = 0.5 / (1 + 0.5 T) id
-    assert np.allclose(res.final, 0.5 / (1.0 + 0.5 * T) * np.eye(2), atol=1e-4)
+    assert np.allclose(res.u[-1], 0.5 / (1.0 + 0.5 * T) * np.array([1.0, 0.0, 1.0]), atol=1e-4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
@@ -318,8 +318,7 @@ def test_stage_values_interpolate_on_the_window(n, cut):
     assert len(ts) == n
     m = min(n, 4)
     rng = np.random.default_rng(n)
-    coef = rng.standard_normal((m + 1, 2, 2))
-    coef = coef + np.swapaxes(coef, 1, 2)
+    coef = rng.standard_normal((m + 1, 3))  # rows of entries (J11, J12, J22)
 
     def J(t):
         return sum(c * t**k for k, c in enumerate(coef))
@@ -336,7 +335,7 @@ def test_stage_values_interpolate_on_the_window(n, cut):
         t_end = ts[-1] - 0.3 * (ts[-1] - ts[-2]) if cut else ts[-1]
         times = np.append(ts[ts < t_end], t_end)
     stages = _stage_J(ts, Js, times)
-    assert stages.shape == (len(times) - 1, 3, 2, 2)
+    assert stages.shape == (len(times) - 1, 3, 3)
     for k, (t, t_next) in enumerate(zip(times[:-1].tolist(), times[1:].tolist())):
         h = t_next - t
         for s, t_stage in enumerate((t, t + 0.5 * h, t + h)):
@@ -351,12 +350,12 @@ def test_riccati_steps_across_sample_blocks():
     ts = _sample_times(1.0, dt)
     assert len(ts) > 3 * SAMPLE_BLOCK
     path = types.SimpleNamespace(ts=ts)
-    Js = np.broadcast_to(k * k * np.eye(2), (len(ts), 2, 2))
-    res = integrate_riccati(path, Js, np.zeros((2, 2)))
+    Js = np.broadcast_to([k * k, 0.0, k * k], (len(ts), 3))
+    res = integrate_riccati(path, Js, (0.0, 0.0, 0.0))
     assert not res.blown_up
-    assert [st.t for st in res.states] == list(ts)
-    for st in res.states:
-        assert np.allclose(st.u, -k * math.tan(k * st.t) * np.eye(2), rtol=0.0, atol=1e-9)
+    assert res.ts.tolist() == ts.tolist()
+    want = -k * np.tan(k * ts)[:, None] * [1.0, 0.0, 1.0]
+    assert np.allclose(res.u, want, rtol=0.0, atol=1e-9)
 
 
 # every off-diagonal entry nonzero, so that each cofactor of the adjugate counts
@@ -442,6 +441,11 @@ def _entries(m):
     return (float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
 
 
+def _matrix(e):
+    """The symmetric 2x2 array of the entries (x11, x12, x22)."""
+    return np.array([[e[0], e[1]], [e[1], e[2]]])
+
+
 def _close(got, want, rel):
     return np.all(np.abs(np.asarray(got) - want) <= rel * np.maximum(1.0, np.abs(want)))
 
@@ -457,21 +461,20 @@ def test_three_entry_step_matches_the_full_matrix_step():
 
 def test_riccati_trajectory_matches_the_full_matrix_reference():
     """Every state against full-matrix RK4 steps on the same stage values of
-    J, over more than one SAMPLE_BLOCK; every state's u is exactly symmetric."""
+    J, over more than one SAMPLE_BLOCK."""
     spec = metrics.builtin("heisenberg", L=1.0)
     path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.6, 2e-3)
-    Js = jacobi_along(spec, path)
-    u = np.array([[0.3, 0.1], [0.1, -0.3]])
-    res = integrate_riccati(path, Js, u)
-    assert not res.blown_up and len(res.states) == len(path.ts) > SAMPLE_BLOCK
+    Js = jacobi_along(path)
+    res = integrate_riccati(path, Js, (0.3, 0.1, -0.3))
+    assert not res.blown_up and len(path.ts) > SAMPLE_BLOCK
+    assert res.ts.shape == res.trace_defect.shape == (len(path.ts),) and res.u.shape == (len(path.ts), 3)
     stages = _stage_J(path.ts, Js, path.ts)
-    for k, st in enumerate(res.states):
-        assert isinstance(st.u, np.ndarray) and st.u.shape == (2, 2)
-        assert st.u[0, 1] == st.u[1, 0]
-        assert _close(st.u, u, 1e-14)
-        assert st.trace_defect == abs(st.u[0, 0] + st.u[1, 1])
+    u = _matrix((0.3, 0.1, -0.3))
+    for k, got in enumerate(res.u):
+        assert _close(got, _entries(u), 1e-14)
+        assert res.trace_defect[k] == abs(got[0] + got[2])
         if k < len(stages):
-            u = _full_matrix_step(u, path.ts[k + 1] - path.ts[k], *stages[k])
+            u = _full_matrix_step(u, path.ts[k + 1] - path.ts[k], *map(_matrix, stages[k]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -480,19 +483,17 @@ def test_non_finite_entry_counts_as_blow_up(bad):
     assert not riccati._blows_up((1e7, 1e7, 1e7))
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 0.5, 1e-2)
-    res = integrate_riccati(path, jacobi_along(spec, path), np.array([[bad, 0.0], [0.0, 1.0]]))
-    assert res.blown_up and len(res.states) == 1
+    res = integrate_riccati(path, jacobi_along(path), (bad, 0.0, 1.0))
+    assert res.blown_up and len(res.ts) == 1
+    assert res.blowup_time == 0.0
 
 
-def test_nearly_symmetric_u0_is_symmetrized():
-    """An off-diagonal pair within 1e-12 is accepted and replaced by its mean;
-    a wider gap is refused."""
+def test_initial_value_already_blown_up_is_reported_at_t_0():
+    """A u0 above BLOWUP_NORM is blown up at t = 0, with no step taken."""
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1, 0, 0), 0.1, 1e-2)
-    Js = jacobi_along(spec, path)
-    res = integrate_riccati(path, Js, np.array([[0.3, 0.1], [0.1 + 1e-13, -0.3]]))
-    u = res.states[0].u
-    assert u[0, 1] == u[1, 0] == pytest.approx(0.1 + 5e-14, abs=1e-17)
-    assert all(st.u[0, 1] == st.u[1, 0] for st in res.states)
-    with pytest.raises(ValueError, match="symmetric"):
-        integrate_riccati(path, Js, np.array([[0.3, 0.1], [0.1 + 1e-11, -0.3]]))
+    u0 = (6e8, 0.0, 8e8)  # Frobenius norm 1e9
+    assert riccati._blows_up(u0)
+    res = integrate_riccati(path, jacobi_along(path), u0)
+    assert res.blown_up and res.blowup_time == 0.0 and res.blowup_bracket == (0.0, 0.0)
+    assert res.ts.tolist() == [0.0] and res.u.tolist() == [list(u0)]
