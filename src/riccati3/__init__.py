@@ -16,7 +16,6 @@ from .obstruction import (
     fibonacci_directions,
     jacobi_frame,
     obstruction_values,
-    reconstruct_u,
 )
 from .polyclass import ConstraintInstance, classify, tilde_transform, verify_constraint
 from .riccati import GeodesicPath, constrained_probe, integrate_geodesic, integrate_riccati
@@ -46,7 +45,6 @@ __all__ = [
     "obstruction_values",
     "pack_at",
     "parse_expr",
-    "reconstruct_u",
     "ricci_rank",
     "tilde_transform",
     "verify_constraint",

@@ -52,7 +52,7 @@ point k by ``row(k)``, as the pack does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ from .exprjet import N_BY_ORDER, contract, partials, quotient_terms
 from .metrics import _FULL_INDEX, MetricJet, MetricSpec, cofactors, leading_minors, lowered_symbol, metric_jets
 
 
-@dataclass
-class CurvaturePack:
+class CurvaturePack(NamedTuple):
     """All point-wise curvature data used downstream, at one point or, with
     a leading point axis on every field, at each point of a batch.
 
@@ -94,14 +93,11 @@ class CurvaturePack:
 
     def row(self, k: int) -> CurvaturePack:
         """The pack of point k of a batch, with the types of a one-point pack."""
-        row = {f.name: getattr(self, f.name)[k] for f in fields(self)}
-        row["point"] = tuple(map(float, row["point"]))
-        row["scal"] = float(row["scal"])
-        return CurvaturePack(**row)
+        row = CurvaturePack(*(x[k] for x in self))
+        return row._replace(point=tuple(map(float, row.point)), scal=float(row.scal))
 
 
-@dataclass
-class RankReport:
+class RankReport(NamedTuple):
     """The Ricci eigen-structure at one point or, with a leading point axis
     on every field but ``tol``, at each point of a batch."""
 

@@ -27,16 +27,14 @@ computed once and each constant subtree folded, replayed at any order and at
 one point or a batch.  A metric compiles its six components once
 (``MetricSpec.tape``); ``eval_jet`` is a one-expression tape that returns its
 array in a ``Jet4`` record, and ``eval_dual`` (value and gradient) is its
-order-1 case.  ``eval_scalar`` is a plain-float tree walk kept apart from the
-tape as an independent oracle.
+order-1 case.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -70,21 +68,19 @@ FACTORIALS = np.array(
 
 def _build_mul_tables():
     """Leibniz terms (out, a, b) sorted by output index, so the order-k
-    table is the leading slice that writes the first N(k) outputs."""
-    out_idx, a_idx, b_idx = [], [], []
-    for gi, gamma in enumerate(MULTI_INDICES):
-        for ai, alpha in enumerate(MULTI_INDICES):
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if min(beta) < 0:
-                continue
-            out_idx.append(gi)
-            a_idx.append(ai)
-            b_idx.append(INDEX_OF[beta])
-    out_idx, a_idx, b_idx = np.array(out_idx), np.array(a_idx), np.array(b_idx)
+    table is the leading slice that writes the first N(k) outputs: every
+    pair gamma >= alpha of multi-indices, in row-major order of (gamma, alpha),
+    with beta = gamma - alpha looked up in a cube of multi-index positions."""
+    m = np.array(MULTI_INDICES)
+    diff = m[:, None, :] - m[None, :, :]
+    out_idx, a_idx = np.nonzero((diff >= 0).all(-1))
+    cube = np.zeros((MAX_ORDER + 1,) * NVARS, dtype=np.int64)
+    cube[tuple(m.T)] = np.arange(len(m))
+    b_idx = cube[tuple(diff[out_idx, a_idx].T)]
     tables = []
     for n in N_BY_ORDER:
-        m = int(np.searchsorted(out_idx, n))
-        tables.append((out_idx[:m], a_idx[:m], b_idx[:m]))
+        k = int(np.searchsorted(out_idx, n))
+        tables.append((out_idx[:k], a_idx[:k], b_idx[:k]))
     return tuple(tables)
 
 
@@ -208,41 +204,34 @@ class DomainFault(ExprError):
 # --- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int  # 0..2
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Expr"
 
@@ -431,8 +420,7 @@ def _value(c):
     return float(c[0]) if c.ndim == 1 else c[0]
 
 
-@dataclass(slots=True)
-class Jet4:
+class Jet4(NamedTuple):
     """The jet ``eval_jet`` returns: the coefficient array of an expression
     of total order <= ``order`` <= 4 at ``point``.
 
@@ -695,35 +683,6 @@ def eval_jet(e: Expr, p, params=None, order: int = MAX_ORDER) -> Jet4:
     one-expression ``Tape``."""
     (coef,) = Tape((e,), params).run(p, order)
     return Jet4(as_point(p), coef, order)
-
-
-def eval_scalar(e: Expr, p, params=None, lib=math):
-    """Plain scalar tree evaluation; ``lib`` may be mpmath for high precision.
-
-    Deliberately not on the ``Tape``: the tests use it, with finite
-    differences, as an oracle independent of the jet evaluator.
-    """
-    params = params or {}
-
-    def rec(node):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return p[node.index]
-        if isinstance(node, Param):
-            return params[node.name]
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, BinOp):
-            a, b = rec(node.left), rec(node.right)
-            return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
-        if isinstance(node, Power):
-            return rec(node.base) ** node.exponent
-        if isinstance(node, Call):
-            return getattr(lib, node.func)(rec(node.arg))
-        raise TypeError(f"not an Expr: {node!r}")
-
-    return rec(e)
 
 
 def eval_dual(e: Expr, p, params=None) -> np.ndarray:

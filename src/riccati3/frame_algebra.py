@@ -30,7 +30,7 @@ they return floats and coefficient arrays of the same fixed length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _stack(*cols):
     return out
 
 
-@dataclass
-class FrameData:
+class FrameData(NamedTuple):
     lambda2: float | np.ndarray  # a float, or (n,) at a batch of n frames
     lambda3: float | np.ndarray
     dlam: np.ndarray  # (..., 3, 2): dlam[i,0] = L_{e_{i+1}} lambda2, dlam[i,1] = ... lambda3
@@ -190,8 +189,7 @@ def _padd(a, b):
     return out
 
 
-@dataclass
-class PolyBundle:
+class PolyBundle(NamedTuple):
     case: str
     a: np.ndarray
     c: np.ndarray
@@ -426,8 +424,7 @@ def stack_frames(frames) -> FrameData:
     )
 
 
-@dataclass
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     contradiction: bool
     certificate: str
     determinant: float

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +31,16 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class MetricSpec:
-    name: str
-    components: tuple  # 6 Expr, order g11,g12,g13,g22,g23,g33
-    params: dict = field(default_factory=dict)
-    box: tuple = (((-1.0, 1.0),) * 3)  # default coordinate sampling box
+    """A metric: six component expressions, in the order g11, g12, g13, g22,
+    g23, g33, with their parameter map and a default coordinate sampling box
+    of three (lo, hi) pairs.  Specs compare and hash by identity."""
+
+    def __init__(self, name: str, components: tuple, params: dict | None = None, box: tuple = ((-1.0, 1.0),) * 3):
+        self.name = name
+        self.components = components
+        self.params = {} if params is None else params
+        self.box = box
 
     def component(self, i, j) -> Expr:
         return self.components[_SYM_INDEX[(min(i, j), max(i, j))]]
@@ -48,8 +52,7 @@ class MetricSpec:
         return Tape(self.components, self.params)
 
 
-@dataclass
-class MetricJet:
+class MetricJet(NamedTuple):
     """The metric's Taylor coefficients, of the order k asked of
     ``metric_jets``, at one point or at each point of a batch.
 
@@ -130,19 +133,51 @@ def custom(components: dict, params=None, name="custom", box=None) -> MetricSpec
 
 
 def from_dict(data: dict) -> MetricSpec:
-    """Metric spec from a parsed JSON object (builtin or custom form)."""
+    """Metric spec from a parsed JSON object (builtin or custom form).  A file
+    of another shape raises a MetricError naming the key: 'builtin' not a
+    string, 'params' not an object of numbers, 'components' not an object of
+    strings, or 'box' not three [lo, hi] pairs of finite numbers, lo <= hi."""
+    if not isinstance(data, dict):
+        raise MetricError(f"metric file must hold a JSON object, got {type(data).__name__}")
     if data.get("builtin") == "custom":
         data = {k: v for k, v in data.items() if k != "builtin"}
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise MetricError(f"'params' must be a JSON object, got {type(params).__name__}")
+    params = {k: _number(v, f"parameter '{k}'") for k, v in params.items()}
     if "builtin" in data:
-        return builtin(data["builtin"], **data.get("params", {}))
+        if not isinstance(data["builtin"], str):
+            raise MetricError(f"'builtin' must be a string, got {data['builtin']!r}")
+        return builtin(data["builtin"], **params)
     if "components" in data:
-        return custom(
-            data["components"],
-            params={k: float(v) for k, v in data.get("params", {}).items()},
-            name=data.get("name", "custom"),
-            box=data.get("box"),
-        )
+        comps = data["components"]
+        if not isinstance(comps, dict):
+            raise MetricError(f"'components' must be a JSON object, got {type(comps).__name__}")
+        for name in COMPONENT_NAMES:
+            if name in comps and not isinstance(comps[name], str):
+                raise MetricError(f"component '{name}' must be a string, got {comps[name]!r}")
+        box = None if data.get("box") is None else _box(data["box"])
+        return custom(comps, params=params, name=data.get("name", "custom"), box=box)
     raise MetricError("metric file must contain 'builtin' or 'components'")
+
+
+def _number(value, what):
+    """float(value), or a MetricError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MetricError(f"{what} must be a number, got {value!r}") from None
+
+
+def _box(box):
+    """A metric file's 'box' as three (lo, hi) float pairs."""
+    if not isinstance(box, list) or len(box) != 3 or not all(isinstance(b, list) and len(b) == 2 for b in box):
+        raise MetricError(f"'box' must be three [lo, hi] pairs, got {box!r}")
+    pairs = tuple((_number(lo, "'box' bound"), _number(hi, "'box' bound")) for lo, hi in box)
+    for lo, hi in pairs:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise MetricError(f"'box' pair {[lo, hi]} needs finite bounds with lo <= hi")
+    return pairs
 
 
 def from_file(path) -> MetricSpec:

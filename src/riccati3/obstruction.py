@@ -23,7 +23,7 @@ when |Jo| = sqrt(tr(Jo o Jo)/2) is below 1e-10 max(1, |t|, |J|), with
 In a g-orthonormal eigenbasis of Jo on X-perp (``jacobi_frame``), Jo is
 [[A, B], [B, -A]] with B = 0 and Jo' is [[A1, B1], [B1, -A1]]
 (``derived_jacobi_direct``): tr(Jo o Jo) = 2(A^2 + B^2), D = 4 (A B1 - A1 B)^2.
-``reconstruct_u`` and ``riccati.constrained_probe`` solve in that frame.
+``riccati.constrained_probe`` solves in that frame.
 
 ``rank1_checks`` certifies a point of Ricci rank 1 from that point's pack
 alone: the covariant derivative of the eigenvector e3 of the simple nonzero
@@ -40,7 +40,7 @@ point, and gives every field a leading point axis before the direction axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,16 +57,11 @@ from .curvature import (
 )
 
 
-class DegenerateSystem(ValueError):
-    """The 2x2 reconstruction system for u is singular at this (point, X)."""
-
-
 class RankPrecondition(ValueError):
     """Operation requires a specific Ricci rank at the point."""
 
 
-@dataclass
-class JacobiFrame:
+class JacobiFrame(NamedTuple):
     """Fields are floats and (3,) vectors for one direction, arrays with a
     leading direction axis for a batch."""
 
@@ -80,15 +75,13 @@ class JacobiFrame:
     isotropic: bool
 
 
-@dataclass
-class DerivedJacobi:
+class DerivedJacobi(NamedTuple):
     A1: float
     B1: float
     trace: float  # tr J'(X) = (nabla_X ric)(X,X)
 
 
-@dataclass
-class ObstructionValues:
+class ObstructionValues(NamedTuple):
     D1: float
     D2: float
     D: float
@@ -108,16 +101,7 @@ class ObstructionValues:
         return self
 
 
-@dataclass
-class UCandidate:
-    a: float
-    b: float
-    d: float
-    consistency: float
-
-
-@dataclass
-class Rank1Report:
+class Rank1Report(NamedTuple):
     scal: float
     lie_e3_scal: float
     div_e3: float
@@ -155,8 +139,7 @@ def _directions(X):
 
 def _first(batch):
     """The one direction of a batch of one: floats, bools and (3,) vectors."""
-    row = {f.name: getattr(batch, f.name) for f in fields(batch)}
-    return replace(batch, **{k: x[0] if x.ndim > 1 else x[0].item() for k, x in row.items()})
+    return batch._make(x[0] if x.ndim > 1 else x[0].item() for x in batch)
 
 
 def _trace_product(A, B):
@@ -249,80 +232,6 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     ov = ObstructionValues(D1, D2, D, P, lhs, rhs, lhs - rhs, scale, tr_JJ, tr_JJp, iso.view(IsotropyMask))
     return _first(ov) if one else ov
-
-
-def reconstruct_u(pack: CurvaturePack, X, rel_tol: float = 1e-10) -> UCandidate:
-    """Solve the linear jet system for the trace-free candidate u at (point, X).
-
-    4 d a = B D2 - B1 D1 and 4 d b = -A D2 + A1 D1 with d = A1 B - A B1.
-    The consistency value |2(a^2+b^2) + ric(X,X)| vanishes exactly when the
-    candidate also satisfies tr(u^2) = -tr(J).
-    """
-    fr = jacobi_frame(pack, X)
-    dj = derived_jacobi_direct(pack, X, fr)
-    ov = obstruction_values(pack, X)
-    A, B, A1, B1 = fr.A, fr.B, dj.A1, dj.B1
-    d = A1 * B - A * B1
-    norm_prod = math.hypot(A, B) * math.hypot(A1, B1)
-    if abs(d) <= rel_tol * norm_prod or norm_prod == 0.0:
-        raise DegenerateSystem(f"jet system singular: |d|={abs(d):.3e} vs scale {norm_prod:.3e}")
-    a = (B * ov.D2 - B1 * ov.D1) / (4.0 * d)
-    b = (-A * ov.D2 + A1 * ov.D1) / (4.0 * d)
-    consistency = abs(2.0 * (a * a + b * b) + fr.t)
-    return UCandidate(a=a, b=b, d=d, consistency=consistency)
-
-
-def model_pack(lambda2: float, lambda3: float) -> CurvaturePack:
-    """Synthetic flat-derivative pack with Ric = diag(0, lambda2, lambda3), g = I.
-
-    Curvature comes from the 3d Kulkarni-Nomizu form, all covariant
-    derivatives vanish; this is the algebraic substrate for the special
-    direction analysis.
-    """
-    g = np.eye(3)
-    ric = np.diag([0.0, lambda2, lambda3])
-    scal = lambda2 + lambda3
-    Ric = ric.copy()
-
-    def kn(x, y):  # x[j, k] y[l, i] at R[i, j, k, l]; swapaxes(0, 1) gives x[i, k] y[l, j]
-        return np.einsum("jk,li->ijkl", x, y)
-
-    R = kn(g, Ric) - kn(ric, g).swapaxes(0, 1) + kn(ric, g) - kn(g, Ric).swapaxes(0, 1)
-    R = R - 0.5 * scal * (kn(g, g) - kn(g, g).swapaxes(0, 1))
-    return CurvaturePack(
-        point=(0.0, 0.0, 0.0),
-        g=g,
-        ginv=g.copy(),
-        gamma=np.zeros((3, 3, 3)),
-        R=R,
-        nablaR=np.zeros((3, 3, 3, 3, 3)),
-        ric=ric,
-        Ric_op=Ric,
-        scal=scal,
-        dscal=np.zeros(3),
-        rho=Ric - scal / 4.0 * np.eye(3),
-        nabla_ric=np.zeros((3, 3, 3)),
-        nabla2_ric=np.zeros((3, 3, 3, 3)),
-        frame=np.eye(3),
-    )
-
-
-def null_jacobi_directions(lambda2: float, lambda3: float, tol: float = 1e-12):
-    """Unit directions w with vanishing trace-free Jacobi operator, both
-    eigenvalues negative (algebraic rank-2 model).
-    """
-    if lambda2 >= 0 or lambda3 >= 0:
-        raise ValueError("both eigenvalues must be negative")
-    if abs(lambda2 - lambda3) <= tol * max(abs(lambda2), abs(lambda3)):
-        e1 = np.array([1.0, 0.0, 0.0])
-        return [e1, -e1]
-    if lambda2 < lambda3:
-        x = math.sqrt(lambda3 / lambda2)
-        y = math.sqrt((lambda2 - lambda3) / lambda2)
-        return [np.array([x, y, 0.0]), np.array([x, -y, 0.0])]
-    x = math.sqrt(lambda2 / lambda3)
-    y = math.sqrt((lambda3 - lambda2) / lambda3)
-    return [np.array([x, 0.0, y]), np.array([x, 0.0, -y])]
 
 
 def _eigenvector_gradient(pack: CurvaturePack, rr, j: int) -> np.ndarray:

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 FLOAT_TOL = 1e-12
 
@@ -216,19 +216,17 @@ def _coerce_list(values, name):
     return tuple(_coerce(v) for v in values)
 
 
-@dataclass
 class ConstraintInstance:
-    regime: str  # 'a12' or 'a3'
-    a: tuple
-    c: tuple
-    d1: tuple
-    P: tuple
-    Lambda: object = None  # a12
-    lambda2: object = None  # a3
-    lambda3: object = None
-    exact: bool = field(init=False, default=False)
+    """One constraint instance of a regime, 'a12' (with Lambda) or 'a3' (with
+    lambda2 and lambda3), with the polynomials a, c, d1 and P as coefficient
+    tuples.  Coefficients and scalars are checked and coerced on
+    construction: all Fractions (``exact``) or all floats.  Instances compare
+    and hash by identity."""
 
-    def __post_init__(self):
+    def __init__(self, regime, a, c, d1, P, Lambda=None, lambda2=None, lambda3=None):
+        self.regime = regime
+        self.a, self.c, self.d1, self.P = a, c, d1, P
+        self.Lambda, self.lambda2, self.lambda3 = Lambda, lambda2, lambda3
         if self.regime not in ("a12", "a3"):
             raise PolyclassError(f"unknown regime '{self.regime}'")
         self.a = _coerce_list(self.a, "a")
@@ -295,8 +293,7 @@ class ConstraintInstance:
         return pscale((self.lambda3, 0, self.lambda2), -8)
 
 
-@dataclass
-class BranchVerdict:
+class BranchVerdict(NamedTuple):
     branch: str
     signs: tuple
     witness: dict

@@ -34,7 +34,7 @@ trace defect is part of the scientific output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def _inner(a, g, b):
     return np.einsum("...i,...ij,...j->...", a, g, b)
 
 
-@dataclass
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     spec: MetricSpec
     ts: np.ndarray  # (n,)
     xs: np.ndarray  # (n,3) positions
@@ -94,8 +93,7 @@ class GeodesicPath:
         return float(np.max(np.abs(dev)))
 
 
-@dataclass
-class RiccatiResult:
+class RiccatiResult(NamedTuple):
     """The trajectory up to the last sample before any blow-up: k samples."""
 
     ts: np.ndarray  # (k,) sample times
@@ -333,8 +331,7 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0) -> RiccatiResult:
     return result(False)
 
 
-@dataclass
-class ProbeCandidate:
+class ProbeCandidate(NamedTuple):
     a: float
     b: float
     jet1_residual: float
@@ -345,8 +342,7 @@ class ProbeCandidate:
     blowup_time: float | None
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     candidates: list
     best: ProbeCandidate
     min_combined: float  # min over candidates of max(jet residuals, trace defect)

@@ -3,17 +3,37 @@ leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
 of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
-curvature kernel's forward substitution for Gamma.  The FrameData text
-reader (the inverse of ``frame-check --dump-frame``) and the coupling of a
-frame's bundle to a classifier instance live here too: only tests use them."""
+curvature kernel's forward substitution for Gamma; a plain-float tree walk
+(``eval_scalar``) checks the jet evaluator, and a loop over multi-index pairs
+the Leibniz tables it is built on.  The FrameData text reader (the inverse of
+``frame-check --dump-frame``), the coupling of a frame's bundle to a
+classifier instance, the algebraic model pack with its null Jacobi directions
+and the reconstruction of the trace-free candidate u live here too: only
+tests use them."""
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from riccati3.curvature import pack_at, ricci_rank
-from riccati3.exprjet import N_BY_ORDER, contract, partials
+from riccati3.curvature import CurvaturePack, pack_at, ricci_rank
+from riccati3.exprjet import (
+    INDEX_OF,
+    MULTI_INDICES,
+    N_BY_ORDER,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Param,
+    Power,
+    Var,
+    contract,
+    partials,
+)
 from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _padd, _pmul, special_direction_polys
 from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
-from riccati3.obstruction import derived_jacobi_direct, jacobi_frame
+from riccati3.obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
 from riccati3.riccati import _rk4
 
 
@@ -188,3 +208,138 @@ def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
         inst["regime"] = "a12"
         inst["Lambda"] = -8.0 * (fd.lambda2 if case == "a1" else fd.lambda3)
     return inst
+
+
+def eval_scalar(e, p, params=None, lib=math):
+    """Plain scalar tree evaluation; ``lib`` may be mpmath for high precision.
+
+    Deliberately not on the ``Tape``: with finite differences, an oracle
+    independent of the jet evaluator.
+    """
+    params = params or {}
+
+    def rec(node):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return p[node.index]
+        if isinstance(node, Param):
+            return params[node.name]
+        if isinstance(node, Neg):
+            return -rec(node.arg)
+        if isinstance(node, BinOp):
+            a, b = rec(node.left), rec(node.right)
+            return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
+        if isinstance(node, Power):
+            return rec(node.base) ** node.exponent
+        if isinstance(node, Call):
+            return getattr(lib, node.func)(rec(node.arg))
+        raise TypeError(f"not an Expr: {node!r}")
+
+    return rec(e)
+
+
+def mul_tables():
+    """The Leibniz terms (out, a, b) of ``exprjet._MUL_TABLES`` by a loop over
+    the pairs (gamma, alpha) of multi-indices with beta = gamma - alpha >= 0,
+    sliced to the N(k) leading outputs for each order k."""
+    out_idx, a_idx, b_idx = [], [], []
+    for gi, gamma in enumerate(MULTI_INDICES):
+        for ai, alpha in enumerate(MULTI_INDICES):
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if min(beta) < 0:
+                continue
+            out_idx.append(gi)
+            a_idx.append(ai)
+            b_idx.append(INDEX_OF[beta])
+    out_idx, a_idx, b_idx = np.array(out_idx), np.array(a_idx), np.array(b_idx)
+    tables = []
+    for n in N_BY_ORDER:
+        m = int(np.searchsorted(out_idx, n))
+        tables.append((out_idx[:m], a_idx[:m], b_idx[:m]))
+    return tuple(tables)
+
+
+class DegenerateSystem(ValueError):
+    """The 2x2 reconstruction system for u is singular at this (point, X)."""
+
+
+class UCandidate(NamedTuple):
+    a: float
+    b: float
+    d: float
+    consistency: float
+
+
+def reconstruct_u(pack: CurvaturePack, X, rel_tol: float = 1e-10) -> UCandidate:
+    """Solve the linear jet system for the trace-free candidate u at (point, X).
+
+    4 d a = B D2 - B1 D1 and 4 d b = -A D2 + A1 D1 with d = A1 B - A B1.
+    The consistency value |2(a^2+b^2) + ric(X,X)| vanishes exactly when the
+    candidate also satisfies tr(u^2) = -tr(J).
+    """
+    fr = jacobi_frame(pack, X)
+    dj = derived_jacobi_direct(pack, X, fr)
+    ov = obstruction_values(pack, X)
+    A, B, A1, B1 = fr.A, fr.B, dj.A1, dj.B1
+    d = A1 * B - A * B1
+    norm_prod = math.hypot(A, B) * math.hypot(A1, B1)
+    if abs(d) <= rel_tol * norm_prod or norm_prod == 0.0:
+        raise DegenerateSystem(f"jet system singular: |d|={abs(d):.3e} vs scale {norm_prod:.3e}")
+    a = (B * ov.D2 - B1 * ov.D1) / (4.0 * d)
+    b = (-A * ov.D2 + A1 * ov.D1) / (4.0 * d)
+    consistency = abs(2.0 * (a * a + b * b) + fr.t)
+    return UCandidate(a=a, b=b, d=d, consistency=consistency)
+
+
+def model_pack(lambda2: float, lambda3: float) -> CurvaturePack:
+    """Synthetic flat-derivative pack with Ric = diag(0, lambda2, lambda3), g = I.
+
+    Curvature comes from the 3d Kulkarni-Nomizu form, all covariant
+    derivatives vanish; this is the algebraic substrate for the special
+    direction analysis.
+    """
+    g = np.eye(3)
+    ric = np.diag([0.0, lambda2, lambda3])
+    scal = lambda2 + lambda3
+    Ric = ric.copy()
+
+    def kn(x, y):  # x[j, k] y[l, i] at R[i, j, k, l]; swapaxes(0, 1) gives x[i, k] y[l, j]
+        return np.einsum("jk,li->ijkl", x, y)
+
+    R = kn(g, Ric) - kn(ric, g).swapaxes(0, 1) + kn(ric, g) - kn(g, Ric).swapaxes(0, 1)
+    R = R - 0.5 * scal * (kn(g, g) - kn(g, g).swapaxes(0, 1))
+    return CurvaturePack(
+        point=(0.0, 0.0, 0.0),
+        g=g,
+        ginv=g.copy(),
+        gamma=np.zeros((3, 3, 3)),
+        R=R,
+        nablaR=np.zeros((3, 3, 3, 3, 3)),
+        ric=ric,
+        Ric_op=Ric,
+        scal=scal,
+        dscal=np.zeros(3),
+        rho=Ric - scal / 4.0 * np.eye(3),
+        nabla_ric=np.zeros((3, 3, 3)),
+        nabla2_ric=np.zeros((3, 3, 3, 3)),
+        frame=np.eye(3),
+    )
+
+
+def null_jacobi_directions(lambda2: float, lambda3: float, tol: float = 1e-12):
+    """Unit directions w with vanishing trace-free Jacobi operator, both
+    eigenvalues negative (algebraic rank-2 model).
+    """
+    if lambda2 >= 0 or lambda3 >= 0:
+        raise ValueError("both eigenvalues must be negative")
+    if abs(lambda2 - lambda3) <= tol * max(abs(lambda2), abs(lambda3)):
+        e1 = np.array([1.0, 0.0, 0.0])
+        return [e1, -e1]
+    if lambda2 < lambda3:
+        x = math.sqrt(lambda3 / lambda2)
+        y = math.sqrt((lambda2 - lambda3) / lambda2)
+        return [np.array([x, y, 0.0]), np.array([x, -y, 0.0])]
+    x = math.sqrt(lambda2 / lambda3)
+    y = math.sqrt((lambda3 - lambda2) / lambda3)
+    return [np.array([x, 0.0, y]), np.array([x, 0.0, -y])]

@@ -657,6 +657,57 @@ def test_analyze_fault_names_the_first_faulting_point(tmp_path, comps, argv, lin
 FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "metric file must hold a JSON object, got list"),
+        (json.dumps({"components": FLAT, "params": {"c": "abc"}}), "parameter 'c' must be a number, got 'abc'"),
+        (
+            json.dumps({"builtin": "custom", "components": FLAT, "params": {"c": "x"}}),
+            "parameter 'c' must be a number, got 'x'",
+        ),
+        (json.dumps({"builtin": "hyperbolic", "params": {"c": "abc"}}), "parameter 'c' must be a number, got 'abc'"),
+        (json.dumps({"components": FLAT, "params": [1]}), "'params' must be a JSON object, got list"),
+        (json.dumps({"builtin": "flat", "params": [1]}), "'params' must be a JSON object, got list"),
+        (json.dumps({"components": {**FLAT, "g22": 1}}), "component 'g22' must be a string, got 1"),
+        (
+            json.dumps({"components": FLAT, "box": [[0, 1], [2, 1], [0, 1]]}),
+            "'box' pair [2.0, 1.0] needs finite bounds with lo <= hi",
+        ),
+        (json.dumps({"components": FLAT, "box": [[0, 1], ["a", 1], [0, 1]]}), "'box' bound must be a number, got 'a'"),
+        (
+            '{"components": %s, "box": [[0, 1e400], [0, 1], [0, 1]]}' % json.dumps(FLAT),
+            "'box' pair [0.0, inf] needs finite bounds with lo <= hi",
+        ),
+        (json.dumps({"components": FLAT, "box": [[0, 1]]}), "'box' must be three [lo, hi] pairs, got [[0, 1]]"),
+    ],
+    ids=[
+        "list", "param-text", "param-custom-form", "param-builtin-form", "params-list", "builtin-params-list",
+        "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair",
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "riccati"])
+def test_malformed_metric_file_exits_2(tmp_path, command, text, message):
+    """A metric file of the wrong shape is refused when it is read, naming the
+    key, by every command that reads it: one line and exit 2."""
+    path = tmp_path / "metric.json"
+    path.write_text(text)
+    out = tmp_path / "traj.csv"
+    argv = ("analyze", str(path)) if command == "analyze" else ("riccati", str(path), *RICCATI[2:], "--out", str(out))
+    assert run_bad(argv) == f"riccati3 {command}: error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("box", [None, [[0, 1], [0.5, 0.5], [-2, -1]]])
+def test_metric_file_box_is_read_as_given(tmp_path, box):
+    """A well-formed box, a pair with lo = hi included, is read as its float
+    pairs, and a file without one keeps the default box."""
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"components": FLAT, **({} if box is None else {"box": box})}))
+    spec = metrics.from_file(path)
+    assert spec.box == (((-1.0, 1.0),) * 3 if box is None else ((0.0, 1.0), (0.5, 0.5), (-2.0, -1.0)))
+
+
 def _analyze_reading(capsys, metric, *argv):
     """(verdict, rank histogram, isotropic count) of ``analyze --json``."""
     code, out = run(capsys, "analyze", metric, *argv, "--json")
@@ -715,3 +766,18 @@ def test_cli_import_leaves_numpy_polynomial_out():
     modules = json.loads(out.stdout)
     assert "riccati3.cli" in modules and "numpy" in modules
     assert "numpy.polynomial" not in modules
+
+
+def test_cli_import_builds_records_without_dataclasses_and_defers_nothing():
+    """Importing the command line in a fresh interpreter does not load
+    dataclasses (the records are NamedTuples and plain classes, so no class
+    compiles generated methods at import), and it loads every module of the
+    package, so no import is put off until first use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import json, sys; sys.path.insert(0, {str(src)!r}); import riccati3.cli; print(json.dumps(list(sys.modules)))"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    modules = json.loads(out.stdout)
+    assert "dataclasses" not in modules
+    package = {"riccati3"} | {f"riccati3.{f.stem}" for f in (src / "riccati3").glob("*.py") if f.stem != "__init__"}
+    assert len(package) == 9
+    assert package <= set(modules)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eval_scalar, mul_tables
 
 from riccati3.exprjet import (
     DomainFault,
@@ -19,7 +20,6 @@ from riccati3.exprjet import (
     contract,
     eval_dual,
     eval_jet,
-    eval_scalar,
     format_expr,
     parse_expr,
     quotient_terms,
@@ -152,6 +152,14 @@ def test_jet_mul_identity_and_square():
     expected = np.zeros(len(MULTI_INDICES))
     expected[MULTI_INDICES.index((2, 0, 0))] = 1.0
     assert np.array_equal(_mul(x1, x1, 4), expected)
+
+
+def test_mul_tables_equal_the_pair_loop():
+    """The Leibniz tables built in one numpy pass are, order by order, the
+    int64 tables of the loop over multi-index pairs, bit for bit."""
+    for got, want in zip(_MUL_TABLES, mul_tables(), strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
 
 
 def test_jet_mul_matches_product_expression():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import constraint_instance, frame_from_text
+from oracles import constraint_instance, frame_from_text, model_pack
 
 from riccati3 import cli, frame_algebra
 from riccati3.frame_algebra import (
@@ -38,7 +38,7 @@ def _zero_gamma_frame(mode="consistent"):
     if mode == "consistent":
         # re-solve the constraints with zero connection coefficients
         L3l2 = fd.L(3, 2)
-        fd.dlam = np.array([[0.0, 0.0], [0.0, 0.0], [L3l2, L3l2]])
+        fd = fd._replace(dlam=np.array([[0.0, 0.0], [0.0, 0.0], [L3l2, L3l2]]))
     return fd
 
 
@@ -204,8 +204,6 @@ def _synthetic_pack(fd):
     derivative table and connection coefficients.  Independent of the
     polynomial expansions under test.
     """
-    from riccati3.obstruction import model_pack
-
     pk = model_pack(fd.lambda2, fd.lambda3)
     lam = np.array([0.0, fd.lambda2, fd.lambda3])
     dlam = np.zeros((3, 3))  # dlam[m, i] = L_{e_m} lambda_i
@@ -237,9 +235,7 @@ def _synthetic_pack(fd):
                             - eye[i, k] * nric[m, j, l]
                             - 0.5 * dscal[m] * (eye[j, k] * eye[i, l] - eye[i, k] * eye[j, l])
                         )
-    pk.nabla_ric = nric
-    pk.nablaR = nR
-    return pk
+    return pk._replace(nabla_ric=nric, nablaR=nR)
 
 
 def test_bundles_match_tensor_pipeline():

@@ -1,24 +1,27 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from oracles import EigengapError, derived_jacobi_crosscheck, eigenvector_gradient_fd
+from oracles import (
+    DegenerateSystem,
+    EigengapError,
+    derived_jacobi_crosscheck,
+    eigenvector_gradient_fd,
+    model_pack,
+    null_jacobi_directions,
+    reconstruct_u,
+)
 from riccati3 import metrics
 from riccati3.curvature import CurvaturePack, pack_at, ricci_rank
 from riccati3.obstruction import (
-    DegenerateSystem,
     RankPrecondition,
     _eigenvector_gradient,
     fibonacci_directions,
     derived_jacobi_direct,
     jacobi_frame,
-    model_pack,
-    null_jacobi_directions,
     obstruction_values,
     rank1_checks,
-    reconstruct_u,
 )
 
 
@@ -262,9 +265,9 @@ def _batch_pack(case):
 
 
 def _leaves(obj, prefix=""):
-    """(prefixed field name, value) of every field of a dataclass."""
-    for f in fields(obj):
-        yield prefix + f.name, getattr(obj, f.name)
+    """(prefixed field name, value) of every field of a record."""
+    for name, value in zip(obj._fields, obj):
+        yield prefix + name, value
 
 
 def _detector_leaves(pk, X):
@@ -390,7 +393,7 @@ def test_detector_of_a_permuted_pack_is_permuted_bitwise(case):
     pk = _zoo_batch(case, 13, seed=14)
     X = np.random.default_rng(15).standard_normal((13, 6, 3))
     perm = np.random.default_rng(16).permutation(13)
-    pk_perm = CurvaturePack(**{f.name: getattr(pk, f.name)[perm] for f in fields(pk)})
+    pk_perm = CurvaturePack(*(x[perm] for x in pk))
     want = dict(_detector_leaves(pk, X))
     for name, got in _detector_leaves(pk_perm, X[perm]):
         assert np.array_equal(got, want[name][perm]), name
