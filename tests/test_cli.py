@@ -758,14 +758,16 @@ def test_tiny_determinant_is_refused_by_analyze_and_riccati(tmp_path):
 
 def test_cli_import_leaves_numpy_polynomial_out():
     """Importing the command line in a fresh interpreter does not load
-    numpy.polynomial, which numpy does not import on its own and which would
-    add its import time to every start."""
+    numpy.polynomial or numpy.random, which numpy does not import on its own
+    and which would add their import time to every start (the frame draws
+    load numpy.random on first use)."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"import json, sys; sys.path.insert(0, {str(src)!r}); import riccati3.cli; print(json.dumps(list(sys.modules)))"
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     modules = json.loads(out.stdout)
     assert "riccati3.cli" in modules and "numpy" in modules
     assert "numpy.polynomial" not in modules
+    assert "numpy.random" not in modules
 
 
 def test_cli_import_builds_records_without_dataclasses_and_defers_nothing():

@@ -378,14 +378,27 @@ def test_free_and_consistent_frames_share_one_draw():
 
 def test_free_frames_are_the_generator_doubles():
     """The raw PCG64 draws are bitwise the doubles of default_rng(seed).random(17),
-    seeds of two 32-bit words included."""
-    seeds = [*range(1000), 2**32 + 5, 2**62]
+    and the seeds' hashed states numpy's SeedSequence states: seeds of one to
+    six 32-bit words, a block across a word boundary and numpy integer seeds
+    included.  A negative or float seed raises numpy's exception type."""
+    boundary = [*range(2**32 - 3, 2**32 + 3), 2**62]
+    wide = [2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
+    seeds = [*range(1000), 2**32 + 5, *boundary, *wide]
+    seeds += [*np.array([0, 7, *boundary], dtype=np.int64), *np.array([7, *boundary, 2**64 - 1], dtype=np.uint64)]
     u = np.array([np.random.default_rng(seed).random(17) for seed in seeds])
     want = frame_algebra._DRAW_LO + (frame_algebra._DRAW_HI - frame_algebra._DRAW_LO) * u
     fd = frame_algebra._free_frames(seeds)
     nine = [fd.gamma[:, i - 1, j - 1, k - 1] for (i, j, k) in GAMMA_KEYS]
     got = np.column_stack([-fd.lambda2, -fd.lambda3, *nine, fd.dlam.reshape(-1, 6)])
     assert _bits(got) == _bits(want)
+    states = frame_algebra._seed_states(seeds)
+    want_states = np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds])
+    assert states.dtype == want_states.dtype and np.array_equal(states, want_states)
+    for bad in (-1, -(2**70), 2.0, np.float64(3.0)):
+        with pytest.raises(Exception) as numpy_error:
+            np.random.PCG64(bad)
+        with pytest.raises(numpy_error.type):
+            frame_algebra._free_frames([5, bad])
 
 
 def test_b1_and_c_are_shared_by_free_and_consistent_frames():
