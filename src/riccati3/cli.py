@@ -61,10 +61,13 @@ def _parse_params(items):
     out = {}
     for item in items or []:
         key, _, val = item.partition("=")
+        key = key.strip()
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
             raise UsageError(f"--param needs key=number, got {item!r}") from None
+        if not math.isfinite(out[key]):
+            raise UsageError(f"--param {key} must be a finite number, got {val!r}")
     return out
 
 

@@ -20,10 +20,15 @@ it at the point and, through d scal, once differentiated), Gamma
 (order k - 1) and R (order k - 2).  At the point g^-1 is the adjugate over
 det g (``metrics.cofactors``), as in ``gamma_at``, and Gamma solves
 g Gamma = lowered symbols by forward substitution over the degree, a quotient
-of Taylor series that needs g^-1 only at the point; every other product is a
-truncated Leibniz product (``exprjet.contract``, one stacked matrix product
-over the Leibniz terms and points) and each derivative a gather of
-coefficients (``exprjet.partials``).
+of Taylor series that needs g^-1 only at the point, written over the lowered
+symbols in place; every other product is a truncated Leibniz product
+(``exprjet.contract``) and each derivative a gather of coefficients
+(``exprjet.partials``).  Both sum their Leibniz terms in groups into one
+output buffer (``exprjet.add_pair_terms``), so a kernel's transient memory
+is a few coefficient arrays of the batch, not one array per Leibniz term,
+and a point's numbers do not depend on its position in the batch.  The
+pack's fields own their data (the order-0 slices are copied), so a pack
+keeps none of the higher-order coefficients alive.
 Covariant derivatives come from one rule on the same arrays (``_nabla``): a
 tensor's coefficients of order q give those of its covariant derivative at
 order q - 1, the coordinate derivative plus one Gamma contraction per slot.
@@ -56,8 +61,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprjet import N_BY_ORDER, contract, partials, quotient_terms
-from .metrics import _FULL_INDEX, MetricJet, MetricSpec, cofactors, leading_minors, lowered_symbol, metric_jets
+from .exprjet import DEGREES, N_BY_ORDER, add_pair_terms, contract, partials
+from .metrics import (
+    _FULL_INDEX,
+    _SYM_INDEX,
+    MetricJet,
+    MetricSpec,
+    cofactors,
+    leading_minors,
+    lowered_symbol,
+    metric_jets,
+)
 
 
 class CurvaturePack(NamedTuple):
@@ -120,6 +134,26 @@ class RankReport(NamedTuple):
         )
 
 
+def _christoffel(G, A):
+    """Gamma[..., k, i, j] = Gamma^k_ij to order k - 1 from the metric's
+    order-k coefficients G and A = g(p)^-1: it solves g Gamma = L for the lowered
+    symbols L (``lowered_symbol``), a quotient of Taylor series, by forward
+    substitution over the degree d,
+    Gamma[c] = A (L[c] - sum_{0 < a <= c} G[a] Gamma[c - a]) for |c| = d,
+    written over L in place.  Each degree's term a = c is one product with
+    Gamma[0]; the rest are ``exprjet.add_pair_terms``' groups, which read
+    only the lower degrees."""
+    gamma = lowered_symbol(partials(G))
+    gamma = gamma.reshape(gamma.shape[:-2] + (9,))  # L_lij, then Gamma^k_ij, as (3, 9) matrices
+    gamma[0] = A @ gamma[0]
+    for d in range(1, N_BY_ORDER.index(len(gamma)) + 1):
+        acc = G[DEGREES[d]] @ gamma[0]
+        add_pair_terms(acc, G, gamma, d)
+        gamma[DEGREES[d]] -= acc
+        gamma[DEGREES[d]] = A @ gamma[DEGREES[d]]
+    return gamma.reshape(gamma.shape[:-1] + (3, 3))
+
+
 def _curvature_jets(G, tamper=False):
     """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
     coefficients G, shape (N(k),) + batch + (3, 3), k >= 2, from
@@ -127,37 +161,22 @@ def _curvature_jets(G, tamper=False):
 
     g^-1 carries order 1, [A, -A d_i g A], which is all the pack reads of it;
     A = g(p)^-1 is ``metrics.cofactors`` over det g, as in ``gamma_at``.
-    Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1: it solves g Gamma = L
-    for the lowered symbols L (``lowered_symbol``), a quotient of Taylor
-    series, by forward substitution over the degree d,
-    Gamma[c] = A (L[c] - sum_{0 < a <= c} G[a] Gamma[c - a]) for |c| = d,
-    one stacked matrix product over the terms of each degree
-    (``exprjet.quotient_terms``).  R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l
-    carries order k - 2: R = dGamma + sign Gamma Gamma - (i <-> j), where
-    ``tamper`` flips the sign.
+    Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1 (``_christoffel``).
+    R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l carries order k - 2:
+    R = dGamma + sign Gamma Gamma - (i <-> j), where ``tamper`` flips the sign.
     """
     order = N_BY_ORDER.index(len(G))
-    g = [G[0][..., i, j] for i, j in zip(*np.triu_indices(3))]  # g11, g12, g13, g22, g23, g33
+    g = [G[0][..., i, j] for i, j in _SYM_INDEX]  # g11, g12, g13, g22, g23, g33
     (_, _, det), _ = leading_minors(*g)
     A = (np.stack(cofactors(*g), -1) / det[..., None])[..., _FULL_INDEX]
     ginv = np.concatenate([A[None], -(A @ G[1:4]) @ A])
+    gamma = _christoffel(G, A)
 
-    L = lowered_symbol(partials(G))
-    shape = L.shape[:-2] + (9,)  # Gamma^k_ij and L_lij as (3, 9) matrices
-    L = L.reshape(shape)
-    gamma = np.empty(shape)
-    gamma[0] = A @ L[0]
-    for d in range(1, order):
-        ia, ib, S = quotient_terms(d)
-        lo, hi = N_BY_ORDER[d - 1], N_BY_ORDER[d]
-        terms = G[ia] @ gamma[ib]
-        gamma[lo:hi] = A @ (L[lo:hi] - (S @ terms.reshape(len(ia), -1)).reshape(L[lo:hi].shape))
-    gamma = gamma.reshape(shape[:-1] + (3, 3))
-
-    sign = -1.0 if tamper else 1.0
     # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
-    T = np.einsum("...ljki->...ijkl", partials(gamma))
-    T = T + sign * contract("lim,mjk->ijkl", gamma, gamma, order - 2)
+    T = contract("lim,mjk->ijkl", gamma, gamma, order - 2)
+    if tamper:
+        np.negative(T, out=T)
+    T += np.einsum("...ljki->...ijkl", partials(gamma))
     return ginv, gamma, T - np.swapaxes(T, -4, -3)
 
 
@@ -176,9 +195,9 @@ def _nabla(T, gamma, up=0):
     for s, a in enumerate(idx):
         sub = idx[:s] + "n" + idx[s + 1 :]
         if s < r - up:
-            out = out - contract(f"nm{a},{sub}->m{idx}", gamma, T, order)
+            out -= contract(f"nm{a},{sub}->m{idx}", gamma, T, order)
         else:
-            out = out + contract(f"{a}mn,{sub}->m{idx}", gamma, T, order)
+            out += contract(f"{a}mn,{sub}->m{idx}", gamma, T, order)
     return out
 
 
@@ -197,10 +216,8 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     scal_c = contract("ij,ij->", ginv_c, ric_c, 1)
     nabla_ric_c = _nabla(ric_c, gamma_c)  # order 1, for nabla^2 ric
 
-    g = G[0]
-    ginv = ginv_c[0]
-    ric = ric_c[0]
-    scal = scal_c[0]
+    # the order-0 slices are copied, so the pack holds no higher-order coefficients
+    g, ginv, ric, scal = (c[0].copy() for c in (G, ginv_c, ric_c, scal_c))
     Ric_op = ginv @ ric
     rho = Ric_op - (scal[:, None, None] / 4.0) * np.eye(3)
     L = np.linalg.cholesky(g)
@@ -210,15 +227,15 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
         point=np.array([m.point]) if one else m.point,
         g=g,
         ginv=ginv,
-        gamma=gamma_c[0],
-        R=R_c[0],
+        gamma=gamma_c[0].copy(),
+        R=R_c[0].copy(),
         nablaR=_nabla(R_c[:4], gamma_c, up=1)[0],
         ric=ric,
         Ric_op=Ric_op,
         scal=scal,
-        dscal=scal_c[1:4].T,
+        dscal=scal_c[1:4].T.copy(),
         rho=rho,
-        nabla_ric=nabla_ric_c[0],
+        nabla_ric=nabla_ric_c[0].copy(),
         nabla2_ric=_nabla(nabla_ric_c, gamma_c)[0],
         frame=frame,
     )

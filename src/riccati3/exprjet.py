@@ -18,8 +18,10 @@ Sums are array sums and products are the truncated Leibniz product
 ``_mul``; unary functions and integer powers compose a scalar Taylor series
 (the binomial series for powers, n = -1 for division) with the
 constant-free part of the argument (``_compose``), so no symbolic
-differentiation of the AST is ever needed.  A quotient of series is solved
-degree by degree by its forward recurrence over ``quotient_terms``.
+differentiation of the AST is ever needed.  Products of tensor-valued
+coefficient arrays (``contract``) sum their Leibniz terms in groups
+(``add_pair_terms``), which also serve a quotient of series solved degree
+by degree by its forward recurrence.
 
 There is one jet evaluator, the compiled ``Tape``: a tuple of expressions
 becomes one flat list of operations on registers, with each repeated subtree
@@ -103,8 +105,9 @@ def _mul(a, b, order):
 @functools.lru_cache(maxsize=None)
 def _contraction(subscripts, ndim):
     """``contract``'s plan at operands of ``ndim`` axes: the count n of leading
-    (term and batch) axes, the operands' axis orders and matrix shapes, and
-    the product's free axes with the order that takes them to the output's."""
+    (coefficient and batch) axes, the operands' axis orders and matrix
+    shapes, and the product's free axes with the order that takes them to
+    the output's."""
     ins, res = subscripts.split("->")
     sa, sb = ins.split(",")
     summed = [c for c in sa if c in sb]
@@ -118,39 +121,74 @@ def _contraction(subscripts, ndim):
     return n, axes(sa, fa + summed), axes(sb, summed + fb), (k, s), (s, m), free, axes(fa + fb, res)
 
 
+# the coefficients of degree d: DEGREES[d] = slice(N(d - 1), N(d))
+DEGREES = tuple(slice(N_BY_ORDER[d - 1] if d else 0, N_BY_ORDER[d]) for d in range(MAX_ORDER + 1))
+
+
+def _build_pair_scatters():
+    """For each degree c and 0 < j < c, the one-hot (outputs, pairs) matrix
+    that sums the products of every degree-j coefficient alpha with every
+    degree-(c - j) coefficient beta, the pairs in row-major order, into the
+    degree-c output alpha + beta; empty for c < 2."""
+    m = np.array(MULTI_INDICES)
+    cube = np.zeros((MAX_ORDER + 1,) * NVARS, dtype=np.int64)
+    cube[tuple(m.T)] = np.arange(len(m))
+    tables = []
+    for c, rows in enumerate(DEGREES):
+        outputs = np.arange(rows.start, rows.stop)[:, None]
+        sums = (m[DEGREES[j], None] + m[None, DEGREES[c - j]] for j in range(1, c))
+        tables.append(tuple((cube[tuple(s.reshape(-1, NVARS).T)] == outputs).astype(float) for s in sums))
+    return tuple(tables)
+
+
+_PAIR_SCATTERS = _build_pair_scatters()
+
+
+def add_pair_terms(out, x, y, c):
+    """out += sum x[alpha] @ y[beta] over the Leibniz pairs of the degree-c
+    outputs gamma = alpha + beta with alpha and beta both nonzero: x and y
+    are coefficient arrays of stacked matrices, shape (N,) + batch + (k, s)
+    and (N,) + batch + (s, m), and ``out`` holds the degree-c outputs,
+    (n_c,) + batch + (k, m).  The pairs come in groups by |alpha| = j: one
+    broadcast product of the degree-j coefficients of x with the
+    degree-(c - j) ones of y, summed into ``out`` by that group's one-hot
+    matrix, so only one group's products are alive at a time.  The one-hot
+    product runs point by point, each point's columns read and written in
+    place through the BLAS leading dimension, so a point's sums do not
+    depend on its position in the batch."""
+    def by_point(t, n):  # n rows of batch + (k, m) as the view (points, n, k m)
+        return t.reshape(n, -1, out.shape[-2] * out.shape[-1]).swapaxes(0, 1)
+
+    for j, scatter in enumerate(_PAIR_SCATTERS[c], 1):
+        terms = x[DEGREES[j], None] @ y[None, DEGREES[c - j]]  # (n_j, n_{c-j}) + batch + (k, m)
+        sums = np.empty(out.shape)
+        np.matmul(scatter, by_point(terms, scatter.shape[1]), out=by_point(sums, len(out)))
+        out += sums
+
+
 def contract(subscripts, a, b, order):
     """Truncated Leibniz product of two tensor-valued coefficient arrays at
     ``order``, contracted over their tensor axes by the einsum-style
     ``subscripts`` (``"kl,lij->kij"``, each index summed or kept): an operand
     has shape (N,) + batch + its tensor axes of length 3 (coefficients first,
     as in ``Jet4.coef``), the C-contiguous result (N(order),) + batch + the
-    output axes.  The gathered terms become stacks of (free, summed) and
-    (summed, free) matrices, multiplied by one stacked ``np.matmul`` and
-    summed into their outputs by the same matrix product as ``_mul`` (at
-    order 0, one term); only then are the free axes put in the output's
-    order, so that copy runs on N(order) rows, not one per term."""
+    output axes.  The operands' first N(order) coefficients become stacks
+    of (free, summed) and (summed, free) matrices, and the Leibniz terms are
+    summed into one output buffer in groups, by stacked ``np.matmul``
+    products: alpha = 0 for every output in one product, then for each
+    degree the terms beta = 0 and the pairs of ``add_pair_terms``.  Only
+    then are the free axes put in the output's order, so that copy runs on
+    N(order) rows, not one per term."""
     n, axes_a, axes_b, mat_a, mat_b, free, axes_out = _contraction(subscripts, a.ndim)
-    _, ia, ib = _MUL_TABLES[order]
-    shape = (len(ia),) + a.shape[1:n]
-    x, y = a[ia].transpose(axes_a).reshape(shape + mat_a), b[ib].transpose(axes_b).reshape(shape + mat_b)
-    out = x @ y
-    if order > 0:
-        out = _MUL_SCATTER[order] @ out.reshape(len(ia), -1)
-    return np.ascontiguousarray(out.reshape((N_BY_ORDER[order],) + shape[1:] + free).transpose(axes_out))
-
-
-@functools.lru_cache(maxsize=None)
-def quotient_terms(d):
-    """The Leibniz terms a[alpha] q[gamma - alpha] with alpha > 0 of the
-    outputs gamma of degree d >= 1, as (ia, ib, S): the masked degree-d slice
-    of the order-d product table, and its one-hot (outputs, terms) scatter.
-    They are the terms the forward recurrence of a Taylor quotient q = c / a
-    subtracts, q[gamma] = (c[gamma] - sum a[alpha] q[gamma - alpha]) / a[0],
-    and ib reads only degrees below d (Griewank & Walther, ch. 13)."""
-    lo, hi = len(_MUL_TABLES[d - 1][0]), len(_MUL_TABLES[d][0])
-    _, ia, ib = (t[lo:hi] for t in _MUL_TABLES[d])
-    keep = ia > 0
-    return ia[keep], ib[keep], _MUL_SCATTER[d][N_BY_ORDER[d - 1] :, lo:hi][:, keep]
+    shape = (N_BY_ORDER[order],) + a.shape[1:n]
+    x = a[: shape[0]].transpose(axes_a).reshape(shape + mat_a)
+    y = b[: shape[0]].transpose(axes_b).reshape(shape + mat_b)
+    out = x[0] @ y
+    for c in range(1, order + 1):
+        rows = out[DEGREES[c]]
+        rows += x[DEGREES[c]] @ y[0]
+        add_pair_terms(rows, x, y, c)
+    return np.ascontiguousarray(out.reshape(shape + free).transpose(axes_out))
 
 
 def _build_diff_tables():
@@ -176,7 +214,8 @@ def partials(c):
     k >= 1: coefficients of order k - 1, d_m on a new last axis (a view of
     one gather)."""
     n = N_BY_ORDER[N_BY_ORDER.index(len(c)) - 1]
-    d = c[_DIFF_SRC[:n]] * _DIFF_FAC[:n].reshape((n, NVARS) + (1,) * (c.ndim - 1))
+    d = c[_DIFF_SRC[:n]]
+    d *= _DIFF_FAC[:n].reshape((n, NVARS) + (1,) * (c.ndim - 1))
     return d.transpose((0,) + tuple(range(2, d.ndim)) + (1,))
 
 

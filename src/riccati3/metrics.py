@@ -119,7 +119,7 @@ def builtin(name: str, **params) -> MetricSpec:
     for k, v in params.items():
         if k not in defaults:
             raise MetricError(f"metric '{name}' takes no parameter '{k}'")
-        merged[k] = float(v)
+        merged[k] = _parameter(k, v)
     return _spec_from_strings(name, comps, merged, box)
 
 
@@ -135,7 +135,7 @@ def custom(components: dict, params=None, name="custom", box=None) -> MetricSpec
 def from_dict(data: dict) -> MetricSpec:
     """Metric spec from a parsed JSON object (builtin or custom form).  A file
     of another shape raises a MetricError naming the key: 'builtin' not a
-    string, 'params' not an object of numbers, 'components' not an object of
+    string, 'params' not an object of finite numbers, 'components' not an object of
     strings, or 'box' not three [lo, hi] pairs of finite numbers, lo <= hi."""
     if not isinstance(data, dict):
         raise MetricError(f"metric file must hold a JSON object, got {type(data).__name__}")
@@ -144,7 +144,7 @@ def from_dict(data: dict) -> MetricSpec:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise MetricError(f"'params' must be a JSON object, got {type(params).__name__}")
-    params = {k: _number(v, f"parameter '{k}'") for k, v in params.items()}
+    params = {k: _parameter(k, v) for k, v in params.items()}
     if "builtin" in data:
         if not isinstance(data["builtin"], str):
             raise MetricError(f"'builtin' must be a string, got {data['builtin']!r}")
@@ -167,6 +167,15 @@ def _number(value, what):
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise MetricError(f"{what} must be a number, got {value!r}") from None
+
+
+def _parameter(key, value):
+    """The parameter ``key`` as a float, or a MetricError naming it if value
+    is not a number or is inf or nan."""
+    value = _number(value, f"parameter '{key}'")
+    if not math.isfinite(value):
+        raise MetricError(f"parameter '{key}' must be a finite number, got {value!r}")
+    return value
 
 
 def _box(box):
@@ -261,8 +270,12 @@ def _metric_fault(spec, at, values):
 def lowered_symbol(dg):
     """Christoffel symbols of the first kind from the metric's first partials
     in the ``partials`` layout dg[..., i, j, m] = d_m g_ij (symmetric in i, j):
-    low[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    return 0.5 * (dg.swapaxes(-1, -2) + dg - dg.swapaxes(-3, -1))
+    low[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, built in place
+    as a C-contiguous array."""
+    low = np.add(dg.swapaxes(-1, -2), dg, order="C")
+    low -= dg.swapaxes(-3, -1)
+    low *= 0.5
+    return low
 
 
 def gamma_at(spec: MetricSpec, p):

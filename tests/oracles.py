@@ -4,12 +4,12 @@ point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
 of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
 curvature kernel's forward substitution for Gamma; a plain-float tree walk
-(``eval_scalar``) checks the jet evaluator, and a loop over multi-index pairs
-the Leibniz tables it is built on.  The FrameData text reader (the inverse of
-``frame-check --dump-frame``), the coupling of a frame's bundle to a
-classifier instance, the algebraic model pack with its null Jacobi directions
-and the reconstruction of the trace-free candidate u live here too: only
-tests use them."""
+(``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
+the Leibniz tables it is built on and the grouped contracted products.  The
+FrameData text reader (the inverse of ``frame-check --dump-frame``), the
+coupling of a frame's bundle to a classifier instance, the algebraic model
+pack with its null Jacobi directions and the reconstruction of the
+trace-free candidate u live here too: only tests use them."""
 
 import math
 from typing import NamedTuple
@@ -258,6 +258,24 @@ def mul_tables():
         m = int(np.searchsorted(out_idx, n))
         tables.append((out_idx[:m], a_idx[:m], b_idx[:m]))
     return tuple(tables)
+
+
+def leibniz_contract(subscripts, a, b, order):
+    """``exprjet.contract`` pair by pair: for each output multi-index gamma of
+    degree <= order, the ``np.einsum`` contractions of a[alpha] with
+    b[gamma - alpha] over every alpha <= gamma, added in graded-lex order
+    of alpha.  Operands have shape (N,) + batch + their tensor axes."""
+    ins, res = subscripts.split("->")
+    sa, sb = ins.split(",")
+    out = []
+    for gamma in MULTI_INDICES[: N_BY_ORDER[order]]:
+        total = 0.0
+        for ai, alpha in enumerate(MULTI_INDICES):
+            beta = tuple(g - x for g, x in zip(gamma, alpha))
+            if min(beta) >= 0:
+                total = total + np.einsum(f"...{sa},...{sb}->...{res}", a[ai], b[INDEX_OF[beta]])
+        out.append(total)
+    return np.array(out)
 
 
 class DegenerateSystem(ValueError):

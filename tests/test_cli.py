@@ -296,6 +296,7 @@ RICCATI = ("riccati", "flat", "--point", "0,0,0", "--dir", "1,0,0")
         (RICCATI + ("--dt", "0"), "--dt"),
         (RICCATI + ("--T", "-1"), "--T"),
         (RICCATI + ("--dt", "1e-13"), "MAX_STEPS"),
+        (("riccati", "heisenberg", "--param", "L=-inf") + RICCATI[2:], "--param L must be a finite number, got '-inf'"),
     ],
 )
 def test_riccati_bad_input_exits_2(tmp_path, argv, words):
@@ -445,6 +446,8 @@ def test_classify_malformed_instance_exits_2(tmp_path, text, words):
         (("analyze", "hyperbolic", "--param", "c=0"), "division by ~0"),
         (("analyze", "flat", "--tol", "-1"), "--tol"),
         (("analyze", "flat", "--tol", "nan"), "--tol"),
+        (("analyze", "heisenberg", "--param", "L=inf"), "--param L must be a finite number, got 'inf'"),
+        (("analyze", "heisenberg", "--param", "L=nan"), "--param L must be a finite number, got 'nan'"),
     ],
 )
 def test_analyze_bad_input_exits_2(argv, words):
@@ -680,10 +683,16 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
             "'box' pair [0.0, inf] needs finite bounds with lo <= hi",
         ),
         (json.dumps({"components": FLAT, "box": [[0, 1]]}), "'box' must be three [lo, hi] pairs, got [[0, 1]]"),
+        ('{"builtin": "heisenberg", "params": {"L": Infinity}}', "parameter 'L' must be a finite number, got inf"),
+        (
+            '{"components": %s, "params": {"c": NaN}}' % json.dumps(FLAT),
+            "parameter 'c' must be a finite number, got nan",
+        ),
     ],
     ids=[
         "list", "param-text", "param-custom-form", "param-builtin-form", "params-list", "builtin-params-list",
-        "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair",
+        "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair", "param-infinity",
+        "param-nan",
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "riccati"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from riccati3.curvature import (
     ricci_rank,
 )
 from riccati3.exprjet import INDEX_OF, contract, partials
-from riccati3.metrics import MetricError, lowered_symbol, metric_jets
+from riccati3.metrics import MetricError, MetricJet, lowered_symbol, metric_jets
 
 # a custom metric with random-looking polynomial (and one sine) components
 RANDOM_POLY = {
@@ -56,6 +57,14 @@ def test_degenerate_metric_rejected():
     )
     with pytest.raises(MetricError):
         metric_jets(spec, (0, 0, 0))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_builtin_parameter_is_refused(value):
+    """A builtin's parameter that is inf or nan is refused when the metric is
+    built, naming the parameter, not later as a non-finite metric value."""
+    with pytest.raises(MetricError, match=rf"^parameter 'L' must be a finite number, got {value!r}$"):
+        metrics.builtin("heisenberg", L=value)
 
 
 def test_tiny_determinant_is_refused_naming_the_point():
@@ -643,10 +652,26 @@ def test_batched_identity_residuals_are_per_point(tamper):
         assert (max(one.values()) > 1e-3) if tamper else (max(one.values()) < 1e-9)
 
 
-# metrics whose packs round by a point's position in the batch: exprjet sums
-# the Leibniz terms of all points of a batch in one BLAS product (``_mul``,
-# ``contract``), whose rounding depends on the column a point lands in
+# metrics whose packs round by a point's position in the batch: the tape's
+# ``exprjet._mul`` sums the Leibniz terms of all points of a batch in one BLAS
+# product, whose rounding depends on the column a point lands in, so their
+# metric jets do; the curvature kernel itself does not (see the next test)
 POSITION_ROUNDED = ("sphere", "s3sin", "h2coshr")
+
+
+@pytest.mark.parametrize("name", PACK_ZOO)
+def test_pack_of_permuted_jets_is_the_permuted_pack(name):
+    """The curvature kernel rounds each point the same wherever it stands in
+    the batch: at each of 20 seeds, the pack of the permuted metric jets is
+    the permuted pack, every field bit for bit, for every metric."""
+    spec = _zoo_spec(name)
+    perm = np.random.default_rng(7).permutation(11)
+    for seed in range(5, 25):
+        m = metric_jets(spec, _zoo_points(spec, 11, seed=seed))
+        fields = _pack_fields(curvature_pack(m))
+        permuted = _pack_fields(curvature_pack(MetricJet(m.point[perm], m.coef[:, perm], spec)))
+        for field, value in fields.items():
+            assert np.array_equal(permuted[field], value[perm]), (field, seed)
 
 
 @pytest.mark.parametrize("name", PACK_ZOO)
@@ -684,3 +709,23 @@ def test_identity_residuals_of_a_permuted_pack_are_permuted_bitwise(name):
     res_perm = identity_residuals(pk_perm, vectors[perm])
     for key, value in res.items():
         assert np.array_equal(res_perm[key], value[perm]), key
+
+
+def test_pack_transient_memory_and_owned_fields():
+    """A 16-point sol pack allocates at most 400 KB at its peak (tracemalloc),
+    and no field of a batched or one-point pack is a view into a larger
+    array, such as the higher-order coefficients it was sliced from."""
+    spec = metrics.builtin("sol")
+    m = metric_jets(spec, _zoo_points(spec, 16, seed=3))
+    curvature_pack(m)  # first-call caches outside the measurement
+    tracemalloc.start()
+    try:
+        pack = curvature_pack(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400_000, peak
+    for pk in (pack, pack_at(spec, tuple(m.point[0]))):
+        for field, value in _pack_fields(pk).items():
+            base = getattr(value, "base", None)
+            assert base is None or base.nbytes <= value.nbytes, field

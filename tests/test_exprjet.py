@@ -7,22 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_scalar, mul_tables
+from oracles import eval_scalar, leibniz_contract, mul_tables
 
 from riccati3.exprjet import (
+    DEGREES,
     DomainFault,
     MULTI_INDICES,
     N_BY_ORDER,
     ParseError,
-    _MUL_SCATTER,
     _MUL_TABLES,
+    _PAIR_SCATTERS,
     _mul,
+    add_pair_terms,
     contract,
     eval_dual,
     eval_jet,
     format_expr,
     parse_expr,
-    quotient_terms,
 )
 from riccati3 import curvature
 from riccati3.metrics import MetricError, builtin, custom, gamma_at, metric_jets
@@ -458,36 +459,39 @@ def test_gamma_at_matches_order4_pack(spec):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_quotient_terms_are_the_degree_d_terms_with_nonzero_alpha(d):
-    """quotient_terms(d) is every Leibniz pair (alpha, gamma - alpha) with
-    |gamma| = d and alpha != 0, once each, scattered to gamma's row."""
-    ia, ib, S = quotient_terms(d)
-    lo = N_BY_ORDER[d - 1]
-    assert S.shape == (N_BY_ORDER[d] - lo, len(ia)) and np.array_equal(S.sum(axis=0), np.ones(len(ia)))
-    got = sorted((lo + int(np.argmax(S[:, t])), int(ia[t]), int(ib[t])) for t in range(len(ia)))
-    want = sorted(
-        (gi, ai, MULTI_INDICES.index(tuple(g - a for g, a in zip(gamma, alpha))))
-        for gi, gamma in enumerate(MULTI_INDICES)
-        if sum(gamma) == d
-        for ai, alpha in enumerate(MULTI_INDICES)
-        if sum(alpha) > 0 and all(a <= g for a, g in zip(alpha, gamma))
-    )
-    assert got == want
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+def test_group_tables_cover_every_leibniz_pair_once(c):
+    """The outputs of degree c take every Leibniz pair (gamma, alpha, beta) of
+    the pair loop exactly once: alpha = 0 and beta = 0 as one term per
+    output, and the pairs with both nonzero from _PAIR_SCATTERS[c], whose
+    one-hot columns each name the one output alpha + beta."""
+    rows = range(DEGREES[c].start, DEGREES[c].stop)
+    got = [(g, 0, g) for g in rows] + [(g, g, 0) for g in rows if g]
+    for j, scatter in enumerate(_PAIR_SCATTERS[c], 1):
+        pairs = [(a, b) for a in range(DEGREES[j].start, DEGREES[j].stop)
+                 for b in range(DEGREES[c - j].start, DEGREES[c - j].stop)]
+        assert scatter.shape == (len(rows), len(pairs))
+        assert np.array_equal(scatter.sum(axis=0), np.ones(len(pairs))) and set(np.unique(scatter)) == {0.0, 1.0}
+        got += [(rows[int(np.argmax(scatter[:, t]))], a, b) for t, (a, b) in enumerate(pairs)]
+    out, ia, ib = mul_tables()[-1]
+    want = [(int(g), int(a), int(b)) for g, a, b in zip(out, ia, ib) if g in rows]
+    assert sorted(got) == sorted(want) and len(set(got)) == len(got)
 
 
 def test_forward_recurrence_divides_jets():
-    """q = c / a degree by degree over quotient_terms gives the jet of the
+    """q = c / a degree by degree, each degree's sum the term alpha = gamma
+    and add_pair_terms' groups on 1x1 matrices, gives the jet of the
     quotient expression, at one point and a batch of 3."""
     num, den = "exp(x1 - x3) + x2", "2 + sin(x1) * x2 + x3^2"
     for p in ((0.3, -0.2, 0.5), np.array([[0.3, -0.2, 0.5], [0.0, 0.0, 0.0], [-1.0, 0.7, 0.4]])):
         c, a = eval_jet(parse_expr(num), p).coef, eval_jet(parse_expr(den), p).coef
         q = np.empty_like(c)
         q[0] = c[0] / a[0]
+        A, Q = a[..., None, None], q[..., None, None]
         for d in range(1, 5):
-            ia, ib, S = quotient_terms(d)
-            lo, hi = N_BY_ORDER[d - 1], N_BY_ORDER[d]
-            q[lo:hi] = (c[lo:hi] - S @ (a[ia] * q[ib])) / a[0]
+            acc = A[DEGREES[d]] @ Q[0]
+            add_pair_terms(acc, A, Q, d)
+            q[DEGREES[d]] = (c[DEGREES[d]] - acc[..., 0, 0]) / a[0]
         want = eval_jet(parse_expr(f"({num}) / ({den})"), p).coef
         assert np.all(np.abs(q - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -527,20 +531,12 @@ def test_curvature_subscripts_are_the_kernels(monkeypatch):
     assert seen == set(CURVATURE_SUBSCRIPTS)
 
 
-def _contract_reference(subscripts, a, b, order):
-    """The gathered Leibniz terms contracted by ``np.einsum``, then summed by the scatter."""
-    ins, res = subscripts.split("->")
-    sa, sb = ins.split(",")
-    _, ia, ib = _MUL_TABLES[order]
-    terms = np.einsum(f"t...{sa},t...{sb}->t...{res}", a[ia], b[ib])
-    return np.tensordot(_MUL_SCATTER[order], terms, axes=1)
-
-
 @pytest.mark.parametrize("subscripts", ORACLE_SUBSCRIPTS + CURVATURE_SUBSCRIPTS)
 @pytest.mark.parametrize("batch", [(), (1,), (7,)])
 def test_contract_matches_einsum_reference(subscripts, batch):
-    """``contract``'s stacked matrix product gives the einsum contraction of the
-    same terms, at one point (no batch axis) and at batches of 1 and 7."""
+    """``contract``'s grouped sums give the pair-by-pair einsum Leibniz product
+    (``oracles.leibniz_contract``) at orders 0-4, at one point (no batch axis)
+    and at batches of 1 and 7: within 4 ulp of the sum of the absolute terms."""
     ins, res = subscripts.split("->")
     sa, sb = ins.split(",")
     rng = np.random.default_rng(len(batch) + 17 * (ORACLE_SUBSCRIPTS + CURVATURE_SUBSCRIPTS).index(subscripts))
@@ -548,7 +544,8 @@ def test_contract_matches_einsum_reference(subscripts, batch):
     b = rng.uniform(-1.0, 1.0, (N_BY_ORDER[4],) + batch + (3,) * len(sb))
     for order in range(5):
         got = contract(subscripts, a, b, order)
-        want = _contract_reference(subscripts, a, b, order)
+        want = leibniz_contract(subscripts, a, b, order)
+        bound = 4 * np.finfo(float).eps * leibniz_contract(subscripts, np.abs(a), np.abs(b), order)
         assert got.shape == want.shape == (N_BY_ORDER[order],) + batch + (3,) * len(res)
         assert got.flags.c_contiguous
-        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (order, batch)
+        assert np.all(np.abs(got - want) <= bound), (order, batch)
