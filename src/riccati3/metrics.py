@@ -20,6 +20,8 @@ import numpy as np
 from .exprjet import Expr, Tape, as_point, eval_dual, eval_jet, parse_expr
 
 COMPONENT_NAMES = ("g11", "g12", "g13", "g22", "g23", "g33")
+# the keys a metric file may hold
+FILE_KEYS = ("builtin", "params", "components", "name", "box")
 _SYM_INDEX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
 # component index of every entry of the full 3x3 matrix
 _FULL_INDEX = np.array([[_SYM_INDEX[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
@@ -136,9 +138,14 @@ def from_dict(data: dict) -> MetricSpec:
     """Metric spec from a parsed JSON object (builtin or custom form).  A file
     of another shape raises a MetricError naming the key: 'builtin' not a
     string, 'params' not an object of finite numbers, 'components' not an object of
-    strings, or 'box' not three [lo, hi] pairs of finite numbers, lo <= hi."""
+    strings, or 'box' not three [lo, hi] pairs of finite numbers, lo <= hi.
+    A key other than those, 'builtin' and 'name', or a component other than
+    g11 ... g33, is refused by name rather than ignored."""
     if not isinstance(data, dict):
         raise MetricError(f"metric file must hold a JSON object, got {type(data).__name__}")
+    for key in data:
+        if key not in FILE_KEYS:
+            raise MetricError(f"metric file: unknown key {key!r} (have {', '.join(FILE_KEYS)})")
     if data.get("builtin") == "custom":
         data = {k: v for k, v in data.items() if k != "builtin"}
     params = data.get("params", {})
@@ -153,8 +160,10 @@ def from_dict(data: dict) -> MetricSpec:
         comps = data["components"]
         if not isinstance(comps, dict):
             raise MetricError(f"'components' must be a JSON object, got {type(comps).__name__}")
-        for name in COMPONENT_NAMES:
-            if name in comps and not isinstance(comps[name], str):
+        for name in comps:
+            if name not in COMPONENT_NAMES:
+                raise MetricError(f"metric file: unknown component {name!r} (have {', '.join(COMPONENT_NAMES)})")
+            if not isinstance(comps[name], str):
                 raise MetricError(f"component '{name}' must be a string, got {comps[name]!r}")
         box = None if data.get("box") is None else _box(data["box"])
         return custom(comps, params=params, name=data.get("name", "custom"), box=box)

@@ -32,14 +32,20 @@ coefficient is rational (fractions.Fraction); the float path uses a relative
 coefficient tolerance of 1e-12.  Every non-Infeasible verdict is re-checked
 against the expanded constraint (the brute-force oracle).
 
-Exact arithmetic runs on Python integers (fraction-free, as in Bareiss,
-Math. Comp. 22 (1968), and Collins, J. ACM 14 (1967)): ``pmul`` brings each
-rational operand to integer numerators over one common denominator (the lcm
-of its coefficients' denominators), convolves the numerators with the same
-loop floats use, and builds one Fraction per output coefficient; the oracle
-expands both sides of the constraint on integers over one common
-denominator and divides only for its float residuals, which Python's
-correctly rounded int / int makes equal to those of the Fraction values.
+Exact arithmetic runs on Python integers end to end (fraction-free, as in
+Bareiss, Math. Comp. 22 (1968), and Collins, J. ACM 14 (1967)).  A
+classification converts its instance once to an integer form: each
+polynomial, and the regime's scalars, as integer numerators over a positive
+integer denominator (the lcm of the coefficients' denominators).  Every step
+of the decision trees and of the oracle computes on these numerators and
+carries the denominators alongside; a division scales its dividend by a
+power of the divisor's leading numerator first, so that every quotient step
+divides exactly (pseudo-division).  Fractions are built only for the
+reported witnesses.  A float instance takes the same steps with its floats
+as numerators over 1, so its arithmetic is the plain float arithmetic.  The
+floats the exact path reads (sqrt(Lambda), the sign choices, the oracle's
+residuals) are int / int quotients, which Python rounds correctly, so they
+equal those of the Fraction values.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ FLOAT_TOL = 1e-12
 
 T2P1 = (1, 0, 1)  # t^2 + 1
 
+# the scalars of each regime, as instance-file keys
+SCALAR_KEYS = {"a12": ("Lambda",), "a3": ("lambda2", "lambda3")}
+
 
 class PolyclassError(ValueError):
     pass
@@ -62,7 +71,7 @@ class OrderingError(PolyclassError):
     """lambda2 >= lambda3 in regime a3; tilde-transform first."""
 
 
-# --- dense polynomial helpers (field coefficients: Fraction or float) ----
+# --- dense polynomial helpers (coefficients: Python ints, or floats) ------
 
 
 def trim(c):
@@ -89,37 +98,15 @@ def psub(a, b):
     return padd(a, pneg(b))
 
 
-def _rational(coefficients):
-    """Whether the coefficients are ints and Fractions with at least one
-    Fraction: the operands the integer kernel takes."""
-    kinds = set(map(type, coefficients))
-    return Fraction in kinds and kinds <= {int, Fraction}
-
-
-def _numerators(p):
-    """(integer numerators, D) with p = numerators / D, for int/Fraction
-    coefficients: D is the lcm of their denominators."""
-    D = math.lcm(*(x.denominator for x in p))
-    return [x.numerator * (D // x.denominator) for x in p], D
-
-
 def pmul(a, b):
-    """Product of two polynomials.  When a Fraction is among int/Fraction
-    coefficients, the convolution runs on the operands' integer numerators
-    and one Fraction is built per output coefficient."""
+    """Product of two polynomials: the plain convolution."""
     a, b = trim(a), trim(b)
     if not a or not b:
         return ()
-    rational = _rational(a + b)
-    if rational:
-        (a, da), (b, db) = _numerators(a), _numerators(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    if rational:  # nonzero leading numerators: nothing to trim
-        D = da * db
-        return tuple(Fraction(n, D) for n in out)
     return trim(out)
 
 
@@ -128,36 +115,26 @@ def pscale(a, s):
 
 
 def pdivmod(num, den):
-    """Polynomial long division over a field.  When a Fraction is among
-    int/Fraction coefficients, it runs on integer numerators: num is first
-    scaled by lead^(deg num - deg den + 1), lead the leading numerator of den,
-    so every quotient step divides exactly (pseudo-division), and the
-    Fractions are built at the end."""
+    """Polynomial long division.  On integer coefficients every quotient step
+    is an exact integer division, so num must be a multiple the steps divide:
+    ``_qdiv`` first scales it by |lead|^(deg num - deg den + 1), lead the
+    leading coefficient of den (pseudo-division).  On other coefficients the
+    division runs over the field."""
     num, den = list(trim(num)), trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    rational = _rational(num + list(den))
-    steps = max(0, len(num) - len(den) + 1)
-    if rational:
-        (num, dn), (den, dd) = _numerators(num), _numerators(den)
-        scale = den[-1] ** steps
-        num = [x * scale for x in num]
-    q = [0] * steps
     lead = den[-1]
+    integer = type(lead) is int and all(type(x) is int for x in num)
+    q = [0] * max(0, len(num) - len(den) + 1)
     while len(num) >= len(den) and any(x != 0 for x in num):
         k = len(num) - len(den)
-        coef = num[-1] // lead if rational else num[-1] / lead
+        coef = num[-1] // lead if integer else num[-1] / lead
         q[k] = coef
         for i, d in enumerate(den):
             num[k + i] -= coef * d
         num.pop()
         while num and num[-1] == 0:
             num.pop()
-    if rational:
-        return (
-            tuple(Fraction(x * dd, scale * dn) for x in trim(q)),
-            tuple(Fraction(x, scale * dn) for x in num),
-        )
     return trim(q), trim(num)
 
 
@@ -173,8 +150,7 @@ def _rel_tol(tol, a):
 
 def _is_zero(a, tol):
     """Every coefficient of a is within tol of 0; at tol 0, the tolerance of an
-    exact instance, every one is exactly 0 (no float conversion, which would
-    take a nonzero Fraction below the float range for 0)."""
+    exact instance, every one is exactly 0, with no float conversion."""
     if tol == 0:
         return not any(a)
     return pmax(a) <= tol
@@ -286,12 +262,6 @@ class ConstraintInstance:
         scale = max(pmax(self.a), pmax(self.c), pmax(self.d1), pmax(self.P), 1.0)
         return FLOAT_TOL * scale
 
-    def rhs_weight(self):
-        """The regime's right-hand side factor beyond (t^2+1)(a c)^2."""
-        if self.regime == "a12":
-            return (self.Lambda,)
-        return pscale((self.lambda3, 0, self.lambda2), -8)
-
 
 class BranchVerdict(NamedTuple):
     branch: str
@@ -301,15 +271,118 @@ class BranchVerdict(NamedTuple):
     certificate: str = ""
 
 
-def _constraint_sides(inst):
+# --- the integer form ---------------------------------------------------
+
+
+class _Form(NamedTuple):
+    """An instance as the classifiers compute on it.  Each polynomial is a
+    pair (numerators, denominator), and ``lam`` holds the regime's scalars,
+    (Lambda,) or (lambda2, lambda3), as numerators over one denominator.  On
+    an exact instance the numerators are Python ints over a positive int
+    denominator, the lcm of the coefficients' denominators; on a float
+    instance they are the floats themselves over 1, so one arithmetic serves
+    both."""
+
+    regime: str
+    exact: bool
+    tol: float
+    a: tuple
+    c: tuple
+    d1: tuple
+    P: tuple
+    lam: tuple
+
+
+def _numerators(p):
+    """(integer numerators, D) with p = numerators / D, for Fraction
+    coefficients: D is the lcm of their denominators."""
+    D = math.lcm(*(x.denominator for x in p))
+    return tuple(x.numerator * (D // x.denominator) for x in p), D
+
+
+def _form(inst: ConstraintInstance) -> _Form:
+    pair = _numerators if inst.exact else (lambda p: (p, 1))
+    lam = (inst.Lambda,) if inst.regime == "a12" else (inst.lambda2, inst.lambda3)
+    return _Form(
+        inst.regime, inst.exact, inst.tol(),
+        pair(inst.a), pair(inst.c), pair(inst.d1), pair(inst.P), pair(lam),
+    )
+
+
+def _tilde(f: _Form) -> _Form:
+    """The form of ``tilde_transform(inst)`` from the form f of inst."""
+
+    def rev(p, deg):
+        r = _reverse(p[0], deg)
+        return (r if f.exact else tuple(map(float, r))), p[1]
+
+    (l2, l3), den = f.lam
+    return f._replace(a=rev(f.a, 2), c=rev(f.c, 2), d1=rev(f.d1, 3), P=rev(f.P, 6), lam=((l3, l2), den))
+
+
+# Arithmetic on (numerators, denominator) pairs.  On a float form every
+# denominator is 1, so each step is the float operation of the numerators
+# alone: a product or scaling by an int 1 leaves a float's bits unchanged.
+
+_T2P1 = (T2P1, 1)
+
+
+def _qmul(x, y):
+    return pmul(x[0], y[0]), x[1] * y[1]
+
+
+def _qscale(x, s):
+    """x times the scalar s = (numerator, denominator)."""
+    return pscale(x[0], s[0]), x[1] * s[1]
+
+
+def _qsub(x, y):
+    return psub(pscale(x[0], y[1]), pscale(y[0], x[1])), x[1] * y[1]
+
+
+def _ratio(n, d):
+    """The scalar n / d as a pair: (n / d, 1) on floats, and on ints (n, d)
+    with the sign moved to n."""
+    if type(d) is not int:
+        return n / d, 1
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _qdiv(x, y):
+    """(quotient, remainder) of x / y.  On integer numerators x is first
+    scaled by s = |lead|^(deg x - deg y + 1), lead the leading numerator of
+    y, so that every step of ``pdivmod`` divides exactly (pseudo-division),
+    and s joins the denominators."""
+    (num, dn), (den, dd) = x, y
+    lead, steps = trim(den)[-1], degree(num) - degree(den) + 1
+    s = abs(lead) ** max(0, steps) if type(lead) is int else 1
+    q, r = pdivmod(pscale(num, s), den)
+    return (pscale(q, dd), s * dn), (r, s * dn)
+
+
+def _floats(p, n):
+    """The polynomial p's coefficients as floats (int / int, correctly
+    rounded), padded with zeros to n."""
+    nums, den = p
+    return [x / den for x in nums] + [0.0] * (n - len(nums))
+
+
+def _values(p, exact):
+    """The reported coefficients of p: Fractions on an exact form, the
+    floats otherwise."""
+    nums, den = p
+    return tuple(Fraction(x, den) for x in nums) if exact else nums
+
+
+def _constraint_sides(f):
     """The expanded sides P^2 + (t^2+1) (d1 c)^2 and (t^2+1) (a c)^2 w, with w
-    the regime's ``rhs_weight``, as (lhs, rhs, D): the sides' coefficients
-    times D.  On the exact path they are integers over one common denominator
-    D, so the expansion builds no Fraction; on the float path they are the
-    float coefficients and D is 1."""
-    polys = (inst.P, inst.d1, inst.c, inst.a, inst.rhs_weight())
-    parts = map(_numerators, polys) if inst.exact else ((p, 1) for p in polys)
-    (P, dP), (d1, dd), (c, dc), (a, da), (w, dw) = parts
+    Lambda in regime a12 and -8 (lambda3 t^2 + lambda2) in a3, as (lhs, rhs,
+    D): the sides' coefficients times D.  On an exact form they are integers
+    over one common denominator D, so the expansion builds no Fraction; on a
+    float form they are the float coefficients and D is 1."""
+    lam, dw = f.lam
+    w = lam if f.regime == "a12" else pscale((lam[1], 0, lam[0]), -8)
+    (P, dP), (d1, dd), (c, dc), (a, da) = f.P, f.d1, f.c, f.a
     d1c, ac = pmul(d1, c), pmul(a, c)
     sq, sq_den = pmul(P, P), dP * dP
     cross, cross_den = pmul(T2P1, pmul(d1c, d1c)), (dd * dc) ** 2
@@ -329,15 +402,15 @@ def verify_constraint(inst: ConstraintInstance) -> float:
     when the constraint holds.  This expansion is the oracle every
     classification claim is checked against.
     """
-    lhs, rhs, D = _constraint_sides(inst)
+    lhs, rhs, D = _constraint_sides(_form(inst))
     return _fmax(psub(lhs, rhs), D)
 
 
-def _verdicts(inst):
+def _verdicts(f):
     """The two verdict makers of one classification: ``infeasible(cert)``, and
     ``sound(branch, signs, witness)``, which raises unless the expanded
     constraint holds to 1e-9 of the size of its sides."""
-    lhs, rhs, D = _constraint_sides(inst)
+    lhs, rhs, D = _constraint_sides(f)
     oracle = _fmax(psub(lhs, rhs), D)
     scale = max(_fmax(lhs, D), _fmax(rhs, D), 1.0)
     if not (math.isfinite(oracle) and math.isfinite(scale)):
@@ -357,8 +430,8 @@ def _verdicts(inst):
 
 
 def _exact_divide(num, den, tol):
-    q, r = pdivmod(num, den)
-    if not _is_zero(r, _rel_tol(tol, num)):
+    q, r = _qdiv(num, den)
+    if not _is_zero(r[0], _rel_tol(tol, num[0])):
         return None
     return q
 
@@ -367,64 +440,68 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     """Decision tree for the a12 constraint; see the module docstring."""
     if inst.regime != "a12":
         raise PolyclassError("classify_a12 needs regime a12")
-    tol = inst.tol()
-    infeasible, sound = _verdicts(inst)
+    return _classify_a12(_form(inst))
 
-    if _is_zero(inst.c, tol):
-        if _is_zero(inst.P, tol):
+
+def _classify_a12(f: _Form) -> BranchVerdict:
+    tol = f.tol
+    infeasible, sound = _verdicts(f)
+
+    if _is_zero(f.c[0], tol):
+        if _is_zero(f.P[0], tol):
             return sound("CZero", (), {})
         return infeasible("c = 0 forces P = 0, but P is nonzero")
 
-    q = _exact_divide(inst.P, inst.c, tol)
+    q = _exact_divide(f.P, f.c, tol)
     if q is None:
         return infeasible("c does not divide P")
-    v = _exact_divide(q, T2P1, tol)
+    v = _exact_divide(q, _T2P1, tol)
     if v is None:
         return infeasible("(t^2+1) does not divide P / c")
 
-    W = psub(pscale(pmul(inst.a, inst.a), inst.Lambda), pmul(inst.d1, inst.d1))
-    wtol = tol * max(1.0, pmax(W) / max(pmax(inst.a) ** 2, 1e-300)) if not inst.exact else 0
+    (lam,), lam_den = f.lam
+    W = _qsub(_qscale(_qmul(f.a, f.a), (lam, lam_den)), _qmul(f.d1, f.d1))
+    wtol = tol * max(1.0, pmax(W[0]) / max(pmax(f.a[0]) ** 2, 1e-300)) if not f.exact else 0
 
-    if _is_zero(W, max(tol, wtol)):
-        if not _is_zero(v, tol):
+    if _is_zero(W[0], max(tol, wtol)):
+        if not _is_zero(v[0], tol):
             return infeasible("Lambda a^2 = d1^2 but P/c has a (t^2+1) cofactor")
-        s = _match_sqrt_sign(inst.a, inst.d1, _sqrt_lambda(inst))
+        s = _match_sqrt_sign(f.a, f.d1, _sqrt_lambda(f))
         return sound("DEqualsSqrtLambdaA", (s,), {"v": ()})
 
-    Q = _exact_divide(W, T2P1, tol)
+    Q = _exact_divide(W, _T2P1, tol)
     if Q is None:
         return infeasible("(t^2+1) does not divide Lambda a^2 - d1^2")
 
-    diff = psub(Q, pmul(v, v))
-    if not _is_zero(diff, _rel_tol(tol, Q)):
+    diff = _qsub(Q, _qmul(v, v))
+    if not _is_zero(diff[0], _rel_tol(tol, Q[0])):
         cert = "constraint violated: (Lambda a^2 - d1^2)/(t^2+1) != v^2"
-        Qt = trim(Q)
+        Qt = trim(Q[0])
         if Qt and Qt[-1] < 0:
             cert += " (sign clash: cofactor has negative leading coefficient, x1 x2 < 0)"
         return infeasible(cert)
 
-    dv = degree(v)
-    m = _sqrt_lambda(inst)
-    fa = [float(x) for x in inst.a] + [0.0] * (3 - len(inst.a))
-    fd = [float(x) for x in inst.d1] + [0.0] * (3 - len(inst.d1))
+    dv = degree(v[0])
+    m = _sqrt_lambda(f)
+    fa, fd = _floats(f.a, 3), _floats(f.d1, 3)
     if dv == 0:
         # one of sqrt(Lambda) a +- d1 is the constant cofactor
         s = min((1, -1), key=lambda s: abs(m * fa[1] + s * fd[1]) + abs(m * fa[2] + s * fd[2]))
-        return sound("CaseIII", (s,), {"v": v, "x2": m * fa[0] + s * fd[0]})
+        return sound("CaseIII", (s,), {"v": _values(v, f.exact), "x2": m * fa[0] + s * fd[0]})
     if dv == 1:
         def resid(s):
-            f = [m * fa[k] + s * fd[k] for k in range(3)]
-            return abs(f[1]) + abs(f[2] - f[0])  # proportional to t^2+1
+            g = [m * fa[k] + s * fd[k] for k in range(3)]
+            return abs(g[1]) + abs(g[2] - g[0])  # proportional to t^2+1
 
         s = min((1, -1), key=resid)
-        return sound("CaseIV", (s,), {"v": v})
+        return sound("CaseIV", (s,), {"v": _values(v, f.exact)})
     return infeasible(f"unexpected cofactor degree {dv}")
 
 
-def _sqrt_lambda(inst):
+def _sqrt_lambda(f):
     """sqrt(Lambda) as a float; a positive Lambda that underflows to 0.0 as a
     float raises PolyclassError."""
-    lam = float(inst.Lambda)
+    lam = f.lam[0][0] / f.lam[1]
     if lam == 0.0:
         raise PolyclassError(
             "Lambda is positive but underflows to 0.0 as a float, so sqrt(Lambda) has no float value"
@@ -434,9 +511,8 @@ def _sqrt_lambda(inst):
 
 def _match_sqrt_sign(a, d1, m):
     """The sign s with d1 closest to s m a, m = sqrt(Lambda)."""
-    n = max(len(a), len(d1))
-    fa = [float(x) for x in a] + [0.0] * (n - len(a))
-    fd = [float(x) for x in d1] + [0.0] * (n - len(d1))
+    n = max(len(a[0]), len(d1[0]))
+    fa, fd = _floats(a, n), _floats(d1, n)
     return min((1, -1), key=lambda s: sum(abs(fd[k] - s * m * fa[k]) for k in range(n)))
 
 
@@ -444,45 +520,52 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     """Decision tree for the a3 constraint (lambda2 < lambda3 < 0)."""
     if inst.regime != "a3":
         raise PolyclassError("classify_a3 needs regime a3")
-    l2, l3 = inst.lambda2, inst.lambda3
-    if not l2 < l3:
+    if not inst.lambda2 < inst.lambda3:
         raise OrderingError("need lambda2 < lambda3; apply tilde_transform first")
-    tol = inst.tol()
-    infeasible, sound = _verdicts(inst)
+    return _classify_a3(_form(inst))
+
+
+def _classify_a3(f: _Form) -> BranchVerdict:
+    (l2, l3), mu = f.lam
+    tol = f.tol
+    infeasible, sound = _verdicts(f)
 
     # a must be the canonical -(lambda3 t^2 + lambda2)/2 up to positive scale,
     # and the whole tuple (a, c, d1; P with weight 2) is normalized by it
-    canon = pscale((l2, 0, l3), Fraction(-1, 2) if inst.exact else -0.5)
-    lead = trim(inst.a)[-1]
-    s_scale = lead / canon[2]
-    if s_scale <= 0 or not _is_zero(psub(inst.a, pscale(canon, s_scale)), tol):
+    canon = _qscale(((l2, 0, l3), mu), (-1, 2) if f.exact else (-0.5, 1))
+    lead = trim(f.a[0])[-1]
+    s_scale = _ratio(lead * canon[1], f.a[1] * canon[0][2])  # lead / canon[2]
+    if s_scale[0] <= 0 or not _is_zero(_qsub(f.a, _qscale(canon, s_scale))[0], tol):
         return infeasible("a is not a positive multiple of -(lambda3 t^2 + lambda2)/2")
-    c_n = pscale(inst.c, 1 / s_scale)
-    d1_n = pscale(inst.d1, 1 / s_scale)
-    P_n = pscale(inst.P, 1 / (s_scale * s_scale))
+    sn, sd = s_scale
+    inv, inv2 = _ratio(sd, sn), _ratio(sd * sd, sn * sn)  # 1 / s_scale, 1 / s_scale^2
+    c_n, d1_n, P_n = _qscale(f.c, inv), _qscale(f.d1, inv), _qscale(f.P, inv2)
 
-    if _is_zero(c_n, tol):
-        if _is_zero(P_n, tol):
+    if _is_zero(c_n[0], tol):
+        if _is_zero(P_n[0], tol):
             return sound("CZero", (), {})
         return infeasible("c = 0 forces P = 0, but P is nonzero")
 
     q1 = _exact_divide(P_n, c_n, tol)
     if q1 is None:
         return infeasible("c does not divide P")
-    q = _exact_divide(q1, T2P1, tol)
+    q = _exact_divide(q1, _T2P1, tol)
     if q is None:
         return infeasible("(t^2+1) does not divide P / c")
-    if degree(q) > 2:
+    if degree(q[0]) > 2:
         return infeasible("cofactor q has degree > 2")
 
-    base = (l2, 0, l3)  # lambda3 t^2 + lambda2
-    rhs = pmul(pmul(base, base), pscale((l3, 0, l2), -2))  # -2 (l3 t^2+l2)^2 (l2 t^2 + l3)
-    target = psub(rhs, pmul(T2P1, pmul(q, q)))  # must equal d1^2
-    resid = psub(pmul(d1_n, d1_n), target)
-    if not _is_zero(resid, _rel_tol(tol, target)):
+    base = ((l2, 0, l3), mu)  # lambda3 t^2 + lambda2
+    # -2 (l3 t^2+l2)^2 (l2 t^2 + l3)
+    rhs = _qmul(_qmul(base, base), (pscale((l3, 0, l2), -2), mu))
+    q2, d1_2 = _qmul(q, q), _qmul(d1_n, d1_n)
+    target = _qsub(rhs, _qmul(_T2P1, q2))  # must equal d1^2
+    resid = _qsub(d1_2, target)
+    if not _is_zero(resid[0], _rel_tol(tol, target[0])):
         cert = "constraint violated: d1^2 != -2(l3 t^2+l2)^2(l2 t^2+l3) - (t^2+1) q^2"
-        qt = list(trim(q)) + [0] * (3 - len(trim(q)))
-        lead_sq = qt[2] * qt[2] + 2 * l2 * l3 * l3
+        qt = list(trim(q[0])) + [0] * (3 - len(trim(q[0])))
+        # (lead of q)^2 + 2 lambda2 lambda3^2, times mu^3 and q's denominator squared
+        lead_sq = qt[2] * qt[2] * mu ** 3 + 2 * l2 * l3 * l3 * q[1] * q[1]
         if qt[1] == 0 and _is_zero((lead_sq,), max(tol, tol * pmax((qt[2],)) ** 2)):
             cert += (
                 "; q matches a deg q+- = 0 shape, which would force (r-1)(r^2+4) = 0"
@@ -491,22 +574,19 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
         return infeasible(cert)
 
     # only the printed solution shape remains: verify it exactly and read signs
-    t_base = pmul((0, 1), base)  # t (lambda3 t^2 + lambda2)
-    d1_shape = psub(pmul(d1_n, d1_n), pscale(pmul(t_base, t_base), 2 * (l3 - l2)))
-    q_shape = psub(pmul(q, q), pscale(pmul(base, base), -2 * l3))
-    if not _is_zero(d1_shape, _rel_tol(tol, pmul(d1_n, d1_n))) or not _is_zero(
-        q_shape, _rel_tol(tol, pmul(q, q))
+    t_base = _qmul(((0, 1), 1), base)  # t (lambda3 t^2 + lambda2)
+    d1_shape = _qsub(d1_2, _qscale(_qmul(t_base, t_base), (2 * (l3 - l2), mu)))
+    q_shape = _qsub(q2, _qscale(_qmul(base, base), (-2 * l3, mu)))
+    if not _is_zero(d1_shape[0], _rel_tol(tol, d1_2[0])) or not _is_zero(
+        q_shape[0], _rel_tol(tol, q2[0])
     ):
         return infeasible("solution does not match the rigid branch shapes")
-    d1t = list(trim(d1_n)) + [0] * (4 - len(trim(d1_n)))
-    qt = list(trim(q)) + [0] * (3 - len(trim(q)))
+    d1t = list(trim(d1_n[0])) + [0] * (4 - len(trim(d1_n[0])))
+    qt = list(trim(q[0])) + [0] * (3 - len(trim(q[0])))
     s_d = -1 if d1t[3] > 0 else 1  # d1 lead = s_d sqrt(2(l3-l2)) lambda3 < 0 for s_d=+1
     s_p = -1 if qt[2] > 0 else 1
-    return sound(
-        "A3BranchII",
-        (s_d, s_p),
-        {"q": q, "scale": s_scale},
-    )
+    scale = Fraction(sn, sd) if f.exact else sn
+    return sound("A3BranchII", (s_d, s_p), {"q": _values(q, f.exact), "scale": scale})
 
 
 def tilde_transform(inst: ConstraintInstance) -> ConstraintInstance:
@@ -531,11 +611,13 @@ def classify(inst: ConstraintInstance):
     instance whose products leave the float range of the checks raises
     PolyclassError."""
     try:
-        if inst.regime == "a12":
-            return classify_a12(inst), False
-        if inst.lambda2 < inst.lambda3:
-            return classify_a3(inst), False
-        return classify_a3(tilde_transform(inst)), True
+        f = _form(inst)
+        if f.regime == "a12":
+            return _classify_a12(f), False
+        (l2, l3), _ = f.lam
+        if l2 < l3:
+            return _classify_a3(f), False
+        return _classify_a3(_tilde(f)), True
     except OverflowError as exc:
         raise PolyclassError(f"the instance exceeds the float range: {exc}") from None
 
@@ -568,6 +650,13 @@ def instance_from_dict(data: dict) -> ConstraintInstance:
     missing = [k for k in ("regime", "a", "c", "d1", "P") if k not in data]
     if missing:
         raise PolyclassError(f"instance lacks {', '.join(missing)}")
+    regime = data["regime"]
+    if not isinstance(regime, str) or regime not in SCALAR_KEYS:
+        raise PolyclassError(f"unknown regime '{regime}'")
+    keys = ("regime", "a", "c", "d1", "P") + SCALAR_KEYS[regime]
+    for key in data:
+        if key not in keys:
+            raise PolyclassError(f"instance: unknown key {key!r} for regime {regime} (have {', '.join(keys)})")
     return ConstraintInstance(
         regime=data["regime"],
         a=data["a"],

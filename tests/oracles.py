@@ -5,13 +5,16 @@ Gamma from the order-1 metric jets and a linear solve, checks the float stage
 of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
 curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
-the Leibniz tables it is built on and the grouped contracted products.  The
-FrameData text reader (the inverse of ``frame-check --dump-frame``), the
+the Leibniz tables it is built on and the grouped contracted products; the
+polynomial classifiers' decision trees in plain Fraction arithmetic
+(``reference_classify``) check their integer form.  The FrameData text
+reader (the inverse of ``frame-check --dump-frame``), the
 coupling of a frame's bundle to a classifier instance, the algebraic model
 pack with its null Jacobi directions and the reconstruction of the
 trace-free candidate u live here too: only tests use them."""
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +37,7 @@ from riccati3.exprjet import (
 from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _padd, _pmul, special_direction_polys
 from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
+from riccati3.polyclass import BranchVerdict, ConstraintInstance
 from riccati3.riccati import _rk4
 
 
@@ -208,6 +212,232 @@ def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
         inst["regime"] = "a12"
         inst["Lambda"] = -8.0 * (fd.lambda2 if case == "a1" else fd.lambda3)
     return inst
+
+
+# --- the polynomial classifiers in plain arithmetic -----------------------
+# One Fraction (or float) operation per term, with no integer form and no
+# helper shared with riccati3.polyclass: the decision trees as they ran on
+# Fraction coefficients before the classifiers moved to integer numerators.
+
+
+def reference_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def reference_padd(a, b):
+    n = max(len(a), len(b))
+    return reference_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def reference_psub(a, b):
+    return reference_padd(a, tuple(-x for x in b))
+
+
+def reference_pscale(a, s):
+    return reference_trim([x * s for x in a])
+
+
+def reference_pmul(a, b):
+    """The plain convolution."""
+    a, b = reference_trim(a), reference_trim(b)
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return reference_trim(out)
+
+
+def reference_pdivmod(num, den):
+    """Plain long division."""
+    num, den = list(reference_trim(num)), reference_trim(den)
+    q = [0] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(x != 0 for x in num):
+        k = len(num) - len(den)
+        coef = num[-1] / den[-1]
+        q[k] = coef
+        for i, d in enumerate(den):
+            num[k + i] -= coef * d
+        num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+    return reference_trim(q), reference_trim(num)
+
+
+_REF_T2P1 = (1, 0, 1)
+
+
+def _ref_pmax(a):
+    return max((abs(float(x)) for x in a), default=0.0)
+
+
+def _ref_is_zero(a, tol):
+    return not any(a) if tol == 0 else _ref_pmax(a) <= tol
+
+
+def _ref_rel_tol(tol, a):
+    return max(tol, tol * _ref_pmax(a)) if tol else 0
+
+
+def _ref_degree(c):
+    return len(reference_trim(c)) - 1
+
+
+def reference_sides(inst):
+    """The expanded sides P^2 + (t^2+1) (d1 c)^2 and (t^2+1) (a c)^2 w of the
+    constraint in the instance's own coefficients, w = Lambda in regime a12
+    and -8 (lambda3 t^2 + lambda2) in a3."""
+    if inst.regime == "a12":
+        w = (inst.Lambda,)
+    else:
+        w = reference_pscale((inst.lambda3, 0, inst.lambda2), -8)
+    d1c, ac = reference_pmul(inst.d1, inst.c), reference_pmul(inst.a, inst.c)
+    lhs = reference_padd(reference_pmul(inst.P, inst.P), reference_pmul(_REF_T2P1, reference_pmul(d1c, d1c)))
+    rhs = reference_pmul(reference_pmul(_REF_T2P1, reference_pmul(ac, ac)), w)
+    return lhs, rhs
+
+
+def reference_residual(inst):
+    """max |lhs - rhs| of the constraint, by the reference expansion."""
+    lhs, rhs = reference_sides(inst)
+    return _ref_pmax(reference_psub(lhs, rhs))
+
+
+def _ref_verdicts(inst):
+    lhs, rhs = reference_sides(inst)
+    oracle = _ref_pmax(reference_psub(lhs, rhs))
+    scale = max(_ref_pmax(lhs), _ref_pmax(rhs), 1.0)
+
+    def infeasible(cert):
+        return BranchVerdict("Infeasible", (), {}, oracle, cert)
+
+    def sound(branch, signs, witness):
+        assert oracle <= 1e-9 * scale, (branch, oracle)
+        return BranchVerdict(branch, signs, witness, oracle)
+
+    return infeasible, sound
+
+
+def _ref_divide(num, den, tol):
+    q, r = reference_pdivmod(num, den)
+    return q if _ref_is_zero(r, _ref_rel_tol(tol, num)) else None
+
+
+def _ref_classify_a12(inst):
+    tol = inst.tol()
+    infeasible, sound = _ref_verdicts(inst)
+    if _ref_is_zero(inst.c, tol):
+        if _ref_is_zero(inst.P, tol):
+            return sound("CZero", (), {})
+        return infeasible("c = 0 forces P = 0, but P is nonzero")
+    q = _ref_divide(inst.P, inst.c, tol)
+    if q is None:
+        return infeasible("c does not divide P")
+    v = _ref_divide(q, _REF_T2P1, tol)
+    if v is None:
+        return infeasible("(t^2+1) does not divide P / c")
+    W = reference_psub(reference_pscale(reference_pmul(inst.a, inst.a), inst.Lambda), reference_pmul(inst.d1, inst.d1))
+    wtol = tol * max(1.0, _ref_pmax(W) / max(_ref_pmax(inst.a) ** 2, 1e-300)) if not inst.exact else 0
+    m = math.sqrt(float(inst.Lambda))
+    n = max(len(inst.a), len(inst.d1), 3)
+    fa = [float(x) for x in inst.a] + [0.0] * (n - len(inst.a))
+    fd = [float(x) for x in inst.d1] + [0.0] * (n - len(inst.d1))
+    if _ref_is_zero(W, max(tol, wtol)):
+        if not _ref_is_zero(v, tol):
+            return infeasible("Lambda a^2 = d1^2 but P/c has a (t^2+1) cofactor")
+        k = max(len(inst.a), len(inst.d1))
+        s = min((1, -1), key=lambda s: sum(abs(fd[i] - s * m * fa[i]) for i in range(k)))
+        return sound("DEqualsSqrtLambdaA", (s,), {"v": ()})
+    Q = _ref_divide(W, _REF_T2P1, tol)
+    if Q is None:
+        return infeasible("(t^2+1) does not divide Lambda a^2 - d1^2")
+    if not _ref_is_zero(reference_psub(Q, reference_pmul(v, v)), _ref_rel_tol(tol, Q)):
+        cert = "constraint violated: (Lambda a^2 - d1^2)/(t^2+1) != v^2"
+        Qt = reference_trim(Q)
+        if Qt and Qt[-1] < 0:
+            cert += " (sign clash: cofactor has negative leading coefficient, x1 x2 < 0)"
+        return infeasible(cert)
+    dv = _ref_degree(v)
+    if dv == 0:
+        s = min((1, -1), key=lambda s: abs(m * fa[1] + s * fd[1]) + abs(m * fa[2] + s * fd[2]))
+        return sound("CaseIII", (s,), {"v": v, "x2": m * fa[0] + s * fd[0]})
+    if dv == 1:
+        def resid(s):
+            f = [m * fa[k] + s * fd[k] for k in range(3)]
+            return abs(f[1]) + abs(f[2] - f[0])
+
+        return sound("CaseIV", (min((1, -1), key=resid),), {"v": v})
+    return infeasible(f"unexpected cofactor degree {dv}")
+
+
+def _ref_classify_a3(inst):
+    l2, l3 = inst.lambda2, inst.lambda3
+    tol = inst.tol()
+    infeasible, sound = _ref_verdicts(inst)
+    canon = reference_pscale((l2, 0, l3), Fraction(-1, 2) if inst.exact else -0.5)
+    s_scale = reference_trim(inst.a)[-1] / canon[2]
+    if s_scale <= 0 or not _ref_is_zero(reference_psub(inst.a, reference_pscale(canon, s_scale)), tol):
+        return infeasible("a is not a positive multiple of -(lambda3 t^2 + lambda2)/2")
+    c_n = reference_pscale(inst.c, 1 / s_scale)
+    d1_n = reference_pscale(inst.d1, 1 / s_scale)
+    P_n = reference_pscale(inst.P, 1 / (s_scale * s_scale))
+    if _ref_is_zero(c_n, tol):
+        if _ref_is_zero(P_n, tol):
+            return sound("CZero", (), {})
+        return infeasible("c = 0 forces P = 0, but P is nonzero")
+    q1 = _ref_divide(P_n, c_n, tol)
+    if q1 is None:
+        return infeasible("c does not divide P")
+    q = _ref_divide(q1, _REF_T2P1, tol)
+    if q is None:
+        return infeasible("(t^2+1) does not divide P / c")
+    if _ref_degree(q) > 2:
+        return infeasible("cofactor q has degree > 2")
+    base = (l2, 0, l3)
+    rhs = reference_pmul(reference_pmul(base, base), reference_pscale((l3, 0, l2), -2))
+    target = reference_psub(rhs, reference_pmul(_REF_T2P1, reference_pmul(q, q)))
+    qt = list(reference_trim(q)) + [0] * (3 - len(reference_trim(q)))
+    if not _ref_is_zero(reference_psub(reference_pmul(d1_n, d1_n), target), _ref_rel_tol(tol, target)):
+        cert = "constraint violated: d1^2 != -2(l3 t^2+l2)^2(l2 t^2+l3) - (t^2+1) q^2"
+        lead_sq = qt[2] * qt[2] + 2 * l2 * l3 * l3
+        if qt[1] == 0 and _ref_is_zero((lead_sq,), max(tol, tol * _ref_pmax((qt[2],)) ** 2)):
+            cert += (
+                "; q matches a deg q+- = 0 shape, which would force (r-1)(r^2+4) = 0"
+                " with r = lambda3/lambda2: root-free on (0, 1)"
+            )
+        return infeasible(cert)
+    t_base = reference_pmul((0, 1), base)
+    d1_sq, q_sq = reference_pmul(d1_n, d1_n), reference_pmul(q, q)
+    d1_shape = reference_psub(d1_sq, reference_pscale(reference_pmul(t_base, t_base), 2 * (l3 - l2)))
+    q_shape = reference_psub(q_sq, reference_pscale(reference_pmul(base, base), -2 * l3))
+    if not _ref_is_zero(d1_shape, _ref_rel_tol(tol, d1_sq)) or not _ref_is_zero(q_shape, _ref_rel_tol(tol, q_sq)):
+        return infeasible("solution does not match the rigid branch shapes")
+    d1t = list(reference_trim(d1_n)) + [0] * (4 - len(reference_trim(d1_n)))
+    signs = (-1 if d1t[3] > 0 else 1, -1 if qt[2] > 0 else 1)
+    return sound("A3BranchII", signs, {"q": q, "scale": s_scale})
+
+
+def _ref_reverse(c, deg):
+    c = list(c) + [0] * (deg + 1 - len(c))
+    return reference_trim(c[::-1])
+
+
+def reference_classify(inst):
+    """(verdict, tilded) of ``polyclass.classify`` by the reference trees: an
+    a3 instance with lambda2 > lambda3 is reversed (t -> 1/t) first."""
+    if inst.regime == "a12":
+        return _ref_classify_a12(inst), False
+    if inst.lambda2 < inst.lambda3:
+        return _ref_classify_a3(inst), False
+    swapped = ConstraintInstance(
+        "a3", _ref_reverse(inst.a, 2), _ref_reverse(inst.c, 2), _ref_reverse(inst.d1, 3),
+        _ref_reverse(inst.P, 6), lambda2=inst.lambda3, lambda3=inst.lambda2,
+    )
+    return _ref_classify_a3(swapped), True
 
 
 def eval_scalar(e, p, params=None, lib=math):

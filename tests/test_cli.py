@@ -399,6 +399,7 @@ def test_riccati_power_overflow_exits_2(tmp_path):
 
 
 _INSTANCE = {"regime": "a12", "Lambda": "4", "a": ["1", "0", "1"], "c": ["1"], "d1": ["2"], "P": []}
+_A3_INSTANCE = {"regime": "a3", "lambda2": "-2", "lambda3": "-1", "a": ["1", "0", "1"], "c": ["1"], "d1": ["2"], "P": []}
 
 
 @pytest.mark.parametrize(
@@ -416,18 +417,29 @@ _INSTANCE = {"regime": "a12", "Lambda": "4", "a": ["1", "0", "1"], "c": ["1"], "
         (json.dumps({**_INSTANCE, "a": ["1", "0", "1e300"], "c": ["1e300"]}), "float range"),
         (json.dumps({**_INSTANCE, "a": [1.0, 0.0, 1e300], "c": [1e300]}), "float range"),
         (
-            json.dumps({**_INSTANCE, "regime": "a3", "lambda2": "-1", "lambda3": "-1"}),
+            json.dumps({**_A3_INSTANCE, "lambda2": "-1", "lambda3": "-1"}),
             "lambda2 and lambda3 must differ",
         ),
         (
             json.dumps({**_INSTANCE, "Lambda": "1e-800", "d1": ["1e-400", "0", "1e-400"]}),
             "Lambda is positive but underflows to 0.0 as a float",
         ),
+        (
+            json.dumps({**_INSTANCE, "lambda2": "-1"}),
+            "instance: unknown key 'lambda2' for regime a12 (have regime, a, c, d1, P, Lambda)",
+        ),
+        (
+            json.dumps({**_A3_INSTANCE, "Lambda": "4"}),
+            "instance: unknown key 'Lambda' for regime a3 (have regime, a, c, d1, P, lambda2, lambda3)",
+        ),
+        (json.dumps({**_INSTANCE, "p": ["1"]}), "instance: unknown key 'p' for regime a12"),
+        (json.dumps({**_INSTANCE, "regime": ["a12"]}), "unknown regime '['a12']'"),
     ],
     ids=[
         "zero-denominator", "not-a-number", "beyond-float-range", "null", "not-a-list",
         "not-an-object", "no-regime", "nan", "inf", "exact-products-overflow",
         "float-products-overflow", "equal-eigenvalues", "sqrt-Lambda-underflows",
+        "a3-key-in-a12", "a12-key-in-a3", "misspelt-key", "regime-not-a-string",
     ],
 )
 def test_classify_malformed_instance_exits_2(tmp_path, text, words):
@@ -688,11 +700,23 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
             '{"components": %s, "params": {"c": NaN}}' % json.dumps(FLAT),
             "parameter 'c' must be a finite number, got nan",
         ),
+        (
+            json.dumps({"builtin": "heisenberg", "parms": {"L": 0.3}}),
+            "metric file: unknown key 'parms' (have builtin, params, components, name, box)",
+        ),
+        (
+            json.dumps({"components": FLAT, "Box": [[0, 1]] * 3}),
+            "metric file: unknown key 'Box' (have builtin, params, components, name, box)",
+        ),
+        (
+            json.dumps({"components": {**FLAT, "g21": "0"}}),
+            "metric file: unknown component 'g21' (have g11, g12, g13, g22, g23, g33)",
+        ),
     ],
     ids=[
         "list", "param-text", "param-custom-form", "param-builtin-form", "params-list", "builtin-params-list",
         "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair", "param-infinity",
-        "param-nan",
+        "param-nan", "misspelt-params", "misspelt-box", "unknown-component",
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "riccati"])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_classify, reference_pdivmod, reference_pmul, reference_residual
 
 from riccati3 import polyclass
 from riccati3.polyclass import (
-    T2P1,
     ConstraintInstance,
     OrderingError,
     PolyclassError,
@@ -19,56 +19,14 @@ from riccati3.polyclass import (
     instance_from_dict,
     instance_to_dict,
     padd,
-    pdivmod,
     plant_a3,
     plant_a12,
     pmul,
     pscale,
-    psub,
     tilde_transform,
     trim,
     verify_constraint,
 )
-
-
-# --- reference arithmetic: one Fraction (or float) operation per term ----
-
-
-def reference_pmul(a, b):
-    """The plain convolution."""
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trim(out)
-
-
-def reference_pdivmod(num, den):
-    """Plain long division."""
-    num, den = list(trim(num)), trim(den)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(x != 0 for x in num):
-        k = len(num) - len(den)
-        coef = num[-1] / den[-1]
-        q[k] = coef
-        for i, d in enumerate(den):
-            num[k + i] -= coef * d
-        num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-    return trim(q), trim(num)
-
-
-def reference_residual(inst):
-    """max |lhs - rhs| of the constraint expanded in the instance's own
-    coefficients by the reference convolution."""
-    d1c, ac = reference_pmul(inst.d1, inst.c), reference_pmul(inst.a, inst.c)
-    lhs = padd(reference_pmul(inst.P, inst.P), reference_pmul(T2P1, reference_pmul(d1c, d1c)))
-    rhs = reference_pmul(reference_pmul(T2P1, reference_pmul(ac, ac)), inst.rhs_weight())
-    return max((abs(float(x)) for x in psub(lhs, rhs)), default=0.0)
 
 
 def same_values_and_fraction_types(got, want):
@@ -106,13 +64,16 @@ def test_pmul_equals_fraction_convolution(a, b):
 @settings(max_examples=300, deadline=None)
 @given(_poly, _poly.filter(lambda d: any(x != 0 for x in d)))
 def test_pdivmod_equals_fraction_long_division(num, den):
-    """On a Fraction dividend, as the classifiers divide, the quotient and
-    remainder are the reference's.  (The reference turns int/int steps into
-    floats, which a dividend of mixed ints and Fractions can reach.)"""
+    """Dividing integer numerators over their denominators, as the
+    classifiers divide (pseudo-division by ``pdivmod`` on integers), gives
+    the quotient and remainder of the reference's long division of the
+    Fraction values."""
     num = [Fraction(x) for x in num]
-    (q, r), (q_want, r_want) = pdivmod(num, den), reference_pdivmod(num, den)
-    same_values_and_fraction_types(q, q_want)
-    same_values_and_fraction_types(r, r_want)
+    (q, dq), (r, dr) = polyclass._qdiv(polyclass._numerators(num), polyclass._numerators(den))
+    assert all(type(x) is int for x in q + r) and dq > 0 and dr > 0
+    q, r = tuple(Fraction(x, dq) for x in q), tuple(Fraction(x, dr) for x in r)
+    q_want, r_want = reference_pdivmod(num, den)
+    assert (q, r) == (q_want, r_want)
     assert padd(pmul(q, den), r) == trim(num)
 
 
@@ -140,22 +101,42 @@ def _planted(seed):
     return out
 
 
-def test_planted_verdicts_equal_the_reference_arithmetic(monkeypatch):
+def test_planted_verdicts_equal_the_reference_arithmetic():
     """Every BranchVerdict field, on seeds 0-199 of every planted branch, is
-    the one the plain Fraction convolution and long division give; the oracle
-    residual is also the reference expansion's."""
-    instances = [inst for seed in range(200) for inst in _planted(seed)]
-    got = [classify(inst) for inst in instances]
-    monkeypatch.setattr(polyclass, "pmul", reference_pmul)
-    monkeypatch.setattr(polyclass, "pdivmod", reference_pdivmod)
-    for inst, (verdict, tilded) in zip(instances, got):
-        want, want_tilded = classify(inst)
+    the one the decision trees give in plain Fraction arithmetic
+    (``oracles.reference_classify``, which shares no arithmetic with the
+    integer form): the witnesses with their Fraction types, and the oracle
+    residual, which is also the reference expansion's."""
+    for inst in (inst for seed in range(200) for inst in _planted(seed)):
+        (verdict, tilded), (want, want_tilded) = classify(inst), reference_classify(inst)
         assert tilded == want_tilded
         assert verdict == want, (verdict, want)
+        assert verdict.witness.keys() == want.witness.keys()
         for key, value in want.witness.items():
             if isinstance(value, tuple):
                 same_values_and_fraction_types(verdict.witness[key], value)
+            else:
+                assert type(verdict.witness[key]) is type(value), key
         assert verdict.oracle_residual == reference_residual(inst)
+
+
+def _float_copy(inst):
+    """The instance with every coefficient and scalar rounded to a float."""
+    floats = {k: tuple(map(float, getattr(inst, k))) for k in ("a", "c", "d1", "P")}
+    if inst.regime == "a12":
+        return ConstraintInstance("a12", **floats, Lambda=float(inst.Lambda))
+    return ConstraintInstance("a3", **floats, lambda2=float(inst.lambda2), lambda3=float(inst.lambda3))
+
+
+def test_float_copies_of_planted_instances_get_the_exact_verdicts():
+    """A second number type as an oracle for the integer form: float copies
+    of the planted instances of seeds 0-49 (every branch, a3 in both
+    eigenvalue orders) take the same branch, signs and tilde flag."""
+    for inst in (inst for seed in range(50) for inst in _planted(seed)):
+        copy = _float_copy(inst)
+        assert inst.exact and not copy.exact
+        (exact, exact_tilded), (floats, float_tilded) = classify(inst), classify(copy)
+        assert (floats.branch, floats.signs, float_tilded) == (exact.branch, exact.signs, exact_tilded)
 
 
 def test_float_instances_keep_their_verdicts(monkeypatch):
