@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -139,8 +139,9 @@ def from_dict(data: dict) -> MetricSpec:
     of another shape raises a MetricError naming the key: 'builtin' not a
     string, 'params' not an object of finite numbers, 'components' not an object of
     strings, or 'box' not three [lo, hi] pairs of finite numbers, lo <= hi.
-    A key other than those, 'builtin' and 'name', or a component other than
-    g11 ... g33, is refused by name rather than ignored."""
+    A key other than those, 'builtin' and 'name', a component other than
+    g11 ... g33, or 'components', 'name' or 'box' beside 'builtin', is refused
+    by name rather than ignored."""
     if not isinstance(data, dict):
         raise MetricError(f"metric file must hold a JSON object, got {type(data).__name__}")
     for key in data:
@@ -148,6 +149,11 @@ def from_dict(data: dict) -> MetricSpec:
             raise MetricError(f"metric file: unknown key {key!r} (have {', '.join(FILE_KEYS)})")
     if data.get("builtin") == "custom":
         data = {k: v for k, v in data.items() if k != "builtin"}
+    for key in ("components", "name", "box"):
+        if "builtin" in data and key in data:
+            raise MetricError(
+                f"metric file: key {key!r} does not go with 'builtin' (a builtin metric takes only 'params')"
+            )
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise MetricError(f"'params' must be a JSON object, got {type(params).__name__}")
@@ -199,18 +205,32 @@ def _box(box):
 
 
 def from_file(path) -> MetricSpec:
-    """The metric of a JSON file; malformed JSON raises a JSONDecodeError
-    whose message starts with the path."""
+    """The metric of a JSON file, read on every call and compiled once per
+    text (``_compiled``); malformed JSON raises a JSONDecodeError whose
+    message starts with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-    return from_dict(data)
+        text = fh.read()
+    try:
+        return _compiled(text, None)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+
+
+@lru_cache(maxsize=64)
+def _compiled(source, params):
+    """The spec of a metric file's text (params None), or of the builtin named
+    ``source`` with params as (key, ``float.hex``) pairs: kept per process, so
+    a source is parsed and its tape compiled once.  A source that raises is
+    not kept.  Callers share the spec and must not change it."""
+    if params is None:
+        return from_dict(json.loads(source))
+    return builtin(source, **{k: float.fromhex(h) for k, h in params})
 
 
 def resolve(name_or_path, params=None) -> MetricSpec:
-    """CLI helper: builtin name, or '@file.json' / '*.json' path."""
+    """CLI helper: builtin name, or '@file.json' / '*.json' path.  A builtin
+    with float parameters is keyed by their exact bits, so L=0.0 and L=-0.0
+    keep their own spec; a file is keyed by its text."""
     if isinstance(name_or_path, MetricSpec):
         return name_or_path
     text = str(name_or_path)
@@ -218,8 +238,10 @@ def resolve(name_or_path, params=None) -> MetricSpec:
         return from_file(text[1:])
     if text.endswith(".json"):
         return from_file(text)
-    spec = builtin(text, **(params or {}))
-    return spec
+    params = params or {}
+    if all(type(v) is float for v in params.values()):
+        return _compiled(text, tuple((k, v.hex()) for k, v in params.items()))
+    return builtin(text, **params)
 
 
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:

@@ -39,6 +39,7 @@ point, and gives every field a leading point axis before the direction axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -113,7 +114,13 @@ class Rank1Report(NamedTuple):
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
-    """Quasi-uniform deterministic unit directions (euclidean normalization)."""
+    """Quasi-uniform deterministic unit directions (euclidean normalization),
+    (n, 3): a fresh copy of the table ``_fibonacci_table`` keeps per n."""
+    return _fibonacci_table(n).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _fibonacci_table(n):
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
     phi = k * math.pi * (3.0 - math.sqrt(5.0))

@@ -157,8 +157,10 @@ def _is_zero(a, tol):
 
 
 def _reverse(c, deg):
-    """t^deg * p(1/t) as a coefficient list padded to the stated degree."""
-    c = list(c) + [0] * (deg + 1 - len(c))
+    """t^deg * p(1/t) as a coefficient list: p trimmed, then padded to the
+    stated degree, so a trailing zero is no degree overflow."""
+    c = list(trim(c))
+    c += [0] * (deg + 1 - len(c))
     if len(c) != deg + 1:
         raise PolyclassError(f"degree overflow: got degree {len(c) - 1} > {deg}")
     return trim(c[::-1])

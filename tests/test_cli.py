@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati3 import metrics
-from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, main
+from riccati3 import metrics, obstruction
+from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _quartiles, _sample_points, _unit_directions, main
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
+from riccati3.exprjet import Tape
 from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
 
 
@@ -156,6 +157,24 @@ def test_riccati_cmd_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
     assert code == 0
     assert text == (GOLDEN / f"riccati_{name}.json").read_text(encoding="utf-8")
     assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()
+
+
+def test_classify_trailing_zero_in_either_eigenvalue_order(tmp_path, capsys):
+    """An a3 instance whose 'a' ends in a zero, with lambda2 > lambda3 (the
+    tilde path reverses it), and its tilde transform written with lambda2 <
+    lambda3 take the same branch and exit code."""
+    swapped = {
+        "regime": "a3", "lambda2": "-1", "lambda3": "-2", "a": ["1", "0", "1/2", "0"], "c": ["1"], "d1": [], "P": [],
+    }
+    ordered = {**swapped, "lambda2": "-2", "lambda3": "-1", "a": ["1/2", "0", "1"]}
+    readings = []
+    for name, inst in (("swapped", swapped), ("ordered", ordered)):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(inst))
+        code, out = run(capsys, "classify", str(f), "--json")
+        rep = json.loads(out)
+        readings.append((code, rep["branch"], rep["signs"]))
+    assert readings[0] == readings[1] == (1, "Infeasible", [])
 
 
 def test_riccati_cmd_constant_rows(tmp_path, capsys):
@@ -581,13 +600,22 @@ def _identity_vectors(seed, n_points, ip):
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "sol", "h2xr", "sphere"])
-def test_analyze_blocks_match_point_by_point_calls(name, capsys):
+def test_analyze_blocks_match_point_by_point_calls(name, tmp_path, capsys):
     """More points than one block: the batched run gives the ranks, verdict,
-    quantiles and identity residuals of one-point calls on the same points."""
+    quantiles and identity residuals of one-point calls on the same points.
+    Its quantiles are numpy's of its own residuals (the CSV's rel column) bit
+    for bit; the one-point residuals differ from the batched ones in the last
+    bits, so theirs agree to 1e-10."""
     n = POINT_BLOCK + 3
-    code, out = run(capsys, "analyze", name, "-n", str(n), "-m", "8", "--seed", "3", "--json")
+    sweep = tmp_path / "sweep.csv"
+    code, out = run(capsys, "analyze", name, "-n", str(n), "-m", "8", "--seed", "3", "--json", "--csv", str(sweep))
     assert code == 0
     rep = json.loads(out)
+    own = np.array([float(row["rel"]) for row in csv.DictReader(sweep.open())])
+    q25, median, q75 = np.quantile(own, [0.25, 0.5, 0.75]).tolist()
+    assert rep["obstruction"]["quantiles"] == {
+        "min": own.min(), "q25": q25, "median": median, "q75": q75, "max": own.max()
+    }
     spec = metrics.builtin(name)
     points = _sample_points(spec, n, np.random.default_rng(3))
     dirs = fibonacci_directions(8)
@@ -712,11 +740,24 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
             json.dumps({"components": {**FLAT, "g21": "0"}}),
             "metric file: unknown component 'g21' (have g11, g12, g13, g22, g23, g33)",
         ),
+        (
+            json.dumps({"builtin": "sol", "box": [[0, 0.1]] * 3, "name": "mysol"}),
+            "metric file: key 'name' does not go with 'builtin' (a builtin metric takes only 'params')",
+        ),
+        (
+            json.dumps({"builtin": "sol", "box": [[0, 0.1]] * 3}),
+            "metric file: key 'box' does not go with 'builtin' (a builtin metric takes only 'params')",
+        ),
+        (
+            json.dumps({"builtin": "flat", "components": FLAT}),
+            "metric file: key 'components' does not go with 'builtin' (a builtin metric takes only 'params')",
+        ),
     ],
     ids=[
         "list", "param-text", "param-custom-form", "param-builtin-form", "params-list", "builtin-params-list",
         "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair", "param-infinity",
-        "param-nan", "misspelt-params", "misspelt-box", "unknown-component",
+        "param-nan", "misspelt-params", "misspelt-box", "unknown-component", "builtin-with-name",
+        "builtin-with-box", "builtin-with-components",
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "riccati"])
@@ -739,6 +780,142 @@ def test_metric_file_box_is_read_as_given(tmp_path, box):
     path.write_text(json.dumps({"components": FLAT, **({} if box is None else {"box": box})}))
     spec = metrics.from_file(path)
     assert spec.box == (((-1.0, 1.0),) * 3 if box is None else ((0.0, 1.0), (0.5, 0.5), (-2.0, -1.0)))
+
+
+def test_resolve_compiles_a_builtin_once(monkeypatch):
+    """The same builtin with the same parameters resolves to one spec, whose
+    tape is compiled once; other parameters give another spec."""
+    metrics._compiled.cache_clear()
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args)
+        return Tape(*args)
+
+    monkeypatch.setattr(metrics, "Tape", counted)
+    spec = metrics.resolve("heisenberg", {"L": 0.3})
+    for _ in range(3):
+        again = metrics.resolve("heisenberg", {"L": 0.3})
+        assert again is spec
+        metrics.metric_jets(again, (0.1, 0.2, 0.3))
+    assert len(compiled) == 1
+    assert metrics.resolve("heisenberg", {"L": 2.0}) is not spec
+    assert metrics.resolve("heisenberg") is metrics.resolve("heisenberg", {})
+
+
+def test_signed_zero_parameters_keep_their_own_params(capsys):
+    """L = 0.0 and L = -0.0 compare equal but are two keys: each request of
+    one process reports its own parameter."""
+    for value in ("0.0", "-0.0", "0.0"):
+        code, out = run(capsys, "analyze", "heisenberg", "--param", f"L={value}", "-n", "1", "-m", "2", "--json")
+        assert code == 0
+        assert f'"L": {value}' in out
+
+
+def test_rewritten_metric_file_is_read_again(tmp_path, capsys):
+    """A metric file is read on every request: rewritten between two calls in
+    one process, it gives the new metric's report."""
+    path = tmp_path / "metric.json"
+    reports = []
+    for g22 in ("1", "cosh(x1)^2", "1"):
+        path.write_text(json.dumps({"name": "m", "components": {**FLAT, "g22": g22}}))
+        code, out = run(capsys, "analyze", str(path), "-n", "2", "-m", "8", "--json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[2]
+    assert reports[0]["verdict"] == "unobstructed-at-samples" and reports[1]["verdict"] == "obstructed"
+
+
+def test_bad_metric_file_fails_on_every_call(tmp_path):
+    """A refused source is not kept: the same bad file, or builtin parameter,
+    fails the same way each time."""
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"builtin": "heisenberg", "params": {"L": "x"}}))
+    for _ in range(3):
+        assert run_bad(("analyze", str(path))) == "riccati3 analyze: error: parameter 'L' must be a number, got 'x'"
+        assert run_bad(("analyze", "heisenberg", "--param", "c=1")) == (
+            "riccati3 analyze: error: metric 'heisenberg' takes no parameter 'c'"
+        )
+
+
+def test_fibonacci_directions_returns_a_fresh_table():
+    """Writing into one result leaves the next call's table as it was."""
+    want = fibonacci_directions(16).copy()
+    first = fibonacci_directions(16)
+    first[:] = 0.0
+    assert np.array_equal(fibonacci_directions(16), want)
+
+
+def _quartile_cases():
+    """Arrays of 1 to 600 values: magnitudes 1e-20 to 1e5, some with
+    ties, some with +-inf and some with a nan.  Zeros of both signs are left
+    out: they compare equal, and sort and partition may order them apart.
+    First come the single values, where numpy weighs the value with itself."""
+    for value in (-0.0, 0.0, 5.0, np.inf, -np.inf, np.nan):
+        yield np.array([value])
+    rng = np.random.default_rng(27)
+    for _ in range(3000):
+        n = int(rng.integers(1, 601))
+        scale = 10.0 ** rng.uniform(-20, 5)
+        x = rng.random(n) * scale + scale * 1e-3
+        if rng.random() < 0.3:
+            x = np.ceil(x / scale * 4) * scale  # a handful of distinct values
+        if rng.random() < 0.2:
+            x[rng.integers(0, n, 2)] = rng.choice([np.inf, -np.inf], 2)
+        if rng.random() < 0.05:
+            x[rng.integers(0, n)] = np.nan
+        yield x
+
+
+def test_quartiles_are_numpys_bit_for_bit():
+    """``_quartiles`` against the ``np.quantile`` oracle, bits included (nan
+    and the nan of inf - inf too)."""
+    with np.errstate(all="ignore"):
+        for x in _quartile_cases():
+            want = np.quantile(x, [0.25, 0.5, 0.75])
+            got = np.array(_quartiles(x))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (len(x), got, want)
+
+
+# the benchmark's eleven metrics: the builtins, three Heisenberg scales and
+# three custom files written with exp, sin and cosh
+_BENCH_BUILTINS = (
+    ("flat",), ("hyperbolic",), ("sphere",), ("sol",), ("h2xr",),
+    ("heisenberg", "--param", "L=0.3"), ("heisenberg", "--param", "L=1"), ("heisenberg", "--param", "L=2"),
+)
+_BENCH_FILES = {
+    "h3exp": {"name": "h3exp", "components": {**FLAT, "g22": "exp(2*x1)", "g33": "exp(2*x1)"}},
+    "s3sin": {
+        "name": "s3sin",
+        "components": {**FLAT, "g22": "sin(x1)^2", "g33": "sin(x1)^2*sin(x2)^2"},
+        "box": [[0.6, 2.5], [0.6, 2.5], [-1.0, 1.0]],
+    },
+    "h2coshr": {"name": "h2coshr", "components": {**FLAT, "g22": "cosh(x1)^2"}},
+}
+
+
+def test_analyze_output_is_the_same_on_a_cold_and_a_warm_cache(tmp_path, capsys):
+    """``analyze --json`` on the eleven benchmark metrics at the sweep size
+    (-n 2 -m 256) and the points size (-n 16 -m 4) prints the same bytes with
+    the caches cold, warm, and cleared again."""
+    requests = list(_BENCH_BUILTINS)
+    for stem, data in _BENCH_FILES.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(data))
+        requests.append((str(path),))
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            metrics._compiled.cache_clear()
+            obstruction._fibonacci_table.cache_clear()
+        outputs = []
+        for size in (("-n", "2", "-m", "256"), ("-n", "16", "-m", "4")):
+            for seed, metric in enumerate(requests):
+                code, out = run(capsys, "analyze", *metric, *size, "--seed", str(seed), "--json")
+                assert code == 0
+                outputs.append(out)
+        runs.append(outputs)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _analyze_reading(capsys, metric, *argv):

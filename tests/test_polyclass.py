@@ -139,6 +139,20 @@ def test_float_copies_of_planted_instances_get_the_exact_verdicts():
         assert (floats.branch, floats.signs, float_tilded) == (exact.branch, exact.signs, exact_tilded)
 
 
+def test_trailing_zeros_do_not_change_the_verdict():
+    """A coefficient list with trailing zeros is the trimmed polynomial: the
+    planted instances of seeds 0-19 (every branch, a3 in both eigenvalue
+    orders, so the tilde path reverses them) with a zero appended to each
+    list get the verdict and tilde flag of the instances as planted."""
+    for inst in (inst for seed in range(20) for inst in _planted(seed)):
+        polys = (inst.a + (0,), inst.c + (0,), inst.d1 + (0,), inst.P + (0,))
+        padded = ConstraintInstance(inst.regime, *polys, inst.Lambda, inst.lambda2, inst.lambda3)
+        assert classify(padded) == classify(inst)
+        if inst.regime == "a3":
+            want, got = tilde_transform(inst), tilde_transform(padded)
+            assert (got.a, got.c, got.d1, got.P) == (want.a, want.c, want.d1, want.P)
+
+
 def test_float_instances_keep_their_verdicts(monkeypatch):
     """Float instances coupled from frame data classify as under the plain
     arithmetic, bit for bit."""
