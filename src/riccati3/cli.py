@@ -120,32 +120,6 @@ def _point_blocks(spec, points):
         yield start, block, pack
 
 
-def _quartiles(values):
-    """[q25, median, q75] of ``values`` from one sort, the bits of numpy's
-    default ``np.quantile(values, [0.25, 0.5, 0.75])`` (method 'linear'): at
-    index v = (n - 1) q between the sorted values a and b, with d = b - a and
-    t the fraction of v, a + d t for t < 0.5 and b - d (1 - t) otherwise.  At
-    n = 1 numpy takes the one value with itself at weight v + 1.  A nan
-    anywhere makes all three nan."""
-    s = np.sort(values)
-    n = len(s)
-    if math.isnan(s[-1]):  # a nan sorts last
-        return [math.nan] * 3
-    out = []
-    for q in (0.25, 0.5, 0.75):
-        v = (n - 1) * q
-        i = int(v)
-        if i == n - 1:
-            a = b = float(s[i])
-            t = v + 1.0
-        else:
-            a, b = float(s[i]), float(s[i + 1])
-            t = v - i
-        d = b - a
-        out.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
-    return out
-
-
 def _setting(args, cfg, key, default):
     """``key``'s command-line value, else its config-file entry parsed as the
     type of ``default``, else ``default``."""
@@ -212,7 +186,7 @@ def cmd_analyze(args):
                 rows += [[start + k, *p, idir, *row] for idir, row in enumerate(sweep)]
 
     rels = np.concatenate(rels)
-    q25, median, q75 = _quartiles(rels)
+    q25, median, q75 = np.quantile(rels, [0.25, 0.5, 0.75]).tolist()
     frac = float(np.mean(rels > OBSTRUCTED_REL))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"

@@ -229,7 +229,7 @@ def _compiled(source, params):
 
 def resolve(name_or_path, params=None) -> MetricSpec:
     """CLI helper: builtin name, or '@file.json' / '*.json' path.  A builtin
-    with float parameters is keyed by their exact bits, so L=0.0 and L=-0.0
+    is keyed by the exact bits of its float parameters, so L=0.0 and L=-0.0
     keep their own spec; a file is keyed by its text."""
     if isinstance(name_or_path, MetricSpec):
         return name_or_path
@@ -238,10 +238,7 @@ def resolve(name_or_path, params=None) -> MetricSpec:
         return from_file(text[1:])
     if text.endswith(".json"):
         return from_file(text)
-    params = params or {}
-    if all(type(v) is float for v in params.values()):
-        return _compiled(text, tuple((k, v.hex()) for k, v in params.items()))
-    return builtin(text, **params)
+    return _compiled(text, tuple((k, v.hex()) for k, v in (params or {}).items()))
 
 
 def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:

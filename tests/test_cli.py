@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccati3 import metrics, obstruction
-from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _quartiles, _sample_points, _unit_directions, main
+from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, main
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
 from riccati3.exprjet import Tape
 from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
@@ -844,37 +844,6 @@ def test_fibonacci_directions_returns_a_fresh_table():
     first = fibonacci_directions(16)
     first[:] = 0.0
     assert np.array_equal(fibonacci_directions(16), want)
-
-
-def _quartile_cases():
-    """Arrays of 1 to 600 values: magnitudes 1e-20 to 1e5, some with
-    ties, some with +-inf and some with a nan.  Zeros of both signs are left
-    out: they compare equal, and sort and partition may order them apart.
-    First come the single values, where numpy weighs the value with itself."""
-    for value in (-0.0, 0.0, 5.0, np.inf, -np.inf, np.nan):
-        yield np.array([value])
-    rng = np.random.default_rng(27)
-    for _ in range(3000):
-        n = int(rng.integers(1, 601))
-        scale = 10.0 ** rng.uniform(-20, 5)
-        x = rng.random(n) * scale + scale * 1e-3
-        if rng.random() < 0.3:
-            x = np.ceil(x / scale * 4) * scale  # a handful of distinct values
-        if rng.random() < 0.2:
-            x[rng.integers(0, n, 2)] = rng.choice([np.inf, -np.inf], 2)
-        if rng.random() < 0.05:
-            x[rng.integers(0, n)] = np.nan
-        yield x
-
-
-def test_quartiles_are_numpys_bit_for_bit():
-    """``_quartiles`` against the ``np.quantile`` oracle, bits included (nan
-    and the nan of inf - inf too)."""
-    with np.errstate(all="ignore"):
-        for x in _quartile_cases():
-            want = np.quantile(x, [0.25, 0.5, 0.75])
-            got = np.array(_quartiles(x))
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (len(x), got, want)
 
 
 # the benchmark's eleven metrics: the builtins, three Heisenberg scales and
