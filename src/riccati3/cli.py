@@ -440,8 +440,7 @@ def _selftest_checks(tamper=False):
             fail_ok = fail_ok and cnt >= 0.9 * len(dirs)
     yield "obstruction_separation", pass_ok and fail_ok, {"pass": pass_ok, "fail": fail_ok}
 
-    spec = metrics.builtin("heisenberg")
-    pack = pack_at(spec, (0.4, 0.7, -0.3))
+    pack = pack_at(metrics.builtin("sol"), (0.4, 0.7, -0.3))  # every quantity is O(1) on sol
     X = np.array([0.3, 0.8, 0.5])
     ov1 = obstruction_values(pack, X)
     ov2 = obstruction_values(pack, 2.0 * X)

@@ -30,12 +30,12 @@ and a point's numbers do not depend on its position in the batch.  The
 pack's fields own their data (the order-0 slices are copied), so a pack
 keeps none of the higher-order coefficients alive.
 Covariant derivatives come from one rule on the same arrays (``_nabla``): a
-tensor's coefficients of order q give those of its covariant derivative at
-order q - 1, the coordinate derivative plus one Gamma contraction per slot.
-``curvature_pack`` runs the kernel at k = 4 and the rule on ric (order 2)
-twice and on R once, so nabla ric, nabla^2 ric (which needs four metric
-derivatives) and nabla R come out exactly; ``curvature_r_only`` runs the
-kernel at k = 2 for the value of R alone.
+covariant tensor's coefficients of order q give those of its covariant
+derivative at order q - 1, the coordinate derivative minus one Gamma
+contraction per slot.  ``curvature_pack`` runs the kernel at k = 4 and the
+rule on ric twice, for nabla ric and nabla^2 ric; as R = rho (.) g in
+dimension 3 (``_kn``) and nabla g = 0, nabla R = nabla rho (.) g.
+``curvature_r_only`` runs the kernel at k = 2 for the value of R alone.
 
 Both take one point or a batch of n points.  A pack of a batch carries a
 leading point axis on every field (``scal`` is then an (n,) array), and the
@@ -48,7 +48,7 @@ flattened products X^a X^b ... (``_products``) times the tensor with those
 axes as rows (``_matrix``).  J(X) = R(., X)X is ``_products(X, 2)`` times R
 (``_jacobi``, behind ``jacobi_op`` and ``riccati.jacobi_along``),
 ``obstruction`` builds J', t, D1 and D2 the same way, and the Kulkarni check
-takes R(X, Y) from the products X^i Y^j.  ``ricci_rank``
+takes R(X, Y) - (rho X ^ Y + X ^ rho Y) from the products X^i Y^j.  ``ricci_rank``
 diagonalizes ric in ``pack.frame`` for a whole batch by one
 ``np.linalg.eigh`` call; its ``RankReport`` takes a point axis and gives
 point k by ``row(k)``, as the pack does.
@@ -81,7 +81,7 @@ class CurvaturePack(NamedTuple):
     Index layouts (coordinate frame), after the point axis:
       gamma[k,i,j]   = Gamma^k_ij
       R[i,j,k,l]     = l-component of R(d_i,d_j)d_k
-      nablaR[m,i,j,k,l] = l-component of (nabla_m R)(d_i,d_j)d_k
+      nablaR[m,i,j,k,l] = l-component of (nabla_m R)(d_i,d_j)d_k, from nabla rho
       nabla_ric[k,i,j]   = (nabla_k ric)(d_i,d_j)
       nabla2_ric[k,l,i,j] = (nabla^2_{k,l} ric)(d_i,d_j)
       frame          = columns are a g-orthonormal frame (E^T g E = I)
@@ -180,25 +180,26 @@ def _curvature_jets(G, tamper=False):
     return ginv, gamma, T - np.swapaxes(T, -4, -3)
 
 
-def _nabla(T, gamma, up=0):
-    """Coefficients of the covariant derivative of a tensor: T of shape
-    (N(q),) + batch + (3,) * r, q >= 1, whose last ``up`` slots are
-    contravariant, and Gamma (as from ``_curvature_jets``, of order >= q - 1
-    and with the same batch) give nabla T at order q - 1 with the derivative slot first,
-    (nabla T)[m, a, ...] = d_m T[a, ...] - Gamma^n_ma T[n, ...] - ...
-    + Gamma^a_mn T[..., n] for a contravariant slot, each product one
-    ``contract``."""
+def _nabla(T, gamma):
+    """Coefficients of the covariant derivative of a covariant tensor: T of
+    shape (N(q),) + batch + (3,) * r, q >= 1, and Gamma (as from
+    ``_curvature_jets``, of order >= q - 1, same batch) give nabla T at order
+    q - 1, derivative slot first: (nabla T)[m, a, ...] = d_m T[a, ...]
+    - Gamma^n_ma T[n, ...] - ..., each product one ``contract``."""
     order = N_BY_ORDER.index(len(T)) - 1
     r = T.ndim - gamma.ndim + 3
     idx = "abcdef"[:r]
     out = np.moveaxis(partials(T), -1, -1 - r)
     for s, a in enumerate(idx):
-        sub = idx[:s] + "n" + idx[s + 1 :]
-        if s < r - up:
-            out -= contract(f"nm{a},{sub}->m{idx}", gamma, T, order)
-        else:
-            out += contract(f"{a}mn,{sub}->m{idx}", gamma, T, order)
+        out -= contract(f"nm{a},{idx[:s]}n{idx[s + 1 :]}->m{idx}", gamma, T, order)
     return out
+
+
+def _kn(g, S, S_op):
+    """(S d_i ^ d_j + d_i ^ S d_j) d_k as T[..., i, j, k, l] from a form S[..., i, k]
+    and its operator S_op[..., l, i]; S's leading (derivative) axes broadcast."""
+    F = np.einsum("...jk,...li->...ijkl", g, S_op) - np.einsum("...ik,jl->...ijkl", S, np.eye(3))
+    return F - np.swapaxes(F, -4, -3)
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
@@ -213,13 +214,16 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     G = m.coef[:, None] if one else m.coef  # one point is a batch of one
     ginv_c, gamma_c, R_c = _curvature_jets(G, tamper)
     ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
+    R, R_c = R_c[0].copy(), None  # only R at the point is read: R_c is freed here
     scal_c = contract("ij,ij->", ginv_c, ric_c, 1)
     nabla_ric_c = _nabla(ric_c, gamma_c)  # order 1, for nabla^2 ric
 
     # the order-0 slices are copied, so the pack holds no higher-order coefficients
-    g, ginv, ric, scal = (c[0].copy() for c in (G, ginv_c, ric_c, scal_c))
+    g, ginv, ric, scal, nabla_ric = (c[0].copy() for c in (G, ginv_c, ric_c, scal_c, nabla_ric_c))
+    dscal = scal_c[1:4].T.copy()
     Ric_op = ginv @ ric
     rho = Ric_op - (scal[:, None, None] / 4.0) * np.eye(3)
+    nabla_rho = nabla_ric - dscal[..., None, None] * g[:, None] / 4.0  # lowered
     L = np.linalg.cholesky(g)
     frame = np.linalg.inv(L).swapaxes(-1, -2)  # columns orthonormal: E^T g E = I
 
@@ -228,14 +232,14 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
         g=g,
         ginv=ginv,
         gamma=gamma_c[0].copy(),
-        R=R_c[0].copy(),
-        nablaR=_nabla(R_c[:4], gamma_c, up=1)[0],
+        R=R,
+        nablaR=_kn(g[:, None], nabla_rho, ginv[:, None] @ nabla_rho),
         ric=ric,
         Ric_op=Ric_op,
         scal=scal,
-        dscal=scal_c[1:4].T.copy(),
+        dscal=dscal,
         rho=rho,
-        nabla_ric=nabla_ric_c[0].copy(),
+        nabla_ric=nabla_ric,
         nabla2_ric=_nabla(nabla_ric_c, gamma_c)[0],
         frame=frame,
     )
@@ -345,9 +349,9 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
 
     j2:      tr(J(v) o J(v)) against its Schouten-form right-hand side
     bianchi: contracted second Bianchi, g^{ab} (nabla_a ric)_{bj} - d_j scal / 2
-    kulkarni: R(X,Y) against Ric X ^ Y + X ^ Ric Y - (scal/2) X ^ Y, which is
-              rho X ^ Y + X ^ rho Y, on the pairs of consecutive and
-              next-but-one vectors
+    kulkarni: R(X,Y) against rho X ^ Y + X ^ rho Y (``_kn``), which is
+              Ric X ^ Y + X ^ Ric Y - (scal/2) X ^ Y, on the pairs of
+              consecutive and next-but-one vectors
     Each is computed over all the vectors at once; with fewer than two
     vectors there is no pair and kulkarni is 0.  At one point the values
     are floats and ``vectors`` is (p, 3), by default n draws of
@@ -362,8 +366,7 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
 
     g, rho = pack.g, pack.rho
     J = jacobi_op(pack, vectors)
-    rhoT = rho.swapaxes(-1, -2)
-    rv = vectors @ rhoT
+    rv = vectors @ rho.swapaxes(-1, -2)
     gvv, gvrv, grr = _inner(g, vectors, vectors), _inner(g, vectors, rv), _inner(g, rv, rv)
     tr2 = np.trace(rho @ rho, axis1=-2, axis2=-1)[..., None]
     tr1 = np.trace(rho, axis1=-2, axis2=-1)[..., None]
@@ -373,14 +376,12 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     div = np.einsum("...ab,...abj->...j", pack.ginv, pack.nabla_ric)
     bianchi = np.max(np.abs(div - 0.5 * pack.dscal), axis=-1)
 
-    # the pairs (a, a + 1) and (a, a + 2); (u ^ w)[l, k] = u^l (g w)_k - w^l (g u)_k
+    # R(X, Y) - (rho X ^ Y + X ^ rho Y) on the pairs (a, a + 1) and (a, a + 2)
     X = np.concatenate([vectors[..., :-1, :], vectors[..., :-2, :]], axis=-2)
     Y = np.concatenate([vectors[..., 1:, :], vectors[..., 2:, :]], axis=-2)
-    u, w = np.stack([X @ rhoT, X]), np.stack([Y, Y @ rhoT])
-    wedge = "s...pl,s...pk->...plk"
-    rhs_op = np.einsum(wedge, u, w @ g) - np.einsum(wedge, w, u @ g)
-    lhs_op = (_outer(X, Y) @ _matrix(pack.R, 2, 2)).reshape(X.shape + (3,)).swapaxes(-1, -2)
-    kulkarni = np.max(np.abs(lhs_op - rhs_op), axis=(-3, -2, -1), initial=0.0)
+    rho_low = pack.ric - (np.asarray(pack.scal)[..., None, None] / 4.0) * g
+    diff = _outer(X, Y) @ _matrix(pack.R - _kn(g, rho_low, rho), 2, 2)
+    kulkarni = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 
     res = {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
     return {key: float(x) for key, x in res.items()} if one else res

@@ -154,11 +154,11 @@ def _trace_product(A, B):
     return np.einsum("...li,...il->...", A, B)
 
 
-def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
+def jacobi_frame(pack: CurvaturePack, X) -> JacobiFrame:
     """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
     for one direction, an (m, 3) batch, or (n, m, 3) at a pack of n points.
 
-    Where the operator is isotropic (|(A, B)| below iso_tol times the size of
+    Where the operator is isotropic (|(A, B)| below 1e-10 times the size of
     J) the frame keeps the complement basis, A = 0 and ``isotropic`` is set;
     for a batch that flag is an ``IsotropyMask``.  A zero direction raises
     ValueError.
@@ -174,7 +174,7 @@ def jacobi_frame(pack: CurvaturePack, X, iso_tol: float = 1e-10) -> JacobiFrame:
     A = 0.5 * (m11 - m22)
     h = np.hypot(A, m12)
     scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
-    iso = h < iso_tol * scale
+    iso = h < 1e-10 * scale
     theta = 0.5 * np.arctan2(m12, A)
     c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
     keep = iso[..., None]

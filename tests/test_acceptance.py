@@ -177,7 +177,8 @@ def test_criterion_05_obstruction_detector_separation():
 
 
 def test_criterion_06_homogeneity_degrees():
-    pack = pack_at(metrics.builtin("heisenberg"), (0.4, 0.7, -0.3))
+    # on sol every quantity is O(1); on heisenberg D1 and tr(Jo o Jo') vanish identically
+    pack = pack_at(metrics.builtin("sol"), (0.4, 0.7, -0.3))
     X = np.array([0.3, 0.8, 0.5])
     o1 = obstruction_values(pack, X)
     o2 = obstruction_values(pack, 2.0 * X)

@@ -282,13 +282,21 @@ def _sympy_covariant_derivatives(spec, point):
     return [value(np.array(t, dtype=object)) for t in (nric, n2ric, nR)]
 
 
-@pytest.mark.parametrize("name,params", [("sol", {}), ("heisenberg", {"L": 0.3}), ("h2xr", {})])
+# a warped product whose scal varies: d scal = 0 on every builtin
+WARPED = {"g11": "1 + x2^2", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "exp(x1)"}
+
+
+@pytest.mark.parametrize(
+    "name,params", [("sol", {}), ("heisenberg", {"L": 0.3}), ("h2xr", {}), ("warped", WARPED)]
+)
 def test_covariant_derivatives_match_sympy(name, params):
     """nabla ric, nabla^2 ric and nabla R of the pack against exact symbolic
     values, relative to the largest entry (or to the largest entry of R where
-    the exact tensor vanishes, as every covariant derivative does on h2xr)."""
+    the exact tensor vanishes, as every covariant derivative does on h2xr).
+    ``warped`` (params are its components) checks the d scal term of
+    nabla R = nabla rho (.) g."""
     sp = pytest.importorskip("sympy")
-    spec = metrics.builtin(name, **params)
+    spec = metrics.custom(params, name=name) if name == "warped" else metrics.builtin(name, **params)
     point = (sp.Rational(1, 5), sp.Rational(7, 10), sp.Rational(-3, 10))
     pk = pack_at(spec, tuple(float(c) for c in point))
     exact = _sympy_covariant_derivatives(spec, point)
