@@ -185,11 +185,13 @@ def _nabla(T, gamma):
     shape (N(q),) + batch + (3,) * r, q >= 1, and Gamma (as from
     ``_curvature_jets``, of order >= q - 1, same batch) give nabla T at order
     q - 1, derivative slot first: (nabla T)[m, a, ...] = d_m T[a, ...]
-    - Gamma^n_ma T[n, ...] - ..., each product one ``contract``."""
+    - Gamma^n_ma T[n, ...] - ..., each product one ``contract``.  The
+    partials come C-contiguous in that axis order, so the subtractions run
+    in place without numpy's buffers."""
     order = N_BY_ORDER.index(len(T)) - 1
     r = T.ndim - gamma.ndim + 3
     idx = "abcdef"[:r]
-    out = np.moveaxis(partials(T), -1, -1 - r)
+    out = partials(T, r)
     for s, a in enumerate(idx):
         out -= contract(f"nm{a},{idx[:s]}n{idx[s + 1 :]}->m{idx}", gamma, T, order)
     return out

@@ -209,14 +209,22 @@ def _build_diff_tables():
 _DIFF_SRC, _DIFF_FAC = _build_diff_tables()
 
 
-def partials(c):
+def partials(c, before=0):
     """The first partials of a coefficient array of shape (N(k),) + rest,
     k >= 1: coefficients of order k - 1, d_m on a new last axis (a view of
-    one gather)."""
+    one gather), or with ``before`` > 0 on a new axis before the last
+    ``before`` axes of rest (one gather straight into a C-contiguous array
+    in that axis order)."""
     n = N_BY_ORDER[N_BY_ORDER.index(len(c)) - 1]
-    d = c[_DIFF_SRC[:n]]
-    d *= _DIFF_FAC[:n].reshape((n, NVARS) + (1,) * (c.ndim - 1))
-    return d.transpose((0,) + tuple(range(2, d.ndim)) + (1,))
+    if not before:
+        d = c[_DIFF_SRC[:n]]
+        d *= _DIFF_FAC[:n].reshape((n, NVARS) + (1,) * (c.ndim - 1))
+        return d.transpose((0,) + tuple(range(2, d.ndim)) + (1,))
+    head, tail = c.shape[1:-before], c.shape[-before:]
+    flat = c.reshape(len(c), -1, math.prod(tail))
+    d = flat[_DIFF_SRC[:n, None, :], np.arange(flat.shape[1])[:, None], :]  # (n, head, d_m, tail)
+    d *= _DIFF_FAC[:n, None, :, None]
+    return d.reshape((n,) + head + (NVARS,) + tail)
 
 
 class ExprError(ValueError):

@@ -28,19 +28,22 @@ P = c (t^2+1) v in regime a12, the constraint reduces to
     Infeasible           anything else, with the violated step as certificate
 
 All branch decisions run on exact rational arithmetic whenever every input
-coefficient is rational (fractions.Fraction); the float path uses a relative
+coefficient is rational (an int, a Fraction or a rational text); a float
+anywhere makes a float instance, and the float path uses a relative
 coefficient tolerance of 1e-12.  Every non-Infeasible verdict is re-checked
 against the expanded constraint (the brute-force oracle).
 
 Exact arithmetic runs on Python integers end to end (fraction-free, as in
-Bareiss, Math. Comp. 22 (1968), and Collins, J. ACM 14 (1967)).  A
-classification converts its instance once to an integer form: each
-polynomial, and the regime's scalars, as integer numerators over a positive
-integer denominator (the lcm of the coefficients' denominators).  Every step
-of the decision trees and of the oracle computes on these numerators and
-carries the denominators alongside; a division scales its dividend by a
-power of the divisor's leading numerator first, so that every quotient step
-divides exactly (pseudo-division).  Fractions are built only for the
+Bareiss, Math. Comp. 22 (1968), and Collins, J. ACM 14 (1967)).  An
+instance is built straight into its integer form: each polynomial, and the
+regime's scalars, as integer numerators over a positive integer denominator
+(the lcm of the coefficients' denominators in lowest terms).  A canonical
+rational text (``"-3/4"``, ASCII digits) is read by ``int()`` alone; other
+exact values go through ``Fraction``.  Every step of the decision trees
+and of the oracle computes on these numerators and carries the denominators
+alongside; a division scales its dividend by a power of the divisor's
+leading numerator first, so that every quotient step divides exactly
+(pseudo-division).  A classification builds Fractions only for the
 reported witnesses.  A float instance takes the same steps with its floats
 as numerators over 1, so its arithmetic is the plain float arithmetic.  The
 floats the exact path reads (sqrt(Lambda), the sign choices, the oracle's
@@ -169,9 +172,39 @@ def _reverse(c, deg):
 # --- instances ----------------------------------------------------------
 
 
+def _read_rational(text):
+    """(numerator, denominator) in lowest terms of a canonical rational text,
+    an ASCII ``-?[0-9]+(/[0-9]+)?``, by two ``int()`` calls, when its value
+    lies below 2^1023 in magnitude, inside the float range by its bit
+    lengths alone; None for any other text, which ``Fraction(text)``
+    decides (a zero denominator, or a value near or past 2^1024, included)."""
+    if not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    if not (num[1:] if num[:1] == "-" else num).isdigit() or (slash and not den.isdigit()):
+        return None
+    try:  # int() refuses a text past sys.get_int_max_str_digits(), as Fraction does
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    if d == 0 or n.bit_length() - d.bit_length() > 1022:  # |n / d| < 2^(bits n - bits d + 1)
+        return None
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+    return n, d
+
+
 def _coerce(value):
-    """Exact Fraction for ints/Fractions/strings, float otherwise; a value that
-    is not a number a float can hold raises PolyclassError."""
+    """An exact value (int, Fraction or rational text) as its (numerator,
+    denominator) in lowest terms, a float otherwise; a value that is not a
+    number a float can hold raises PolyclassError.  A canonical rational text
+    is read by ``_read_rational``, any other one by ``Fraction``."""
+    if type(value) is str:
+        pair = _read_rational(value)
+        if pair is not None:
+            return pair
     if isinstance(value, bool):
         raise PolyclassError("boolean coefficient")
     try:
@@ -182,7 +215,7 @@ def _coerce(value):
         else:
             x = float(value)
         if math.isfinite(x):  # float(x) for a Fraction, OverflowError beyond the float range
-            return x
+            return x if type(x) is float else (x.numerator, x.denominator)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         pass
     raise PolyclassError(f"coefficient {value!r} is not a finite number within the float range")
@@ -191,89 +224,25 @@ def _coerce(value):
 def _coerce_list(values, name):
     if not isinstance(values, (list, tuple)):
         raise PolyclassError(f"'{name}' must be a list of coefficients, got {values!r}")
-    return tuple(_coerce(v) for v in values)
+    return tuple(map(_coerce, values))
 
 
-class ConstraintInstance:
-    """One constraint instance of a regime, 'a12' (with Lambda) or 'a3' (with
-    lambda2 and lambda3), with the polynomials a, c, d1 and P as coefficient
-    tuples.  Coefficients and scalars are checked and coerced on
-    construction: all Fractions (``exact``) or all floats.  Instances compare
-    and hash by identity."""
-
-    def __init__(self, regime, a, c, d1, P, Lambda=None, lambda2=None, lambda3=None):
-        self.regime = regime
-        self.a, self.c, self.d1, self.P = a, c, d1, P
-        self.Lambda, self.lambda2, self.lambda3 = Lambda, lambda2, lambda3
-        if self.regime not in ("a12", "a3"):
-            raise PolyclassError(f"unknown regime '{self.regime}'")
-        self.a = _coerce_list(self.a, "a")
-        self.c = _coerce_list(self.c, "c")
-        self.d1 = _coerce_list(self.d1, "d1")
-        self.P = _coerce_list(self.P, "P")
-        scalars = []
-        if self.regime == "a12":
-            if self.Lambda is None:
-                raise PolyclassError("regime a12 needs Lambda")
-            self.Lambda = _coerce(self.Lambda)
-            if self.Lambda <= 0:  # exact, so a positive Fraction that underflows as a float passes
-                raise PolyclassError("Lambda must be positive")
-            scalars.append(self.Lambda)
-        else:
-            if self.lambda2 is None or self.lambda3 is None:
-                raise PolyclassError("regime a3 needs lambda2 and lambda3")
-            self.lambda2 = _coerce(self.lambda2)
-            self.lambda3 = _coerce(self.lambda3)
-            if self.lambda2 >= 0 or self.lambda3 >= 0:
-                raise PolyclassError("eigenvalues must be negative")
-            scalars.extend([self.lambda2, self.lambda3])
-        self.exact = all(
-            isinstance(x, Fraction)
-            for seq in (self.a, self.c, self.d1, self.P)
-            for x in seq
-        ) and all(isinstance(s, Fraction) for s in scalars)
-        if not self.exact:  # collapse everything to floats
-            self.a = tuple(float(x) for x in self.a)
-            self.c = tuple(float(x) for x in self.c)
-            self.d1 = tuple(float(x) for x in self.d1)
-            self.P = tuple(float(x) for x in self.P)
-            if self.Lambda is not None:
-                self.Lambda = float(self.Lambda)
-            if self.lambda2 is not None:
-                self.lambda2 = float(self.lambda2)
-                self.lambda3 = float(self.lambda3)
-        if self.regime == "a3" and self.lambda2 == self.lambda3:
-            # no tilde transform orders equal eigenvalues
-            raise PolyclassError(f"lambda2 and lambda3 must differ, both are {self.lambda2}")
-        self._check_degrees()
-
-    def _check_degrees(self):
-        if degree(self.a) != 2:
-            raise PolyclassError(f"deg a must be 2, got {degree(self.a)}")
-        if degree(self.c) > 2:
-            raise PolyclassError("deg c exceeds 2")
-        dmax, pmax_ = (2, 5) if self.regime == "a12" else (3, 6)
-        if degree(self.d1) > dmax:
-            raise PolyclassError(f"deg d1 exceeds {dmax}")
-        if degree(self.P) > pmax_:
-            raise PolyclassError(f"deg P exceeds {pmax_}")
-
-    def tol(self):
-        if self.exact:
-            return 0
-        scale = max(pmax(self.a), pmax(self.c), pmax(self.d1), pmax(self.P), 1.0)
-        return FLOAT_TOL * scale
+def _sign(x):
+    """A number of the sign of the coerced value x."""
+    return x[0] if type(x) is tuple else x
 
 
-class BranchVerdict(NamedTuple):
-    branch: str
-    signs: tuple
-    witness: dict
-    oracle_residual: float
-    certificate: str = ""
+def _over_lcm(pairs):
+    """(integer numerators, D) of exact (numerator, denominator) pairs, D the
+    lcm of their denominators."""
+    D = math.lcm(*(d for _, d in pairs))
+    return tuple(n * (D // d) for n, d in pairs), D
 
 
-# --- the integer form ---------------------------------------------------
+def _over_one(values):
+    """(floats, 1) of coerced values, an exact pair n / d correctly rounded
+    as float(Fraction(n, d)) rounds it."""
+    return tuple(x if type(x) is float else x[0] / x[1] for x in values), 1
 
 
 class _Form(NamedTuple):
@@ -281,9 +250,10 @@ class _Form(NamedTuple):
     pair (numerators, denominator), and ``lam`` holds the regime's scalars,
     (Lambda,) or (lambda2, lambda3), as numerators over one denominator.  On
     an exact instance the numerators are Python ints over a positive int
-    denominator, the lcm of the coefficients' denominators; on a float
-    instance they are the floats themselves over 1, so one arithmetic serves
-    both."""
+    denominator, the lcm of the coefficients' denominators in lowest terms;
+    on a float instance they are the floats themselves over 1, so one
+    arithmetic serves both.  Coefficient lists keep their length, trailing
+    zeros included."""
 
     regime: str
     exact: bool
@@ -295,20 +265,84 @@ class _Form(NamedTuple):
     lam: tuple
 
 
-def _numerators(p):
-    """(integer numerators, D) with p = numerators / D, for Fraction
-    coefficients: D is the lcm of their denominators."""
-    D = math.lcm(*(x.denominator for x in p))
-    return tuple(x.numerator * (D // x.denominator) for x in p), D
+class ConstraintInstance:
+    """One constraint instance of a regime, 'a12' (with Lambda) or 'a3' (with
+    lambda2 and lambda3), with the polynomials a, c, d1 and P as coefficient
+    lists.  Coefficients and scalars are checked on construction and held
+    as ``form``, the integer form the classifiers read: integer numerators
+    over a common positive denominator per polynomial and one for the
+    scalars when every value is exact (``exact``: ints, Fractions and
+    rational texts), and the floats over 1 otherwise.  A canonical rational
+    text, ``-?[0-9]+(/[0-9]+)?`` in ASCII digits, is read by two ``int()``
+    calls; any other value takes ``Fraction`` or ``float``, so ``"0.25"``
+    and ``"1e-400"`` stay exact.  The fields a, c, d1, P (tuples) and the
+    regime's scalars are built from the form when read: Fractions on an
+    exact instance, floats otherwise; the other regime's scalars are None.
+    Instances compare and hash by identity."""
+
+    def __init__(self, regime, a, c, d1, P, Lambda=None, lambda2=None, lambda3=None):
+        if regime not in ("a12", "a3"):
+            raise PolyclassError(f"unknown regime '{regime}'")
+        polys = (_coerce_list(a, "a"), _coerce_list(c, "c"), _coerce_list(d1, "d1"), _coerce_list(P, "P"))
+        if regime == "a12":
+            if Lambda is None:
+                raise PolyclassError("regime a12 needs Lambda")
+            lam = (_coerce(Lambda),)
+            if _sign(lam[0]) <= 0:  # exact, so a positive value that underflows as a float passes
+                raise PolyclassError("Lambda must be positive")
+        else:
+            if lambda2 is None or lambda3 is None:
+                raise PolyclassError("regime a3 needs lambda2 and lambda3")
+            lam = (_coerce(lambda2), _coerce(lambda3))
+            if _sign(lam[0]) >= 0 or _sign(lam[1]) >= 0:
+                raise PolyclassError("eigenvalues must be negative")
+        self.regime = regime
+        self.exact = all(type(x) is tuple for seq in (*polys, lam) for x in seq)
+        common = _over_lcm if self.exact else _over_one  # a float anywhere makes every value a float
+        a, c, d1, P, lam = map(common, (*polys, lam))
+        tol = 0 if self.exact else FLOAT_TOL * max(pmax(a[0]), pmax(c[0]), pmax(d1[0]), pmax(P[0]), 1.0)
+        self.form = _Form(regime, self.exact, tol, a, c, d1, P, lam)
+        if regime == "a3" and lam[0][0] == lam[0][1]:
+            # no tilde transform orders equal eigenvalues
+            raise PolyclassError(f"lambda2 and lambda3 must differ, both are {self.lambda2}")
+        self._check_degrees()
+
+    def _check_degrees(self):
+        f = self.form
+        if degree(f.a[0]) != 2:
+            raise PolyclassError(f"deg a must be 2, got {degree(f.a[0])}")
+        if degree(f.c[0]) > 2:
+            raise PolyclassError("deg c exceeds 2")
+        dmax, pmax_ = (2, 5) if self.regime == "a12" else (3, 6)
+        if degree(f.d1[0]) > dmax:
+            raise PolyclassError(f"deg d1 exceeds {dmax}")
+        if degree(f.P[0]) > pmax_:
+            raise PolyclassError(f"deg P exceeds {pmax_}")
+
+    def tol(self):
+        return self.form.tol
+
+    def _scalar(self, regime, k):
+        return _values(self.form.lam, self.exact)[k] if self.regime == regime else None
+
+    a = property(lambda self: _values(self.form.a, self.exact))
+    c = property(lambda self: _values(self.form.c, self.exact))
+    d1 = property(lambda self: _values(self.form.d1, self.exact))
+    P = property(lambda self: _values(self.form.P, self.exact))
+    Lambda = property(lambda self: self._scalar("a12", 0))
+    lambda2 = property(lambda self: self._scalar("a3", 0))
+    lambda3 = property(lambda self: self._scalar("a3", 1))
 
 
-def _form(inst: ConstraintInstance) -> _Form:
-    pair = _numerators if inst.exact else (lambda p: (p, 1))
-    lam = (inst.Lambda,) if inst.regime == "a12" else (inst.lambda2, inst.lambda3)
-    return _Form(
-        inst.regime, inst.exact, inst.tol(),
-        pair(inst.a), pair(inst.c), pair(inst.d1), pair(inst.P), pair(lam),
-    )
+class BranchVerdict(NamedTuple):
+    branch: str
+    signs: tuple
+    witness: dict
+    oracle_residual: float
+    certificate: str = ""
+
+
+# --- the integer form ---------------------------------------------------
 
 
 def _tilde(f: _Form) -> _Form:
@@ -404,7 +438,7 @@ def verify_constraint(inst: ConstraintInstance) -> float:
     when the constraint holds.  This expansion is the oracle every
     classification claim is checked against.
     """
-    lhs, rhs, D = _constraint_sides(_form(inst))
+    lhs, rhs, D = _constraint_sides(inst.form)
     return _fmax(psub(lhs, rhs), D)
 
 
@@ -442,7 +476,7 @@ def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
     """Decision tree for the a12 constraint; see the module docstring."""
     if inst.regime != "a12":
         raise PolyclassError("classify_a12 needs regime a12")
-    return _classify_a12(_form(inst))
+    return _classify_a12(inst.form)
 
 
 def _classify_a12(f: _Form) -> BranchVerdict:
@@ -522,9 +556,10 @@ def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
     """Decision tree for the a3 constraint (lambda2 < lambda3 < 0)."""
     if inst.regime != "a3":
         raise PolyclassError("classify_a3 needs regime a3")
-    if not inst.lambda2 < inst.lambda3:
+    (l2, l3), _ = inst.form.lam
+    if not l2 < l3:
         raise OrderingError("need lambda2 < lambda3; apply tilde_transform first")
-    return _classify_a3(_form(inst))
+    return _classify_a3(inst.form)
 
 
 def _classify_a3(f: _Form) -> BranchVerdict:
@@ -613,7 +648,7 @@ def classify(inst: ConstraintInstance):
     instance whose products leave the float range of the checks raises
     PolyclassError."""
     try:
-        f = _form(inst)
+        f = inst.form
         if f.regime == "a12":
             return _classify_a12(f), False
         (l2, l3), _ = f.lam

@@ -69,7 +69,10 @@ def test_pdivmod_equals_fraction_long_division(num, den):
     the quotient and remainder of the reference's long division of the
     Fraction values."""
     num = [Fraction(x) for x in num]
-    (q, dq), (r, dr) = polyclass._qdiv(polyclass._numerators(num), polyclass._numerators(den))
+    num_form, den_form = (
+        polyclass._over_lcm([(x.numerator, x.denominator) for x in map(Fraction, p)]) for p in (num, den)
+    )
+    (q, dq), (r, dr) = polyclass._qdiv(num_form, den_form)
     assert all(type(x) is int for x in q + r) and dq > 0 and dr > 0
     q, r = tuple(Fraction(x, dq) for x in q), tuple(Fraction(x, dr) for x in r)
     q_want, r_want = reference_pdivmod(num, den)
@@ -306,15 +309,179 @@ def test_tilde_swaps_classification():
     assert tilded and v.branch == "A3BranchII"
 
 
-def test_json_roundtrip():
-    rng = np.random.default_rng(4)
-    inst, _ = plant_a12(rng, "CaseIII", 1)
-    data = instance_to_dict(inst)
-    text = json.dumps(data)
-    inst2 = instance_from_dict(json.loads(text))
-    assert inst2.exact
-    assert inst2.a == inst.a and inst2.P == inst.P
-    assert classify_a12(inst2).branch == "CaseIII"
+def _every_branch(seed):
+    """Planted instances of every a12 branch with both signs and every a3
+    branch in both eigenvalue orders (A3BranchII with all four sign pairs),
+    then the float copy of each."""
+    rng = np.random.default_rng(seed)
+    out = [plant_a12(rng, branch, sign)[0]
+           for branch in ("CZero", "DEqualsSqrtLambdaA", "CaseIII", "CaseIV", "Infeasible") for sign in (1, -1)]
+    for branch, sign_pairs in (("CZero", [(1, 1)]), ("A3BranchII", [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+                               ("Infeasible", [(1, 1)])):
+        for signs in sign_pairs:
+            inst = plant_a3(rng, branch, signs)[0]
+            out += [inst, tilde_transform(inst)]
+    return out + [_float_copy(inst) for inst in out]
+
+
+def _instance_file(path, inst):
+    """Write inst as the benchmark writes instance files: ``instance_to_dict``
+    dumped with sorted keys."""
+    path.write_text(json.dumps(instance_to_dict(inst), sort_keys=True), encoding="utf-8")
+    return path
+
+
+def _fields(inst):
+    names = ("a", "c", "d1", "P", "Lambda", "lambda2", "lambda3")
+    return [(name, getattr(inst, name)) for name in names]
+
+
+def test_json_roundtrip(tmp_path):
+    """instance_to_dict -> file -> instance_from_file keeps ``exact``, every
+    coefficient and scalar with its type, the integer form and the verdict,
+    for every branch, both a3 eigenvalue orders and the float copies."""
+    for k, inst in enumerate(inst for seed in range(4) for inst in _every_branch(seed)):
+        back = polyclass.instance_from_file(_instance_file(tmp_path / f"inst_{k}.json", inst))
+        assert back.exact == inst.exact
+        for (name, got), (_, want) in zip(_fields(back), _fields(inst)):
+            assert got == want and type(got) is type(want), name
+            if isinstance(want, tuple):
+                assert [type(x) for x in got] == [type(x) for x in want], name
+        assert back.form == inst.form
+        assert classify(back) == classify(inst)
+
+
+# canonical texts, read by int() alone
+_FAST_TEXTS = ("0", "-0", "007", "6/8", "1/08", "-12/18", str(2**1023 - 1))
+# refused by Fraction(text) or by the float range
+_REFUSED_TEXTS = ("1/0", "3/-4", "--1", "-", "²", "", "1/", "/2", "0/0", "1e400", "1" + "0" * 400)
+# accepted by Fraction(text) alone
+_FALLBACK_TEXTS = ("٣", "1_0", " 3/4 ", "+3", "0.5", "1e-400", "-1E2", str(2**1023))
+
+
+def _by_fraction(text):
+    """What ``Fraction(text)`` makes of a coefficient text: the Fraction, or
+    the PolyclassError the instance reader raises for it."""
+    try:
+        x = Fraction(text)
+        float(x)  # OverflowError past the float range
+        return x
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return PolyclassError(f"coefficient {text!r} is not a finite number within the float range")
+
+
+def _assert_read_as_fraction(text):
+    """An instance with the coefficient text as c and as Lambda reads it as
+    Fraction(text) does: the same refusal and message, or the same value,
+    exact, with the integer form of its lowest terms."""
+    want = _by_fraction(text)
+    for where in ({"c": (text,), "Lambda": "1"}, {"c": ("1",), "Lambda": text}):
+        args = {"regime": "a12", "a": ("1", "0", "1"), "d1": (), "P": (), **where}
+        if isinstance(want, PolyclassError):
+            with pytest.raises(PolyclassError) as err:
+                ConstraintInstance(**args)
+            assert str(err.value) == str(want)
+            continue
+        if where["Lambda"] == text and want <= 0:
+            with pytest.raises(PolyclassError, match="Lambda must be positive"):
+                ConstraintInstance(**args)
+            continue
+        inst = ConstraintInstance(**args)
+        assert inst.exact
+        got = inst.c[0] if where["c"] == (text,) else inst.Lambda
+        assert got == want and type(got) is Fraction
+        pair = inst.form.c if where["c"] == (text,) else inst.form.lam
+        assert pair == ((want.numerator,), want.denominator)
+
+
+@pytest.mark.parametrize("text", _FAST_TEXTS + _REFUSED_TEXTS + _FALLBACK_TEXTS)
+def test_rational_text_reads_as_fraction_does(text):
+    """The table: canonical texts take the int() reader, every other text
+    (refused or not) takes Fraction(text), and either way the instance holds
+    what Fraction(text) gives."""
+    assert (polyclass._read_rational(text) is not None) == (text in _FAST_TEXTS)
+    _assert_read_as_fraction(text)
+
+
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=25)
+_rational_text = st.one_of(
+    st.builds(lambda s, n, d: s + n + ("/" + d if d else ""), st.sampled_from(["", "-"]), _digits,
+              st.one_of(st.just(""), _digits)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(2**1100), 2**1100), st.integers(0, 2**80)),
+    # exponents stay small: Fraction("1e99999999") computes 10**99999999
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-99, 99), st.integers(-500, 500)),
+    st.text(alphabet="0123456789-+/_ .٣²", max_size=10),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_text)
+def test_any_text_reads_as_fraction_does(text):
+    _assert_read_as_fraction(text)
+
+
+# the least magnitude that float() rounds up to 2^1024: halfway between the
+# largest float, 2^1024 - 2^971, and 2^1024 (round half to even)
+_FLOAT_EDGE = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize(
+    "text,accepted",
+    [
+        (str(_FLOAT_EDGE), False),
+        (f"{3 * _FLOAT_EDGE + 1}/3", False),
+        (str(-_FLOAT_EDGE), False),
+        (str(_FLOAT_EDGE - 1), True),
+        (f"{3 * _FLOAT_EDGE - 1}/3", True),
+        (f"-{3 * _FLOAT_EDGE - 1}/3", True),
+        (str(2**1023), True),
+        ("1" + "0" * 400, False),
+        ("1e400", False),
+    ],
+)
+def test_float_range_edge_is_exact(text, accepted):
+    """A text is accepted exactly when float(Fraction(text)) is finite, on
+    either side of the rounding edge and on either route."""
+    try:
+        float(Fraction(text))
+        finite = True
+    except OverflowError:
+        finite = False
+    assert finite == accepted
+    _assert_read_as_fraction(text)
+
+
+def test_canonical_instance_files_build_no_fraction(tmp_path, monkeypatch):
+    """Loading canonical instance files (five benchmark rounds) constructs
+    no Fraction from a text, and classifying them constructs Fractions only
+    for the witnesses.  With the int() reader switched off, the same files
+    take one Fraction(text) per coefficient and scalar."""
+    planted = (inst for seed in range(5) for inst in _planted(seed))
+    paths = [_instance_file(tmp_path / f"inst_{k}.json", inst) for k, inst in enumerate(planted)]
+    texts, built = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            (texts if isinstance(numerator, str) else built).append(numerator)
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(polyclass, "Fraction", Counted)
+    insts = [polyclass.instance_from_file(path) for path in paths]
+    assert texts == [] and built == [] and all(inst.exact for inst in insts)
+    for inst in insts:
+        verdict, _ = classify(inst)
+        witnesses = [x for value in verdict.witness.values()
+                     for x in (value if isinstance(value, tuple) else (value,)) if isinstance(x, Fraction)]
+        assert len(built) == len(witnesses) and texts == []
+        built.clear()
+
+    monkeypatch.setattr(polyclass, "_read_rational", lambda text: None)
+    for path in paths:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        polyclass.instance_from_file(path)
+        assert len(texts) == sum(len(v) if isinstance(v, list) else 1 for k, v in data.items() if k != "regime")
+        assert 7 <= len(texts) <= 19
+        texts.clear()
 
 
 def test_degree_validation():
