@@ -29,7 +29,12 @@ computed once and each constant subtree folded, replayed at any order and at
 one point or a batch.  A metric compiles its six components once
 (``MetricSpec.tape``); ``eval_jet`` is a one-expression tape that returns its
 array in a ``Jet4`` record, and ``eval_dual`` (value and gradient) is its
-order-1 case.
+order-1 case.  At order 1 and one point a coefficient array is four numbers,
+too few to pay numpy's cost per call, so ``Tape.first_order`` replays the
+same operations on Python floats, a register being the tuple of its four
+coefficients: the same series functions and fault rules (``_power_series``,
+``_function_series``), summed as ``_mul`` sums, so it gives the bits of
+``run(p, 1)``.  The geodesic stepper's ``metrics.gamma_at`` runs it.
 """
 
 from __future__ import annotations
@@ -527,17 +532,16 @@ def _binomial_series(a0, n, top):
     return series
 
 
-def _ipow(c, n, order, node):
-    """c^n by the binomial series (a0 + h)^n; n = -1 is the reciprocal.
+def _power_series(a0, n, top, node):
+    """The Taylor series of x^n at a0 (a float, or an (n,) array at a batch)
+    to degree ``top``: ``_binomial_series``.
 
     A negative power of a value within 1e-12 of 0 (at any point of a batch)
     raises DomainFault naming ``node``; so does a finite a0 where a term of
     the series overflows the float range, at one point and at a batch alike.
     """
-    a0 = _value(c)
     if n < 0 and _any(abs(a0) < 1e-12):
         raise DomainFault("division by ~0", node)
-    top = order if n < 0 else min(order, n)
     try:  # a float power raises OverflowError, numpy under ``over="raise"`` FloatingPointError
         if isinstance(a0, np.ndarray):
             with np.errstate(over="raise"):
@@ -549,7 +553,12 @@ def _ipow(c, n, order, node):
                 raise OverflowError
     except (OverflowError, FloatingPointError):
         raise DomainFault(f"power {n} overflows the float range", node) from None
-    return _compose(c, series, order)
+    return series
+
+
+def _ipow(c, n, order, node):
+    """c^n by the binomial series (a0 + h)^n; n = -1 is the reciprocal."""
+    return _compose(c, _power_series(_value(c), n, order if n < 0 else min(order, n), node), order)
 
 
 def _growing(f, a0, name, node):
@@ -598,6 +607,8 @@ def _function_series(name, a0, node):
 
 _LEAVES = ("const", "var", "unbound")
 _BINARY = ("+", "-", "*")
+# the first partials of x1, x2, x3
+_UNIT_PARTIALS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class Tape:
@@ -687,6 +698,59 @@ class Tape:
         if not 0 <= order <= MAX_ORDER:
             raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
         return _run(self.ops, self.outputs, as_point(p), order)
+
+    def first_order(self, p):
+        """``run(p, 1)`` at one point on Python floats, bit for bit: the
+        values and first partials of the expressions as (values, d_1, d_2,
+        d_3), one float per expression in each.
+
+        A register is the tuple of its four coefficients.  A product writes
+        coefficient i as 0.0 + u0 v_i + u_i v0, the Leibniz terms in
+        ``_mul``'s order summed from +0.0, as its one-hot product sums them;
+        where a term is inf or nan, which that product spreads over the other
+        coefficients as nan, it is ``_mul`` itself.  Powers and calls take
+        their series, and their faults, from ``_power_series`` and
+        ``_function_series``."""
+        x = as_point(p)
+        regs = []
+        for kind, a, b, node in self.ops:
+            if kind == "*":
+                u0, u1, u2, u3 = u = regs[a]
+                v0, v1, v2, v3 = v = regs[b]
+                c = (0.0 + u0 * v0, 0.0 + u0 * v1 + u1 * v0, 0.0 + u0 * v2 + u2 * v0, 0.0 + u0 * v3 + u3 * v0)
+                s = c[0] + c[1] + c[2] + c[3]
+                if s - s:  # nan: a coefficient, so a term, is inf or nan (or the sum overflows)
+                    c = tuple(_mul(np.array(u), np.array(v), 1).tolist())
+            elif kind == "+":
+                u0, u1, u2, u3 = regs[a]
+                v0, v1, v2, v3 = regs[b]
+                c = (u0 + v0, u1 + v1, u2 + v2, u3 + v3)
+            elif kind == "^":
+                u0, u1, u2, u3 = regs[a]
+                if b:
+                    s0, s1 = _power_series(u0, b, 1, node)
+                    c = (s0, u1 * s1, u2 * s1, u3 * s1)
+                else:
+                    c = (1.0, 0.0, 0.0, 0.0)
+            elif kind == "call":
+                u0, u1, u2, u3 = regs[a]
+                s0, s1 = _function_series(b, u0, node)[:2]
+                c = (s0, u1 * s1, u2 * s1, u3 * s1)
+            elif kind == "-":
+                u0, u1, u2, u3 = regs[a]
+                v0, v1, v2, v3 = regs[b]
+                c = (u0 - v0, u1 - v1, u2 - v2, u3 - v3)
+            elif kind == "neg":
+                u0, u1, u2, u3 = regs[a]
+                c = (-u0, -u1, -u2, -u3)
+            elif kind == "const":
+                c = (a, 0.0, 0.0, 0.0)
+            elif kind == "var":
+                c = (x[a],) + _UNIT_PARTIALS[a]
+            else:
+                raise ExprError(f"unbound parameter '{a}'")
+            regs.append(c)
+        return tuple(zip(*[regs[r] for r in self.outputs]))
 
 
 def _run(ops, outputs, point, order):

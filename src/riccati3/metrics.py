@@ -307,12 +307,13 @@ def lowered_symbol(dg):
 
 
 def gamma_at(spec: MetricSpec, p):
-    """(jet, inv) at the point p as Python floats, from one order-1 tape run:
-    ``jet`` is g11, g12, g13, g22, g23, g33 and their partials d_1, d_2, d_3
-    (four lists of six), ``inv`` the six entries of g^-1, ``cofactors`` over
-    det g.  The one metric call of a geodesic stage (``riccati._slopes``); a g
-    that fails ``leading_minors``' rule raises ``metric_jets``' MetricError."""
-    jet = np.array(spec.tape.run(p, 1)).T.tolist()
+    """(jet, inv) at the point p as Python floats, from the metric tape's
+    order-1 replay on floats (``Tape.first_order``): ``jet`` is g11, g12,
+    g13, g22, g23, g33 and their partials d_1, d_2, d_3 (four tuples of six),
+    ``inv`` the six entries of g^-1, ``cofactors`` over det g.  The one metric
+    call of a geodesic stage (``riccati._slopes``); a g that fails
+    ``leading_minors``' rule raises ``metric_jets``' MetricError."""
+    jet = spec.tape.first_order(p)
     (_, _, m3), usable = leading_minors(*jet[0])
     if not usable:
         raise _metric_fault(spec, tuple(map(float, p)), jet[0])

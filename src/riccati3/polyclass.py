@@ -196,11 +196,29 @@ def _read_rational(text):
     return n, d
 
 
+def _past_float_range(text):
+    """Whether ``Fraction(text)`` would refuse a text, decided without the
+    10^exponent it computes: the text has an e or E, and what follows the
+    last one is either no integer (no number in Fraction's syntax, or an
+    exponent with more digits than ``int()`` reads) or one above 309 plus the
+    text's length with a nonzero digit before it, so that any number the text
+    could be is at least 10^309.  A zero mantissa is left to ``Fraction``."""
+    k = max(text.rfind("e"), text.rfind("E"))
+    if k < 0:
+        return False
+    try:
+        exponent = int(text[k + 1 :])
+    except ValueError:
+        return True
+    return exponent > 309 + len(text) and any(ch.isdecimal() and int(ch) for ch in text[:k])
+
+
 def _coerce(value):
     """An exact value (int, Fraction or rational text) as its (numerator,
     denominator) in lowest terms, a float otherwise; a value that is not a
     number a float can hold raises PolyclassError.  A canonical rational text
-    is read by ``_read_rational``, any other one by ``Fraction``."""
+    is read by ``_read_rational``, one ``_past_float_range`` is refused, any
+    other one is read by ``Fraction``."""
     if type(value) is str:
         pair = _read_rational(value)
         if pair is not None:
@@ -210,6 +228,8 @@ def _coerce(value):
     try:
         if isinstance(value, Fraction):
             x = value
+        elif isinstance(value, str) and _past_float_range(value):
+            raise OverflowError
         elif isinstance(value, (int, str)):
             x = Fraction(value)
         else:

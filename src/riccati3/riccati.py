@@ -18,8 +18,8 @@ A Riccati step works on the three entries as floats, with u u written out on
 them: a 2x2 step has too little arithmetic to pay numpy's cost per call.
 The geodesic step runs the same way on the 12 floats of the state
 (x, v, w1, w2).  Each of its four stages makes one metric call,
-``gamma_at``: one run of the metric's compiled order-1 tape, handed over as
-floats by one ``.tolist()``, with the leading-minor check and the adjugate
+``gamma_at``: one replay of the metric's compiled tape at order 1 on floats
+(``Tape.first_order``), with the leading-minor check and the adjugate
 inverse.  The stage contracts the lowered Christoffel symbols with v first,
 as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises
 each of the three vectors once with g^-1; the full Gamma is never built.
@@ -58,11 +58,6 @@ def _blocks(n):
     return [slice(s, s + SAMPLE_BLOCK) for s in range(0, n, SAMPLE_BLOCK)]
 
 
-def _inner(a, g, b):
-    """g(a, b) at every sample: a, b (n, 3), g (n, 3, 3)."""
-    return np.einsum("...i,...ij,...j->...", a, g, b)
-
-
 class GeodesicPath(NamedTuple):
     spec: MetricSpec
     ts: np.ndarray  # (n,)
@@ -70,27 +65,6 @@ class GeodesicPath(NamedTuple):
     vs: np.ndarray  # (n,3) velocities
     w1s: np.ndarray  # (n,3) parallel frame
     w2s: np.ndarray
-
-    def _metric_values(self) -> np.ndarray:
-        """g at every sample, (n, 3, 3), from batched order-0 metric jets."""
-        blocks = _blocks(len(self.xs))
-        return np.concatenate([metric_jets(self.spec, self.xs[b], order=0).g for b in blocks])
-
-    def speed_drift(self) -> float:
-        g = self._metric_values()
-        return float(np.max(np.abs(_inner(self.vs, g, self.vs) - 1.0)))
-
-    def frame_drift(self) -> float:
-        g = self._metric_values()
-        v, w1, w2 = self.vs, self.w1s, self.w2s
-        dev = [
-            _inner(w1, g, w1) - 1.0,
-            _inner(w2, g, w2) - 1.0,
-            _inner(w1, g, w2),
-            _inner(v, g, w1),
-            _inner(v, g, w2),
-        ]
-        return float(np.max(np.abs(dev)))
 
 
 class RiccatiResult(NamedTuple):

@@ -2,7 +2,8 @@
 leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
-of ``riccati._rk4``; the Neumann series of g^-1 to full order checks the
+of ``riccati._rk4``, and the speed and frame drifts of a geodesic path
+check its invariants; the Neumann series of g^-1 to full order checks the
 curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
 the Leibniz tables it is built on and the grouped contracted products; the
@@ -38,7 +39,7 @@ from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _pad
 from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
-from riccati3.riccati import _rk4
+from riccati3.riccati import _blocks, _rk4
 
 
 class EigengapError(ValueError):
@@ -102,6 +103,39 @@ def reference_rk4(spec, y, dt):
     k3 = reference_rhs(spec, y + 0.5 * dt * k2)
     k4 = reference_rhs(spec, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _inner(a, g, b):
+    """g(a, b) at every sample: a, b (n, 3), g (n, 3, 3)."""
+    return np.einsum("...i,...ij,...j->...", a, g, b)
+
+
+def path_metric_values(path):
+    """g at every sample of a ``GeodesicPath``, (n, 3, 3), from batched
+    order-0 metric jets, one block of SAMPLE_BLOCK samples at a time."""
+    blocks = _blocks(len(path.xs))
+    return np.concatenate([metric_jets(path.spec, path.xs[b], order=0).g for b in blocks])
+
+
+def speed_drift(path):
+    """max |g(v, v) - 1| over the path's samples."""
+    g = path_metric_values(path)
+    return float(np.max(np.abs(_inner(path.vs, g, path.vs) - 1.0)))
+
+
+def frame_drift(path):
+    """The largest deviation of (v, w1, w2) from a g-orthonormal frame over
+    the path's samples (g(v, v) aside: ``speed_drift``)."""
+    g = path_metric_values(path)
+    v, w1, w2 = path.vs, path.w1s, path.w2s
+    dev = [
+        _inner(w1, g, w1) - 1.0,
+        _inner(w2, g, w2) - 1.0,
+        _inner(w1, g, w2),
+        _inner(v, g, w1),
+        _inner(v, g, w2),
+    ]
+    return float(np.max(np.abs(dev)))
 
 
 def _match_sign(vec, reference):

@@ -12,9 +12,11 @@ from oracles import eval_scalar, leibniz_contract, mul_tables
 from riccati3.exprjet import (
     DEGREES,
     DomainFault,
+    ExprError,
     MULTI_INDICES,
     N_BY_ORDER,
     ParseError,
+    Tape,
     _MUL_TABLES,
     _PAIR_SCATTERS,
     _mul,
@@ -457,6 +459,89 @@ def test_gamma_at_matches_order4_pack(spec):
         for got, want in ((g, pack.g), (ginv, pack.ginv), (gamma, pack.gamma)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+# neg, -, *, ^0, a negative power and all seven functions
+EVERY_OPERATION = {
+    "g11": "exp(x1)*sin(x2) - cos(x3)^0 + sinh(x1)/(2 + x2^2)",
+    "g12": "-log(3 + x1)*sqrt(4 + x2)",
+    "g13": "cosh(x3)^-2 - -x1",
+    "g22": "(2 + x1*x2)^-3 - (x1 - x2)*(x3 - x1)",
+    "g23": "-(x3^2)^0 - x1*x2*x3",
+    "g33": "1/(1 + x3^2) + exp(-x1)",
+}
+
+
+def _first_order_and_run(tape, p):
+    """What ``tape.first_order(p)`` and ``tape.run(p, 1)`` give at p: each
+    jet as the bytes of its (4, outputs) array, or the exception's type and
+    message."""
+    outcomes = []
+    for replay in (tape.first_order, lambda p: np.array(tape.run(p, 1)).T):
+        try:
+            jet = replay(p)
+        except (ExprError, ArithmeticError) as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        if replay == tape.first_order:
+            assert len(jet) == 4 and all(type(x) is float for column in jet for x in column)
+        outcomes.append(np.array(jet).tobytes())
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _tape_specs() + [custom(EVERY_OPERATION, name="every-operation")],
+    ids=lambda s: f"{s.name}{s.params}",
+)
+def test_first_order_replay_is_the_order1_run_bit_for_bit(spec):
+    """The float replay of gamma_at gives the bytes of the numpy run at order
+    1, zero signs included, at random points of the box and points with
+    +0.0 and -0.0 coordinates (where some metrics fault, the same way)."""
+    rng = np.random.default_rng(11)
+    box = np.array(spec.box)
+    points = [tuple(rng.uniform(box[:, 0], box[:, 1])) for _ in range(40)]
+    mid = box.mean(axis=1)
+    for signs in np.ndindex(2, 2, 2):
+        zeros = tuple(-0.0 if s else 0.0 for s in signs)
+        points.append(zeros)
+        points += [tuple(zeros[i] if i == k else float(mid[i]) for i in range(3)) for k in range(3)]
+    for p in points:
+        got, want = _first_order_and_run(spec.tape, p)
+        assert got == want, p
+
+
+@pytest.mark.parametrize(
+    "src,point,message",
+    [
+        ("1/(x1 - x2)", (0.5, 0.5, 0.0), "division by ~0 in subtree '(x1 - x2)'"),
+        ("x1^-3", (4e-13, 0.0, 0.0), "division by ~0 in subtree '(x1^-3)'"),
+        ("1 + x1^4 - x1^4", (1e100, 0.0, 0.0), "power 4 overflows the float range in subtree '(x1^4)'"),
+        ("1e-300*x1^200", (34.6, 0.0, 0.0), "power 200 overflows the float range in subtree '(x1^200)'"),
+        ("exp(x1)", (800.0, 0.0, 0.0), "exp overflows the float range in subtree 'exp(x1)'"),
+        ("cosh(x2)", (0.0, -800.0, 0.0), "cosh overflows the float range in subtree 'cosh(x2)'"),
+        ("log(x1)", (-0.5, 0.0, 0.0), "log of non-positive value in subtree 'log(x1)'"),
+        ("sqrt(x2 - 4)", (0.0, 1.0, 0.0), "sqrt of non-positive value in subtree 'sqrt((x2 - 4.0))'"),
+        ("x1 + L*x2", (0.1, 0.2, 0.3), "unbound parameter 'L'"),
+        # a product that overflows: numpy's one-hot sum spreads inf and nan
+        ("x1*x1*x1*x1", (1e100, 0.0, 0.0), None),
+        ("1/(x1*x1*x1*x1) + x1", (1e100, 0.0, 0.0), None),
+        ("x1*x2", (math.nan, 1.0, 0.0), None),
+        ("x1*x2", (math.inf, 0.0, 0.0), None),
+    ],
+)
+def test_first_order_replay_faults_as_the_order1_run(src, point, message):
+    """Each fault raises the same exception with the same message from the
+    float replay and the numpy run; a product past the float range gives the
+    same bytes, inf and nan included."""
+    tape = Tape((parse_expr(src, params=["L"]), parse_expr("x3")))
+    with np.errstate(all="ignore"):
+        got, want = _first_order_and_run(tape, point)
+    assert got == want
+    if message is None:
+        assert isinstance(got, bytes)
+    else:
+        assert got[1] == message and issubclass(got[0], ExprError)
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])

@@ -411,6 +411,8 @@ _rational_text = st.one_of(
     # exponents stay small: Fraction("1e99999999") computes 10**99999999
     st.builds(lambda m, e: f"{m}e{e}", st.integers(-99, 99), st.integers(-500, 500)),
     st.text(alphabet="0123456789-+/_ .٣²", max_size=10),
+    # an e or E in any position; short enough that Fraction's 10^exponent stays small
+    st.text(alphabet="0123456789-+/_ .eE٣", max_size=6),
 )
 
 
@@ -449,6 +451,34 @@ def test_float_range_edge_is_exact(text, accepted):
         finite = False
     assert finite == accepted
     _assert_read_as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e999999", "1e9999999", "-2.5E+99999", " 7e1_000_000 ", "0.0001e400", "1/2e99999", "1e" + "9" * 5000],
+    ids=lambda text: text if len(text) < 20 else f"1e<{len(text) - 2} nines>",
+)
+def test_huge_exponent_is_refused_without_fraction(text, monkeypatch):
+    """A text whose decimal exponent exceeds 309 plus its length, with a
+    nonzero digit before it, is refused with Fraction's message, and
+    Fraction, which would first compute 10 to that exponent, is never called
+    for it.  A zero mantissa is still Fraction's to read, and accepted."""
+    calls = []
+
+    class Guarded(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            calls.append(numerator)
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(polyclass, "Fraction", Guarded)
+    message = f"coefficient {text!r} is not a finite number within the float range"
+    for where in ({"c": (text,), "Lambda": "1"}, {"c": ("1",), "Lambda": text}):
+        with pytest.raises(PolyclassError) as err:
+            ConstraintInstance(regime="a12", a=("1", "0", "1"), d1=(), P=(), **where)
+        assert str(err.value) == message
+    assert text not in calls
+    inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=("0e99999",), d1=(), P=(), Lambda="1")
+    assert inst.c == (Fraction(0),) and "0e99999" in calls
 
 
 def test_canonical_instance_files_build_no_fraction(tmp_path, monkeypatch):
