@@ -11,14 +11,9 @@ from .curvature import (
 )
 from .exprjet import Jet4, eval_jet, parse_expr
 from .metrics import MetricJet, MetricSpec, builtin, custom, metric_jets
-from .obstruction import (
-    ObstructionValues,
-    fibonacci_directions,
-    jacobi_frame,
-    obstruction_values,
-)
+from .obstruction import ObstructionValues, fibonacci_directions, obstruction_values
 from .polyclass import ConstraintInstance, classify, tilde_transform, verify_constraint
-from .riccati import GeodesicPath, constrained_probe, integrate_geodesic, integrate_riccati
+from .riccati import GeodesicPath, integrate_geodesic, integrate_riccati
 
 __all__ = [
     "ConstraintInstance",
@@ -31,7 +26,6 @@ __all__ = [
     "RankReport",
     "builtin",
     "classify",
-    "constrained_probe",
     "curvature_pack",
     "custom",
     "eval_jet",
@@ -39,7 +33,6 @@ __all__ = [
     "identity_residuals",
     "integrate_geodesic",
     "integrate_riccati",
-    "jacobi_frame",
     "jacobi_op",
     "metric_jets",
     "obstruction_values",

@@ -20,20 +20,21 @@ two sides is the obstruction residual this module reports.  X is isotropic
 when |Jo| = sqrt(tr(Jo o Jo)/2) is below 1e-10 max(1, |t|, |J|), with
 |J|^2 = tr(J o J); there the traces and D are 0, and so is the residual.
 
-In a g-orthonormal eigenbasis of Jo on X-perp (``jacobi_frame``), Jo is
-[[A, B], [B, -A]] with B = 0 and Jo' is [[A1, B1], [B1, -A1]]
-(``derived_jacobi_direct``): tr(Jo o Jo) = 2(A^2 + B^2), D = 4 (A B1 - A1 B)^2.
-``riccati.constrained_probe`` solves in that frame.
+In a g-orthonormal basis of X-perp, Jo is [[A, B], [B, -A]] and Jo' is
+[[A1, B1], [B1, -A1]], so tr(Jo o Jo) = 2(A^2 + B^2) and
+D = 4 (A B1 - A1 B)^2.  No command needs that frame: the eigenframe with
+B = 0 (``jacobi_frame``), the entries A1, B1 (``derived_jacobi_direct``) and
+the grid probe of trace-free initial values that solves in that frame
+(``constrained_probe``) are test oracles, in ``tests/oracles.py``.
 
 ``rank1_checks`` certifies a point of Ricci rank 1 from that point's pack
 alone: the covariant derivative of the eigenvector e3 of the simple nonzero
 Ricci eigenvalue is exact, from nabla ric, with no neighbouring point.
 
-``jacobi_frame``, ``derived_jacobi_direct`` and ``obstruction_values`` take
-one direction or an (m, 3) batch, with one code path: a batch gives every
-field as an array with a leading direction axis, and one direction is a batch
-of one whose fields come back as floats, bools and (3,) vectors.  A pack of n
-points (see ``curvature``) takes directions of shape (n, m, 3), m at each
+``obstruction_values`` takes one direction or an (m, 3) batch, with one
+code path: a batch gives every field as an array with a leading direction
+axis, and one direction is a batch of one whose fields come back as floats,
+bools and (3,) vectors.  A pack of n points (see ``curvature``) takes directions of shape (n, m, 3), m at each
 point, and gives every field a leading point axis before the direction axis.
 """
 
@@ -51,35 +52,12 @@ from .curvature import (
     _matrix,
     _outer,
     _products,
-    jacobi_op,
-    orthonormal_perp,
-    plane_entries,
     ricci_rank,
 )
 
 
 class RankPrecondition(ValueError):
     """Operation requires a specific Ricci rank at the point."""
-
-
-class JacobiFrame(NamedTuple):
-    """Fields are floats and (3,) vectors for one direction, arrays with a
-    leading direction axis for a batch."""
-
-    X: np.ndarray
-    v: np.ndarray  # unit
-    w1: np.ndarray
-    w2: np.ndarray
-    A: float
-    B: float
-    t: float  # ric(X, X)
-    isotropic: bool
-
-
-class DerivedJacobi(NamedTuple):
-    A1: float
-    B1: float
-    trace: float  # tr J'(X) = (nabla_X ric)(X,X)
 
 
 class ObstructionValues(NamedTuple):
@@ -98,7 +76,7 @@ class ObstructionValues(NamedTuple):
     @property
     def frame(self):
         """The values themselves: the benchmark's tracer reads ``ov.frame.isotropic``
-        until it counts ``isotropic`` itself (ROADMAP item 13)."""
+        until it counts ``isotropic`` itself (ROADMAP item 16)."""
         return self
 
 
@@ -154,49 +132,6 @@ def _trace_product(A, B):
     return np.einsum("...li,...il->...", A, B)
 
 
-def jacobi_frame(pack: CurvaturePack, X) -> JacobiFrame:
-    """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
-    for one direction, an (m, 3) batch, or (n, m, 3) at a pack of n points.
-
-    Where the operator is isotropic (|(A, B)| below 1e-10 times the size of
-    J) the frame keeps the complement basis, A = 0 and ``isotropic`` is set;
-    for a batch that flag is an ``IsotropyMask``.  A zero direction raises
-    ValueError.
-    """
-    X, one = _directions(X)
-    nX = np.sqrt(np.einsum("...i,...i->...", X @ pack.g, X))
-    if (nX == 0.0).any():
-        raise ValueError("zero direction")
-    v = X / nX[..., None]
-    w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
-    m11, m12, m22 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
-    t = (_products(X, 2) @ _matrix(pack.ric, 2, 0))[..., 0]
-    A = 0.5 * (m11 - m22)
-    h = np.hypot(A, m12)
-    scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
-    iso = h < 1e-10 * scale
-    theta = 0.5 * np.arctan2(m12, A)
-    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    keep = iso[..., None]
-    w1, w2 = np.where(keep, w1, c * w1 + s * w2), np.where(keep, w2, -s * w1 + c * w2)
-    frame = JacobiFrame(X, v, w1, w2, np.where(iso, 0.0, h), np.zeros_like(h), t, iso.view(IsotropyMask))
-    return _first(frame) if one else frame
-
-
-def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> DerivedJacobi:
-    """J'(X) = (nabla_X R)(., X) X projected to the frame plane, for one
-    direction or a batch (as for ``jacobi_frame``) with the frame of the same
-    shape."""
-    X, one = _directions(X)
-    # nablaR[m, i, j, k, l] as the (mjk, li) matrix: one product sums over m, j, k
-    nablaR = np.moveaxis(pack.nablaR, -4, -1)
-    Jp = (_products(X, 3) @ _matrix(nablaR, 3, 2)).reshape(X.shape + (3,))
-    w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
-    m11, m12, m22 = plane_entries(pack.g, Jp, w1, w2)
-    dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
-    return _first(dj) if one else dj
-
-
 def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     """Evaluate both sides of the detector identity at (point, X), in trace
     form (see the module docstring), for one direction X of shape (3,)
@@ -227,7 +162,7 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
     Jo, Jpo = Jos
     C = Jo @ Jpo - Jpo @ Jo
     traces = _trace_product(Jo, Jos)  # tr(Jo o Jo), tr(Jo o Jo')
-    # isotropic: |Jo| = sqrt(tr(Jo o Jo) / 2) below 1e-10 times the size of J, as in jacobi_frame
+    # isotropic: |Jo| = sqrt(tr(Jo o Jo) / 2) below 1e-10 times the size of J
     iso = traces[0] < 2e-20 * np.maximum(np.maximum(1.0, t * t), _trace_product(J, J))
     tr_JJ, tr_JJp = np.where(iso, 0.0, traces)
     D = np.where(iso, 0.0, -0.5 * _trace_product(C, C))

@@ -59,6 +59,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 FLOAT_TOL = 1e-12
+_EXPONENT_DIGITS = 4300  # the refusal bound of ``_read_exponent``
 
 T2P1 = (1, 0, 1)  # t^2 + 1
 
@@ -196,29 +197,40 @@ def _read_rational(text):
     return n, d
 
 
-def _past_float_range(text):
-    """Whether ``Fraction(text)`` would refuse a text, decided without the
-    10^exponent it computes: the text has an e or E, and what follows the
-    last one is either no integer (no number in Fraction's syntax, or an
-    exponent with more digits than ``int()`` reads) or one above 309 plus the
-    text's length with a nonzero digit before it, so that any number the text
-    could be is at least 10^309.  A zero mantissa is left to ``Fraction``."""
+def _read_exponent(text):
+    """A text with a decimal exponent (after its last e or E), decided
+    without the 10^exponent ``Fraction(text)`` computes first: (0, 1) for a
+    zero mantissa, ValueError for a refused text, and None (also for a text
+    with no exponent) for ``Fraction(text)`` to read.  An exponent ``int()``
+    does not read is refused.  A mantissa with no nonzero digit is 0 if the
+    text is in Fraction's syntax: if the mantissa is with exponent 0, and the
+    exponent starts with no space.  Otherwise an exponent above 309 + length
+    puts the value past the float range, and one below -(_EXPONENT_DIGITS +
+    length) gives it a denominator of more than _EXPONENT_DIGITS digits, as
+    many as ``int()`` reads from a text by default: both are refused."""
     k = max(text.rfind("e"), text.rfind("E"))
     if k < 0:
-        return False
-    try:
-        exponent = int(text[k + 1 :])
-    except ValueError:
-        return True
-    return exponent > 309 + len(text) and any(ch.isdecimal() and int(ch) for ch in text[:k])
+        return None
+    mantissa, exponent = text[:k], text[k + 1 :]
+    e = int(exponent)
+    if not any(ch.isdecimal() and int(ch) for ch in mantissa):
+        if exponent[:1].isspace():
+            raise ValueError(text)
+        Fraction(mantissa + "e0")  # ValueError outside Fraction's syntax
+        return 0, 1
+    if e > 309 + len(text) or e < -_EXPONENT_DIGITS - len(text):
+        raise ValueError(text)
+    return None
 
 
 def _coerce(value):
     """An exact value (int, Fraction or rational text) as its (numerator,
     denominator) in lowest terms, a float otherwise; a value that is not a
-    number a float can hold raises PolyclassError.  A canonical rational text
-    is read by ``_read_rational``, one ``_past_float_range`` is refused, any
-    other one is read by ``Fraction``."""
+    number a float can hold raises PolyclassError (an exact value below the
+    float range is kept, unless ``_read_exponent`` refuses its text).  A
+    canonical rational text is read by ``_read_rational``, a text with an
+    exponent by ``_read_exponent`` when it can decide, any other one by
+    ``Fraction``."""
     if type(value) is str:
         pair = _read_rational(value)
         if pair is not None:
@@ -228,9 +240,12 @@ def _coerce(value):
     try:
         if isinstance(value, Fraction):
             x = value
-        elif isinstance(value, str) and _past_float_range(value):
-            raise OverflowError
-        elif isinstance(value, (int, str)):
+        elif isinstance(value, str):
+            pair = _read_exponent(value)
+            if pair is not None:
+                return pair
+            x = Fraction(value)
+        elif isinstance(value, int):
             x = Fraction(value)
         else:
             x = float(value)
@@ -326,6 +341,14 @@ class ConstraintInstance:
             # no tilde transform orders equal eigenvalues
             raise PolyclassError(f"lambda2 and lambda3 must differ, both are {self.lambda2}")
         self._check_degrees()
+
+    @classmethod
+    def _of_form(cls, form):
+        """The instance whose integer form is ``form``, its degrees checked."""
+        inst = cls.__new__(cls)
+        inst.regime, inst.exact, inst.form = form.regime, form.exact, form
+        inst._check_degrees()
+        return inst
 
     def _check_degrees(self):
         f = self.form
@@ -648,19 +671,13 @@ def _classify_a3(f: _Form) -> BranchVerdict:
 
 def tilde_transform(inst: ConstraintInstance) -> ConstraintInstance:
     """Coefficient reversal t -> 1/t with degree homogenization (6,3,2,2),
-    swapping the two eigenvalues.  An involution on a3 instances.
+    swapping the two eigenvalues, on the integer form (``_tilde``).  An
+    involution on a3 instances whose a has a nonzero constant term; any
+    other a reverses to degree below 2 and raises PolyclassError.
     """
     if inst.regime != "a3":
         raise PolyclassError("tilde_transform applies to regime a3")
-    return ConstraintInstance(
-        regime="a3",
-        a=_reverse(inst.a, 2),
-        c=_reverse(inst.c, 2),
-        d1=_reverse(inst.d1, 3),
-        P=_reverse(inst.P, 6),
-        lambda2=inst.lambda3,
-        lambda3=inst.lambda2,
-    )
+    return ConstraintInstance._of_form(_tilde(inst.form))
 
 
 def classify(inst: ConstraintInstance):

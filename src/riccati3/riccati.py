@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import _jacobi, curvature_r_only, orthonormal_perp, pack_at, plane_entries
+from .curvature import _jacobi, curvature_r_only, orthonormal_perp, plane_entries
 from .metrics import MetricSpec, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
@@ -303,113 +303,3 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0) -> RiccatiResult:
         u = u_next
         entries.append(u)
     return result(False)
-
-
-class ProbeCandidate(NamedTuple):
-    a: float
-    b: float
-    jet1_residual: float
-    jet2_residual: float
-    trace0_residual: float
-    trace_defect: float
-    blown_up: bool
-    blowup_time: float | None
-
-
-class ProbeReport(NamedTuple):
-    candidates: list
-    best: ProbeCandidate
-    min_combined: float  # min over candidates of max(jet residuals, trace defect)
-    first_jet_inconsistency: bool
-    ric_vv: float
-
-
-def constrained_probe(
-    spec: MetricSpec,
-    p,
-    v,
-    T: float = 1.0,
-    grid_radius: float | None = None,
-    grid_n: int = 21,
-    dt: float = 1e-2,
-) -> ProbeReport:
-    """Scan trace-free initial values u0 = [[a,b],[b,-a]] on a grid, given in
-    the trace-free Jacobi eigenframe at p (``jacobi_frame``) and integrated
-    from the same operator in the path's parallel frame.
-
-    For each candidate the report carries the two jet-condition residuals at
-    t = 0 (the linear conditions 4(aA+bB) = D1 and 4(aA1+bB1) = D2), the
-    zeroth trace condition |2(a^2+b^2) + ric(v,v)|, the max trace defect of
-    the integrated trajectory, and the blow-up time if any.  The best
-    candidate minimizes (max jet residual, trace defect, trace0, |u0|).
-
-    ``first_jet_inconsistency`` is set when the jet system is degenerate (all
-    coefficients ~ 0) so its minimal-norm solution is u0 = 0, yet
-    ric(v,v) != 0 makes the trace condition unsatisfiable at that candidate.
-    """
-    from .obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
-
-    p = np.asarray(p, dtype=float)
-    pack = pack_at(spec, p)
-    v = np.asarray(v, dtype=float)
-    v = v / pack.norm(v)
-    fr = jacobi_frame(pack, v)
-    dj = derived_jacobi_direct(pack, v, fr)
-    ov = obstruction_values(pack, v)
-    A, B, A1, B1, ric_vv = fr.A, fr.B, dj.A1, dj.B1, fr.t
-    D1, D2 = ov.D1, ov.D2
-
-    if grid_radius is None:
-        grid_radius = 2.0 * math.sqrt(max(0.0, -ric_vv) / 2.0)
-        if grid_radius == 0.0 and ric_vv > 1e-12:
-            grid_radius = 1.0
-
-    path = integrate_geodesic(spec, p, v, T, dt)
-    Js = jacobi_along(path)
-    # u0 is scored in the Jacobi eigenframe and integrated in the path's parallel
-    # frame: C[i, j] = g(path w_i(0), eigenframe w_j) carries it over
-    C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([fr.w1, fr.w2]).T
-
-    if grid_n < 1 or grid_radius == 0.0:
-        grid = [0.0]
-    else:
-        grid = np.linspace(-grid_radius, grid_radius, grid_n)
-    candidates = []
-    for a in grid:
-        for b in grid:
-            u0 = C @ np.array([[a, b], [b, -a]]) @ C.T
-            res = integrate_riccati(path, Js, (u0[0, 0], u0[0, 1], u0[1, 1]))
-            candidates.append(
-                ProbeCandidate(
-                    a=float(a),
-                    b=float(b),
-                    jet1_residual=abs(4.0 * (a * A + b * B) - D1),
-                    jet2_residual=abs(4.0 * (a * A1 + b * B1) - D2),
-                    trace0_residual=abs(2.0 * (a * a + b * b) + ric_vv),
-                    trace_defect=res.trace_defect_max,
-                    blown_up=res.blown_up,
-                    blowup_time=res.blowup_time,
-                )
-            )
-
-    def key(c):
-        return (
-            max(c.jet1_residual, c.jet2_residual),
-            c.trace_defect,
-            c.trace0_residual,
-            math.hypot(c.a, c.b),
-        )
-
-    best = min(candidates, key=key)
-    min_combined = min(max(c.jet1_residual, c.jet2_residual, c.trace_defect) for c in candidates)
-    degenerate = (
-        math.hypot(A, B) < 1e-9 and math.hypot(A1, B1) < 1e-9 and abs(D1) < 1e-9 and abs(D2) < 1e-9
-    )
-    inconsistent = degenerate and abs(ric_vv) > 1e-9
-    return ProbeReport(
-        candidates=candidates,
-        best=best,
-        min_combined=min_combined,
-        first_jet_inconsistency=inconsistent,
-        ric_vv=ric_vv,
-    )

@@ -8,8 +8,12 @@ curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
 the Leibniz tables it is built on and the grouped contracted products; the
 polynomial classifiers' decision trees in plain Fraction arithmetic
-(``reference_classify``) check their integer form.  The FrameData text
-reader (the inverse of ``frame-check --dump-frame``), the
+(``reference_classify``) check their integer form.  The trace-free Jacobi
+eigenframe (``jacobi_frame``) and the derived entries in it
+(``derived_jacobi_direct``) check the detector's frame-free traces, and the
+grid scan of trace-free initial values in that frame (``constrained_probe``)
+is the oracle for an algebraic solution of the constrained problem.  The
+FrameData text reader (the inverse of ``frame-check --dump-frame``), the
 coupling of a frame's bundle to a classifier instance, the algebraic model
 pack with its null Jacobi directions and the reconstruction of the
 trace-free candidate u live here too: only tests use them."""
@@ -20,7 +24,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from riccati3.curvature import CurvaturePack, pack_at, ricci_rank
+from riccati3.curvature import (
+    CurvaturePack,
+    _matrix,
+    _products,
+    jacobi_op,
+    orthonormal_perp,
+    pack_at,
+    plane_entries,
+    ricci_rank,
+)
 from riccati3.exprjet import (
     INDEX_OF,
     MULTI_INDICES,
@@ -36,10 +49,10 @@ from riccati3.exprjet import (
     partials,
 )
 from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _padd, _pmul, special_direction_polys
-from riccati3.metrics import _FULL_INDEX, gamma_at, lowered_symbol, metric_jets
-from riccati3.obstruction import derived_jacobi_direct, jacobi_frame, obstruction_values
+from riccati3.metrics import _FULL_INDEX, MetricSpec, gamma_at, lowered_symbol, metric_jets
+from riccati3.obstruction import IsotropyMask, _directions, _first, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
-from riccati3.riccati import _blocks, _rk4
+from riccati3.riccati import _blocks, _rk4, integrate_geodesic, integrate_riccati, jacobi_along
 
 
 class EigengapError(ValueError):
@@ -138,6 +151,69 @@ def frame_drift(path):
     return float(np.max(np.abs(dev)))
 
 
+class JacobiFrame(NamedTuple):
+    """Fields are floats and (3,) vectors for one direction, arrays with a
+    leading direction axis for a batch."""
+
+    X: np.ndarray
+    v: np.ndarray  # unit
+    w1: np.ndarray
+    w2: np.ndarray
+    A: float
+    B: float
+    t: float  # ric(X, X)
+    isotropic: bool
+
+
+class DerivedJacobi(NamedTuple):
+    A1: float
+    B1: float
+    trace: float  # tr J'(X) = (nabla_X ric)(X,X)
+
+
+def jacobi_frame(pack: CurvaturePack, X) -> JacobiFrame:
+    """Eigenbasis of the trace-free Jacobi operator at X, with B = 0 and A >= 0,
+    for one direction, an (m, 3) batch, or (n, m, 3) at a pack of n points.
+
+    Where the operator is isotropic (|(A, B)| below 1e-10 times the size of
+    J) the frame keeps the complement basis, A = 0 and ``isotropic`` is set;
+    for a batch that flag is an ``IsotropyMask``.  A zero direction raises
+    ValueError.
+    """
+    X, one = _directions(X)
+    nX = np.sqrt(np.einsum("...i,...i->...", X @ pack.g, X))
+    if (nX == 0.0).any():
+        raise ValueError("zero direction")
+    v = X / nX[..., None]
+    w1, w2 = orthonormal_perp(pack.g, v, pack.frame)
+    m11, m12, m22 = plane_entries(pack.g, jacobi_op(pack, X), w1, w2)
+    t = (_products(X, 2) @ _matrix(pack.ric, 2, 0))[..., 0]
+    A = 0.5 * (m11 - m22)
+    h = np.hypot(A, m12)
+    scale = np.maximum(np.maximum(1.0, np.abs(t)), np.abs(m11) + np.abs(m22))
+    iso = h < 1e-10 * scale
+    theta = 0.5 * np.arctan2(m12, A)
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    keep = iso[..., None]
+    w1, w2 = np.where(keep, w1, c * w1 + s * w2), np.where(keep, w2, -s * w1 + c * w2)
+    frame = JacobiFrame(X, v, w1, w2, np.where(iso, 0.0, h), np.zeros_like(h), t, iso.view(IsotropyMask))
+    return _first(frame) if one else frame
+
+
+def derived_jacobi_direct(pack: CurvaturePack, X, frame: JacobiFrame) -> DerivedJacobi:
+    """J'(X) = (nabla_X R)(., X) X projected to the frame plane, for one
+    direction or a batch (as for ``jacobi_frame``) with the frame of the same
+    shape."""
+    X, one = _directions(X)
+    # nablaR[m, i, j, k, l] as the (mjk, li) matrix: one product sums over m, j, k
+    nablaR = np.moveaxis(pack.nablaR, -4, -1)
+    Jp = (_products(X, 3) @ _matrix(nablaR, 3, 2)).reshape(X.shape + (3,))
+    w1, w2 = np.reshape(frame.w1, X.shape), np.reshape(frame.w2, X.shape)
+    m11, m12, m22 = plane_entries(pack.g, Jp, w1, w2)
+    dj = DerivedJacobi(A1=0.5 * (m11 - m22), B1=m12, trace=m11 + m22)
+    return _first(dj) if one else dj
+
+
 def _match_sign(vec, reference):
     return vec if float(vec @ reference) >= 0.0 else -vec
 
@@ -202,6 +278,114 @@ def derived_jacobi_crosscheck(spec, p, v, step=1e-4, eigengap_tol=1e-6):
 
     dj = derived_jacobi_direct(pack0, v, fr0)
     return (A1_fd - dj.A1, B1_fd - dj.B1)
+
+
+class ProbeCandidate(NamedTuple):
+    a: float
+    b: float
+    jet1_residual: float
+    jet2_residual: float
+    trace0_residual: float
+    trace_defect: float
+    blown_up: bool
+    blowup_time: float | None
+
+
+class ProbeReport(NamedTuple):
+    candidates: list
+    best: ProbeCandidate
+    min_combined: float  # min over candidates of max(jet residuals, trace defect)
+    first_jet_inconsistency: bool
+    ric_vv: float
+
+
+def constrained_probe(
+    spec: MetricSpec,
+    p,
+    v,
+    T: float = 1.0,
+    grid_radius: float | None = None,
+    grid_n: int = 21,
+    dt: float = 1e-2,
+) -> ProbeReport:
+    """Scan trace-free initial values u0 = [[a,b],[b,-a]] on a grid, given in
+    the trace-free Jacobi eigenframe at p (``jacobi_frame``) and integrated
+    from the same operator in the path's parallel frame.
+
+    For each candidate the report carries the two jet-condition residuals at
+    t = 0 (the linear conditions 4(aA+bB) = D1 and 4(aA1+bB1) = D2), the
+    zeroth trace condition |2(a^2+b^2) + ric(v,v)|, the max trace defect of
+    the integrated trajectory, and the blow-up time if any.  The best
+    candidate minimizes (max jet residual, trace defect, trace0, |u0|).
+
+    ``first_jet_inconsistency`` is set when the jet system is degenerate (all
+    coefficients ~ 0) so its minimal-norm solution is u0 = 0, yet
+    ric(v,v) != 0 makes the trace condition unsatisfiable at that candidate.
+    """
+    p = np.asarray(p, dtype=float)
+    pack = pack_at(spec, p)
+    v = np.asarray(v, dtype=float)
+    v = v / pack.norm(v)
+    fr = jacobi_frame(pack, v)
+    dj = derived_jacobi_direct(pack, v, fr)
+    ov = obstruction_values(pack, v)
+    A, B, A1, B1, ric_vv = fr.A, fr.B, dj.A1, dj.B1, fr.t
+    D1, D2 = ov.D1, ov.D2
+
+    if grid_radius is None:
+        grid_radius = 2.0 * math.sqrt(max(0.0, -ric_vv) / 2.0)
+        if grid_radius == 0.0 and ric_vv > 1e-12:
+            grid_radius = 1.0
+
+    path = integrate_geodesic(spec, p, v, T, dt)
+    Js = jacobi_along(path)
+    # u0 is scored in the Jacobi eigenframe and integrated in the path's parallel
+    # frame: C[i, j] = g(path w_i(0), eigenframe w_j) carries it over
+    C = np.stack([path.w1s[0], path.w2s[0]]) @ pack.g @ np.stack([fr.w1, fr.w2]).T
+
+    if grid_n < 1 or grid_radius == 0.0:
+        grid = [0.0]
+    else:
+        grid = np.linspace(-grid_radius, grid_radius, grid_n)
+    candidates = []
+    for a in grid:
+        for b in grid:
+            u0 = C @ np.array([[a, b], [b, -a]]) @ C.T
+            res = integrate_riccati(path, Js, (u0[0, 0], u0[0, 1], u0[1, 1]))
+            candidates.append(
+                ProbeCandidate(
+                    a=float(a),
+                    b=float(b),
+                    jet1_residual=abs(4.0 * (a * A + b * B) - D1),
+                    jet2_residual=abs(4.0 * (a * A1 + b * B1) - D2),
+                    trace0_residual=abs(2.0 * (a * a + b * b) + ric_vv),
+                    trace_defect=res.trace_defect_max,
+                    blown_up=res.blown_up,
+                    blowup_time=res.blowup_time,
+                )
+            )
+
+    def key(c):
+        return (
+            max(c.jet1_residual, c.jet2_residual),
+            c.trace_defect,
+            c.trace0_residual,
+            math.hypot(c.a, c.b),
+        )
+
+    best = min(candidates, key=key)
+    min_combined = min(max(c.jet1_residual, c.jet2_residual, c.trace_defect) for c in candidates)
+    degenerate = (
+        math.hypot(A, B) < 1e-9 and math.hypot(A1, B1) < 1e-9 and abs(D1) < 1e-9 and abs(D2) < 1e-9
+    )
+    inconsistent = degenerate and abs(ric_vv) > 1e-9
+    return ProbeReport(
+        candidates=candidates,
+        best=best,
+        min_combined=min_combined,
+        first_jet_inconsistency=inconsistent,
+        ric_vv=ric_vv,
+    )
 
 
 def frame_from_text(text: str) -> FrameData:

@@ -243,7 +243,7 @@ def test_bundles_match_tensor_pipeline():
     contractions of the synthetic curvature data, at every case and random t."""
     from numpy.polynomial import polynomial as npoly
 
-    from riccati3.obstruction import JacobiFrame, derived_jacobi_direct
+    from oracles import JacobiFrame, derived_jacobi_direct
 
     rng = np.random.default_rng(12)
     basis = np.eye(3)

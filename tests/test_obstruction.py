@@ -7,7 +7,9 @@ from oracles import (
     DegenerateSystem,
     EigengapError,
     derived_jacobi_crosscheck,
+    derived_jacobi_direct,
     eigenvector_gradient_fd,
+    jacobi_frame,
     model_pack,
     null_jacobi_directions,
     reconstruct_u,
@@ -18,8 +20,6 @@ from riccati3.obstruction import (
     RankPrecondition,
     _eigenvector_gradient,
     fibonacci_directions,
-    derived_jacobi_direct,
-    jacobi_frame,
     obstruction_values,
     rank1_checks,
 )

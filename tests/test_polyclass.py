@@ -298,6 +298,42 @@ def test_tilde_involution_and_reversal():
     assert tilde_transform(cube).d1 == (Fraction(1),)
 
 
+def _tilde_by_reversed_lists(inst):
+    """The tilde transform as the instance built from the reversed
+    coefficient lists and the swapped eigenvalues."""
+    rev = polyclass._reverse
+    return ConstraintInstance("a3", rev(inst.a, 2), rev(inst.c, 2), rev(inst.d1, 3), rev(inst.P, 6),
+                              lambda2=inst.lambda3, lambda3=inst.lambda2)
+
+
+def test_tilde_of_the_form_is_the_instance_of_the_reversed_lists():
+    """``tilde_transform`` reverses the integer form.  On every planted a3
+    branch of seeds 0-29, in both eigenvalue orders, exact and as a float
+    copy, its form and its instance file are those of the instance built
+    from the reversed coefficient lists, to the bit and the number type."""
+    count = 0
+    for inst in (inst for seed in range(30) for inst in _every_branch(seed) if inst.regime == "a3"):
+        got, want = tilde_transform(inst), _tilde_by_reversed_lists(inst)
+        assert (got.regime, got.exact) == (want.regime, want.exact)
+        assert repr(got.form) == repr(want.form)
+        assert json.dumps(instance_to_dict(got)) == json.dumps(instance_to_dict(want))
+        count += 1
+    assert count == 30 * 24
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_tilde_of_an_a_without_constant_term_is_refused(exact):
+    """An a with a zero constant term reverses to degree 1: the transform
+    refuses it as the constructor refuses such an a."""
+    one = "1" if exact else 1.0
+    inst = ConstraintInstance("a3", (0, one, one), (), (), (), lambda2="-2", lambda3="-1")
+    assert inst.exact == exact
+    with pytest.raises(PolyclassError, match="deg a must be 2, got 1"):
+        tilde_transform(inst)
+    with pytest.raises(PolyclassError, match="deg a must be 2, got 1"):
+        _tilde_by_reversed_lists(inst)
+
+
 def test_tilde_swaps_classification():
     rng = np.random.default_rng(3)
     inst, expect = plant_a3(rng, "A3BranchII", (1, 1))
@@ -455,14 +491,17 @@ def test_float_range_edge_is_exact(text, accepted):
 
 @pytest.mark.parametrize(
     "text",
-    ["1e999999", "1e9999999", "-2.5E+99999", " 7e1_000_000 ", "0.0001e400", "1/2e99999", "1e" + "9" * 5000],
+    ["1e999999", "1e9999999", "-2.5E+99999", " 7e1_000_000 ", "0.0001e400", "1/2e99999", "1e" + "9" * 5000,
+     "1e-999999", "1e-9999999", "-2.5E-99999", " 7e-1_000_000 ", "0.0001e-400000", f"1e-{4301 + 7}"],
     ids=lambda text: text if len(text) < 20 else f"1e<{len(text) - 2} nines>",
 )
 def test_huge_exponent_is_refused_without_fraction(text, monkeypatch):
-    """A text whose decimal exponent exceeds 309 plus its length, with a
-    nonzero digit before it, is refused with Fraction's message, and
-    Fraction, which would first compute 10 to that exponent, is never called
-    for it.  A zero mantissa is still Fraction's to read, and accepted."""
+    """A text with a nonzero digit before its decimal exponent is refused
+    with Fraction's message when the exponent exceeds 309 plus the text's
+    length, or lies below -(_EXPONENT_DIGITS + length), which gives a
+    denominator of more than _EXPONENT_DIGITS digits; Fraction, which would
+    first compute 10 to that exponent, is never called for it.  A zero
+    mantissa is read as 0 without Fraction(text) too."""
     calls = []
 
     class Guarded(Fraction):
@@ -478,7 +517,54 @@ def test_huge_exponent_is_refused_without_fraction(text, monkeypatch):
         assert str(err.value) == message
     assert text not in calls
     inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=("0e99999",), d1=(), P=(), Lambda="1")
-    assert inst.c == (Fraction(0),) and "0e99999" in calls
+    assert inst.c == (Fraction(0),) and "0e99999" not in calls
+
+
+def _no_fraction_of(text, monkeypatch):
+    """Make ``polyclass.Fraction`` fail when it is called on ``text``."""
+
+    class Guarded(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            assert numerator != text, f"Fraction({text!r}) was called"
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(polyclass, "Fraction", Guarded)
+
+
+@pytest.mark.parametrize(
+    "text", ["0e999999", "0e9999999", "-0.000E+99999999", " 0e-9999999 ", "0_0.0e1_000_000", ".0e99999999"]
+)
+def test_zero_mantissa_reads_as_zero_without_fraction(text, monkeypatch):
+    """A text in Fraction's syntax with no nonzero digit before its exponent
+    is 0 at any exponent: it reads as (0, 1), and Fraction(text), which would
+    first compute 10 to that exponent, is never called for it."""
+    _no_fraction_of(text, monkeypatch)
+    assert polyclass._coerce(text) == (0, 1)
+    inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
+    assert inst.exact and inst.c == (Fraction(0),) and inst.form.c == ((0,), 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["0e 99999999", "0 e99999999", "0/1e99999999", "e99999999", "0e99999999_", "0e9__9", "0.0.0e9999999"]
+)
+def test_zero_mantissa_outside_fraction_syntax_is_refused(text, monkeypatch):
+    """A zero mantissa outside Fraction's syntax is refused as Fraction
+    refuses it, with the reader's message, and without Fraction(text)."""
+    with pytest.raises(ValueError):
+        Fraction(text)  # a syntax error, raised before any power of ten
+    _no_fraction_of(text, monkeypatch)
+    with pytest.raises(PolyclassError) as err:
+        ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
+    assert str(err.value) == f"coefficient {text!r} is not a finite number within the float range"
+
+
+def test_negative_exponent_at_the_bound_is_read_exactly():
+    """At the bound, exponent -(_EXPONENT_DIGITS + length), a text is still
+    Fraction's to read, and it is kept exact below the float range."""
+    text = f"1e-{polyclass._EXPONENT_DIGITS + 7}"
+    assert len(text) == 7
+    inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
+    assert inst.exact and inst.c == (Fraction(1, 10 ** (polyclass._EXPONENT_DIGITS + 7)),)
 
 
 def test_canonical_instance_files_build_no_fraction(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from oracles import frame_drift, gamma_arrays, reference_rk4, speed_drift
+from oracles import constrained_probe, frame_drift, gamma_arrays, reference_rk4, speed_drift
 from test_exprjet import _tape_specs
 
 from riccati3 import metrics, riccati
@@ -13,7 +13,6 @@ from riccati3.riccati import (
     SAMPLE_BLOCK,
     _sample_times,
     _stage_J,
-    constrained_probe,
     integrate_geodesic,
     integrate_riccati,
     jacobi_along,
