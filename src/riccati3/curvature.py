@@ -35,7 +35,8 @@ derivative at order q - 1, the coordinate derivative minus one Gamma
 contraction per slot.  ``curvature_pack`` runs the kernel at k = 4 and the
 rule on ric twice, for nabla ric and nabla^2 ric; as R = rho (.) g in
 dimension 3 (``_kn``) and nabla g = 0, nabla R = nabla rho (.) g.
-``curvature_r_only`` runs the kernel at k = 2 for the value of R alone.
+``curvature_r_only`` runs the kernel at k = 2 for the value of the lowered
+Schouten tensor rho = ric - (scal/4) g alone, which with g fixes R.
 
 Both take one point or a batch of n points.  A pack of a batch carries a
 leading point axis on every field (``scal`` is then an (n,) array), and the
@@ -46,9 +47,9 @@ axis taken off: ``scal`` a float, ``g`` (3, 3), ``R`` (3, 3, 3, 3).
 A tensor is contracted with a direction X by one matrix product: the
 flattened products X^a X^b ... (``_products``) times the tensor with those
 axes as rows (``_matrix``).  J(X) = R(., X)X is ``_products(X, 2)`` times R
-(``_jacobi``, behind ``jacobi_op`` and ``riccati.jacobi_along``),
-``obstruction`` builds J', t, D1 and D2 the same way, and the Kulkarni check
-takes R(X, Y) - (rho X ^ Y + X ^ rho Y) from the products X^i Y^j.  ``ricci_rank``
+(``jacobi_op``), ``obstruction`` builds J', t, D1 and D2 the same way, and
+the Kulkarni check takes R(X, Y) - (rho X ^ Y + X ^ rho Y) from the products
+X^i Y^j; ``riccati.jacobi_along`` expands J from g and rho.  ``ricci_rank``
 diagonalizes ric in ``pack.frame`` for a whole batch by one
 ``np.linalg.eigh`` call; its ``RankReport`` takes a point axis and gives
 point k by ``row(k)``, as the pack does.
@@ -94,10 +95,8 @@ class CurvaturePack(NamedTuple):
     R: np.ndarray
     nablaR: np.ndarray
     ric: np.ndarray
-    Ric_op: np.ndarray
     scal: float
     dscal: np.ndarray
-    rho: np.ndarray
     nabla_ric: np.ndarray
     nabla2_ric: np.ndarray
     frame: np.ndarray
@@ -223,8 +222,6 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     # the order-0 slices are copied, so the pack holds no higher-order coefficients
     g, ginv, ric, scal, nabla_ric = (c[0].copy() for c in (G, ginv_c, ric_c, scal_c, nabla_ric_c))
     dscal = scal_c[1:4].T.copy()
-    Ric_op = ginv @ ric
-    rho = Ric_op - (scal[:, None, None] / 4.0) * np.eye(3)
     nabla_rho = nabla_ric - dscal[..., None, None] * g[:, None] / 4.0  # lowered
     L = np.linalg.cholesky(g)
     frame = np.linalg.inv(L).swapaxes(-1, -2)  # columns orthonormal: E^T g E = I
@@ -237,10 +234,8 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
         R=R,
         nablaR=_kn(g[:, None], nabla_rho, ginv[:, None] @ nabla_rho),
         ric=ric,
-        Ric_op=Ric_op,
         scal=scal,
         dscal=dscal,
-        rho=rho,
         nabla_ric=nabla_ric,
         nabla2_ric=_nabla(nabla_ric_c, gamma_c)[0],
         frame=frame,
@@ -254,15 +249,16 @@ def pack_at(spec: MetricSpec, p, tamper: bool = False) -> CurvaturePack:
 
 
 def curvature_r_only(spec: MetricSpec, p):
-    """(g, ginv, R) from order-2 jets: the fast path for along-path sampling.
-
-    ``p`` is one point, giving g and ginv of shape (3, 3) and R of shape
-    (3, 3, 3, 3), or an (n, 3) array of points, giving the same with a
-    leading batch axis from one batched jet evaluation.
-    """
+    """(g, rho) from order-2 jets, rho = ric - (scal/4) g the lowered Schouten
+    tensor, which fixes R in dimension 3 (``_kn``): the fast path for
+    along-path sampling.  ``p`` is one point, giving (3, 3) arrays, or an
+    (n, 3) array of points, giving them with a leading batch axis from one
+    batched jet evaluation."""
     m = metric_jets(spec, p, order=2)
     ginv, _, R = _curvature_jets(m.coef)
-    return m.g, ginv[0], R[0]
+    ric = np.einsum("...kijk->...ij", R[0])
+    scal = np.einsum("...ij,...ij->...", ginv[0], ric)
+    return m.g, ric - (scal[..., None, None] / 4.0) * m.g
 
 
 def _dot(x, y):
@@ -299,16 +295,6 @@ def orthonormal_perp(g, v, basis):
     return w1.reshape(v.shape), (c / n[..., None]).reshape(v.shape)
 
 
-def plane_entries(g, M, w1, w2):
-    """(m11, m12, m22): the symmetrized matrix of the operator M on span(w1, w2);
-    M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape
-    (...).  A batch of metrics g (n, 3, 3) takes w1, w2 of shape (n, m, 3)."""
-    gw1, gw2 = w1 @ g, w2 @ g
-    Mw1 = np.einsum("...li,...i->...l", M, w1)
-    Mw2 = np.einsum("...li,...i->...l", M, w2)
-    return _dot(gw1, Mw1), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1)), _dot(gw2, Mw2)
-
-
 def _outer(X, Y):
     """The products X^a Y^b, flattened: shape (..., 3 * Y.shape[-1])."""
     return np.einsum("...a,...b->...ab", X, Y).reshape(Y.shape[:-1] + (3 * Y.shape[-1],))
@@ -328,14 +314,6 @@ def _matrix(T, rows, cols):
     return T.reshape(T.shape[: T.ndim - rows - cols] + (3**rows, 3**cols))
 
 
-def _jacobi(R, v):
-    """J(v) = R(., v)v from R of shape batch + (3, 3, 3, 3): J[..., l, i]
-    acts on column vectors, shape v.shape + (3,).  v is (3,) or (m, 3) at
-    one point, batch + (m, 3) at a batch."""
-    # R[..., i, j, k, l] as the (jk, li) matrix: one product sums over j, k
-    return (_products(v, 2) @ _matrix(np.moveaxis(R, -4, -1), 2, 2)).reshape(v.shape + (3,))
-
-
 def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     """Matrix of J(v) = R(.,v)v acting on column vectors: J[l,i] x^i; v of
     shape (3,) gives (3, 3), a batch (m, 3) gives (m, 3, 3), and at a batch
@@ -343,7 +321,8 @@ def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if (_inner(pack.g, v, v) == 0.0).any():
         raise ValueError("Jacobi operator needs a nonzero vector")
-    return _jacobi(pack.R, v)
+    # R[..., i, j, k, l] as the (jk, li) matrix: one product sums over j, k
+    return (_products(v, 2) @ _matrix(np.moveaxis(pack.R, -4, -1), 2, 2)).reshape(v.shape + (3,))
 
 
 def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int = 0):
@@ -366,7 +345,8 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
         vectors = np.random.default_rng(seed).standard_normal(pack.g.shape[:-2] + (n, 3))
     vectors = np.asarray(vectors, dtype=float)
 
-    g, rho = pack.g, pack.rho
+    g, scal = pack.g, np.asarray(pack.scal)[..., None, None]
+    rho = pack.ginv @ pack.ric - (scal / 4.0) * np.eye(3)
     J = jacobi_op(pack, vectors)
     rv = vectors @ rho.swapaxes(-1, -2)
     gvv, gvrv, grr = _inner(g, vectors, vectors), _inner(g, vectors, rv), _inner(g, rv, rv)
@@ -381,7 +361,7 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     # R(X, Y) - (rho X ^ Y + X ^ rho Y) on the pairs (a, a + 1) and (a, a + 2)
     X = np.concatenate([vectors[..., :-1, :], vectors[..., :-2, :]], axis=-2)
     Y = np.concatenate([vectors[..., 1:, :], vectors[..., 2:, :]], axis=-2)
-    rho_low = pack.ric - (np.asarray(pack.scal)[..., None, None] / 4.0) * g
+    rho_low = pack.ric - (scal / 4.0) * g
     diff = _outer(X, Y) @ _matrix(pack.R - _kn(g, rho_low, rho), 2, 2)
     kulkarni = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 

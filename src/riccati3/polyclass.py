@@ -59,7 +59,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 FLOAT_TOL = 1e-12
-_EXPONENT_DIGITS = 4300  # the refusal bound of ``_read_exponent``
+_MAX_DIGITS = 4300  # per exact numerator or denominator: what str(int) writes by default
+_DIGITS_BOUND = 10**_MAX_DIGITS
 
 T2P1 = (1, 0, 1)  # t^2 + 1
 
@@ -205,9 +206,9 @@ def _read_exponent(text):
     does not read is refused.  A mantissa with no nonzero digit is 0 if the
     text is in Fraction's syntax: if the mantissa is with exponent 0, and the
     exponent starts with no space.  Otherwise an exponent above 309 + length
-    puts the value past the float range, and one below -(_EXPONENT_DIGITS +
-    length) gives it a denominator of more than _EXPONENT_DIGITS digits, as
-    many as ``int()`` reads from a text by default: both are refused."""
+    puts the value past the float range, and is refused; one below
+    -(_MAX_DIGITS + length) gives it a denominator of more than _MAX_DIGITS
+    digits, and is refused by a PolyclassError that names the exponent."""
     k = max(text.rfind("e"), text.rfind("E"))
     if k < 0:
         return None
@@ -218,8 +219,10 @@ def _read_exponent(text):
             raise ValueError(text)
         Fraction(mantissa + "e0")  # ValueError outside Fraction's syntax
         return 0, 1
-    if e > 309 + len(text) or e < -_EXPONENT_DIGITS - len(text):
+    if e > 309 + len(text):
         raise ValueError(text)
+    if e < -_MAX_DIGITS - len(text):
+        raise PolyclassError(f"coefficient {text!r}: exponent {e} gives a denominator of over {_MAX_DIGITS} digits")
     return None
 
 
@@ -227,10 +230,11 @@ def _coerce(value):
     """An exact value (int, Fraction or rational text) as its (numerator,
     denominator) in lowest terms, a float otherwise; a value that is not a
     number a float can hold raises PolyclassError (an exact value below the
-    float range is kept, unless ``_read_exponent`` refuses its text).  A
-    canonical rational text is read by ``_read_rational``, a text with an
-    exponent by ``_read_exponent`` when it can decide, any other one by
-    ``Fraction``."""
+    float range is kept, unless ``_read_exponent`` refuses its text), as
+    does an exact value whose numerator or denominator in lowest terms has
+    more than _MAX_DIGITS digits.  A canonical rational text is read by
+    ``_read_rational``, a text with an exponent by ``_read_exponent`` when
+    it can decide, any other one by ``Fraction``."""
     if type(value) is str:
         pair = _read_rational(value)
         if pair is not None:
@@ -250,7 +254,15 @@ def _coerce(value):
         else:
             x = float(value)
         if math.isfinite(x):  # float(x) for a Fraction, OverflowError beyond the float range
-            return x if type(x) is float else (x.numerator, x.denominator)
+            if type(x) is float:
+                return x
+            if abs(x.numerator) < _DIGITS_BOUND > x.denominator:
+                return x.numerator, x.denominator
+            shown = repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
+            part = "denominator" if x.denominator >= _DIGITS_BOUND else "numerator"
+            raise PolyclassError(f"coefficient {shown}: its {part} in lowest terms has over {_MAX_DIGITS} digits")
+    except PolyclassError:
+        raise
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         pass
     raise PolyclassError(f"coefficient {value!r} is not a finite number within the float range")

@@ -9,8 +9,9 @@ fourth order, so the scheme keeps its order).
 Each symmetric 2x2 matrix of the Riccati side, J(t), u0 and u(t), is carried
 as its entries (x11, x12, x22): ``jacobi_along`` gives J as (n, 3) rows,
 ``integrate_riccati`` takes u0 as three numbers and returns u as (k, 3)
-rows, with the sample times and trace defects as (k,) arrays.  The values
-of J at the stage times of the path's steps are interpolated in one
+rows, with the sample times and trace defects as (k,) arrays.  J comes
+from g and the Schouten tensor rho, never from R (``jacobi_along``).  The
+values of J at the stage times of the path's steps are interpolated in one
 vectorized evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the
 stepping reaches the block, and handed to the stepping as Python floats; the
 blow-up bisection interpolates its off-grid steps with the same function.
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import _jacobi, curvature_r_only, orthonormal_perp, plane_entries
+from .curvature import curvature_r_only, orthonormal_perp
 from .metrics import MetricSpec, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
@@ -184,20 +185,22 @@ def jacobi_along(path: GeodesicPath) -> np.ndarray:
     """J(t) in the parallel frame at each path sample, as the entries
     (J11, J12, J22) of the symmetric 2x2 matrix: (n, 3).
 
-    Entry (a, b) is the symmetrized g(w_a, J(v) w_b) with J(v) = R(., v)v,
-    the operator ``curvature.jacobi_op`` builds, as ``plane_entries`` gives
-    it; the curvature of each block of SAMPLE_BLOCK samples comes from one
-    batched ``curvature_r_only`` call on the path's metric.
+    Entry (a, b) is g(w_a, J(v) w_b) with J(v) = R(., v)v, the operator
+    ``curvature.jacobi_op`` builds.  In dimension 3, R = rho (.) g, so with
+    G = W g W^T and S = W rho W^T for the rows W = (v, w1, w2) it is
+    G00 S_ab + S00 G_ab - G_a0 S_b0 - S_a0 G_b0, which holds in any frame,
+    orthonormal or drifted.  g and rho of each block of SAMPLE_BLOCK samples
+    come from one batched ``curvature_r_only`` call on the path's metric.
     """
     out = np.empty((len(path.ts), 3))
     for b in _blocks(len(path.ts)):
-        g, _, R = curvature_r_only(path.spec, path.xs[b])
-        # each sample is a point of a batch with one direction: axis 1
-        J = _jacobi(R, path.vs[b][:, None])
+        W = np.stack([path.vs[b], path.w1s[b], path.w2s[b]], axis=1)
         # in C order, so the products sum in an order their shapes alone fix
-        g = np.ascontiguousarray(g)
-        entries = plane_entries(g, J, path.w1s[b][:, None], path.w2s[b][:, None])
-        out[b] = np.stack(entries, axis=-1)[:, 0]
+        g, rho = (np.ascontiguousarray(x) for x in curvature_r_only(path.spec, path.xs[b]))
+        G, S = W @ g @ W.swapaxes(1, 2), W @ rho @ W.swapaxes(1, 2)
+        G0, S0 = G[:, :, :1], S[:, :, :1]  # the columns G_a0, S_a0
+        E = G[:, :1, :1] * S + S[:, :1, :1] * G - G0 * S0.swapaxes(1, 2) - S0 * G0.swapaxes(1, 2)
+        out[b] = E[:, (1, 1, 2), (1, 2, 2)]
     return out
 
 

@@ -26,12 +26,12 @@ import numpy as np
 
 from riccati3.curvature import (
     CurvaturePack,
+    _dot,
     _matrix,
     _products,
     jacobi_op,
     orthonormal_perp,
     pack_at,
-    plane_entries,
     ricci_rank,
 )
 from riccati3.exprjet import (
@@ -149,6 +149,16 @@ def frame_drift(path):
         _inner(v, g, w2),
     ]
     return float(np.max(np.abs(dev)))
+
+
+def plane_entries(g, M, w1, w2):
+    """(m11, m12, m22): the symmetrized matrix of the operator M on span(w1, w2);
+    M of shape (..., 3, 3) and w1, w2 of shape (..., 3) give entries of shape
+    (...).  A batch of metrics g (n, 3, 3) takes w1, w2 of shape (n, m, 3)."""
+    gw1, gw2 = w1 @ g, w2 @ g
+    Mw1 = np.einsum("...li,...i->...l", M, w1)
+    Mw2 = np.einsum("...li,...i->...l", M, w2)
+    return _dot(gw1, Mw1), 0.5 * (_dot(gw1, Mw2) + _dot(gw2, Mw1)), _dot(gw2, Mw2)
 
 
 class JacobiFrame(NamedTuple):
@@ -783,10 +793,8 @@ def model_pack(lambda2: float, lambda3: float) -> CurvaturePack:
         R=R,
         nablaR=np.zeros((3, 3, 3, 3, 3)),
         ric=ric,
-        Ric_op=Ric,
         scal=scal,
         dscal=np.zeros(3),
-        rho=Ric - scal / 4.0 * np.eye(3),
         nabla_ric=np.zeros((3, 3, 3)),
         nabla2_ric=np.zeros((3, 3, 3, 3)),
         frame=np.eye(3),

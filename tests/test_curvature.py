@@ -104,8 +104,11 @@ def test_constant_curvature_ground_truth(name, k):
 
 
 def test_hyperbolic_schouten():
-    pk = pack_at(metrics.builtin("hyperbolic", c=1.0), (0.0, 0.0, 1.3))
-    assert np.max(np.abs(pk.rho + 0.5 * np.eye(3))) < 1e-10
+    spec, p = metrics.builtin("hyperbolic", c=1.0), (0.0, 0.0, 1.3)
+    pk = pack_at(spec, p)
+    assert np.max(np.abs(pk.ginv @ pk.ric - pk.scal / 4.0 * np.eye(3) + 0.5 * np.eye(3))) < 1e-10
+    g, rho = curvature_r_only(spec, p)  # lowered
+    assert np.max(np.abs(rho + 0.5 * g)) < 1e-10
 
 
 def test_heisenberg_ricci_eigenvalues():
@@ -145,7 +148,7 @@ def test_curvature_symmetries():
         cyclic = pk.R + np.einsum("ijkl->jkil", pk.R) + np.einsum("ijkl->kijl", pk.R)
         assert np.max(np.abs(cyclic)) < 1e-9
         assert np.max(np.abs(pk.ric - pk.ric.T)) < 1e-12
-        assert abs(np.trace(pk.Ric_op) - pk.scal) < 1e-12
+        assert abs(np.trace(pk.ginv @ pk.ric) - pk.scal) < 1e-12
         # ric also agrees with the orthonormal-frame contraction -sum R(e_a,X,e_a,Y)
         contr = -np.einsum("ab,aibj->ij", pk.ginv, np.einsum("aibm,mj->aibj", pk.R, pk.g))
         assert np.max(np.abs(contr - pk.ric)) < 1e-10
@@ -205,7 +208,7 @@ def test_identity_residuals_one_and_two_vectors():
     def wedge(u, w):
         return np.outer(u, w @ g) - np.outer(w, u @ g)
 
-    Ric = pk.Ric_op
+    Ric = pk.ginv @ pk.ric
     rhs = wedge(Ric @ X, Y) + wedge(X, Ric @ Y) - 0.5 * pk.scal * wedge(X, Y)
     want = np.max(np.abs(np.einsum("ijkl,i,j->lk", pk.R, X, Y) - rhs))
     got = identity_residuals(pk, vectors=v)["kulkarni"]
@@ -396,9 +399,10 @@ def test_eigen_reconstruction_and_orthonormality():
         W = rr.eigenframe
         assert np.max(np.abs(W.T @ pk.g @ W - np.eye(3))) < 1e-10
         recon = W @ np.diag(rr.eigenvalues) @ (W.T @ pk.g)
-        assert np.max(np.abs(pk.Ric_op - recon)) < 1e-9
+        Ric = pk.ginv @ pk.ric
+        assert np.max(np.abs(Ric - recon)) < 1e-9
         for k in range(3):
-            resid = pk.Ric_op @ W[:, k] - rr.eigenvalues[k] * W[:, k]
+            resid = Ric @ W[:, k] - rr.eigenvalues[k] * W[:, k]
             assert np.max(np.abs(resid)) < 1e-8 * (1 + abs(rr.eigenvalues[k]))
 
 
@@ -627,7 +631,7 @@ def test_pack_of_one_point_has_point_types():
     assert pk.point == (0.4, 0.7, -0.3)
     assert type(pk.scal) is float
     shapes = {"g": (3, 3), "ginv": (3, 3), "gamma": (3,) * 3, "R": (3,) * 4, "nablaR": (3,) * 5,
-              "ric": (3, 3), "Ric_op": (3, 3), "dscal": (3,), "rho": (3, 3), "nabla_ric": (3,) * 3,
+              "ric": (3, 3), "dscal": (3,), "nabla_ric": (3,) * 3,
               "nabla2_ric": (3,) * 4, "frame": (3, 3)}
     for field, shape in shapes.items():
         assert getattr(pk, field).shape == shape, field

@@ -497,11 +497,11 @@ def test_float_range_edge_is_exact(text, accepted):
 )
 def test_huge_exponent_is_refused_without_fraction(text, monkeypatch):
     """A text with a nonzero digit before its decimal exponent is refused
-    with Fraction's message when the exponent exceeds 309 plus the text's
-    length, or lies below -(_EXPONENT_DIGITS + length), which gives a
-    denominator of more than _EXPONENT_DIGITS digits; Fraction, which would
-    first compute 10 to that exponent, is never called for it.  A zero
-    mantissa is read as 0 without Fraction(text) too."""
+    when the exponent exceeds 309 plus the text's length, as past the float
+    range, or lies below -(_MAX_DIGITS + length), which gives a denominator
+    of more than _MAX_DIGITS digits, by a message that names the exponent;
+    Fraction, which would first compute 10 to that exponent, is never called
+    for it.  A zero mantissa is read as 0 without Fraction(text) too."""
     calls = []
 
     class Guarded(Fraction):
@@ -511,6 +511,9 @@ def test_huge_exponent_is_refused_without_fraction(text, monkeypatch):
 
     monkeypatch.setattr(polyclass, "Fraction", Guarded)
     message = f"coefficient {text!r} is not a finite number within the float range"
+    if "e-" in text.lower():
+        e = int(text[text.lower().rfind("e") + 1 :])
+        message = f"coefficient {text!r}: exponent {e} gives a denominator of over 4300 digits"
     for where in ({"c": (text,), "Lambda": "1"}, {"c": ("1",), "Lambda": text}):
         with pytest.raises(PolyclassError) as err:
             ConstraintInstance(regime="a12", a=("1", "0", "1"), d1=(), P=(), **where)
@@ -559,12 +562,44 @@ def test_zero_mantissa_outside_fraction_syntax_is_refused(text, monkeypatch):
 
 
 def test_negative_exponent_at_the_bound_is_read_exactly():
-    """At the bound, exponent -(_EXPONENT_DIGITS + length), a text is still
-    Fraction's to read, and it is kept exact below the float range."""
-    text = f"1e-{polyclass._EXPONENT_DIGITS + 7}"
-    assert len(text) == 7
+    """At the bound, a denominator of _MAX_DIGITS digits, a text is read
+    exactly below the float range; one digit more is refused by name."""
+    text = f"1e-{polyclass._MAX_DIGITS - 1}"
     inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
-    assert inst.exact and inst.c == (Fraction(1, 10 ** (polyclass._EXPONENT_DIGITS + 7)),)
+    assert inst.exact and inst.c == (Fraction(1, 10 ** (polyclass._MAX_DIGITS - 1)),)
+    text = f"1e-{polyclass._MAX_DIGITS}"
+    with pytest.raises(PolyclassError, match=f"coefficient '{text}': its denominator in lowest terms has over 4300"):
+        ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
+
+
+@pytest.mark.parametrize(
+    "value,part",
+    [
+        ("1e-4306", "denominator"),  # inside _read_exponent's slack of the text's length
+        ("2.5e-4305", "denominator"),
+        (Fraction(10**4300 + 1, 3 * 10**4299), "numerator"),
+    ],
+    ids=["1e-4306", "2.5e-4305", "numerator"],
+)
+def test_coefficient_past_the_digit_bound_is_refused(value, part):
+    """An exact coefficient whose numerator or denominator in lowest terms
+    has more than 4300 digits, which ``str()`` could not write back, is
+    refused on construction by a message that names it."""
+    shown = repr(value) if isinstance(value, str) else "of type Fraction"
+    with pytest.raises(PolyclassError) as err:
+        ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(value,), d1=(), P=(), Lambda="1")
+    assert str(err.value) == f"coefficient {shown}: its {part} in lowest terms has over 4300 digits"
+
+
+def test_coefficients_at_the_digit_bound_round_trip():
+    """Coefficients with 4300-digit numerators and denominators go through
+    ``instance_to_dict`` and ``instance_from_dict`` unchanged."""
+    big = "9" * 4300 + "/1" + "0" * 4299  # 4300 digits over 4300 digits, in lowest terms
+    inst = ConstraintInstance(regime="a12", a=("1", "0", "1"), c=("1e-4299", big), d1=(), P=(), Lambda=big)
+    assert inst.c == (Fraction(1, 10**4299), Fraction(10**4300 - 1, 10**4299))
+    back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert back.exact and back.form == inst.form
+    assert (back.c, back.Lambda) == (inst.c, inst.Lambda)
 
 
 def test_canonical_instance_files_build_no_fraction(tmp_path, monkeypatch):

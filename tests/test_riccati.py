@@ -92,23 +92,26 @@ def test_curvature_r_only_batch_is_stack_of_points(name):
     spec = metrics.builtin(name)
     rng = np.random.default_rng(3)
     xs = np.column_stack([rng.uniform(lo, hi, 12) for lo, hi in spec.box])
-    g, ginv, R = curvature_r_only(spec, xs)
-    assert g.shape == ginv.shape == (12, 3, 3) and R.shape == (12, 3, 3, 3, 3)
+    g, rho = curvature_r_only(spec, xs)
+    assert g.shape == rho.shape == (12, 3, 3)
     for k, x in enumerate(xs):
         point = curvature_r_only(spec, tuple(x))
-        for got, want in zip((g[k], ginv[k], R[k]), point):
+        for got, want in zip((g[k], rho[k]), point):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
         # the order-2 and the order-4 run of the curvature kernel agree
         pk = pack_at(spec, tuple(x))
-        for got, want in zip(point, (pk.g, pk.ginv, pk.R)):
+        for got, want in zip(point, (pk.g, pk.ric - pk.scal / 4.0 * pk.g)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-def test_jacobi_along_matches_pack_at_every_sample():
-    """The batched J(t), over more than one block of samples, against the
-    order-4 pack at each sample projected on the parallel frame."""
-    spec = metrics.builtin("heisenberg", L=1.0)
-    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 0.6, 2e-3)
+@pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
+def test_jacobi_along_matches_pack_at_every_sample(name):
+    """The batched J(t) from g and the Schouten tensor, over more than one
+    block of samples, against J(v) = R(., v)v of the order-4 pack at each
+    sample projected on the parallel frame."""
+    spec = metrics.builtin(name)
+    p = tuple(0.5 * (lo + hi) + x for (lo, hi), x in zip(spec.box, (0.1, 0.2, 0.3)))
+    path = integrate_geodesic(spec, p, (0.5, 0.7, 0.4), 0.6, 2e-3)
     assert len(path.ts) > SAMPLE_BLOCK
     Js = jacobi_along(path)
     for k, (x, v, w1, w2) in enumerate(zip(path.xs, path.vs, path.w1s, path.w2s)):
@@ -121,7 +124,7 @@ def test_jacobi_along_matches_pack_at_every_sample():
 
 @pytest.mark.parametrize("name", ["sol", "sphere"])
 def test_jacobi_along_does_not_depend_on_curvature_strides(name, monkeypatch):
-    """Fortran-ordered copies of g and R, with the same values, give a
+    """Fortran-ordered copies of g and rho, with the same values, give a
     bitwise-equal J(t): the contraction's summation order is fixed by the
     shapes, not by the memory layout of the kernel's output."""
     spec = metrics.builtin(name)
@@ -129,11 +132,49 @@ def test_jacobi_along_does_not_depend_on_curvature_strides(name, monkeypatch):
     want = jacobi_along(path)
 
     def fortran_ordered(spec, p):
-        g, ginv, R = curvature_r_only(spec, p)
-        return np.asfortranarray(g), ginv, np.asfortranarray(R)
+        return tuple(np.asfortranarray(x) for x in curvature_r_only(spec, p))
 
     monkeypatch.setattr(riccati, "curvature_r_only", fortran_ordered)
     assert np.array_equal(jacobi_along(path), want)
+
+
+def _homothetic_run(lam, T=3.0, dt=1e-2, u0=(1.5, 0.2, 1.3)):
+    """J(t) and the Riccati result on the round sphere with the metric scaled
+    to lam^2 g, with T and dt scaled by lam and u0 by 1/lam: unit speed in
+    lam^2 g, so lam^2 J and lam u are those of lam = 1."""
+    conformal = "s*4/(1+x1^2+x2^2+x3^2)^2"
+    comps = {"g11": conformal, "g12": "0", "g13": "0", "g22": conformal, "g23": "0", "g33": conformal}
+    spec = metrics.custom(comps, params={"s": lam * lam})
+    path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.3, -0.2, 0.5), lam * T, lam * dt)
+    Js = jacobi_along(path)
+    return Js, integrate_riccati(path, Js, [x / lam for x in u0])
+
+
+@pytest.mark.parametrize("lam,exact", [(0.5, True), (4.0, True), (0.1, False), (10.0, False)])
+def test_riccati_side_is_homothety_invariant(lam, exact):
+    """Under g -> lam^2 g the Riccati side changes by scale alone: bit for bit
+    at powers of two, where every rescaling is exact, and to rounding
+    otherwise.  The run blows up, so the blow-up step is compared too."""
+    J1, r1 = _homothetic_run(1.0)
+    J, r = _homothetic_run(lam)
+    assert r1.blown_up and len(r.ts) == len(r1.ts) and r.blown_up == r1.blown_up
+    if exact:
+        assert np.array_equal(lam * lam * J, J1)
+        assert np.array_equal(lam * r.u, r1.u)
+    else:
+        assert np.all(np.abs(lam * lam * J - J1) <= 1e-13 * np.maximum(1.0, np.abs(J1)))
+        assert np.all(np.abs(lam * r.u - r1.u) <= 1e-11 * np.maximum(1.0, np.abs(r1.u)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the blow-up norm 1e8 and the bisection width 1e-3 are absolute, so the blow-up time does not scale",
+)
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+def test_blowup_time_scales_with_homothety(lam):
+    _, r1 = _homothetic_run(1.0)
+    _, r = _homothetic_run(lam)
+    assert r.blowup_time == pytest.approx(lam * r1.blowup_time, rel=1e-12)
 
 
 def test_riccati_flat_zero():
