@@ -299,19 +299,21 @@ FRAME_LIMITS = {
 
 
 def _frame_algebra_checks(seed, count):
-    """Frame-algebra sweeps over ``count`` frames seeded seed, seed+1, ...:
-    worst residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks.
+    """Frame-algebra sweeps over ``count`` frames drawn in turn from one
+    ``default_rng(seed)``, so the first is ``consistent_frame(seed)``: worst
+    residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks.
 
     Each identity runs once per block of up to FRAME_BLOCK consistent frames,
     and each input is built once.  A bundle's b1 and c read only lambda and
-    Gamma, which a seed's free and consistent frames share, so the consistent
+    Gamma, which a draw's free and consistent frames share, so the consistent
     frames' three bundles serve the b1 factorization, and their a2 and a3
     bundles the a1 cross-check and the root identities.  The eight rigid
     frames are built once: their table checks run as one batch, and each
     frame goes to its EDS closure."""
     worst = dict.fromkeys(FRAME_LIMITS, 0.0)
-    for start in range(seed, seed + count, FRAME_BLOCK):
-        cons = fa.consistent_frame(range(start, min(start + FRAME_BLOCK, seed + count)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, FRAME_BLOCK):
+        cons = fa.consistent_from_free(fa.free_frames(rng, min(FRAME_BLOCK, count - start)))
         bundles = [fa.special_direction_polys(cons, case) for case in fa.CASES]
         r13, r23 = fa.a1_crosscheck(cons, bundles[1:])
         roots = fa.root_identities(cons, bundles[1:])
@@ -363,6 +365,7 @@ def cmd_frame_check(args):
     checks = _frame_algebra_checks(seed, count)
     certs = fa.contradiction_certificates()
     report = {
+        "seed": seed,
         "frames": count,
         **checks,
         "certificates": {

@@ -29,7 +29,6 @@ they return floats and coefficient arrays of the same fixed length.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -86,107 +85,12 @@ def _gamma_from_nine(vals):
 _DRAW_LO = np.array([2.0, 0.2] + [-1.0] * 15)
 _DRAW_HI = np.array([4.0, 1.5] + [1.0] * 15)
 
-# numpy's SeedSequence (the seed_seq of O'Neill's PCG) mixes a seed's 32-bit
-# words into a pool of 4 and hashes the pool into PCG64's state.  Its hash
-# constants follow a schedule fixed by how many times the hash has run, never
-# by the seed: run k xors init * mult**k and multiplies by init * mult**(k+1)
-# (mod 2**32), so every seed of a block runs the same uint32 operations.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool's hash
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the state's hash
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-
-def _hash_schedule(init, mult, runs):
-    """The runs + 1 constants init * mult**k mod 2**32, as a uint32 column."""
-    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(runs + 1)], dtype=np.uint32)[:, None]
-
-
-_SCHEDULE_A = _hash_schedule(_INIT_A, _MULT_A, _POOL * _POOL)  # seeds below 2**128
-_SCHEDULE_B = _hash_schedule(_INIT_B, _MULT_B, 2 * _POOL)  # 4 uint64 = 8 uint32 state words
-_OTHERS = [np.delete(np.arange(_POOL), src) for src in range(_POOL)]  # the pool words but src
-_STATE_WORDS = np.arange(2 * _POOL) % _POOL  # the pool word each state word hashes
-
-
-def _hashmix(x, c):
-    """SeedSequence's hashmix: row r xors c[r], is multiplied by c[r + 1] and
-    xorshifted by 16; c is the schedule slice of the runs, one longer than the rows."""
-    x = (x ^ c[:-1]) * c[1:]
-    return x ^ (x >> 16)
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two pool words (uint32)."""
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
-
-
-def _seed_states(seeds) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as the
-    rows of one C-contiguous (n, 4) array, hashed for all seeds in one pass.
-
-    A seed is an int or a numpy integer; a negative seed raises ValueError and
-    a non-integer one TypeError, as numpy's SeedSequence does.  A seed of
-    fewer than 4 words hashes numpy's zero padding; a larger one runs its own
-    count of extra entropy rounds.
-    """
-    seeds = [operator.index(s) for s in seeds]
-    if min(seeds, default=0) < 0:
-        raise ValueError("expected non-negative integer")
-    width = max(_POOL, -(-max((s.bit_length() for s in seeds), default=0) // 32))
-    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), "<u4")
-    words = words.reshape(-1, width).T.astype(np.uint32)  # row i: word i of every seed
-    a = _SCHEDULE_A if width == _POOL else _hash_schedule(_INIT_A, _MULT_A, _POOL * width)
-    pool = _hashmix(words[:_POOL], a[: _POOL + 1])
-    k = _POOL
-    for src, dst in enumerate(_OTHERS):  # each word into the three others, independently
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k : k + len(dst) + 1]))
-        k += len(dst)
-    for i in range(_POOL, width):  # entropy past the pool, mixed into every word
-        more = words[i:].any(axis=0)  # the seeds of more than i words
-        pool[:, more] = _mix(pool[:, more], _hashmix(words[i, more], a[k : k + _POOL + 1]))
-        k += _POOL
-    state = _hashmix(pool[_STATE_WORDS], _SCHEDULE_B).astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-
-
-@functools.cache
-def _state_seed_sequence():
-    """The seed sequence that hands PCG64 a state hashed beforehand.
-
-    Its class is built on first use, so importing this module leaves
-    ``numpy.random`` unloaded.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateSeedSequence(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("the state was hashed as 4 uint64 words")
-            return self.state
-
-    return StateSeedSequence
-
-
-def _free_frames(seeds) -> FrameData:
-    """The free frames of a sequence of seeds, one PCG64 stream per seed.
-
-    The block's seeds are hashed into PCG64 states in one numpy pass
-    (``_seed_states``, numpy's SeedSequence algorithm), and each state seeds
-    its own PCG64.  Each stream draws -lambda2 in [2, 4), -lambda3 in
-    [0.2, 1.5), then the nine connection coefficients and the derivative
-    table in [-1, 1).  A draw in [lo, hi) is lo + (hi - lo) u, with u the top
-    53 bits of the stream's next raw 64-bit output times 2^-53: bitwise the
-    doubles of ``default_rng(seed).random(17)``, without a ``SeedSequence`` or
-    a ``Generator`` per seed (PCG: O'Neill, HMC-CS-2014-0905).
-    """
-    state_seq = _state_seed_sequence()
-    raw = np.array([np.random.PCG64(state_seq(s)).random_raw(17) for s in _seed_states(seeds)], dtype=np.uint64)
-    raw = raw.reshape(-1, 17)
-    draws = _DRAW_LO + (_DRAW_HI - _DRAW_LO) * ((raw >> 11) * 2.0**-53)
+def free_frames(rng, n: int) -> FrameData:
+    """n free frames drawn in turn from the numpy Generator rng, 17 uniforms a
+    frame: -lambda2 in [2, 4), -lambda3 in [0.2, 1.5), then the nine connection
+    coefficients and the derivative table in [-1, 1).  Row k is the k-th draw."""
+    draws = rng.uniform(_DRAW_LO, _DRAW_HI, (n, 17))
     gamma = _gamma_from_nine(draws[:, 2:11])
     return FrameData(-draws[:, 0], -draws[:, 1], draws[:, 11:].reshape(-1, 3, 2), gamma, "free")
 
@@ -212,20 +116,15 @@ def consistent_from_free(fd: FrameData) -> FrameData:
 
 
 def consistent_frame(seed, mode: str = "consistent") -> FrameData:
-    """Random FrameData; in mode consistent the five linear relations between
-    the derivative table and the connection coefficients hold exactly.
-
-    A sequence of seeds gives one batch whose rows are the one-seed frames.
-    """
+    """The frame of ``free_frames(default_rng(seed), 1)`` for one integer seed
+    (else TypeError); in mode consistent the five linear relations between the
+    derivative table and the connection coefficients hold exactly."""
     if mode not in ("free", "consistent"):
         raise ValueError(f"unknown mode '{mode}'")
-    one = np.ndim(seed) == 0
-    fd = _free_frames([seed] if one else seed)
+    fd = free_frames(np.random.default_rng(operator.index(seed)), 1)
     if mode == "consistent":
         fd = consistent_from_free(fd)
-    if one:
-        return FrameData(float(fd.lambda2[0]), float(fd.lambda3[0]), fd.dlam[0], fd.gamma[0], mode)
-    return fd
+    return FrameData(float(fd.lambda2[0]), float(fd.lambda3[0]), fd.dlam[0], fd.gamma[0], mode)
 
 
 def bianchi_frame_residuals(fd: FrameData) -> np.ndarray:

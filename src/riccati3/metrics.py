@@ -177,7 +177,9 @@ def from_dict(data: dict) -> MetricSpec:
 
 
 def _number(value, what):
-    """float(value), or a MetricError naming ``what``."""
+    """float(value), or a MetricError naming ``what``; a boolean is refused."""
+    if isinstance(value, bool):
+        raise MetricError(f"{what} must be a number, got boolean {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):

@@ -179,12 +179,17 @@ def _read_rational(text):
     an ASCII ``-?[0-9]+(/[0-9]+)?``, by two ``int()`` calls, when its value
     lies below 2^1023 in magnitude, inside the float range by its bit
     lengths alone; None for any other text, which ``Fraction(text)``
-    decides (a zero denominator, or a value near or past 2^1024, included)."""
+    decides (a zero denominator, or a value near or past 2^1024, included).
+    A part written with over _MAX_DIGITS digits raises a PolyclassError."""
     if not text.isascii():
         return None
     num, slash, den = text.partition("/")
-    if not (num[1:] if num[:1] == "-" else num).isdigit() or (slash and not den.isdigit()):
+    digits = num[1:] if num[:1] == "-" else num
+    if not digits.isdigit() or (slash and not den.isdigit()):
         return None
+    if max(len(digits), len(den)) > _MAX_DIGITS:
+        part = "numerator" if len(digits) > _MAX_DIGITS else "denominator"
+        raise PolyclassError(f"coefficient text of {len(text)} characters: its {part} has over {_MAX_DIGITS} digits")
     try:  # int() refuses a text past sys.get_int_max_str_digits(), as Fraction does
         n, d = int(num), int(den) if slash else 1
     except ValueError:

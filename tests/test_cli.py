@@ -249,6 +249,31 @@ def test_frame_check_cmd(tmp_path, capsys):
     from oracles import frame_from_text
 
     frame_from_text(dump.read_text())
+    assert rep["seed"] == 0 and rep["frames"] == 25
+
+
+def test_frame_check_dumps_the_first_frame_of_its_sweep(tmp_path, capsys, monkeypatch):
+    """--dump-frame writes the first frame the reported sweep drew: the
+    consistent frame of the first row of the sweep's first draw."""
+    from oracles import frame_from_text
+
+    from riccati3 import frame_algebra as fa
+
+    draws = []
+    real = fa.free_frames
+
+    def recorded(rng, n):
+        draws.append(real(rng, n))
+        return draws[-1]
+
+    monkeypatch.setattr(fa, "free_frames", recorded)
+    dump = tmp_path / "frame.txt"
+    code, out = run(capsys, "frame-check", "--seed", "11", "--count", "5", "--json", "--dump-frame", str(dump))
+    assert code == 0 and json.loads(out)["seed"] == 11
+    first = fa.consistent_from_free(draws[0])
+    got = frame_from_text(dump.read_text())
+    assert got.mode == "consistent" and (got.lambda2, got.lambda3) == (first.lambda2[0], first.lambda3[0])
+    assert np.array_equal(got.dlam, first.dlam[0]) and np.array_equal(got.gamma, first.gamma[0])
 
 
 def test_frame_check_fails_on_a_failed_certificate(capsys, monkeypatch):
@@ -710,6 +735,7 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
             "parameter 'c' must be a number, got 'x'",
         ),
         (json.dumps({"builtin": "hyperbolic", "params": {"c": "abc"}}), "parameter 'c' must be a number, got 'abc'"),
+        (json.dumps({"builtin": "heisenberg", "params": {"L": True}}), "parameter 'L' must be a number, got boolean True"),
         (json.dumps({"components": FLAT, "params": [1]}), "'params' must be a JSON object, got list"),
         (json.dumps({"builtin": "flat", "params": [1]}), "'params' must be a JSON object, got list"),
         (json.dumps({"components": {**FLAT, "g22": 1}}), "component 'g22' must be a string, got 1"),
@@ -718,6 +744,10 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
             "'box' pair [2.0, 1.0] needs finite bounds with lo <= hi",
         ),
         (json.dumps({"components": FLAT, "box": [[0, 1], ["a", 1], [0, 1]]}), "'box' bound must be a number, got 'a'"),
+        (
+            json.dumps({"components": FLAT, "box": [[False, True], [0, 1], [0, 1]]}),
+            "'box' bound must be a number, got boolean False",
+        ),
         (
             '{"components": %s, "box": [[0, 1e400], [0, 1], [0, 1]]}' % json.dumps(FLAT),
             "'box' pair [0.0, inf] needs finite bounds with lo <= hi",
@@ -754,8 +784,8 @@ FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
         ),
     ],
     ids=[
-        "list", "param-text", "param-custom-form", "param-builtin-form", "params-list", "builtin-params-list",
-        "component-number", "box-reversed", "box-text", "box-overflow", "box-one-pair", "param-infinity",
+        "list", "param-text", "param-custom-form", "param-builtin-form", "param-boolean", "params-list",
+        "builtin-params-list", "component-number", "box-reversed", "box-text", "box-boolean", "box-overflow", "box-one-pair", "param-infinity",
         "param-nan", "misspelt-params", "misspelt-box", "unknown-component", "builtin-with-name",
         "builtin-with-box", "builtin-with-components",
     ],

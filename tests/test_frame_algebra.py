@@ -21,6 +21,7 @@ from riccati3.frame_algebra import (
     contradiction_certificates,
     eds_closure,
     frame_to_text,
+    free_frames,
     p_polys,
     rigid_frame,
     ric111_residual,
@@ -299,6 +300,17 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _row(fd, k):
+    """Row k of a batch as a one-frame FrameData."""
+    return FrameData(float(fd.lambda2[k]), float(fd.lambda3[k]), fd.dlam[k], fd.gamma[k], fd.mode)
+
+
+def _drawn(rng, n, mode):
+    """n frames of mode drawn from rng by ``free_frames``."""
+    fd = free_frames(rng, n)
+    return fd if mode == "free" else consistent_from_free(fd)
+
+
 def _batched_values(fd):
     """Every batched function's values at fd, as (name, array) pairs whose
     leading axis is the frame axis at a batch."""
@@ -339,23 +351,26 @@ def test_one_frame_bundles_are_the_batch_rows_in_shape_and_bits():
 @pytest.mark.parametrize("mode", ["free", "consistent"])
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_batch_rows_are_the_one_frame_values(mode, size):
-    seeds = [3 * k + 11 for k in range(size)]
-    batch = _batched_values(consistent_frame(seeds, mode))
-    for k, seed in enumerate(seeds):
-        one = consistent_frame(seed, mode)
+    """A batch of n frames drawn at once has as rows the n frames drawn one
+    at a time from an equal generator, and each row's values are bitwise
+    that one frame's values."""
+    batch = _batched_values(_drawn(np.random.default_rng(11), size, mode))
+    rng = np.random.default_rng(11)
+    for k in range(size):
+        one = _row(_drawn(rng, 1, mode), 0)
         assert isinstance(one.lambda2, float) and isinstance(one.G(1, 1, 2), float)
         for (name, rows), (name1, value) in zip(batch, _batched_values(one)):
             assert name == name1
-            assert _bits(rows[k]) == _bits(value), (mode, size, seed, name)
+            assert _bits(rows[k]) == _bits(value), (mode, size, k, name)
 
 
 def test_batch_permuted_seeds_permute_rows():
-    seeds = np.array([5, 17, 2, 40, 9, 23])
-    perm = np.random.default_rng(1).permutation(len(seeds))
+    """Permuting a batch's frames permutes the rows of every batched value."""
+    perm = np.random.default_rng(1).permutation(6)
     for mode in ("free", "consistent"):
-        base = _batched_values(consistent_frame(seeds, mode))
-        permuted = _batched_values(consistent_frame(seeds[perm], mode))
-        for (name, rows), (_, prows) in zip(base, permuted):
+        fd = _drawn(np.random.default_rng(5), 6, mode)
+        permuted = FrameData(*(x[perm] for x in fd[:4]), fd.mode)
+        for (name, rows), (_, prows) in zip(_batched_values(fd), _batched_values(permuted)):
             assert _bits(np.asarray(rows)[perm]) == _bits(prows), (mode, name)
 
 
@@ -376,35 +391,28 @@ def test_free_and_consistent_frames_share_one_draw():
         assert _bits(free.dlam) == _bits(rng.uniform(-1.0, 1.0, size=(3, 2)))
 
 
-def test_free_frames_are_the_generator_doubles():
-    """The raw PCG64 draws are bitwise the doubles of default_rng(seed).random(17),
-    and the seeds' hashed states numpy's SeedSequence states: seeds of one to
-    six 32-bit words, a block across a word boundary and numpy integer seeds
-    included.  A negative or float seed raises numpy's exception type."""
-    boundary = [*range(2**32 - 3, 2**32 + 3), 2**62]
-    wide = [2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 3]
-    seeds = [*range(1000), 2**32 + 5, *boundary, *wide]
-    seeds += [*np.array([0, 7, *boundary], dtype=np.int64), *np.array([7, *boundary, 2**64 - 1], dtype=np.uint64)]
-    u = np.array([np.random.default_rng(seed).random(17) for seed in seeds])
-    want = frame_algebra._DRAW_LO + (frame_algebra._DRAW_HI - frame_algebra._DRAW_LO) * u
-    fd = frame_algebra._free_frames(seeds)
-    nine = [fd.gamma[:, i - 1, j - 1, k - 1] for (i, j, k) in GAMMA_KEYS]
-    got = np.column_stack([-fd.lambda2, -fd.lambda3, *nine, fd.dlam.reshape(-1, 6)])
-    assert _bits(got) == _bits(want)
-    states = frame_algebra._seed_states(seeds)
-    want_states = np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds])
-    assert states.dtype == want_states.dtype and np.array_equal(states, want_states)
-    for bad in (-1, -(2**70), 2.0, np.float64(3.0)):
-        with pytest.raises(Exception) as numpy_error:
-            np.random.PCG64(bad)
-        with pytest.raises(numpy_error.type):
-            frame_algebra._free_frames([5, bad])
+def test_consistent_frame_takes_one_integer_seed():
+    """A seed's frame is the first frame its generator draws; a numpy integer
+    seed gives the same frame, a sequence of seeds raises TypeError and a
+    negative seed ValueError."""
+    for mode in ("free", "consistent"):
+        want = _row(_drawn(np.random.default_rng(7), 1, mode), 0)
+        for seed in (7, np.int64(7), np.uint64(7)):
+            got = consistent_frame(seed, mode)
+            assert (got.lambda2, got.lambda3, got.mode) == (want.lambda2, want.lambda3, mode)
+            assert _bits(got.dlam) == _bits(want.dlam) and _bits(got.gamma) == _bits(want.gamma)
+        for bad in ([7], range(3), np.array([7, 8]), 7.0):
+            with pytest.raises(TypeError):
+                consistent_frame(bad, mode)
+        with pytest.raises(ValueError):
+            consistent_frame(-1, mode)
 
 
 def test_b1_and_c_are_shared_by_free_and_consistent_frames():
-    """b1 and c read only lambda and Gamma, which a seed's free and consistent
+    """b1 and c read only lambda and Gamma, which a draw's free and consistent
     frames share, so the sweep factors b1 on the consistent frames."""
-    free, cons = consistent_frame(range(1000), "free"), consistent_frame(range(1000))
+    free = free_frames(np.random.default_rng(0), 1000)
+    cons = consistent_from_free(free)
     assert not np.array_equal(free.dlam, cons.dlam)
     for case in CASES:
         f, c = special_direction_polys(free, case), special_direction_polys(cons, case)
@@ -463,13 +471,15 @@ def test_pmul_within_ulps_of_exact_product():
 
 
 def _one_frame_sweep(seed, count):
-    """The frame-algebra worst residuals computed one frame at a time."""
+    """The frame-algebra worst residuals computed one frame at a time, each
+    frame drawn alone from one ``default_rng(seed)``."""
     b1 = cross = roots = bianchi = 0.0
-    for k in range(count):
-        fd = consistent_frame(seed + k, "free")
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        fd = _row(free_frames(rng, 1), 0)
         for case in CASES:
             b1 = max(b1, special_direction_polys(fd, case).b1_factor_residual())
-        fd = consistent_frame(seed + k, "consistent")
+        fd = consistent_from_free(fd)
         cross = max(cross, *a1_crosscheck(fd))
         roots = max(roots, max(abs(v) for v in root_identities(fd).values()))
         bianchi = max(bianchi, float(np.max(np.abs(bianchi_frame_residuals(fd)))))
@@ -499,8 +509,9 @@ def _separate_sweep(seed, count):
     frames' a2 and a3 bundles, and each rigid frame built for its table
     checks and again by its EDS closure."""
     worst = dict.fromkeys(cli.FRAME_LIMITS, 0.0)
-    for start in range(seed, seed + count, cli.FRAME_BLOCK):
-        free = consistent_frame(range(start, min(start + cli.FRAME_BLOCK, seed + count)), "free")
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, cli.FRAME_BLOCK):
+        free = free_frames(rng, min(cli.FRAME_BLOCK, count - start))
         cons = consistent_from_free(free)
         bundles = frame_algebra.a2_a3_bundles(cons)
         r13, r23 = a1_crosscheck(cons, bundles)
@@ -550,7 +561,7 @@ def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
 
 
 def test_shared_bundles_give_the_same_residuals():
-    fd = consistent_frame(range(5, 17), "consistent")
+    fd = _drawn(np.random.default_rng(5), 12, "consistent")
     bundles = (special_direction_polys(fd, "a2"), special_direction_polys(fd, "a3"))
     for got, want in zip(a1_crosscheck(fd, bundles), a1_crosscheck(fd)):
         assert np.array_equal(got, want)

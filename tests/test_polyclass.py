@@ -591,6 +591,24 @@ def test_coefficient_past_the_digit_bound_is_refused(value, part):
     assert str(err.value) == f"coefficient {shown}: its {part} in lowest terms has over 4300 digits"
 
 
+@pytest.mark.parametrize(
+    "text,part",
+    [
+        ("1" * 4301 + "/" + "3" * 4301, "numerator"),  # 1/3 in lowest terms
+        ("-" + "0" * 4300 + "7", "numerator"),
+        ("1/" + "3" * 4301, "denominator"),
+    ],
+    ids=["one-third", "leading-zeros", "denominator"],
+)
+def test_rational_text_past_the_digit_limit_names_the_limit(text, part):
+    """A canonical rational text whose numerator or denominator is written
+    with more than 4300 digits, which ``int()`` does not read, is refused by
+    a message that names the digit limit, whatever its value in lowest terms."""
+    with pytest.raises(PolyclassError) as err:
+        ConstraintInstance(regime="a12", a=("1", "0", "1"), c=(text,), d1=(), P=(), Lambda="1")
+    assert str(err.value) == f"coefficient text of {len(text)} characters: its {part} has over 4300 digits"
+
+
 def test_coefficients_at_the_digit_bound_round_trip():
     """Coefficients with 4300-digit numerators and denominators go through
     ``instance_to_dict`` and ``instance_from_dict`` unchanged."""
