@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -80,6 +81,25 @@ def _floats(text, option):
     if len(vals) != 3 or not all(math.isfinite(x) for x in vals):
         raise UsageError(f"{option} needs 3 finite comma-separated numbers, got {text!r}")
     return vals
+
+
+# the options whose value is a comma-separated vector, and a value of theirs
+# that starts with a minus sign
+VECTOR_OPTIONS = ("--point", "--dir", "--u0")
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _joined_vectors(argv):
+    """argv with each ``--point -0.1,0.2,0.3`` written ``--point=-0.1,0.2,0.3``,
+    and so for ``--dir`` and ``--u0``: argparse takes a value that starts with
+    a minus sign and is not one plain number for an option of its own."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in VECTOR_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _emit(report, args):
@@ -584,7 +604,7 @@ def build_parser():
 def main(argv=None):
     """Run one command; a bad input value, metric or instance, or a file that
     cannot be read or parsed, is reported as one line on stderr with exit code 2."""
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     try:
         # an overflow or nan is caught by the checks and reported as the one
         # line below, so numpy's warnings about it would only add lines

@@ -30,11 +30,16 @@ one point or a batch.  A metric compiles its six components once
 (``MetricSpec.tape``); ``eval_jet`` is a one-expression tape that returns its
 array in a ``Jet4`` record, and ``eval_dual`` (value and gradient) is its
 order-1 case.  At order 1 and one point a coefficient array is four numbers,
-too few to pay numpy's cost per call, so ``Tape.first_order`` replays the
-same operations on Python floats, a register being the tuple of its four
-coefficients: the same series functions and fault rules (``_power_series``,
-``_function_series``), summed as ``_mul`` sums, so it gives the bits of
-``run(p, 1)``.  The geodesic stepper's ``metrics.gamma_at`` runs it.
+too few to pay numpy's cost per call, and a loop that dispatches on each
+operation costs more than the operation, so ``Tape.float_function``
+generates the order-1 replay of a tape as straight-line Python source on
+floats, each register four local names, inside a function whose head and
+tail the caller gives (an evaluation tape emitted as code, ibid.): the same
+series functions and fault rules (``_power_series``, ``_function_series``),
+summed as ``_mul`` sums, so it gives the bits of ``run(p, 1)``.  It is the
+one generator: ``Tape.first_order`` is its replay with a return, and the
+geodesic stage (``riccati._stage``) its replay with the Christoffel
+contraction.  Nothing is generated at import.
 """
 
 from __future__ import annotations
@@ -607,8 +612,8 @@ def _function_series(name, a0, node):
 
 _LEAVES = ("const", "var", "unbound")
 _BINARY = ("+", "-", "*")
-# the first partials of x1, x2, x3
-_UNIT_PARTIALS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+# the names of a value and its first partials in the float replay, after the value's own
+_SUFFIXES = ("", "_1", "_2", "_3")
 
 
 class Tape:
@@ -702,55 +707,101 @@ class Tape:
     def first_order(self, p):
         """``run(p, 1)`` at one point on Python floats, bit for bit: the
         values and first partials of the expressions as (values, d_1, d_2,
-        d_3), one float per expression in each.
+        d_3), one float per expression in each.  It runs the tape's
+        ``float_function``, generated on first use."""
+        return self._first_order(*as_point(p))
 
-        A register is the tuple of its four coefficients.  A product writes
-        coefficient i as 0.0 + u0 v_i + u_i v0, the Leibniz terms in
-        ``_mul``'s order summed from +0.0, as its one-hot product sums them;
-        where a term is inf or nan, which that product spreads over the other
-        coefficients as nan, it is ``_mul`` itself.  Powers and calls take
-        their series, and their faults, from ``_power_series`` and
-        ``_function_series``."""
-        x = as_point(p)
-        regs = []
-        for kind, a, b, node in self.ops:
+    @functools.cached_property
+    def _first_order(self):
+        names = [f"o{j}" for j in range(len(self.outputs))]
+        columns = ("(" + "".join(f"{n}{s}, " for n in names) + ")" for s in _SUFFIXES)
+        return self.float_function("def first_order(x1, x2, x3):", names, f"    return {', '.join(columns)}")
+
+    def float_function(self, head, names, tail, env=None):
+        """The function whose Python source is ``head``, then the tape's
+        order-1 replay on the floats x1, x2, x3 as straight-line code, which
+        binds expression j's value and first partials to the names
+        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, then ``tail``.
+        ``head`` starts ``def NAME(`` and binds x1, x2, x3; the function's
+        globals are ``env`` and the replay's own, whose names start with an
+        underscore, as do its registers.  This is the one source generator:
+        ``first_order`` and the geodesic stage (``riccati._stage``) are made
+        by it.
+
+        Each operation keeps the arithmetic of ``run`` at order 1, a register
+        being four floats.  A product writes coefficient i as 0.0 + u0 v_i +
+        u_i v0, the Leibniz terms in ``_mul``'s order summed from +0.0, as
+        its one-hot product sums them; where the sum of the four is inf or
+        nan, which that product spreads over the other coefficients as nan,
+        it is ``_mul`` itself (``_mul_floats``).  Powers and calls take their
+        series, and their faults, from ``_power_series`` and
+        ``_function_series``.  Constants, fault nodes, exponents, function
+        names and messages enter through the globals, so no text of an
+        expression is pasted into the source."""
+        glob = {
+            "ExprError": ExprError,
+            "_power_series": _power_series,
+            "_function_series": _function_series,
+            "_mul_floats": _mul_floats,
+            **(env or {}),
+        }
+        own = {}  # register -> the name of the first expression it computes
+        for j, r in enumerate(self.outputs):
+            own.setdefault(r, names[j])
+        regs, lines = [], []
+        for k, (kind, a, b, node) in enumerate(self.ops):
+            t = [own.get(k, f"_t{k}") + s for s in _SUFFIXES]
+            if kind == "const":
+                glob[f"_k{k}"] = a
+                regs.append((f"_k{k}", "0.0", "0.0", "0.0"))
+                continue
+            if kind == "var":
+                regs.append((f"x{a + 1}",) + tuple("1.0" if i == a else "0.0" for i in range(NVARS)))
+                continue
+            if kind == "unbound":
+                glob[f"_m{k}"] = f"unbound parameter '{a}'"
+                lines.append(f"raise ExprError(_m{k})")
+                regs.append(t)
+                continue
+            u0, u1, u2, u3 = u = regs[a]
             if kind == "*":
-                u0, u1, u2, u3 = u = regs[a]
                 v0, v1, v2, v3 = v = regs[b]
-                c = (0.0 + u0 * v0, 0.0 + u0 * v1 + u1 * v0, 0.0 + u0 * v2 + u2 * v0, 0.0 + u0 * v3 + u3 * v0)
-                s = c[0] + c[1] + c[2] + c[3]
-                if s - s:  # nan: a coefficient, so a term, is inf or nan (or the sum overflows)
-                    c = tuple(_mul(np.array(u), np.array(v), 1).tolist())
-            elif kind == "+":
-                u0, u1, u2, u3 = regs[a]
-                v0, v1, v2, v3 = regs[b]
-                c = (u0 + v0, u1 + v1, u2 + v2, u3 + v3)
-            elif kind == "^":
-                u0, u1, u2, u3 = regs[a]
-                if b:
-                    s0, s1 = _power_series(u0, b, 1, node)
-                    c = (s0, u1 * s1, u2 * s1, u3 * s1)
-                else:
-                    c = (1.0, 0.0, 0.0, 0.0)
-            elif kind == "call":
-                u0, u1, u2, u3 = regs[a]
-                s0, s1 = _function_series(b, u0, node)[:2]
-                c = (s0, u1 * s1, u2 * s1, u3 * s1)
-            elif kind == "-":
-                u0, u1, u2, u3 = regs[a]
-                v0, v1, v2, v3 = regs[b]
-                c = (u0 - v0, u1 - v1, u2 - v2, u3 - v3)
+                lines += [f"{t[0]} = 0.0 + {u0} * {v0}"]
+                lines += [f"{t[i]} = 0.0 + {u0} * {v[i]} + {u[i]} * {v0}" for i in (1, 2, 3)]
+                lines += [
+                    f"_s = {t[0]} + {t[1]} + {t[2]} + {t[3]}",
+                    "if _s - _s:",  # nan: a coefficient, so a term, is inf or nan (or the sum overflows)
+                    f"    {', '.join(t)} = _mul_floats(({', '.join(u)}), ({', '.join(v)}))",
+                ]
+            elif kind in ("+", "-"):
+                v = regs[b]
+                lines += [f"{t[i]} = {u[i]} {kind} {v[i]}" for i in range(4)]
             elif kind == "neg":
-                u0, u1, u2, u3 = regs[a]
-                c = (-u0, -u1, -u2, -u3)
-            elif kind == "const":
-                c = (a, 0.0, 0.0, 0.0)
-            elif kind == "var":
-                c = (x[a],) + _UNIT_PARTIALS[a]
+                lines += [f"{t[i]} = -{u[i]}" for i in range(4)]
+            elif kind == "^" and not b:
+                t = ("1.0", "0.0", "0.0", "0.0")
             else:
-                raise ExprError(f"unbound parameter '{a}'")
-            regs.append(c)
-        return tuple(zip(*[regs[r] for r in self.outputs]))
+                glob[f"_n{k}"] = node
+                if kind == "^":
+                    glob[f"_e{k}"] = b
+                    lines.append(f"{t[0]}, _s1 = _power_series({u0}, _e{k}, 1, _n{k})")
+                else:
+                    glob[f"_f{k}"] = b
+                    lines.append(f"{t[0]}, _s1 = _function_series(_f{k}, {u0}, _n{k})[:2]")
+                lines += [f"{t[i]} = {u[i]} * _s1" for i in (1, 2, 3)]
+            regs.append(t)
+        for j, r in enumerate(self.outputs):
+            lines += [f"{names[j]}{s} = {c}" for s, c in zip(_SUFFIXES, regs[r]) if names[j] + s != c]
+        source = "\n".join([head, *("    " + line for line in lines), tail])
+        name = head.split("(", 1)[0].removeprefix("def ")
+        exec(compile(source, f"<{name} of a tape>", "exec"), glob)
+        return glob[name]
+
+
+def _mul_floats(u, v):
+    """``_mul`` at order 1 of two registers of the float replay, 4-tuples of
+    floats, as a 4-tuple of floats."""
+    return tuple(_mul(np.array(u), np.array(v), 1).tolist())
 
 
 def _run(ops, outputs, point, order):

@@ -18,14 +18,16 @@ blow-up bisection interpolates its off-grid steps with the same function.
 A Riccati step works on the three entries as floats, with u u written out on
 them: a 2x2 step has too little arithmetic to pay numpy's cost per call.
 The geodesic step runs the same way on the 12 floats of the state
-(x, v, w1, w2).  Each of its four stages makes one metric call,
-``gamma_at``: one replay of the metric's compiled tape at order 1 on floats
-(``Tape.first_order``), with the leading-minor check and the adjugate
-inverse.  The stage contracts the lowered Christoffel symbols with v first,
-as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises
-each of the three vectors once with g^-1; the full Gamma is never built.
-The states of a path go into one preallocated (steps + 1, 12) array, one
-row a step.
+(x, v, w1, w2).  Each of its four stages is one call of a function
+generated for the metric (``_stage``), on its first step, from its compiled
+tape (``Tape.float_function``): the tape's order-1 replay as straight-line
+float code, then the leading-minor check (``leading_minors``) and the
+adjugate inverse (``cofactors``) as ``gamma_at`` has them, then the
+Christoffel contraction.  That contracts the lowered Christoffel symbols
+with v first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and
+w2, and raises each of the three vectors once with g^-1; the full Gamma is
+never built.  The states of a path go into one preallocated (steps + 1, 12)
+array, one row a step.
 
 No projection onto trace-free matrices is performed during integration: the
 trace-free constraint is a hypothesis about the metric, and the measured
@@ -34,13 +36,16 @@ trace defect is part of the scientific output.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import curvature_r_only, orthonormal_perp
-from .metrics import MetricSpec, gamma_at, metric_jets
+# gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
+# looks it up in this module
+from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, cofactors, gamma_at, leading_minors, metric_jets
 
 BLOWUP_NORM = 1e8
 # most integration steps one path may take: bounds the time grid and the states
@@ -80,20 +85,20 @@ class RiccatiResult(NamedTuple):
     blowup_bracket: tuple | None
 
 
-def _slopes(spec, y):
-    """The slopes (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)) of the state
-    y = (x, v, w1, w2), 12 floats, as a list of 12 floats.
-
-    Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2 is linear in q:
-    its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
-    antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
-    lowered vectors is raised once with ``gamma_at``'s g^-1.
-    """
-    _, _, _, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2
-    (_, d1, d2, d3), (i11, i12, i13, i22, i23, i33) = gamma_at(spec, y[:3])
-    g11_1, g12_1, g13_1, g22_1, g23_1, g33_1 = d1
-    g11_2, g12_2, g13_2, g22_2, g23_2, g33_2 = d2
-    g11_3, g12_3, g13_3, g22_3, g23_3, g33_3 = d3
+# The geodesic stage, y -> its 12 slopes, as source around the metric tape's
+# order-1 replay, which binds g11 ... g33 and their partials g11_1 ... g33_3.
+# The slopes are (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)) at the state
+# y = (x, v, w1, w2).  Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2
+# is linear in q: its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g
+# and S the antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of
+# the three lowered vectors is raised once with g^-1, ``cofactors`` over det g.
+_STAGE_HEAD = """def stage(y):
+    x1, x2, x3, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2"""
+_STAGE_TAIL = """
+    (_, _, m3), usable = leading_minors(g11, g12, g13, g22, g23, g33)
+    if not usable:
+        raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))
+    c11, c12, c13, c22, c23, c33 = cofactors(g11, g12, g13, g22, g23, g33)
     # M = D_v g
     m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
     m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
@@ -110,25 +115,36 @@ def _slopes(spec, y):
     b13, b31 = m13 + s13, m13 - s13
     b23, b32 = m23 + s23, m23 - s23
     # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
-    h11, h12, h13 = -0.5 * i11, -0.5 * i12, -0.5 * i13
-    h22, h23, h33 = -0.5 * i22, -0.5 * i23, -0.5 * i33
+    h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)
+    h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (c33 / m3)
     out = [v1, v2, v3]
     for c1, c2, c3 in ((v1, v2, v3), (p1, p2, p3), (r1, r2, r3)):
         l1 = m11 * c1 + b12 * c2 + b13 * c3
         l2 = b21 * c1 + m22 * c2 + b23 * c3
         l3 = b31 * c1 + b32 * c2 + m33 * c3
         out += (h11 * l1 + h12 * l2 + h13 * l3, h12 * l1 + h22 * l2 + h23 * l3, h13 * l1 + h23 * l2 + h33 * l3)
-    return out
+    return out"""
+
+
+@functools.lru_cache(maxsize=64)
+def _stage(spec):
+    """The geodesic stage of ``spec``, generated from its tape on the first
+    step and kept per spec, as ``metrics.resolve`` keeps the spec: a g that
+    fails ``leading_minors``' rule raises ``metric_jets``' MetricError, as
+    ``gamma_at`` does at the same point."""
+    env = {"spec": spec, "leading_minors": leading_minors, "cofactors": cofactors, "_metric_fault": _metric_fault}
+    return spec.tape.float_function(_STAGE_HEAD, COMPONENT_NAMES, _STAGE_TAIL, env)
 
 
 def _rk4(spec, y, dt):
     """One RK4 step of length dt of the geodesic and transport system from the
     state y (12 floats); the next state as a list of 12 floats."""
+    stage = _stage(spec)
     h = 0.5 * dt
-    k1 = _slopes(spec, y)
-    k2 = _slopes(spec, [a + h * b for a, b in zip(y, k1)])
-    k3 = _slopes(spec, [a + h * b for a, b in zip(y, k2)])
-    k4 = _slopes(spec, [a + dt * b for a, b in zip(y, k3)])
+    k1 = stage(y)
+    k2 = stage([a + h * b for a, b in zip(y, k1)])
+    k3 = stage([a + h * b for a, b in zip(y, k2)])
+    k4 = stage([a + dt * b for a, b in zip(y, k3)])
     w = dt / 6.0
     return [a + w * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 

@@ -2,9 +2,10 @@
 leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float stage
-of ``riccati._rk4``, and the speed and frame drifts of a geodesic path
-check its invariants; the Neumann series of g^-1 to full order checks the
-curvature kernel's forward substitution for Gamma; a plain-float tree walk
+of ``riccati._rk4``, the same float stage as a chain of calls over
+``gamma_at`` (``reference_slopes``) checks the generated one bit for bit,
+and the speed and frame drifts of a geodesic path check its invariants;
+the Neumann series of g^-1 to full order checks the curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
 the Leibniz tables it is built on and the grouped contracted products; the
 polynomial classifiers' decision trees in plain Fraction arithmetic
@@ -88,6 +89,50 @@ def neumann_inverse(G, order):
         S = -contract("kl,lj->kj", AH, S, order)
         S[0] = A
     return S
+
+
+def reference_slopes(spec, y):
+    """The slopes (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)) of the state
+    y = (x, v, w1, w2), 12 floats, as a list of 12 floats.
+
+    Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2 is linear in q:
+    its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
+    antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
+    lowered vectors is raised once with ``gamma_at``'s g^-1.
+
+    The geodesic stage as a chain of calls over ``gamma_at``: the reference
+    for the stage ``riccati._stage`` generates, bit for bit.
+    """
+    _, _, _, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2
+    (_, d1, d2, d3), (i11, i12, i13, i22, i23, i33) = gamma_at(spec, y[:3])
+    g11_1, g12_1, g13_1, g22_1, g23_1, g33_1 = d1
+    g11_2, g12_2, g13_2, g22_2, g23_2, g33_2 = d2
+    g11_3, g12_3, g13_3, g22_3, g23_3, g33_3 = d3
+    # M = D_v g
+    m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
+    m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
+    m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3
+    m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3
+    m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3
+    m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3
+    # the entries of S above the diagonal
+    s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3
+    s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3
+    s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3
+    # M + S, whose diagonal is that of M
+    b12, b21 = m12 + s12, m12 - s12
+    b13, b31 = m13 + s13, m13 - s13
+    b23, b32 = m23 + s23, m23 - s23
+    # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
+    h11, h12, h13 = -0.5 * i11, -0.5 * i12, -0.5 * i13
+    h22, h23, h33 = -0.5 * i22, -0.5 * i23, -0.5 * i33
+    out = [v1, v2, v3]
+    for c1, c2, c3 in ((v1, v2, v3), (p1, p2, p3), (r1, r2, r3)):
+        l1 = m11 * c1 + b12 * c2 + b13 * c3
+        l2 = b21 * c1 + m22 * c2 + b23 * c3
+        l3 = b31 * c1 + b32 * c2 + m33 * c3
+        out += (h11 * l1 + h12 * l2 + h13 * l3, h12 * l1 + h22 * l2 + h23 * l3, h13 * l1 + h23 * l2 + h33 * l3)
+    return out
 
 
 def christoffel_solve(spec, x):

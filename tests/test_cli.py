@@ -159,6 +159,21 @@ def test_riccati_cmd_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
     assert (tmp_path / csv_name).read_bytes() == (GOLDEN / csv_name).read_bytes()
 
 
+def test_riccati_vector_option_takes_a_negative_value_as_its_next_argument(tmp_path, capsys, monkeypatch):
+    """``--point -0.1,0.2,0.3`` reads as ``--point=-0.1,0.2,0.3``, and so for
+    ``--dir`` and ``--u0``: the same summary and the same CSV bytes."""
+    monkeypatch.chdir(tmp_path)
+    vectors = {"--point": "-0.1,0.2,0.3", "--dir": "-1,0.5,-.2", "--u0": "-0.5,0,0.5"}
+    readings = []
+    for joined in (True, False):
+        argv = ["riccati", "sphere", "--T", "0.1", "--dt", "0.01", "--out", "traj.csv"]
+        for option, value in vectors.items():
+            argv += [f"{option}={value}"] if joined else [option, value]
+        code, text = run(capsys, *argv)
+        readings.append((code, text, (tmp_path / "traj.csv").read_bytes()))
+    assert readings[0] == readings[1] and readings[0][0] == 0
+
+
 def test_classify_trailing_zero_in_either_eigenvalue_order(tmp_path, capsys):
     """An a3 instance whose 'a' ends in a zero, with lambda2 > lambda3 (the
     tilde path reverses it), and its tilde transform written with lambda2 <
@@ -977,6 +992,30 @@ def test_cli_import_leaves_numpy_polynomial_out():
     assert "riccati3.cli" in modules and "numpy" in modules
     assert "numpy.polynomial" not in modules
     assert "numpy.random" not in modules
+
+
+def test_cli_import_generates_no_source_and_a_path_generates_one_stage(tmp_path):
+    """In a fresh interpreter, importing the command line generates no tape
+    source; a riccati request generates its metric's geodesic stage once,
+    and a second request on the same metric reuses it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["riccati", "sphere", "--point", "0.1,0.2,0.3", "--dir", "1,0,0", "--T", "0.02", "--dt", "0.01",
+            "--out", str(tmp_path / "traj.csv")]
+    code = (
+        f"import contextlib, gc, io, sys; sys.path.insert(0, {str(src)!r})\n"
+        "def generated():\n"
+        "    code = (getattr(f, '__code__', None) for f in gc.get_objects())\n"
+        "    return sorted(c.co_name for c in code if c and c.co_filename.endswith(' of a tape>'))\n"
+        "import riccati3.cli\n"
+        "seen = [generated()]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert riccati3.cli.main({argv!r}) == 0\n"
+        "    seen.append(generated())\n"
+        "print(seen)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[[], ['stage'], ['stage']]\n"
 
 
 def test_cli_import_builds_records_without_dataclasses_and_defers_nothing():

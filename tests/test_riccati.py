@@ -3,11 +3,13 @@ import types
 
 import numpy as np
 import pytest
-from oracles import constrained_probe, frame_drift, gamma_arrays, reference_rk4, speed_drift
+from oracles import constrained_probe, frame_drift, gamma_arrays, reference_rk4, reference_slopes, speed_drift
 from test_exprjet import _tape_specs
 
-from riccati3 import metrics, riccati
+from riccati3 import exprjet, metrics, riccati
+from riccati3.exprjet import parse_expr
 from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
+from riccati3.metrics import MetricSpec
 from riccati3.riccati import (
     MAX_STEPS,
     SAMPLE_BLOCK,
@@ -450,21 +452,114 @@ def test_float_step_matches_the_numpy_reference(spec):
             assert np.all(np.abs(np.array(got) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
-def test_one_gamma_at_call_per_stage(monkeypatch):
-    """A geodesic step evaluates the metric once at each of its four stages,
-    through ``riccati.gamma_at``, also on a shortened last step."""
+def test_four_stage_calls_per_step(monkeypatch):
+    """A geodesic step calls its metric's generated stage once at each of its
+    four stages, also on a shortened last step; ``gamma_at`` is not called,
+    and the stage is generated once per spec."""
     calls = []
+    generated = riccati._stage
 
-    def counted(spec, p):
-        calls.append(p)
-        return metrics.gamma_at(spec, p)
+    def counted_stage(spec):
+        stage = generated(spec)
 
-    monkeypatch.setattr(riccati, "gamma_at", counted)
+        def counted(y):
+            calls.append(y)
+            return stage(y)
+
+        return counted
+
+    def refused(spec, p):
+        raise AssertionError("the geodesic step called gamma_at")
+
+    monkeypatch.setattr(riccati, "_stage", counted_stage)
+    monkeypatch.setattr(riccati, "gamma_at", refused)
     spec = metrics.builtin("sphere")
     for T in (0.1, 0.105):
         calls.clear()
         path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.3, -0.2, 0.5), T, 0.01)
         assert len(calls) == 4 * (len(path.ts) - 1)
+    assert generated(spec) is generated(spec)
+
+
+# the benchmark's metrics, heisenberg at a third L, and one whose product
+# (5e153 x1)(5e153 x1) at x1 = 2 has the finite coefficients 1e308 and 1e308,
+# whose sum overflows, so that the replay takes _mul's product (_mul_floats)
+STAGE_SPECS = _tape_specs() + [
+    metrics.builtin("heisenberg", L=2.0),
+    metrics.custom({"g11": "1 + 1e-300*((5e153*x1)*(5e153*x1))", "g12": "0.1", "g13": "0",
+                    "g22": "1", "g23": "0", "g33": "1"}, name="mul-fallback"),
+]
+
+
+def _outcome(f, *args):
+    """What f(*args) gives: the bytes of its result as a float array, or its
+    exception's type and message."""
+    try:
+        return np.array(f(*args), dtype=float).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
+def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
+    """The generated stage gives the bytes of the stage over ``gamma_at``
+    (``reference_slopes`` in tests/oracles.py), zero signs included, at random
+    states and at states with +0.0 and -0.0 entries (where some metrics
+    fault, the same way)."""
+    products = []
+    real_mul = exprjet._mul
+    monkeypatch.setattr(exprjet, "_mul", lambda *args: products.append(args) or real_mul(*args))
+    stage = riccati._stage(spec)
+    rng = np.random.default_rng(34)
+    box = np.array(spec.box)
+    mid = box.mean(axis=1).tolist()
+    states = [np.concatenate([rng.uniform(box[:, 0], box[:, 1]), rng.uniform(-1.0, 1.0, 9)]).tolist()
+              for _ in range(40)]
+    if spec.name == "mul-fallback":
+        states += [[2.0, 0.0, 0.0] + y[3:] for y in states[:4]]
+    for signs in np.ndindex(2, 2, 2):
+        zeros = [-0.0 if s else 0.0 for s in signs]
+        vw = rng.uniform(-1.0, 1.0, 9).tolist()
+        states.append(zeros + vw)
+        states += [[zeros[i] if i == k else mid[i] for i in range(3)] + vw for k in range(3)]
+        states.append(mid + zeros * 3)
+    results = 0
+    for y in states:
+        got, want = _outcome(stage, y), _outcome(reference_slopes, spec, y)
+        assert got == want, y
+        if isinstance(got, bytes):
+            results += 1
+            assert all(type(a) is float for a in stage(y)) and len(got) == 12 * 8
+    assert results >= 40
+    assert bool(products) == (spec.name == "mul-fallback")
+
+
+UNBOUND = MetricSpec(
+    "unbound",
+    tuple(parse_expr(src, params=["L"]) for src in ("1", "0", "0", "1 + L*x1^2", "0", "1")),
+)
+
+
+@pytest.mark.parametrize(
+    "spec,x,message",
+    [
+        (metrics.custom({**TILTED, "g11": "x1"}), (-0.5, 0.2, 0.3), "not positive definite at (-0.5, 0.2, 0.3)"),
+        (metrics.custom({**TILTED, "g22": "1 + x1*x1*x1*x1"}), (1e100, 0.0, 0.0), "is not finite at"),
+        (metrics.custom({**TILTED, "g11": "1 + x3^-2"}), (0.0, 0.0, 1e-13), "division by ~0 in subtree '(x3^-2)'"),
+        (metrics.custom({**TILTED, "g33": "1 + 0.1*log(x1)"}), (-0.2, 0.0, 0.0), "log of non-positive value"),
+        (metrics.custom({**TILTED, "g11": "1 + exp(x1) - exp(x1)"}), (1000.0, 0.0, 0.0), "exp overflows"),
+        (UNBOUND, (0.1, 0.2, 0.3), "unbound parameter 'L'"),
+    ],
+    ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound"],
+)
+def test_generated_stage_faults_as_gamma_at(spec, x, message):
+    """Where ``gamma_at`` raises at a point, the generated stage raises the
+    same exception with the same message at a state at that point."""
+    y = list(x) + np.random.default_rng(35).uniform(-1.0, 1.0, 9).tolist()
+    with np.errstate(all="ignore"):
+        got, want = _outcome(riccati._stage(spec), y), _outcome(metrics.gamma_at, spec, x)
+    assert got == want
+    assert issubclass(got[0], ValueError) and message in got[1]
 
 
 def _full_matrix_step(u, h, J0, Jmid, J1):
