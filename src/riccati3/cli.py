@@ -9,7 +9,6 @@ for seed / tol / points / dirs; any other key is a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -109,6 +108,16 @@ def _emit(report, args):
             fh.write(text + "\n")
     if getattr(args, "json", False) or not args.out:
         print(text)
+
+
+def _write_csv(path, header, rows):
+    """The CSV file of ``header`` (names) and ``rows`` (Python floats and
+    ints), with the bytes ``csv.writer`` gives them: each field its repr,
+    none quoted, as none holds a comma, quote or line break, and each line
+    ended by CR LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _sample_points(spec, n, rng):
@@ -241,12 +250,8 @@ def cmd_analyze(args):
         "verdict": verdict,
     }
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                "point_idx x1 x2 x3 dir_idx X1 X2 X3 D1 D2 D P lhs rhs residual scale rel".split()
-            )
-            w.writerows(rows)
+        header = "point_idx x1 x2 x3 dir_idx X1 X2 X3 D1 D2 D P lhs rhs residual scale rel"
+        _write_csv(args.csv, header.split(), rows)
     _emit(report, args)
     return 0
 
@@ -275,10 +280,8 @@ def cmd_riccati(args):
     res = integrate_riccati(path, Js, u0)
     k = len(res.ts)
     out = args.out or "trajectory.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow("t x1 x2 x3 u11 u12 u22 trace_defect".split())
-        w.writerows(np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect]).tolist())
+    rows = np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect]).tolist()
+    _write_csv(out, "t x1 x2 x3 u11 u12 u22 trace_defect".split(), rows)
     summary = {
         "samples": k,
         "trace_defect_max": res.trace_defect_max,

@@ -33,12 +33,13 @@ order-1 case.  At order 1 and one point a coefficient array is four numbers,
 too few to pay numpy's cost per call, and a loop that dispatches on each
 operation costs more than the operation, so ``Tape.float_function``
 generates the order-1 replay of a tape as straight-line Python source on
-floats, each register four local names, inside a function whose head and
-tail the caller gives (an evaluation tape emitted as code, ibid.): the same
-series functions and fault rules (``_power_series``, ``_function_series``),
-summed as ``_mul`` sums, so it gives the bits of ``run(p, 1)``.  It is the
-one generator: ``Tape.first_order`` is its replay with a return, and the
-geodesic stage (``riccati._stage``) its replay with the Christoffel
+floats, each register four local names, in place of the ``REPLAY`` line of
+a function template the caller gives (an evaluation tape emitted as code,
+ibid.): the same series functions and fault rules (``_power_series``,
+``_function_series``), summed as ``_mul`` sums, so it gives the bits of
+``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is its replay
+with a return, and the geodesic walk (``riccati._walk``) a whole path of RK4
+steps whose four stages loop over the replay and the Christoffel
 contraction.  Nothing is generated at import.
 """
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -614,6 +616,9 @@ _LEAVES = ("const", "var", "unbound")
 _BINARY = ("+", "-", "*")
 # the names of a value and its first partials in the float replay, after the value's own
 _SUFFIXES = ("", "_1", "_2", "_3")
+# the line of a ``Tape.float_function`` template that the replay replaces; it
+# is not Python, so no line of the template's own code can be taken for it
+REPLAY = "<replay>"
 
 
 class Tape:
@@ -715,18 +720,20 @@ class Tape:
     def _first_order(self):
         names = [f"o{j}" for j in range(len(self.outputs))]
         columns = ("(" + "".join(f"{n}{s}, " for n in names) + ")" for s in _SUFFIXES)
-        return self.float_function("def first_order(x1, x2, x3):", names, f"    return {', '.join(columns)}")
+        template = f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}"
+        return self.float_function(template, names)
 
-    def float_function(self, head, names, tail, env=None):
-        """The function whose Python source is ``head``, then the tape's
-        order-1 replay on the floats x1, x2, x3 as straight-line code, which
-        binds expression j's value and first partials to the names
-        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, then ``tail``.
-        ``head`` starts ``def NAME(`` and binds x1, x2, x3; the function's
+    def float_function(self, template, names, env=None):
+        """The function whose Python source is ``template`` with its line
+        ``REPLAY`` replaced, at that line's indentation, by the tape's order-1
+        replay on the floats x1, x2, x3 as straight-line code, which binds
+        expression j's value and first partials to the names ``names[j]`` and
+        ``names[j]`` + ``_1``, ``_2``, ``_3``.  ``template`` starts ``def
+        NAME(`` and binds x1, x2, x3 before the replay; the function's
         globals are ``env`` and the replay's own, whose names start with an
         underscore, as do its registers.  This is the one source generator:
-        ``first_order`` and the geodesic stage (``riccati._stage``) are made
-        by it.
+        ``first_order`` and the geodesic walk (``riccati._walk``) are made by
+        it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
         being four floats.  A product writes coefficient i as 0.0 + u0 v_i +
@@ -792,8 +799,9 @@ class Tape:
             regs.append(t)
         for j, r in enumerate(self.outputs):
             lines += [f"{names[j]}{s} = {c}" for s, c in zip(_SUFFIXES, regs[r]) if names[j] + s != c]
-        source = "\n".join([head, *("    " + line for line in lines), tail])
-        name = head.split("(", 1)[0].removeprefix("def ")
+        head, indent, tail = re.split(rf"^( *){REPLAY}$", template, maxsplit=1, flags=re.M)
+        source = head + "\n".join(indent + line for line in lines) + tail
+        name = template.split("(", 1)[0].removeprefix("def ")
         exec(compile(source, f"<{name} of a tape>", "exec"), glob)
         return glob[name]
 

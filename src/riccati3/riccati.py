@@ -17,17 +17,22 @@ stepping reaches the block, and handed to the stepping as Python floats; the
 blow-up bisection interpolates its off-grid steps with the same function.
 A Riccati step works on the three entries as floats, with u u written out on
 them: a 2x2 step has too little arithmetic to pay numpy's cost per call.
-The geodesic step runs the same way on the 12 floats of the state
-(x, v, w1, w2).  Each of its four stages is one call of a function
-generated for the metric (``_stage``), on its first step, from its compiled
-tape (``Tape.float_function``): the tape's order-1 replay as straight-line
-float code, then the leading-minor check (``leading_minors``) and the
-adjugate inverse (``cofactors``) as ``gamma_at`` has them, then the
-Christoffel contraction.  That contracts the lowered Christoffel symbols
-with v first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and
-w2, and raises each of the three vectors once with g^-1; the full Gamma is
-never built.  The states of a path go into one preallocated (steps + 1, 12)
-array, one row a step.
+The geodesic steps run the same way on the 12 floats of the state
+(x, v, w1, w2): a path is one call of a function generated for the metric
+(``_walk``), on its first path, from its compiled tape
+(``Tape.float_function``).  Each step's four stages are a loop over one copy
+of the tape's order-1 replay as straight-line float code, the leading-minor
+check (``leading_minors``) and the adjugate inverse (``cofactors``) as
+``gamma_at`` has them, and the Christoffel contraction; the slopes are
+summed on named floats in the order of the RK4 combination.  The
+contraction takes the lowered Christoffel symbols with v first, as the
+matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises each of
+the three vectors once with g^-1; the full Gamma is never built.  The states
+of a path go into one preallocated (steps + 1, 12) array, one row a step.
+The direction is scaled by a power of two before its g-length is taken, so
+a tiny or huge direction normalizes as that direction at unit size does, up
+to the entries that scaling a huge direction down rounds (an entry far
+smaller than the largest).
 
 No projection onto trace-free matrices is performed during integration: the
 trace-free constraint is a hypothesis about the metric, and the measured
@@ -43,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import curvature_r_only, orthonormal_perp
+from .exprjet import REPLAY
 # gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
 # looks it up in this module
 from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, cofactors, gamma_at, leading_minors, metric_jets
@@ -85,68 +91,104 @@ class RiccatiResult(NamedTuple):
     blowup_bracket: tuple | None
 
 
-# The geodesic stage, y -> its 12 slopes, as source around the metric tape's
-# order-1 replay, which binds g11 ... g33 and their partials g11_1 ... g33_3.
-# The slopes are (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)) at the state
-# y = (x, v, w1, w2).  Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2
-# is linear in q: its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g
-# and S the antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of
-# the three lowered vectors is raised once with g^-1, ``cofactors`` over det g.
-_STAGE_HEAD = """def stage(y):
-    x1, x2, x3, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2"""
-_STAGE_TAIL = """
-    (_, _, m3), usable = leading_minors(g11, g12, g13, g22, g23, g33)
-    if not usable:
-        raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))
-    c11, c12, c13, c22, c23, c33 = cofactors(g11, g12, g13, g22, g23, g33)
-    # M = D_v g
-    m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
-    m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
-    m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3
-    m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3
-    m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3
-    m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3
-    # the entries of S above the diagonal
-    s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3
-    s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3
-    s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3
-    # M + S, whose diagonal is that of M
-    b12, b21 = m12 + s12, m12 - s12
-    b13, b31 = m13 + s13, m13 - s13
-    b23, b32 = m23 + s23, m23 - s23
-    # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
-    h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)
-    h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (c33 / m3)
-    out = [v1, v2, v3]
-    for c1, c2, c3 in ((v1, v2, v3), (p1, p2, p3), (r1, r2, r3)):
-        l1 = m11 * c1 + b12 * c2 + b13 * c3
-        l2 = b21 * c1 + m22 * c2 + b23 * c3
-        l3 = b31 * c1 + b32 * c2 + m33 * c3
-        out += (h11 * l1 + h12 * l2 + h13 * l3, h12 * l1 + h22 * l2 + h23 * l3, h13 * l1 + h23 * l2 + h33 * l3)
-    return out"""
+# The geodesic walk of a metric as source around its tape's order-1 replay,
+# which binds g11 ... g33 and their partials g11_1 ... g33_3 at the stage point
+# (x1, x2, x3).  walk(ys, dt, dt_last) takes the path's RK4 steps from the state
+# in row 0 of ys, the last one of length dt_last, and writes each step's state
+# to the next row.  A step's state is y0 ... y11, (x, v, w1, w2); its four
+# stages run the one replay and contraction in a loop, the first at the state
+# and each other at the state plus h = dt / 2 (dt at the fourth) times the
+# previous stage's slopes k0 ... k11.  The slopes K1 ... K4 of the four stages
+# are summed into q0 ... q11 as K1 + 2.0 K2 + 2.0 K3 + K4, left to right.
+# The slopes at the stage point (x, v, w1, w2) = (x1 x2 x3, v1 v2 v3, p1 p2 p3,
+# r1 r2 r3) are (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)).
+# Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2 is linear
+# in q: its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
+# antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
+# lowered vectors is raised once with g^-1, ``cofactors`` over det g.
+_POINT = ("x1", "x2", "x3", "v1", "v2", "v3", "p1", "p2", "p3", "r1", "r2", "r3")
+_STATE = ", ".join(f"y{i}" for i in range(12))
+
+
+def _each(line, indent):
+    """``line`` formatted for i = 0 ... 11, with z the i-th stage point name,
+    one line each at the indentation."""
+    return "\n".join(" " * indent + line.format(i=i, z=z) for i, z in enumerate(_POINT))
+
+
+def _contraction(indent):
+    """The slopes k3 ... k11: the lowered Gamma(v, .) applied to v, w1 and w2,
+    each raised by -g^-1 / 2."""
+    lines = []
+    for i, (c1, c2, c3) in zip((3, 6, 9), (_POINT[3:6], _POINT[6:9], _POINT[9:12])):
+        lines += [
+            f"l1 = m11 * {c1} + b12 * {c2} + b13 * {c3}",
+            f"l2 = b21 * {c1} + m22 * {c2} + b23 * {c3}",
+            f"l3 = b31 * {c1} + b32 * {c2} + m33 * {c3}",
+            f"k{i} = h11 * l1 + h12 * l2 + h13 * l3",
+            f"k{i + 1} = h12 * l1 + h22 * l2 + h23 * l3",
+            f"k{i + 2} = h13 * l1 + h23 * l2 + h33 * l3",
+        ]
+    return "\n".join(" " * indent + line for line in lines)
+
+
+_WALK = f"""def walk(ys, dt, dt_last):
+    steps = len(ys) - 1
+    {_STATE} = ys[0].tolist()
+    for step in range(1, steps + 1):
+        if step == steps:
+            dt = dt_last
+        h = 0.5 * dt
+        for stage in range(4):
+            if stage == 0:
+{_each("{z} = y{i}", 16)}
+            else:
+                c = dt if stage == 3 else h
+{_each("{z} = y{i} + c * k{i}", 16)}
+            {REPLAY}
+            (_, _, m3), usable = leading_minors(g11, g12, g13, g22, g23, g33)
+            if not usable:
+                raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))
+            c11, c12, c13, c22, c23, c33 = cofactors(g11, g12, g13, g22, g23, g33)
+            # M = D_v g
+            m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
+            m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
+            m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3
+            m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3
+            m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3
+            m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3
+            # the entries of S above the diagonal
+            s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3
+            s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3
+            s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3
+            # M + S, whose diagonal is that of M
+            b12, b21 = m12 + s12, m12 - s12
+            b13, b31 = m13 + s13, m13 - s13
+            b23, b32 = m23 + s23, m23 - s23
+            # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
+            h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)
+            h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (c33 / m3)
+            k0, k1, k2 = v1, v2, v3
+{_contraction(12)}
+            if stage == 0:
+{_each("q{i} = k{i}", 16)}
+            elif stage == 3:
+{_each("q{i} = q{i} + k{i}", 16)}
+            else:
+{_each("q{i} = q{i} + 2.0 * k{i}", 16)}
+        w = dt / 6.0
+{_each("y{i} = y{i} + w * q{i}", 8)}
+        ys[step] = {_STATE}"""
 
 
 @functools.lru_cache(maxsize=64)
-def _stage(spec):
-    """The geodesic stage of ``spec``, generated from its tape on the first
-    step and kept per spec, as ``metrics.resolve`` keeps the spec: a g that
-    fails ``leading_minors``' rule raises ``metric_jets``' MetricError, as
-    ``gamma_at`` does at the same point."""
+def _walk(spec):
+    """The geodesic walk of ``spec``, generated from its tape on its first
+    path and kept per spec, as ``metrics.resolve`` keeps the spec: a g that
+    fails ``leading_minors``' rule at a stage point raises ``metric_jets``'
+    MetricError, as ``gamma_at`` does at the same point."""
     env = {"spec": spec, "leading_minors": leading_minors, "cofactors": cofactors, "_metric_fault": _metric_fault}
-    return spec.tape.float_function(_STAGE_HEAD, COMPONENT_NAMES, _STAGE_TAIL, env)
-
-
-def _rk4(spec, y, dt):
-    """One RK4 step of length dt of the geodesic and transport system from the
-    state y (12 floats); the next state as a list of 12 floats."""
-    stage = _stage(spec)
-    h = 0.5 * dt
-    k1 = stage(y)
-    k2 = stage([a + h * b for a, b in zip(y, k1)])
-    k3 = stage([a + h * b for a, b in zip(y, k2)])
-    k4 = stage([a + dt * b for a, b in zip(y, k3)])
-    w = dt / 6.0
-    return [a + w * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    return spec.tape.float_function(_WALK, COMPONENT_NAMES, env)
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:
@@ -177,16 +219,21 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     g = metric_jets(spec, p, order=0).g
-    norm2 = float(v @ g @ v)
+    # v scaled by a power of two to a largest entry in [1/2, 1), so that its
+    # g-length neither overflows nor underflows however large or small v is.
+    # The vector is scaled itself: for the smallest v the factor 2^-e is not a
+    # float.  Scaling up is exact; scaling down can round an entry far smaller
+    # than the largest into the subnormals or to 0.
+    u = np.ldexp(v, -math.frexp(np.max(np.abs(v)))[1])
+    norm2 = float(u @ g @ u)
     if not norm2 > 0.0:
         raise DirectionError(f"direction {tuple(map(float, v))} has no positive length")
-    v = v / math.sqrt(norm2)
+    v = u / math.sqrt(norm2)
     w1, w2 = orthonormal_perp(g, v, np.eye(3))
     ys = np.empty((len(ts), 12))
-    ys[0] = y = np.concatenate([p, v, w1, w2]).tolist()
-    last = len(ts) - 1
-    for k in range(1, len(ts)):
-        ys[k] = y = _rk4(spec, y, dt if k < last else float(T - ts[-2]))
+    ys[0] = np.concatenate([p, v, w1, w2])
+    if len(ts) > 1:
+        _walk(spec)(ys, float(dt), float(T - ts[-2]))
     return GeodesicPath(
         spec=spec,
         ts=ts,

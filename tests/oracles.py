@@ -1,9 +1,10 @@
 """Oracles: independent checks of quantities the package computes by a
 leaner route.  Finite differences check exact quantities computed from one
 point's jets against packs at nearby points; a numpy geodesic stage, with
-Gamma from the order-1 metric jets and a linear solve, checks the float stage
-of ``riccati._rk4``, the same float stage as a chain of calls over
-``gamma_at`` (``reference_slopes``) checks the generated one bit for bit,
+Gamma from the order-1 metric jets and a linear solve, checks the float
+step of the generated geodesic walk (``riccati._walk``), the same float step
+as a chain of calls over ``gamma_at`` (``reference_float_step`` over
+``reference_slopes``) checks it bit for bit,
 and the speed and frame drifts of a geodesic path check its invariants;
 the Neumann series of g^-1 to full order checks the curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
@@ -53,7 +54,7 @@ from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _pad
 from riccati3.metrics import _FULL_INDEX, MetricSpec, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import IsotropyMask, _directions, _first, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
-from riccati3.riccati import _blocks, _rk4, integrate_geodesic, integrate_riccati, jacobi_along
+from riccati3.riccati import _blocks, integrate_geodesic, integrate_riccati, jacobi_along
 
 
 class EigengapError(ValueError):
@@ -62,7 +63,7 @@ class EigengapError(ValueError):
 
 def geodesic_step(spec, p, v, dt):
     """Single fourth-order step of the geodesic equation; returns (x, v)."""
-    y = _rk4(spec, [*map(float, p), *map(float, v)] + [0.0] * 6, dt)
+    y = reference_float_step(spec, [*map(float, p), *map(float, v)] + [0.0] * 6, dt)
     return np.array(y[0:3]), np.array(y[3:6])
 
 
@@ -101,7 +102,7 @@ def reference_slopes(spec, y):
     lowered vectors is raised once with ``gamma_at``'s g^-1.
 
     The geodesic stage as a chain of calls over ``gamma_at``: the reference
-    for the stage ``riccati._stage`` generates, bit for bit.
+    for each stage of the walk ``riccati._walk`` generates, bit for bit.
     """
     _, _, _, v1, v2, v3, p1, p2, p3, r1, r2, r3 = y  # x, v, w1, w2
     (_, d1, d2, d3), (i11, i12, i13, i22, i23, i33) = gamma_at(spec, y[:3])
@@ -133,6 +134,18 @@ def reference_slopes(spec, y):
         l3 = b31 * c1 + b32 * c2 + m33 * c3
         out += (h11 * l1 + h12 * l2 + h13 * l3, h12 * l1 + h22 * l2 + h23 * l3, h13 * l1 + h23 * l2 + h33 * l3)
     return out
+
+
+def reference_float_step(spec, y, dt):
+    """One RK4 step of length dt of the geodesic and transport system from the
+    state y (12 floats); the next state as a list of 12 floats."""
+    h = 0.5 * dt
+    k1 = reference_slopes(spec, y)
+    k2 = reference_slopes(spec, [a + h * b for a, b in zip(y, k1)])
+    k3 = reference_slopes(spec, [a + h * b for a, b in zip(y, k2)])
+    k4 = reference_slopes(spec, [a + dt * b for a, b in zip(y, k3)])
+    w = dt / 6.0
+    return [a + w * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 def christoffel_solve(spec, x):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccati3 import metrics, obstruction
-from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, main
+from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, _write_csv, main
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
 from riccati3.exprjet import Tape
 from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
@@ -112,6 +112,20 @@ def test_analyze_deterministic_and_csv(tmp_path, capsys):
     rows = list(csv.reader(csv_file.open()))
     assert rows[0][:5] == ["point_idx", "x1", "x2", "x3", "dir_idx"]
     assert len(rows) == 1 + 3 * 8
+
+
+def test_csv_helper_writes_the_bytes_of_csv_writer(tmp_path):
+    """``_write_csv`` writes what ``csv.writer`` writes for a header and rows
+    of floats and ints: signed zeros, subnormals, huge values, nan and inf
+    included."""
+    header = ["t", "x1", "u11"]
+    rows = [[-0.0, 5e-324, 1e308], [float("nan"), float("inf"), -float("inf")], [3, -7, 0.1], [0, 2**70, -1e-310]]
+    _write_csv(tmp_path / "helper.csv", header, rows)
+    with open(tmp_path / "writer.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    assert (tmp_path / "helper.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 def test_config_file(tmp_path, capsys):
@@ -379,13 +393,40 @@ def test_riccati_non_positive_definite_start_point_exits_2(tmp_path, direction):
     assert not out.exists()
 
 
-def test_riccati_direction_without_positive_length_names_dir(tmp_path):
-    """A direction whose g-length underflows to 0 is blamed on --dir."""
-    out = tmp_path / "traj.csv"
-    line = run_bad(("riccati", "flat", "--point", "0,0,0", "--dir", "1e-200,0,0", "--out", str(out)))
-    assert "--dir: direction (1e-200, 0.0, 0.0) has no positive length" in line
-    assert "--T/--dt" not in line
-    assert not out.exists()
+def test_riccati_reads_a_direction_of_any_size(tmp_path, capsys, monkeypatch):
+    """The direction is normalized without its g-length overflowing or
+    underflowing: c (0.3, -0.2, 0.5) with c = 2^700 and 2^-700 gives the
+    summary and the CSV bytes of c = 1, and c = 1e200 and 1e-200 run, on the
+    path of c = 1 to rounding (1e200 (0.3, -0.2, 0.5) is not exactly c times
+    the direction).  So do the subnormal directions (5e-324, 0, 0), the bytes
+    of (1, 0, 0), and (1e-310, 0, 0), whose scaling factors 2^1074 and 2^1029
+    are beyond the floats."""
+    monkeypatch.chdir(tmp_path)
+
+    def reading(c, base=(0.3, -0.2, 0.5)):
+        direction = ",".join(repr(c * x) for x in base)
+        argv = ["riccati", "sphere", "--point", "0.1,0.2,0.3", "--dir", direction, "--u0", "1.5,0.2,2",
+                "--T", "0.5", "--dt", "0.01", "--out", "traj.csv"]
+        code, text = run(capsys, *argv)
+        assert code == 0
+        return text, (tmp_path / "traj.csv").read_bytes()
+
+    unit = reading(1.0)
+    assert reading(2.0**700) == reading(2.0**-700) == unit
+    rows = np.loadtxt(io.StringIO(unit[1].decode()), delimiter=",", skiprows=1)
+    assert np.ptp(rows[:, 1]) > 0.1  # the path moves
+    for c in (1e200, 1e-200):
+        text, data = reading(c)
+        assert text == unit[0]
+        got = np.loadtxt(io.StringIO(data.decode()), delimiter=",", skiprows=1)
+        assert np.allclose(got, rows, rtol=1e-13, atol=1e-13)
+    axis = reading(1.0, (1.0, 0.0, 0.0))
+    assert reading(5e-324, (1.0, 0.0, 0.0)) == axis
+    text, data = reading(1e-310, (1.0, 0.0, 0.0))
+    assert text == axis[0]
+    got = np.loadtxt(io.StringIO(data.decode()), delimiter=",", skiprows=1)
+    want = np.loadtxt(io.StringIO(axis[1].decode()), delimiter=",", skiprows=1)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_riccati_path_leaving_positive_definite_region_exits_2(tmp_path):
@@ -994,9 +1035,9 @@ def test_cli_import_leaves_numpy_polynomial_out():
     assert "numpy.random" not in modules
 
 
-def test_cli_import_generates_no_source_and_a_path_generates_one_stage(tmp_path):
+def test_cli_import_generates_no_source_and_a_path_generates_one_walk(tmp_path):
     """In a fresh interpreter, importing the command line generates no tape
-    source; a riccati request generates its metric's geodesic stage once,
+    source; a riccati request generates its metric's geodesic walk once,
     and a second request on the same metric reuses it."""
     src = Path(__file__).resolve().parents[1] / "src"
     argv = ["riccati", "sphere", "--point", "0.1,0.2,0.3", "--dir", "1,0,0", "--T", "0.02", "--dt", "0.01",
@@ -1015,7 +1056,7 @@ def test_cli_import_generates_no_source_and_a_path_generates_one_stage(tmp_path)
         "print(seen)"
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "[[], ['stage'], ['stage']]\n"
+    assert out.stdout == "[[], ['walk'], ['walk']]\n"
 
 
 def test_cli_import_builds_records_without_dataclasses_and_defers_nothing():

@@ -1,9 +1,10 @@
+import dis
 import math
 import types
 
 import numpy as np
 import pytest
-from oracles import constrained_probe, frame_drift, gamma_arrays, reference_rk4, reference_slopes, speed_drift
+from oracles import constrained_probe, frame_drift, gamma_arrays, reference_float_step, reference_rk4, speed_drift
 from test_exprjet import _tape_specs
 
 from riccati3 import exprjet, metrics, riccati
@@ -432,53 +433,71 @@ def test_gamma_at_inverse_is_the_symmetric_adjugate(name, monkeypatch):
         assert np.array_equal(gamma, gamma.swapaxes(1, 2))
 
 
+def _walk_step(spec, y, dt):
+    """One step of length dt of the generated walk of ``spec`` from the state
+    y (12 floats); the next state as a list of 12 floats."""
+    ys = np.empty((2, 12))
+    ys[0] = y
+    riccati._walk(spec)(ys, dt, dt)
+    return ys[1].tolist()
+
+
 @pytest.mark.parametrize(
     "spec",
     _tape_specs() + [metrics.custom(TILTED, name="tilted")],
     ids=lambda s: f"{s.name}{s.params}",
 )
 def test_float_step_matches_the_numpy_reference(spec):
-    """One RK4 step on the 12 floats of (x, v, w1, w2) agrees with the numpy
-    stage of tests/oracles.py, whose Gamma comes from the order-1 metric jets
-    and a linear solve, within 1e-14 of max(1, |y|), entry by entry."""
+    """One RK4 step of the walk on the 12 floats of (x, v, w1, w2) agrees with
+    the numpy stage of tests/oracles.py, whose Gamma comes from the order-1
+    metric jets and a linear solve, within 1e-14 of max(1, |y|), entry by entry."""
     rng = np.random.default_rng(18)
     box = np.array(spec.box)
     for dt in (1e-2, -5e-2):
         for _ in range(4):
             y = np.concatenate([rng.uniform(box[:, 0], box[:, 1]), rng.uniform(-1.0, 1.0, 9)])
-            got = riccati._rk4(spec, y.tolist(), dt)
+            got = _walk_step(spec, y.tolist(), dt)
             want = reference_rk4(spec, y, dt)
-            assert type(got) is list and all(type(a) is float for a in got)
             assert np.all(np.abs(np.array(got) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
-def test_four_stage_calls_per_step(monkeypatch):
-    """A geodesic step calls its metric's generated stage once at each of its
-    four stages, also on a shortened last step; ``gamma_at`` is not called,
-    and the stage is generated once per spec."""
+def test_one_walk_per_path_and_no_gamma_at_call(monkeypatch):
+    """A geodesic path calls its metric's generated walk once, with the step
+    and the last step's length, also where that one is shortened;
+    ``gamma_at`` is not called, and the walk is generated once per spec."""
     calls = []
-    generated = riccati._stage
+    generated = riccati._walk
 
-    def counted_stage(spec):
-        stage = generated(spec)
+    def counted_walk(spec):
+        walk = generated(spec)
 
-        def counted(y):
-            calls.append(y)
-            return stage(y)
+        def counted(ys, dt, dt_last):
+            calls.append((len(ys), dt, dt_last))
+            return walk(ys, dt, dt_last)
 
         return counted
 
     def refused(spec, p):
-        raise AssertionError("the geodesic step called gamma_at")
+        raise AssertionError("the geodesic walk called gamma_at")
 
-    monkeypatch.setattr(riccati, "_stage", counted_stage)
+    monkeypatch.setattr(riccati, "_walk", counted_walk)
     monkeypatch.setattr(riccati, "gamma_at", refused)
+    monkeypatch.setattr(metrics, "gamma_at", refused)
     spec = metrics.builtin("sphere")
     for T in (0.1, 0.105):
         calls.clear()
         path = integrate_geodesic(spec, (0.1, 0.2, 0.3), (0.3, -0.2, 0.5), T, 0.01)
-        assert len(calls) == 4 * (len(path.ts) - 1)
+        assert calls == [(len(path.ts), 0.01, float(T - path.ts[-2]))]
     assert generated(spec) is generated(spec)
+
+
+def test_walk_has_the_replay_in_its_code_once():
+    """The walk runs its four stages as a loop over one copy of the replay and
+    the contraction: its code loads ``leading_minors`` and ``cofactors`` once
+    each."""
+    for spec in (metrics.builtin("sphere"), metrics.builtin("flat")):
+        loads = [i.argval for i in dis.get_instructions(riccati._walk(spec)) if i.opname == "LOAD_GLOBAL"]
+        assert loads.count("leading_minors") == 1 and loads.count("cofactors") == 1
 
 
 # the benchmark's metrics, heisenberg at a third L, and one whose product
@@ -502,14 +521,14 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
 def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
-    """The generated stage gives the bytes of the stage over ``gamma_at``
-    (``reference_slopes`` in tests/oracles.py), zero signs included, at random
-    states and at states with +0.0 and -0.0 entries (where some metrics
-    fault, the same way)."""
+    """One step of the generated walk, its four stages included, gives the
+    bytes of the step over ``gamma_at`` (``reference_float_step`` in
+    tests/oracles.py), zero signs included, for dt = 1e-2 and -5e-2, at
+    random states and at states with +0.0 and -0.0 entries (where some
+    metrics fault, the same way)."""
     products = []
     real_mul = exprjet._mul
     monkeypatch.setattr(exprjet, "_mul", lambda *args: products.append(args) or real_mul(*args))
-    stage = riccati._stage(spec)
     rng = np.random.default_rng(34)
     box = np.array(spec.box)
     mid = box.mean(axis=1).tolist()
@@ -524,14 +543,41 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
         states += [[zeros[i] if i == k else mid[i] for i in range(3)] + vw for k in range(3)]
         states.append(mid + zeros * 3)
     results = 0
-    for y in states:
-        got, want = _outcome(stage, y), _outcome(reference_slopes, spec, y)
-        assert got == want, y
-        if isinstance(got, bytes):
-            results += 1
-            assert all(type(a) is float for a in stage(y)) and len(got) == 12 * 8
-    assert results >= 40
+    for dt in (1e-2, -5e-2):
+        for y in states:
+            got, want = _outcome(_walk_step, spec, y, dt), _outcome(reference_float_step, spec, y, dt)
+            assert got == want, y
+            results += isinstance(got, bytes)
+    assert results >= 80
     assert bool(products) == (spec.name == "mul-fallback")
+
+
+@pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
+@pytest.mark.parametrize("T,dt", [(0.004, 0.01), (0.1, 0.01), (0.105, 0.01)], ids=["short", "ten", "cut"])
+def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
+    """A whole path of the walk, of one step shorter than dt, of ten steps and
+    of ten steps and a shortened last one, is the path of
+    ``reference_float_step`` bit for bit, or faults as it does."""
+    box = np.array(spec.box)
+    p = box.mean(axis=1)
+    ts = _sample_times(T, dt)
+
+    def reference(p, v):
+        ys = np.empty((len(ts), 12))
+        path = integrate_geodesic(spec, p, v, 0.0, dt)  # the start state alone
+        ys[0] = np.concatenate([path.xs[0], path.vs[0], path.w1s[0], path.w2s[0]])
+        for k in range(1, len(ts)):
+            ys[k] = reference_float_step(spec, ys[k - 1].tolist(), dt if k < len(ts) - 1 else float(T - ts[-2]))
+        return ys
+
+    def walked(p, v):
+        path = integrate_geodesic(spec, p, v, T, dt)
+        assert np.array_equal(path.ts, ts)
+        return np.concatenate([path.xs, path.vs, path.w1s, path.w2s], axis=1)
+
+    for v in ((0.3, -0.2, 0.5), (-1.0, 0.4, 0.1)):
+        with np.errstate(all="ignore"):  # mul-fallback's products leave the float range
+            assert _outcome(walked, p, v) == _outcome(reference, p, v)
 
 
 UNBOUND = MetricSpec(
@@ -553,11 +599,11 @@ UNBOUND = MetricSpec(
     ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound"],
 )
 def test_generated_stage_faults_as_gamma_at(spec, x, message):
-    """Where ``gamma_at`` raises at a point, the generated stage raises the
-    same exception with the same message at a state at that point."""
+    """Where ``gamma_at`` raises at a point, the generated walk raises the
+    same exception with the same message from a state at that point."""
     y = list(x) + np.random.default_rng(35).uniform(-1.0, 1.0, 9).tolist()
     with np.errstate(all="ignore"):
-        got, want = _outcome(riccati._stage(spec), y), _outcome(metrics.gamma_at, spec, x)
+        got, want = _outcome(_walk_step, spec, y, 1e-2), _outcome(metrics.gamma_at, spec, x)
     assert got == want
     assert issubclass(got[0], ValueError) and message in got[1]
 
