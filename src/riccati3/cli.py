@@ -22,7 +22,7 @@ from . import metrics, polyclass
 from .curvature import identity_residuals, jacobi_op, pack_at, ricci_rank
 from .exprjet import ExprError
 from .obstruction import fibonacci_directions, obstruction_values, rank1_checks
-from .riccati import DirectionError, integrate_geodesic, integrate_riccati, jacobi_along
+from .riccati import DirectionError, StepsError, integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
@@ -270,11 +270,7 @@ def cmd_riccati(args):
         path = integrate_geodesic(spec, p, v, args.T, args.dt)
     except DirectionError as exc:
         raise UsageError(f"--dir: {exc}") from None
-    except ValueError as exc:
-        # a plain ValueError is an argument check, and dt is checked above:
-        # past MAX_STEPS.  Its other subclasses are metric faults.
-        if type(exc) is not ValueError:
-            raise
+    except StepsError as exc:
         raise UsageError(f"--T/--dt: {exc}") from None
     Js = jacobi_along(path)
     res = integrate_riccati(path, Js, u0)

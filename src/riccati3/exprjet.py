@@ -35,12 +35,17 @@ operation costs more than the operation, so ``Tape.float_function``
 generates the order-1 replay of a tape as straight-line Python source on
 floats, each register four local names, in place of the ``REPLAY`` line of
 a function template the caller gives (an evaluation tape emitted as code,
-ibid.): the same series functions and fault rules (``_power_series``,
-``_function_series``), summed as ``_mul`` sums, so it gives the bits of
-``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is its replay
-with a return, and the geodesic walk (``riccati._walk``) a whole path of RK4
-steps whose four stages loop over the replay and the Christoffel
-contraction.  Nothing is generated at import.
+ibid.).  Products are summed as ``_mul`` sums them; each power and unary
+function is written in line as the first two terms of its series, in the
+arithmetic of ``_power_series`` and ``_function_series``, with ``math``'s
+functions.  Where a guard misses (the 1e-12 floor of a negative power, an
+exception, a non-finite result), the replay calls those series functions,
+which raise every fault and give every non-finite value, so it gives the
+bits of ``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is
+its replay with a return, and the geodesic walk (``riccati._walk``) a whole
+path of RK4 steps whose four stages loop over the replay, the leading-minor
+check and the Christoffel contraction, all written in line.  Nothing is
+generated at import.
 """
 
 from __future__ import annotations
@@ -253,7 +258,8 @@ class ParseError(ExprError):
 
 class DomainFault(ExprError):
     """Evaluation fault (log/sqrt of non-positive value, division by ~0, an
-    integer power, exp, sinh or cosh beyond the float range)."""
+    integer power, exp, sinh or cosh beyond the float range, sin/cos of an
+    infinite value)."""
 
     def __init__(self, message, node):
         super().__init__(f"{message} in subtree '{format_expr(node)}'")
@@ -600,12 +606,11 @@ def _function_series(name, a0, node):
             raise DomainFault("sqrt of non-positive value", node)
         s = lib.sqrt(a0)
         return [s, s / (2 * a0), -s / (8 * a0**2), s / (16 * a0**3), -5 * s / (128 * a0**4)]
-    if name == "sin":
+    if name in ("sin", "cos"):
+        if _any(abs(a0) == math.inf):
+            raise DomainFault(f"{name} of infinite value", node)
         s, c = lib.sin(a0), lib.cos(a0)
-        return [s, c, -s / 2, -c / 6, s / 24]
-    if name == "cos":
-        s, c = lib.sin(a0), lib.cos(a0)
-        return [c, -s, -c / 2, s / 6, c / 24]
+        return [s, c, -s / 2, -c / 6, s / 24] if name == "sin" else [c, -s, -c / 2, s / 6, c / 24]
     if name in ("sinh", "cosh"):
         s, c = _growing(lib.sinh, a0, name, node), _growing(lib.cosh, a0, name, node)
         return [s, c, s / 2, c / 6, s / 24] if name == "sinh" else [c, s, c / 2, s / 6, c / 24]
@@ -616,6 +621,19 @@ _LEAVES = ("const", "var", "unbound")
 _BINARY = ("+", "-", "*")
 # the names of a value and its first partials in the float replay, after the value's own
 _SUFFIXES = ("", "_1", "_2", "_3")
+# each function's value and derivative in the float replay, from ``math`` in
+# the arithmetic of ``_function_series``: the guard (an ``if`` test, or the
+# ``except`` clause of a ``try`` around the lines), then the lines, which bind
+# the value to {t} and the derivative to _s1 at the argument {a}
+_CALLS = {
+    "exp": ("except OverflowError", "{t} = _s1 = _exp({a})"),
+    "log": ("if {a} > 0", "{t} = _log({a})", "_s1 = 1 / {a}"),
+    "sqrt": ("if {a} > 0", "{t} = _sqrt({a})", "_s1 = {t} / (2 * {a})"),
+    "sin": ("except ValueError", "{t} = _sin({a})", "_s1 = _cos({a})"),
+    "cos": ("except ValueError", "{t} = _cos({a})", "_s1 = -_sin({a})"),
+    "sinh": ("except OverflowError", "{t} = _sinh({a})", "_s1 = _cosh({a})"),
+    "cosh": ("except OverflowError", "{t} = _cosh({a})", "_s1 = _sinh({a})"),
+}
 # the line of a ``Tape.float_function`` template that the replay replaces; it
 # is not Python, so no line of the template's own code can be taken for it
 REPLAY = "<replay>"
@@ -740,16 +758,25 @@ class Tape:
         u_i v0, the Leibniz terms in ``_mul``'s order summed from +0.0, as
         its one-hot product sums them; where the sum of the four is inf or
         nan, which that product spreads over the other coefficients as nan,
-        it is ``_mul`` itself (``_mul_floats``).  Powers and calls take their
-        series, and their faults, from ``_power_series`` and
-        ``_function_series``.  Constants, fault nodes, exponents, function
-        names and messages enter through the globals, so no text of an
+        it is ``_mul`` itself (``_mul_floats``).  A power writes 1.0 a0^n
+        and b a0^(n - 1), b = 1.0 n / 1, as ``_binomial_series`` has them,
+        and a call its value and derivative from ``math`` as
+        ``_function_series`` has them (``_CALLS``).  Where a guard misses,
+        they are ``_power_series`` and ``_function_series`` themselves, which
+        raise the fault or give the non-finite value: a power on a float
+        exception, on a value within 1e-12 of 0 for n < 0, or on an inf or
+        nan value or derivative; exp, sin, cos, sinh and cosh on ``math``'s
+        exception, log and sqrt on an argument that is not positive.
+        Constants, fault nodes, function names and messages enter through the
+        globals, and an exponent as its integer literal, so no text of an
         expression is pasted into the source."""
         glob = {
             "ExprError": ExprError,
             "_power_series": _power_series,
             "_function_series": _function_series,
             "_mul_floats": _mul_floats,
+            "_nan": math.nan,
+            **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
             **(env or {}),
         }
         own = {}  # register -> the name of the first expression it computes
@@ -790,11 +817,26 @@ class Tape:
             else:
                 glob[f"_n{k}"] = node
                 if kind == "^":
+                    # _binomial_series' first two terms, b = 1.0 * n / 1 folded by the compiler
                     glob[f"_e{k}"] = b
-                    lines.append(f"{t[0]}, _s1 = _power_series({u0}, _e{k}, 1, _n{k})")
+                    lines += [
+                        "try:",
+                        f"    {t[0]} = 1.0 * {u0} ** {b}",
+                        f"    _s1 = 1.0 * {b} / 1 * {u0} ** ({b - 1})",
+                        "except ArithmeticError:",  # an overflow, or 0.0 to a negative power
+                        f"    {t[0]} = _s1 = _nan",
+                        f"_s = {t[0]} + _s1",
+                        f"if _s - _s{f' or -1e-12 < {u0} < 1e-12' if b < 0 else ''}:",
+                        f"    {t[0]}, _s1 = _power_series({u0}, _e{k}, 1, _n{k})",
+                    ]
                 else:
                     glob[f"_f{k}"] = b
-                    lines.append(f"{t[0]}, _s1 = _function_series(_f{k}, {u0}, _n{k})[:2]")
+                    test, *body = (line.format(a=u0, t=t[0]) for line in _CALLS[b])
+                    fallback = f"    {t[0]}, _s1 = _function_series(_f{k}, {u0}, _n{k})[:2]"
+                    if test.startswith("if"):
+                        lines += [test + ":"] + ["    " + line for line in body] + ["else:", fallback]
+                    else:
+                        lines += ["try:"] + ["    " + line for line in body] + [test + ":", fallback]
                 lines += [f"{t[i]} = {u[i]} * _s1" for i in (1, 2, 3)]
             regs.append(t)
         for j, r in enumerate(self.outputs):

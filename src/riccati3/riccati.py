@@ -21,13 +21,16 @@ The geodesic steps run the same way on the 12 floats of the state
 (x, v, w1, w2): a path is one call of a function generated for the metric
 (``_walk``), on its first path, from its compiled tape
 (``Tape.float_function``).  Each step's four stages are a loop over one copy
-of the tape's order-1 replay as straight-line float code, the leading-minor
-check (``leading_minors``) and the adjugate inverse (``cofactors``) as
-``gamma_at`` has them, and the Christoffel contraction; the slopes are
-summed on named floats in the order of the RK4 combination.  The
-contraction takes the lowered Christoffel symbols with v first, as the
-matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises each of
-the three vectors once with g^-1; the full Gamma is never built.  The states
+of the tape's order-1 replay as straight-line float code, its powers and
+functions in line, with the series functions as fallbacks; the leading-minor
+check and the adjugate inverse, written out on floats with the arithmetic of
+``leading_minors`` and ``cofactors``, which ``gamma_at`` calls; and the
+Christoffel contraction.  A stage calls no Python function unless a guard
+misses.  The slopes are summed on named floats in the order of the RK4
+combination.  The contraction takes the lowered Christoffel symbols with v
+first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and
+raises each of the three vectors once with g^-1; the full Gamma is never
+built.  The states
 of a path go into one preallocated (steps + 1, 12) array, one row a step.
 The direction is scaled by a power of two before its g-length is taken, so
 a tiny or huge direction normalizes as that direction at unit size does, up
@@ -51,7 +54,7 @@ from .curvature import curvature_r_only, orthonormal_perp
 from .exprjet import REPLAY
 # gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
 # looks it up in this module
-from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, cofactors, gamma_at, leading_minors, metric_jets
+from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, gamma_at, metric_jets
 
 BLOWUP_NORM = 1e8
 # most integration steps one path may take: bounds the time grid and the states
@@ -64,6 +67,10 @@ SAMPLE_BLOCK = 256
 
 class DirectionError(ValueError):
     """A geodesic's initial direction with no positive length in the metric."""
+
+
+class StepsError(ValueError):
+    """A time grid of more than MAX_STEPS steps."""
 
 
 def _blocks(n):
@@ -102,6 +109,9 @@ class RiccatiResult(NamedTuple):
 # are summed into q0 ... q11 as K1 + 2.0 K2 + 2.0 K3 + K4, left to right.
 # The slopes at the stage point (x, v, w1, w2) = (x1 x2 x3, v1 v2 v3, p1 p2 p3,
 # r1 r2 r3) are (v, -Gamma(v, v), -Gamma(v, w1), -Gamma(v, w2)).
+# The replay is followed by ``leading_minors``' rule and ``cofactors`` written
+# out on floats, the last cofactor being the minor m2; a g that fails the rule
+# raises ``_metric_fault``'s MetricError, whose message is made there.
 # Gamma_l(v, q) = ((D_v g) q + (D_q g) v)_l / 2 - (d_l g)(v, q) / 2 is linear
 # in q: its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
 # antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
@@ -146,10 +156,19 @@ _WALK = f"""def walk(ys, dt, dt_last):
                 c = dt if stage == 3 else h
 {_each("{z} = y{i} + c * k{i}", 16)}
             {REPLAY}
-            (_, _, m3), usable = leading_minors(g11, g12, g13, g22, g23, g33)
-            if not usable:
+            # leading_minors' rule and the cofactors, whose last one is m2
+            m2 = g11 * g22 - g12 * g12
+            m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
+            if not (
+                g11 > 0 and m2 > 0 and m3 < inf and m3 > 1e-14 * g11 * g11 * g11
+                and m3 > 1e-14 * g22 * g22 * g22 and m3 > 1e-14 * g33 * g33 * g33
+            ):
                 raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))
-            c11, c12, c13, c22, c23, c33 = cofactors(g11, g12, g13, g22, g23, g33)
+            c11 = g22 * g33 - g23 * g23
+            c12 = g13 * g23 - g12 * g33
+            c13 = g12 * g23 - g13 * g22
+            c22 = g11 * g33 - g13 * g13
+            c23 = g12 * g13 - g11 * g23
             # M = D_v g
             m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
             m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
@@ -167,7 +186,7 @@ _WALK = f"""def walk(ys, dt, dt_last):
             b23, b32 = m23 + s23, m23 - s23
             # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
             h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)
-            h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (c33 / m3)
+            h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (m2 / m3)
             k0, k1, k2 = v1, v2, v3
 {_contraction(12)}
             if stage == 0:
@@ -185,18 +204,19 @@ _WALK = f"""def walk(ys, dt, dt_last):
 def _walk(spec):
     """The geodesic walk of ``spec``, generated from its tape on its first
     path and kept per spec, as ``metrics.resolve`` keeps the spec: a g that
-    fails ``leading_minors``' rule at a stage point raises ``metric_jets``'
-    MetricError, as ``gamma_at`` does at the same point."""
-    env = {"spec": spec, "leading_minors": leading_minors, "cofactors": cofactors, "_metric_fault": _metric_fault}
+    fails ``leading_minors``' rule, written out in the walk, at a stage point
+    raises ``metric_jets``' MetricError, as ``gamma_at`` does at the same
+    point."""
+    env = {"spec": spec, "inf": math.inf, "_metric_fault": _metric_fault}
     return spec.tape.float_function(_WALK, COMPONENT_NAMES, env)
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:
     """0, dt, 2 dt, ..., T: ceil(T/dt) steps, t_k = k dt, the last one shortened
-    to end at T; ValueError beyond MAX_STEPS, before anything is allocated."""
+    to end at T; StepsError beyond MAX_STEPS, before anything is allocated."""
     ratio = T / dt * (1.0 - 1e-12)
     if not ratio <= MAX_STEPS:  # also rejects an overflow to inf
-        raise ValueError(f"T/dt = {T / dt:.3g} steps is more than MAX_STEPS = {MAX_STEPS}")
+        raise StepsError(f"T/dt = {T / dt:.3g} steps is more than MAX_STEPS = {MAX_STEPS}")
     n_steps = max(0, math.ceil(ratio))
     ts = np.arange(n_steps + 1) * dt
     if n_steps:
@@ -209,7 +229,7 @@ def integrate_geodesic(spec: MetricSpec, p, v, T: float, dt: float) -> GeodesicP
 
     v is normalized to unit g-length at p.  Sample times are 0, dt, ..., T
     (last step shortened if T is not a multiple of dt); more than MAX_STEPS
-    steps raise ValueError, a direction with no positive g-length raises
+    steps raise StepsError, a direction with no positive g-length raises
     DirectionError, and a start point or RK4 stage point where the metric is
     not positive definite raises MetricError naming it.
     """

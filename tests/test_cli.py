@@ -379,6 +379,19 @@ def test_riccati_bad_input_exits_2(tmp_path, argv, words):
     assert not out.exists()
 
 
+def test_riccati_sin_of_an_infinite_stage_point_names_the_subtree(tmp_path):
+    """A stage point that overflows to inf reaches sin(inf): the one line names
+    that fault and its subtree, not --T/--dt, which only a MAX_STEPS refusal
+    is blamed on."""
+    metric = tmp_path / "M.json"
+    metric.write_text(json.dumps({"components": {**FLAT, "g33": "2 + sin(x1)"}}))
+    out = tmp_path / "traj.csv"
+    argv = ("riccati", str(metric), "--point", "1.7e308,0,0", "--dir", "1,0,0", "--T", "1e308", "--dt", "1e307")
+    line = run_bad(argv + ("--out", str(out)))
+    assert line == "riccati3 riccati: error: sin of infinite value in subtree 'sin(x1)'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("direction", ["1,0,0", "0,1,0"])
 def test_riccati_non_positive_definite_start_point_exits_2(tmp_path, direction):
     """A start point where the metric is not positive definite is named as

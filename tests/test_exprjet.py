@@ -267,6 +267,8 @@ def test_batch_jet_is_stack_of_point_jets(order):
         ("exp(x1)", (800.0, 0.0, 0.0), "exp(x1)"),
         ("sinh(x3)", (0.0, 0.0, -800.0), "sinh(x3)"),
         ("cosh(x2)", (0.0, 800.0, 0.0), "cosh(x2)"),
+        ("sin(x1)", (math.inf, 0.0, 0.0), "sin(x1)"),
+        ("cos(x3)", (0.0, 0.0, -math.inf), "cos(x3)"),
     ],
 )
 def test_batch_with_one_faulting_row_raises(src, bad_row, subtree):
@@ -528,12 +530,37 @@ def test_first_order_replay_is_the_order1_run_bit_for_bit(spec):
         ("1/(x1*x1*x1*x1) + x1", (1e100, 0.0, 0.0), None),
         ("x1*x2", (math.nan, 1.0, 0.0), None),
         ("x1*x2", (math.inf, 0.0, 0.0), None),
+        # each in-line power and function of the replay at the points where
+        # it hands over to _power_series or _function_series, and next to them
+        ("x1^2", (1e200, 0.0, 0.0), "power 2 overflows the float range in subtree '(x1^2)'"),
+        ("x1^-40", (1e-10, 0.0, 0.0), "power -40 overflows the float range in subtree '(x1^-40)'"),
+        ("x1^-1", (2e-12, 0.0, 0.0), None),
+        ("x1^-1", (-0.0, 0.0, 0.0), "division by ~0 in subtree '(x1^-1)'"),
+        ("x1^3", (math.inf, 0.0, 0.0), None),
+        ("x1^3", (math.nan, 0.0, 0.0), None),
+        ("exp(x1)", (709.7, 0.0, 0.0), None),
+        ("exp(x1)", (710.0, 0.0, 0.0), "exp overflows the float range in subtree 'exp(x1)'"),
+        ("sinh(x1)", (711.0, 0.0, 0.0), "sinh overflows the float range in subtree 'sinh(x1)'"),
+        ("sinh(x1)", (-711.0, 0.0, 0.0), "sinh overflows the float range in subtree 'sinh(x1)'"),
+        ("cosh(x1)", (711.0, 0.0, 0.0), "cosh overflows the float range in subtree 'cosh(x1)'"),
+        ("cosh(x1)", (-711.0, 0.0, 0.0), "cosh overflows the float range in subtree 'cosh(x1)'"),
+        ("log(x1)", (0.0, 0.0, 0.0), "log of non-positive value in subtree 'log(x1)'"),
+        ("log(x1)", (-0.0, 0.0, 0.0), "log of non-positive value in subtree 'log(x1)'"),
+        ("log(x1)", (math.nan, 0.0, 0.0), None),
+        ("sqrt(x1)", (0.0, 0.0, 0.0), "sqrt of non-positive value in subtree 'sqrt(x1)'"),
+        ("sqrt(x1)", (-0.0, 0.0, 0.0), "sqrt of non-positive value in subtree 'sqrt(x1)'"),
+        ("sqrt(x1)", (math.nan, 0.0, 0.0), None),
+        ("sin(x1)", (math.inf, 0.0, 0.0), "sin of infinite value in subtree 'sin(x1)'"),
+        ("cos(x1)", (-math.inf, 0.0, 0.0), "cos of infinite value in subtree 'cos(x1)'"),
+        ("sin(x1)", (math.nan, 0.0, 0.0), None),
+        ("cos(x1)", (math.nan, 0.0, 0.0), None),
     ],
 )
 def test_first_order_replay_faults_as_the_order1_run(src, point, message):
     """Each fault raises the same exception with the same message from the
     float replay and the numpy run; a product past the float range gives the
-    same bytes, inf and nan included."""
+    same bytes, inf and nan included, and so does a power or function whose
+    value is inf or nan without a fault."""
     tape = Tape((parse_expr(src, params=["L"]), parse_expr("x3")))
     with np.errstate(all="ignore"):
         got, want = _first_order_and_run(tape, point)

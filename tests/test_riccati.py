@@ -1,5 +1,6 @@
 import dis
 import math
+import re
 import types
 
 import numpy as np
@@ -493,11 +494,57 @@ def test_one_walk_per_path_and_no_gamma_at_call(monkeypatch):
 
 def test_walk_has_the_replay_in_its_code_once():
     """The walk runs its four stages as a loop over one copy of the replay and
-    the contraction: its code loads ``leading_minors`` and ``cofactors`` once
-    each."""
+    the contraction, with the minors rule and the cofactors written out: its
+    code loads ``_metric_fault`` once, and ``leading_minors`` and
+    ``cofactors`` not at all."""
     for spec in (metrics.builtin("sphere"), metrics.builtin("flat")):
         loads = [i.argval for i in dis.get_instructions(riccati._walk(spec)) if i.opname == "LOAD_GLOBAL"]
-        assert loads.count("leading_minors") == 1 and loads.count("cofactors") == 1
+        assert loads.count("_metric_fault") == 1
+        assert "leading_minors" not in loads and "cofactors" not in loads
+
+
+def _counted_series(monkeypatch, walk):
+    """The calls the walk makes to ``_power_series`` and ``_function_series``,
+    counted through its globals, as a list of their names."""
+    calls = []
+    for name in ("_power_series", "_function_series"):
+        def counted(*args, _name=name, _f=walk.__globals__[name]):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setitem(walk.__globals__, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", _tape_specs(), ids=lambda s: f"{s.name}{s.params}")
+def test_walk_calls_no_series_function_on_the_fast_path(spec, monkeypatch):
+    """A T = 1, dt = 1e-2 path on each of the benchmark's nine geometries
+    (heisenberg at two L) runs every power and function of its stages in
+    line: it makes no call to ``_power_series`` or ``_function_series``."""
+    calls = _counted_series(monkeypatch, riccati._walk(spec))
+    path = integrate_geodesic(spec, np.array(spec.box).mean(axis=1), (0.3, -0.2, 0.5), 1.0, 1e-2)
+    assert len(path.ts) == 101 and np.all(np.isfinite(path.xs))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "components,x,called,message",
+    [
+        ({"g11": "1 + x3^-2"}, (0.0, 0.0, 1e-13), "_power_series", "division by ~0 in subtree '(x3^-2)'"),
+        ({"g11": "1 + x1^3"}, (1e103, 0.0, 0.0), "_power_series", "power 3 overflows the float range"),
+        ({"g33": "1 + 0.1*log(x1)"}, (-0.2, 0.0, 0.0), "_function_series", "log of non-positive value"),
+        ({"g22": "2 + sin(x1)"}, (math.inf, 0.0, 0.0), "_function_series", "sin of infinite value"),
+    ],
+    ids=["floor", "overflow", "log", "sin-inf"],
+)
+def test_walk_calls_the_series_function_once_at_a_fault(components, x, called, message, monkeypatch):
+    """At a state where an in-line power or function faults, the walk calls
+    its series function once, which raises the fault's message."""
+    spec = metrics.custom({**DIAGONAL, **components})
+    calls = _counted_series(monkeypatch, riccati._walk(spec))
+    with pytest.raises(exprjet.DomainFault, match=re.escape(message)):
+        _walk_step(spec, list(x) + [0.5] * 9, 1e-2)
+    assert calls == [called]
 
 
 # the benchmark's metrics, heisenberg at a third L, and one whose product
@@ -580,6 +627,7 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
             assert _outcome(walked, p, v) == _outcome(reference, p, v)
 
 
+DIAGONAL = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
 UNBOUND = MetricSpec(
     "unbound",
     tuple(parse_expr(src, params=["L"]) for src in ("1", "0", "0", "1 + L*x1^2", "0", "1")),
@@ -595,8 +643,20 @@ UNBOUND = MetricSpec(
         (metrics.custom({**TILTED, "g33": "1 + 0.1*log(x1)"}), (-0.2, 0.0, 0.0), "log of non-positive value"),
         (metrics.custom({**TILTED, "g11": "1 + exp(x1) - exp(x1)"}), (1000.0, 0.0, 0.0), "exp overflows"),
         (UNBOUND, (0.1, 0.2, 0.3), "unbound parameter 'L'"),
+        # states at the clauses of leading_minors' rule; each of the rows
+        # g11-negative to det-inf fails that one clause alone
+        (metrics.custom({**TILTED, "g11": "x1"}), (0.0, 0.2, 0.3), "minors 0.000e+00,"),
+        (metrics.custom({**DIAGONAL, "g12": "x1"}), (1.0, 0.0, 0.0), "minors 1.000e+00, 0.000e+00,"),
+        (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1"}), (-1.0, 0.0, 0.0), "minors -1.000e+00,"),
+        (metrics.custom({**DIAGONAL, "g22": "x1", "g33": "x1"}), (-1.0, 0.0, 0.0), "minors 1.000e+00, -1.000e+00,"),
+        (metrics.custom({**DIAGONAL, "g11": "x1"}), (1e7, 0.0, 0.0), "det below 1e-14 max(g_ii)^3"),
+        (metrics.custom({**DIAGONAL, "g22": "x2"}), (0.0, 1e7, 0.0), "det below 1e-14 max(g_ii)^3"),
+        (metrics.custom({**DIAGONAL, "g33": "x3"}), (0.0, 0.0, 1e7), "det below 1e-14 max(g_ii)^3"),
+        (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1", "g33": "x1"}), (1e107, 0.0, 0.0), "e+214, inf"),
+        (metrics.custom(TILTED), (math.nan, 0.2, 0.3), "minors nan, nan, nan"),
     ],
-    ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound"],
+    ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound", "g11-zero", "m2-zero",
+         "g11-negative", "m2-negative", "det-floor-g11", "det-floor-g22", "det-floor-g33", "det-inf", "nan"],
 )
 def test_generated_stage_faults_as_gamma_at(spec, x, message):
     """Where ``gamma_at`` raises at a point, the generated walk raises the
