@@ -154,12 +154,12 @@ def _christoffel(G, A):
 
 
 def _curvature_jets(G, tamper=False):
-    """Coefficient arrays of g^-1, Gamma and R from the metric's order-k
-    coefficients G, shape (N(k),) + batch + (3, 3), k >= 2, from
+    """A = g(p)^-1 and the coefficient arrays of Gamma and R from the metric's
+    order-k coefficients G, shape (N(k),) + batch + (3, 3), k >= 2, from
     ``metric_jets``: every g(p) passes ``metrics.leading_minors``' rule.
 
-    g^-1 carries order 1, [A, -A d_i g A], which is all the pack reads of it;
-    A = g(p)^-1 is ``metrics.cofactors`` over det g, as in ``gamma_at``.
+    A, batch + (3, 3), is ``metrics.cofactors`` over det g, as in
+    ``gamma_at``; g^-1's higher coefficients are ``_inverse_jets``' to build.
     Gamma[..., k, i, j] = Gamma^k_ij carries order k - 1 (``_christoffel``).
     R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l carries order k - 2:
     R = dGamma + sign Gamma Gamma - (i <-> j), where ``tamper`` flips the sign.
@@ -168,7 +168,6 @@ def _curvature_jets(G, tamper=False):
     g = [G[0][..., i, j] for i, j in _SYM_INDEX]  # g11, g12, g13, g22, g23, g33
     (_, _, det), _ = leading_minors(*g)
     A = (np.stack(cofactors(*g), -1) / det[..., None])[..., _FULL_INDEX]
-    ginv = np.concatenate([A[None], -(A @ G[1:4]) @ A])
     gamma = _christoffel(G, A)
 
     # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
@@ -176,7 +175,13 @@ def _curvature_jets(G, tamper=False):
     if tamper:
         np.negative(T, out=T)
     T += np.einsum("...ljki->...ijkl", partials(gamma))
-    return ginv, gamma, T - np.swapaxes(T, -4, -3)
+    return A, gamma, T - np.swapaxes(T, -4, -3)
+
+
+def _inverse_jets(A, G):
+    """g^-1 to order 1, [A, -A d_i g A], from A = g(p)^-1 and the metric's
+    coefficients G: all the pack reads of it."""
+    return np.concatenate([A[None], -(A @ G[1:4]) @ A])
 
 
 def _nabla(T, gamma):
@@ -213,7 +218,8 @@ def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
     """
     one = isinstance(m.point, tuple)
     G = m.coef[:, None] if one else m.coef  # one point is a batch of one
-    ginv_c, gamma_c, R_c = _curvature_jets(G, tamper)
+    A, gamma_c, R_c = _curvature_jets(G, tamper)
+    ginv_c = _inverse_jets(A, G)
     ric_c = np.einsum("...kijk->...ij", R_c)  # ric_ij = sum_k (R(d_k,d_i)d_j)^k
     R, R_c = R_c[0].copy(), None  # only R at the point is read: R_c is freed here
     scal_c = contract("ij,ij->", ginv_c, ric_c, 1)
@@ -255,9 +261,10 @@ def curvature_r_only(spec: MetricSpec, p):
     (n, 3) array of points, giving them with a leading batch axis from one
     batched jet evaluation."""
     m = metric_jets(spec, p, order=2)
-    ginv, _, R = _curvature_jets(m.coef)
+    A, _, R = _curvature_jets(m.coef)
     ric = np.einsum("...kijk->...ij", R[0])
-    scal = np.einsum("...ij,...ij->...", ginv[0], ric)
+    # A in C order, so that the sum runs in an order the shapes alone fix
+    scal = np.einsum("...ij,...ij->...", np.ascontiguousarray(A), ric)
     return m.g, ric - (scal[..., None, None] / 4.0) * m.g
 
 

@@ -44,8 +44,9 @@ which raise every fault and give every non-finite value, so it gives the
 bits of ``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is
 its replay with a return, and the geodesic walk (``riccati._walk``) a whole
 path of RK4 steps whose four stages loop over the replay, the leading-minor
-check and the Christoffel contraction, all written in line.  Nothing is
-generated at import.
+check and the Christoffel contraction, all written in line, the last two
+also with the replay's constant outputs folded in.  Nothing is generated at
+import.
 """
 
 from __future__ import annotations
@@ -742,16 +743,21 @@ class Tape:
         return self.float_function(template, names)
 
     def float_function(self, template, names, env=None):
-        """The function whose Python source is ``template`` with its line
+        """The function whose Python source is ``template`` with each line
         ``REPLAY`` replaced, at that line's indentation, by the tape's order-1
         replay on the floats x1, x2, x3 as straight-line code, which binds
         expression j's value and first partials to the names ``names[j]`` and
         ``names[j]`` + ``_1``, ``_2``, ``_3``.  ``template`` starts ``def
         NAME(`` and binds x1, x2, x3 before the replay; the function's
         globals are ``env`` and the replay's own, whose names start with an
-        underscore, as do its registers.  This is the one source generator:
-        ``first_order`` and the geodesic walk (``riccati._walk``) are made by
-        it.
+        underscore, as do its registers.  ``template`` may also be a function
+        that returns that source from the replay's constant outputs: a dict
+        of each of those names that the replay binds to a literal or a
+        constant register (a constant expression's value and partials, a
+        coordinate's partials) to its float, the same at every point.  This
+        is the one source generator: ``first_order`` and the geodesic walk
+        (``riccati._walk``, which folds the constant outputs into its fast
+        step) are made by it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
         being four floats.  A product writes coefficient i as 0.0 + u0 v_i +
@@ -839,10 +845,16 @@ class Tape:
                         lines += ["try:"] + ["    " + line for line in body] + [test + ":", fallback]
                 lines += [f"{t[i]} = {u[i]} * _s1" for i in (1, 2, 3)]
             regs.append(t)
+        constants = {}  # output name -> the float of a literal or _kN constant it is bound to
         for j, r in enumerate(self.outputs):
-            lines += [f"{names[j]}{s} = {c}" for s, c in zip(_SUFFIXES, regs[r]) if names[j] + s != c]
-        head, indent, tail = re.split(rf"^( *){REPLAY}$", template, maxsplit=1, flags=re.M)
-        source = head + "\n".join(indent + line for line in lines) + tail
+            for s, c in zip(_SUFFIXES, regs[r]):
+                if names[j] + s != c:
+                    lines.append(f"{names[j]}{s} = {c}")
+                if c.startswith("_k") or c[0].isdigit():
+                    constants[names[j] + s] = glob[c] if c.startswith("_k") else float(c)
+        if callable(template):
+            template = template(constants)
+        source = re.sub(rf"^( *){REPLAY}$", lambda m: "\n".join(m[1] + line for line in lines), template, flags=re.M)
         name = template.split("(", 1)[0].removeprefix("def ")
         exec(compile(source, f"<{name} of a tape>", "exec"), glob)
         return glob[name]

@@ -27,7 +27,14 @@ check and the adjugate inverse, written out on floats with the arithmetic of
 ``leading_minors`` and ``cofactors``, which ``gamma_at`` calls; and the
 Christoffel contraction.  A stage calls no Python function unless a guard
 misses.  The slopes are summed on named floats in the order of the RK4
-combination.  The contraction takes the lowered Christoffel symbols with v
+combination.  The part of a stage after the replay comes in two versions,
+emitted from one list of lines (``_emit``): the full step, and a fast step
+with the tape's constant entries folded in (partial evaluation), which
+leaves out every product with a factor the tape fixes at 0.  A step from a
+state with no zero entry is fast; where it raises or ends in a state that
+is not finite, the full step runs from the same state, and so does every
+step from a state with a zero entry.  Both give the same bits (the comment
+above ``_POINT``).  The contraction takes the lowered Christoffel symbols with v
 first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and
 raises each of the three vectors once with g^-1; the full Gamma is never
 built.  The states
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -116,17 +124,34 @@ class RiccatiResult(NamedTuple):
 # in q: its matrix is (M + S) / 2, with M = D_v g = sum_m v^m d_m g and S the
 # antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
 # lowered vectors is raised once with g^-1, ``cofactors`` over det g.
+#
+# Each step runs in one of two versions, the full step and the fast step,
+# whose stage points, stage after the replay, slope sums and new state
+# ``_emit`` writes from the same lines below, in one function.  The full step
+# is those lines as they stand.  The fast step folds in the outputs that the
+# replay binds to a constant (``Tape.float_function``): a product with a
+# constant 0 factor is dropped, a factor 1.0 left out, a line of constants
+# computed as the walk is generated, in the same float operations and order,
+# and the rule decided there where it reads constants only (partial
+# evaluation).  ``fast`` selects: a step from a state with no zero entry runs
+# the fast step; where that raises or ends in a state that is not finite,
+# the step runs again from the same start as the full step, and so does a
+# step from a state with a zero entry.  This is exact: a dropped value is a
+# product with a factor the tape fixes at 0, so every value of the fast step
+# is the full step's, but for the sign of a zero, which a stage point or a
+# new entry y + c k with y != 0 absorbs.  Where a dropped 0 meets an inf or
+# a nan, the full step has a nan there, and that inf or nan also reaches the
+# fast step's new state through a term that is kept.
 _POINT = ("x1", "x2", "x3", "v1", "v2", "v3", "p1", "p2", "p3", "r1", "r2", "r3")
 _STATE = ", ".join(f"y{i}" for i in range(12))
 
 
-def _each(line, indent):
-    """``line`` formatted for i = 0 ... 11, with z the i-th stage point name,
-    one line each at the indentation."""
-    return "\n".join(" " * indent + line.format(i=i, z=z) for i, z in enumerate(_POINT))
+def _each(line):
+    """``line`` formatted for i = 0 ... 11, with z the i-th stage point name."""
+    return [line.format(i=i, z=z) for i, z in enumerate(_POINT)]
 
 
-def _contraction(indent):
+def _contraction():
     """The slopes k3 ... k11: the lowered Gamma(v, .) applied to v, w1 and w2,
     each raised by -g^-1 / 2."""
     lines = []
@@ -139,76 +164,336 @@ def _contraction(indent):
             f"k{i + 1} = h12 * l1 + h22 * l2 + h23 * l3",
             f"k{i + 2} = h13 * l1 + h23 * l2 + h33 * l3",
         ]
-    return "\n".join(" " * indent + line for line in lines)
+    return lines
 
 
-_WALK = f"""def walk(ys, dt, dt_last):
+# A stage after the replay, in the lines that ``_emit`` reads: assignments of
+# sums of products (of names, float literals and parenthesized sums, by * and
+# /), comments, and the rule as one ``if not`` of comparisons joined by and.
+_STAGE = [
+    "# leading_minors' rule and the cofactors, whose last one is m2",
+    "m2 = g11 * g22 - g12 * g12",
+    "m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23",
+    "if not (g11 > 0 and m2 > 0 and m3 < inf and m3 > 1e-14 * g11 * g11 * g11"
+    " and m3 > 1e-14 * g22 * g22 * g22 and m3 > 1e-14 * g33 * g33 * g33):"
+    " raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))",
+    "c11 = g22 * g33 - g23 * g23",
+    "c12 = g13 * g23 - g12 * g33",
+    "c13 = g12 * g23 - g13 * g22",
+    "c22 = g11 * g33 - g13 * g13",
+    "c23 = g12 * g13 - g11 * g23",
+    "# M = D_v g",
+    "m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3",
+    "m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3",
+    "m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3",
+    "m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3",
+    "m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3",
+    "m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3",
+    "# the entries of S above the diagonal",
+    "s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3",
+    "s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3",
+    "s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3",
+    "# M + S, whose diagonal is that of M",
+    "b12, b21 = m12 + s12, m12 - s12",
+    "b13, b31 = m13 + s13, m13 - s13",
+    "b23, b32 = m23 + s23, m23 - s23",
+    "# -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)",
+    "h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)",
+    "h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (m2 / m3)",
+    "k0, k1, k2 = v1, v2, v3",
+    *_contraction(),
+]
+_POINTS = _each("{z} = y{i} + c * k{i}")  # at the stages after the first
+_SUMS = (_each("q{i} = k{i}"), _each("q{i} = q{i} + k{i}"), _each("q{i} = q{i} + 2.0 * k{i}"))
+# the names a stage or a step assigns for the next one, or for the replay:
+# the fast step folds a constant into them, but no name in place of one
+_PINNED = frozenset(_POINT + tuple(f"{n}{i}" for n in "kqy" for i in range(12)))
+_TOKEN = re.compile(r"\d[\d.]*(?:e-?\d+)?|\w+|\S")
+
+
+class _Unfolded(Exception):
+    """Constants that fold to an inf or a nan, or divide by 0: the fast step
+    of such a tape is the full step's lines."""
+
+
+def _parse_sum(tokens, i=0):
+    """The sum that starts at tokens[i], as its terms (negated, factors) with
+    each factor (divides, name, float or sum); and the index past it."""
+    terms = []
+    while True:
+        neg = tokens[i] == "-"
+        i += tokens[i] in ("-", "+")
+        factors, div = [], False
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                atom, i = _parse_sum(tokens, i + 1)
+            else:
+                atom = float(tok) if tok[0].isdigit() else tok
+            factors.append((div, atom))
+            i += 1  # past the name, the number or the ")"
+            if i == len(tokens) or tokens[i] not in ("*", "/"):
+                break
+            div, i = tokens[i] == "/", i + 1
+        terms.append((neg, tuple(factors)))
+        if i == len(tokens) or tokens[i] == ")":
+            return tuple(terms), i
+
+
+def _names(terms):
+    for _, factors in terms:
+        for _, atom in factors:
+            if isinstance(atom, str):
+                yield atom
+            elif isinstance(atom, tuple):
+                yield from _names(atom)
+
+
+def _side(src):
+    """A side of a comparison of the rule: inf, which only the rule reads, or
+    a sum."""
+    return math.inf if src == "inf" else _parse_sum(_TOKEN.findall(src))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(line):
+    """A line of the stage as (kind, parts, names): "#" for a comment, "if"
+    for the rule, whose parts are its clauses (left, op, right) and its
+    raise, and "=" for an assignment, whose parts are its targets and sums."""
+    if line.startswith("#"):
+        return "#", None, frozenset()
+    if line.startswith("if not ("):
+        body, stmt = line.removeprefix("if not (").split("): ", 1)
+        clauses = []
+        for clause in body.split(" and "):
+            left, op, right = re.split(r" ([<>]) ", clause)
+            clauses.append((_side(left), op, _side(right)))
+        sides = [s for left, _, right in clauses for s in (left, right) if isinstance(s, tuple)]
+        return "if", (clauses, stmt), frozenset(n for s in sides for n in _names(s))
+    targets, exprs = line.split(" = ")
+    targets = tuple(targets.split(", "))
+    sums = tuple(_parse_sum(_TOKEN.findall(e))[0] for e in exprs.split(", "))
+    return "=", (targets, sums), frozenset(targets).union(*(_names(s) for s in sums))
+
+
+def _finite(x):
+    if not math.isfinite(x):
+        raise _Unfolded
+    return x
+
+
+def _product(factors, env):
+    """A product folded left to right: a float, or (negated, text, kind) with
+    kind 0 for a name or a parenthesized text and 1 for a product.  The
+    constants before the first name are multiplied out; a constant 0 factor
+    makes the product 0, one of +-1.0 after a name only its sign."""
+    acc, neg, text, kind, zero = 1.0, False, None, 0, False
+    for div, atom in factors:
+        if isinstance(atom, str):
+            f = env.get(atom, (False, atom, 0))
+        else:
+            f = atom if isinstance(atom, float) else _sum(atom, env)
+        op = " / " if div else " * "
+        if isinstance(f, float):
+            if div and not f:
+                raise _Unfolded
+            if text is None:
+                acc = _finite(acc / f if div else acc * f)
+            elif not _finite(f):
+                zero = True
+            else:
+                neg ^= f < 0
+                if abs(f) != 1.0:
+                    text, kind = f"{text}{op}{abs(f)!r}", 1
+            continue
+        fneg, ftext, fkind = f
+        if fkind:
+            ftext = f"({ftext})"
+        if text is not None:
+            text, kind, neg = f"{text}{op}{ftext}", 1, neg ^ fneg
+            continue
+        zero |= not acc
+        neg = fneg ^ (acc < 0)
+        if div or abs(acc) != 1.0:
+            text, kind = f"{abs(acc)!r}{op}{ftext}", 1
+        else:
+            text = ftext
+    if zero:
+        return 0.0
+    return acc if text is None else (neg, text, kind)
+
+
+def _sum(terms, env):
+    """A sum folded left to right: a float, or (negated, text, kind) with
+    kind 2 for a sum of more than one term.  A term that folds to 0 is left
+    out once a term is not constant: x + 0 is x but for the sign of a zero."""
+    acc, parts = None, []
+    for neg, factors in terms:
+        t = _product(factors, env)
+        if isinstance(t, float):
+            t = -t if neg else t
+            if not parts:
+                acc = t if acc is None else _finite(acc + t)
+            elif t:
+                parts.append((t < 0, repr(abs(t))))
+            continue
+        if not parts and acc:
+            parts.append((acc < 0, repr(abs(acc))))
+        single = (neg ^ t[0],) + t[1:]
+        parts.append(single[:2])
+    if not parts:
+        return acc
+    if len(parts) == 1:
+        return single
+    (neg, text), *rest = parts
+    return False, ("-" if neg else "") + text + "".join(f" {'-' if n else '+'} {t}" for n, t in rest), 2
+
+
+def _text(value):
+    return repr(value) if isinstance(value, float) else ("-" if value[0] else "") + value[1]
+
+
+def _emit(lines, env):
+    """The stage ``lines`` written out as Python lines, with the names in
+    ``env`` (each bound to a float, or to the (negated, text, kind) of what
+    it stands for) folded in: a line that reads none of them as it stands.
+    Each target that folds to a float, or to a name if it is not pinned, goes
+    into ``env`` in place of a line."""
+    out = []
+    for line in lines:
+        kind, parts, names = _parse(line)
+        if names.isdisjoint(env):
+            out.append(line)
+        elif kind == "if":
+            clauses, stmt = parts
+            kept = []
+            for left, op, right in clauses:
+                a, b = (s if isinstance(s, float) else _sum(s, env) for s in (left, right))
+                if not isinstance(a, float) or not isinstance(b, float):
+                    kept.append(f"{_text(a)} {op} {_text(b)}")
+                elif not (a > b if op == ">" else a < b):
+                    out.append(stmt)
+                    break
+            else:
+                if kept:
+                    out.append(f"if not ({' and '.join(kept)}): {stmt}")
+        else:
+            targets, sums = parts
+            values = [_sum(s, env) for s in sums]
+            written = []
+            for t, v in zip(targets, values):
+                if isinstance(v, float) or (t not in _PINNED and v[1].isidentifier()):
+                    env[t] = v
+                    continue
+                env.pop(t, None)
+                if _text(v) != t:
+                    written.append((t, _text(v)))
+            if written:
+                out.append(", ".join(t for t, _ in written) + " = " + ", ".join(v for _, v in written))
+    return out
+
+
+def _block(lines, indent):
+    return "\n".join(" " * indent + line for line in lines or ["pass"])
+
+
+def _branch(fast, full, indent, block=_block):
+    """The ``fast`` lines if ``fast`` holds and the ``full`` lines if not, or
+    the one block where they are the same lines."""
+    if fast == full:
+        return block(full, indent)
+    pad = " " * indent
+    return f"{pad}if fast:\n{block(fast, indent + 4)}\n{pad}else:\n{block(full, indent + 4)}"
+
+
+def _stage(parts, indent):
+    """A stage's lines after the replay, then its slope sums q at the first,
+    the last and the middle stages: ``parts`` is the two."""
+    lines, sums = parts
+    pad = " " * indent
+    first, last, middle = (_block(s, indent + 4) for s in sums)
+    return f"""{_block(lines, indent)}
+{pad}if stage == 0:
+{first}
+{pad}elif stage == 3:
+{last}
+{pad}else:
+{middle}"""
+
+
+_NEW = _each("n{i} = y{i} + w * q{i}") + ["_s = " + " + ".join(f"n{i}" for i in range(12))]
+_COMMIT = [f"{_STATE} = " + ", ".join(f"n{i}" for i in range(12))]
+
+
+def _fold(constants):
+    """The fast step's lines, with the outputs ``constants`` folded in: the
+    stage points after the first stage, the stage, the slope sums, the new
+    state n with the sum _s of its entries, and its assignment to y.  Where a
+    constant folds to an inf or a nan, they are the full step's lines."""
+    env = dict(constants)
+    try:
+        stage = _emit(_STAGE, env)
+    except _Unfolded:
+        return _fold({})
+    # a slope that folds to a constant is 0, each of its terms having a factor
+    # from v, w1 or w2, and so is its sum q at every stage
+    env.update({f"q{i}": 0.0 for i in range(12) if f"k{i}" in env})
+    return _emit(_POINTS, env), stage, tuple(_emit(s, env) for s in _SUMS), _emit(_NEW, env), _emit(_COMMIT, env)
+
+
+def _walk_source(constants):
+    """The walk's source, for a tape whose replay binds the outputs
+    ``constants`` to constants: each step's stages run the fast or the full
+    lines after the one replay, as ``fast`` selects."""
+    points, stage, sums, new, commit = _fold(constants)
+    return f"""def walk(ys, dt, dt_last):
     steps = len(ys) - 1
     {_STATE} = ys[0].tolist()
     for step in range(1, steps + 1):
         if step == steps:
             dt = dt_last
         h = 0.5 * dt
-        for stage in range(4):
-            if stage == 0:
-{_each("{z} = y{i}", 16)}
-            else:
-                c = dt if stage == 3 else h
-{_each("{z} = y{i} + c * k{i}", 16)}
-            {REPLAY}
-            # leading_minors' rule and the cofactors, whose last one is m2
-            m2 = g11 * g22 - g12 * g12
-            m3 = m2 * g33 - g11 * g23 * g23 - g22 * g13 * g13 + 2.0 * g12 * g13 * g23
-            if not (
-                g11 > 0 and m2 > 0 and m3 < inf and m3 > 1e-14 * g11 * g11 * g11
-                and m3 > 1e-14 * g22 * g22 * g22 and m3 > 1e-14 * g33 * g33 * g33
-            ):
-                raise _metric_fault(spec, (x1, x2, x3), (g11, g12, g13, g22, g23, g33))
-            c11 = g22 * g33 - g23 * g23
-            c12 = g13 * g23 - g12 * g33
-            c13 = g12 * g23 - g13 * g22
-            c22 = g11 * g33 - g13 * g13
-            c23 = g12 * g13 - g11 * g23
-            # M = D_v g
-            m11 = g11_1 * v1 + g11_2 * v2 + g11_3 * v3
-            m12 = g12_1 * v1 + g12_2 * v2 + g12_3 * v3
-            m13 = g13_1 * v1 + g13_2 * v2 + g13_3 * v3
-            m22 = g22_1 * v1 + g22_2 * v2 + g22_3 * v3
-            m23 = g23_1 * v1 + g23_2 * v2 + g23_3 * v3
-            m33 = g33_1 * v1 + g33_2 * v2 + g33_3 * v3
-            # the entries of S above the diagonal
-            s12 = (g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2 + (g13_2 - g23_1) * v3
-            s13 = (g11_3 - g13_1) * v1 + (g12_3 - g23_1) * v2 + (g13_3 - g33_1) * v3
-            s23 = (g12_3 - g13_2) * v1 + (g22_3 - g23_2) * v2 + (g23_3 - g33_2) * v3
-            # M + S, whose diagonal is that of M
-            b12, b21 = m12 + s12, m12 - s12
-            b13, b31 = m13 + s13, m13 - s13
-            b23, b32 = m23 + s23, m23 - s23
-            # -g^-1 / 2, the 1/2 of Gamma_l folded in (halving a float is exact)
-            h11, h12, h13 = -0.5 * (c11 / m3), -0.5 * (c12 / m3), -0.5 * (c13 / m3)
-            h22, h23, h33 = -0.5 * (c22 / m3), -0.5 * (c23 / m3), -0.5 * (m2 / m3)
-            k0, k1, k2 = v1, v2, v3
-{_contraction(12)}
-            if stage == 0:
-{_each("q{i} = k{i}", 16)}
-            elif stage == 3:
-{_each("q{i} = q{i} + k{i}", 16)}
-            else:
-{_each("q{i} = q{i} + 2.0 * k{i}", 16)}
-        w = dt / 6.0
-{_each("y{i} = y{i} + w * q{i}", 8)}
+        fast = {" and ".join(f"y{i}" for i in range(12))}
+        while True:
+            try:
+                for stage in range(4):
+                    if stage == 0:
+{_block(_each("{z} = y{i}"), 24)}
+                    else:
+                        c = dt if stage == 3 else h
+{_branch(points, _POINTS, 24)}
+                    {REPLAY}
+{_branch((stage, sums), (_STAGE, _SUMS), 20, _stage)}
+            except (ArithmeticError, ValueError):
+                if not fast:
+                    raise
+                fast = False  # the step again, as the full step, which raises for itself
+                continue
+            w = dt / 6.0
+            if not fast:
+{_block(_each("y{i} = y{i} + w * q{i}"), 16)}
+                break
+{_block(new, 12)}
+            if not _s - _s:
+{_block(commit, 16)}
+                break
+            fast = False  # a new state that is not finite: the step again, as the full step
         ys[step] = {_STATE}"""
+
+
+# the walk's globals besides the tape's and its spec
+_WALK_GLOBALS = {"inf": math.inf, "_metric_fault": _metric_fault}
 
 
 @functools.lru_cache(maxsize=64)
 def _walk(spec):
     """The geodesic walk of ``spec``, generated from its tape on its first
-    path and kept per spec, as ``metrics.resolve`` keeps the spec: a g that
+    path and kept per spec, as ``metrics.resolve`` keeps the spec: one
+    function, whose steps are fast or full (``_walk_source``).  A g that
     fails ``leading_minors``' rule, written out in the walk, at a stage point
     raises ``metric_jets``' MetricError, as ``gamma_at`` does at the same
     point."""
-    env = {"spec": spec, "inf": math.inf, "_metric_fault": _metric_fault}
-    return spec.tape.float_function(_WALK, COMPONENT_NAMES, env)
+    return spec.tape.float_function(_walk_source, COMPONENT_NAMES, {**_WALK_GLOBALS, "spec": spec})
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:
@@ -304,13 +589,14 @@ def _stage_J(ts, Js, times):
     i = np.clip(np.searchsorted(ts, t) - 1, 0, n - 2)
     lo = np.maximum(0, np.minimum(i - 1, n - 4))
     idx = lo[..., None] + np.arange(min(4, n))  # (steps, 3, window)
+    tw, Jw = ts[idx], Js[idx]  # the window's sample times and J rows, gathered once
     out = np.zeros(t.shape + (3,))
     for a in range(idx.shape[-1]):
         w = np.ones(t.shape)
         for b in range(idx.shape[-1]):
             if a != b:
-                w *= (t - ts[idx[..., b]]) / (ts[idx[..., a]] - ts[idx[..., b]])
-        out += w[..., None] * Js[idx[..., a]]
+                w *= (t - tw[..., b]) / (tw[..., a] - tw[..., b])
+        out += w[..., None] * Jw[..., a, :]
     return out
 
 

@@ -9,6 +9,7 @@ from riccati3 import metrics
 from riccati3.curvature import (
     CurvaturePack,
     _curvature_jets,
+    _inverse_jets,
     curvature_pack,
     curvature_r_only,
     identity_residuals,
@@ -534,7 +535,7 @@ def _pack_tolerance(spec, p, field, want):
 
 def _zoo_jets(name, n):
     """The order-4 coefficients G, with a point axis, at one point (n = 1) or
-    a batch of n, and the kernel's (ginv, gamma, R) from them."""
+    a batch of n, and the kernel's (A, gamma, R) from them, A = g(p)^-1."""
     spec = _zoo_spec(name)
     pts = _zoo_points(spec, n, seed=11)
     G = metric_jets(spec, pts if n > 1 else tuple(pts[0])).coef
@@ -569,9 +570,9 @@ def test_inverse_metric_is_expanded_to_order_one(name):
     """ginv is [A, -A d_i g A] with A = g(p)^-1: four coefficients.  A is
     exactly symmetric and agrees with np.linalg.inv to 1e-14 of cond(g); the
     first-order ones are within 1e-14 max(1, |x|) of -A (d_i g A)."""
-    G, (ginv, _, _) = _zoo_jets(name, 7)
-    A = ginv[0]
-    assert ginv.shape == (4, 7, 3, 3)
+    G, (A, _, _) = _zoo_jets(name, 7)
+    ginv = _inverse_jets(A, G)
+    assert ginv.shape == (4, 7, 3, 3) and np.array_equal(ginv[0], A)
     assert np.array_equal(A, A.swapaxes(-1, -2))
     for a, g in zip(A, G[0]):
         inv = np.linalg.inv(g)
@@ -595,7 +596,7 @@ def test_kernel_inverse_is_the_adjugate_of_gamma_at(name, monkeypatch):
         monkeypatch.setattr(np.linalg, routine, refused)
     _curvature_jets(metric_jets(spec, tuple(pts[0])).coef[:, None])
     G = metric_jets(spec, pts).coef
-    A = _curvature_jets(G)[0][0]
+    A = _curvature_jets(G)[0]
     for k, p in enumerate(map(tuple, pts)):
         g, ginv, _ = gamma_arrays(spec, p)
         if np.array_equal(g, G[0, k]):

@@ -434,13 +434,35 @@ def test_gamma_at_inverse_is_the_symmetric_adjugate(name, monkeypatch):
         assert np.array_equal(gamma, gamma.swapaxes(1, 2))
 
 
-def _walk_step(spec, y, dt):
-    """One step of length dt of the generated walk of ``spec`` from the state
-    y (12 floats); the next state as a list of 12 floats."""
+def _walk_step(spec, y, dt, walk=None):
+    """One step of length dt of the generated walk of ``spec`` (or of
+    ``walk``) from the state y (12 floats); the next state as a list of 12
+    floats."""
     ys = np.empty((2, 12))
     ys[0] = y
-    riccati._walk(spec)(ys, dt, dt)
+    (walk or riccati._walk(spec))(ys, dt, dt)
     return ys[1].tolist()
+
+
+def _full_walk(spec):
+    """The walk of ``spec`` generated with no constant folded in: each of its
+    steps runs the full step's lines, fast or not."""
+    env = {**riccati._WALK_GLOBALS, "spec": spec}
+    return spec.tape.float_function(lambda constants: riccati._walk_source({}), metrics.COMPONENT_NAMES, env)
+
+
+def _fast_lines(spec):
+    """The lines of the fast step of ``spec``'s walk, as ``riccati._fold``
+    gives them from the constants of its tape: (stage points, stage, slope
+    sums, new state, its assignment)."""
+    seen = []
+
+    def template(constants):
+        seen.append(riccati._fold(constants))
+        return riccati._walk_source(constants)
+
+    spec.tape.float_function(template, metrics.COMPONENT_NAMES)
+    return seen[0]
 
 
 @pytest.mark.parametrize(
@@ -493,14 +515,41 @@ def test_one_walk_per_path_and_no_gamma_at_call(monkeypatch):
 
 
 def test_walk_has_the_replay_in_its_code_once():
-    """The walk runs its four stages as a loop over one copy of the replay and
-    the contraction, with the minors rule and the cofactors written out: its
-    code loads ``_metric_fault`` once, and ``leading_minors`` and
-    ``cofactors`` not at all."""
-    for spec in (metrics.builtin("sphere"), metrics.builtin("flat")):
+    """The walk runs its four stages as a loop over one copy of the replay
+    (its code loads each series function and ``_mul_floats`` as often as
+    ``Tape.first_order``'s does) and, per step version, one copy of the
+    contraction with the minors rule and the cofactors written out: it loads
+    ``_metric_fault`` at most twice, once on flat, whose fast step decides the
+    rule as the walk is generated, and ``leading_minors`` and ``cofactors``
+    not at all."""
+    for spec, rules in ((metrics.builtin("sphere"), 2), (metrics.builtin("sol"), 2), (metrics.builtin("flat"), 1)):
         loads = [i.argval for i in dis.get_instructions(riccati._walk(spec)) if i.opname == "LOAD_GLOBAL"]
-        assert loads.count("_metric_fault") == 1
+        replay = [i.argval for i in dis.get_instructions(spec.tape._first_order) if i.opname == "LOAD_GLOBAL"]
+        for name in ("_power_series", "_function_series", "_mul_floats"):
+            assert loads.count(name) == replay.count(name)
+        assert loads.count("_metric_fault") == rules
         assert "leading_minors" not in loads and "cofactors" not in loads
+
+
+def test_fast_step_folds_the_constant_entries_away():
+    """On flat every g entry and partial is a tape constant: the fast stage
+    holds no product of a partial, and only the slopes k0, k1, k2 = v are
+    summed.  On a diagonal metric (g12 = g13 = g23 = 0 as constants) the fast
+    stage computes no c12 and no h12, and its k3 has no h12 term.  Where the
+    constants would fold to an inf, nothing is folded."""
+    points, stage, sums, _, _ = _fast_lines(metrics.builtin("flat"))
+    assert not [line for line in stage if re.search(r"g\d\d_\d", line)]
+    assert [line for line in stage if not line.startswith("#")] == ["k0, k1, k2 = v1, v2, v3"]
+    assert sums[2] == [f"q{i} = q{i} + 2.0 * k{i}" for i in range(3)]
+    assert points[3:] == [f"{z} = y{i}" for i, z in enumerate(riccati._POINT) if i >= 3]
+    for spec in (metrics.builtin("sol"), metrics.builtin("sphere"), metrics.custom(DIAGONAL | {"g22": "1 + x1^2"})):
+        _, stage, _, _, _ = _fast_lines(spec)
+        targets = [t for line in stage if " = " in line for t in line.split(" = ")[0].split(", ")]
+        assert "c12" not in targets and "h12" not in targets and "k3" in targets
+        (k3,) = [line for line in stage if line.startswith("k3 = ")]
+        assert "h12" not in k3 and "h13" not in k3
+    huge = metrics.custom({**DIAGONAL, "g11": "1e200", "g22": "1e200", "g33": "1e200"})
+    assert _fast_lines(huge)[1] == riccati._STAGE
 
 
 def _counted_series(monkeypatch, walk):
@@ -547,13 +596,16 @@ def test_walk_calls_the_series_function_once_at_a_fault(components, x, called, m
     assert calls == [called]
 
 
-# the benchmark's metrics, heisenberg at a third L, and one whose product
+# the benchmark's metrics, heisenberg at a third L, one whose product
 # (5e153 x1)(5e153 x1) at x1 = 2 has the finite coefficients 1e308 and 1e308,
-# whose sum overflows, so that the replay takes _mul's product (_mul_floats)
+# whose sum overflows, so that the replay takes _mul's product (_mul_floats),
+# and one whose g33 at x1 = 5e-324 is finite with partials inf and nan
 STAGE_SPECS = _tape_specs() + [
     metrics.builtin("heisenberg", L=2.0),
     metrics.custom({"g11": "1 + 1e-300*((5e153*x1)*(5e153*x1))", "g12": "0.1", "g13": "0",
                     "g22": "1", "g23": "0", "g33": "1"}, name="mul-fallback"),
+    metrics.custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1000 + log(x1)"},
+                   name="log-partial", box=((0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0))),
 ]
 
 
@@ -572,7 +624,17 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
     bytes of the step over ``gamma_at`` (``reference_float_step`` in
     tests/oracles.py), zero signs included, for dt = 1e-2 and -5e-2, at
     random states and at states with +0.0 and -0.0 entries (where some
-    metrics fault, the same way)."""
+    metrics fault, the same way).  So does the walk generated with no
+    constant folded in (``_full_walk``): a state with no zero entry takes
+    the fast step and one with a zero entry the full step, and both are the
+    reference.  The same holds at states with no zero entry where the fast
+    step falls back to the full step: every entry 1.7e308 (the new state
+    overflows on flat, a stage point faults elsewhere); a frame of entries
+    near 1.7e308 and a fast v (the transport slopes overflow, and the new
+    state is not finite with no fault); v1 = inf (on flat the fast step
+    keeps v1 = inf where the full step's 0 * inf gives nan); and on
+    log-partial a g33 with partials inf and nan, and the log of a negative
+    x1, which raises in the fast step."""
     products = []
     real_mul = exprjet._mul
     monkeypatch.setattr(exprjet, "_mul", lambda *args: products.append(args) or real_mul(*args))
@@ -589,14 +651,27 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
         states.append(zeros + vw)
         states += [[zeros[i] if i == k else mid[i] for i in range(3)] + vw for k in range(3)]
         states.append(mid + zeros * 3)
+    full = _full_walk(spec)
     results = 0
     for dt in (1e-2, -5e-2):
         for y in states:
             got, want = _outcome(_walk_step, spec, y, dt), _outcome(reference_float_step, spec, y, dt)
-            assert got == want, y
+            assert got == want == _outcome(_walk_step, spec, y, dt, full), y
             results += isinstance(got, bytes)
     assert results >= 80
     assert bool(products) == (spec.name == "mul-fallback")
+    frame = [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1e308, 1.7e308]
+    start = [m + 0.0625 for m in mid]
+    falls_back = [[1.7e308] * 12, start + [30.0, -20.0, 50.0] + frame, start + [math.inf, 0.5, 0.25] + vw[3:]]
+    if spec.name == "log-partial":
+        falls_back += [[x1, 0.3, 0.2, 0.3, -0.2, 0.5] + frame[::-1] for x1 in (5e-324, -0.5)]
+    non_finite = 0
+    for y in falls_back:
+        with np.errstate(all="ignore"):
+            got, want = _outcome(_walk_step, spec, y, 1e-2), _outcome(reference_float_step, spec, y, 1e-2)
+            assert got == want == _outcome(_walk_step, spec, y, 1e-2, full), y
+        non_finite += isinstance(got, bytes) and not np.all(np.isfinite(np.frombuffer(got)))
+    assert non_finite >= 1
 
 
 @pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
@@ -604,7 +679,9 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
 def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
     """A whole path of the walk, of one step shorter than dt, of ten steps and
     of ten steps and a shortened last one, is the path of
-    ``reference_float_step`` bit for bit, or faults as it does."""
+    ``reference_float_step`` bit for bit, or faults as it does: in two
+    directions with no zero entry, where the steps are fast, and along the
+    axes x1 and x3, where v and the frame start with zero entries."""
     box = np.array(spec.box)
     p = box.mean(axis=1)
     ts = _sample_times(T, dt)
@@ -622,9 +699,27 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
         assert np.array_equal(path.ts, ts)
         return np.concatenate([path.xs, path.vs, path.w1s, path.w2s], axis=1)
 
-    for v in ((0.3, -0.2, 0.5), (-1.0, 0.4, 0.1)):
+    for v in ((0.3, -0.2, 0.5), (-1.0, 0.4, 0.1), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
         with np.errstate(all="ignore"):  # mul-fallback's products leave the float range
             assert _outcome(walked, p, v) == _outcome(reference, p, v)
+
+
+def test_walk_takes_the_full_step_from_a_zero_entry_and_the_fast_step_after():
+    """On flat, a state whose x1 lands exactly on 0 after one step: the walk
+    takes the fast step, then the full step from the state with x1 = 0,
+    then the fast step again, and each row is ``reference_float_step``'s and
+    the full step's bit for bit.  (v1 = 0.5 gives q0 = 6 v1 = 3 and w q0 =
+    0.375 exactly at dt = 0.75.)"""
+    spec = metrics.builtin("flat")
+    ys = np.empty((4, 12))
+    ys[0] = [-0.375, 0.3, 0.2, 0.5, 0.25, -0.5, 0.6, -0.8, 0.1, 0.3, 0.2, -0.7]
+    full = ys.copy()
+    riccati._walk(spec)(ys, 0.75, 0.75)
+    _full_walk(spec)(full, 0.75, 0.75)
+    assert ys[1, 0] == 0.0 and np.all(ys[[0, 2, 3]] != 0.0)
+    for k in range(1, 4):
+        assert ys[k].tobytes() == full[k].tobytes()
+        assert ys[k].tobytes() == np.array(reference_float_step(spec, ys[k - 1].tolist(), 0.75)).tobytes()
 
 
 DIAGONAL = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
@@ -654,9 +749,19 @@ UNBOUND = MetricSpec(
         (metrics.custom({**DIAGONAL, "g33": "x3"}), (0.0, 0.0, 1e7), "det below 1e-14 max(g_ii)^3"),
         (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1", "g33": "x1"}), (1e107, 0.0, 0.0), "e+214, inf"),
         (metrics.custom(TILTED), (math.nan, 0.2, 0.3), "minors nan, nan, nan"),
+        # states with no zero entry, where the fast step raises and the full
+        # step raises the same fault
+        (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1"}), (-1.0, 0.5, 0.5), "minors -1.000e+00,"),
+        (metrics.custom({**DIAGONAL, "g11": "x1"}), (1e7, 0.5, 0.5), "det below 1e-14 max(g_ii)^3"),
+        (metrics.custom({**DIAGONAL, "g33": "1 + 0.1*log(x1)"}), (-0.2, 0.5, 0.5), "log of non-positive value"),
+        # constants whose minors overflow as the fast step is generated: no
+        # constant is folded in
+        (metrics.custom({**DIAGONAL, "g11": "1e200", "g22": "1e200", "g33": "1e200"}), (0.5, 0.5, 0.5),
+         "minors 1.000e+200, inf, inf"),
     ],
     ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound", "g11-zero", "m2-zero",
-         "g11-negative", "m2-negative", "det-floor-g11", "det-floor-g22", "det-floor-g33", "det-inf", "nan"],
+         "g11-negative", "m2-negative", "det-floor-g11", "det-floor-g22", "det-floor-g33", "det-inf", "nan",
+         "fast-g11-negative", "fast-det-floor", "fast-log", "fast-unfolded"],
 )
 def test_generated_stage_faults_as_gamma_at(spec, x, message):
     """Where ``gamma_at`` raises at a point, the generated walk raises the
