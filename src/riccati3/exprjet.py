@@ -729,7 +729,8 @@ class Tape:
         return _run(self.ops, self.outputs, as_point(p), order)
 
     def first_order(self, p):
-        """``run(p, 1)`` at one point on Python floats, bit for bit: the
+        """``run(p, 1)`` at one point on Python floats, bit for bit but for
+        the sign of a nan made by adding two nans (``float_function``): the
         values and first partials of the expressions as (values, d_1, d_2,
         d_3), one float per expression in each.  It runs the tape's
         ``float_function``, generated on first use."""
@@ -760,11 +761,15 @@ class Tape:
         step) are made by it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
-        being four floats.  A product writes coefficient i as 0.0 + u0 v_i +
-        u_i v0, the Leibniz terms in ``_mul``'s order summed from +0.0, as
-        its one-hot product sums them; where the sum of the four is inf or
-        nan, which that product spreads over the other coefficients as nan,
-        it is ``_mul`` itself (``_mul_floats``).  A power writes 1.0 a0^n
+        being four floats, and so its bits, with one exception: a nan made by
+        adding two nans may carry the other sign bit, for Python's float add
+        keeps its first operand's nan and numpy's add need not (the partials
+        of sin(x1) + cos(x1) at x1 = nan are -nan here and +nan in ``run``);
+        nans of either sign are the same value.  A product writes coefficient
+        i as 0.0 + u0 v_i + u_i v0, the Leibniz terms in ``_mul``'s order
+        summed from +0.0, as its one-hot product sums them; where the sum of
+        the four is inf or nan, which that product spreads over the other
+        coefficients as nan, it is ``_mul`` itself (``_mul_floats``).  A power writes 1.0 a0^n
         and b a0^(n - 1), b = 1.0 n / 1, as ``_binomial_series`` has them,
         and a call its value and derivative from ``math`` as
         ``_function_series`` has them (``_CALLS``).  Where a guard misses,

@@ -300,12 +300,13 @@ def _metric_fault(spec, at, values):
 def lowered_symbol(dg):
     """Christoffel symbols of the first kind from the metric's first partials
     in the ``partials`` layout dg[..., i, j, m] = d_m g_ij (symmetric in i, j):
-    low[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, built in place
-    as a C-contiguous array."""
-    low = np.add(dg.swapaxes(-1, -2), dg, order="C")
+    low[..., l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, a C-contiguous
+    array.  The sum and difference run in the memory order of dg (``partials``
+    gives a view whose point axis is innermost), and the halving writes the
+    one C-order copy."""
+    low = np.add(dg.swapaxes(-1, -2), dg)
     low -= dg.swapaxes(-3, -1)
-    low *= 0.5
-    return low
+    return np.multiply(low, 0.5, order="C")
 
 
 def gamma_at(spec: MetricSpec, p):

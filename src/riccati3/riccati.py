@@ -15,8 +15,11 @@ values of J at the stage times of the path's steps are interpolated in one
 vectorized evaluation (``_stage_J``) per block of SAMPLE_BLOCK steps, as the
 stepping reaches the block, and handed to the stepping as Python floats; the
 blow-up bisection interpolates its off-grid steps with the same function.
-A Riccati step works on the three entries as floats, with u u written out on
-them: a 2x2 step has too little arithmetic to pay numpy's cost per call.
+The Riccati steps run in one loop on the three entries as named floats, with
+u u written out on them (a 2x2 step has too little arithmetic to pay numpy's
+cost per call): the path's steps and then, where a step blows up, the steps
+of the bisection that brackets the blow-up time, so the RK4 formula is
+written once.
 The geodesic steps run the same way on the 12 floats of the state
 (x, v, w1, w2): a path is one call of a function generated for the metric
 (``_walk``), on its first path, from its compiled tape
@@ -30,10 +33,12 @@ misses.  The slopes are summed on named floats in the order of the RK4
 combination.  The part of a stage after the replay comes in two versions,
 emitted from one list of lines (``_emit``): the full step, and a fast step
 with the tape's constant entries folded in (partial evaluation), which
-leaves out every product with a factor the tape fixes at 0.  A step from a
-state with no zero entry is fast; where it raises or ends in a state that
-is not finite, the full step runs from the same state, and so does every
-step from a state with a zero entry.  Both give the same bits (the comment
+leaves out every product with a factor the tape fixes at 0.  One test of
+the start row selects: a path whose start has no -0.0 entry runs every step
+as the fast step, and one with a -0.0 entry runs full steps.  Where a fast
+step ends in a state that is not finite, or raises after its first stage,
+the full step runs from the same state; where it raises at its first stage,
+the fault is raised at once.  Both versions give the same bits (the comment
 above ``_POINT``).  The contraction takes the lowered Christoffel symbols with v
 first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and
 raises each of the three vectors once with g^-1; the full Gamma is never
@@ -133,15 +138,24 @@ class RiccatiResult(NamedTuple):
 # constant 0 factor is dropped, a factor 1.0 left out, a line of constants
 # computed as the walk is generated, in the same float operations and order,
 # and the rule decided there where it reads constants only (partial
-# evaluation).  ``fast`` selects: a step from a state with no zero entry runs
-# the fast step; where that raises or ends in a state that is not finite,
-# the step runs again from the same start as the full step, and so does a
-# step from a state with a zero entry.  This is exact: a dropped value is a
-# product with a factor the tape fixes at 0, so every value of the fast step
-# is the full step's, but for the sign of a zero, which a stage point or a
-# new entry y + c k with y != 0 absorbs.  Where a dropped 0 meets an inf or
-# a nan, the full step has a nan there, and that inf or nan also reaches the
-# fast step's new state through a term that is kept.
+# evaluation).  ``fast`` selects, from one test of the start row: a path
+# whose start has no -0.0 entry runs every step as the fast step, and a path
+# with a -0.0 start entry runs full steps.  Where a fast step ends in a state
+# that is not finite, or raises at stage 1, 2 or 3, the step runs again from
+# the same start as the full step.  Where it raises at stage 0, the full step
+# raises the same, for stage 0 is the same replay at the same point in both
+# versions and the rule reads only the replay's g, so the fault is raised at
+# once and calls its series function once.
+# This is exact.  A dropped value is a product with a factor the tape fixes
+# at 0, so every value of the fast step is the full step's but for the sign
+# of a zero.  A stage point or new entry y + c k keeps y where the fast step
+# folds a zero c k away, and the two agree: y + c k with y != 0 is y, and
+# with y = +0.0 it is +0.0 whatever the sign of a zero c k.  They would
+# differ only at y = -0.0, and no state gains a -0.0 after its start: a sum
+# is -0.0 only when both operands are, so y + c k is -0.0 only where y is.
+# Where a dropped 0 meets an inf or a nan, the full step has a nan there,
+# and that inf or nan also reaches the fast step's new state through a term
+# that is kept.
 _POINT = ("x1", "x2", "x3", "v1", "v2", "v3", "p1", "p2", "p3", "r1", "r2", "r3")
 _STATE = ", ".join(f"y{i}" for i in range(12))
 
@@ -444,16 +458,17 @@ def _fold(constants):
 def _walk_source(constants):
     """The walk's source, for a tape whose replay binds the outputs
     ``constants`` to constants: each step's stages run the fast or the full
-    lines after the one replay, as ``fast`` selects."""
+    lines after the one replay, as ``fast`` selects from the start row."""
     points, stage, sums, new, commit = _fold(constants)
     return f"""def walk(ys, dt, dt_last):
     steps = len(ys) - 1
     {_STATE} = ys[0].tolist()
+    start = not any(copysign(1.0, y) < 0.0 for y in ({_STATE}) if not y)  # no -0.0 entry
     for step in range(1, steps + 1):
         if step == steps:
             dt = dt_last
         h = 0.5 * dt
-        fast = {" and ".join(f"y{i}" for i in range(12))}
+        fast = start
         while True:
             try:
                 for stage in range(4):
@@ -465,8 +480,8 @@ def _walk_source(constants):
                     {REPLAY}
 {_branch((stage, sums), (_STAGE, _SUMS), 20, _stage)}
             except (ArithmeticError, ValueError):
-                if not fast:
-                    raise
+                if not fast or not stage:
+                    raise  # at stage 0 the full step raises the same
                 fast = False  # the step again, as the full step, which raises for itself
                 continue
             w = dt / 6.0
@@ -482,14 +497,17 @@ def _walk_source(constants):
 
 
 # the walk's globals besides the tape's and its spec
-_WALK_GLOBALS = {"inf": math.inf, "_metric_fault": _metric_fault}
+_WALK_GLOBALS = {"inf": math.inf, "copysign": math.copysign, "_metric_fault": _metric_fault}
 
 
 @functools.lru_cache(maxsize=64)
 def _walk(spec):
     """The geodesic walk of ``spec``, generated from its tape on its first
     path and kept per spec, as ``metrics.resolve`` keeps the spec: one
-    function, whose steps are fast or full (``_walk_source``).  A g that
+    function, whose steps are all fast from a start with no -0.0 entry and
+    full from one with a -0.0 entry, a fast step falling back to the full
+    step where it ends in a state that is not finite or raises after its
+    first stage (``_walk_source``).  A g that
     fails ``leading_minors``' rule, written out in the walk, at a stage point
     raises ``metric_jets``' MetricError, as ``gamma_at`` does at the same
     point."""
@@ -600,29 +618,6 @@ def _stage_J(ts, Js, times):
     return out
 
 
-def _slope(a, b, c, J):
-    """-u u - J on the entries (u11, u12, u22) of the symmetric u = [[a, b], [b, c]]
-    and (J11, J12, J22) of the symmetric J."""
-    return -(a * a + b * b) - J[0], -(a * b + b * c) - J[1], -(b * b + c * c) - J[2]
-
-
-def _riccati_step(u, h, J0, Jmid, J1):
-    """One RK4 step of length h of u' = -u u - J on the entries (u11, u12, u22),
-    given those of J at the step's three stage times."""
-    a, b, c = u
-    h2 = 0.5 * h
-    k1 = _slope(a, b, c, J0)
-    k2 = _slope(a + h2 * k1[0], b + h2 * k1[1], c + h2 * k1[2], Jmid)
-    k3 = _slope(a + h2 * k2[0], b + h2 * k2[1], c + h2 * k2[2], Jmid)
-    k4 = _slope(a + h * k3[0], b + h * k3[1], c + h * k3[2], J1)
-    w = h / 6.0
-    return (
-        a + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        b + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        c + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-    )
-
-
 def _blows_up(u):
     """The Frobenius norm of u is above BLOWUP_NORM, or is inf or nan."""
     a, b, c = u
@@ -649,29 +644,52 @@ def integrate_riccati(path: GeodesicPath, Js: np.ndarray, u0) -> RiccatiResult:
         defect = np.abs(us[:, 0] + us[:, 2])
         return RiccatiResult(ts[: len(us)], us, defect, float(defect.max()), blown_up, t_blow, bracket)
 
-    def steps():
-        """(t, t_next, J at the stage times) for each step between the path's
-        sample times; J one SAMPLE_BLOCK of steps at a time."""
-        for s in range(0, len(ts) - 1, SAMPLE_BLOCK):
-            block = ts[s : s + SAMPLE_BLOCK + 1]
-            yield from zip(block[:-1].tolist(), block[1:].tolist(), _stage_J(ts, Js, block).tolist())
-
     if _blows_up(u):
         return result(True, 0.0, (0.0, 0.0))
-    for t, t_next, stage_J in steps():
-        u_next = _riccati_step(u, t_next - t, *stage_J)
-        if _blows_up(u_next):
-            lo, hi = t, t_next
-            u_lo = u
-            while hi - lo > 1e-3:
-                mid = 0.5 * (lo + hi)
-                (stage_mid,) = _stage_J(ts, Js, np.array([lo, mid])).tolist()
-                u_mid = _riccati_step(u_lo, mid - lo, *stage_mid)
-                if _blows_up(u_mid):
-                    hi = mid
-                else:
-                    lo, u_lo = mid, u_mid
-            return result(True, 0.5 * (lo + hi), (lo, hi))
-        u = u_next
-        entries.append(u)
-    return result(False)
+    # One loop takes every RK4 step on the entries a, b, c of u: the path's
+    # steps, one SAMPLE_BLOCK at a time, and once a step blows up, the steps
+    # of the bisection of its bracket (lo, hi), each from the last state
+    # below the bound at lo to mid.  A step of length h from t to t_next
+    # reads J's entries at t, t + h/2 and t_next; its slopes are -u u - J.
+    a, b, c = u
+    lo = hi = None
+    s, i, n = 0, 0, 0
+    while True:
+        if i == n:  # the next block of steps, or the next bisection step
+            if hi is None:
+                if s == len(ts) - 1:
+                    return result(False)
+                times = ts[s : s + SAMPLE_BLOCK + 1]
+                s += len(times) - 1
+            elif hi - lo > 1e-3:
+                times = np.array([lo, 0.5 * (lo + hi)])
+            else:
+                return result(True, 0.5 * (lo + hi), (lo, hi))
+            stages, times = _stage_J(ts, Js, times).reshape(-1, 9).tolist(), times.tolist()
+            i, n = 0, len(stages)
+        t, t_next = times[i], times[i + 1]
+        ja, jb, jc, ma, mb, mc, za, zb, zc = stages[i]
+        i += 1
+        h = t_next - t
+        h2 = 0.5 * h
+        k1a, k1b, k1c = -(a * a + b * b) - ja, -(a * b + b * c) - jb, -(b * b + c * c) - jc
+        xa, xb, xc = a + h2 * k1a, b + h2 * k1b, c + h2 * k1c
+        k2a, k2b, k2c = -(xa * xa + xb * xb) - ma, -(xa * xb + xb * xc) - mb, -(xb * xb + xc * xc) - mc
+        xa, xb, xc = a + h2 * k2a, b + h2 * k2b, c + h2 * k2c
+        k3a, k3b, k3c = -(xa * xa + xb * xb) - ma, -(xa * xb + xb * xc) - mb, -(xb * xb + xc * xc) - mc
+        xa, xb, xc = a + h * k3a, b + h * k3b, c + h * k3c
+        k4a, k4b, k4c = -(xa * xa + xb * xb) - za, -(xa * xb + xb * xc) - zb, -(xb * xb + xc * xc) - zc
+        w = h / 6.0
+        xa = a + w * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        xb = b + w * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        xc = c + w * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if not math.sqrt(xa * xa + 2.0 * xb * xb + xc * xc) <= BLOWUP_NORM:  # ``_blows_up``
+            if hi is None:
+                lo, i = t, n  # the bisection, from the state at t
+            hi = t_next
+            continue
+        a, b, c = xa, xb, xc
+        if hi is None:
+            entries.append((a, b, c))
+        else:
+            lo = t_next

@@ -4,7 +4,9 @@ point's jets against packs at nearby points; a numpy geodesic stage, with
 Gamma from the order-1 metric jets and a linear solve, checks the float
 step of the generated geodesic walk (``riccati._walk``), the same float step
 as a chain of calls over ``gamma_at`` (``reference_float_step`` over
-``reference_slopes``) checks it bit for bit,
+``reference_slopes``) checks it bit for bit, the Riccati steps taken one
+function call at a time (``reference_riccati``) check ``integrate_riccati``'s
+one loop bit for bit,
 and the speed and frame drifts of a geodesic path check its invariants;
 the Neumann series of g^-1 to full order checks the curvature kernel's forward substitution for Gamma; a plain-float tree walk
 (``eval_scalar``) checks the jet evaluator, and loops over multi-index pairs
@@ -54,7 +56,14 @@ from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _pad
 from riccati3.metrics import _FULL_INDEX, MetricSpec, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import IsotropyMask, _directions, _first, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
-from riccati3.riccati import _blocks, integrate_geodesic, integrate_riccati, jacobi_along
+from riccati3.riccati import (
+    BLOWUP_NORM,
+    _blocks,
+    _stage_J,
+    integrate_geodesic,
+    integrate_riccati,
+    jacobi_along,
+)
 
 
 class EigengapError(ValueError):
@@ -174,6 +183,53 @@ def reference_rk4(spec, y, dt):
     k3 = reference_rhs(spec, y + 0.5 * dt * k2)
     k4 = reference_rhs(spec, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_riccati(ts, Js, u0):
+    """The RK4 steps of u' = -u u - J on the entries (u11, u12, u22) over the
+    sample times ``ts``, one function call a step, with J's entries ``Js``
+    interpolated to the stage times by ``_stage_J``: (us, blowup_time,
+    bracket), us the (k, 3) entries up to the last step below BLOWUP_NORM,
+    and the first step that blows up bisected as ``integrate_riccati``
+    does, (None, None) if none does."""
+
+    def slope(a, b, c, J):
+        return -(a * a + b * b) - J[0], -(a * b + b * c) - J[1], -(b * b + c * c) - J[2]
+
+    def step(u, h, J0, Jmid, J1):
+        a, b, c = u
+        h2 = 0.5 * h
+        k1 = slope(a, b, c, J0)
+        k2 = slope(a + h2 * k1[0], b + h2 * k1[1], c + h2 * k1[2], Jmid)
+        k3 = slope(a + h2 * k2[0], b + h2 * k2[1], c + h2 * k2[2], Jmid)
+        k4 = slope(a + h * k3[0], b + h * k3[1], c + h * k3[2], J1)
+        w = h / 6.0
+        return tuple(x + w * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i, x in enumerate(u))
+
+    def blows_up(u):
+        a, b, c = u
+        return not math.sqrt(a * a + 2.0 * b * b + c * c) <= BLOWUP_NORM
+
+    us = [tuple(map(float, u0))]
+    if blows_up(us[0]):
+        return np.array(us), 0.0, (0.0, 0.0)
+    for b in _blocks(len(ts) - 1):
+        times = ts[b.start : b.stop + 1]
+        for t, t_next, stage in zip(times[:-1].tolist(), times[1:].tolist(), _stage_J(ts, Js, times).tolist()):
+            u = step(us[-1], t_next - t, *stage)
+            if not blows_up(u):
+                us.append(u)
+                continue
+            lo, hi, u_lo = t, t_next, us[-1]
+            while hi - lo > 1e-3:
+                mid = 0.5 * (lo + hi)
+                u = step(u_lo, mid - lo, *_stage_J(ts, Js, np.array([lo, mid]))[0].tolist())
+                if blows_up(u):
+                    hi = mid
+                else:
+                    lo, u_lo = mid, u
+            return np.array(us), 0.5 * (lo + hi), (lo, hi)
+    return np.array(us), None, None
 
 
 def _inner(a, g, b):

@@ -571,6 +571,22 @@ def test_first_order_replay_faults_as_the_order1_run(src, point, message):
         assert got[1] == message and issubclass(got[0], ExprError)
 
 
+def test_first_order_replay_differs_from_the_run_only_in_the_sign_of_a_nan():
+    """The one way the float replay leaves ``run(p, 1)``'s bits: a nan made by
+    adding two nans may carry the other sign bit (Python's float add keeps
+    its first operand's nan, numpy's add need not).  At x1 = nan the
+    partials of sin(x1) + cos(x1) are nan in both, -nan in the replay and
+    +nan in the run; every value agrees, nans of either sign equal."""
+    tape = Tape((parse_expr("sin(x1) + cos(x1)"), parse_expr("x3")))
+    point = (math.nan, 0.0, 0.0)
+    got = np.array(tape.first_order(point))
+    with np.errstate(all="ignore"):
+        want = np.array(tape.run(point, 1)).T
+    assert np.array_equal(got, want, equal_nan=True)
+    differ = np.signbit(got) != np.signbit(want)
+    assert np.all(np.isnan(got[differ])) and differ[1:, 0].all()
+
+
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
 def test_group_tables_cover_every_leibniz_pair_once(c):
     """The outputs of degree c take every Leibniz pair (gamma, alpha, beta) of

@@ -5,10 +5,18 @@ import types
 
 import numpy as np
 import pytest
-from oracles import constrained_probe, frame_drift, gamma_arrays, reference_float_step, reference_rk4, speed_drift
+from oracles import (
+    constrained_probe,
+    frame_drift,
+    gamma_arrays,
+    reference_float_step,
+    reference_riccati,
+    reference_rk4,
+    speed_drift,
+)
 from test_exprjet import _tape_specs
 
-from riccati3 import exprjet, metrics, riccati
+from riccati3 import cli, exprjet, metrics, riccati
 from riccati3.exprjet import parse_expr
 from riccati3.curvature import curvature_r_only, jacobi_op, pack_at
 from riccati3.metrics import MetricSpec
@@ -451,6 +459,22 @@ def _full_walk(spec):
     return spec.tape.float_function(lambda constants: riccati._walk_source({}), metrics.COMPONENT_NAMES, env)
 
 
+def _recording_walk(spec):
+    """``spec``'s walk, and the list to which each attempt of a step appends
+    its version as it starts: True for the fast step, False for the full
+    step.  A step that the fast step takes adds [True], one where it falls
+    back [True, False], and a full step [False]."""
+    ran = []
+
+    def template(constants):
+        source = riccati._walk_source(constants)
+        assert source.count("for stage in range(4):") == 1
+        return source.replace("for stage in range(4):", "_ran.append(fast)\n                for stage in range(4):")
+
+    env = {**riccati._WALK_GLOBALS, "spec": spec, "_ran": ran}
+    return spec.tape.float_function(template, metrics.COMPONENT_NAMES, env), ran
+
+
 def _fast_lines(spec):
     """The lines of the fast step of ``spec``'s walk, as ``riccati._fold``
     gives them from the constants of its tape: (stage points, stage, slope
@@ -625,10 +649,10 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
     tests/oracles.py), zero signs included, for dt = 1e-2 and -5e-2, at
     random states and at states with +0.0 and -0.0 entries (where some
     metrics fault, the same way).  So does the walk generated with no
-    constant folded in (``_full_walk``): a state with no zero entry takes
-    the fast step and one with a zero entry the full step, and both are the
-    reference.  The same holds at states with no zero entry where the fast
-    step falls back to the full step: every entry 1.7e308 (the new state
+    constant folded in (``_full_walk``): a state with no -0.0 entry takes
+    the fast step and one with a -0.0 entry the full step, and both are the
+    reference.  The same holds at states where the fast step falls back to
+    the full step: every entry 1.7e308 (the new state
     overflows on flat, a stage point faults elsewhere); a frame of entries
     near 1.7e308 and a fast v (the transport slopes overflow, and the new
     state is not finite with no fault); v1 = inf (on flat the fast step
@@ -680,8 +704,8 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
     """A whole path of the walk, of one step shorter than dt, of ten steps and
     of ten steps and a shortened last one, is the path of
     ``reference_float_step`` bit for bit, or faults as it does: in two
-    directions with no zero entry, where the steps are fast, and along the
-    axes x1 and x3, where v and the frame start with zero entries."""
+    directions with no zero entry, and along the axes x1 and x3, where v and
+    the frame start with +0.0 entries; the steps are fast in all four."""
     box = np.array(spec.box)
     p = box.mean(axis=1)
     ts = _sample_times(T, dt)
@@ -704,22 +728,71 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
             assert _outcome(walked, p, v) == _outcome(reference, p, v)
 
 
-def test_walk_takes_the_full_step_from_a_zero_entry_and_the_fast_step_after():
-    """On flat, a state whose x1 lands exactly on 0 after one step: the walk
-    takes the fast step, then the full step from the state with x1 = 0,
-    then the fast step again, and each row is ``reference_float_step``'s and
-    the full step's bit for bit.  (v1 = 0.5 gives q0 = 6 v1 = 3 and w q0 =
-    0.375 exactly at dt = 0.75.)"""
+def test_walk_runs_fast_steps_across_a_zero_entry_and_full_steps_from_a_negative_zero():
+    """On flat, a state whose x1 lands exactly on +0.0 after one step: the
+    walk takes the fast step at every step, across the state with x1 = 0.
+    From the same state with x2 = -0.0, every step is a full step.  Each row
+    is ``reference_float_step``'s and the full step's bit for bit.  (v1 = 0.5
+    gives q0 = 6 v1 = 3 and w q0 = 0.375 exactly at dt = 0.75.)"""
     spec = metrics.builtin("flat")
-    ys = np.empty((4, 12))
-    ys[0] = [-0.375, 0.3, 0.2, 0.5, 0.25, -0.5, 0.6, -0.8, 0.1, 0.3, 0.2, -0.7]
-    full = ys.copy()
-    riccati._walk(spec)(ys, 0.75, 0.75)
-    _full_walk(spec)(full, 0.75, 0.75)
-    assert ys[1, 0] == 0.0 and np.all(ys[[0, 2, 3]] != 0.0)
-    for k in range(1, 4):
-        assert ys[k].tobytes() == full[k].tobytes()
-        assert ys[k].tobytes() == np.array(reference_float_step(spec, ys[k - 1].tolist(), 0.75)).tobytes()
+    start = [-0.375, 0.3, 0.2, 0.5, 0.25, -0.5, 0.6, -0.8, 0.1, 0.3, 0.2, -0.7]
+    for x2, version in ((0.3, True), (-0.0, False)):
+        ys = np.empty((4, 12))
+        ys[0] = start[:1] + [x2] + start[2:]
+        full = ys.copy()
+        walk, ran = _recording_walk(spec)
+        walk(ys, 0.75, 0.75)
+        _full_walk(spec)(full, 0.75, 0.75)
+        assert ys[1, 0] == 0.0 and ran == [version] * 3
+        for k in range(1, 4):
+            assert ys[k].tobytes() == full[k].tobytes()
+            assert ys[k].tobytes() == np.array(reference_float_step(spec, ys[k - 1].tolist(), 0.75)).tobytes()
+
+
+def test_riccati_cmd_from_a_negative_zero_point_runs_full_steps(tmp_path, capsys, monkeypatch):
+    """A ``riccati`` request whose --point has a -0.0 entry prints and writes
+    the bytes it gives with the walk generated with nothing folded in
+    (``_full_walk``), and its path takes only full steps."""
+    spec = metrics.builtin("flat")
+    out = tmp_path / "traj.csv"
+    argv = ["riccati", "flat", "--point=-0.0,0.3,0.2", "--dir", "1,0.5,0.2", "--T", "0.5", "--dt", "0.01",
+            "--out", str(out)]
+    walk, ran = _recording_walk(spec)
+    readings = []
+    for generated in (walk, _full_walk(spec)):
+        monkeypatch.setattr(riccati, "_walk", lambda spec, generated=generated: generated)
+        assert cli.main(argv) == 0
+        readings.append((capsys.readouterr().out, out.read_bytes()))
+    assert readings[0] == readings[1] and ran == [False] * 50
+
+
+@pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
+def test_paths_from_a_positive_zero_start_take_the_fast_step(spec):
+    """A path along an axis direction starts with +0.0 entries in v and the
+    frame, and none at -0.0: it takes every step as the fast step (flat
+    along e1 and hyperbolic along e3 included, whose zero entries stay 0),
+    and is the full walk's and ``reference_float_step``'s path bit for bit,
+    or faults as they do (mul-fallback along e1, at a step's first stage)."""
+    p = np.array(spec.box).mean(axis=1)
+    dt = 0.01
+
+    def reference(ys, dt, dt_last):
+        for k in range(1, len(ys)):
+            ys[k] = reference_float_step(spec, ys[k - 1].tolist(), dt)
+
+    for v in np.eye(3):
+        start = integrate_geodesic(spec, p, v, 0.0, dt)
+        y = np.concatenate([start.xs[0], start.vs[0], start.w1s[0], start.w2s[0]])
+        assert np.any(y == 0.0) and not np.any(np.signbit(y) & (y == 0.0))
+        walk, ran = _recording_walk(spec)
+        outcomes = []
+        for f in (walk, _full_walk(spec), reference):
+            ys = np.tile(y, (11, 1))
+            with np.errstate(all="ignore"):  # mul-fallback's products leave the float range
+                outcomes.append(_outcome(lambda: f(ys, dt, dt) or ys))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert ran and all(ran)  # no step attempt is a full step
+        assert len(ran) == 10 or not isinstance(outcomes[0], bytes)
 
 
 DIAGONAL = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
@@ -797,12 +870,40 @@ def _close(got, want, rel):
 
 
 def test_three_entry_step_matches_the_full_matrix_step():
+    """One step of ``integrate_riccati`` on the three entries of u, over a
+    path of two samples, agrees with a full-matrix step on the same stage
+    values of J."""
     rng = np.random.default_rng(7)
     for _ in range(200):
-        u, J0, Jmid, J1 = (m + m.T for m in rng.standard_normal((4, 2, 2)))
-        h = rng.uniform(1e-3, 0.1)
-        got = riccati._riccati_step(_entries(u), h, _entries(J0), _entries(Jmid), _entries(J1))
-        assert _close(got, _entries(_full_matrix_step(u, h, J0, Jmid, J1)), 1e-14)
+        u, J0, J1 = (m + m.T for m in rng.standard_normal((3, 2, 2)))
+        path = types.SimpleNamespace(ts=np.array([0.0, rng.uniform(1e-3, 0.1)]))
+        Js = np.array([_entries(J0), _entries(J1)])
+        (stage,) = _stage_J(path.ts, Js, path.ts)
+        got = integrate_riccati(path, Js, _entries(u)).u[1]
+        assert _close(got, _entries(_full_matrix_step(u, path.ts[1], *map(_matrix, stage))), 1e-14)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 3e-3, 1e-3])
+def test_riccati_loop_is_the_per_step_reference_bit_for_bit(dt):
+    """``integrate_riccati``'s one loop gives the bytes of RK4 steps taken one
+    function call at a time (``reference_riccati`` in tests/oracles.py), and
+    the same blow-up time and bracket: on flat from u0 = diag(1, -1), whose
+    u22 = -1/(1 - t) blows up at t = 1; on heisenberg over more than one
+    SAMPLE_BLOCK at dt = 1e-3, from a u0 that stays bounded and one that
+    blows up; and from a u0 already past BLOWUP_NORM."""
+    flat = integrate_geodesic(metrics.builtin("flat"), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.5, dt)
+    heisenberg = integrate_geodesic(metrics.builtin("heisenberg", L=1.0), (0.1, 0.2, 0.3), (0.5, 0.7, 0.4), 1.2, dt)
+    cases = [(flat, (1.0, 0.0, -1.0)), (flat, (6e8, 0.0, 8e8)), (heisenberg, (0.3, 0.1, -0.3)),
+             (heisenberg, (2.0, 0.5, -6.0))]
+    blown = 0
+    for path, u0 in cases:
+        Js = jacobi_along(path)
+        res = integrate_riccati(path, Js, u0)
+        us, t_blow, bracket = reference_riccati(path.ts, Js, u0)
+        assert res.u.tobytes() == us.tobytes() and res.ts.tobytes() == path.ts[: len(us)].tobytes()
+        assert (res.blown_up, res.blowup_time, res.blowup_bracket) == (t_blow is not None, t_blow, bracket)
+        blown += res.blown_up and res.blowup_time > 0.0
+    assert blown == 2
 
 
 def test_riccati_trajectory_matches_the_full_matrix_reference():
