@@ -740,22 +740,21 @@ class Tape:
     def _first_order(self):
         names = [f"o{j}" for j in range(len(self.outputs))]
         columns = ("(" + "".join(f"{n}{s}, " for n in names) + ")" for s in _SUFFIXES)
-        template = f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}"
-        return self.float_function(template, names)
+        source = f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}"
+        return self.float_function(lambda constants: source, names)
 
     def float_function(self, template, names, env=None):
-        """The function whose Python source is ``template`` with each line
-        ``REPLAY`` replaced, at that line's indentation, by the tape's order-1
-        replay on the floats x1, x2, x3 as straight-line code, which binds
-        expression j's value and first partials to the names ``names[j]`` and
-        ``names[j]`` + ``_1``, ``_2``, ``_3``.  ``template`` starts ``def
-        NAME(`` and binds x1, x2, x3 before the replay; the function's
-        globals are ``env`` and the replay's own, whose names start with an
-        underscore, as do its registers.  ``template`` may also be a function
-        that returns that source from the replay's constant outputs: a dict
-        of each of those names that the replay binds to a literal or a
-        constant register (a constant expression's value and partials, a
-        coordinate's partials) to its float, the same at every point.  This
+        """The function whose Python source is ``template(constants)`` with
+        each line ``REPLAY`` replaced, at that line's indentation, by the
+        tape's order-1 replay on the floats x1, x2, x3 as straight-line code,
+        which binds expression j's value and first partials to the names
+        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``.  ``constants``
+        is a dict of each of those names that the replay binds to a literal
+        or a constant register (a constant expression's value and partials,
+        a coordinate's partials) to its float, the same at every point.  The
+        source starts ``def NAME(`` and binds x1, x2, x3 before the replay;
+        the function's globals are ``env`` and the replay's own, whose names
+        start with an underscore, as do its registers.  This
         is the one source generator: ``first_order`` and the geodesic walk
         (``riccati._walk``, which folds the constant outputs into its fast
         step) are made by it.
@@ -857,10 +856,9 @@ class Tape:
                     lines.append(f"{names[j]}{s} = {c}")
                 if c.startswith("_k") or c[0].isdigit():
                     constants[names[j] + s] = glob[c] if c.startswith("_k") else float(c)
-        if callable(template):
-            template = template(constants)
-        source = re.sub(rf"^( *){REPLAY}$", lambda m: "\n".join(m[1] + line for line in lines), template, flags=re.M)
-        name = template.split("(", 1)[0].removeprefix("def ")
+        text = template(constants)
+        source = re.sub(rf"^( *){REPLAY}$", lambda m: "\n".join(m[1] + line for line in lines), text, flags=re.M)
+        name = text.split("(", 1)[0].removeprefix("def ")
         exec(compile(source, f"<{name} of a tape>", "exec"), glob)
         return glob[name]
 

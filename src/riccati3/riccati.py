@@ -31,19 +31,20 @@ check and the adjugate inverse, written out on floats with the arithmetic of
 Christoffel contraction.  A stage calls no Python function unless a guard
 misses.  The slopes are summed on named floats in the order of the RK4
 combination.  The part of a stage after the replay comes in two versions,
-emitted from one list of lines (``_emit``): the full step, and a fast step
-with the tape's constant entries folded in (partial evaluation), which
-leaves out every product with a factor the tape fixes at 0.  One test of
-the start row selects: a path whose start has no -0.0 entry runs every step
-as the fast step, and one with a -0.0 entry runs full steps.  Where a fast
-step ends in a state that is not finite, or raises after its first stage,
-the full step runs from the same state; where it raises at its first stage,
-the fault is raised at once.  Both versions give the same bits (the comment
-above ``_POINT``).  The contraction takes the lowered Christoffel symbols with v
-first, as the matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and
-raises each of the three vectors once with g^-1; the full Gamma is never
-built.  The states
-of a path go into one preallocated (steps + 1, 12) array, one row a step.
+emitted from one list of Python lines (``_emit``): the full step, and a
+fast step with the tape's constant entries folded in on each line's syntax
+tree (``ast``; partial evaluation), which leaves out every product with a
+factor the tape fixes at 0.  One test of the start row selects: a path
+whose start has no -0.0 entry runs every step as the fast step, and one
+with a -0.0 entry runs full steps.  Where a fast step ends in a state that
+is not finite, or raises after its first stage, the full step runs from the
+same state; where it raises at its first stage, the fault is raised at
+once.  Both versions give the same bits (the comment above ``_POINT``).
+The contraction takes the lowered Christoffel symbols with v first, as the
+matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises each
+of the three vectors once with g^-1; the full Gamma is never built.  The
+states of a path go into one preallocated (steps + 1, 12) array, one row a
+step.
 The direction is scaled by a power of two before its g-length is taken, so
 a tiny or huge direction normalizes as that direction at unit size does, up
 to the entries that scaling a huge direction down rounds (an entry far
@@ -56,9 +57,10 @@ trace defect is part of the scientific output.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
-import re
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -134,15 +136,17 @@ class RiccatiResult(NamedTuple):
 # whose stage points, stage after the replay, slope sums and new state
 # ``_emit`` writes from the same lines below, in one function.  The full step
 # is those lines as they stand.  The fast step folds in the outputs that the
-# replay binds to a constant (``Tape.float_function``): a product with a
-# constant 0 factor is dropped, a factor 1.0 left out, a line of constants
-# computed as the walk is generated, in the same float operations and order,
-# and the rule decided there where it reads constants only (partial
-# evaluation).  ``fast`` selects, from one test of the start row: a path
-# whose start has no -0.0 entry runs every step as the fast step, and a path
-# with a -0.0 start entry runs full steps.  Where a fast step ends in a state
-# that is not finite, or raises at stage 1, 2 or 3, the step runs again from
-# the same start as the full step.  Where it raises at stage 0, the full step
+# replay binds to a constant (``Tape.float_function``), on the syntax tree
+# that ``ast`` parses from each line (``_folded``), and writes the tree out
+# again (``_source``): a product with a constant 0 factor is dropped, a
+# factor 1.0 left out, a line of constants computed as the walk is
+# generated, in the same float operations and order, and the rule decided
+# there where it reads constants only (partial evaluation).  ``fast``
+# selects, from one test of the start row: a path whose start has no -0.0
+# entry runs every step as the fast step, and a path with a -0.0 start entry
+# runs full steps.  Where a fast step ends in a state that is not finite, or
+# raises at stage 1, 2 or 3, the step runs again from the same start as the
+# full step.  Where it raises at stage 0, the full step
 # raises the same, for stage 0 is the same replay at the same point in both
 # versions and the rule reads only the replay's g, so the fault is raised at
 # once and calls its series function once.
@@ -181,9 +185,7 @@ def _contraction():
     return lines
 
 
-# A stage after the replay, in the lines that ``_emit`` reads: assignments of
-# sums of products (of names, float literals and parenthesized sums, by * and
-# /), comments, and the rule as one ``if not`` of comparisons joined by and.
+# A stage after the replay, as the Python lines that ``_emit`` folds
 _STAGE = [
     "# leading_minors' rule and the cofactors, whose last one is m2",
     "m2 = g11 * g22 - g12 * g12",
@@ -222,7 +224,6 @@ _SUMS = (_each("q{i} = k{i}"), _each("q{i} = q{i} + k{i}"), _each("q{i} = q{i} +
 # the names a stage or a step assigns for the next one, or for the replay:
 # the fast step folds a constant into them, but no name in place of one
 _PINNED = frozenset(_POINT + tuple(f"{n}{i}" for n in "kqy" for i in range(12)))
-_TOKEN = re.compile(r"\d[\d.]*(?:e-?\d+)?|\w+|\S")
 
 
 class _Unfolded(Exception):
@@ -230,178 +231,127 @@ class _Unfolded(Exception):
     of such a tape is the full step's lines."""
 
 
-def _parse_sum(tokens, i=0):
-    """The sum that starts at tokens[i], as its terms (negated, factors) with
-    each factor (divides, name, float or sum); and the index past it."""
-    terms = []
-    while True:
-        neg = tokens[i] == "-"
-        i += tokens[i] in ("-", "+")
-        factors, div = [], False
-        while True:
-            tok = tokens[i]
-            if tok == "(":
-                atom, i = _parse_sum(tokens, i + 1)
-            else:
-                atom = float(tok) if tok[0].isdigit() else tok
-            factors.append((div, atom))
-            i += 1  # past the name, the number or the ")"
-            if i == len(tokens) or tokens[i] not in ("*", "/"):
-                break
-            div, i = tokens[i] == "/", i + 1
-        terms.append((neg, tuple(factors)))
-        if i == len(tokens) or tokens[i] == ")":
-            return tuple(terms), i
+# each operator of the stage as its function on floats, its text and how tightly it binds
+_OPS = {ast.Add: (operator.add, "+", 1), ast.Sub: (operator.sub, "-", 1), ast.Mult: (operator.mul, "*", 2),
+        ast.Div: (operator.truediv, "/", 2), ast.Gt: (operator.gt, ">", 0), ast.Lt: (operator.lt, "<", 0)}
 
 
-def _names(terms):
-    for _, factors in terms:
-        for _, atom in factors:
-            if isinstance(atom, str):
-                yield atom
-            elif isinstance(atom, tuple):
-                yield from _names(atom)
+def _signed(x):
+    """x as (negated, the unnegated float or expression)."""
+    if isinstance(x, ast.UnaryOp):
+        return True, x.operand
+    return (x < 0, abs(x)) if isinstance(x, float) else (False, x)
 
 
-def _side(src):
-    """A side of a comparison of the rule: inf, which only the rule reads, or
-    a sum."""
-    return math.inf if src == "inf" else _parse_sum(_TOKEN.findall(src))[0]
+def _negated(x):
+    """-x, a negation of a negation cancelled."""
+    neg, x = _signed(x)
+    return x if neg else -x if isinstance(x, float) else ast.UnaryOp(ast.USub(), x)
+
+
+def _folded(node, env):
+    """The expression ``node`` with the names in ``env`` folded in, left to
+    right: a float where it is constant, or else an expression of names,
+    floats, + - * / and negations, with no negation below a product or to
+    the right of a sum.  An operation on two constants is computed; a product
+    with a 0 factor is 0, and a factor +-1.0 leaves only its sign; a 0 term
+    of a sum is left out (an expression equals no float).  Where a constant
+    is not finite or a divisor is 0, it raises ``_Unfolded``."""
+    kind = type(node)
+    if kind is ast.Name:
+        if node.id == "inf":
+            return math.inf  # which only the rule reads, and compares with
+        value = env.get(node.id, node)
+    elif kind is ast.Constant:
+        value = float(node.value)
+    elif kind is ast.UnaryOp:
+        return _negated(_folded(node.operand, env))
+    else:
+        a, b, op = _folded(node.left, env), _folded(node.right, env), type(node.op)
+        if op is ast.Div and b == 0.0:
+            raise _Unfolded
+        if type(a) is float and type(b) is float:
+            value = _OPS[op][0](a, b)
+        elif op in (ast.Add, ast.Sub):
+            if b == 0.0:
+                return a
+            if a == 0.0:
+                return b if op is ast.Add else _negated(b)
+            neg, b = _signed(b)
+            return ast.BinOp(a, (ast.Sub if (op is ast.Add) == neg else ast.Add)(), b)
+        elif 0.0 in (a, b):
+            return 0.0
+        else:
+            (aneg, a), (bneg, b) = _signed(a), _signed(b)
+            value = a if b == 1.0 else b if a == 1.0 and op is ast.Mult else ast.BinOp(a, node.op, b)
+            return _negated(value) if aneg != bneg else value
+    if type(value) is float and not math.isfinite(value):
+        raise _Unfolded
+    return value
+
+
+def _source(x, bind=0):
+    """The folded expression ``x`` as Python, in parentheses if it is an
+    operation that binds no tighter than ``bind``.  A negation is written
+    as a sign, -a * b for -(a * b), which is the same float."""
+    if isinstance(x, float):
+        return repr(x)
+    if isinstance(x, ast.Name):
+        return x.id
+    if isinstance(x, ast.UnaryOp):
+        return "-" + _source(x.operand, 1)
+    _, op, tight = _OPS[type(x.op)]
+    text = f"{_source(x.left, tight - 1)} {op} {_source(x.right, tight)}"
+    return f"({text})" if tight <= bind else text
 
 
 @functools.lru_cache(maxsize=None)
 def _parse(line):
-    """A line of the stage as (kind, parts, names): "#" for a comment, "if"
-    for the rule, whose parts are its clauses (left, op, right) and its
-    raise, and "=" for an assignment, whose parts are its targets and sums."""
-    if line.startswith("#"):
-        return "#", None, frozenset()
-    if line.startswith("if not ("):
-        body, stmt = line.removeprefix("if not (").split("): ", 1)
-        clauses = []
-        for clause in body.split(" and "):
-            left, op, right = re.split(r" ([<>]) ", clause)
-            clauses.append((_side(left), op, _side(right)))
-        sides = [s for left, _, right in clauses for s in (left, right) if isinstance(s, tuple)]
-        return "if", (clauses, stmt), frozenset(n for s in sides for n in _names(s))
-    targets, exprs = line.split(" = ")
-    targets = tuple(targets.split(", "))
-    sums = tuple(_parse_sum(_TOKEN.findall(e))[0] for e in exprs.split(", "))
-    return "=", (targets, sums), frozenset(targets).union(*(_names(s) for s in sums))
-
-
-def _finite(x):
-    if not math.isfinite(x):
-        raise _Unfolded
-    return x
-
-
-def _product(factors, env):
-    """A product folded left to right: a float, or (negated, text, kind) with
-    kind 0 for a name or a parenthesized text and 1 for a product.  The
-    constants before the first name are multiplied out; a constant 0 factor
-    makes the product 0, one of +-1.0 after a name only its sign."""
-    acc, neg, text, kind, zero = 1.0, False, None, 0, False
-    for div, atom in factors:
-        if isinstance(atom, str):
-            f = env.get(atom, (False, atom, 0))
-        else:
-            f = atom if isinstance(atom, float) else _sum(atom, env)
-        op = " / " if div else " * "
-        if isinstance(f, float):
-            if div and not f:
-                raise _Unfolded
-            if text is None:
-                acc = _finite(acc / f if div else acc * f)
-            elif not _finite(f):
-                zero = True
-            else:
-                neg ^= f < 0
-                if abs(f) != 1.0:
-                    text, kind = f"{text}{op}{abs(f)!r}", 1
-            continue
-        fneg, ftext, fkind = f
-        if fkind:
-            ftext = f"({ftext})"
-        if text is not None:
-            text, kind, neg = f"{text}{op}{ftext}", 1, neg ^ fneg
-            continue
-        zero |= not acc
-        neg = fneg ^ (acc < 0)
-        if div or abs(acc) != 1.0:
-            text, kind = f"{abs(acc)!r}{op}{ftext}", 1
-        else:
-            text = ftext
-    if zero:
-        return 0.0
-    return acc if text is None else (neg, text, kind)
-
-
-def _sum(terms, env):
-    """A sum folded left to right: a float, or (negated, text, kind) with
-    kind 2 for a sum of more than one term.  A term that folds to 0 is left
-    out once a term is not constant: x + 0 is x but for the sign of a zero."""
-    acc, parts = None, []
-    for neg, factors in terms:
-        t = _product(factors, env)
-        if isinstance(t, float):
-            t = -t if neg else t
-            if not parts:
-                acc = t if acc is None else _finite(acc + t)
-            elif t:
-                parts.append((t < 0, repr(abs(t))))
-            continue
-        if not parts and acc:
-            parts.append((acc < 0, repr(abs(acc))))
-        single = (neg ^ t[0],) + t[1:]
-        parts.append(single[:2])
-    if not parts:
-        return acc
-    if len(parts) == 1:
-        return single
-    (neg, text), *rest = parts
-    return False, ("-" if neg else "") + text + "".join(f" {'-' if n else '+'} {t}" for n, t in rest), 2
-
-
-def _text(value):
-    return repr(value) if isinstance(value, float) else ("-" if value[0] else "") + value[1]
+    """A line of the stage as its statement, None for a comment, and the
+    names it assigns or reads; those of the rule are the names its test
+    reads."""
+    module = ast.parse(line)
+    stmt = module.body[0] if module.body else None
+    read = stmt.test if isinstance(stmt, ast.If) else module
+    return stmt, frozenset(n.id for n in ast.walk(read) if isinstance(n, ast.Name))
 
 
 def _emit(lines, env):
     """The stage ``lines`` written out as Python lines, with the names in
-    ``env`` (each bound to a float, or to the (negated, text, kind) of what
-    it stands for) folded in: a line that reads none of them as it stands.
-    Each target that folds to a float, or to a name if it is not pinned, goes
-    into ``env`` in place of a line."""
+    ``env`` (each bound to a float, or to the folded expression it stands
+    for) folded in: a line that reads none of them as it stands.  Each
+    target that folds to a float, or to a name or its negation if it is not
+    pinned, goes into ``env`` in place of a line.  The rule, one ``if not``
+    of comparisons joined by and, keeps the comparisons that read a name;
+    where one of constants fails, it is its raise."""
     out = []
     for line in lines:
-        kind, parts, names = _parse(line)
+        stmt, names = _parse(line)
         if names.isdisjoint(env):
             out.append(line)
-        elif kind == "if":
-            clauses, stmt = parts
+        elif isinstance(stmt, ast.If):
+            fault = line[stmt.body[0].col_offset :]
             kept = []
-            for left, op, right in clauses:
-                a, b = (s if isinstance(s, float) else _sum(s, env) for s in (left, right))
+            for c in stmt.test.operand.values:
+                a, b, op = _folded(c.left, env), _folded(c.comparators[0], env), type(c.ops[0])
                 if not isinstance(a, float) or not isinstance(b, float):
-                    kept.append(f"{_text(a)} {op} {_text(b)}")
-                elif not (a > b if op == ">" else a < b):
-                    out.append(stmt)
+                    kept.append(f"{_source(a)} {_OPS[op][1]} {_source(b)}")
+                elif not _OPS[op][0](a, b):
+                    out.append(fault)
                     break
             else:
-                if kept:
-                    out.append(f"if not ({' and '.join(kept)}): {stmt}")
+                out += [f"if not ({' and '.join(kept)}): {fault}"] if kept else []
         else:
-            targets, sums = parts
-            values = [_sum(s, env) for s in sums]
+            (target,) = stmt.targets
+            targets = [t.id for t in getattr(target, "elts", [target])]
+            values = [_folded(v, env) for v in getattr(stmt.value, "elts", [stmt.value])]
             written = []
             for t, v in zip(targets, values):
-                if isinstance(v, float) or (t not in _PINNED and v[1].isidentifier()):
-                    env[t] = v
-                    continue
                 env.pop(t, None)
-                if _text(v) != t:
-                    written.append((t, _text(v)))
+                if isinstance(v, float) or (t not in _PINNED and isinstance(_signed(v)[1], ast.Name)):
+                    env[t] = v
+                elif (text := _source(v)) != t:
+                    written.append((t, text))
             if written:
                 out.append(", ".join(t for t, _ in written) + " = " + ", ".join(v for _, v in written))
     return out
@@ -604,10 +554,10 @@ def _stage_J(ts, Js, times):
     n = len(ts)
     if n == 1:
         return np.broadcast_to(Js[0], t.shape + (3,))
-    i = np.clip(np.searchsorted(ts, t) - 1, 0, n - 2)
+    i = np.minimum(np.maximum(np.searchsorted(ts, t) - 1, 0), n - 2)
     lo = np.maximum(0, np.minimum(i - 1, n - 4))
     idx = lo[..., None] + np.arange(min(4, n))  # (steps, 3, window)
-    tw, Jw = ts[idx], Js[idx]  # the window's sample times and J rows, gathered once
+    tw, Jw = np.take(ts, idx, axis=0), np.take(Js, idx, axis=0)  # the window's times and J rows
     out = np.zeros(t.shape + (3,))
     for a in range(idx.shape[-1]):
         w = np.ones(t.shape)

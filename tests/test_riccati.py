@@ -1,3 +1,4 @@
+import ast
 import dis
 import math
 import re
@@ -574,6 +575,75 @@ def test_fast_step_folds_the_constant_entries_away():
         assert "h12" not in k3 and "h13" not in k3
     huge = metrics.custom({**DIAGONAL, "g11": "1e200", "g22": "1e200", "g33": "1e200"})
     assert _fast_lines(huge)[1] == riccati._STAGE
+
+
+@pytest.mark.parametrize(
+    "expr,env,want",
+    [
+        ("0.0 * x", {}, 0.0),
+        ("x * 1.0", {}, "x"),
+        ("x * -1.0", {}, "-x"),
+        ("b * -s", {}, "-b * s"),
+        ("a + -b", {}, "a - b"),
+        ("a - -b", {}, "a + b"),
+        ("x + 0.0", {}, "x"),
+        ("0.0 - x", {}, "-x"),
+        ("1.0 / x", {}, "1.0 / x"),
+        ("-0.5 * (c11 / m3)", {"m3": 1.0}, "-0.5 * c11"),
+        ("(g11_2 - g12_1) * v1 + (g12_2 - g22_1) * v2", {"g11_2": 0.0, "g22_1": 2.0}, "-g12_1 * v1 + (g12_2 - 2.0) * v2"),
+        ("2.0 * g12 * g13 * g23 + x", {"g13": 0.0}, "x"),
+        ("m2 * g33 - g11 * g23", {"g33": 3.0, "g11": -1.0}, "m2 * 3.0 + g23"),
+        ("1.5 + 2.5 + x", {}, "4.0 + x"),
+    ],
+)
+def test_fold_rules_keep_the_bits(expr, env, want):
+    """``_folded`` on one expression: an operation on two constants is
+    computed, a product with a 0 factor is 0, a factor +-1.0 leaves only its
+    sign, a 0 term of a sum is left out, and a negation moves out of a
+    product and into a sum as the opposite operator.  The folded expression
+    gives the bits of the unfolded one, with the constants of ``env`` bound,
+    at random finite nonzero operands, but for the sign of a zero."""
+    got = riccati._folded(ast.parse(expr, mode="eval").body, dict(env))
+    assert (got if isinstance(got, float) else riccati._source(got)) == want
+    names = {n.id for n in ast.walk(ast.parse(expr)) if isinstance(n, ast.Name)} - set(env)
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        operands = {n: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)) for n in names}
+        full = eval(expr, {}, {**operands, **env})
+        folded = eval(want if isinstance(want, str) else repr(want), {}, operands)
+        assert folded.hex() == full.hex() or folded == full == 0.0
+
+
+@pytest.mark.parametrize("expr", ["c / 0.0", "c / (1.0 - 1.0)", "0.0 * x / 0.0", "1e300 * 1e300 + x", "x * big"])
+def test_fold_refuses_a_zero_divisor_and_a_constant_that_is_not_finite(expr):
+    """A division by a constant 0, and a constant that overflows or is an inf
+    in ``env``, raise ``_Unfolded``: the fast step of such a tape is the full
+    step."""
+    with pytest.raises(riccati._Unfolded):
+        riccati._folded(ast.parse(expr, mode="eval").body, {"big": math.inf})
+
+
+# the BinOp and arithmetic UnaryOp nodes of each builtin's fast step, as
+# (stage, the rest of the step), recorded from the text folder that the ast
+# fold replaced; both give the same walk source
+FAST_STEP_OPERATIONS = {"flat": (0, 32), "sphere": (106, 95), "sol": (85, 95), "heisenberg": (100, 95), "h2xr": (85, 95)}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_STEP_OPERATIONS))
+def test_fast_step_keeps_its_operation_count(name):
+    """The fast step of each benchmark builtin holds as many arithmetic
+    operations as when its counts were recorded, out of 206 in the full
+    stage: a fold that stops dropping a zero product, or leaving out a
+    factor 1.0, shows here without a timing."""
+
+    def operations(lines):
+        nodes = [n for line in lines for n in ast.walk(ast.parse(line))]
+        return sum(isinstance(n, ast.BinOp) or isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub) for n in nodes)
+
+    points, stage, sums, new, commit = _fast_lines(metrics.builtin(name))
+    rest = points + [line for s in sums for line in s] + new + commit
+    assert operations(riccati._STAGE) == 206
+    assert (operations(stage), operations(rest)) == FAST_STEP_OPERATIONS[name]
 
 
 def _counted_series(monkeypatch, walk):
