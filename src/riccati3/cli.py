@@ -26,9 +26,11 @@ from .riccati import DirectionError, StepsError, integrate_geodesic, integrate_r
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
-# sample points per batched curvature pack in ``analyze``: bounds the memory
-# of the (points, directions) arrays at large -n
+# sample points per batched curvature pack in ``analyze``, and point-directions
+# per detector call within a block (a call takes one point at least): together
+# they bound the memory of the (points, directions) arrays at large -n and -m
 POINT_BLOCK = 64
+SWEEP_BLOCK = 16384
 
 
 class UsageError(ValueError):
@@ -149,6 +151,37 @@ def _point_blocks(spec, points):
         yield start, block, pack
 
 
+def _rel_statistics(rels):
+    """((min, q25, median, q75, max), fraction above OBSTRUCTED_REL) of the
+    relative residuals ``rels``, a float array, as Python floats from one
+    sort: the bits of ``rels.min()``, ``np.quantile(rels, [0.25, 0.5, 0.75])``,
+    ``rels.max()`` and ``np.mean(rels > OBSTRUCTED_REL)``.  A residual
+    |r| / scale is never -0.0, which a sort and numpy's selection may place
+    apart from +0.0.
+
+    The quantiles are numpy's default 'linear' method written out on floats:
+    at v = q (n - 1), with a and b the sorted values at floor(v) and the next
+    index, d = b - a and t = v - floor(v), a + d t for t < 0.5 and
+    b - d (1 - t) otherwise.  At n = 1, a and b are the one value, whatever
+    the t (d t is 0, or nan where the value is infinite, as numpy's is).  A
+    nan sorts last, and makes every statistic but the fraction nan, as it
+    makes numpy's."""
+    s = np.sort(rels)
+    n = len(s)
+    frac = int(np.count_nonzero(s > OBSTRUCTED_REL)) / n
+    hi = s[-1].item()
+    if math.isnan(hi):
+        return (math.nan,) * 5, frac
+    stats = [s[0].item()]
+    for q in (0.25, 0.5, 0.75):
+        v = (n - 1) * q
+        i = math.floor(v)
+        a, b = s[i : i + 2].tolist() if i < n - 1 else (hi, hi)
+        d, t = b - a, v - i
+        stats.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
+    return (*stats, hi), frac
+
+
 def _setting(args, cfg, key, default):
     """``key``'s command-line value, else its config-file entry parsed as the
     type of ``default``, else ``default``."""
@@ -184,13 +217,23 @@ def cmd_analyze(args):
     isotropic = 0
     rank1 = None
     any_nonpositive = True
+    # the detector in calls of at most SWEEP_BLOCK point-directions, or of one
+    # point's: a point's values do not depend on the others in its call
+    per = max(1, SWEEP_BLOCK // n_dirs)
     for start, block, pack in _point_blocks(spec, points):
         res = identity_residuals(pack, n=8, seed=seed + start)  # one draw; point start + k reads row k
-        X = _unit_directions(pack, dirs)
-        ov = obstruction_values(pack, X)
-        rel = np.abs(ov.residual) / ov.scale
-        rels.append(rel.ravel())
-        isotropic += int(np.count_nonzero(ov.isotropic))
+        tables = []
+        for first in range(0, len(block), per):
+            part = pack._make(x[first : first + per] for x in pack)
+            X = _unit_directions(part, dirs)
+            ov = obstruction_values(part, X)
+            rel = np.abs(ov.residual) / ov.scale
+            rels.append(rel.ravel())
+            isotropic += int(np.count_nonzero(ov.isotropic))
+            if args.csv:
+                cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
+                tables.append(np.concatenate([X, np.stack(cols, -1)], -1))
+        table = np.concatenate(tables) if args.csv else None
         ranks = ricci_rank(pack)
         for k, p in enumerate(block):
             per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}})
@@ -210,16 +253,12 @@ def cmd_analyze(args):
                     "flagged": rep.flagged,
                 }
             if args.csv:
-                cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
-                sweep = np.column_stack([X[k]] + [c[k] for c in cols]).tolist()
-                rows += [[start + k, *p, idir, *row] for idir, row in enumerate(sweep)]
+                rows += [[start + k, *p, idir, *row] for idir, row in enumerate(table[k].tolist())]
 
-    rels = np.concatenate(rels)
-    q25, median, q75 = np.quantile(rels, [0.25, 0.5, 0.75]).tolist()
-    frac = float(np.mean(rels > OBSTRUCTED_REL))
+    (lo, q25, median, q75, hi), frac = _rel_statistics(np.concatenate(rels))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"
-    elif float(rels.max()) <= tol:
+    elif hi <= tol:
         verdict = "unobstructed-at-samples"
     else:
         verdict = "degenerate"
@@ -236,11 +275,11 @@ def cmd_analyze(args):
         "ric_nonpositive_everywhere": bool(any_nonpositive),
         "obstruction": {
             "quantiles": {
-                "min": float(rels.min()),
+                "min": lo,
                 "q25": q25,
                 "median": median,
                 "q75": q75,
-                "max": float(rels.max()),
+                "max": hi,
             },
             "fraction_exceeding": frac,
             "threshold": OBSTRUCTED_REL,

@@ -64,15 +64,18 @@ import numpy as np
 
 from .exprjet import DEGREES, N_BY_ORDER, add_pair_terms, contract, partials
 from .metrics import (
-    _FULL_INDEX,
     _SYM_INDEX,
     MetricJet,
     MetricSpec,
     cofactors,
+    full_matrices,
     leading_minors,
     lowered_symbol,
     metric_jets,
 )
+
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 class CurvaturePack(NamedTuple):
@@ -167,7 +170,7 @@ def _curvature_jets(G, tamper=False):
     order = N_BY_ORDER.index(len(G))
     g = [G[0][..., i, j] for i, j in _SYM_INDEX]  # g11, g12, g13, g22, g23, g33
     (_, _, det), _ = leading_minors(*g)
-    A = (np.stack(cofactors(*g), -1) / det[..., None])[..., _FULL_INDEX]
+    A = full_matrices(np.array(cofactors(*g)) / det)
     gamma = _christoffel(G, A)
 
     # T[..., i, j, k, l] = d_i Gamma^l_jk + sign Gamma^l_im Gamma^m_jk
@@ -204,8 +207,8 @@ def _nabla(T, gamma):
 def _kn(g, S, S_op):
     """(S d_i ^ d_j + d_i ^ S d_j) d_k as T[..., i, j, k, l] from a form S[..., i, k]
     and its operator S_op[..., l, i]; S's leading (derivative) axes broadcast."""
-    F = np.einsum("...jk,...li->...ijkl", g, S_op) - np.einsum("...ik,jl->...ijkl", S, np.eye(3))
-    return F - np.swapaxes(F, -4, -3)
+    F = np.einsum("...jk,...li->...ijkl", g, S_op) - np.einsum("...ik,jl->...ijkl", S, _EYE)
+    return F - F.swapaxes(-4, -3)
 
 
 def curvature_pack(m: MetricJet, tamper: bool = False) -> CurvaturePack:
@@ -315,6 +318,13 @@ def _products(X, k):
     return out
 
 
+def _moved(T):
+    """T[..., i, j, k, l] as T[..., j, k, l, i]: ``np.moveaxis(T, -4, -1)``
+    as one transpose."""
+    d = T.ndim
+    return T.transpose(*range(d - 4), d - 3, d - 2, d - 1, d - 4)
+
+
 def _matrix(T, rows, cols):
     """The last rows + cols axes of T as a (3^rows, 3^cols) matrix, at each
     point of a batch: a right factor of ``_products(X, rows)``."""
@@ -329,7 +339,7 @@ def jacobi_op(pack: CurvaturePack, v) -> np.ndarray:
     if (_inner(pack.g, v, v) == 0.0).any():
         raise ValueError("Jacobi operator needs a nonzero vector")
     # R[..., i, j, k, l] as the (jk, li) matrix: one product sums over j, k
-    return (_products(v, 2) @ _matrix(np.moveaxis(pack.R, -4, -1), 2, 2)).reshape(v.shape + (3,))
+    return (_products(v, 2) @ _matrix(_moved(pack.R), 2, 2)).reshape(v.shape + (3,))
 
 
 def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int = 0):
@@ -353,24 +363,24 @@ def identity_residuals(pack: CurvaturePack, vectors=None, n: int = 20, seed: int
     vectors = np.asarray(vectors, dtype=float)
 
     g, scal = pack.g, np.asarray(pack.scal)[..., None, None]
-    rho = pack.ginv @ pack.ric - (scal / 4.0) * np.eye(3)
+    rho = pack.ginv @ pack.ric - (scal / 4.0) * _EYE
     J = jacobi_op(pack, vectors)
     rv = vectors @ rho.swapaxes(-1, -2)
     gvv, gvrv, grr = _inner(g, vectors, vectors), _inner(g, vectors, rv), _inner(g, rv, rv)
-    tr2 = np.trace(rho @ rho, axis1=-2, axis2=-1)[..., None]
-    tr1 = np.trace(rho, axis1=-2, axis2=-1)[..., None]
+    tr2 = (rho @ rho).trace(axis1=-2, axis2=-1)[..., None]
+    tr1 = rho.trace(axis1=-2, axis2=-1)[..., None]
     rhs = (tr2 * gvv + 2.0 * tr1 * gvrv - 2.0 * grr) * gvv + gvrv**2
-    j2 = np.max(np.abs(np.einsum("...pab,...pba->...p", J, J) - rhs), axis=-1, initial=0.0)
+    j2 = np.abs(np.einsum("...pab,...pba->...p", J, J) - rhs).max(axis=-1, initial=0.0)
 
     div = np.einsum("...ab,...abj->...j", pack.ginv, pack.nabla_ric)
-    bianchi = np.max(np.abs(div - 0.5 * pack.dscal), axis=-1)
+    bianchi = np.abs(div - 0.5 * pack.dscal).max(axis=-1)
 
     # R(X, Y) - (rho X ^ Y + X ^ rho Y) on the pairs (a, a + 1) and (a, a + 2)
     X = np.concatenate([vectors[..., :-1, :], vectors[..., :-2, :]], axis=-2)
     Y = np.concatenate([vectors[..., 1:, :], vectors[..., 2:, :]], axis=-2)
     rho_low = pack.ric - (scal / 4.0) * g
     diff = _outer(X, Y) @ _matrix(pack.R - _kn(g, rho_low, rho), 2, 2)
-    kulkarni = np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
+    kulkarni = np.abs(diff).max(axis=(-2, -1), initial=0.0)
 
     res = {"j2": j2, "bianchi": bianchi, "kulkarni": kulkarni}
     return {key: float(x) for key, x in res.items()} if one else res
@@ -389,8 +399,8 @@ def ricci_rank(pack: CurvaturePack, tol: float = 1e-8) -> RankReport:
     big = np.abs(W) > tol
     first = np.take_along_axis(np.where(big, W, 0.0), np.argmax(big, axis=-2)[:, None], axis=-2)
     W = np.where(first < 0.0, -W, W)
-    lam_max = np.max(np.abs(lam), axis=-1, keepdims=True)
-    rank = np.sum(np.abs(lam) > tol * (1.0 + lam_max), axis=-1)
+    lam_max = np.abs(lam).max(axis=-1, keepdims=True)
+    rank = (np.abs(lam) > tol * (1.0 + lam_max)).sum(axis=-1)
     report = RankReport(
         eigenvalues=lam,
         eigenframe=W,

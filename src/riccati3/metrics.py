@@ -250,11 +250,11 @@ def metric_jets(spec: MetricSpec, p, order: int = 4) -> MetricJet:
     point = as_point(p)
     comps = spec.tape.run(point, order)  # (N(k),) or (N(k), n) each
     _, usable = leading_minors(*(c[0] for c in comps))
-    if not np.all(usable):
+    if not usable.all():
         k = int(np.argmin(np.ravel(usable)))
         at = point if isinstance(point, tuple) else tuple(map(float, point[k]))
         raise _metric_fault(spec, at, [float(np.ravel(c[0])[k]) for c in comps])
-    return MetricJet(point, np.stack(comps, -1)[..., _FULL_INDEX], spec)
+    return MetricJet(point, full_matrices(np.array(comps)), spec)
 
 
 def leading_minors(g11, g12, g13, g22, g23, g33):
@@ -267,6 +267,15 @@ def leading_minors(g11, g12, g13, g22, g23, g33):
     usable = (g11 > 0) & (m2 > 0) & (m3 < math.inf) & (m3 > 1e-14 * g11 * g11 * g11)
     usable = usable & (m3 > 1e-14 * g22 * g22 * g22) & (m3 > 1e-14 * g33 * g33 * g33)
     return (g11, m2, m3), usable
+
+
+def full_matrices(entries):
+    """The symmetric matrices, batch + (3, 3), of their six entries in the
+    order of ``COMPONENT_NAMES``, an array of shape (6,) + batch: one copy,
+    a (3, 3) + batch C-order array seen with its entry axes last, which is
+    the layout of ``np.stack(entries, -1)[..., _FULL_INDEX]``."""
+    full = entries.take(_FULL_INDEX, axis=0)
+    return full.transpose(*range(2, full.ndim), 0, 1)
 
 
 def cofactors(g11, g12, g13, g22, g23, g33):

@@ -47,9 +47,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import (
+    _EYE,
     CurvaturePack,
     _dot,
     _matrix,
+    _moved,
     _outer,
     _products,
     ricci_rank,
@@ -150,15 +152,18 @@ def obstruction_values(pack: CurvaturePack, X) -> ObstructionValues:
         raise ValueError("zero direction")
     # one product per degree: X X against [R | ric | nabla^2 ric], X X X against [nabla R | nabla ric]
     XX = _products(X, 2)
-    R, nablaR = np.moveaxis(pack.R, -4, -1), np.moveaxis(pack.nablaR, -4, -1)
+    R, nablaR = _moved(pack.R), _moved(pack.nablaR)
     even = XX @ np.concatenate([_matrix(R, 2, 2), _matrix(pack.ric, 2, 0), _matrix(pack.nabla2_ric, 2, 2)], -1)
     odd = _outer(X, XX) @ np.concatenate([_matrix(nablaR, 3, 2), _matrix(pack.nabla_ric, 3, 0)], -1)
     J, t, ric4 = even[..., :9].reshape(X.shape + (3,)), even[..., 9], _dot(even[..., 10:], XX)
     D1 = odd[..., 9]
 
     # Jo and Jo' = J - (t/2) proj and J' - (D1/2) proj, proj = id - X g(X, .)/g(X, X)
-    proj = np.eye(3) - np.einsum("...l,...i->...li", X, gX / gXX[..., None])
-    Jos = np.stack([J, odd[..., :9].reshape(J.shape)]) - 0.5 * np.stack([t, D1])[..., None, None] * proj
+    proj = _EYE - np.einsum("...l,...i->...li", X, gX / gXX[..., None])
+    Jos, tD1 = np.empty((2,) + J.shape), np.empty((2,) + t.shape)
+    Jos[0], Jos[1] = J, odd[..., :9].reshape(J.shape)
+    tD1[0], tD1[1] = t, D1
+    Jos -= 0.5 * tD1[..., None, None] * proj
     Jo, Jpo = Jos
     C = Jo @ Jpo - Jpo @ Jo
     traces = _trace_product(Jo, Jos)  # tr(Jo o Jo), tr(Jo o Jo')

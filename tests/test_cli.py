@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccati3 import metrics, obstruction
-from riccati3.cli import OBSTRUCTED_REL, POINT_BLOCK, _sample_points, _unit_directions, _write_csv, main
+from riccati3.cli import (
+    OBSTRUCTED_REL,
+    POINT_BLOCK,
+    SWEEP_BLOCK,
+    _rel_statistics,
+    _sample_points,
+    _unit_directions,
+    _write_csv,
+    main,
+)
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
 from riccati3.exprjet import Tape
 from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
@@ -752,6 +762,86 @@ def test_analyze_draws_identity_vectors_per_point(capsys, monkeypatch):
         assert per_point[ip]["kulkarni"] > 1e-3
 
 
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_rel_statistics_are_numpys_bit_for_bit():
+    """The statistics of one sort are rels.min(), np.quantile(rels, [0.25,
+    0.5, 0.75]), rels.max() and np.mean(rels > OBSTRUCTED_REL) bit for bit,
+    the sign of a zero included, as Python floats: on 1 to 600 values about
+    the threshold, with ties, zeros, subnormals and infinities.  A relative
+    residual |r| / scale is never -0.0, so none is drawn."""
+    rng = np.random.default_rng(40)
+    pool = np.array([0.0, 5e-324, 1e-310, OBSTRUCTED_REL, 0.5, 1.0, 1.0 + 2**-52, np.inf])
+    sizes = list(range(1, 41)) + rng.integers(41, 601, 60).tolist()
+    with np.errstate(invalid="ignore"):
+        for n in sizes:
+            draws = (
+                rng.random(n) * 2e-6,
+                rng.choice(pool, n),
+                rng.choice(pool[:5], n),
+                np.where(rng.random(n) < 0.3, 0.0, rng.random(n) * 1e-308),
+            )
+            for x in draws:
+                stats, frac = _rel_statistics(x)
+                assert all(type(v) is float for v in (*stats, frac))
+                want = [x.min(), *np.quantile(x, [0.25, 0.5, 0.75]), x.max()]
+                assert _bits(stats) == _bits(want), (n, x)
+                assert _bits(frac) == _bits(np.mean(x > OBSTRUCTED_REL)), (n, x)
+
+
+def test_rel_statistics_are_nan_when_any_value_is():
+    """A nan anywhere makes min, the quartiles and max nan, as it makes numpy's;
+    the fraction counts the values above the threshold over all of them."""
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 7, 64, 599):
+        x = rng.random(n) * 2e-6
+        x[rng.integers(n)] = np.nan
+        stats, frac = _rel_statistics(x)
+        assert np.isnan(stats).all()
+        assert np.isnan([x.min(), *np.quantile(x, [0.25, 0.5, 0.75]), x.max()]).all()
+        assert frac == np.mean(x > OBSTRUCTED_REL)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sol", "sphere", "h2xr"])
+def test_analyze_detector_calls_keep_the_bytes(name, tmp_path, capsys, monkeypatch):
+    """A block's points split into detector calls of at most SWEEP_BLOCK
+    point-directions give the JSON and CSV of one call per block, byte for
+    byte: calls of 1, 7 and 63 points, and of one point where the directions
+    alone are more than SWEEP_BLOCK.  The sweep and points workloads' sizes
+    and -n 200 -m 256 are one call per block."""
+    assert 2 * 256 <= SWEEP_BLOCK and POINT_BLOCK * 256 <= SWEEP_BLOCK
+    argv = ("analyze", name, "-n", str(POINT_BLOCK + 3), "-m", "50", "--seed", "6", "--json")
+    outputs = set()
+    for block in (SWEEP_BLOCK, 1, 50, 7 * 50, 63 * 50 + 49):
+        monkeypatch.setattr("riccati3.cli.SWEEP_BLOCK", block)
+        sweep = tmp_path / f"sweep{block}.csv"
+        code, out = run(capsys, *argv, "--csv", str(sweep))
+        assert code == 0
+        outputs.add((out, sweep.read_bytes()))
+    assert len(outputs) == 1
+
+
+def test_analyze_memory_is_bounded_in_directions(capsys):
+    """The detector runs on at most SWEEP_BLOCK point-directions a call, so
+    a block of POINT_BLOCK points at eight times the directions of one full
+    call adds little more than the residuals (8 bytes a sample) to analyze's
+    peak memory, which one call over the block would multiply about eightfold
+    (traced by tracemalloc, where numpy reports its arrays)."""
+    m = SWEEP_BLOCK // POINT_BLOCK
+    peaks = []
+    for dirs in (m, 8 * m):
+        tracemalloc.start()
+        try:
+            code, _ = run(capsys, "analyze", "heisenberg", "-n", str(POINT_BLOCK), "-m", str(dirs), "--json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 MIXED_FAULTS = {"g11": "2+log(x1+0.9)", "g22": "x2+0.9", "g33": "1/(x3-0.95)^2"}
 
 
@@ -1046,6 +1136,23 @@ def test_cli_import_leaves_numpy_polynomial_out():
     assert "riccati3.cli" in modules and "numpy" in modules
     assert "numpy.polynomial" not in modules
     assert "numpy.random" not in modules
+
+
+def test_first_analyze_leaves_numpy_ma_out():
+    """A fresh interpreter that imports the command line and runs one
+    analyze request has not loaded numpy.ma, which np.quantile would load
+    and which would add its import time to every cold analyze."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import contextlib, io, json, sys; sys.path.insert(0, {str(src)!r}); import riccati3.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert riccati3.cli.main(['analyze', 'sol', '--json']) == 0\n"
+        "print(json.dumps(list(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    modules = json.loads(out.stdout)
+    assert "riccati3.cli" in modules and "numpy" in modules
+    assert "numpy.ma" not in modules
 
 
 def test_cli_import_generates_no_source_and_a_path_generates_one_walk(tmp_path):
