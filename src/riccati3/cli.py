@@ -22,7 +22,7 @@ from . import metrics, polyclass
 from .curvature import identity_residuals, jacobi_op, pack_at, ricci_rank
 from .exprjet import ExprError
 from .obstruction import fibonacci_directions, obstruction_values, rank1_checks
-from .riccati import DirectionError, StepsError, integrate_geodesic, integrate_riccati, jacobi_along
+from .riccati import SAMPLE_BLOCK, DirectionError, StepsError, integrate_geodesic, integrate_riccati, jacobi_along
 
 OBSTRUCTED_REL = 1e-6
 OBSTRUCTED_FRACTION = 0.10
@@ -315,7 +315,9 @@ def cmd_riccati(args):
     res = integrate_riccati(path, Js, u0)
     k = len(res.ts)
     out = args.out or "trajectory.csv"
-    rows = np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect]).tolist()
+    table = np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect])
+    # the rows as Python floats one block of SAMPLE_BLOCK at a time, so no list holds the whole path
+    rows = (row for s in range(0, k, SAMPLE_BLOCK) for row in table[s : s + SAMPLE_BLOCK].tolist())
     _write_csv(out, "t x1 x2 x3 u11 u12 u22 trace_defect".split(), rows)
     summary = {
         "samples": k,

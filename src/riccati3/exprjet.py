@@ -44,9 +44,10 @@ which raise every fault and give every non-finite value, so it gives the
 bits of ``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is
 its replay with a return, and the geodesic walk (``riccati._walk``) a whole
 path of RK4 steps whose four stages loop over the replay, the leading-minor
-check and the Christoffel contraction, all written in line, the last two
-also with the replay's constant outputs folded in.  Nothing is generated at
-import.
+check and the Christoffel contraction, all written in line; its fast step
+runs the replay's sparse copy, which leaves out every partial the tape's
+structure fixes at 0, and has the last two with those partials and the
+constant outputs folded in.  Nothing is generated at import.
 """
 
 from __future__ import annotations
@@ -635,9 +636,11 @@ _CALLS = {
     "sinh": ("except OverflowError", "{t} = _sinh({a})", "_s1 = _cosh({a})"),
     "cosh": ("except OverflowError", "{t} = _cosh({a})", "_s1 = _sinh({a})"),
 }
-# the line of a ``Tape.float_function`` template that the replay replaces; it
-# is not Python, so no line of the template's own code can be taken for it
+# the lines of a ``Tape.float_function`` template that the replay and its
+# sparse copy replace; neither is Python, so no line of the template's own
+# code can be taken for one
 REPLAY = "<replay>"
+SPARSE_REPLAY = "<sparse replay>"
 
 
 class Tape:
@@ -748,16 +751,19 @@ class Tape:
         each line ``REPLAY`` replaced, at that line's indentation, by the
         tape's order-1 replay on the floats x1, x2, x3 as straight-line code,
         which binds expression j's value and first partials to the names
-        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``.  ``constants``
-        is a dict of each of those names that the replay binds to a literal
-        or a constant register (a constant expression's value and partials,
-        a coordinate's partials) to its float, the same at every point.  The
+        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, and each line
+        ``SPARSE_REPLAY`` by its sparse copy, which binds the names that are
+        not in ``constants``.  ``constants`` is a dict of each of those names
+        that the sparse replay binds to a literal or a constant register (a
+        constant expression's value and partials, a coordinate's partials)
+        or leaves out as a partial fixed at 0, to its float, the same at
+        every point.  The
         source starts ``def NAME(`` and binds x1, x2, x3 before the replay;
         the function's globals are ``env`` and the replay's own, whose names
         start with an underscore, as do its registers.  This
         is the one source generator: ``first_order`` and the geodesic walk
-        (``riccati._walk``, which folds the constant outputs into its fast
-        step) are made by it.
+        (``riccati._walk``, whose fast step runs the sparse replay and folds
+        the constant outputs in) are made by it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
         being four floats, and so its bits, with one exception: a nan made by
@@ -779,7 +785,15 @@ class Tape:
         exception, log and sqrt on an argument that is not positive.
         Constants, fault nodes, function names and messages enter through the
         globals, and an exponent as its integer literal, so no text of an
-        expression is pasted into the source."""
+        expression is pasted into the source.
+
+        The sparse replay is the same operations, guards and fallbacks on
+        the tape's structure: a register's partial in a coordinate whose
+        ``Var`` is not below it is fixed at 0, and is not computed
+        (``_replay``).
+        It gives every value and fault of the replay, and every partial it
+        keeps but for the sign of a zero, unless a partial it keeps is an
+        inf or a nan in both."""
         glob = {
             "ExprError": ExprError,
             "_power_series": _power_series,
@@ -789,6 +803,44 @@ class Tape:
             **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
             **(env or {}),
         }
+        replays = {REPLAY: self._replay(names, glob, False)[0]}
+        replays[SPARSE_REPLAY], constants = self._replay(names, glob, True)
+        text = template(constants)
+        marker = "|".join(map(re.escape, replays))
+        source = re.sub(
+            rf"^( *)({marker})$", lambda m: "\n".join(m[1] + line for line in replays[m[2]]), text, flags=re.M
+        )
+        name = text.split("(", 1)[0].removeprefix("def ")
+        exec(compile(source, f"<{name} of a tape>", "exec"), glob)
+        return glob[name]
+
+    def _replay(self, names, glob, sparse):
+        """The lines of the order-1 replay (``float_function``), or of its
+        sparse copy, and the dict of the outputs the copy binds to a
+        constant or leaves out.  A register is its four names or literals;
+        in the sparse copy "0.0" is a partial fixed at 0 by the tape's
+        structure (a coordinate the register does not depend on, Griewank &
+        Walther, ch. 7), for which no line is written: a product leaves out
+        each Leibniz term with such a factor, and a coefficient with none
+        left, and a sum, negation or chain-rule line of such a partial is
+        left out, a sum with one such operand being the other operand.
+        Every guard stays.
+
+        This keeps the replay's values and faults.  By induction over the
+        registers, each has the same value in both replays (but for the sign
+        of a zero), and either every partial the copy keeps is the
+        replay's but for the sign of a zero and each one it leaves out is
+        +-0.0 in the replay, or a partial the copy keeps is an inf or a nan
+        in both.  A left-out partial turns into an inf or a nan only at a
+        chain-rule line whose derivative is an inf or a nan, where every
+        kept partial turns into one too, or where a product's test fires.
+        A product's
+        left-out term u0 * 0 or 0 * v0 is not finite only where u0 or v0 is,
+        and then its value term is not finite either, so its test fires in
+        the copy where it fires in the replay, with an inf or a nan among
+        the terms in both, which ``_mul`` spreads over every coefficient.
+        A power's or a call's value, guards and faults read only its
+        argument's value."""
         own = {}  # register -> the name of the first expression it computes
         for j, r in enumerate(self.outputs):
             own.setdefault(r, names[j])
@@ -808,20 +860,37 @@ class Tape:
                 regs.append(t)
                 continue
             u0, u1, u2, u3 = u = regs[a]
+            # the partials the structure fixes at 0: none in the full replay
+            zero = [sparse and c == "0.0" for c in u]
             if kind == "*":
                 v0, v1, v2, v3 = v = regs[b]
-                lines += [f"{t[0]} = 0.0 + {u0} * {v0}"]
-                lines += [f"{t[i]} = 0.0 + {u0} * {v[i]} + {u[i]} * {v0}" for i in (1, 2, 3)]
-                lines += [
-                    f"_s = {t[0]} + {t[1]} + {t[2]} + {t[3]}",
-                    "if _s - _s:",  # nan: a coefficient, so a term, is inf or nan (or the sum overflows)
-                    f"    {', '.join(t)} = _mul_floats(({', '.join(u)}), ({', '.join(v)}))",
+                terms = [[f"{u0} * {v0}"]] + [
+                    [x for x, z in ((f"{u0} * {v[i]}", v[i]), (f"{u[i]} * {v0}", u[i])) if not (sparse and z == "0.0")]
+                    for i in (1, 2, 3)
                 ]
+                kept = [i for i in range(4) if terms[i]]
+                lines += [f"{t[i]} = 0.0 + {' + '.join(terms[i])}" for i in kept]
+                lines += [
+                    f"_s = {' + '.join(t[i] for i in kept)}",
+                    "if _s - _s:",  # nan: a coefficient, so a term, is inf or nan (or the sum overflows)
+                    f"    {', '.join(t[i] if terms[i] else '_' for i in range(4))}"
+                    f" = _mul_floats(({', '.join(u)}), ({', '.join(v)}))",
+                ]
+                t = [t[i] if terms[i] else "0.0" for i in range(4)]
             elif kind in ("+", "-"):
                 v = regs[b]
-                lines += [f"{t[i]} = {u[i]} {kind} {v[i]}" for i in range(4)]
+                for i in range(4):
+                    if sparse and v[i] == "0.0":  # u + 0 and u - 0 are u
+                        t[i] = u[i]
+                    elif zero[i] and kind == "+":  # 0 + v is v
+                        t[i] = v[i]
+                    elif zero[i]:
+                        lines.append(f"{t[i]} = -{v[i]}")
+                    else:
+                        lines.append(f"{t[i]} = {u[i]} {kind} {v[i]}")
             elif kind == "neg":
-                lines += [f"{t[i]} = -{u[i]}" for i in range(4)]
+                lines += [f"{t[i]} = -{u[i]}" for i in range(4) if not zero[i]]
+                t = ["0.0" if zero[i] else t[i] for i in range(4)]
             elif kind == "^" and not b:
                 t = ("1.0", "0.0", "0.0", "0.0")
             else:
@@ -847,20 +916,18 @@ class Tape:
                         lines += [test + ":"] + ["    " + line for line in body] + ["else:", fallback]
                     else:
                         lines += ["try:"] + ["    " + line for line in body] + [test + ":", fallback]
-                lines += [f"{t[i]} = {u[i]} * _s1" for i in (1, 2, 3)]
+                lines += [f"{t[i]} = {u[i]} * _s1" for i in (1, 2, 3) if not zero[i]]
+                t = ["0.0" if zero[i] else t[i] for i in range(4)]
             regs.append(t)
         constants = {}  # output name -> the float of a literal or _kN constant it is bound to
         for j, r in enumerate(self.outputs):
             for s, c in zip(_SUFFIXES, regs[r]):
-                if names[j] + s != c:
-                    lines.append(f"{names[j]}{s} = {c}")
-                if c.startswith("_k") or c[0].isdigit():
+                constant = c.startswith("_k") or c[0].isdigit()
+                if constant:
                     constants[names[j] + s] = glob[c] if c.startswith("_k") else float(c)
-        text = template(constants)
-        source = re.sub(rf"^( *){REPLAY}$", lambda m: "\n".join(m[1] + line for line in lines), text, flags=re.M)
-        name = text.split("(", 1)[0].removeprefix("def ")
-        exec(compile(source, f"<{name} of a tape>", "exec"), glob)
-        return glob[name]
+                if names[j] + s != c and not (sparse and constant):
+                    lines.append(f"{names[j]}{s} = {c}")
+        return lines, constants
 
 
 def _mul_floats(u, v):

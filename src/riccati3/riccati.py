@@ -23,18 +23,20 @@ written once.
 The geodesic steps run the same way on the 12 floats of the state
 (x, v, w1, w2): a path is one call of a function generated for the metric
 (``_walk``), on its first path, from its compiled tape
-(``Tape.float_function``).  Each step's four stages are a loop over one copy
-of the tape's order-1 replay as straight-line float code, its powers and
-functions in line, with the series functions as fallbacks; the leading-minor
-check and the adjugate inverse, written out on floats with the arithmetic of
+(``Tape.float_function``).  Each step's four stages are a loop over the
+tape's order-1 replay as straight-line float code, its powers and functions
+in line, with the series functions as fallbacks; the leading-minor check and
+the adjugate inverse, written out on floats with the arithmetic of
 ``leading_minors`` and ``cofactors``, which ``gamma_at`` calls; and the
 Christoffel contraction.  A stage calls no Python function unless a guard
 misses.  The slopes are summed on named floats in the order of the RK4
-combination.  The part of a stage after the replay comes in two versions,
-emitted from one list of Python lines (``_emit``): the full step, and a
-fast step with the tape's constant entries folded in on each line's syntax
-tree (``ast``; partial evaluation), which leaves out every product with a
-factor the tape fixes at 0.  One test of the start row selects: a path
+combination.  A stage comes in two versions: the full step, which runs the
+replay, and a fast step, which runs the replay's sparse copy (no partial
+that the tape's structure fixes at 0, every guard kept) and, after it, the
+same Python lines (``_emit``) with the tape's constant entries and those
+partials folded in on each line's syntax tree (``ast``; partial
+evaluation), which leaves out every product with a factor the tape fixes
+at 0.  One test of the start row selects: a path
 whose start has no -0.0 entry runs every step as the fast step, and one
 with a -0.0 entry runs full steps.  Where a fast step ends in a state that
 is not finite, or raises after its first stage, the full step runs from the
@@ -66,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import curvature_r_only, orthonormal_perp
-from .exprjet import REPLAY
+from .exprjet import REPLAY, SPARSE_REPLAY
 # gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
 # looks it up in this module
 from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, gamma_at, metric_jets
@@ -118,7 +120,7 @@ class RiccatiResult(NamedTuple):
 # (x1, x2, x3).  walk(ys, dt, dt_last) takes the path's RK4 steps from the state
 # in row 0 of ys, the last one of length dt_last, and writes each step's state
 # to the next row.  A step's state is y0 ... y11, (x, v, w1, w2); its four
-# stages run the one replay and contraction in a loop, the first at the state
+# stages run the replay and contraction in a loop, the first at the state
 # and each other at the state plus h = dt / 2 (dt at the fourth) times the
 # previous stage's slopes k0 ... k11.  The slopes K1 ... K4 of the four stages
 # are summed into q0 ... q11 as K1 + 2.0 K2 + 2.0 K3 + K4, left to right.
@@ -135,26 +137,37 @@ class RiccatiResult(NamedTuple):
 # Each step runs in one of two versions, the full step and the fast step,
 # whose stage points, stage after the replay, slope sums and new state
 # ``_emit`` writes from the same lines below, in one function.  The full step
-# is those lines as they stand.  The fast step folds in the outputs that the
-# replay binds to a constant (``Tape.float_function``), on the syntax tree
-# that ``ast`` parses from each line (``_folded``), and writes the tree out
-# again (``_source``): a product with a constant 0 factor is dropped, a
-# factor 1.0 left out, a line of constants computed as the walk is
-# generated, in the same float operations and order, and the rule decided
-# there where it reads constants only (partial evaluation).  ``fast``
+# is the replay and those lines as they stand.  The fast step is the sparse
+# replay, which leaves out every partial that the tape's structure fixes at
+# 0 (in a coordinate whose ``Var`` is not below it), and those lines with the
+# outputs that the sparse replay binds to a constant or leaves out folded in
+# (``Tape.float_function``), on the syntax tree that ``ast`` parses from
+# each line (``_folded``), written out again (``_source``): a product with a
+# constant 0 factor is dropped, a factor 1.0 left out, a line of constants
+# computed as the walk is generated, in the same float operations and order,
+# and the rule decided there where it reads constants only, its raise
+# reading them as floats (partial evaluation).  Where nothing folds, as when
+# a constant would fold to an inf or a nan, the fast step is the full step,
+# replay included.  ``fast``
 # selects, from one test of the start row: a path whose start has no -0.0
 # entry runs every step as the fast step, and a path with a -0.0 start entry
 # runs full steps.  Where a fast step ends in a state that is not finite, or
 # raises at stage 1, 2 or 3, the step runs again from the same start as the
 # full step.  Where it raises at stage 0, the full step
-# raises the same, for stage 0 is the same replay at the same point in both
-# versions and the rule reads only the replay's g, so the fault is raised at
-# once and calls its series function once.
+# raises the same, for stage 0 runs the replay and its sparse copy at the
+# same point, which give the same values and faults (``Tape._replay``), and
+# the rule reads only g's values, so the fault is raised at once and calls
+# its series function once.
 # This is exact.  A dropped value is a product with a factor the tape fixes
-# at 0, so every value of the fast step is the full step's but for the sign
-# of a zero.  A stage point or new entry y + c k keeps y where the fast step
-# folds a zero c k away, and the two agree: y + c k with y != 0 is y, and
-# with y = +0.0 it is +0.0 whatever the sign of a zero c k.  They would
+# at 0.  A partial the sparse replay leaves out is +-0.0 in the replay, and
+# one it keeps is the replay's but for the sign of a zero, unless a partial
+# it keeps is an inf or a nan in both; that partial enters M = D_v g, so the
+# fast step's slopes and new state are not finite, and the full step runs.
+# So every value of a fast step that ends in a finite state is the full
+# step's but for the sign of a zero.  A stage point or new entry y + c k
+# keeps y where the fast step folds a zero c k away, and the two agree:
+# y + c k with y != 0 is y, and with y = +0.0 it is +0.0 whatever the sign
+# of a zero c k.  They would
 # differ only at y = -0.0, and no state gains a -0.0 after its start: a sum
 # is -0.0 only when both operands are, so y + c k is -0.0 only where y is.
 # Where a dropped 0 meets an inf or a nan, the full step has a nan there,
@@ -308,12 +321,22 @@ def _source(x, bind=0):
 @functools.lru_cache(maxsize=None)
 def _parse(line):
     """A line of the stage as its statement, None for a comment, and the
-    names it assigns or reads; those of the rule are the names its test
-    reads."""
+    names it assigns or reads."""
     module = ast.parse(line)
     stmt = module.body[0] if module.body else None
-    read = stmt.test if isinstance(stmt, ast.If) else module
-    return stmt, frozenset(n.id for n in ast.walk(read) if isinstance(n, ast.Name))
+    return stmt, frozenset(n.id for n in ast.walk(module) if isinstance(n, ast.Name))
+
+
+class _Bound(ast.NodeTransformer):
+    """A syntax tree with each name that ``env`` binds to a float replaced
+    by that float."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def visit_Name(self, node):
+        value = self.env.get(node.id)
+        return ast.Constant(value) if isinstance(value, float) else node
 
 
 def _emit(lines, env):
@@ -323,14 +346,15 @@ def _emit(lines, env):
     target that folds to a float, or to a name or its negation if it is not
     pinned, goes into ``env`` in place of a line.  The rule, one ``if not``
     of comparisons joined by and, keeps the comparisons that read a name;
-    where one of constants fails, it is its raise."""
+    where one of constants fails, it is its raise.  The raise reads the
+    names of ``env`` bound to floats as those floats."""
     out = []
     for line in lines:
         stmt, names = _parse(line)
         if names.isdisjoint(env):
             out.append(line)
         elif isinstance(stmt, ast.If):
-            fault = line[stmt.body[0].col_offset :]
+            fault = ast.unparse(_Bound(env).visit(ast.parse(line[stmt.body[0].col_offset :])))
             kept = []
             for c in stmt.test.operand.values:
                 a, b, op = _folded(c.left, env), _folded(c.comparators[0], env), type(c.ops[0])
@@ -410,6 +434,7 @@ def _walk_source(constants):
     ``constants`` to constants: each step's stages run the fast or the full
     lines after the one replay, as ``fast`` selects from the start row."""
     points, stage, sums, new, commit = _fold(constants)
+    replay = REPLAY if stage == _STAGE else SPARSE_REPLAY  # where nothing folds, the stage reads every output
     return f"""def walk(ys, dt, dt_last):
     steps = len(ys) - 1
     {_STATE} = ys[0].tolist()
@@ -427,8 +452,7 @@ def _walk_source(constants):
                     else:
                         c = dt if stage == 3 else h
 {_branch(points, _POINTS, 24)}
-                    {REPLAY}
-{_branch((stage, sums), (_STAGE, _SUMS), 20, _stage)}
+{_branch(([replay, *stage], sums), ([REPLAY, *_STAGE], _SUMS), 20, _stage)}
             except (ArithmeticError, ValueError):
                 if not fast or not stage:
                     raise  # at stage 0 the full step raises the same
@@ -527,7 +551,13 @@ def jacobi_along(path: GeodesicPath) -> np.ndarray:
     G00 S_ab + S00 G_ab - G_a0 S_b0 - S_a0 G_b0, which holds in any frame,
     orthonormal or drifted.  g and rho of each block of SAMPLE_BLOCK samples
     come from one batched ``curvature_r_only`` call on the path's metric.
+    On a constant metric, whose tape has every output a constant (no
+    ``Var`` below it), R = 0 and the rows are +0.0 with no kernel call: the
+    kernel's own bits there (tests pin both).
     """
+    tape = path.spec.tape
+    if all(tape.ops[r][0] == "const" for r in tape.outputs):
+        return np.zeros((len(path.ts), 3))
     out = np.empty((len(path.ts), 3))
     for b in _blocks(len(path.ts)):
         W = np.stack([path.vs[b], path.w1s[b], path.w2s[b]], axis=1)

@@ -27,6 +27,7 @@ from riccati3.cli import (
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
 from riccati3.exprjet import Tape
 from riccati3.obstruction import fibonacci_directions, obstruction_values, rank1_checks
+from riccati3.riccati import SAMPLE_BLOCK, integrate_geodesic, integrate_riccati, jacobi_along
 
 
 def run(capsys, *argv):
@@ -196,6 +197,39 @@ def test_riccati_vector_option_takes_a_negative_value_as_its_next_argument(tmp_p
         code, text = run(capsys, *argv)
         readings.append((code, text, (tmp_path / "traj.csv").read_bytes()))
     assert readings[0] == readings[1] and readings[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hyperbolic", "--point", "0.1,0.2,1", "--dir", "0.3,-0.2,1", "--T", "6", "--dt", "1e-2"),
+        ("heisenberg", "--point", "0.1,0.2,0.3", "--dir", "0.3,-0.2,0.5", "--u0", "-1.2,0.1,-1.4", "--T", "6"),
+    ],
+    ids=["no-blowup", "blowup"],
+)
+def test_riccati_csv_of_several_blocks_is_the_whole_table(argv, tmp_path, capsys, monkeypatch):
+    """A request whose CSV holds rows of three SAMPLE_BLOCKs or more writes
+    the bytes of its whole table converted to Python floats at once, and
+    so it does with the rows converted in blocks of 1 and of 7: 601 rows
+    without a blow-up, and the 669 before heisenberg's at t = 0.66825 of
+    6,001 path samples."""
+    monkeypatch.chdir(tmp_path)
+    spec = metrics.resolve(argv[0], {})
+    option = dict(zip(argv[1::2], argv[2::2]))
+    floats = {k: [float(x) for x in option.get(k, "0,0,0").split(",")] for k in ("--point", "--dir", "--u0")}
+    path = integrate_geodesic(spec, floats["--point"], floats["--dir"], float(option["--T"]),
+                              float(option.get("--dt", "1e-3")))
+    res = integrate_riccati(path, jacobi_along(path), floats["--u0"])
+    k = len(res.ts)
+    assert k > 2 * SAMPLE_BLOCK, k
+    table = np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect]).tolist()
+    lines = ["t,x1,x2,x3,u11,u12,u22,trace_defect"] + [",".join(map(repr, row)) for row in table]
+    want = "".join(line + "\r\n" for line in lines).encode()
+    for block in (SAMPLE_BLOCK, 1, 7):
+        monkeypatch.setattr("riccati3.cli.SAMPLE_BLOCK", block)
+        code, text = run(capsys, "riccati", *argv, "--out", "traj.csv")
+        assert code == 0 and json.loads(text)["samples"] == k
+        assert (tmp_path / "traj.csv").read_bytes() == want
 
 
 def test_classify_trailing_zero_in_either_eigenvalue_order(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ from riccati3.exprjet import (
     MULTI_INDICES,
     N_BY_ORDER,
     ParseError,
+    SPARSE_REPLAY,
     Tape,
     _MUL_TABLES,
     _PAIR_SCATTERS,
@@ -403,6 +405,26 @@ def _tape_specs():
     return specs
 
 
+def _random_specs(count, seed):
+    """``count`` custom metrics delta_ij + 0.1 N(0, 1) m, summed over every
+    monomial m of degree 2-4 in a random subset of {x1, x2, x3} drawn for
+    each component (the subset may be empty, the component constant): the
+    sparsity patterns of generic metrics, beyond the builtins'."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for k in range(count):
+        components = {}
+        for name in ("g11", "g12", "g13", "g22", "g23", "g33"):
+            subset = [x for x in ("x1", "x2", "x3") if rng.random() < 0.5]
+            terms = ["1" if name[1] == name[2] else "0"]
+            for degree in (2, 3, 4):
+                for monomial in itertools.combinations_with_replacement(subset, degree):
+                    terms.append(f"{0.1 * rng.standard_normal()!r}*{'*'.join(monomial)}")
+            components[name] = " + ".join(terms)
+        specs.append(custom(components, name=f"random{k}", box=((-0.5, 0.5),) * 3))
+    return specs
+
+
 def test_tape_shares_repeated_subtrees_and_constants():
     from riccati3.metrics import builtin
 
@@ -585,6 +607,80 @@ def test_first_order_replay_differs_from_the_run_only_in_the_sign_of_a_nan():
     assert np.array_equal(got, want, equal_nan=True)
     differ = np.signbit(got) != np.signbit(want)
     assert np.all(np.isnan(got[differ])) and differ[1:, 0].all()
+
+
+LOG_PARTIAL = custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1000 + log(x1)"},
+                     name="log-partial", box=((0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _sparse_replay(tape):
+    """The function of the sparse replay of ``tape`` (``SPARSE_REPLAY``):
+    its values and first partials as ``first_order`` returns them, with each
+    output the sparse replay leaves out or binds to a constant read from the
+    template's ``constants``; and those constants."""
+    names = [f"o{j}" for j in range(len(tape.outputs))]
+    seen = {}
+
+    def template(constants):
+        seen.update(constants)
+        read = [[f"_c['{n}{s}']" if n + s in constants else n + s for n in names] for s in ("", "_1", "_2", "_3")]
+        columns = ("(" + "".join(f"{x}, " for x in column) + ")" for column in read)
+        return f"def sparse(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return {', '.join(columns)}"
+
+    return tape.float_function(template, names, {"_c": seen}), seen
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _tape_specs() + [custom(EVERY_OPERATION, name="every-operation"), LOG_PARTIAL] + _random_specs(6, 41),
+    ids=lambda s: f"{s.name}{s.params}",
+)
+def test_sparse_replay_is_the_replay_but_for_zero_signs(spec):
+    """The sparse replay, which leaves out every partial the tape's
+    structure fixes at 0, gives the replay's values and faults, at random
+    points, at points with +0.0 and -0.0 coordinates and at points where a
+    power, a function or a product leaves the float range.  Each output's
+    partials are the replay's, a left-out one being +-0.0 there, but for the
+    sign of a zero; or else a partial the sparse replay keeps is an inf or
+    a nan in both (log-partial's g33 = 1000 + log(x1) at x1 = 5e-324, whose
+    derivative 1 / x1 is inf)."""
+    sparse, constants = _sparse_replay(spec.tape)
+    names = [f"o{j}{s}" for s in ("", "_1", "_2", "_3") for j in range(6)]
+    assert {n for n in constants if not n.endswith(("_1", "_2", "_3"))} == {
+        f"o{j}" for j, r in enumerate(spec.tape.outputs) if spec.tape.ops[r][0] == "const"
+    }
+    rng = np.random.default_rng(41)
+    box = np.array(spec.box)
+    mid = box.mean(axis=1)
+    points = [tuple(rng.uniform(box[:, 0], box[:, 1])) for _ in range(20)]
+    for signs in np.ndindex(2, 2, 2):
+        zeros = tuple(-0.0 if s else 0.0 for s in signs)
+        points += [zeros] + [tuple(zeros[i] if i == k else float(mid[i]) for i in range(3)) for k in range(3)]
+    for x in (5e-324, 1e-160, 1e103, 1e200, -1e200, 800.0, math.inf, -math.inf, math.nan):
+        points += [(x, mid[1], mid[2]), (mid[0], x, mid[2]), (mid[0], mid[1], x), (x, x, x)]
+    both = 0
+    for p in points:
+        with np.errstate(all="ignore"):
+            got = _outcome_of(sparse, p)
+            want = _outcome_of(spec.tape._first_order, p)
+        if not isinstance(want, np.ndarray):
+            assert got == want, p
+            continue
+        same = (got == want) | np.isnan(got) & np.isnan(want)
+        assert same[0].all(), p  # the values
+        kept = np.array([[n not in constants for n in names[6 * i : 6 * i + 6]] for i in range(1, 4)])
+        poisoned = (kept & ~np.isfinite(got[1:]) & ~np.isfinite(want[1:])).any(axis=0)
+        assert (same[1:].all(axis=0) | poisoned).all(), p
+        both += poisoned.any()
+    assert both or spec.name != "log-partial"
+
+
+def _outcome_of(f, p):
+    """f(*p) as a (4, outputs) float array, or its exception's type and message."""
+    try:
+        return np.array(f(*p), dtype=float)
+    except (ExprError, ArithmeticError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])

@@ -15,7 +15,7 @@ from oracles import (
     reference_rk4,
     speed_drift,
 )
-from test_exprjet import _tape_specs
+from test_exprjet import _random_specs, _tape_specs
 
 from riccati3 import cli, exprjet, metrics, riccati
 from riccati3.exprjet import parse_expr
@@ -98,6 +98,69 @@ def test_jacobi_along_heisenberg_crosscheck():
         assert abs(m12 - Js[k, 1]) < 1e-6
         assert abs(m22 - Js[k, 2]) < 1e-6
         assert abs(Js[k, 0] + Js[k, 2] - float(v @ pk.ric @ v)) < 1e-8
+
+
+def _kernel_J(path):
+    """J's rows at the samples of a path of at most SAMPLE_BLOCK samples, as
+    ``jacobi_along`` computes a block from the curvature kernel."""
+    assert len(path.ts) <= SAMPLE_BLOCK
+    W = np.stack([path.vs, path.w1s, path.w2s], axis=1)
+    g, rho = (np.ascontiguousarray(x) for x in curvature_r_only(path.spec, path.xs))
+    G, S = W @ g @ W.swapaxes(1, 2), W @ rho @ W.swapaxes(1, 2)
+    G0, S0 = G[:, :, :1], S[:, :, :1]
+    E = G[:, :1, :1] * S + S[:, :1, :1] * G - G0 * S0.swapaxes(1, 2) - S0 * G0.swapaxes(1, 2)
+    return E[:, (1, 1, 2), (1, 2, 2)]
+
+
+def _constant_specs(count, seed):
+    """Flat and ``count`` constant SPD custom metrics, each off-diagonal
+    entry negative."""
+    rng = np.random.default_rng(seed)
+    specs = [metrics.builtin("flat")]
+    for k in range(count):
+        off = -rng.uniform(0.05, 0.6, 3)
+        g = {"g11": 1.5 + rng.uniform(), "g22": 1.5 + rng.uniform(), "g33": 1.5 + rng.uniform(),
+             "g12": off[0], "g13": off[1], "g23": off[2]}
+        specs.append(metrics.custom({c: repr(float(x)) for c, x in g.items()}, name=f"constant{k}"))
+    return specs
+
+
+def test_jacobi_along_a_constant_metric_is_the_kernels_zero_without_a_kernel_call(monkeypatch):
+    """On flat and on constant metrics with negative off-diagonal entries,
+    whose tapes hold no ``Var``, ``jacobi_along`` gives rows of +0.0 without
+    calling ``curvature_r_only``: the bytes the kernel gives on the same
+    path, in directions with components of both signs and all negative."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for spec in _constant_specs(6, 41):
+        assert all(spec.tape.ops[r][0] == "const" for r in spec.tape.outputs)
+        for v in (rng.standard_normal(3), -rng.uniform(0.1, 1.0, 3), (-1.0, -0.0, -2.0)):
+            path = integrate_geodesic(spec, rng.uniform(-1.0, 1.0, 3), v, 1.0, 1e-2)
+            cases.append((path, _kernel_J(path)))
+
+    def refused(spec, xs):
+        raise AssertionError("jacobi_along called the curvature kernel on a constant metric")
+
+    monkeypatch.setattr(riccati, "curvature_r_only", refused)
+    for path, want in cases:
+        got = jacobi_along(path)
+        assert got.shape == (101, 3) and got.tobytes() == want.tobytes() == bytes(want.nbytes)
+
+
+def test_jacobi_along_a_metric_with_a_var_calls_the_kernel(monkeypatch):
+    """The shortcut reads the tape, not the values: a metric whose g12 =
+    -0.2 + 0*x2 is constant in value, but has a ``Var`` on its tape, calls
+    the kernel once per block of SAMPLE_BLOCK samples, and gives its rows."""
+    spec = metrics.custom({**DIAGONAL, "g11": "2", "g12": "-0.2 + 0*x2", "g13": "-0.1"}, name="one-var")
+    path = integrate_geodesic(spec, (0.1, -0.2, 0.3), (-0.5, -0.25, -1.0), 3.0, 1e-2)
+    calls = []
+    kernel = riccati.curvature_r_only
+    monkeypatch.setattr(riccati, "curvature_r_only", lambda spec, xs: calls.append(len(xs)) or kernel(spec, xs))
+    got = jacobi_along(path)
+    assert calls == [SAMPLE_BLOCK, 301 - SAMPLE_BLOCK]
+    halves = [path._replace(ts=path.ts[b], xs=path.xs[b], vs=path.vs[b], w1s=path.w1s[b], w2s=path.w2s[b])
+              for b in (slice(0, SAMPLE_BLOCK), slice(SAMPLE_BLOCK, None))]
+    assert got.tobytes() == np.concatenate([_kernel_J(h) for h in halves]).tobytes()
 
 
 @pytest.mark.parametrize("name", metrics.BUILTIN_NAMES)
@@ -540,20 +603,31 @@ def test_one_walk_per_path_and_no_gamma_at_call(monkeypatch):
 
 
 def test_walk_has_the_replay_in_its_code_once():
-    """The walk runs its four stages as a loop over one copy of the replay
-    (its code loads each series function and ``_mul_floats`` as often as
-    ``Tape.first_order``'s does) and, per step version, one copy of the
-    contraction with the minors rule and the cofactors written out: it loads
-    ``_metric_fault`` at most twice, once on flat, whose fast step decides the
-    rule as the walk is generated, and ``leading_minors`` and ``cofactors``
-    not at all."""
+    """The walk runs its four stages as a loop over one copy of the sparse
+    replay, for the fast step, and one of the full replay, for the full
+    step, with no unrolled copy: its template holds each once, and its code
+    loads each series function and ``_mul_floats`` twice as often as
+    ``Tape.first_order``'s does, for the sparse replay keeps every guard.
+    Per step version it holds one copy of the contraction with the minors
+    rule and the cofactors written out: it loads ``_metric_fault`` at most
+    twice, once on flat, whose fast step decides the rule as the walk is
+    generated, and ``leading_minors`` and ``cofactors`` not at all.  On
+    flat, whose tape is all constants, the sparse replay is empty."""
     for spec, rules in ((metrics.builtin("sphere"), 2), (metrics.builtin("sol"), 2), (metrics.builtin("flat"), 1)):
-        loads = [i.argval for i in dis.get_instructions(riccati._walk(spec)) if i.opname == "LOAD_GLOBAL"]
+        templates = []
+        env = {**riccati._WALK_GLOBALS, "spec": spec}
+        walk = spec.tape.float_function(lambda c: templates.append(riccati._walk_source(c)) or templates[-1],
+                                         metrics.COMPONENT_NAMES, env)
+        lines = [line.strip() for line in templates[0].splitlines()]
+        assert lines.count(exprjet.REPLAY) == lines.count(exprjet.SPARSE_REPLAY) == 1
+        loads = [i.argval for i in dis.get_instructions(walk) if i.opname == "LOAD_GLOBAL"]
         replay = [i.argval for i in dis.get_instructions(spec.tape._first_order) if i.opname == "LOAD_GLOBAL"]
         for name in ("_power_series", "_function_series", "_mul_floats"):
-            assert loads.count(name) == replay.count(name)
+            assert loads.count(name) == 2 * replay.count(name)
         assert loads.count("_metric_fault") == rules
         assert "leading_minors" not in loads and "cofactors" not in loads
+        if spec.name == "flat":  # the full replay's constants, and no other
+            assert [n for n in loads if n.startswith("_k")] == [n for n in replay if n.startswith("_k")]
 
 
 def test_fast_step_folds_the_constant_entries_away():
@@ -624,9 +698,11 @@ def test_fold_refuses_a_zero_divisor_and_a_constant_that_is_not_finite(expr):
 
 
 # the BinOp and arithmetic UnaryOp nodes of each builtin's fast step, as
-# (stage, the rest of the step), recorded from the text folder that the ast
-# fold replaced; both give the same walk source
-FAST_STEP_OPERATIONS = {"flat": (0, 32), "sphere": (106, 95), "sol": (85, 95), "heisenberg": (100, 95), "h2xr": (85, 95)}
+# (stage, the rest of the step), with the partials that the tape's structure
+# fixes at 0 folded in as constants: sol, heisenberg and h2xr have fewer than
+# with the tape's constant outputs alone (85/95, 100/95 and 85/95), and the
+# third entries of h2xr's slopes of v, w1 and w2 fold to 0
+FAST_STEP_OPERATIONS = {"flat": (0, 32), "sphere": (106, 95), "sol": (59, 95), "heisenberg": (86, 95), "h2xr": (46, 74)}
 
 
 @pytest.mark.parametrize("name", sorted(FAST_STEP_OPERATIONS))
@@ -634,7 +710,8 @@ def test_fast_step_keeps_its_operation_count(name):
     """The fast step of each benchmark builtin holds as many arithmetic
     operations as when its counts were recorded, out of 206 in the full
     stage: a fold that stops dropping a zero product, or leaving out a
-    factor 1.0, shows here without a timing."""
+    factor 1.0, or a partial fixed at 0 that stops being folded in, shows
+    here without a timing."""
 
     def operations(lines):
         nodes = [n for line in lines for n in ast.walk(ast.parse(line))]
@@ -768,14 +845,16 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
     assert non_finite >= 1
 
 
-@pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
+@pytest.mark.parametrize("spec", STAGE_SPECS + _random_specs(6, 7), ids=lambda s: f"{s.name}{s.params}")
 @pytest.mark.parametrize("T,dt", [(0.004, 0.01), (0.1, 0.01), (0.105, 0.01)], ids=["short", "ten", "cut"])
 def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
     """A whole path of the walk, of one step shorter than dt, of ten steps and
     of ten steps and a shortened last one, is the path of
     ``reference_float_step`` bit for bit, or faults as it does: in two
     directions with no zero entry, and along the axes x1 and x3, where v and
-    the frame start with +0.0 entries; the steps are fast in all four."""
+    the frame start with +0.0 entries; the steps are fast in all four.  The
+    metrics include six random ones, whose components each depend on their
+    own subset of the coordinates (``_random_specs``)."""
     box = np.array(spec.box)
     p = box.mean(axis=1)
     ts = _sample_times(T, dt)
