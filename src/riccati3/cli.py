@@ -14,6 +14,8 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -31,6 +33,13 @@ OBSTRUCTED_FRACTION = 0.10
 # they bound the memory of the (points, directions) arrays at large -n and -m
 POINT_BLOCK = 64
 SWEEP_BLOCK = 16384
+# most sample points, and point-directions (-n times -m), one ``analyze`` may
+# take, refused before anything is sampled: about 1.8 KB a point (its tuple,
+# report entry and text) and 40 bytes a point-direction (its residual, kept
+# for the statistics) make about 180 MB and 400 MB at the bounds, where --csv
+# holds each point-direction's row too, about 850 bytes a row
+MAX_POINTS = 10**5
+MAX_POINT_DIRECTIONS = 10**7
 
 
 class UsageError(ValueError):
@@ -103,8 +112,74 @@ def _joined_vectors(argv):
     return out
 
 
+def _json_write(obj, append, nl):
+    """Pass to ``append``, in order, the pieces of the text that
+    ``json.dumps(obj, indent=2)`` gives ``obj`` where its lines start with
+    ``nl``, a line break and the indent of its nesting ("\\n" at the top).
+
+    The checks and texts are those of ``json``'s Python encoder, which
+    ``indent`` selects: a str by ``encode_basestring_ascii``, None, True and
+    False as null, true and false, an int (bool aside) by ``int.__repr__``, a
+    float by ``float.__repr__`` or as NaN, Infinity or -Infinity, a list or
+    tuple as an array and a dict, whose keys are str, as an object, each
+    item on its own line; any other value is the TypeError json raises.  A
+    finite float item, the commonest leaf of a report, is written in its
+    container's loop.  It is a module function handed ``append``, so a call
+    makes no closure and no reference cycle."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = nl + "  "
+        head = "[" + inner
+        for item in obj:
+            if type(item) is float and isfinite(item):
+                append(head + float.__repr__(item))
+            else:
+                append(head)
+                _json_write(item, append, inner)
+            head = "," + inner
+        append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key, value in obj.items():
+            head += encode_basestring_ascii(key) + ": "  # a TypeError for a key that is not a str
+            if type(value) is float and isfinite(value):
+                append(head + float.__repr__(value))
+            else:
+                append(head)
+                _json_write(value, append, inner)
+            head = "," + inner
+        append(nl + "}")
+    elif isinstance(obj, str):
+        append(encode_basestring_ascii(obj))
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        append(float.__repr__(obj) if isfinite(obj) else "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2)``, the same text, written by ``_json_write``."""
+    parts = []
+    _json_write(obj, parts.append, "\n")
+    return "".join(parts)
+
+
 def _emit(report, args):
-    text = json.dumps(report, indent=2)
+    text = _json_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -199,6 +274,12 @@ def cmd_analyze(args):
     n_dirs = _setting(args, cfg, "dirs", 64)
     if n_points < 1 or n_dirs < 1:
         raise UsageError(f"-n/--points and -m/--dirs must be at least 1, got {n_points}, {n_dirs}")
+    if n_points > MAX_POINTS:
+        raise UsageError(f"-n/--points is {n_points}, more than MAX_POINTS = {MAX_POINTS}")
+    if n_points * n_dirs > MAX_POINT_DIRECTIONS:
+        raise UsageError(
+            f"-n/--points times -m/--dirs is {n_points * n_dirs}, more than MAX_POINT_DIRECTIONS = {MAX_POINT_DIRECTIONS}"
+        )
     if seed < 0:
         raise UsageError(f"--seed must be at least 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -326,7 +407,7 @@ def cmd_riccati(args):
         "blowup_time": res.blowup_time,
         "csv": out,
     }
-    print(json.dumps(summary, indent=2))
+    print(_json_text(summary))
     return 0
 
 
@@ -358,18 +439,37 @@ FRAME_LIMITS = {
 }
 
 
+@functools.cache
+def _frame_verdicts():
+    """The frame-algebra verdicts that take no input, computed once per
+    process: (rigid_tables_ok, eds_contradictions_ok, certificates).  The
+    eight rigid frames are built once: their table checks run as one batch,
+    and each frame goes to its EDS closure.  ``certificates`` is the
+    (name, value) pairs of ``fa.contradiction_certificates``, each list of
+    roots a tuple, so nothing a caller holds can change what the next reads."""
+    signs = [(which, (e1, e2)) for which in ("eds1", "eds2") for e1 in (1, -1) for e2 in (1, -1)]
+    rigid = [fa.rigid_frame(which, -1.0, eps) for which, eps in signs]
+    tables = fa.stack_frames(rigid)
+    rigid_ok = bool(
+        np.max(np.abs(fa.bianchi_frame_residuals(tables))) < 1e-12
+        and np.max(np.abs(fa.ric111_residual(tables))) < 1e-12
+    )
+    eds_ok = all(fa.eds_closure(which, -1.0, eps, fd=fd).contradiction for (which, eps), fd in zip(signs, rigid))
+    certs = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in fa.contradiction_certificates().items())
+    return rigid_ok, eds_ok, certs
+
+
 def _frame_algebra_checks(seed, count):
     """Frame-algebra sweeps over ``count`` frames drawn in turn from one
     ``default_rng(seed)``, so the first is ``consistent_frame(seed)``: worst
-    residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks.
+    residuals (keys of FRAME_LIMITS) and the rigid-table/EDS sign checks of
+    ``_frame_verdicts``.
 
     Each identity runs once per block of up to FRAME_BLOCK consistent frames,
     and each input is built once.  A bundle's b1 and c read only lambda and
     Gamma, which a draw's free and consistent frames share, so the consistent
     frames' three bundles serve the b1 factorization, and their a2 and a3
-    bundles the a1 cross-check and the root identities.  The eight rigid
-    frames are built once: their table checks run as one batch, and each
-    frame goes to its EDS closure."""
+    bundles the a1 cross-check and the root identities."""
     worst = dict.fromkeys(FRAME_LIMITS, 0.0)
     rng = np.random.default_rng(seed)
     for start in range(0, count, FRAME_BLOCK):
@@ -385,19 +485,8 @@ def _frame_algebra_checks(seed, count):
         }
         for key, value in block.items():
             worst[key] = max(worst[key], float(value))
-    signs = [(which, (e1, e2)) for which in ("eds1", "eds2") for e1 in (1, -1) for e2 in (1, -1)]
-    rigid = [fa.rigid_frame(which, -1.0, eps) for which, eps in signs]
-    tables = fa.stack_frames(rigid)
-    return {
-        **worst,
-        "rigid_tables_ok": bool(
-            np.max(np.abs(fa.bianchi_frame_residuals(tables))) < 1e-12
-            and np.max(np.abs(fa.ric111_residual(tables))) < 1e-12
-        ),
-        "eds_contradictions_ok": all(
-            fa.eds_closure(which, -1.0, eps, fd=fd).contradiction for (which, eps), fd in zip(signs, rigid)
-        ),
-    }
+    rigid_ok, eds_ok, _ = _frame_verdicts()
+    return {**worst, "rigid_tables_ok": rigid_ok, "eds_contradictions_ok": eds_ok}
 
 
 def _frame_algebra_rows(checks, certs):
@@ -423,7 +512,7 @@ def cmd_frame_check(args):
     if seed < 0 or count < 0:
         raise UsageError(f"--seed and --count must be at least 0, got {seed}, {count}")
     checks = _frame_algebra_checks(seed, count)
-    certs = fa.contradiction_certificates()
+    certs = dict(_frame_verdicts()[2])
     report = {
         "seed": seed,
         "frames": count,
@@ -520,7 +609,7 @@ def _selftest_checks(tamper=False):
     hom_ok = all(abs(got / want - 1.0) < 1e-8 for got, want in degs.values())
     yield "homogeneity_degrees", hom_ok, {k: v[0] for k, v in degs.items()}
 
-    yield from _frame_algebra_rows(_frame_algebra_checks(0, 200), fa.contradiction_certificates())
+    yield from _frame_algebra_rows(_frame_algebra_checks(0, 200), dict(_frame_verdicts()[2]))
 
     spec = metrics.builtin("flat")
     path = integrate_geodesic(spec, (0, 0, 0), (1.0, 0, 0), 1.2, 1e-3)
@@ -573,7 +662,7 @@ def cmd_selftest(args):
                     print(f"    {key} = {value}")
     n_fail = sum(1 for r in results if not r["pass"])
     if args.json:
-        print(json.dumps({"results": results, "failures": n_fail}, indent=2))
+        print(_json_text({"results": results, "failures": n_fail}))
     else:
         print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1
@@ -591,9 +680,11 @@ def _plain(obj):
 
 @functools.cache
 def build_parser():
-    """The command-line parser, built on first use and shared by every ``main`` call."""
+    """The command-line parser, built on first use and shared by every
+    ``main`` call; ``commands`` maps each command's name to its own parser."""
     ap = argparse.ArgumentParser(prog="riccati3")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
 
     pa = sub.add_parser("analyze", help="curvature identities, rank structure, obstruction sweep")
     pa.add_argument("metric", help="builtin name or metric JSON file")
@@ -641,10 +732,26 @@ def build_parser():
     return ap
 
 
+def _parse_args(argv):
+    """The Namespace that ``build_parser().parse_args(argv)`` gives, with its
+    help and its usage errors.  A request that names its command first is
+    parsed by that command's own parser alone, as the whole parser would
+    hand it on, into a Namespace that holds ``command`` first, as the whole
+    parser's does.  The whole parser takes a request with no command, an
+    unknown one or a help option first, and one with arguments left over,
+    so that its error shows the top-level usage line."""
+    parser = build_parser()
+    own = parser.commands.get(argv[0]) if argv else None
+    if own is None:
+        return parser.parse_args(argv)
+    args, rest = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv) if rest else args
+
+
 def main(argv=None):
     """Run one command; a bad input value, metric or instance, or a file that
     cannot be read or parsed, is reported as one line on stderr with exit code 2."""
-    args = build_parser().parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     try:
         # an overflow or nan is caught by the checks and reported as the one
         # line below, so numpy's warnings about it would only add lines

@@ -743,27 +743,27 @@ class Tape:
     def _first_order(self):
         names = [f"o{j}" for j in range(len(self.outputs))]
         columns = ("(" + "".join(f"{n}{s}, " for n in names) + ")" for s in _SUFFIXES)
-        source = f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}"
-        return self.float_function(lambda constants: source, names)
+        return self.float_function(f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}", names)
 
     def float_function(self, template, names, env=None):
-        """The function whose Python source is ``template(constants)`` with
-        each line ``REPLAY`` replaced, at that line's indentation, by the
-        tape's order-1 replay on the floats x1, x2, x3 as straight-line code,
-        which binds expression j's value and first partials to the names
-        ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, and each line
-        ``SPARSE_REPLAY`` by its sparse copy, which binds the names that are
-        not in ``constants``.  ``constants`` is a dict of each of those names
+        """The function whose Python source is ``template``, a text, or
+        ``template(constants)``, with each line ``REPLAY`` replaced, at that
+        line's indentation, by the tape's order-1 replay on the floats x1,
+        x2, x3 as straight-line code, which binds expression j's value and
+        first partials to the names ``names[j]`` and ``names[j]`` + ``_1``,
+        ``_2``, ``_3``, and each line ``SPARSE_REPLAY`` by its sparse copy,
+        which binds the names that are not in ``constants``.  ``constants`` is a dict of each of those names
         that the sparse replay binds to a literal or a constant register (a
         constant expression's value and partials, a coordinate's partials)
         or leaves out as a partial fixed at 0, to its float, the same at
-        every point.  The
-        source starts ``def NAME(`` and binds x1, x2, x3 before the replay;
-        the function's globals are ``env`` and the replay's own, whose names
-        start with an underscore, as do its registers.  This
-        is the one source generator: ``first_order`` and the geodesic walk
-        (``riccati._walk``, whose fast step runs the sparse replay and folds
-        the constant outputs in) are made by it.
+        every point.  Only a function template has ``SPARSE_REPLAY`` lines,
+        so only for one is the sparse replay built.  The source starts
+        ``def NAME(`` and binds x1, x2, x3 before the replay; the function's
+        globals are ``env`` and the replay's own, whose names start with an
+        underscore, as do its registers.  This is the one source generator:
+        ``first_order`` and the geodesic walk (``riccati._walk``, whose fast
+        step runs the sparse replay and folds the constant outputs in) are
+        made by it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
         being four floats, and so its bits, with one exception: a nan made by
@@ -804,8 +804,10 @@ class Tape:
             **(env or {}),
         }
         replays = {REPLAY: self._replay(names, glob, False)[0]}
-        replays[SPARSE_REPLAY], constants = self._replay(names, glob, True)
-        text = template(constants)
+        text = template
+        if callable(template):
+            replays[SPARSE_REPLAY], constants = self._replay(names, glob, True)
+            text = template(constants)
         marker = "|".join(map(re.escape, replays))
         source = re.sub(
             rf"^( *)({marker})$", lambda m: "\n".join(m[1] + line for line in replays[m[2]]), text, flags=re.M

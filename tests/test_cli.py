@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from riccati3.cli import (
     OBSTRUCTED_REL,
     POINT_BLOCK,
     SWEEP_BLOCK,
+    _json_text,
     _rel_statistics,
     _sample_points,
     _unit_directions,
@@ -349,7 +351,19 @@ def test_frame_check_dumps_the_first_frame_of_its_sweep(tmp_path, capsys, monkey
     assert np.array_equal(got.dlam, first.dlam[0]) and np.array_equal(got.gamma, first.gamma[0])
 
 
-def test_frame_check_fails_on_a_failed_certificate(capsys, monkeypatch):
+@pytest.fixture
+def fresh_frame_verdicts():
+    """frame-check's input-free verdicts, which a process computes once,
+    computed anew in the test and not kept after it: a frame_algebra
+    function the test patches is run, and what it gave is not kept."""
+    from riccati3 import cli
+
+    cli._frame_verdicts.cache_clear()
+    yield
+    cli._frame_verdicts.cache_clear()
+
+
+def test_frame_check_fails_on_a_failed_certificate(capsys, monkeypatch, fresh_frame_verdicts):
     """A root planted into a case-elimination polynomial fails frame-check as
     it fails selftest's certificate row; the JSON report still shows it."""
     from riccati3 import frame_algebra as fa
@@ -1226,3 +1240,205 @@ def test_cli_import_builds_records_without_dataclasses_and_defers_nothing():
     package = {"riccati3"} | {f"riccati3.{f.stem}" for f in (src / "riccati3").glob("*.py") if f.stem != "__init__"}
     assert len(package) == 9
     assert package <= set(modules)
+
+
+# --- the JSON writer, the parse path and the per-process verdicts ----------
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e16, 1e-7, 1.0]),
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é ü ß", " \ud800\U0001f600", '"\\/', "\t\n\r\b\f"]),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_JSON_TREES)
+def test_json_writer_gives_the_bytes_of_json_dumps_indent_2(tree):
+    """On trees of dicts with str keys, lists, tuples, empty containers,
+    strings with non-ASCII and control characters, big ints, bools, None and
+    floats (nan, +-inf, -0.0, subnormals, 1e16, 1e-7, np.float64), the
+    writer's text is json.dumps(x, indent=2)."""
+    assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), {1, 2}, np.bool_(True), np.float32(0.5), object(), [1.0, {"a": np.int64(3)}]],
+    ids=["int64", "set", "bool_", "float32", "object", "nested-int64"],
+)
+def test_json_writer_raises_json_s_type_error_on_an_unsupported_value(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("key", [1, 0.5, True, None, (1, 2)])
+def test_json_writer_takes_only_str_keys(key):
+    with pytest.raises(TypeError):
+        _json_text({"a": [{key: 1}]})
+
+
+def test_reports_are_written_by_the_json_writer(capsys, monkeypatch):
+    """analyze, classify, frame-check, the riccati summary and selftest --json
+    print their report through the writer, and never through json.dumps."""
+    from riccati3 import cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(cli.json, "dumps", refused)
+    assert run(capsys, "analyze", "sol", "-n", "2", "-m", "3", "--json")[0] == 0
+    assert run(capsys, "frame-check", "--count", "3", "--json")[0] == 0
+    assert run(capsys, "selftest", "--json")[0] == 0
+
+
+_PARSE_VALID = [
+    ("analyze", "heisenberg", "-n", "3", "-m", "5", "--param", "L=2", "--param", "x=1", "--seed", "4",
+     "--tol", "1e-8", "--config", "c.cfg", "--out", "o.json", "--csv", "o.csv", "--json"),
+    ("analyze", "flat"),
+    ("analyze", "flat", "--poi", "2", "--di", "3"),
+    ("analyze", "--", "flat"),
+    ("riccati", "sphere", "--point=-0.1,0,0", "--dir", "1,0,0", "--u0", "1,0,1", "--T", "2", "--dt", "0.01",
+     "--param", "c=2", "--out", "t.csv"),
+    ("riccati", "flat", "--point", "0,0,0", "--dir", "1,0,0"),
+    ("classify", "inst.json", "--json", "--allow-infeasible", "--out", "o.json"),
+    ("classify", "inst.json"),
+    ("frame-check", "--seed", "3", "--count", "7", "--dump-frame", "f.txt", "--out", "o.json", "--json"),
+    ("frame-check",),
+    ("selftest", "--json", "--tamper-sign"),
+    ("selftest",),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_VALID, ids=lambda a: " ".join(a))
+def test_each_command_s_own_parser_gives_the_whole_parser_s_namespace(argv):
+    from riccati3.cli import _parse_args, build_parser
+
+    got, want = _parse_args(list(argv)), build_parser().parse_args(list(argv))
+    assert got == want and repr(got) == repr(want)
+
+
+def _parse_outcome(parse, argv):
+    """(stdout, stderr, exit code) of a parse that exits: help or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        parse(list(argv))
+    return out.getvalue(), err.getvalue(), stop.value.code
+
+
+@pytest.mark.parametrize(
+    "argv,first_line",
+    [
+        (("-h",), "usage: riccati3 [-h]"),
+        (("analyze", "-h"), "usage: riccati3 analyze [-h]"),
+        (("riccati", "-h"), "usage: riccati3 riccati [-h]"),
+        (("classify", "-h"), "usage: riccati3 classify [-h]"),
+        (("frame-check", "-h"), "usage: riccati3 frame-check [-h]"),
+        (("selftest", "-h"), "usage: riccati3 selftest [-h]"),
+        ((), "usage: riccati3 [-h]"),
+        (("bogus",), "usage: riccati3 [-h]"),
+        (("--bogus",), "usage: riccati3 [-h]"),
+        (("selftest", "--bogus"), "usage: riccati3 [-h]"),
+        (("analyze", "flat", "-n", "2", "extra"), "usage: riccati3 [-h]"),
+        (("analyze", "flat", "--", "-n"), "usage: riccati3 [-h]"),
+        (("riccati", "flat"), "usage: riccati3 riccati [-h]"),
+        (("analyze", "flat", "-n", "x"), "usage: riccati3 analyze [-h]"),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, tuple) else None,
+)
+def test_help_and_usage_errors_are_the_whole_parser_s(argv, first_line):
+    """main prints the help and the usage errors of build_parser().parse_args,
+    byte for byte, with its exit code; arguments a command's parser leaves
+    over get the top-level usage line, as with the whole parser."""
+    from riccati3.cli import build_parser
+
+    got = _parse_outcome(main, argv)
+    assert got == _parse_outcome(build_parser().parse_args, argv)
+    assert (got[0] or got[1]).startswith(first_line)
+    assert got[2] == (0 if "-h" in argv else 2)
+
+
+def test_frame_check_computes_its_input_free_verdicts_once_per_process(capsys, monkeypatch, fresh_frame_verdicts):
+    """The rigid frames, their EDS closures and the certificate roots are
+    computed by the first frame-check of a process only.  A second request's
+    report equals the first's and a fresh interpreter's, and a report that a
+    caller changes leaves the next one unchanged."""
+    import collections
+
+    from riccati3 import cli
+    from riccati3 import frame_algebra as fa
+
+    calls = collections.Counter()
+    for name in ("rigid_frame", "eds_closure", "_roots_in_unit_interval"):
+        real = getattr(fa, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fa, name, counted)
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, args: reports.append(report) or emit(report, args))
+    argv = ("frame-check", "--seed", "3", "--count", "7", "--json")
+    code, first = run(capsys, *argv)
+    assert code == 0 and calls == {"rigid_frame": 8, "eds_closure": 8, "_roots_in_unit_interval": 3}
+    calls.clear()
+    code, second = run(capsys, *argv)
+    assert code == 0 and second == first and not calls
+    certificates = reports[-1]["certificates"]
+    for roots in certificates.values():
+        with contextlib.suppress(AttributeError):  # a tuple of roots has no append
+            roots.append(0.5)
+    certificates.clear()
+    reports[-1]["rigid_tables_ok"] = False
+    assert run(capsys, *argv) == (0, first)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); from riccati3.cli import main; sys.exit(main())"
+    fresh = subprocess.run([sys.executable, "-I", "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0 and fresh.stdout == first
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("analyze", "flat", "-n", "100000000000", "-m", "1"), "-n/--points is 100000000000, more than MAX_POINTS"),
+        (("analyze", "flat", "-n", "1", "-m", "100000000000"), "-m/--dirs is 100000000000, more than MAX_POINT_DIRECTIONS"),
+        (("analyze", "flat", "-n", "100001", "-m", "1"), "more than MAX_POINTS = 100000"),
+        (("analyze", "flat", "-n", "100000", "-m", "101"), "more than MAX_POINT_DIRECTIONS = 10000000"),
+    ],
+)
+def test_analyze_refuses_a_sample_count_above_its_bound_before_sampling(monkeypatch, argv, words):
+    """-n above MAX_POINTS, or -n times -m above MAX_POINT_DIRECTIONS, is a
+    one-line usage error, raised before the metric is resolved or anything
+    is sampled; the bounds themselves pass that check."""
+    from riccati3 import cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("sampled past the bound")
+
+    monkeypatch.setattr(cli, "_sample_points", unreached)
+    assert words in run_bad(argv)
+
+    def past_the_bounds(*args, **kwargs):
+        raise cli.UsageError("past the bounds")
+
+    monkeypatch.setattr(cli.metrics, "resolve", past_the_bounds)
+    for n, m in ((cli.MAX_POINTS, cli.MAX_POINT_DIRECTIONS // cli.MAX_POINTS), (1, cli.MAX_POINT_DIRECTIONS)):
+        assert run_bad(("analyze", "flat", "-n", str(n), "-m", str(m))).endswith("past the bounds")

@@ -609,6 +609,26 @@ def test_first_order_replay_differs_from_the_run_only_in_the_sign_of_a_nan():
     assert np.all(np.isnan(got[differ])) and differ[1:, 0].all()
 
 
+def test_only_a_function_template_builds_the_sparse_replay(monkeypatch):
+    """first_order's template is a text with no SPARSE_REPLAY line, so its
+    generation builds the full replay alone; a template that is a function
+    of the constants, as the walk's, builds the sparse replay as well."""
+    tape = Tape((parse_expr("sin(x1) * x2"), parse_expr("x3^2")))
+    built = []
+    real = Tape._replay
+
+    def recorded(self, names, glob, sparse):
+        built.append(sparse)
+        return real(self, names, glob, sparse)
+
+    monkeypatch.setattr(Tape, "_replay", recorded)
+    assert tape.first_order((0.5, 2.0, 3.0)) == ((math.sin(0.5) * 2.0, 9.0), (math.cos(0.5) * 2.0, 0.0),
+                                                 (math.sin(0.5), 0.0), (0.0, 6.0))
+    assert built == [False]
+    tape.float_function(lambda constants: f"def f(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return o0", ["o0", "o1"])
+    assert built == [False, False, True]
+
+
 LOG_PARTIAL = custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1000 + log(x1)"},
                      name="log-partial", box=((0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)))
 
