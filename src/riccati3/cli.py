@@ -9,6 +9,7 @@ for seed / tol / points / dirs; any other key is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -33,13 +34,16 @@ OBSTRUCTED_FRACTION = 0.10
 # they bound the memory of the (points, directions) arrays at large -n and -m
 POINT_BLOCK = 64
 SWEEP_BLOCK = 16384
-# most sample points, and point-directions (-n times -m), one ``analyze`` may
-# take, refused before anything is sampled: about 1.8 KB a point (its tuple,
-# report entry and text) and 40 bytes a point-direction (its residual, kept
-# for the statistics) make about 180 MB and 400 MB at the bounds, where --csv
-# holds each point-direction's row too, about 850 bytes a row
+# most sample points, point-directions (-n times -m) and directions one
+# ``analyze`` may take, refused before anything is sampled: about 1.8 KB a
+# point (its tuple, report entry and text) and 40 bytes a point-direction (its
+# residual, kept for the statistics) make about 180 MB and 400 MB at the first
+# two bounds; one point's detector call holds all its directions, about 780
+# bytes each, so -n 1 at the last peaks at 200 MB of RSS, and 236 MB with
+# --csv, whose rows go to the file one point at a time
 MAX_POINTS = 10**5
 MAX_POINT_DIRECTIONS = 10**7
+MAX_DIRS = 2 * 10**5
 
 
 class UsageError(ValueError):
@@ -187,14 +191,16 @@ def _emit(report, args):
         print(text)
 
 
-def _write_csv(path, header, rows):
-    """The CSV file of ``header`` (names) and ``rows`` (Python floats and
-    ints), with the bytes ``csv.writer`` gives them: each field its repr,
-    none quoted, as none holds a comma, quote or line break, and each line
-    ended by CR LF."""
+@contextlib.contextmanager
+def _csv_writer(path, header):
+    """Open the CSV file at ``path`` with the line ``header`` (names) and give
+    ``write(rows)``, which appends rows of Python floats and ints, call after
+    call, with the bytes ``csv.writer`` gives them: each field its repr, none
+    quoted, as none holds a comma, quote or line break, and each line ended
+    by CR LF.  An exception closes the file with the rows written so far."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        yield lambda rows: fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _sample_points(spec, n, rng):
@@ -212,9 +218,10 @@ def _unit_directions(pack, dirs):
 
 def _point_blocks(spec, points):
     """(index of the first point, points, their batched ``pack_at``) for each
-    block of POINT_BLOCK sample points.  A block that faults is packed point
-    by point, so the run stops at the first faulting point in sample order,
-    with its one-point message."""
+    block of POINT_BLOCK sample points, packed when the caller asks for it.
+    A block that faults is packed point by point, so the run stops at the
+    first faulting point in sample order, with its one-point message, once
+    the caller has taken every block before it."""
     for start in range(0, len(points), POINT_BLOCK):
         block = points[start : start + POINT_BLOCK]
         try:
@@ -280,6 +287,8 @@ def cmd_analyze(args):
         raise UsageError(
             f"-n/--points times -m/--dirs is {n_points * n_dirs}, more than MAX_POINT_DIRECTIONS = {MAX_POINT_DIRECTIONS}"
         )
+    if n_dirs > MAX_DIRS:
+        raise UsageError(f"-m/--dirs is {n_dirs}, more than MAX_DIRS = {MAX_DIRS}")
     if seed < 0:
         raise UsageError(f"--seed must be at least 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -290,10 +299,8 @@ def cmd_analyze(args):
     points = _sample_points(spec, n_points, rng)
     dirs = fibonacci_directions(n_dirs)
 
-    ident = {"j2": 0.0, "bianchi": 0.0, "kulkarni": 0.0}
     per_point = []
     hist = {str(k): 0 for k in range(4)}
-    rows = []
     rels = []
     isotropic = 0
     rank1 = None
@@ -301,41 +308,33 @@ def cmd_analyze(args):
     # the detector in calls of at most SWEEP_BLOCK point-directions, or of one
     # point's: a point's values do not depend on the others in its call
     per = max(1, SWEEP_BLOCK // n_dirs)
-    for start, block, pack in _point_blocks(spec, points):
-        res = identity_residuals(pack, n=8, seed=seed + start)  # one draw; point start + k reads row k
-        tables = []
-        for first in range(0, len(block), per):
-            part = pack._make(x[first : first + per] for x in pack)
-            X = _unit_directions(part, dirs)
-            ov = obstruction_values(part, X)
-            rel = np.abs(ov.residual) / ov.scale
-            rels.append(rel.ravel())
-            isotropic += int(np.count_nonzero(ov.isotropic))
-            if args.csv:
-                cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
-                tables.append(np.concatenate([X, np.stack(cols, -1)], -1))
-        table = np.concatenate(tables) if args.csv else None
-        ranks = ricci_rank(pack)
-        for k, p in enumerate(block):
-            per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}})
-            for key in ident:
-                ident[key] = max(ident[key], per_point[-1][key])
-            rr = ranks.row(k)
-            per_point[-1]["rank"] = rr.rank
-            hist[str(rr.rank)] += 1
-            any_nonpositive = any_nonpositive and rr.ric_nonpositive
-            if rr.rank == 1 and rank1 is None:
-                rep = rank1_checks(pack.row(k), rr)
-                rank1 = {
-                    "lie_e3_scal": rep.lie_e3_scal,
-                    "div_e3": rep.div_e3,
-                    "defect_min": rep.defect_min,
-                    "defect_max": rep.defect_max,
-                    "flagged": rep.flagged,
-                }
-            if args.csv:
-                rows += [[start + k, *p, idir, *row] for idir, row in enumerate(table[k].tolist())]
+    header = "point_idx x1 x2 x3 dir_idx X1 X2 X3 D1 D2 D P lhs rhs residual scale rel".split()
+    with _csv_writer(args.csv, header) if args.csv else contextlib.nullcontext() as write:
+        for start, block, pack in _point_blocks(spec, points):
+            res = identity_residuals(pack, n=8, seed=seed + start)  # one draw; point start + k reads row k
+            for first in range(0, len(block), per):
+                part = pack._make(x[first : first + per] for x in pack)
+                X = _unit_directions(part, dirs)
+                ov = obstruction_values(part, X)
+                rel = np.abs(ov.residual) / ov.scale
+                rels.append(rel.ravel())
+                isotropic += int(np.count_nonzero(ov.isotropic))
+                if args.csv:
+                    cols = (ov.D1, ov.D2, ov.D, ov.P, ov.lhs, ov.rhs, ov.residual, ov.scale, rel)
+                    for i, table in enumerate(np.concatenate([X, np.stack(cols, -1)], -1), start + first):
+                        write([i, *points[i], idir, *row] for idir, row in enumerate(table.tolist()))
+            ranks = ricci_rank(pack)
+            for k, p in enumerate(block):
+                rr = ranks.row(k)
+                per_point.append({"point": list(p), **{key: float(v[k]) for key, v in res.items()}, "rank": rr.rank})
+                hist[str(rr.rank)] += 1
+                any_nonpositive = any_nonpositive and rr.ric_nonpositive
+                if rr.rank == 1 and rank1 is None:
+                    rep = rank1_checks(pack.row(k), rr)._asdict()
+                    keys = ("lie_e3_scal", "div_e3", "defect_min", "defect_max", "flagged")
+                    rank1 = {key: rep[key] for key in keys}
 
+    ident = {key: max([0.0, *(pp[key] for pp in per_point)]) for key in ("j2", "bianchi", "kulkarni")}
     (lo, q25, median, q75, hi), frac = _rel_statistics(np.concatenate(rels))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"
@@ -369,9 +368,6 @@ def cmd_analyze(args):
         "rank1_checks": rank1,
         "verdict": verdict,
     }
-    if args.csv:
-        header = "point_idx x1 x2 x3 dir_idx X1 X2 X3 D1 D2 D P lhs rhs residual scale rel"
-        _write_csv(args.csv, header.split(), rows)
     _emit(report, args)
     return 0
 
@@ -398,8 +394,9 @@ def cmd_riccati(args):
     out = args.out or "trajectory.csv"
     table = np.column_stack([res.ts, path.xs[:k], res.u, res.trace_defect])
     # the rows as Python floats one block of SAMPLE_BLOCK at a time, so no list holds the whole path
-    rows = (row for s in range(0, k, SAMPLE_BLOCK) for row in table[s : s + SAMPLE_BLOCK].tolist())
-    _write_csv(out, "t x1 x2 x3 u11 u12 u22 trace_defect".split(), rows)
+    with _csv_writer(out, "t x1 x2 x3 u11 u12 u22 trace_defect".split()) as write:
+        for s in range(0, k, SAMPLE_BLOCK):
+            write(table[s : s + SAMPLE_BLOCK].tolist())
     summary = {
         "samples": k,
         "trace_defect_max": res.trace_defect_max,

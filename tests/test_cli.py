@@ -19,11 +19,11 @@ from riccati3.cli import (
     OBSTRUCTED_REL,
     POINT_BLOCK,
     SWEEP_BLOCK,
+    _csv_writer,
     _json_text,
     _rel_statistics,
     _sample_points,
     _unit_directions,
-    _write_csv,
     main,
 )
 from riccati3.curvature import identity_residuals, pack_at, ricci_rank
@@ -128,12 +128,14 @@ def test_analyze_deterministic_and_csv(tmp_path, capsys):
 
 
 def test_csv_helper_writes_the_bytes_of_csv_writer(tmp_path):
-    """``_write_csv`` writes what ``csv.writer`` writes for a header and rows
-    of floats and ints: signed zeros, subnormals, huge values, nan and inf
-    included."""
+    """``_csv_writer`` writes what ``csv.writer`` writes for a header and rows
+    of floats and ints handed over several calls, an empty one included:
+    signed zeros, subnormals, huge values, nan and inf included."""
     header = ["t", "x1", "u11"]
     rows = [[-0.0, 5e-324, 1e308], [float("nan"), float("inf"), -float("inf")], [3, -7, 0.1], [0, 2**70, -1e-310]]
-    _write_csv(tmp_path / "helper.csv", header, rows)
+    with _csv_writer(tmp_path / "helper.csv", header) as write:
+        for part in (rows[:1], [], rows[1:3], iter(rows[3:])):
+            write(part)
     with open(tmp_path / "writer.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -871,23 +873,31 @@ def test_analyze_detector_calls_keep_the_bytes(name, tmp_path, capsys, monkeypat
     assert len(outputs) == 1
 
 
-def test_analyze_memory_is_bounded_in_directions(capsys):
+def test_analyze_memory_is_bounded_in_directions(capsys, tmp_path):
     """The detector runs on at most SWEEP_BLOCK point-directions a call, so
     a block of POINT_BLOCK points at eight times the directions of one full
     call adds little more than the residuals (8 bytes a sample) to analyze's
     peak memory, which one call over the block would multiply about eightfold
-    (traced by tracemalloc, where numpy reports its arrays)."""
+    (traced by tracemalloc, where numpy reports its arrays).  --csv writes
+    each point's rows as its detector call returns, so it adds little to the
+    same run without it, where rows kept to the end of the run would add
+    about 740 bytes a point-direction.  That case runs a quarter block, as
+    tracing every string of a whole block's rows takes about ten seconds."""
     m = SWEEP_BLOCK // POINT_BLOCK
+    quarter = str(POINT_BLOCK // 4)
+    runs = ((str(POINT_BLOCK), m, ()), (str(POINT_BLOCK), 8 * m, ()), (quarter, 8 * m, ()),
+            (quarter, 8 * m, ("--csv", str(tmp_path / "sweep.csv"))))
     peaks = []
-    for dirs in (m, 8 * m):
+    for n, dirs, more in runs:
         tracemalloc.start()
         try:
-            code, _ = run(capsys, "analyze", "heisenberg", "-n", str(POINT_BLOCK), "-m", str(dirs), "--json")
+            code, _ = run(capsys, "analyze", "heisenberg", "-n", n, "-m", str(dirs), "--json", *more)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert code == 0
     assert peaks[1] < 1.5 * peaks[0], peaks
+    assert peaks[3] < 1.25 * peaks[2], peaks
 
 
 MIXED_FAULTS = {"g11": "2+log(x1+0.9)", "g22": "x2+0.9", "g33": "1/(x3-0.95)^2"}
@@ -930,6 +940,25 @@ def test_analyze_fault_names_the_first_faulting_point(tmp_path, comps, argv, lin
 
 
 FLAT = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+
+
+def test_analyze_fault_keeps_the_csv_rows_of_the_blocks_before_it(tmp_path, capsys):
+    """A run that stops at a faulting point keeps in its --csv file the rows
+    of every block before that point's block: the 69th point of seed 5
+    faults in the second block, so the file is the CSV of the first 64
+    points, byte for byte.  A fault in the first block leaves the header."""
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"components": {**FLAT, "g11": "x1+0.99"}}))
+    stopped, whole = tmp_path / "stopped.csv", tmp_path / "whole.csv"
+    line = run_bad(("analyze", str(path), "-n", "100", "--seed", "5", "--json", "--csv", str(stopped)))
+    assert line.startswith("riccati3 analyze: error: metric 'custom' not positive definite at (-0.9999972797485162,")
+    code, _ = run(capsys, "analyze", str(path), "-n", "64", "--seed", "5", "--json", "--csv", str(whole))
+    assert code == 0
+    assert stopped.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes().splitlines()) == 1 + 64 * 64
+    path.write_text(json.dumps({"components": {**FLAT, "g11": "x1"}}))
+    run_bad(("analyze", str(path), "--csv", str(stopped)))
+    assert stopped.read_bytes() == whole.read_bytes().splitlines(keepends=True)[0]
 
 
 @pytest.mark.parametrize(
@@ -1422,12 +1451,13 @@ def test_frame_check_computes_its_input_free_verdicts_once_per_process(capsys, m
         (("analyze", "flat", "-n", "1", "-m", "100000000000"), "-m/--dirs is 100000000000, more than MAX_POINT_DIRECTIONS"),
         (("analyze", "flat", "-n", "100001", "-m", "1"), "more than MAX_POINTS = 100000"),
         (("analyze", "flat", "-n", "100000", "-m", "101"), "more than MAX_POINT_DIRECTIONS = 10000000"),
+        (("analyze", "flat", "-n", "1", "-m", "200001"), "-m/--dirs is 200001, more than MAX_DIRS = 200000"),
     ],
 )
 def test_analyze_refuses_a_sample_count_above_its_bound_before_sampling(monkeypatch, argv, words):
-    """-n above MAX_POINTS, or -n times -m above MAX_POINT_DIRECTIONS, is a
-    one-line usage error, raised before the metric is resolved or anything
-    is sampled; the bounds themselves pass that check."""
+    """-n above MAX_POINTS, -n times -m above MAX_POINT_DIRECTIONS, or -m
+    above MAX_DIRS is a one-line usage error, raised before the metric is
+    resolved or anything is sampled; the bounds themselves pass that check."""
     from riccati3 import cli
 
     def unreached(*args, **kwargs):
@@ -1440,5 +1470,9 @@ def test_analyze_refuses_a_sample_count_above_its_bound_before_sampling(monkeypa
         raise cli.UsageError("past the bounds")
 
     monkeypatch.setattr(cli.metrics, "resolve", past_the_bounds)
-    for n, m in ((cli.MAX_POINTS, cli.MAX_POINT_DIRECTIONS // cli.MAX_POINTS), (1, cli.MAX_POINT_DIRECTIONS)):
+    for n, m in (
+        (cli.MAX_POINTS, cli.MAX_POINT_DIRECTIONS // cli.MAX_POINTS),
+        (cli.MAX_POINT_DIRECTIONS // cli.MAX_DIRS, cli.MAX_DIRS),
+        (1, cli.MAX_DIRS),
+    ):
         assert run_bad(("analyze", "flat", "-n", str(n), "-m", str(m))).endswith("past the bounds")
