@@ -334,7 +334,7 @@ def cmd_analyze(args):
                     keys = ("lie_e3_scal", "div_e3", "defect_min", "defect_max", "flagged")
                     rank1 = {key: rep[key] for key in keys}
 
-    ident = {key: max([0.0, *(pp[key] for pp in per_point)]) for key in ("j2", "bianchi", "kulkarni")}
+    ident = {key: functools.reduce(_worst, (pp[key] for pp in per_point), 0.0) for key in ("j2", "bianchi", "kulkarni")}
     (lo, q25, median, q75, hi), frac = _rel_statistics(np.concatenate(rels))
     if frac >= OBSTRUCTED_FRACTION:
         verdict = "obstructed"
@@ -456,6 +456,12 @@ def _frame_verdicts():
     return rigid_ok, eds_ok, certs
 
 
+def _worst(a, b):
+    """``max(a, b)``, but NaN when either is: ``max(0.0, nan)`` is 0.0, so a
+    fold by ``max`` would pass a check whose residuals are all NaN."""
+    return b if b > a or b != b else a
+
+
 def _frame_algebra_checks(seed, count):
     """Frame-algebra sweeps over ``count`` frames drawn in turn from one
     ``default_rng(seed)``, so the first is ``consistent_frame(seed)``: worst
@@ -463,25 +469,25 @@ def _frame_algebra_checks(seed, count):
     ``_frame_verdicts``.
 
     Each identity runs once per block of up to FRAME_BLOCK consistent frames,
-    and each input is built once.  A bundle's b1 and c read only lambda and
-    Gamma, which a draw's free and consistent frames share, so the consistent
-    frames' three bundles serve the b1 factorization, and their a2 and a3
-    bundles the a1 cross-check and the root identities."""
+    and each input is built once: the p polynomials, and the three bundles
+    they are the c of.  A bundle's b1 and c read only lambda and Gamma,
+    which a draw's free and consistent frames share, so the consistent
+    frames' bundles serve the b1 factorization, the a1 cross-check and the
+    root identities.  A NaN residual is the worst."""
     worst = dict.fromkeys(FRAME_LIMITS, 0.0)
     rng = np.random.default_rng(seed)
     for start in range(0, count, FRAME_BLOCK):
         cons = fa.consistent_from_free(fa.free_frames(rng, min(FRAME_BLOCK, count - start)))
-        bundles = [fa.special_direction_polys(cons, case) for case in fa.CASES]
-        r13, r23 = fa.a1_crosscheck(cons, bundles[1:])
-        roots = fa.root_identities(cons, bundles[1:])
+        p = fa.p_polys(cons)
+        bundles = [fa.special_direction_polys(cons, case, p) for case in fa.CASES]
         block = {
-            "b1_factor_worst": max(np.max(b.b1_factor_residual()) for b in bundles),
-            "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
-            "root_identities_worst": max(np.max(np.abs(v)) for v in roots.values()),
-            "bianchi_worst": np.max(np.abs(fa.bianchi_frame_residuals(cons))),
+            "b1_factor_worst": [b.b1_factor_residual() for b in bundles],
+            "a1_crosscheck_worst": fa.a1_crosscheck(cons, bundles),
+            "root_identities_worst": list(fa.root_identities(cons, bundles).values()),
+            "bianchi_worst": fa.bianchi_frame_residuals(cons),
         }
-        for key, value in block.items():
-            worst[key] = max(worst[key], float(value))
+        for key, cols in block.items():
+            worst[key] = _worst(worst[key], float(abs(np.array(cols)).max()))
     rigid_ok, eds_ok, _ = _frame_verdicts()
     return {**worst, "rigid_tables_ok": rigid_ok, "eds_contradictions_ok": eds_ok}
 
@@ -547,20 +553,17 @@ def _selftest_checks(tamper=False):
             pack = pack_at(spec, p, tamper=tamper)
             res = identity_residuals(pack, n=10, seed=1)
             for k in worst:
-                worst[k] = max(worst[k], res[k])
+                worst[k] = _worst(worst[k], res[k])
             vs = rng.standard_normal((5, 3))
             trJ = np.trace(jacobi_op(pack, vs), axis1=-2, axis2=-1)
             ric_vv = np.einsum("ai,ij,aj->a", vs, pack.ric, vs)
-            sign_lock = max(sign_lock, float(np.max(np.abs(trJ - ric_vv))))
+            sign_lock = _worst(sign_lock, float(abs(trJ - ric_vv).max()))
     yield "identity_suite", all(v < 1e-7 for v in worst.values()), worst
     yield "sign_lock", sign_lock < 1e-9, {"max": sign_lock}
 
     spec = metrics.builtin("hyperbolic", c=1.0)
     pack = pack_at(spec, (0.1, -0.2, 0.9))
-    cc = max(
-        float(np.max(np.abs(pack.ric + 2.0 * pack.g))),
-        abs(pack.scal + 6.0),
-    )
+    cc = _worst(float(abs(pack.ric + 2.0 * pack.g).max()), abs(pack.scal + 6.0))
     yield "constant_curvature", cc < 1e-9, {"max": cc}
 
     eig_err = 0.0
@@ -568,7 +571,7 @@ def _selftest_checks(tamper=False):
         spec = metrics.builtin("heisenberg", L=lam)
         rr = ricci_rank(pack_at(spec, (0.3, -0.4, 0.2)))
         expect = np.array([-lam**2 / 2, -lam**2 / 2, lam**2 / 2])
-        eig_err = max(eig_err, float(np.max(np.abs(rr.eigenvalues - expect))))
+        eig_err = _worst(eig_err, float(abs(rr.eigenvalues - expect).max()))
     yield "heisenberg_eigenvalues", eig_err < 1e-8, {"max": eig_err}
 
     dirs = fibonacci_directions(32)

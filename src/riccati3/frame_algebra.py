@@ -20,11 +20,15 @@ formula), and the factorization b1 = -(t^2+1) c with c one of the pij
 polynomials holds identically and doubles as a cross-check of the expansion code.
 
 Frames may carry a leading batch axis: at n frames lambda2 and lambda3 are
-(n,) arrays, the derivative table is (n, 3, 2), the connection coefficients
-are (n, 3, 3, 3) and a polynomial is an (n, deg+1) array of fixed length.
-The polynomial and identity functions broadcast over that axis, and each row
-is bitwise the value the same function gives at that one frame; at one frame
-they return floats and coefficient arrays of the same fixed length.
+(n,) arrays, the derivative table is (n, 3, 2) and the connection
+coefficients are (n, 3, 3, 3).  A polynomial is the tuple of its ascending
+coefficients, each a float at one frame and an (n,) column at a batch; a
+coefficient that is 0 by structure (a's middle one, say) is the float 0.0 in
+both.  Products and sums are plain arithmetic on those columns, term by term
+in the order of a polynomial product (left to right in j over a_j b_{k-j}),
+with the terms of a structural zero left out: that can change only the sign
+of a zero, and every consumer takes |.|.  So each column entry of a batch is
+bitwise the value the same function gives at that one frame.
 """
 
 from __future__ import annotations
@@ -40,19 +44,6 @@ R_SILVER = 3.0 - 2.0 * math.sqrt(2.0)  # unique eigenvalue ratio of the rigid fr
 CASES = ("a1", "a2", "a3")
 
 
-def _value(x):
-    """A float at one frame, the (n,) array of a batch."""
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def _stack(*cols):
-    """Values stacked along a new last axis; each is a float or an array of the batch's shape."""
-    out = np.empty(max(map(np.shape, cols), key=len) + (len(cols),))
-    for k, c in enumerate(cols):
-        out[..., k] = c
-    return out
-
-
 class FrameData(NamedTuple):
     lambda2: float | np.ndarray  # a float, or (n,) at a batch of n frames
     lambda3: float | np.ndarray
@@ -61,12 +52,14 @@ class FrameData(NamedTuple):
     mode: str = "free"  # "free" or "consistent"
 
     def G(self, i, j, k):
-        """1-based connection coefficient g(nabla_{e_i} e_j, e_k)."""
-        return _value(self.gamma[..., i - 1, j - 1, k - 1])
+        """1-based connection coefficient g(nabla_{e_i} e_j, e_k): a numpy
+        float at one frame, the (n,) column of a batch.  The transpose puts
+        the frame axis last, so one frame's read is a scalar, not a 0-d array."""
+        return self.gamma.T[k - 1, j - 1, i - 1]
 
     def L(self, i, j):
-        """1-based eigenvalue derivative L_{e_i} lambda_j (j in {2,3})."""
-        return _value(self.dlam[..., i - 1, j - 2])
+        """1-based eigenvalue derivative L_{e_i} lambda_j (j in {2,3}), as ``G``."""
+        return self.dlam.T[j - 2, i - 1]
 
 
 GAMMA_KEYS = [(i, j, k) for i in (1, 2, 3) for (j, k) in ((1, 2), (1, 3), (2, 3))]
@@ -111,7 +104,7 @@ def consistent_from_free(fd: FrameData) -> FrameData:
     L1l3 = 2.0 * l2 * G(2, 2, 1) + 2.0 * l3 * G(3, 3, 1) - L1l2
     L2l3 = L2l2 + 2.0 * l3l2 * G(3, 3, 2) - 2.0 * l2 * G(1, 1, 2)
     L3l3 = L3l2 + 2.0 * l3l2 * G(2, 2, 3) + 2.0 * l3 * G(1, 1, 3)
-    dlam = np.stack([_stack(L1l2, L1l3), _stack(L2l2, L2l3), _stack(L3l2, L3l3)], axis=-2)
+    dlam = np.array((L1l2, L1l3, L2l2, L2l3, L3l2, L3l3)).T.reshape(fd.gamma.shape[:-3] + (3, 2))
     return FrameData(l2, l3, dlam, fd.gamma, "consistent")
 
 
@@ -127,15 +120,21 @@ def consistent_frame(seed, mode: str = "consistent") -> FrameData:
     return FrameData(float(fd.lambda2[0]), float(fd.lambda3[0]), fd.dlam[0], fd.gamma[0], mode)
 
 
-def bianchi_frame_residuals(fd: FrameData) -> np.ndarray:
-    """Left minus right of the three frame Bianchi equations (last axis)."""
+def _max_abs(cols):
+    """The largest |value| among columns of one length, frame by frame: a
+    float at one frame, an (n,) array at a batch, NaN where one is NaN."""
+    return abs(np.array(cols)).max(axis=0)
+
+
+def bianchi_frame_residuals(fd: FrameData):
+    """Left minus right of the three frame Bianchi equations: three columns."""
     l2, l3 = fd.lambda2, fd.lambda3
     G, L = fd.G, fd.L
     d = l3 - l2
     r1 = 0.5 * (L(1, 2) + L(1, 3)) - (l2 * G(2, 2, 1) + l3 * G(3, 3, 1))
     r2 = 0.5 * (L(2, 3) - L(2, 2)) - (d * G(3, 3, 2) - l2 * G(1, 1, 2))
     r3 = 0.5 * (L(3, 3) - L(3, 2)) - (d * G(2, 2, 3) + l3 * G(1, 1, 3))
-    return _stack(r1, r2, r3)
+    return r1, r2, r3
 
 
 def ric111_residual(fd: FrameData) -> float | np.ndarray:
@@ -147,163 +146,149 @@ def ric111_residual(fd: FrameData) -> float | np.ndarray:
 
 
 def p_polys(fd: FrameData):
-    """The three connection-coefficient polynomials (ascending coefficients)."""
+    """The three connection-coefficient polynomials p12, p13, p23: the c of
+    cases a1, a2 and a3."""
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
-    p12 = _stack(l3 * G(2, 1, 3), (l2 - l3) * G(2, 2, 3) + l3 * G(1, 1, 3), (l2 - l3) * G(1, 2, 3))
-    p13 = _stack(l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), (l2 - l3) * G(1, 2, 3))
-    p23 = _stack(-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1))
+    l2l3 = l2 - l3
+    G123 = G(1, 2, 3)
+    p12 = (l3 * G(2, 1, 3), l2l3 * G(2, 2, 3) + l3 * G(1, 1, 3), l2l3 * G123)
+    p13 = (l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), l2l3 * G123)
+    p23 = (-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1))
     return p12, p13, p23
-
-
-def _pmul(a, b):
-    """The product of two polynomials, coefficients ascending along the last axis.
-
-    Each coefficient sums its terms a[j] b[k - j] left to right in j, so a
-    batch row is bitwise the product at one frame.
-    """
-    n, m = a.shape[-1], b.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + m - 1,))
-    for j in range(n):
-        out[..., j : j + m] += a[..., j, None] * b
-    return out
-
-
-def _padd(a, b):
-    """The sum of two polynomials, the shorter one padded with zeros."""
-    if a.shape[-1] < b.shape[-1]:
-        a, b = b, a
-    out = a.copy()
-    out[..., : b.shape[-1]] += b
-    return out
 
 
 class PolyBundle(NamedTuple):
     case: str
-    a: np.ndarray
-    c: np.ndarray
-    d1: np.ndarray
-    a1: np.ndarray
-    b1: np.ndarray
+    a: tuple
+    c: tuple
+    d1: tuple
+    a1: tuple
+    b1: tuple
 
     def b1_factor_residual(self):
-        """Coefficient-wise residual of b1 + (t^2 + 1) c."""
-        lhs = _padd(self.b1, _pmul(np.array([1.0, 0.0, 1.0]), self.c))
-        return _value(np.max(np.abs(lhs), axis=-1))
+        """The largest |coefficient| of b1 + (t^2 + 1) c, frame by frame."""
+        b, c = self.b1, self.c
+        return _max_abs((b[0] + c[0], b[1] + c[1], b[2] + (c[2] + c[0]), b[3] + c[1], b[4] + c[2]))
 
 
 _CASE_FRAME = {"a1": (1, 2, 3), "a2": (1, 3, 2), "a3": (2, 3, 1)}
 
 
-def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
-    """Bundle (a, c, d1, a1, b1) for one special direction family."""
+def special_direction_polys(fd: FrameData, case: str, p=None) -> PolyBundle:
+    """Bundle (a, c, d1, a1, b1) for one special direction family; ``p`` is
+    fd's ``p_polys``, built here when not given."""
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
     l2, l3 = fd.lambda2, fd.lambda3
     lam = {1: 0.0, 2: l2, 3: l3}
     G, L = fd.G, fd.L
-    p12, p13, p23 = p_polys(fd)
+    c = (p or p_polys(fd))[CASES.index(case)]
     i, j, w = _CASE_FRAME[case]
 
     if case == "a1":
-        a = _stack(l3 / 2.0, 0.0, (l3 - l2) / 2.0)
-        c = p12
+        a = (l3 / 2.0, 0.0, (l3 - l2) / 2.0)
+        L12, L13, L22, L23 = L(1, 2), L(1, 3), L(2, 2), L(2, 3)
+        G221, G112 = G(2, 2, 1), G(1, 1, 2)
         if fd.mode == "consistent":
-            d1 = np.asarray((4.0 * l2 / (l2 - l3)) * G(1, 1, 2))[..., None] * a
+            s = (4.0 * l2 / (l2 - l3)) * G112
+            d1 = (s * a[0], 0.0, s * a[2])
         else:
-            d1 = _stack(L(2, 2), 2.0 * l2 * G(2, 2, 1) + L(1, 2), -2.0 * l2 * G(1, 1, 2))
-        a1 = _stack(
-            0.5 * L(2, 3),
-            0.5 * L(1, 3) + l2 * G(2, 2, 1),
-            0.5 * (L(2, 3) - L(2, 2)) - l2 * G(1, 1, 2),
-            0.5 * (L(1, 3) - L(1, 2)),
+            d1 = (L22, 2.0 * l2 * G221 + L12, -2.0 * l2 * G112)
+        a1 = (
+            0.5 * L23,
+            0.5 * L13 + l2 * G221,
+            0.5 * (L23 - L22) - l2 * G112,
+            0.5 * (L13 - L12),
         )
     elif case == "a2":
-        a = _stack(l2 / 2.0, 0.0, (l2 - l3) / 2.0)
-        c = p13
-        d1 = _stack(L(3, 3), L(1, 3) + 2.0 * l3 * G(3, 3, 1), -2.0 * l3 * G(1, 1, 3))
-        a1 = _stack(
-            0.5 * L(3, 2),
-            0.5 * L(1, 2) + l3 * G(3, 3, 1),
-            0.5 * (L(3, 2) - L(3, 3)) - l3 * G(1, 1, 3),
-            0.5 * (L(1, 2) - L(1, 3)),
+        a = (l2 / 2.0, 0.0, (l2 - l3) / 2.0)
+        L12, L13, L32, L33 = L(1, 2), L(1, 3), L(3, 2), L(3, 3)
+        G331, G113 = G(3, 3, 1), G(1, 1, 3)
+        d1 = (L33, L13 + 2.0 * l3 * G331, -2.0 * l3 * G113)
+        a1 = (
+            0.5 * L32,
+            0.5 * L12 + l3 * G331,
+            0.5 * (L32 - L33) - l3 * G113,
+            0.5 * (L12 - L13),
         )
     else:
-        a = _stack(-l2 / 2.0, 0.0, -l3 / 2.0)
-        c = p23
+        a = (-l2 / 2.0, 0.0, -l3 / 2.0)
         if fd.mode == "consistent":
             t3 = 2.0 * l2 * l3 / (l2 - l3) * G(1, 1, 2)
         else:
             t3 = L(2, 2)
-        d1 = _stack(
-            L(3, 3),
-            L(2, 3) - 2.0 * (l2 - l3) * G(3, 3, 2),
-            L(3, 2) - 2.0 * (l3 - l2) * G(2, 2, 3),
-            t3,
-        )
-        a1 = _stack(
-            -0.5 * L(3, 2),
-            -0.5 * L(2, 2) - (l2 - l3) * G(3, 3, 2),
-            -0.5 * L(3, 3) - (l3 - l2) * G(2, 2, 3),
-            -0.5 * L(2, 3),
+        L22, L23, L32, L33 = L(2, 2), L(2, 3), L(3, 2), L(3, 3)
+        G332, G223 = G(3, 3, 2), G(2, 2, 3)
+        d1 = (L33, L23 - 2.0 * (l2 - l3) * G332, L32 - 2.0 * (l3 - l2) * G223, t3)
+        a1 = (
+            -0.5 * L32,
+            -0.5 * L22 - (l2 - l3) * G332,
+            -0.5 * L33 - (l3 - l2) * G223,
+            -0.5 * L23,
         )
 
     # general derived-Jacobi off-diagonal: b1 = 2a * g(nabla_X e_w, e_i - t e_j)
-    #                                         + g(nabla_X X, e_w) * ric(X, e_i - t e_j)
-    s1 = _stack(G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
-    s2 = _stack(G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
-    ric_x = _stack(0.0, lam[i] - lam[j])
-    b1 = _padd(_pmul(2.0 * a, s1), _pmul(s2, ric_x))
+    #                                         + g(nabla_X X, e_w) * ric(X, e_i - t e_j),
+    # the products 2a s1 + s2 ric_x without the terms of a's middle 0 and
+    # of ric_x = (0, lam_i - lam_j)'s constant 0
+    s1 = (G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
+    s2 = (G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
+    r = lam[i] - lam[j]
+    a0, a2 = 2.0 * a[0], 2.0 * a[2]
+    b1 = (
+        a0 * s1[0],
+        a0 * s1[1] + s2[0] * r,
+        (a0 * s1[2] + a2 * s1[0]) + s2[1] * r,
+        a2 * s1[1] + s2[2] * r,
+        a2 * s1[2],
+    )
     return PolyBundle(case, a, c, d1, a1, b1)
-
-
-def a2_a3_bundles(fd: FrameData):
-    """fd's a2 and a3 bundles, which ``a1_crosscheck`` and ``root_identities`` read."""
-    return special_direction_polys(fd, "a2"), special_direction_polys(fd, "a3")
 
 
 def a1_crosscheck(fd: FrameData, bundles=None):
     """Closed-form coefficient expressions for a1 in cases a2/a3 against the general
     expansion; both residuals vanish exactly on consistent-consistent data.
-    ``bundles`` is fd's ``a2_a3_bundles``, built here when not given.
+    ``bundles`` is fd's three bundles in CASES order, built here when not given.
     """
     l2, l3 = fd.lambda2, fd.lambda3
     G = fd.G
-    p12, p13, p23 = p_polys(fd)
-    p12p, p13p, p23p = p12[..., 1], p13[..., 1], p23[..., 1]
-    d113_0 = fd.L(3, 3)
-    D2c = -2.0 * l3 * G(1, 1, 3)  # t^2 coefficient of d1^13
+    b_a1, b_a2, b_a3 = bundles or [special_direction_polys(fd, case) for case in CASES]
+    p12p, p13p, p23p = b_a1.c[1], b_a2.c[1], b_a3.c[1]
+    d113_0, D2c = b_a2.d1[0], b_a2.d1[2]  # L_{e3} lambda3 and the t^2 coefficient of d1^13
 
-    a13_closed = _stack(
-        p12p - 2.0 * l3 * G(1, 1, 3) + 0.5 * d113_0,
+    # D2c = -2 l3 G113, so p12p + D2c is p12p - 2 l3 G113 to the bit
+    a13_closed = (
+        p12p + D2c + 0.5 * d113_0,
         p23p,
         p12p - 3.0 * l3 * G(1, 1, 3),
         3.0 * p23p - 4.0 * l3 * G(3, 3, 1),
     )
-    c3 = l2 * (3.0 * l3 - 2.0 * l2) / (l2 - l3) * G(1, 1, 2) + p13p
+    G112, l2l3 = G(1, 1, 2), l2 - l3
+    c3 = l2 * (3.0 * l3 - 2.0 * l2) / l2l3 * G112 + p13p
     c2 = 0.5 * d113_0 - 0.5 * D2c - p12p
-    c1 = l2 * l2 / (l2 - l3) * G(1, 1, 2) - p13p
+    c1 = l2 * l2 / l2l3 * G112 - p13p
     c0 = 0.5 * d113_0 + D2c + p12p
-    a23_closed = -_stack(c0, c1, c2, c3)
-
-    gen13, gen23 = (b.a1 for b in bundles or a2_a3_bundles(fd))
-    res13 = np.max(np.abs(gen13 - a13_closed), axis=-1)
-    res23 = np.max(np.abs(gen23 - a23_closed), axis=-1)
-    return _value(res13), _value(res23)
+    # the closed a1^23 is -(c0, c1, c2, c3): its residual adds c
+    res13 = _max_abs([g - c for g, c in zip(b_a2.a1, a13_closed)])
+    res23 = _max_abs([g + c for g, c in zip(b_a3.a1, (c0, c1, c2, c3))])
+    return res13, res23
 
 
 def _eval_at_imag(coeffs, kappa):
-    """(Re, Im) of the polynomial at i*kappa by alternating coefficient sums."""
-    re = 0.0
-    im = 0.0
-    power = 1.0  # kappa^k
-    for k in range(coeffs.shape[-1]):
-        ck = coeffs[..., k]
-        if k % 2 == 0:
-            re += ck * power * (-1.0) ** (k // 2)
+    """(Re, Im) of the polynomial at i*kappa: c0 - c2 kappa^2 + c4 kappa^4 - ...
+    and c1 kappa - c3 kappa^3 + ..., each summed left to right."""
+    re, im, power = coeffs[0], 0.0, kappa
+    for k in range(1, len(coeffs)):
+        if k > 1:
+            power = power * kappa
+        term = coeffs[k] * power
+        if k == 1:
+            im = term
+        elif k % 2:
+            im = im - term if k % 4 == 3 else im + term
         else:
-            im += ck * power * (-1.0) ** (k // 2)
-        power *= kappa
+            re = re - term if k % 4 == 2 else re + term
     return re, im
 
 
@@ -313,46 +298,42 @@ def root_identities(fd: FrameData, bundles=None) -> dict:
     ``bundles`` as for ``a1_crosscheck``.
     """
     l2, l3 = fd.lambda2, fd.lambda3
-    if not np.all((l2 < l3) & (l3 < 0)):
+    if not (np.less(l2, l3) & np.less(l3, 0.0)).all():
         raise ValueError("need lambda2 < lambda3 < 0 for the root arguments")
     G = fd.G
-    p12, p13, p23 = p_polys(fd)
-    b_a2, b_a3 = bundles or a2_a3_bundles(fd)
+    b_a1, b_a2, b_a3 = bundles or [special_direction_polys(fd, case) for case in CASES]
+    p12p, p13p, p23p = b_a1.c[1], b_a2.c[1], b_a3.c[1]
     d113, a113 = b_a2.d1, b_a2.a1
     d123, a123 = b_a3.d1, b_a3.a1
 
+    l2l3 = l2 - l3
     kappa = np.sqrt(l2 / l3)
-    mu = np.sqrt(l2 / (l2 - l3))
-    nu = np.sqrt((l2 + 2.0 * l3) / (l2 - l3))
-    D2c = d113[..., 2]
+    mu = np.sqrt(l2 / l2l3)
+    nu = np.sqrt((l2 + 2.0 * l3) / l2l3)
+    D2c = d113[2]
+    G112 = G(1, 1, 2)
 
     re_d123, im_d123 = _eval_at_imag(d123, kappa)
-    res_re = re_d123 - (
-        (l3 - l2) / l3 * (d113[..., 0] + 3.0 * l2 / (l2 - l3) * D2c) - 4.0 * l2 / l3 * p12[..., 1]
-    )
-    res_im = im_d123 - 4.0 * (p13[..., 1] - 2.0 * l2 * G(1, 1, 2)) * kappa
+    res_re = re_d123 - ((l3 - l2) / l3 * (d113[0] + 3.0 * l2 / l2l3 * D2c) - 4.0 * l2 / l3 * p12p)
+    res_im = im_d123 - 4.0 * (p13p - 2.0 * l2 * G112) * kappa
 
     re_a113, im_a113 = _eval_at_imag(a113, mu)
-    res_re2 = 2.0 * re_a113 - (
-        2.0 * l3 / (l3 - l2) * p12[..., 1] - (l2 + 2.0 * l3) / (l2 - l3) * D2c + d113[..., 0]
-    )
+    res_re2 = 2.0 * re_a113 - (2.0 * l3 / (l3 - l2) * p12p - (l2 + 2.0 * l3) / l2l3 * D2c + d113[0])
 
     re_a123, im_a123 = _eval_at_imag(a123, kappa)
     re_d113_nu, _ = _eval_at_imag(d113, nu)
-    res_re3 = re_a123 - ((l2 - l3) / (2.0 * l3) * re_d113_nu - (l2 + l3) / l3 * p12[..., 1])
-    res_im3 = -np.sqrt(l3 / l2) * im_a123 - (
-        2.0 * l2 * l2 / l3 * G(1, 1, 2) - (l2 + l3) / l3 * p13[..., 1]
-    )
+    res_re3 = re_a123 - ((l2 - l3) / (2.0 * l3) * re_d113_nu - (l2 + l3) / l3 * p12p)
+    res_im3 = -np.sqrt(l3 / l2) * im_a123 - (2.0 * l2 * l2 / l3 * G112 - (l2 + l3) / l3 * p13p)
 
-    res_im1 = im_a113 + mu / (l2 - l3) * ((2.0 * l2 + l3) * p23[..., 1] - 4.0 * l2 * l3 * G(3, 3, 1))
+    res_im1 = im_a113 + mu / l2l3 * ((2.0 * l2 + l3) * p23p - 4.0 * l2 * l3 * G(3, 3, 1))
 
     return {
-        "re_d123": _value(res_re),
-        "im_d123": _value(res_im),
-        "re2_a113": _value(res_re2),
-        "re3_a123": _value(res_re3),
-        "im3_a123": _value(res_im3),
-        "im1_a113": _value(res_im1),
+        "re_d123": res_re,
+        "im_d123": res_im,
+        "re2_a113": res_re2,
+        "re3_a123": res_re3,
+        "im3_a123": res_im3,
+        "im1_a113": res_im1,
     }
 
 
@@ -474,7 +455,7 @@ def eds_closure(
             cert = f"determinant ~ 0 at r = {r:.12g}: closed combinations dependent, no contradiction"
         elif not table_nonzero:
             cert = "structure table already closed, nothing to contradict"
-    return ClosureVerdict(contradiction, cert, det, de2, de3, struct_resid)
+    return ClosureVerdict(bool(contradiction), cert, det, float(de2), float(de3), float(struct_resid))
 
 
 def _roots_in_unit_interval(coeffs):
@@ -540,7 +521,7 @@ def frame_to_text(fd: FrameData) -> str:
     ]
     for i in (1, 2, 3):
         for j in (2, 3):
-            lines.append(f"dlam_{i}_{j} = {fd.L(i, j)!r}")
+            lines.append(f"dlam_{i}_{j} = {float(fd.L(i, j))!r}")
     for (i, j, k) in GAMMA_KEYS:
-        lines.append(f"gamma_{i}{j}{k} = {fd.G(i, j, k)!r}")
+        lines.append(f"gamma_{i}{j}{k} = {float(fd.G(i, j, k))!r}")
     return "\n".join(lines) + "\n"

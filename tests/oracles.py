@@ -52,7 +52,7 @@ from riccati3.exprjet import (
     contract,
     partials,
 )
-from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, _padd, _pmul, special_direction_polys
+from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, special_direction_polys
 from riccati3.metrics import _FULL_INDEX, MetricSpec, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import IsotropyMask, _directions, _first, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
@@ -528,6 +528,28 @@ def frame_from_text(text: str) -> FrameData:
     return FrameData(float(kv["lambda2"]), float(kv["lambda3"]), dlam, gamma, kv.get("mode", "free"))
 
 
+def column_pmul(a, b):
+    """The product of two polynomials in frame_algebra's column form (tuples
+    of ascending coefficients, each a float or an (n,) column): coefficient
+    k sums a[j] b[k - j] left to right in j from +0.0, so a batch column is
+    bitwise the product at one frame."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        acc = 0.0
+        for j in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return tuple(out)
+
+
+def column_padd(a, b):
+    """The sum of two polynomials in column form, the shorter one's missing
+    coefficients taken from the longer as they are."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b)) + tuple(a[len(b) :])
+
+
 def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
     """Couple frame data to the polynomial classifiers: a raw instance dict.
 
@@ -538,8 +560,8 @@ def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):
     if d2_coeffs is None:
         rng = rng or np.random.default_rng(0)
         d2_coeffs = rng.uniform(-1.0, 1.0, size=4 if case != "a3" else 5)
-    d2_coeffs = np.asarray(d2_coeffs, dtype=float)
-    P = _padd(_pmul(bundle.a, d2_coeffs), -_pmul(bundle.a1, bundle.d1))
+    d2_coeffs = tuple(np.asarray(d2_coeffs, dtype=float))
+    P = column_padd(column_pmul(bundle.a, d2_coeffs), tuple(-x for x in column_pmul(bundle.a1, bundle.d1)))
     inst = {
         "a": list(bundle.a),
         "c": list(bundle.c),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati3 import metrics, obstruction
+from riccati3 import cli, metrics, obstruction
 from riccati3.cli import (
     OBSTRUCTED_REL,
     POINT_BLOCK,
@@ -327,6 +327,84 @@ def test_frame_check_cmd(tmp_path, capsys):
 
     frame_from_text(dump.read_text())
     assert rep["seed"] == 0 and rep["frames"] == 25
+
+
+GOLDEN_FRAME_CHECK = [(0, 0), (4, 1), (7, 25), (3, 100), (2, 256), (9, 257)]
+
+
+@pytest.mark.parametrize("seed,count", GOLDEN_FRAME_CHECK)
+def test_frame_check_matches_golden_bytes(seed, count, capsys):
+    """frame-check --json byte for byte, at counts on both sides of one
+    FRAME_BLOCK (256) and of none."""
+    code, text = run(capsys, "frame-check", "--seed", str(seed), "--count", str(count), "--json")
+    assert code == 0
+    assert text == (GOLDEN / f"frame_check_s{seed}_c{count}.json").read_text(encoding="utf-8")
+
+
+def _nan_after(real, calls=1):
+    """real, with each float value of its first ``calls`` results made NaN:
+    the columns of a tuple or dict, or the value itself."""
+    seen = []
+
+    def nan(x):
+        return np.asarray(x) * np.nan
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(1)
+        if len(seen) > calls:
+            return out
+        if isinstance(out, dict):
+            return {k: nan(v) for k, v in out.items()}
+        return tuple(nan(v) for v in out) if isinstance(out, tuple) else nan(out)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "target,key",
+    [
+        ("bianchi_frame_residuals", "bianchi_worst"),
+        ("root_identities", "root_identities_worst"),
+        ("a1_crosscheck", "a1_crosscheck_worst"),
+        ("PolyBundle.b1_factor_residual", "b1_factor_worst"),
+    ],
+)
+def test_frame_check_reports_a_nan_residual_and_fails(target, key, capsys, monkeypatch):
+    """A NaN residual in the first of two blocks is the sweep's worst: the
+    report shows NaN under its key and frame-check exits 1 (``max`` would
+    keep 0.0 against it, or the next block's finite worst)."""
+    from riccati3 import frame_algebra as fa
+
+    owner, _, attr = target.rpartition(".")
+    holder = getattr(fa, owner) if owner else fa
+    calls = 3 if owner else 1  # three bundles a block
+    monkeypatch.setattr(holder, attr, _nan_after(getattr(holder, attr), calls))
+    code, out = run(capsys, "frame-check", "--seed", "3", "--count", str(cli.FRAME_BLOCK + 5), "--json")
+    rep = json.loads(out)
+    assert code == 1 and math.isnan(rep[key])
+    assert '"' + key + '": NaN' in out
+    assert all(rep[k] < 1e-9 for k in cli.FRAME_LIMITS if k != key)
+
+
+def test_selftest_fails_identity_suite_on_nan_residuals(capsys, monkeypatch):
+    """NaN identity residuals fail selftest's identity_suite with NaN in its
+    detail, where a fold by ``max`` passed it with 0.0."""
+    monkeypatch.setattr(cli, "identity_residuals", _nan_after(cli.identity_residuals, 10**6))
+    code, out = run(capsys, "selftest", "--json")
+    rows = {r["check"]: r for r in json.loads(out)["results"]}
+    assert code == 1 and not rows["identity_suite"]["pass"]
+    assert all(math.isnan(v) for v in rows["identity_suite"]["detail"].values())
+
+
+def test_analyze_reports_nan_identity_residuals(capsys, monkeypatch):
+    """analyze's identity_residuals is the worst of its per_point entries,
+    NaN when one is NaN."""
+    monkeypatch.setattr(cli, "identity_residuals", _nan_after(cli.identity_residuals))
+    code, out = run(capsys, "analyze", "sol", "-n", "4", "-m", "8", "--json")
+    rep = json.loads(out)
+    assert all(math.isnan(pp[k]) for pp in rep["per_point"] for k in ("j2", "bianchi", "kulkarni"))
+    assert all(math.isnan(v) for v in rep["identity_residuals"].values())
 
 
 def test_frame_check_dumps_the_first_frame_of_its_sweep(tmp_path, capsys, monkeypatch):

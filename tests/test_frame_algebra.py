@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import constraint_instance, frame_from_text, model_pack
+from oracles import column_padd, column_pmul, constraint_instance, frame_from_text, model_pack
 
 from riccati3 import cli, frame_algebra
 from riccati3.frame_algebra import (
@@ -12,7 +12,6 @@ from riccati3.frame_algebra import (
     R_SILVER,
     FrameData,
     _eval_at_imag,
-    _pmul,
     _roots_in_unit_interval,
     a1_crosscheck,
     bianchi_frame_residuals,
@@ -90,7 +89,7 @@ def test_d12u_reduction_on_constraint_manifold():
         closed = special_direction_polys(fd, "a1").d1
         raw_fd = FrameData(fd.lambda2, fd.lambda3, fd.dlam, fd.gamma, "free")
         raw = special_direction_polys(raw_fd, "a1").d1
-        assert np.max(np.abs(closed - raw)) < 1e-10
+        assert np.max(np.abs(np.subtract(closed, raw))) < 1e-10
         # d123-bis t^3 coefficient equals L2 lambda2 only under the constraints
         d123 = special_direction_polys(fd, "a3").d1
         assert d123[3] == pytest.approx(fd.L(2, 2), abs=1e-12)
@@ -311,6 +310,12 @@ def _drawn(rng, n, mode):
     return fd if mode == "free" else consistent_from_free(fd)
 
 
+def _rows(cols):
+    """Columns (floats at one frame, (n,) arrays or structural floats at a
+    batch) as one array whose leading axis is the frame axis at a batch."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+
+
 def _batched_values(fd):
     """Every batched function's values at fd, as (name, array) pairs whose
     leading axis is the frame axis at a batch."""
@@ -319,13 +324,13 @@ def _batched_values(fd):
         ("lambda3", fd.lambda3),
         ("dlam", fd.dlam),
         ("gamma", fd.gamma),
-        ("bianchi", bianchi_frame_residuals(fd)),
-        ("a1_crosscheck", np.stack(np.broadcast_arrays(*a1_crosscheck(fd)), axis=-1)),
+        ("bianchi", _rows(bianchi_frame_residuals(fd))),
+        ("a1_crosscheck", _rows(a1_crosscheck(fd))),
     ]
-    out += [(f"p{k}", p) for k, p in enumerate(p_polys(fd))]
+    out += [(f"p{k}", _rows(p)) for k, p in enumerate(p_polys(fd))]
     for case in CASES:
         b = special_direction_polys(fd, case)
-        out += [(f"{case}.{name}", getattr(b, name)) for name in ("a", "c", "d1", "a1", "b1")]
+        out += [(f"{case}.{name}", _rows(getattr(b, name))) for name in ("a", "c", "d1", "a1", "b1")]
         out.append((f"{case}.b1_factor_residual", b.b1_factor_residual()))
         re, im = _eval_at_imag(b.a1, np.sqrt(fd.lambda2 / fd.lambda3))
         out += [(f"{case}.a1_at_imag_re", re), (f"{case}.a1_at_imag_im", im)]
@@ -334,18 +339,20 @@ def _batched_values(fd):
 
 
 def test_one_frame_bundles_are_the_batch_rows_in_shape_and_bits():
-    """A bundle at one frame has the fixed coefficient lengths of a batch row,
-    also where trailing coefficients vanish (zero connection coefficients)."""
-    frames = [_zero_gamma_frame("free"), consistent_frame(7, "free")]
-    batch = stack_frames(frames)
-    for case in CASES:
-        rows = special_direction_polys(batch, case)
-        for k, fd in enumerate(frames):
-            one = special_direction_polys(fd, case)
-            for name in ("a", "c", "d1", "a1", "b1"):
-                got, want = getattr(one, name), getattr(rows, name)[k]
-                assert got.shape == want.shape and _bits(got) == _bits(want), (case, k, name)
-            assert one.b1.shape == (5,)
+    """A bundle at one frame has the coefficient counts of a batch, and its
+    coefficients are the batch columns' entries, also where coefficients
+    vanish (zero connection coefficients) and in both modes."""
+    for mode in ("free", "consistent"):
+        frames = [_zero_gamma_frame(mode), consistent_frame(7, mode)]
+        batch = stack_frames(frames)
+        for case in CASES:
+            cols = special_direction_polys(batch, case)
+            for k, fd in enumerate(frames):
+                one = special_direction_polys(fd, case)
+                for name in ("a", "c", "d1", "a1", "b1"):
+                    got, want = getattr(one, name), _rows(getattr(cols, name))[k]
+                    assert len(got) == len(want) and _bits(got) == _bits(want), (mode, case, k, name)
+                assert len(one.b1) == 5
 
 
 @pytest.mark.parametrize("mode", ["free", "consistent"])
@@ -423,7 +430,7 @@ def test_rigid_batch_rows_are_the_one_frame_residuals():
     signs = [(which, (e1, e2)) for which in ("eds1", "eds2") for e1 in (1, -1) for e2 in (1, -1)]
     frames = [rigid_frame(which, -1.0, eps) for which, eps in signs]
     batch = stack_frames(frames)
-    bianchi, ric = bianchi_frame_residuals(batch), ric111_residual(batch)
+    bianchi, ric = _rows(bianchi_frame_residuals(batch)), ric111_residual(batch)
     assert bianchi.shape == (8, 3) and ric.shape == (8,)
     for k, ((which, eps), fd) in enumerate(zip(signs, frames)):
         assert _bits(bianchi[k]) == _bits(bianchi_frame_residuals(fd)), (which, eps)
@@ -440,16 +447,16 @@ def _draw_factors(rng, rows, n):
 
 
 def test_pmul_batch_rows_are_one_frame_products():
-    """A batch product's rows are bitwise the products at one frame, factors
-    of any length included."""
+    """A product of column polynomials has as its batch rows, bitwise, the
+    products at one frame, factors of any length included."""
     rng = np.random.default_rng(5)
     for na in (1, 2, 3, 6, 14):
         for nb in (1, 3, 5, 12, 30):
             a, b = _draw_factors(rng, 40, na), _draw_factors(rng, 40, nb)
-            got = _pmul(a, b)
+            got = _rows(column_pmul(tuple(a.T), tuple(b.T)))
             assert got.shape == (40, na + nb - 1)
             for x, y, row in zip(a, b, got):
-                assert _bits(_pmul(x, y)) == _bits(row), (na, nb)
+                assert _bits(column_pmul(tuple(x), tuple(y))) == _bits(row), (na, nb)
 
 
 def test_pmul_within_ulps_of_exact_product():
@@ -464,7 +471,7 @@ def test_pmul_within_ulps_of_exact_product():
     pairs.append(tuple(rng.uniform(0.5, 2.0, (2, 10, 9))))
     for a, b in pairs:
         for x, y in zip(a, b):
-            for k, c in enumerate(_pmul(x, y)):
+            for k, c in enumerate(column_pmul(tuple(x), tuple(y))):
                 terms = [Fraction(x[j]) * Fraction(y[k - j]) for j in range(len(x)) if 0 <= k - j < len(y)]
                 ulp = Fraction(math.ulp(float(sum(abs(t) for t in terms))))
                 assert abs(Fraction(c) - sum(terms)) <= len(terms) * ulp, (len(x), len(y), k)
@@ -506,16 +513,16 @@ def test_frame_sweep_blocks_match_the_one_frame_loop(seed, count):
 def _separate_sweep(seed, count):
     """The frame-algebra checks with each input built where it is used: free
     frames and their three bundles for the b1 factorization, the consistent
-    frames' a2 and a3 bundles, and each rigid frame built for its table
-    checks and again by its EDS closure."""
+    frames' bundles built by the a1 cross-check and again by the root
+    identities, and each rigid frame built for its table checks and again by
+    its EDS closure."""
     worst = dict.fromkeys(cli.FRAME_LIMITS, 0.0)
     rng = np.random.default_rng(seed)
     for start in range(0, count, cli.FRAME_BLOCK):
         free = free_frames(rng, min(cli.FRAME_BLOCK, count - start))
         cons = consistent_from_free(free)
-        bundles = frame_algebra.a2_a3_bundles(cons)
-        r13, r23 = a1_crosscheck(cons, bundles)
-        roots = root_identities(cons, bundles)
+        r13, r23 = a1_crosscheck(cons)
+        roots = root_identities(cons)
         block = {
             "b1_factor_worst": max(np.max(special_direction_polys(free, case).b1_factor_residual()) for case in CASES),
             "a1_crosscheck_worst": max(np.max(r13), np.max(r23)),
@@ -529,8 +536,8 @@ def _separate_sweep(seed, count):
         for e1 in (1, -1):
             for e2 in (1, -1):
                 fd = rigid_frame(which, -1.0, (e1, e2))
-                tables_ok = tables_ok and (
-                    float(np.max(np.abs(bianchi_frame_residuals(fd)))) < 1e-12 and abs(ric111_residual(fd)) < 1e-12
+                tables_ok = tables_ok and bool(
+                    np.max(np.abs(bianchi_frame_residuals(fd))) < 1e-12 and abs(ric111_residual(fd)) < 1e-12
                 )
                 eds_ok = eds_ok and eds_closure(which, -1.0, (e1, e2)).contradiction
     return {**worst, "rigid_tables_ok": tables_ok, "eds_contradictions_ok": eds_ok}
@@ -545,26 +552,56 @@ def test_frame_sweep_equals_the_separately_built_sweep(seed, count):
 
 
 def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
-    """A block of the sweep builds the three bundles of its consistent frames
-    once: all three serve the b1 factorization, and the a2 and a3 bundles the
-    a1 cross-check and the root identities too.  Three calls, not seven."""
+    """A block of the sweep builds the p polynomials of its consistent frames
+    once and the three bundles once, from those p: all three bundles serve
+    the b1 factorization, the a1 cross-check and the root identities.  Three
+    bundle calls, not nine, and one p_polys call, not five."""
     calls = []
-    build = frame_algebra.special_direction_polys
+    build, build_p = frame_algebra.special_direction_polys, frame_algebra.p_polys
 
-    def counted(fd, case):
-        calls.append((fd.mode, case))
-        return build(fd, case)
+    def counted(fd, case, p=None):
+        calls.append((fd.mode, case, p is not None))
+        return build(fd, case, p)
+
+    def counted_p(fd):
+        calls.append((fd.mode, "p"))
+        return build_p(fd)
 
     monkeypatch.setattr(frame_algebra, "special_direction_polys", counted)
+    monkeypatch.setattr(frame_algebra, "p_polys", counted_p)
     cli._frame_algebra_checks(3, cli.FRAME_BLOCK + 5)
-    assert sorted(calls) == sorted([("consistent", case) for case in CASES] * 2)
+    block = [("consistent", "p")] + [("consistent", case, True) for case in CASES]
+    assert calls == block * 2
 
 
 def test_shared_bundles_give_the_same_residuals():
     fd = _drawn(np.random.default_rng(5), 12, "consistent")
-    bundles = (special_direction_polys(fd, "a2"), special_direction_polys(fd, "a3"))
+    p = p_polys(fd)
+    bundles = [special_direction_polys(fd, case, p) for case in CASES]
     for got, want in zip(a1_crosscheck(fd, bundles), a1_crosscheck(fd)):
         assert np.array_equal(got, want)
     shared, own = root_identities(fd, bundles), root_identities(fd)
     assert shared.keys() == own.keys()
     assert all(np.array_equal(shared[k], own[k]) for k in own)
+
+
+@pytest.mark.parametrize("mode", ["free", "consistent"])
+def test_expanded_products_are_the_column_products(mode):
+    """b1 is 2a s1 + s2 ric_x and the factorization residual b1 + (t^2+1) c,
+    written out without the terms of structural zeros: up to the sign of a
+    zero, coefficient for coefficient, the column products from +0.0 with
+    every term, at a batch and at one frame."""
+    fd = _drawn(np.random.default_rng(8), 9, mode)
+    for one in (fd, _row(fd, 4)):
+        lam = {1: 0.0, 2: one.lambda2, 3: one.lambda3}
+        G = one.G
+        for case, (i, j, w) in zip(CASES, ((1, 2, 3), (1, 3, 2), (2, 3, 1))):
+            b = special_direction_polys(one, case)
+            s1 = (G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
+            s2 = (G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
+            ric_x = (0.0, lam[i] - lam[j])
+            two_a = tuple(2.0 * x for x in b.a)
+            b1 = column_padd(column_pmul(two_a, s1), column_pmul(s2, ric_x))
+            assert _bits(np.abs(_rows(b.b1))) == _bits(np.abs(_rows(b1))), (mode, case)
+            lhs = column_padd(b.b1, column_pmul((1.0, 0.0, 1.0), b.c))
+            assert _bits(b.b1_factor_residual()) == _bits(np.max(np.abs(_rows(lhs)), axis=-1)), (mode, case)

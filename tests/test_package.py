@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import riccati3
-from riccati3 import curvature, obstruction, riccati
+from riccati3 import cli, curvature, obstruction, riccati
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,12 +41,33 @@ def test_test_oracles_are_not_in_the_package():
         assert [name for name in TEST_ORACLES if hasattr(module, name)] == [], module.__name__
 
 
+def _spans():
+    """``perfbench/spans.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_benchmark_trace_target_resolves():
     """Each function the benchmark's tracer wraps (``perfbench/spans.py``)
     is still found where the tracer patches it and is defined in the module
     its span names, so a rename fails here and not only in the benchmark."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     resolved = spans.resolve_targets()
     assert [(module.__name__, attr, name) for module, attr, name, _ in resolved] == list(spans.TARGETS)
+
+
+def test_the_traced_frame_sweep_records_each_identity_once_per_block():
+    """The frame sweep calls the traced frame_algebra functions through
+    their module, so the benchmark's tracer sees them: per block the three
+    bundles, the a1 cross-check, the root identities and the frame Bianchi
+    residuals, six spans.  The input-free verdicts are computed first, as
+    the benchmark's warm-up does, and stay out of the count."""
+    spans = _spans()
+    cli._frame_verdicts()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        cli._frame_algebra_checks(3, cli.FRAME_BLOCK + 5)
+    calls, _, errors = tracer.per_name()["frame_algebra"]
+    assert (calls, errors) == (12, 0)
