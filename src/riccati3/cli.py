@@ -469,17 +469,16 @@ def _frame_algebra_checks(seed, count):
     ``_frame_verdicts``.
 
     Each identity runs once per block of up to FRAME_BLOCK consistent frames,
-    and each input is built once: the p polynomials, and the three bundles
-    they are the c of.  A bundle's b1 and c read only lambda and Gamma,
-    which a draw's free and consistent frames share, so the consistent
-    frames' bundles serve the b1 factorization, the a1 cross-check and the
-    root identities.  A NaN residual is the worst."""
+    and the block's three bundles are built once, from its frames alone.  A
+    bundle's b1 and c read only lambda and Gamma, which a draw's free and
+    consistent frames share, so the consistent frames' bundles serve the b1
+    factorization, the a1 cross-check and the root identities.  A NaN
+    residual is the worst."""
     worst = dict.fromkeys(FRAME_LIMITS, 0.0)
     rng = np.random.default_rng(seed)
     for start in range(0, count, FRAME_BLOCK):
         cons = fa.consistent_from_free(fa.free_frames(rng, min(FRAME_BLOCK, count - start)))
-        p = fa.p_polys(cons)
-        bundles = [fa.special_direction_polys(cons, case, p) for case in fa.CASES]
+        bundles = [fa.special_direction_polys(cons, case) for case in fa.CASES]
         block = {
             "b1_factor_worst": [b.b1_factor_residual() for b in bundles],
             "a1_crosscheck_worst": fa.a1_crosscheck(cons, bundles),

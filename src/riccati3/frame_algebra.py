@@ -7,17 +7,20 @@ coefficients G_ijk = g(nabla_{e_i} e_j, e_k) (antisymmetric in j,k).  No
 actual metric is involved: the identities under test are frame-level algebra,
 and synthetic data makes their constraint structure directly visible.
 
-Special directions X = t e_i + e_j turn the curvature quantities into
-polynomials in t:
+Special directions X = t e_i + e_j, with w1 = e_w, turn the curvature
+quantities into polynomials in t; each case is its frame (i, j, w):
 
   case a1: X = t e1 + e2, w1 = e3,   2a = (l3-l2) t^2 + l3
   case a2: X = t e1 + e3, w1 = e2,   2a = (l2-l3) t^2 + l2
   case a3: X = t e2 + e3, w1 = e1,  -2a = l3 t^2 + l2
 
-The bundle polynomials a, c, d1, a1, b1 are produced from general expansions
-(a1 via A1 = L_X A - ric(X, nabla_X X), b1 via the projected derived-Jacobi
-formula), and the factorization b1 = -(t^2+1) c with c one of the pij
-polynomials holds identically and doubles as a cross-check of the expansion code.
+The bundle polynomials a, c, d1, a1, b1 of every case come from one general
+expansion in (i, j, w) (a1 via A1 = L_X A - ric(X, nabla_X X), b1 via the
+projected derived-Jacobi formula), which reads the frame's data alone: its
+``mode`` is a label, "free" or "consistent", that no formula reads.  The
+factorization b1 = -(t^2+1) c holds identically and doubles as a cross-check
+of the expansion.  lambda1 = 0 and its derivatives L_{e_k} lambda1 are
+structural zeros, and their terms are left out.
 
 Frames may carry a leading batch axis: at n frames lambda2 and lambda3 are
 (n,) arrays, the derivative table is (n, 3, 2) and the connection
@@ -49,7 +52,7 @@ class FrameData(NamedTuple):
     lambda3: float | np.ndarray
     dlam: np.ndarray  # (..., 3, 2): dlam[i,0] = L_{e_{i+1}} lambda2, dlam[i,1] = ... lambda3
     gamma: np.ndarray  # (..., 3, 3, 3), gamma[i,j,k] = g(nabla_{e_i} e_j, e_k), antisym in (j,k)
-    mode: str = "free"  # "free" or "consistent"
+    mode: str = "free"  # a label, "free" or "consistent", that no formula reads
 
     def G(self, i, j, k):
         """1-based connection coefficient g(nabla_{e_i} e_j, e_k): a numpy
@@ -145,17 +148,16 @@ def ric111_residual(fd: FrameData) -> float | np.ndarray:
     return l2 * G(1, 1, 2) ** 2 + l3 * G(1, 1, 3) ** 2 + 0.5 * (l2 + l3) ** 2
 
 
-def p_polys(fd: FrameData):
-    """The three connection-coefficient polynomials p12, p13, p23: the c of
-    cases a1, a2 and a3."""
-    l2, l3 = fd.lambda2, fd.lambda3
-    G = fd.G
-    l2l3 = l2 - l3
-    G123 = G(1, 2, 3)
-    p12 = (l3 * G(2, 1, 3), l2l3 * G(2, 2, 3) + l3 * G(1, 1, 3), l2l3 * G123)
-    p13 = (l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), l2l3 * G123)
-    p23 = (-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1))
-    return p12, p13, p23
+def _sub(x, y, s):
+    """s (x - y), with None for a structural zero in x or y (not both)."""
+    if y is None:
+        return s * x
+    return s * (x - y) if x is not None else -(s * y)
+
+
+def _add(x, y):
+    """x + y, with None for a structural zero."""
+    return y if x is None else x if y is None else x + y
 
 
 class PolyBundle(NamedTuple):
@@ -175,66 +177,47 @@ class PolyBundle(NamedTuple):
 _CASE_FRAME = {"a1": (1, 2, 3), "a2": (1, 3, 2), "a3": (2, 3, 1)}
 
 
-def special_direction_polys(fd: FrameData, case: str, p=None) -> PolyBundle:
-    """Bundle (a, c, d1, a1, b1) for one special direction family; ``p`` is
-    fd's ``p_polys``, built here when not given."""
+def special_direction_polys(fd: FrameData, case: str) -> PolyBundle:
+    """Bundle (a, c, d1, a1, b1) along X = t e_i + e_j with w1 = e_w, (i, j, w)
+    the case's frame, by one expansion for every case.  With r = lam_i - lam_j,
+    u = r G(j,i,j) and v = r G(i,i,j):
+      a  = ((lam_w - lam_i)/2, 0, (lam_w - lam_j)/2),
+      c  = ((lam_w - lam_i) G(j,i,w),
+            (lam_j - lam_w) G(j,j,w) + (lam_w - lam_i) G(i,i,w), (lam_j - lam_w) G(i,j,w)),
+      d1 = (L(j,j), L(i,j) + 2u, L(j,i) + 2v, L(i,i)), the last only for i != 1,
+      a1 = L_X a + (0, u, v, 0),
+    and b1 as written below.  lambda1 = 0 and its derivatives L(k,1) are
+    structural zeros (None): their terms are left out."""
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}")
-    l2, l3 = fd.lambda2, fd.lambda3
-    lam = {1: 0.0, 2: l2, 3: l3}
-    G, L = fd.G, fd.L
-    c = (p or p_polys(fd))[CASES.index(case)]
     i, j, w = _CASE_FRAME[case]
+    G = fd.G
+    lam = {1: None, 2: fd.lambda2, 3: fd.lambda3}
+    li, lj, lw = lam[i], lam[j], lam[w]
+    L = {(k, m): None if m == 1 else fd.L(k, m) for k in (i, j) for m in (i, j, w)}
 
-    if case == "a1":
-        a = (l3 / 2.0, 0.0, (l3 - l2) / 2.0)
-        L12, L13, L22, L23 = L(1, 2), L(1, 3), L(2, 2), L(2, 3)
-        G221, G112 = G(2, 2, 1), G(1, 1, 2)
-        if fd.mode == "consistent":
-            s = (4.0 * l2 / (l2 - l3)) * G112
-            d1 = (s * a[0], 0.0, s * a[2])
-        else:
-            d1 = (L22, 2.0 * l2 * G221 + L12, -2.0 * l2 * G112)
-        a1 = (
-            0.5 * L23,
-            0.5 * L13 + l2 * G221,
-            0.5 * (L23 - L22) - l2 * G112,
-            0.5 * (L13 - L12),
-        )
-    elif case == "a2":
-        a = (l2 / 2.0, 0.0, (l2 - l3) / 2.0)
-        L12, L13, L32, L33 = L(1, 2), L(1, 3), L(3, 2), L(3, 3)
-        G331, G113 = G(3, 3, 1), G(1, 1, 3)
-        d1 = (L33, L13 + 2.0 * l3 * G331, -2.0 * l3 * G113)
-        a1 = (
-            0.5 * L32,
-            0.5 * L12 + l3 * G331,
-            0.5 * (L32 - L33) - l3 * G113,
-            0.5 * (L12 - L13),
-        )
-    else:
-        a = (-l2 / 2.0, 0.0, -l3 / 2.0)
-        if fd.mode == "consistent":
-            t3 = 2.0 * l2 * l3 / (l2 - l3) * G(1, 1, 2)
-        else:
-            t3 = L(2, 2)
-        L22, L23, L32, L33 = L(2, 2), L(2, 3), L(3, 2), L(3, 3)
-        G332, G223 = G(3, 3, 2), G(2, 2, 3)
-        d1 = (L33, L23 - 2.0 * (l2 - l3) * G332, L32 - 2.0 * (l3 - l2) * G223, t3)
-        a1 = (
-            -0.5 * L32,
-            -0.5 * L22 - (l2 - l3) * G332,
-            -0.5 * L33 - (l3 - l2) * G223,
-            -0.5 * L23,
-        )
+    r = _sub(li, lj, 1.0)
+    u, v = r * G(j, i, j), r * G(i, i, j)
+    a = (_sub(lw, li, 0.5), 0.0, _sub(lw, lj, 0.5))
+    c = (
+        _sub(lw, li, G(j, i, w)),
+        _add(_sub(lj, lw, G(j, j, w)), _sub(lw, li, G(i, i, w))),
+        _sub(lj, lw, G(i, j, w)),
+    )
+    d1 = (L[j, j], _add(L[i, j], 2.0 * u), _add(L[j, i], 2.0 * v)) + ((L[i, i],) if i != 1 else ())
+    a1 = (
+        _sub(L[j, w], L[j, i], 0.5),
+        _add(_sub(L[i, w], L[i, i], 0.5), u),
+        _add(_sub(L[j, w], L[j, j], 0.5), v),
+        _sub(L[i, w], L[i, j], 0.5),
+    )
 
     # general derived-Jacobi off-diagonal: b1 = 2a * g(nabla_X e_w, e_i - t e_j)
     #                                         + g(nabla_X X, e_w) * ric(X, e_i - t e_j),
     # the products 2a s1 + s2 ric_x without the terms of a's middle 0 and
-    # of ric_x = (0, lam_i - lam_j)'s constant 0
+    # of ric_x = (0, r)'s constant 0
     s1 = (G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
     s2 = (G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
-    r = lam[i] - lam[j]
     a0, a2 = 2.0 * a[0], 2.0 * a[2]
     b1 = (
         a0 * s1[0],

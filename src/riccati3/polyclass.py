@@ -533,10 +533,11 @@ def _exact_divide(num, den, tol):
 
 
 def classify_a12(inst: ConstraintInstance) -> BranchVerdict:
-    """Decision tree for the a12 constraint; see the module docstring."""
+    """Decision tree for the a12 constraint; see the module docstring.  An
+    instance whose products leave the float range raises PolyclassError."""
     if inst.regime != "a12":
         raise PolyclassError("classify_a12 needs regime a12")
-    return _classify_a12(inst.form)
+    return _decide(inst.form)
 
 
 def _classify_a12(f: _Form) -> BranchVerdict:
@@ -613,13 +614,14 @@ def _match_sqrt_sign(a, d1, m):
 
 
 def classify_a3(inst: ConstraintInstance) -> BranchVerdict:
-    """Decision tree for the a3 constraint (lambda2 < lambda3 < 0)."""
+    """Decision tree for the a3 constraint (lambda2 < lambda3 < 0).  An
+    instance whose products leave the float range raises PolyclassError."""
     if inst.regime != "a3":
         raise PolyclassError("classify_a3 needs regime a3")
     (l2, l3), _ = inst.form.lam
     if not l2 < l3:
         raise OrderingError("need lambda2 < lambda3; apply tilde_transform first")
-    return _classify_a3(inst.form)
+    return _decide(inst.form)
 
 
 def _classify_a3(f: _Form) -> BranchVerdict:
@@ -697,20 +699,26 @@ def tilde_transform(inst: ConstraintInstance) -> ConstraintInstance:
     return ConstraintInstance._of_form(_tilde(inst.form))
 
 
+def _decide(f: _Form) -> BranchVerdict:
+    """The verdict of f's regime's decision tree, which ``classify``,
+    ``classify_a12`` and ``classify_a3`` all take: a form whose products
+    leave the float range of the checks raises PolyclassError."""
+    try:
+        return _classify_a12(f) if f.regime == "a12" else _classify_a3(f)
+    except OverflowError as exc:
+        raise PolyclassError(f"the instance exceeds the float range: {exc}") from None
+
+
 def classify(inst: ConstraintInstance):
     """Dispatch; a3 instances with swapped ordering are tilde-transformed.  An
     instance whose products leave the float range of the checks raises
     PolyclassError."""
-    try:
-        f = inst.form
-        if f.regime == "a12":
-            return _classify_a12(f), False
+    f = inst.form
+    if f.regime == "a3":
         (l2, l3), _ = f.lam
-        if l2 < l3:
-            return _classify_a3(f), False
-        return _classify_a3(_tilde(f)), True
-    except OverflowError as exc:
-        raise PolyclassError(f"the instance exceeds the float range: {exc}") from None
+        if not l2 < l3:
+            return _decide(_tilde(f)), True
+    return _decide(f), False
 
 
 # --- instance files -----------------------------------------------------

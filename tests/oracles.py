@@ -18,6 +18,8 @@ eigenframe (``jacobi_frame``) and the derived entries in it
 grid scan of trace-free initial values in that frame (``constrained_probe``)
 is the oracle for an algebraic solution of the constrained problem.  The
 FrameData text reader (the inverse of ``frame-check --dump-frame``), the
+special-direction bundles expanded case by case (``reference_bundle``, which
+checks ``special_direction_polys``' one general expansion), the
 coupling of a frame's bundle to a classifier instance, the algebraic model
 pack with its null Jacobi directions and the reconstruction of the
 trace-free candidate u live here too: only tests use them."""
@@ -52,7 +54,7 @@ from riccati3.exprjet import (
     contract,
     partials,
 )
-from riccati3.frame_algebra import GAMMA_KEYS, FrameData, _gamma_from_nine, special_direction_polys
+from riccati3.frame_algebra import CASES, GAMMA_KEYS, FrameData, PolyBundle, _gamma_from_nine, special_direction_polys
 from riccati3.metrics import _FULL_INDEX, MetricSpec, gamma_at, lowered_symbol, metric_jets
 from riccati3.obstruction import IsotropyMask, _directions, _first, obstruction_values
 from riccati3.polyclass import BranchVerdict, ConstraintInstance
@@ -548,6 +550,81 @@ def column_padd(a, b):
     if len(a) < len(b):
         a, b = b, a
     return tuple(x + y for x, y in zip(a, b)) + tuple(a[len(b) :])
+
+
+def reference_bundle(fd: FrameData, case: str) -> PolyBundle:
+    """The bundle of ``special_direction_polys`` with a, d1 and a1 expanded
+    by hand for each case, and c one of the connection-coefficient
+    polynomials p12, p13 and p23 of cases a1, a2 and a3.  On a frame labelled
+    consistent, case a1's d1 is the closed form s a with
+    s = 4 lambda2 / (lambda2 - lambda3) G112, and case a3's t^3 coefficient
+    of d1 is 2 lambda2 lambda3 / (lambda2 - lambda3) G112, the values the
+    five linear relations give L_{e2} lambda2 and the raw expansion."""
+    l2, l3 = fd.lambda2, fd.lambda3
+    lam = {1: 0.0, 2: l2, 3: l3}
+    G, L = fd.G, fd.L
+    l2l3 = l2 - l3
+    G123 = G(1, 2, 3)
+    p12 = (l3 * G(2, 1, 3), l2l3 * G(2, 2, 3) + l3 * G(1, 1, 3), l2l3 * G123)
+    p13 = (l2 * G(3, 1, 2), (l3 - l2) * G(3, 3, 2) + l2 * G(1, 1, 2), l2l3 * G123)
+    p23 = (-l2 * G(3, 2, 1), l3 * G(3, 3, 1) - l2 * G(2, 2, 1), l3 * G(2, 3, 1))
+    c = (p12, p13, p23)[CASES.index(case)]
+    i, j, w = {"a1": (1, 2, 3), "a2": (1, 3, 2), "a3": (2, 3, 1)}[case]
+
+    if case == "a1":
+        a = (l3 / 2.0, 0.0, (l3 - l2) / 2.0)
+        L12, L13, L22, L23 = L(1, 2), L(1, 3), L(2, 2), L(2, 3)
+        G221, G112 = G(2, 2, 1), G(1, 1, 2)
+        if fd.mode == "consistent":
+            s = (4.0 * l2 / (l2 - l3)) * G112
+            d1 = (s * a[0], 0.0, s * a[2])
+        else:
+            d1 = (L22, 2.0 * l2 * G221 + L12, -2.0 * l2 * G112)
+        a1 = (
+            0.5 * L23,
+            0.5 * L13 + l2 * G221,
+            0.5 * (L23 - L22) - l2 * G112,
+            0.5 * (L13 - L12),
+        )
+    elif case == "a2":
+        a = (l2 / 2.0, 0.0, (l2 - l3) / 2.0)
+        L12, L13, L32, L33 = L(1, 2), L(1, 3), L(3, 2), L(3, 3)
+        G331, G113 = G(3, 3, 1), G(1, 1, 3)
+        d1 = (L33, L13 + 2.0 * l3 * G331, -2.0 * l3 * G113)
+        a1 = (
+            0.5 * L32,
+            0.5 * L12 + l3 * G331,
+            0.5 * (L32 - L33) - l3 * G113,
+            0.5 * (L12 - L13),
+        )
+    else:
+        a = (-l2 / 2.0, 0.0, -l3 / 2.0)
+        if fd.mode == "consistent":
+            t3 = 2.0 * l2 * l3 / (l2 - l3) * G(1, 1, 2)
+        else:
+            t3 = L(2, 2)
+        L22, L23, L32, L33 = L(2, 2), L(2, 3), L(3, 2), L(3, 3)
+        G332, G223 = G(3, 3, 2), G(2, 2, 3)
+        d1 = (L33, L23 - 2.0 * (l2 - l3) * G332, L32 - 2.0 * (l3 - l2) * G223, t3)
+        a1 = (
+            -0.5 * L32,
+            -0.5 * L22 - (l2 - l3) * G332,
+            -0.5 * L33 - (l3 - l2) * G223,
+            -0.5 * L23,
+        )
+
+    s1 = (G(j, w, i), G(i, w, i) - G(j, w, j), -G(i, w, j))
+    s2 = (G(j, j, w), G(i, j, w) + G(j, i, w), G(i, i, w))
+    r = lam[i] - lam[j]
+    a0, a2 = 2.0 * a[0], 2.0 * a[2]
+    b1 = (
+        a0 * s1[0],
+        a0 * s1[1] + s2[0] * r,
+        (a0 * s1[2] + a2 * s1[0]) + s2[1] * r,
+        a2 * s1[1] + s2[2] * r,
+        a2 * s1[2],
+    )
+    return PolyBundle(case, a, c, d1, a1, b1)
 
 
 def constraint_instance(fd: FrameData, case: str, d2_coeffs=None, rng=None):

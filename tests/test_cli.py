@@ -667,6 +667,8 @@ _A3_INSTANCE = {"regime": "a3", "lambda2": "-2", "lambda3": "-1", "a": ["1", "0"
         (json.dumps({**_INSTANCE, "P": [float("inf")]}), "coefficient inf"),
         (json.dumps({**_INSTANCE, "a": ["1", "0", "1e300"], "c": ["1e300"]}), "float range"),
         (json.dumps({**_INSTANCE, "a": [1.0, 0.0, 1e300], "c": [1e300]}), "float range"),
+        (json.dumps({**_A3_INSTANCE, "d1": ["1"], "P": ["1" + "0" * 200]}), "exceeds the float range"),
+        (json.dumps({**_A3_INSTANCE, "a": [1.0, 0.0, 1e300], "c": [1e300]}), "exceeds the float range"),
         (
             json.dumps({**_A3_INSTANCE, "lambda2": "-1", "lambda3": "-1"}),
             "lambda2 and lambda3 must differ",
@@ -689,7 +691,8 @@ _A3_INSTANCE = {"regime": "a3", "lambda2": "-2", "lambda3": "-1", "a": ["1", "0"
     ids=[
         "zero-denominator", "not-a-number", "beyond-float-range", "null", "not-a-list",
         "not-an-object", "no-regime", "nan", "inf", "exact-products-overflow",
-        "float-products-overflow", "equal-eigenvalues", "sqrt-Lambda-underflows",
+        "float-products-overflow", "a3-exact-products-overflow", "a3-float-products-overflow",
+        "equal-eigenvalues", "sqrt-Lambda-underflows",
         "a3-key-in-a12", "a12-key-in-a3", "misspelt-key", "regime-not-a-string",
     ],
 )

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import column_padd, column_pmul, constraint_instance, frame_from_text, model_pack
+from oracles import column_padd, column_pmul, constraint_instance, frame_from_text, model_pack, reference_bundle
 
 from riccati3 import cli, frame_algebra
 from riccati3.frame_algebra import (
@@ -21,7 +21,6 @@ from riccati3.frame_algebra import (
     eds_closure,
     frame_to_text,
     free_frames,
-    p_polys,
     rigid_frame,
     ric111_residual,
     root_identities,
@@ -83,16 +82,33 @@ def test_b1_factor_factorization_sweep():
     assert worst < 1e-10
 
 
+def _d1_closed_forms(fd):
+    """Case a1's d1 and case a3's t^3 coefficient of d1 in the closed forms
+    the five linear relations reduce them to: s a with case a1's
+    a = (lambda3, 0, lambda3 - lambda2) / 2 and
+    s = 4 lambda2 / (lambda2 - lambda3) G112, and L_{e2} lambda2 =
+    2 lambda2 lambda3 / (lambda2 - lambda3) G112."""
+    l2, l3, G112 = fd.lambda2, fd.lambda3, fd.G(1, 1, 2)
+    s = (4.0 * l2 / (l2 - l3)) * G112
+    return (s * l3 / 2.0, 0.0, s * (l3 - l2) / 2.0), 2.0 * l2 * l3 / (l2 - l3) * G112
+
+
 def test_d12u_reduction_on_constraint_manifold():
-    for seed in range(50):
-        fd = consistent_frame(seed, "consistent")
-        closed = special_direction_polys(fd, "a1").d1
-        raw_fd = FrameData(fd.lambda2, fd.lambda3, fd.dlam, fd.gamma, "free")
-        raw = special_direction_polys(raw_fd, "a1").d1
-        assert np.max(np.abs(np.subtract(closed, raw))) < 1e-10
-        # d123-bis t^3 coefficient equals L2 lambda2 only under the constraints
+    """On consistent frames the general expansion of case a1's d1 is the
+    closed form s a, its middle coefficient exactly 0, and case a3's t^3
+    coefficient is the closed L_{e2} lambda2; off the relations neither holds."""
+    batch = _drawn(np.random.default_rng(1), 200, "consistent")
+    for fd in [consistent_frame(seed, "consistent") for seed in range(50)] + [batch]:
+        closed, t3 = _d1_closed_forms(fd)
+        d1 = special_direction_polys(fd, "a1").d1
+        assert np.all(np.asarray(d1[1]) == 0.0)
+        assert np.max(np.abs(_rows(d1) - _rows(closed))) < 1e-10
         d123 = special_direction_polys(fd, "a3").d1
-        assert d123[3] == pytest.approx(fd.L(2, 2), abs=1e-12)
+        assert np.max(np.abs(np.subtract(d123[3], t3))) < 1e-12
+    free = consistent_frame(7, "free")
+    closed, t3 = _d1_closed_forms(free)
+    assert np.max(np.abs(np.subtract(special_direction_polys(free, "a1").d1, closed))) > 1e-3
+    assert abs(special_direction_polys(free, "a3").d1[3] - t3) > 1e-3
 
 
 def test_a1_crosscheck_consistent_and_free():
@@ -238,20 +254,41 @@ def _synthetic_pack(fd):
     return pk._replace(nabla_ric=nric, nablaR=nR)
 
 
+def _bundle_row(bundle, k):
+    """Row k of a batch's bundle, each polynomial a tuple of floats."""
+    return bundle._replace(**{name: tuple(_rows(getattr(bundle, name))[k]) for name in _FIELDS})
+
+
+def _pipeline_bundles():
+    """(frame, its three bundles), free and consistent, for the frames of 20
+    seeds one at a time and for the rows of a 6-frame batch, each row's
+    bundles read from the batch's."""
+    out = []
+    for mode in ("free", "consistent"):
+        out += [(fd, [special_direction_polys(fd, case) for case in CASES])
+                for fd in (consistent_frame(seed, mode) for seed in range(20))]
+        batch = _drawn(np.random.default_rng(3), 6, mode)
+        bundles = [special_direction_polys(batch, case) for case in CASES]
+        out += [(_row(batch, k), [_bundle_row(b, k) for b in bundles]) for k in range(6)]
+    return out
+
+
 def test_bundles_match_tensor_pipeline():
     """The polynomial bundles agree with the obstruction module's projected
-    contractions of the synthetic curvature data, at every case and random t."""
+    contractions of the synthetic curvature data, at every case and random t,
+    on free and consistent frames, one frame at a time and as batch rows;
+    c is checked through the pipeline's B1 = -(t^2+1) c / |X|."""
     from numpy.polynomial import polynomial as npoly
 
     from oracles import JacobiFrame, derived_jacobi_direct
 
+    from riccati3.curvature import jacobi_op
+
     rng = np.random.default_rng(12)
     basis = np.eye(3)
-    for seed in range(20):
-        fd = consistent_frame(seed, "free")
+    for fd, bundles in _pipeline_bundles():
         pk = _synthetic_pack(fd)
-        for case, (i, j, w) in zip(CASES, ((0, 1, 2), (0, 2, 1), (1, 2, 0))):
-            bundle = special_direction_polys(fd, case)
+        for bundle, (i, j, w) in zip(bundles, ((0, 1, 2), (0, 2, 1), (1, 2, 0))):
             for t in rng.uniform(-2.0, 2.0, 3):
                 X = t * basis[i] + basis[j]
                 n2 = t * t + 1.0
@@ -265,12 +302,12 @@ def test_bundles_match_tensor_pipeline():
                 d1_val = float(npoly.polyval(t, bundle.d1))
                 assert dj.A1 == pytest.approx(a1_val, rel=1e-10, abs=1e-10)
                 assert dj.B1 == pytest.approx(b1_val, rel=1e-10, abs=1e-10)
-                # free mode stores the raw derivative expansion in every case
+                c_val = float(npoly.polyval(t, bundle.c))
+                assert dj.B1 == pytest.approx(-n2 * c_val / math.sqrt(n2), rel=1e-10, abs=1e-10)
+                # d1 is the raw derivative expansion in every case and mode
                 D1 = float(np.einsum("kij,k,i,j->", pk.nabla_ric, X, X, X))
                 assert D1 == pytest.approx(d1_val, rel=1e-10, abs=1e-10)
                 # the chosen basis diagonalizes the trace-free Jacobi operator
-                from riccati3.curvature import jacobi_op
-
                 J = jacobi_op(pk, X)
                 a_val = float(npoly.polyval(t, bundle.a))
                 m11 = float(basis[w] @ (J @ basis[w]))
@@ -297,6 +334,49 @@ def test_constraint_instance_coupling():
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+_FIELDS = ("a", "c", "d1", "a1", "b1")
+
+
+@pytest.mark.parametrize("mode", ["free", "consistent"])
+def test_bundles_equal_the_case_by_case_expansion(mode):
+    """Every field of every bundle is bitwise the case-by-case expansion's
+    (``reference_bundle``), zero signs included, at a batch, at its rows and
+    at one frame, over several seeds and at zero connection coefficients.
+    Only case a1's d1 on consistent frames differs: the reference takes the
+    closed form s a there, and the two agree within 1e-15 relative."""
+    # zero connection coefficients in an antisymmetric table (-0.0 below the diagonal)
+    zero = consistent_frame(0, "free")._replace(gamma=frame_algebra._gamma_from_nine(np.zeros(9)))
+    frames = [zero if mode == "free" else consistent_from_free(zero)]
+    for seed in range(6):
+        batch = _drawn(np.random.default_rng(seed), 40, mode)
+        frames += [batch, _row(batch, 0), _row(batch, 39), consistent_frame(seed, mode)]
+    for fd in frames:
+        for case in CASES:
+            got, want = special_direction_polys(fd, case), reference_bundle(fd, case)
+            for name in _FIELDS:
+                g, w = _rows(getattr(got, name)), _rows(getattr(want, name))
+                if (mode, case, name) == ("consistent", "a1", "d1"):
+                    assert g.shape == w.shape
+                    assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w)), (case, name)
+                else:
+                    assert len(getattr(got, name)) == len(getattr(want, name))
+                    assert _bits(g) == _bits(w), (mode, case, name)
+
+
+def test_mode_is_a_label_no_bundle_reads():
+    """Relabelling a frame's mode leaves every bundle bitwise the same, at a
+    batch and at one frame: no formula reads the label."""
+    for seed in range(4):
+        for mode, other in (("free", "consistent"), ("consistent", "free")):
+            batch = _drawn(np.random.default_rng(seed), 20, mode)
+            for fd in (batch, _row(batch, 7)):
+                for case in CASES:
+                    got = special_direction_polys(fd._replace(mode=other), case)
+                    want = special_direction_polys(fd, case)
+                    for name in _FIELDS:
+                        assert _bits(_rows(getattr(got, name))) == _bits(_rows(getattr(want, name))), (case, name)
 
 
 def _row(fd, k):
@@ -327,10 +407,9 @@ def _batched_values(fd):
         ("bianchi", _rows(bianchi_frame_residuals(fd))),
         ("a1_crosscheck", _rows(a1_crosscheck(fd))),
     ]
-    out += [(f"p{k}", _rows(p)) for k, p in enumerate(p_polys(fd))]
     for case in CASES:
         b = special_direction_polys(fd, case)
-        out += [(f"{case}.{name}", _rows(getattr(b, name))) for name in ("a", "c", "d1", "a1", "b1")]
+        out += [(f"{case}.{name}", _rows(getattr(b, name))) for name in _FIELDS]
         out.append((f"{case}.b1_factor_residual", b.b1_factor_residual()))
         re, im = _eval_at_imag(b.a1, np.sqrt(fd.lambda2 / fd.lambda3))
         out += [(f"{case}.a1_at_imag_re", re), (f"{case}.a1_at_imag_im", im)]
@@ -349,7 +428,7 @@ def test_one_frame_bundles_are_the_batch_rows_in_shape_and_bits():
             cols = special_direction_polys(batch, case)
             for k, fd in enumerate(frames):
                 one = special_direction_polys(fd, case)
-                for name in ("a", "c", "d1", "a1", "b1"):
+                for name in _FIELDS:
                     got, want = getattr(one, name), _rows(getattr(cols, name))[k]
                     assert len(got) == len(want) and _bits(got) == _bits(want), (mode, case, k, name)
                 assert len(one.b1) == 5
@@ -552,32 +631,26 @@ def test_frame_sweep_equals_the_separately_built_sweep(seed, count):
 
 
 def test_frame_sweep_builds_each_bundle_once_per_block(monkeypatch):
-    """A block of the sweep builds the p polynomials of its consistent frames
-    once and the three bundles once, from those p: all three bundles serve
-    the b1 factorization, the a1 cross-check and the root identities.  Three
-    bundle calls, not nine, and one p_polys call, not five."""
+    """A block of the sweep builds the three bundles of its consistent frames
+    once, each from the frame alone: all three serve the b1 factorization,
+    the a1 cross-check and the root identities.  Three bundle calls, not
+    nine, and no p polynomials built apart from them."""
     calls = []
-    build, build_p = frame_algebra.special_direction_polys, frame_algebra.p_polys
+    build = frame_algebra.special_direction_polys
 
-    def counted(fd, case, p=None):
-        calls.append((fd.mode, case, p is not None))
-        return build(fd, case, p)
-
-    def counted_p(fd):
-        calls.append((fd.mode, "p"))
-        return build_p(fd)
+    def counted(fd, case):
+        calls.append((len(fd.gamma), case))
+        return build(fd, case)
 
     monkeypatch.setattr(frame_algebra, "special_direction_polys", counted)
-    monkeypatch.setattr(frame_algebra, "p_polys", counted_p)
     cli._frame_algebra_checks(3, cli.FRAME_BLOCK + 5)
-    block = [("consistent", "p")] + [("consistent", case, True) for case in CASES]
-    assert calls == block * 2
+    assert calls == [(cli.FRAME_BLOCK, case) for case in CASES] + [(5, case) for case in CASES]
+    assert not hasattr(frame_algebra, "p_polys")
 
 
 def test_shared_bundles_give_the_same_residuals():
     fd = _drawn(np.random.default_rng(5), 12, "consistent")
-    p = p_polys(fd)
-    bundles = [special_direction_polys(fd, case, p) for case in CASES]
+    bundles = [special_direction_polys(fd, case) for case in CASES]
     for got, want in zip(a1_crosscheck(fd, bundles), a1_crosscheck(fd)):
         assert np.array_equal(got, want)
     shared, own = root_identities(fd, bundles), root_identities(fd)

@@ -1,10 +1,11 @@
 """The package's public list: what ``from riccati3 import *`` binds."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import riccati3
-from riccati3 import cli, curvature, obstruction, riccati
+from riccati3 import cli, curvature, frame_algebra, obstruction, riccati
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,6 +40,16 @@ def test_test_oracles_are_not_in_the_package():
     they came from carry them."""
     for module in (riccati3, curvature, riccati, obstruction):
         assert [name for name in TEST_ORACLES if hasattr(module, name)] == [], module.__name__
+
+
+def test_case_expansions_are_not_in_frame_algebra():
+    """The special-direction bundles come from one expansion in the case's
+    frame: the p polynomials and the case-by-case expansion are the test
+    oracle ``reference_bundle``, not frame_algebra's, and the expansion
+    takes no p and reads no mode label."""
+    assert [name for name in ("p_polys", "reference_bundle") if hasattr(frame_algebra, name)] == []
+    assert list(inspect.signature(frame_algebra.special_direction_polys).parameters) == ["fd", "case"]
+    assert "mode" not in inspect.getsource(frame_algebra.special_direction_polys)
 
 
 def _spans():

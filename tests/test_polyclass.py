@@ -758,3 +758,27 @@ def test_exact_coefficient_below_the_float_range_is_not_zero(P, branch, certific
     assert inst.exact and inst.tol() == 0
     verdict, tilded = classify(inst)
     assert (verdict.branch, verdict.certificate, tilded) == (branch, certificate, False)
+
+
+_PAST_FLOAT_RANGE = {
+    # exact: the products' integer quotients are too large for a float
+    "exact": (("1", "0", "1"), ("1",), ("1",), ("1" + "0" * 200,)),
+    # float: the expansion's squares overflow to inf
+    "float": ((1.0, 0.0, 1e300), (1e300,), (1.0,), ()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAST_FLOAT_RANGE))
+@pytest.mark.parametrize("regime", ["a12", "a3"])
+def test_every_classifier_refuses_an_instance_past_the_float_range(regime, kind):
+    """``classify``, ``classify_a12`` and ``classify_a3`` raise the same
+    PolyclassError for an instance whose products leave the float range, in
+    both regimes, exact and float: none lets an OverflowError through."""
+    a, c, d1, P = _PAST_FLOAT_RANGE[kind]
+    scalars = {"Lambda": "1"} if regime == "a12" else {"lambda2": "-2", "lambda3": "-1"}
+    inst = ConstraintInstance(regime, a, c, d1, P, **scalars)
+    own = classify_a12 if regime == "a12" else classify_a3
+    for entry in (classify, own):
+        with pytest.raises(PolyclassError, match="^the instance exceeds the float range: ") as err:
+            entry(inst)
+        assert type(err.value) is PolyclassError
