@@ -33,21 +33,21 @@ order-1 case.  At order 1 and one point a coefficient array is four numbers,
 too few to pay numpy's cost per call, and a loop that dispatches on each
 operation costs more than the operation, so ``Tape.float_function``
 generates the order-1 replay of a tape as straight-line Python source on
-floats, each register four local names, in place of the ``REPLAY`` line of
-a function template the caller gives (an evaluation tape emitted as code,
-ibid.).  Products are summed as ``_mul`` sums them; each power and unary
-function is written in line as the first two terms of its series, in the
-arithmetic of ``_power_series`` and ``_function_series``, with ``math``'s
-functions.  Where a guard misses (the 1e-12 floor of a negative power, an
-exception, a non-finite result), the replay calls those series functions,
-which raise every fault and give every non-finite value, so it gives the
-bits of ``run(p, 1)``.  It is the one generator: ``Tape.first_order`` is
-its replay with a return, and the geodesic walk (``riccati._walk``) a whole
-path of RK4 steps whose four stages loop over the replay, the leading-minor
-check and the Christoffel contraction, all written in line; its fast step
-runs the replay's sparse copy, which leaves out every partial the tape's
-structure fixes at 0, and has the last two with those partials and the
-constant outputs folded in.  Nothing is generated at import.
+floats, each register four local names, in place of the ``SPARSE_REPLAY``
+line of a function template the caller gives (an evaluation tape emitted as
+code, ibid.).  The replay leaves out every partial that the tape's
+structure fixes at 0.  Products are summed as ``_mul`` sums them; each
+power and unary function is written in line as the first two terms of its
+series, in the arithmetic of ``_power_series`` and ``_function_series``,
+with ``math``'s functions.  Where a guard misses (the 1e-12 floor of a
+negative power, an exception, a non-finite result), the replay calls those
+series functions, which raise every fault and give every non-finite value,
+so it gives the values and faults of ``run(p, 1)``.  It is the one
+generator, and its one caller is the geodesic walk (``riccati._walk``): a
+whole path of RK4 steps whose four stages loop over the replay, the
+leading-minor check and the Christoffel contraction, all written in line,
+the last two with the left-out partials and the constant outputs folded in.
+Nothing is generated at import.
 """
 
 from __future__ import annotations
@@ -593,6 +593,22 @@ def _growing(f, a0, name, node):
     raise DomainFault(f"{name} overflows the float range", node)
 
 
+def _quotient(x, c, a0, k):
+    """x / (c a0^k) for a nonzero x, a0 > 0 and c > 0, floats or arrays.  A
+    float power that leaves the float range gives what numpy gives a batch
+    of one: a0^k underflows to 0 below about 1.5e-154 (k = 2) and the
+    quotient is an inf with the sign of x; it overflows above about
+    5.6e102 (k = 3), where a float power raises, and the quotient is a zero
+    with the sign of x."""
+    if isinstance(a0, np.ndarray):
+        return x / (c * a0**k)
+    try:
+        y = c * a0**k
+    except OverflowError:
+        return math.copysign(0.0, x)
+    return x / y if y else math.copysign(math.inf, x)
+
+
 def _function_series(name, a0, node):
     """Taylor coefficients of a unary function at a0 (a float, or an (n,) array)."""
     lib = np if isinstance(a0, np.ndarray) else math
@@ -602,12 +618,12 @@ def _function_series(name, a0, node):
     if name == "log":
         if _any(a0 <= 0):
             raise DomainFault("log of non-positive value", node)
-        return [lib.log(a0), 1 / a0, -1 / (2 * a0**2), 1 / (3 * a0**3), -1 / (4 * a0**4)]
+        return [lib.log(a0), 1 / a0, _quotient(-1, 2, a0, 2), _quotient(1, 3, a0, 3), _quotient(-1, 4, a0, 4)]
     if name == "sqrt":
         if _any(a0 <= 0):
             raise DomainFault("sqrt of non-positive value", node)
         s = lib.sqrt(a0)
-        return [s, s / (2 * a0), -s / (8 * a0**2), s / (16 * a0**3), -5 * s / (128 * a0**4)]
+        return [s, s / (2 * a0), _quotient(-s, 8, a0, 2), _quotient(s, 16, a0, 3), _quotient(-5 * s, 128, a0, 4)]
     if name in ("sin", "cos"):
         if _any(abs(a0) == math.inf):
             raise DomainFault(f"{name} of infinite value", node)
@@ -636,10 +652,8 @@ _CALLS = {
     "sinh": ("except OverflowError", "{t} = _sinh({a})", "_s1 = _cosh({a})"),
     "cosh": ("except OverflowError", "{t} = _cosh({a})", "_s1 = _sinh({a})"),
 }
-# the lines of a ``Tape.float_function`` template that the replay and its
-# sparse copy replace; neither is Python, so no line of the template's own
-# code can be taken for one
-REPLAY = "<replay>"
+# the line of a ``Tape.float_function`` template that the replay replaces:
+# not Python, so no line of the template's own code can be taken for it
 SPARSE_REPLAY = "<sparse replay>"
 
 
@@ -731,69 +745,51 @@ class Tape:
             raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
         return _run(self.ops, self.outputs, as_point(p), order)
 
-    def first_order(self, p):
-        """``run(p, 1)`` at one point on Python floats, bit for bit but for
-        the sign of a nan made by adding two nans (``float_function``): the
-        values and first partials of the expressions as (values, d_1, d_2,
-        d_3), one float per expression in each.  It runs the tape's
-        ``float_function``, generated on first use."""
-        return self._first_order(*as_point(p))
-
-    @functools.cached_property
-    def _first_order(self):
-        names = [f"o{j}" for j in range(len(self.outputs))]
-        columns = ("(" + "".join(f"{n}{s}, " for n in names) + ")" for s in _SUFFIXES)
-        return self.float_function(f"def first_order(x1, x2, x3):\n    {REPLAY}\n    return {', '.join(columns)}", names)
-
     def float_function(self, template, names, env=None):
-        """The function whose Python source is ``template``, a text, or
-        ``template(constants)``, with each line ``REPLAY`` replaced, at that
-        line's indentation, by the tape's order-1 replay on the floats x1,
-        x2, x3 as straight-line code, which binds expression j's value and
-        first partials to the names ``names[j]`` and ``names[j]`` + ``_1``,
-        ``_2``, ``_3``, and each line ``SPARSE_REPLAY`` by its sparse copy,
-        which binds the names that are not in ``constants``.  ``constants`` is a dict of each of those names
-        that the sparse replay binds to a literal or a constant register (a
-        constant expression's value and partials, a coordinate's partials)
-        or leaves out as a partial fixed at 0, to its float, the same at
-        every point.  Only a function template has ``SPARSE_REPLAY`` lines,
-        so only for one is the sparse replay built.  The source starts
-        ``def NAME(`` and binds x1, x2, x3 before the replay; the function's
-        globals are ``env`` and the replay's own, whose names start with an
-        underscore, as do its registers.  This is the one source generator:
-        ``first_order`` and the geodesic walk (``riccati._walk``, whose fast
-        step runs the sparse replay and folds the constant outputs in) are
-        made by it.
+        """The function whose Python source is ``template(constants)``, with
+        each line ``SPARSE_REPLAY`` replaced, at that line's indentation, by
+        the tape's order-1 replay on the floats x1, x2, x3 as straight-line
+        code.  The replay binds expression j's value and first partials to
+        the names ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, but
+        for those in ``constants``: a dict of each of those names that the
+        replay binds to a literal or a constant register (a constant
+        expression's value and partials, a coordinate's partials) or leaves
+        out as a partial fixed at 0, to its float, the same at every point.
+        The source starts ``def NAME(`` and binds x1, x2, x3 before the
+        replay; the function's globals are ``env`` and the replay's own,
+        whose names start with an underscore, as do its registers.  This is
+        the one source generator: the geodesic walk (``riccati._walk``,
+        which folds the constant outputs into its lines) is made by it.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
-        being four floats, and so its bits, with one exception: a nan made by
-        adding two nans may carry the other sign bit, for Python's float add
-        keeps its first operand's nan and numpy's add need not (the partials
-        of sin(x1) + cos(x1) at x1 = nan are -nan here and +nan in ``run``);
-        nans of either sign are the same value.  A product writes coefficient
-        i as 0.0 + u0 v_i + u_i v0, the Leibniz terms in ``_mul``'s order
-        summed from +0.0, as its one-hot product sums them; where the sum of
-        the four is inf or nan, which that product spreads over the other
-        coefficients as nan, it is ``_mul`` itself (``_mul_floats``).  A power writes 1.0 a0^n
-        and b a0^(n - 1), b = 1.0 n / 1, as ``_binomial_series`` has them,
-        and a call its value and derivative from ``math`` as
-        ``_function_series`` has them (``_CALLS``).  Where a guard misses,
-        they are ``_power_series`` and ``_function_series`` themselves, which
-        raise the fault or give the non-finite value: a power on a float
-        exception, on a value within 1e-12 of 0 for n < 0, or on an inf or
-        nan value or derivative; exp, sin, cos, sinh and cosh on ``math``'s
-        exception, log and sqrt on an argument that is not positive.
-        Constants, fault nodes, function names and messages enter through the
-        globals, and an exponent as its integer literal, so no text of an
-        expression is pasted into the source.
+        being four floats, on the tape's structure: a register's partial in
+        a coordinate whose ``Var`` is not below it is fixed at 0, and is not
+        computed (``_replay``).  A product writes each coefficient i that
+        has a term left as 0.0 + u0 v_i + u_i v0, the Leibniz terms in
+        ``_mul``'s order summed from +0.0, as its one-hot product sums them,
+        a term with a factor fixed at 0 left out; where the sum of the
+        coefficients is inf or nan, which that product spreads over the
+        other coefficients as nan, it is ``_mul`` itself (``_mul_floats``).
+        A power writes 1.0 a0^n and b a0^(n - 1), b = 1.0 n / 1, as
+        ``_binomial_series`` has them, and a call its value and derivative
+        from ``math`` as ``_function_series`` has them (``_CALLS``).  Where a
+        guard misses, they are ``_power_series`` and ``_function_series``
+        themselves, which raise the fault or give the non-finite value: a
+        power on a float exception, on a value within 1e-12 of 0 for n < 0,
+        or on an inf or nan value or derivative; exp, sin, cos, sinh and
+        cosh on ``math``'s exception, log and sqrt on an argument that is not
+        positive.  Constants, fault nodes, function names and messages enter
+        through the globals, and an exponent as its integer literal, so no
+        text of an expression is pasted into the source.
 
-        The sparse replay is the same operations, guards and fallbacks on
-        the tape's structure: a register's partial in a coordinate whose
-        ``Var`` is not below it is fixed at 0, and is not computed
-        (``_replay``).
-        It gives every value and fault of the replay, and every partial it
-        keeps but for the sign of a zero, unless a partial it keeps is an
-        inf or a nan in both."""
+        So the replay gives every value and fault of ``run(p, 1)``.  Each
+        partial it keeps is the run's but for the sign of a zero, and each
+        one it leaves out is +-0.0 in the run, unless a partial it keeps is
+        an inf or a nan in both; and a nan made by adding two nans may carry
+        the other sign bit, for Python's float add keeps its first operand's
+        nan and numpy's add need not (the partial d_1 of sin(x1) + cos(x1)
+        at x1 = nan is -nan here and +nan in ``run``); nans of either sign
+        are the same value."""
         glob = {
             "ExprError": ExprError,
             "_power_series": _power_series,
@@ -803,45 +799,40 @@ class Tape:
             **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
             **(env or {}),
         }
-        replays = {REPLAY: self._replay(names, glob, False)[0]}
-        text = template
-        if callable(template):
-            replays[SPARSE_REPLAY], constants = self._replay(names, glob, True)
-            text = template(constants)
-        marker = "|".join(map(re.escape, replays))
+        replay, constants = self._replay(names, glob)
+        text = template(constants)
         source = re.sub(
-            rf"^( *)({marker})$", lambda m: "\n".join(m[1] + line for line in replays[m[2]]), text, flags=re.M
+            rf"^( *){re.escape(SPARSE_REPLAY)}$", lambda m: "\n".join(m[1] + line for line in replay), text, flags=re.M
         )
         name = text.split("(", 1)[0].removeprefix("def ")
         exec(compile(source, f"<{name} of a tape>", "exec"), glob)
         return glob[name]
 
-    def _replay(self, names, glob, sparse):
-        """The lines of the order-1 replay (``float_function``), or of its
-        sparse copy, and the dict of the outputs the copy binds to a
-        constant or leaves out.  A register is its four names or literals;
-        in the sparse copy "0.0" is a partial fixed at 0 by the tape's
-        structure (a coordinate the register does not depend on, Griewank &
-        Walther, ch. 7), for which no line is written: a product leaves out
-        each Leibniz term with such a factor, and a coefficient with none
-        left, and a sum, negation or chain-rule line of such a partial is
-        left out, a sum with one such operand being the other operand.
-        Every guard stays.
+    def _replay(self, names, glob):
+        """The lines of the order-1 replay (``float_function``) and the dict
+        of the outputs it binds to a constant or leaves out.  A register is
+        its four names or literals, "0.0" being a partial fixed at 0 by the
+        tape's structure (a coordinate the register does not depend on,
+        Griewank & Walther, ch. 7), for which no line is written: a product
+        leaves out each Leibniz term with such a factor, and a coefficient
+        with none left, and a sum, negation or chain-rule line of such a
+        partial is left out, a sum with one such operand being the other
+        operand.  Every guard stays.
 
-        This keeps the replay's values and faults.  By induction over the
-        registers, each has the same value in both replays (but for the sign
-        of a zero), and either every partial the copy keeps is the
-        replay's but for the sign of a zero and each one it leaves out is
-        +-0.0 in the replay, or a partial the copy keeps is an inf or a nan
-        in both.  A left-out partial turns into an inf or a nan only at a
-        chain-rule line whose derivative is an inf or a nan, where every
-        kept partial turns into one too, or where a product's test fires.
-        A product's
-        left-out term u0 * 0 or 0 * v0 is not finite only where u0 or v0 is,
-        and then its value term is not finite either, so its test fires in
-        the copy where it fires in the replay, with an inf or a nan among
-        the terms in both, which ``_mul`` spreads over every coefficient.
-        A power's or a call's value, guards and faults read only its
+        This keeps ``run``'s values and faults.  Written out with every
+        partial, each line would be the run's arithmetic, bit for bit but
+        for the sign of a nan.  By induction over the registers, each has
+        that value, and either every partial the replay keeps is that one
+        but for the sign of a zero and each one it leaves out is +-0.0
+        there, or a partial it keeps is an inf or a nan in both.  A
+        left-out partial turns into an inf or a nan only at a chain-rule
+        line whose derivative is an inf or a nan, where every kept partial
+        turns into one too, or where a product's test fires.  A product's
+        left-out term u0 * 0 or 0 * v0 is not finite only where u0 or v0
+        is, and then its value term is not finite either, so its test fires
+        here where it fires in the run, with an inf or a nan among the
+        terms in both, which ``_mul`` spreads over every coefficient.  A
+        power's or a call's value, guards and faults read only its
         argument's value."""
         own = {}  # register -> the name of the first expression it computes
         for j, r in enumerate(self.outputs):
@@ -862,12 +853,11 @@ class Tape:
                 regs.append(t)
                 continue
             u0, u1, u2, u3 = u = regs[a]
-            # the partials the structure fixes at 0: none in the full replay
-            zero = [sparse and c == "0.0" for c in u]
+            zero = [c == "0.0" for c in u]  # the partials the structure fixes at 0
             if kind == "*":
                 v0, v1, v2, v3 = v = regs[b]
                 terms = [[f"{u0} * {v0}"]] + [
-                    [x for x, z in ((f"{u0} * {v[i]}", v[i]), (f"{u[i]} * {v0}", u[i])) if not (sparse and z == "0.0")]
+                    [x for x, z in ((f"{u0} * {v[i]}", v[i]), (f"{u[i]} * {v0}", u[i])) if z != "0.0"]
                     for i in (1, 2, 3)
                 ]
                 kept = [i for i in range(4) if terms[i]]
@@ -882,7 +872,7 @@ class Tape:
             elif kind in ("+", "-"):
                 v = regs[b]
                 for i in range(4):
-                    if sparse and v[i] == "0.0":  # u + 0 and u - 0 are u
+                    if v[i] == "0.0":  # u + 0 and u - 0 are u
                         t[i] = u[i]
                     elif zero[i] and kind == "+":  # 0 + v is v
                         t[i] = v[i]
@@ -927,7 +917,7 @@ class Tape:
                 constant = c.startswith("_k") or c[0].isdigit()
                 if constant:
                     constants[names[j] + s] = glob[c] if c.startswith("_k") else float(c)
-                if names[j] + s != c and not (sparse and constant):
+                if not constant and names[j] + s != c:
                     lines.append(f"{names[j]}{s} = {c}")
         return lines, constants
 

@@ -320,13 +320,15 @@ def lowered_symbol(dg):
 
 def gamma_at(spec: MetricSpec, p):
     """(jet, inv) at the point p as Python floats, from the metric tape's
-    order-1 replay on floats (``Tape.first_order``): ``jet`` is g11, g12,
-    g13, g22, g23, g33 and their partials d_1, d_2, d_3 (four tuples of six),
-    ``inv`` the six entries of g^-1, ``cofactors`` over det g; a g that
-    fails ``leading_minors``' rule raises ``metric_jets``' MetricError.  Each
-    stage of the geodesic walk (``riccati._walk``) writes the same replay,
-    rule and cofactors out in line, and gives the same bits and faults."""
-    jet = spec.tape.first_order(p)
+    order-1 run (``Tape.run``): ``jet`` is g11, g12, g13, g22, g23, g33 and
+    their partials d_1, d_2, d_3 (four lists of six), ``inv`` the six
+    entries of g^-1, ``cofactors`` over det g; a g that fails
+    ``leading_minors``' rule raises ``metric_jets``' MetricError.  No
+    command calls it: it is the reference for the geodesic walk
+    (``riccati._walk``), whose stages write the tape's replay, the rule and
+    the cofactors out in line, and give its bits wherever a step over it
+    ends in a finite state."""
+    jet = np.array(spec.tape.run(p, 1)).T.tolist()
     (_, _, m3), usable = leading_minors(*jet[0])
     if not usable:
         raise _metric_fault(spec, tuple(map(float, p)), jet[0])

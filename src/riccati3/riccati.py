@@ -24,24 +24,21 @@ The geodesic steps run the same way on the 12 floats of the state
 (x, v, w1, w2): a path is one call of a function generated for the metric
 (``_walk``), on its first path, from its compiled tape
 (``Tape.float_function``).  Each step's four stages are a loop over the
-tape's order-1 replay as straight-line float code, its powers and functions
-in line, with the series functions as fallbacks; the leading-minor check and
-the adjugate inverse, written out on floats with the arithmetic of
-``leading_minors`` and ``cofactors``, which ``gamma_at`` calls; and the
-Christoffel contraction.  A stage calls no Python function unless a guard
-misses.  The slopes are summed on named floats in the order of the RK4
-combination.  A stage comes in two versions: the full step, which runs the
-replay, and a fast step, which runs the replay's sparse copy (no partial
-that the tape's structure fixes at 0, every guard kept) and, after it, the
-same Python lines (``_emit``) with the tape's constant entries and those
-partials folded in on each line's syntax tree (``ast``; partial
-evaluation), which leaves out every product with a factor the tape fixes
-at 0.  One test of the start row selects: a path
-whose start has no -0.0 entry runs every step as the fast step, and one
-with a -0.0 entry runs full steps.  Where a fast step ends in a state that
-is not finite, or raises after its first stage, the full step runs from the
-same state; where it raises at its first stage, the fault is raised at
-once.  Both versions give the same bits (the comment above ``_POINT``).
+tape's order-1 replay as straight-line float code (no partial that the
+tape's structure fixes at 0, its powers and functions in line, with the
+series functions as fallbacks); the leading-minor check and the adjugate
+inverse, written out on floats with the arithmetic of ``leading_minors``
+and ``cofactors``, which ``gamma_at`` calls; and the Christoffel
+contraction.  A stage calls no Python function unless a guard misses.  The
+slopes are summed on named floats in the order of the RK4 combination.
+There is one step: the Python lines after the replay (``_emit``) with the
+tape's constant entries and the partials it fixes at 0 folded in on each
+line's syntax tree (``ast``; partial evaluation), which leaves out every
+product with a factor the tape fixes at 0.  The walk reads its start row
+with each -0.0 entry as +0.0 (the row itself is kept as given), and a step
+that ends in a state that is not finite, or raises, is that step's own
+outcome.  Wherever the step over ``gamma_at`` ends in a finite state, the
+walk's step gives its bits (the comment above ``_POINT``).
 The contraction takes the lowered Christoffel symbols with v first, as the
 matrix of q -> Gamma_l(v, q), applies it to v, w1 and w2, and raises each
 of the three vectors once with g^-1; the full Gamma is never built.  The
@@ -68,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import curvature_r_only, orthonormal_perp
-from .exprjet import REPLAY, SPARSE_REPLAY
+from .exprjet import SPARSE_REPLAY
 # gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
 # looks it up in this module
 from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, gamma_at, metric_jets
@@ -134,45 +131,33 @@ class RiccatiResult(NamedTuple):
 # antisymmetric matrix S_lj = (d_j g v)_l - (d_l g v)_j.  Each of the three
 # lowered vectors is raised once with g^-1, ``cofactors`` over det g.
 #
-# Each step runs in one of two versions, the full step and the fast step,
-# whose stage points, stage after the replay, slope sums and new state
-# ``_emit`` writes from the same lines below, in one function.  The full step
-# is the replay and those lines as they stand.  The fast step is the sparse
-# replay, which leaves out every partial that the tape's structure fixes at
-# 0 (in a coordinate whose ``Var`` is not below it), and those lines with the
-# outputs that the sparse replay binds to a constant or leaves out folded in
-# (``Tape.float_function``), on the syntax tree that ``ast`` parses from
-# each line (``_folded``), written out again (``_source``): a product with a
-# constant 0 factor is dropped, a factor 1.0 left out, a line of constants
-# computed as the walk is generated, in the same float operations and order,
-# and the rule decided there where it reads constants only, its raise
-# reading them as floats (partial evaluation).  Where nothing folds, as when
-# a constant would fold to an inf or a nan, the fast step is the full step,
-# replay included.  ``fast``
-# selects, from one test of the start row: a path whose start has no -0.0
-# entry runs every step as the fast step, and a path with a -0.0 start entry
-# runs full steps.  Where a fast step ends in a state that is not finite, or
-# raises at stage 1, 2 or 3, the step runs again from the same start as the
-# full step.  Where it raises at stage 0, the full step
-# raises the same, for stage 0 runs the replay and its sparse copy at the
-# same point, which give the same values and faults (``Tape._replay``), and
-# the rule reads only g's values, so the fault is raised at once and calls
-# its series function once.
-# This is exact.  A dropped value is a product with a factor the tape fixes
-# at 0.  A partial the sparse replay leaves out is +-0.0 in the replay, and
-# one it keeps is the replay's but for the sign of a zero, unless a partial
-# it keeps is an inf or a nan in both; that partial enters M = D_v g, so the
-# fast step's slopes and new state are not finite, and the full step runs.
-# So every value of a fast step that ends in a finite state is the full
-# step's but for the sign of a zero.  A stage point or new entry y + c k
-# keeps y where the fast step folds a zero c k away, and the two agree:
-# y + c k with y != 0 is y, and with y = +0.0 it is +0.0 whatever the sign
-# of a zero c k.  They would
-# differ only at y = -0.0, and no state gains a -0.0 after its start: a sum
-# is -0.0 only when both operands are, so y + c k is -0.0 only where y is.
-# Where a dropped 0 meets an inf or a nan, the full step has a nan there,
-# and that inf or nan also reaches the fast step's new state through a term
-# that is kept.
+# The walk's one step is the replay, which leaves out every partial that the
+# tape's structure fixes at 0 (in a coordinate whose ``Var`` is not below
+# it) and binds no constant output, then the lines below with those
+# partials and the constant outputs folded in (``Tape.float_function``), on
+# the syntax tree that ``ast`` parses from each line (``_folded``), written
+# out again (``_source``): a product with a constant 0 factor is dropped, a
+# factor 1.0 left out, a line of constants computed as the walk is
+# generated, in the same float operations and order, and the rule decided
+# there where it reads constants only, its raise reading them as floats
+# (partial evaluation).  Where a constant would fold to an inf or a nan,
+# nothing is folded, and the constant outputs are bound by name ahead of
+# the stage.
+# Wherever the step over ``gamma_at`` ends in a finite state, this is that
+# step bit for bit.  A dropped value is a product with a factor the tape
+# fixes at 0.  The replay gives the values and faults of ``run(p, 1)``,
+# which ``gamma_at`` reads, and each partial but for the sign of a zero,
+# unless a partial it keeps is an inf or a nan in both; that partial enters
+# M = D_v g, so the step's new state is not finite.  A stage point or new
+# entry y + c k keeps y where the step folds a zero c k away, and the two
+# agree: y + c k with y != 0 is y, and with y = +0.0 it is +0.0 whatever
+# the sign of a zero c k.  They would differ only at y = -0.0, and no state
+# has one: the walk reads its start with each -0.0 entry as +0.0, and a sum
+# is -0.0 only when both operands are.  Where a dropped 0 meets an inf or a
+# nan, the reference step has a nan there, and that inf or nan also reaches
+# the new state through a term that is kept.  A step with an inf or a nan
+# among its slopes can reach other stage points than the reference step,
+# and so another state that is not finite, or a fault: that is its outcome.
 _POINT = ("x1", "x2", "x3", "v1", "v2", "v3", "p1", "p2", "p3", "r1", "r2", "r3")
 _STATE = ", ".join(f"y{i}" for i in range(12))
 
@@ -235,13 +220,13 @@ _STAGE = [
 _POINTS = _each("{z} = y{i} + c * k{i}")  # at the stages after the first
 _SUMS = (_each("q{i} = k{i}"), _each("q{i} = q{i} + k{i}"), _each("q{i} = q{i} + 2.0 * k{i}"))
 # the names a stage or a step assigns for the next one, or for the replay:
-# the fast step folds a constant into them, but no name in place of one
+# the step folds a constant into them, but no name in place of one
 _PINNED = frozenset(_POINT + tuple(f"{n}{i}" for n in "kqy" for i in range(12)))
 
 
 class _Unfolded(Exception):
-    """Constants that fold to an inf or a nan, or divide by 0: the fast step
-    of such a tape is the full step's lines."""
+    """Constants that fold to an inf or a nan, or divide by 0: the step of
+    such a tape is its lines as they stand."""
 
 
 # each operator of the stage as its function on floats, its text and how tightly it binds
@@ -385,19 +370,9 @@ def _block(lines, indent):
     return "\n".join(" " * indent + line for line in lines or ["pass"])
 
 
-def _branch(fast, full, indent, block=_block):
-    """The ``fast`` lines if ``fast`` holds and the ``full`` lines if not, or
-    the one block where they are the same lines."""
-    if fast == full:
-        return block(full, indent)
-    pad = " " * indent
-    return f"{pad}if fast:\n{block(fast, indent + 4)}\n{pad}else:\n{block(full, indent + 4)}"
-
-
-def _stage(parts, indent):
-    """A stage's lines after the replay, then its slope sums q at the first,
-    the last and the middle stages: ``parts`` is the two."""
-    lines, sums = parts
+def _stage(lines, sums, indent):
+    """A stage's lines, then its slope sums q at the first, the last and the
+    middle stages: ``sums`` is the three."""
     pad = " " * indent
     first, last, middle = (_block(s, indent + 4) for s in sums)
     return f"""{_block(lines, indent)}
@@ -409,82 +384,63 @@ def _stage(parts, indent):
 {middle}"""
 
 
-_NEW = _each("n{i} = y{i} + w * q{i}") + ["_s = " + " + ".join(f"n{i}" for i in range(12))]
-_COMMIT = [f"{_STATE} = " + ", ".join(f"n{i}" for i in range(12))]
+_NEW = _each("y{i} = y{i} + w * q{i}")
 
 
 def _fold(constants):
-    """The fast step's lines, with the outputs ``constants`` folded in: the
-    stage points after the first stage, the stage, the slope sums, the new
-    state n with the sum _s of its entries, and its assignment to y.  Where a
-    constant folds to an inf or a nan, they are the full step's lines."""
+    """The step's lines after the replay, with the outputs ``constants``
+    folded in: the stage points after the first stage, the stage, the slope
+    sums and the new state.  Where a constant folds to an inf or a nan, they
+    are the lines as they stand, the stage binding the constants first."""
     env = dict(constants)
     try:
         stage = _emit(_STAGE, env)
     except _Unfolded:
-        return _fold({})
+        env, stage = {}, [f"{name} = {value!r}" for name, value in constants.items()] + _STAGE
     # a slope that folds to a constant is 0, each of its terms having a factor
     # from v, w1 or w2, and so is its sum q at every stage
     env.update({f"q{i}": 0.0 for i in range(12) if f"k{i}" in env})
-    return _emit(_POINTS, env), stage, tuple(_emit(s, env) for s in _SUMS), _emit(_NEW, env), _emit(_COMMIT, env)
+    return _emit(_POINTS, env), stage, tuple(_emit(s, env) for s in _SUMS), _emit(_NEW, env)
 
 
 def _walk_source(constants):
     """The walk's source, for a tape whose replay binds the outputs
-    ``constants`` to constants: each step's stages run the fast or the full
-    lines after the one replay, as ``fast`` selects from the start row."""
-    points, stage, sums, new, commit = _fold(constants)
-    replay = REPLAY if stage == _STAGE else SPARSE_REPLAY  # where nothing folds, the stage reads every output
+    ``constants`` to constants or leaves them out: each step's four stages
+    loop over the replay and the lines of ``_fold``."""
+    points, stage, sums, new = _fold(constants)
     return f"""def walk(ys, dt, dt_last):
     steps = len(ys) - 1
-    {_STATE} = ys[0].tolist()
-    start = not any(copysign(1.0, y) < 0.0 for y in ({_STATE}) if not y)  # no -0.0 entry
+    {_STATE} = (ys[0] + 0.0).tolist()  # each -0.0 entry as +0.0
     for step in range(1, steps + 1):
         if step == steps:
             dt = dt_last
         h = 0.5 * dt
-        fast = start
-        while True:
-            try:
-                for stage in range(4):
-                    if stage == 0:
-{_block(_each("{z} = y{i}"), 24)}
-                    else:
-                        c = dt if stage == 3 else h
-{_branch(points, _POINTS, 24)}
-{_branch(([replay, *stage], sums), ([REPLAY, *_STAGE], _SUMS), 20, _stage)}
-            except (ArithmeticError, ValueError):
-                if not fast or not stage:
-                    raise  # at stage 0 the full step raises the same
-                fast = False  # the step again, as the full step, which raises for itself
-                continue
-            w = dt / 6.0
-            if not fast:
-{_block(_each("y{i} = y{i} + w * q{i}"), 16)}
-                break
-{_block(new, 12)}
-            if not _s - _s:
-{_block(commit, 16)}
-                break
-            fast = False  # a new state that is not finite: the step again, as the full step
+        for stage in range(4):
+            if stage == 0:
+{_block(_each("{z} = y{i}"), 16)}
+            else:
+                c = dt if stage == 3 else h
+{_block(points, 16)}
+{_stage([SPARSE_REPLAY, *stage], sums, 12)}
+        w = dt / 6.0
+{_block(new, 8)}
         ys[step] = {_STATE}"""
 
 
-# the walk's globals besides the tape's and its spec
-_WALK_GLOBALS = {"inf": math.inf, "copysign": math.copysign, "_metric_fault": _metric_fault}
+# the walk's globals besides the tape's and its spec; inf and nan are read by
+# the rule and by constants written out where nothing folds
+_WALK_GLOBALS = {"inf": math.inf, "nan": math.nan, "_metric_fault": _metric_fault}
 
 
 @functools.lru_cache(maxsize=64)
 def _walk(spec):
     """The geodesic walk of ``spec``, generated from its tape on its first
     path and kept per spec, as ``metrics.resolve`` keeps the spec: one
-    function, whose steps are all fast from a start with no -0.0 entry and
-    full from one with a -0.0 entry, a fast step falling back to the full
-    step where it ends in a state that is not finite or raises after its
-    first stage (``_walk_source``).  A g that
-    fails ``leading_minors``' rule, written out in the walk, at a stage point
-    raises ``metric_jets``' MetricError, as ``gamma_at`` does at the same
-    point."""
+    function, whose steps all loop over the replay and the lines folded
+    with the tape's constants (``_walk_source``), from the start row read
+    with each -0.0 entry as +0.0.  A g that fails ``leading_minors``' rule,
+    written out in the walk, at a stage point raises ``metric_jets``'
+    MetricError, as ``gamma_at`` does at the same point."""
     return spec.tape.float_function(_walk_source, COMPONENT_NAMES, {**_WALK_GLOBALS, "spec": spec})
 
 

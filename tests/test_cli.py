@@ -203,6 +203,50 @@ def test_riccati_vector_option_takes_a_negative_value_as_its_next_argument(tmp_p
     assert readings[0] == readings[1] and readings[0][0] == 0
 
 
+# a point in each builtin's box with -0.0 entries, and two directions with -0.0 entries
+NEGATIVE_ZERO_POINTS = {"flat": "-0.0,0.2,-0.0", "hyperbolic": "-0.0,-0.0,1", "sphere": "-0.0,0.2,-0.0",
+                        "heisenberg": "-0.0,0.2,-0.0", "sol": "-0.0,0.2,-0.0", "h2xr": "-0.0,1,-0.0"}
+
+
+def test_riccati_negative_zero_request_writes_the_positive_zero_rows(tmp_path, capsys, monkeypatch):
+    """The walk reads its start with each -0.0 entry as +0.0: on each
+    builtin, a request with -0.0 entries in --point and --dir prints the
+    summary of the same request with +0.0 entries and writes its CSV rows
+    after row 0, which keeps the -0.0 of the point as given."""
+    monkeypatch.chdir(tmp_path)
+    for name, point in NEGATIVE_ZERO_POINTS.items():
+        for direction in ("-0.0,1,0.5", "0.3,-0.0,-0.0"):
+            readings = []
+            for zero in ("-0.0", "0.0"):
+                argv = ["riccati", name, f"--point={point.replace('-0.0', zero)}",
+                        f"--dir={direction.replace('-0.0', zero)}", "--T", "0.2", "--dt", "0.01", "--out", "traj.csv"]
+                code, text = run(capsys, *argv)
+                assert code == 0, argv
+                readings.append((text, (tmp_path / "traj.csv").read_text().splitlines()))
+            (text, rows), (want_text, want_rows) = readings
+            assert text == want_text and len(rows) == 22
+            assert rows[1].split(",")[1] == "-0.0" and want_rows[1].split(",")[1] == "0.0"
+            assert rows[2:] == want_rows[2:], (name, direction)
+
+
+@pytest.mark.parametrize("x1", ["5e-324", "1e-300", "1e-160"])
+def test_riccati_log_of_a_tiny_point_is_a_result_or_one_line(tmp_path, x1):
+    """g33 = 1000 + log(x1) at a positive x1 whose square underflows to 0: the
+    request exits 0 with its summary or 2 with one line, no traceback."""
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({"components": {**FLAT, "g33": "1000 + log(x1)"}}))
+    argv = ["riccati", str(metric), f"--point={x1},0,0", "--dir", "1,0,0", "--T", "0.05", "--dt", "0.01",
+            "--out", str(tmp_path / "traj.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("riccati3 riccati: error: ")
+    else:
+        assert code == 0 and not lines and "blown_up" in json.loads(out.getvalue())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

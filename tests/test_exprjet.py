@@ -496,21 +496,71 @@ EVERY_OPERATION = {
 }
 
 
-def _first_order_and_run(tape, p):
-    """What ``tape.first_order(p)`` and ``tape.run(p, 1)`` give at p: each
-    jet as the bytes of its (4, outputs) array, or the exception's type and
-    message."""
-    outcomes = []
-    for replay in (tape.first_order, lambda p: np.array(tape.run(p, 1)).T):
-        try:
-            jet = replay(p)
-        except (ExprError, ArithmeticError) as exc:
-            outcomes.append((type(exc), str(exc)))
+def _sparse_replay(tape):
+    """The function of the order-1 replay of ``tape`` (``SPARSE_REPLAY``):
+    its values and first partials as the columns (values, d_1, d_2, d_3),
+    one float per expression in each, with each output the replay leaves
+    out or binds to a constant read from the template's ``constants``; and
+    those constants."""
+    names = [f"o{j}" for j in range(len(tape.outputs))]
+    seen = {}
+
+    def template(constants):
+        seen.update(constants)
+        read = [[f"_c['{n}{s}']" if n + s in constants else n + s for n in names] for s in ("", "_1", "_2", "_3")]
+        columns = ("(" + "".join(f"{x}, " for x in column) + ")" for column in read)
+        return f"def sparse(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return {', '.join(columns)}"
+
+    return tape.float_function(template, names, {"_c": seen}), seen
+
+
+def _outcome_of(f, p):
+    """f(*p) as a (4, outputs) float array, or its exception's type and message."""
+    try:
+        return np.array(f(*p), dtype=float)
+    except (ExprError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _replay_against_run(tape, points):
+    """At each point, the replay of ``tape`` and ``tape.run(p, 1)``: their
+    outcomes (``_outcome_of``), which are the same fault or arrays with the
+    same values bit for bit but for the sign of a nan, and then every
+    partial is the run's but for the sign of a zero and of a nan, unless a
+    partial the replay keeps is an inf or a nan in both (that output is
+    poisoned).  Yields (got, want, the
+    (3, outputs) mask of the partials the replay keeps, poisoned)."""
+    replay, constants = _sparse_replay(tape)
+    kept = np.array([[f"o{j}{s}" not in constants for j in range(len(tape.outputs))] for s in ("_1", "_2", "_3")])
+    for p in points:
+        with np.errstate(all="ignore"):
+            got = _outcome_of(replay, p)
+            want = _outcome_of(lambda *p: np.array(tape.run(p, 1)).T, p)
+        if not isinstance(want, np.ndarray):
+            assert got == want, p
+            yield got, want, kept, None
             continue
-        if replay == tape.first_order:
-            assert len(jet) == 4 and all(type(x) is float for column in jet for x in column)
-        outcomes.append(np.array(jet).tobytes())
-    return outcomes
+        assert isinstance(got, np.ndarray), p
+        nans = np.isnan(got) & np.isnan(want)
+        assert (nans[0] | (got[0].view(np.int64) == want[0].view(np.int64))).all(), p  # the values
+        same = (got == want) | nans
+        poisoned = (kept & ~np.isfinite(got[1:]) & ~np.isfinite(want[1:])).any(axis=0)
+        assert (same[1:].all(axis=0) | poisoned).all(), p
+        yield got, want, kept, poisoned
+
+
+def _signed_zero_points(box, count, seed):
+    """``count`` random points of ``box`` and, for each sign pattern of +-0.0,
+    the point of zeros and the box's midpoint with one coordinate such a zero."""
+    rng = np.random.default_rng(seed)
+    box = np.array(box)
+    points = [tuple(rng.uniform(box[:, 0], box[:, 1])) for _ in range(count)]
+    mid = box.mean(axis=1)
+    for signs in np.ndindex(2, 2, 2):
+        zeros = tuple(-0.0 if s else 0.0 for s in signs)
+        points.append(zeros)
+        points += [tuple(zeros[i] if i == k else float(mid[i]) for i in range(3)) for k in range(3)]
+    return points
 
 
 @pytest.mark.parametrize(
@@ -519,20 +569,14 @@ def _first_order_and_run(tape, p):
     ids=lambda s: f"{s.name}{s.params}",
 )
 def test_first_order_replay_is_the_order1_run_bit_for_bit(spec):
-    """The float replay of gamma_at gives the bytes of the numpy run at order
-    1, zero signs included, at random points of the box and points with
-    +0.0 and -0.0 coordinates (where some metrics fault, the same way)."""
-    rng = np.random.default_rng(11)
-    box = np.array(spec.box)
-    points = [tuple(rng.uniform(box[:, 0], box[:, 1])) for _ in range(40)]
-    mid = box.mean(axis=1)
-    for signs in np.ndindex(2, 2, 2):
-        zeros = tuple(-0.0 if s else 0.0 for s in signs)
-        points.append(zeros)
-        points += [tuple(zeros[i] if i == k else float(mid[i]) for i in range(3)) for k in range(3)]
-    for p in points:
-        got, want = _first_order_and_run(spec.tape, p)
-        assert got == want, p
+    """The float replay, which the geodesic walk runs, gives the bytes of
+    the numpy run at order 1 (``gamma_at`` reads the run): the values zero
+    signs included, and every partial but for the sign of a zero, at random
+    points of the box and points with +0.0 and -0.0 coordinates (where some
+    metrics fault, the same way).  No partial is an inf or a nan there."""
+    outcomes = list(_replay_against_run(spec.tape, _signed_zero_points(spec.box, 40, 11)))
+    assert all(poisoned is None or not poisoned.any() for _, _, _, poisoned in outcomes)
+    assert sum(poisoned is not None for _, _, _, poisoned in outcomes) >= 40
 
 
 @pytest.mark.parametrize(
@@ -581,73 +625,34 @@ def test_first_order_replay_is_the_order1_run_bit_for_bit(spec):
 def test_first_order_replay_faults_as_the_order1_run(src, point, message):
     """Each fault raises the same exception with the same message from the
     float replay and the numpy run; a product past the float range gives the
-    same bytes, inf and nan included, and so does a power or function whose
-    value is inf or nan without a fault."""
+    same values, inf and nan included, and so does a power or function whose
+    value is inf or nan without a fault, its partials the run's unless one
+    the replay keeps is an inf or a nan (``_replay_against_run``)."""
     tape = Tape((parse_expr(src, params=["L"]), parse_expr("x3")))
-    with np.errstate(all="ignore"):
-        got, want = _first_order_and_run(tape, point)
-    assert got == want
+    ((got, want, _, poisoned),) = _replay_against_run(tape, [point])
     if message is None:
-        assert isinstance(got, bytes)
+        assert poisoned is not None
     else:
         assert got[1] == message and issubclass(got[0], ExprError)
 
 
 def test_first_order_replay_differs_from_the_run_only_in_the_sign_of_a_nan():
-    """The one way the float replay leaves ``run(p, 1)``'s bits: a nan made by
-    adding two nans may carry the other sign bit (Python's float add keeps
-    its first operand's nan, numpy's add need not).  At x1 = nan the
-    partials of sin(x1) + cos(x1) are nan in both, -nan in the replay and
-    +nan in the run; every value agrees, nans of either sign equal."""
+    """Besides the sign of a zero, and the partials it leaves out of an
+    output whose kept partial is an inf or a nan, the one way the float
+    replay leaves ``run(p, 1)``'s bits: a nan made by adding two nans may
+    carry the other sign bit (Python's float add keeps its first operand's
+    nan, numpy's add need not).  At x1 = nan the partial d_1 of
+    sin(x1) + cos(x1) is nan in both, -nan in the replay and +nan in the
+    run; every value agrees bit for bit."""
     tape = Tape((parse_expr("sin(x1) + cos(x1)"), parse_expr("x3")))
-    point = (math.nan, 0.0, 0.0)
-    got = np.array(tape.first_order(point))
-    with np.errstate(all="ignore"):
-        want = np.array(tape.run(point, 1)).T
-    assert np.array_equal(got, want, equal_nan=True)
-    differ = np.signbit(got) != np.signbit(want)
-    assert np.all(np.isnan(got[differ])) and differ[1:, 0].all()
-
-
-def test_only_a_function_template_builds_the_sparse_replay(monkeypatch):
-    """first_order's template is a text with no SPARSE_REPLAY line, so its
-    generation builds the full replay alone; a template that is a function
-    of the constants, as the walk's, builds the sparse replay as well."""
-    tape = Tape((parse_expr("sin(x1) * x2"), parse_expr("x3^2")))
-    built = []
-    real = Tape._replay
-
-    def recorded(self, names, glob, sparse):
-        built.append(sparse)
-        return real(self, names, glob, sparse)
-
-    monkeypatch.setattr(Tape, "_replay", recorded)
-    assert tape.first_order((0.5, 2.0, 3.0)) == ((math.sin(0.5) * 2.0, 9.0), (math.cos(0.5) * 2.0, 0.0),
-                                                 (math.sin(0.5), 0.0), (0.0, 6.0))
-    assert built == [False]
-    tape.float_function(lambda constants: f"def f(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return o0", ["o0", "o1"])
-    assert built == [False, False, True]
+    ((got, want, kept, poisoned),) = _replay_against_run(tape, [(math.nan, 0.0, 0.0)])
+    assert poisoned.tolist() == [True, False] and kept[:, 0].tolist() == [True, False, False]
+    assert np.isnan(got[1, 0]) and np.isnan(want[1, 0]) and np.signbit(got[1, 0]) != np.signbit(want[1, 0])
+    assert np.array_equal(got[:, 1], want[:, 1])
 
 
 LOG_PARTIAL = custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1000 + log(x1)"},
                      name="log-partial", box=((0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)))
-
-
-def _sparse_replay(tape):
-    """The function of the sparse replay of ``tape`` (``SPARSE_REPLAY``):
-    its values and first partials as ``first_order`` returns them, with each
-    output the sparse replay leaves out or binds to a constant read from the
-    template's ``constants``; and those constants."""
-    names = [f"o{j}" for j in range(len(tape.outputs))]
-    seen = {}
-
-    def template(constants):
-        seen.update(constants)
-        read = [[f"_c['{n}{s}']" if n + s in constants else n + s for n in names] for s in ("", "_1", "_2", "_3")]
-        columns = ("(" + "".join(f"{x}, " for x in column) + ")" for column in read)
-        return f"def sparse(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return {', '.join(columns)}"
-
-    return tape.float_function(template, names, {"_c": seen}), seen
 
 
 @pytest.mark.parametrize(
@@ -656,51 +661,40 @@ def _sparse_replay(tape):
     ids=lambda s: f"{s.name}{s.params}",
 )
 def test_sparse_replay_is_the_replay_but_for_zero_signs(spec):
-    """The sparse replay, which leaves out every partial the tape's
-    structure fixes at 0, gives the replay's values and faults, at random
-    points, at points with +0.0 and -0.0 coordinates and at points where a
-    power, a function or a product leaves the float range.  Each output's
-    partials are the replay's, a left-out one being +-0.0 there, but for the
-    sign of a zero; or else a partial the sparse replay keeps is an inf or
-    a nan in both (log-partial's g33 = 1000 + log(x1) at x1 = 5e-324, whose
-    derivative 1 / x1 is inf)."""
-    sparse, constants = _sparse_replay(spec.tape)
-    names = [f"o{j}{s}" for s in ("", "_1", "_2", "_3") for j in range(6)]
+    """The replay, which leaves out every partial the tape's structure fixes
+    at 0, gives the order-1 run's values and faults, at random points, at
+    points with +0.0 and -0.0 coordinates and at points where a power, a
+    function or a product leaves the float range.  Each output's partials
+    are the run's, a left-out one being +-0.0 there, but for the sign of a
+    zero; or else a partial the replay keeps is an inf or a nan in both
+    (log-partial's g33 = 1000 + log(x1) at x1 = 5e-324, whose derivative
+    1 / x1 is inf).  The replay binds no constant output."""
+    _, constants = _sparse_replay(spec.tape)
     assert {n for n in constants if not n.endswith(("_1", "_2", "_3"))} == {
         f"o{j}" for j, r in enumerate(spec.tape.outputs) if spec.tape.ops[r][0] == "const"
     }
-    rng = np.random.default_rng(41)
-    box = np.array(spec.box)
-    mid = box.mean(axis=1)
-    points = [tuple(rng.uniform(box[:, 0], box[:, 1])) for _ in range(20)]
-    for signs in np.ndindex(2, 2, 2):
-        zeros = tuple(-0.0 if s else 0.0 for s in signs)
-        points += [zeros] + [tuple(zeros[i] if i == k else float(mid[i]) for i in range(3)) for k in range(3)]
+    points = _signed_zero_points(spec.box, 20, 41)
+    mid = np.array(spec.box).mean(axis=1)
     for x in (5e-324, 1e-160, 1e103, 1e200, -1e200, 800.0, math.inf, -math.inf, math.nan):
         points += [(x, mid[1], mid[2]), (mid[0], x, mid[2]), (mid[0], mid[1], x), (x, x, x)]
-    both = 0
-    for p in points:
-        with np.errstate(all="ignore"):
-            got = _outcome_of(sparse, p)
-            want = _outcome_of(spec.tape._first_order, p)
-        if not isinstance(want, np.ndarray):
-            assert got == want, p
-            continue
-        same = (got == want) | np.isnan(got) & np.isnan(want)
-        assert same[0].all(), p  # the values
-        kept = np.array([[n not in constants for n in names[6 * i : 6 * i + 6]] for i in range(1, 4)])
-        poisoned = (kept & ~np.isfinite(got[1:]) & ~np.isfinite(want[1:])).any(axis=0)
-        assert (same[1:].all(axis=0) | poisoned).all(), p
-        both += poisoned.any()
+    both = sum(poisoned is not None and poisoned.any() for *_, poisoned in _replay_against_run(spec.tape, points))
     assert both or spec.name != "log-partial"
 
 
-def _outcome_of(f, p):
-    """f(*p) as a (4, outputs) float array, or its exception's type and message."""
-    try:
-        return np.array(f(*p), dtype=float)
-    except (ExprError, ArithmeticError) as exc:
-        return type(exc), str(exc)
+@pytest.mark.parametrize("name", ["log", "sqrt"])
+def test_one_point_run_of_a_tiny_or_huge_argument_is_the_batch_of_one(name):
+    """log and sqrt at a positive argument whose square, cube or fourth power
+    underflows to 0, or overflows: ``run`` at one point gives the bytes of a
+    batch of one, infinite and zero series terms included, at every order,
+    with no exception."""
+    tape = Tape((parse_expr(f"{name}(x1)"),))
+    for x in (5e-324, 1e-200, 1e-160, 1e103, 1e200, 1.7e308):
+        for order in range(5):
+            with np.errstate(all="ignore"):
+                (one,) = tape.run((x, 0.0, 0.0), order)
+                (batch,) = tape.run(np.array([[x, 0.0, 0.0]]), order)
+            assert one.tobytes() == batch[:, 0].tobytes(), (x, order)
+            assert one[0] == (math.log(x) if name == "log" else math.sqrt(x))
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])

@@ -516,33 +516,24 @@ def _walk_step(spec, y, dt, walk=None):
     return ys[1].tolist()
 
 
-def _full_walk(spec):
-    """The walk of ``spec`` generated with no constant folded in: each of its
-    steps runs the full step's lines, fast or not."""
+def _unfolded_walk(spec):
+    """The walk of ``spec`` generated with nothing folded in, as for a tape
+    whose constants fold to an inf (``riccati._Unfolded``): its lines stand
+    as they are, and its stage binds the constant outputs by name."""
+
+    def unfolded(node, env):
+        raise riccati._Unfolded
+
     env = {**riccati._WALK_GLOBALS, "spec": spec}
-    return spec.tape.float_function(lambda constants: riccati._walk_source({}), metrics.COMPONENT_NAMES, env)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riccati, "_folded", unfolded)
+        return spec.tape.float_function(riccati._walk_source, metrics.COMPONENT_NAMES, env)
 
 
-def _recording_walk(spec):
-    """``spec``'s walk, and the list to which each attempt of a step appends
-    its version as it starts: True for the fast step, False for the full
-    step.  A step that the fast step takes adds [True], one where it falls
-    back [True, False], and a full step [False]."""
-    ran = []
-
-    def template(constants):
-        source = riccati._walk_source(constants)
-        assert source.count("for stage in range(4):") == 1
-        return source.replace("for stage in range(4):", "_ran.append(fast)\n                for stage in range(4):")
-
-    env = {**riccati._WALK_GLOBALS, "spec": spec, "_ran": ran}
-    return spec.tape.float_function(template, metrics.COMPONENT_NAMES, env), ran
-
-
-def _fast_lines(spec):
-    """The lines of the fast step of ``spec``'s walk, as ``riccati._fold``
-    gives them from the constants of its tape: (stage points, stage, slope
-    sums, new state, its assignment)."""
+def _folded_lines(spec):
+    """The lines of the step of ``spec``'s walk after the replay, as
+    ``riccati._fold`` gives them from the constants of its tape: (stage
+    points, stage, slope sums, new state)."""
     seen = []
 
     def template(constants):
@@ -603,52 +594,58 @@ def test_one_walk_per_path_and_no_gamma_at_call(monkeypatch):
 
 
 def test_walk_has_the_replay_in_its_code_once():
-    """The walk runs its four stages as a loop over one copy of the sparse
-    replay, for the fast step, and one of the full replay, for the full
-    step, with no unrolled copy: its template holds each once, and its code
-    loads each series function and ``_mul_floats`` twice as often as
-    ``Tape.first_order``'s does, for the sparse replay keeps every guard.
-    Per step version it holds one copy of the contraction with the minors
-    rule and the cofactors written out: it loads ``_metric_fault`` at most
-    twice, once on flat, whose fast step decides the rule as the walk is
-    generated, and ``leading_minors`` and ``cofactors`` not at all.  On
-    flat, whose tape is all constants, the sparse replay is empty."""
-    for spec, rules in ((metrics.builtin("sphere"), 2), (metrics.builtin("sol"), 2), (metrics.builtin("flat"), 1)):
+    """The walk runs its four stages as a loop over one copy of the replay,
+    with no unrolled copy: its template holds the replay once, and its code
+    loads ``_power_series``, ``_function_series`` and ``_mul_floats`` once
+    for each power, call and product on the tape, for the replay keeps every
+    guard.  It holds one copy of the contraction with the minors rule and
+    the cofactors written out: it loads ``_metric_fault`` once, and not at
+    all on flat, whose step decides the rule as the walk is generated, and
+    ``leading_minors`` and ``cofactors`` not at all.  On flat, whose tape is
+    all constants, the replay is empty and no constant register is read."""
+    for spec, rules in ((metrics.builtin("sphere"), 1), (metrics.builtin("sol"), 1), (metrics.builtin("flat"), 0)):
         templates = []
         env = {**riccati._WALK_GLOBALS, "spec": spec}
         walk = spec.tape.float_function(lambda c: templates.append(riccati._walk_source(c)) or templates[-1],
                                          metrics.COMPONENT_NAMES, env)
         lines = [line.strip() for line in templates[0].splitlines()]
-        assert lines.count(exprjet.REPLAY) == lines.count(exprjet.SPARSE_REPLAY) == 1
+        assert lines.count(exprjet.SPARSE_REPLAY) == 1
         loads = [i.argval for i in dis.get_instructions(walk) if i.opname == "LOAD_GLOBAL"]
-        replay = [i.argval for i in dis.get_instructions(spec.tape._first_order) if i.opname == "LOAD_GLOBAL"]
-        for name in ("_power_series", "_function_series", "_mul_floats"):
-            assert loads.count(name) == 2 * replay.count(name)
+        ops = [(kind, b) for kind, _, b, _ in spec.tape.ops]
+        assert loads.count("_power_series") == sum(kind == "^" and b != 0 for kind, b in ops)
+        assert loads.count("_function_series") == sum(kind == "call" for kind, _ in ops)
+        assert loads.count("_mul_floats") == sum(kind == "*" for kind, _ in ops)
         assert loads.count("_metric_fault") == rules
         assert "leading_minors" not in loads and "cofactors" not in loads
-        if spec.name == "flat":  # the full replay's constants, and no other
-            assert [n for n in loads if n.startswith("_k")] == [n for n in replay if n.startswith("_k")]
+        if spec.name == "flat":
+            assert not [n for n in loads if n.startswith("_k")]
 
 
 def test_fast_step_folds_the_constant_entries_away():
-    """On flat every g entry and partial is a tape constant: the fast stage
+    """On flat every g entry and partial is a tape constant: the folded stage
     holds no product of a partial, and only the slopes k0, k1, k2 = v are
-    summed.  On a diagonal metric (g12 = g13 = g23 = 0 as constants) the fast
-    stage computes no c12 and no h12, and its k3 has no h12 term.  Where the
-    constants would fold to an inf, nothing is folded."""
-    points, stage, sums, _, _ = _fast_lines(metrics.builtin("flat"))
+    summed.  On a diagonal metric (g12 = g13 = g23 = 0 as constants) the
+    folded stage computes no c12 and no h12, and its k3 has no h12 term.
+    Where the constants would fold to an inf, nothing is folded, and the
+    stage binds each constant output by name before its lines."""
+    points, stage, sums, _ = _folded_lines(metrics.builtin("flat"))
     assert not [line for line in stage if re.search(r"g\d\d_\d", line)]
     assert [line for line in stage if not line.startswith("#")] == ["k0, k1, k2 = v1, v2, v3"]
     assert sums[2] == [f"q{i} = q{i} + 2.0 * k{i}" for i in range(3)]
     assert points[3:] == [f"{z} = y{i}" for i, z in enumerate(riccati._POINT) if i >= 3]
     for spec in (metrics.builtin("sol"), metrics.builtin("sphere"), metrics.custom(DIAGONAL | {"g22": "1 + x1^2"})):
-        _, stage, _, _, _ = _fast_lines(spec)
+        _, stage, _, _ = _folded_lines(spec)
         targets = [t for line in stage if " = " in line for t in line.split(" = ")[0].split(", ")]
         assert "c12" not in targets and "h12" not in targets and "k3" in targets
         (k3,) = [line for line in stage if line.startswith("k3 = ")]
         assert "h12" not in k3 and "h13" not in k3
     huge = metrics.custom({**DIAGONAL, "g11": "1e200", "g22": "1e200", "g33": "1e200"})
-    assert _fast_lines(huge)[1] == riccati._STAGE
+    stage = _folded_lines(huge)[1]
+    bound = stage[: len(stage) - len(riccati._STAGE)]
+    assert stage[len(bound) :] == riccati._STAGE and "g11 = 1e+200" in bound and "g12_3 = 0.0" in bound
+    assert sorted(line.split(" = ")[0] for line in bound) == sorted(
+        name + s for name in metrics.COMPONENT_NAMES for s in ("", "_1", "_2", "_3")
+    )
 
 
 @pytest.mark.parametrize(
@@ -691,25 +688,25 @@ def test_fold_rules_keep_the_bits(expr, env, want):
 @pytest.mark.parametrize("expr", ["c / 0.0", "c / (1.0 - 1.0)", "0.0 * x / 0.0", "1e300 * 1e300 + x", "x * big"])
 def test_fold_refuses_a_zero_divisor_and_a_constant_that_is_not_finite(expr):
     """A division by a constant 0, and a constant that overflows or is an inf
-    in ``env``, raise ``_Unfolded``: the fast step of such a tape is the full
-    step."""
+    in ``env``, raise ``_Unfolded``: the step of such a tape is its lines as
+    they stand."""
     with pytest.raises(riccati._Unfolded):
         riccati._folded(ast.parse(expr, mode="eval").body, {"big": math.inf})
 
 
-# the BinOp and arithmetic UnaryOp nodes of each builtin's fast step, as
-# (stage, the rest of the step), with the partials that the tape's structure
-# fixes at 0 folded in as constants: sol, heisenberg and h2xr have fewer than
-# with the tape's constant outputs alone (85/95, 100/95 and 85/95), and the
-# third entries of h2xr's slopes of v, w1 and w2 fold to 0
-FAST_STEP_OPERATIONS = {"flat": (0, 32), "sphere": (106, 95), "sol": (59, 95), "heisenberg": (86, 95), "h2xr": (46, 74)}
+# the BinOp and arithmetic UnaryOp nodes of each builtin's step after the
+# replay, as (stage, the rest of the step), with the partials that the tape's
+# structure fixes at 0 folded in as constants: sol, heisenberg and h2xr have
+# fewer than with the tape's constant outputs alone (85/84, 100/84 and
+# 85/84), and the third entries of h2xr's slopes of v, w1 and w2 fold to 0
+FAST_STEP_OPERATIONS = {"flat": (0, 21), "sphere": (106, 84), "sol": (59, 84), "heisenberg": (86, 84), "h2xr": (46, 63)}
 
 
 @pytest.mark.parametrize("name", sorted(FAST_STEP_OPERATIONS))
 def test_fast_step_keeps_its_operation_count(name):
-    """The fast step of each benchmark builtin holds as many arithmetic
-    operations as when its counts were recorded, out of 206 in the full
-    stage: a fold that stops dropping a zero product, or leaving out a
+    """The step of each benchmark builtin holds as many arithmetic
+    operations after its replay as when its counts were recorded, out of 206
+    in the unfolded stage: a fold that stops dropping a zero product, or leaving out a
     factor 1.0, or a partial fixed at 0 that stops being folded in, shows
     here without a timing."""
 
@@ -717,8 +714,8 @@ def test_fast_step_keeps_its_operation_count(name):
         nodes = [n for line in lines for n in ast.walk(ast.parse(line))]
         return sum(isinstance(n, ast.BinOp) or isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub) for n in nodes)
 
-    points, stage, sums, new, commit = _fast_lines(metrics.builtin(name))
-    rest = points + [line for s in sums for line in s] + new + commit
+    points, stage, sums, new = _folded_lines(metrics.builtin(name))
+    rest = points + [line for s in sums for line in s] + new
     assert operations(riccati._STAGE) == 206
     assert (operations(stage), operations(rest)) == FAST_STEP_OPERATIONS[name]
 
@@ -789,26 +786,31 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _finite(outcome):
+    """Whether an ``_outcome`` is a result whose entries are all finite."""
+    return isinstance(outcome, bytes) and bool(np.all(np.isfinite(np.frombuffer(outcome))))
+
+
 @pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
 def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
     """One step of the generated walk, its four stages included, gives the
     bytes of the step over ``gamma_at`` (``reference_float_step`` in
     tests/oracles.py), zero signs included, for dt = 1e-2 and -5e-2, at
-    random states and at states with +0.0 and -0.0 entries (where some
-    metrics fault, the same way).  So does the walk generated with no
-    constant folded in (``_full_walk``): a state with no -0.0 entry takes
-    the fast step and one with a -0.0 entry the full step, and both are the
-    reference.  The same holds at states where the fast step falls back to
-    the full step: every entry 1.7e308 (the new state
+    random states and at states with +0.0 and -0.0 entries, where some
+    metrics fault the same way; the walk reads a -0.0 entry as +0.0, so the
+    reference steps from the state's +0.0 form.  The walk generated with
+    nothing folded in (``_unfolded_walk``) gives the same bytes.  So does
+    the walk at states near the float range, where the reference step is
+    finite; where it is not, the walk's step gives its own outcome: a state
+    that is not finite, or a MetricError or DomainFault, never an
+    ArithmeticError.  They are: every entry 1.7e308 (the new state
     overflows on flat, a stage point faults elsewhere); a frame of entries
-    near 1.7e308 and a fast v (the transport slopes overflow, and the new
-    state is not finite with no fault); v1 = inf (on flat the fast step
-    keeps v1 = inf where the full step's 0 * inf gives nan); and on
-    log-partial a g33 with partials inf and nan, and the log of a negative
-    x1, which raises in the fast step."""
+    near 1.7e308 and a fast v (the transport slopes overflow but on flat);
+    v1 = inf; and on log-partial a g33 with partials inf and nan, and the
+    log of a negative x1."""
     products = []
-    real_mul = exprjet._mul
-    monkeypatch.setattr(exprjet, "_mul", lambda *args: products.append(args) or real_mul(*args))
+    glob = riccati._walk(spec).__globals__
+    monkeypatch.setitem(glob, "_mul_floats", lambda *args, real=glob["_mul_floats"]: products.append(args) or real(*args))
     rng = np.random.default_rng(34)
     box = np.array(spec.box)
     mid = box.mean(axis=1).tolist()
@@ -822,26 +824,33 @@ def test_generated_stage_is_the_reference_stage_bit_for_bit(spec, monkeypatch):
         states.append(zeros + vw)
         states += [[zeros[i] if i == k else mid[i] for i in range(3)] + vw for k in range(3)]
         states.append(mid + zeros * 3)
-    full = _full_walk(spec)
+    unfolded = _unfolded_walk(spec)
     results = 0
     for dt in (1e-2, -5e-2):
         for y in states:
-            got, want = _outcome(_walk_step, spec, y, dt), _outcome(reference_float_step, spec, y, dt)
-            assert got == want == _outcome(_walk_step, spec, y, dt, full), y
+            want = _outcome(reference_float_step, spec, [x + 0.0 for x in y], dt)
+            got = _outcome(_walk_step, spec, y, dt)
+            assert got == want == _outcome(_walk_step, spec, y, dt, unfolded), y
             results += isinstance(got, bytes)
     assert results >= 80
     assert bool(products) == (spec.name == "mul-fallback")
     frame = [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1e308, 1.7e308]
     start = [m + 0.0625 for m in mid]
-    falls_back = [[1.7e308] * 12, start + [30.0, -20.0, 50.0] + frame, start + [math.inf, 0.5, 0.25] + vw[3:]]
+    not_finite = [[1.7e308] * 12, start + [30.0, -20.0, 50.0] + frame, start + [math.inf, 0.5, 0.25] + vw[3:]]
     if spec.name == "log-partial":
-        falls_back += [[x1, 0.3, 0.2, 0.3, -0.2, 0.5] + frame[::-1] for x1 in (5e-324, -0.5)]
+        not_finite += [[x1, 0.3, 0.2, 0.3, -0.2, 0.5] + frame[::-1] for x1 in (5e-324, -0.5)]
     non_finite = 0
-    for y in falls_back:
+    for y in not_finite:
         with np.errstate(all="ignore"):
-            got, want = _outcome(_walk_step, spec, y, 1e-2), _outcome(reference_float_step, spec, y, 1e-2)
-            assert got == want == _outcome(_walk_step, spec, y, 1e-2, full), y
-        non_finite += isinstance(got, bytes) and not np.all(np.isfinite(np.frombuffer(got)))
+            want = _outcome(reference_float_step, spec, y, 1e-2)
+            got = _outcome(_walk_step, spec, y, 1e-2)
+        if _finite(want):
+            assert got == want, y
+        elif isinstance(got, bytes):
+            assert not _finite(got), y
+            non_finite += 1
+        else:
+            assert issubclass(got[0], (metrics.MetricError, exprjet.DomainFault)), (y, got)
     assert non_finite >= 1
 
 
@@ -852,8 +861,7 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
     of ten steps and a shortened last one, is the path of
     ``reference_float_step`` bit for bit, or faults as it does: in two
     directions with no zero entry, and along the axes x1 and x3, where v and
-    the frame start with +0.0 entries; the steps are fast in all four.  The
-    metrics include six random ones, whose components each depend on their
+    the frame start with +0.0 entries.  The metrics include six random ones, whose components each depend on their
     own subset of the coordinates (``_random_specs``)."""
     box = np.array(spec.box)
     p = box.mean(axis=1)
@@ -877,51 +885,39 @@ def test_walk_is_the_reference_path_bit_for_bit(spec, T, dt):
             assert _outcome(walked, p, v) == _outcome(reference, p, v)
 
 
-def test_walk_runs_fast_steps_across_a_zero_entry_and_full_steps_from_a_negative_zero():
-    """On flat, a state whose x1 lands exactly on +0.0 after one step: the
-    walk takes the fast step at every step, across the state with x1 = 0.
-    From the same state with x2 = -0.0, every step is a full step.  Each row
-    is ``reference_float_step``'s and the full step's bit for bit.  (v1 = 0.5
-    gives q0 = 6 v1 = 3 and w q0 = 0.375 exactly at dt = 0.75.)"""
+def test_walk_crosses_a_zero_entry_and_reads_a_negative_zero_start_as_positive():
+    """On flat, a state whose x1 lands exactly on +0.0 after one step: each
+    row of the walk is ``reference_float_step``'s and the unfolded walk's
+    bit for bit, across the state with x1 = 0.  From the same state with
+    x2 = -0.0, row 0 keeps the -0.0 and every later row is that of the
+    start with x2 = +0.0.  (v1 = 0.5 gives q0 = 6 v1 = 3 and w q0 = 0.375
+    exactly at dt = 0.75; v2 = -0.0 keeps x2 at -0.0 in a step from it.)"""
     spec = metrics.builtin("flat")
-    start = [-0.375, 0.3, 0.2, 0.5, 0.25, -0.5, 0.6, -0.8, 0.1, 0.3, 0.2, -0.7]
-    for x2, version in ((0.3, True), (-0.0, False)):
+    start = [-0.375, 0.0, 0.2, 0.5, -0.0, -0.5, 0.6, -0.8, 0.1, 0.3, 0.2, -0.7]
+    rows = []
+    for x2 in (0.0, -0.0):
         ys = np.empty((4, 12))
-        ys[0] = start[:1] + [x2] + start[2:]
-        full = ys.copy()
-        walk, ran = _recording_walk(spec)
-        walk(ys, 0.75, 0.75)
-        _full_walk(spec)(full, 0.75, 0.75)
-        assert ys[1, 0] == 0.0 and ran == [version] * 3
+        ys[0] = row0 = start[:1] + [x2] + start[2:]
+        unfolded = ys.copy()
+        riccati._walk(spec)(ys, 0.75, 0.75)
+        _unfolded_walk(spec)(unfolded, 0.75, 0.75)
+        assert ys[1, 0] == 0.0 and ys.tobytes() == unfolded.tobytes()
+        assert ys[0].tobytes() == np.array(row0).tobytes()
         for k in range(1, 4):
-            assert ys[k].tobytes() == full[k].tobytes()
-            assert ys[k].tobytes() == np.array(reference_float_step(spec, ys[k - 1].tolist(), 0.75)).tobytes()
-
-
-def test_riccati_cmd_from_a_negative_zero_point_runs_full_steps(tmp_path, capsys, monkeypatch):
-    """A ``riccati`` request whose --point has a -0.0 entry prints and writes
-    the bytes it gives with the walk generated with nothing folded in
-    (``_full_walk``), and its path takes only full steps."""
-    spec = metrics.builtin("flat")
-    out = tmp_path / "traj.csv"
-    argv = ["riccati", "flat", "--point=-0.0,0.3,0.2", "--dir", "1,0.5,0.2", "--T", "0.5", "--dt", "0.01",
-            "--out", str(out)]
-    walk, ran = _recording_walk(spec)
-    readings = []
-    for generated in (walk, _full_walk(spec)):
-        monkeypatch.setattr(riccati, "_walk", lambda spec, generated=generated: generated)
-        assert cli.main(argv) == 0
-        readings.append((capsys.readouterr().out, out.read_bytes()))
-    assert readings[0] == readings[1] and ran == [False] * 50
+            y = (ys[k - 1] + 0.0).tolist()
+            assert ys[k].tobytes() == np.array(reference_float_step(spec, y, 0.75)).tobytes()
+        rows.append(ys)
+    assert rows[0][1:].tobytes() == rows[1][1:].tobytes()
+    assert np.array(reference_float_step(spec, rows[1][0].tolist(), 0.75)).tobytes() != rows[1][1].tobytes()
 
 
 @pytest.mark.parametrize("spec", STAGE_SPECS, ids=lambda s: f"{s.name}{s.params}")
 def test_paths_from_a_positive_zero_start_take_the_fast_step(spec):
     """A path along an axis direction starts with +0.0 entries in v and the
-    frame, and none at -0.0: it takes every step as the fast step (flat
-    along e1 and hyperbolic along e3 included, whose zero entries stay 0),
-    and is the full walk's and ``reference_float_step``'s path bit for bit,
-    or faults as they do (mul-fallback along e1, at a step's first stage)."""
+    frame, and none at -0.0 (flat along e1 and hyperbolic along e3
+    included, whose zero entries stay 0): the walk's folded steps are the
+    unfolded walk's and ``reference_float_step``'s path bit for bit, or
+    fault as they do (mul-fallback along e1, at a step's first stage)."""
     p = np.array(spec.box).mean(axis=1)
     dt = 0.01
 
@@ -933,15 +929,13 @@ def test_paths_from_a_positive_zero_start_take_the_fast_step(spec):
         start = integrate_geodesic(spec, p, v, 0.0, dt)
         y = np.concatenate([start.xs[0], start.vs[0], start.w1s[0], start.w2s[0]])
         assert np.any(y == 0.0) and not np.any(np.signbit(y) & (y == 0.0))
-        walk, ran = _recording_walk(spec)
         outcomes = []
-        for f in (walk, _full_walk(spec), reference):
+        for f in (riccati._walk(spec), _unfolded_walk(spec), reference):
             ys = np.tile(y, (11, 1))
             with np.errstate(all="ignore"):  # mul-fallback's products leave the float range
                 outcomes.append(_outcome(lambda: f(ys, dt, dt) or ys))
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert ran and all(ran)  # no step attempt is a full step
-        assert len(ran) == 10 or not isinstance(outcomes[0], bytes)
+        assert isinstance(outcomes[0], bytes) or spec.name == "mul-fallback"
 
 
 DIAGONAL = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
@@ -971,19 +965,20 @@ UNBOUND = MetricSpec(
         (metrics.custom({**DIAGONAL, "g33": "x3"}), (0.0, 0.0, 1e7), "det below 1e-14 max(g_ii)^3"),
         (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1", "g33": "x1"}), (1e107, 0.0, 0.0), "e+214, inf"),
         (metrics.custom(TILTED), (math.nan, 0.2, 0.3), "minors nan, nan, nan"),
-        # states with no zero entry, where the fast step raises and the full
-        # step raises the same fault
+        # states with no zero entry
         (metrics.custom({**DIAGONAL, "g11": "x1", "g22": "x1"}), (-1.0, 0.5, 0.5), "minors -1.000e+00,"),
         (metrics.custom({**DIAGONAL, "g11": "x1"}), (1e7, 0.5, 0.5), "det below 1e-14 max(g_ii)^3"),
         (metrics.custom({**DIAGONAL, "g33": "1 + 0.1*log(x1)"}), (-0.2, 0.5, 0.5), "log of non-positive value"),
-        # constants whose minors overflow as the fast step is generated: no
-        # constant is folded in
+        # constants whose minors overflow as the walk is generated, or a
+        # constant nan: nothing is folded in, and the constants are bound by
+        # name ahead of the stage
         (metrics.custom({**DIAGONAL, "g11": "1e200", "g22": "1e200", "g33": "1e200"}), (0.5, 0.5, 0.5),
          "minors 1.000e+200, inf, inf"),
+        (metrics.custom({**TILTED, "g12": "0*1e999"}), (0.5, 0.5, 0.5), "is not finite at (0.5, 0.5, 0.5): g12 = nan"),
     ],
     ids=["indefinite", "non-finite", "negative-power", "log", "exp-overflow", "unbound", "g11-zero", "m2-zero",
          "g11-negative", "m2-negative", "det-floor-g11", "det-floor-g22", "det-floor-g33", "det-inf", "nan",
-         "fast-g11-negative", "fast-det-floor", "fast-log", "fast-unfolded"],
+         "fast-g11-negative", "fast-det-floor", "fast-log", "fast-unfolded", "constant-nan"],
 )
 def test_generated_stage_faults_as_gamma_at(spec, x, message):
     """Where ``gamma_at`` raises at a point, the generated walk raises the
