@@ -12,7 +12,7 @@ from .curvature import (
 from .exprjet import Jet4, eval_jet, parse_expr
 from .metrics import MetricJet, MetricSpec, builtin, custom, metric_jets
 from .obstruction import ObstructionValues, fibonacci_directions, obstruction_values
-from .polyclass import ConstraintInstance, classify, tilde_transform, verify_constraint
+from .polyclass import ConstraintInstance, classify, tilde_transform
 from .riccati import GeodesicPath, integrate_geodesic, integrate_riccati
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "parse_expr",
     "ricci_rank",
     "tilde_transform",
-    "verify_constraint",
 ]
 
 __version__ = "0.1.0"

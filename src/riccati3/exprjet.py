@@ -31,30 +31,28 @@ one point or a batch.  A metric compiles its six components once
 array in a ``Jet4`` record, and ``eval_dual`` (value and gradient) is its
 order-1 case.  At order 1 and one point a coefficient array is four numbers,
 too few to pay numpy's cost per call, and a loop that dispatches on each
-operation costs more than the operation, so ``Tape.float_function``
-generates the order-1 replay of a tape as straight-line Python source on
-floats, each register four local names, in place of the ``SPARSE_REPLAY``
-line of a function template the caller gives (an evaluation tape emitted as
-code, ibid.).  The replay leaves out every partial that the tape's
-structure fixes at 0.  Products are summed as ``_mul`` sums them; each
-power and unary function is written in line as the first two terms of its
-series, in the arithmetic of ``_power_series`` and ``_function_series``,
-with ``math``'s functions.  Where a guard misses (the 1e-12 floor of a
-negative power, an exception, a non-finite result), the replay calls those
-series functions, which raise every fault and give every non-finite value,
-so it gives the values and faults of ``run(p, 1)``.  It is the one
-generator, and its one caller is the geodesic walk (``riccati._walk``): a
-whole path of RK4 steps whose four stages loop over the replay, the
-leading-minor check and the Christoffel contraction, all written in line,
-the last two with the left-out partials and the constant outputs folded in.
-Nothing is generated at import.
+operation costs more than the operation, so ``Tape.replay`` writes the
+order-1 replay of a tape as straight-line Python lines on floats, each
+register four local names, for the caller to put into the source of its own
+function (an evaluation tape emitted as code, ibid.).  The replay leaves out
+every partial that the tape's structure fixes at 0.  Products are summed as
+``_mul`` sums them; each power and unary function is written in line as the
+first two terms of its series, in the arithmetic of ``_power_series`` and
+``_function_series``, with ``math``'s functions.  Where a guard misses (the
+1e-12 floor of a negative power, an exception, a non-finite result), the
+replay calls those series functions, which raise every fault and give every
+non-finite value, so it gives the values and faults of ``run(p, 1)``.  Its one caller is the
+geodesic walk (``riccati._walk``), which compiles and executes the source
+itself: a whole path of RK4 steps whose four stages loop over the replay,
+the leading-minor check and the Christoffel contraction, all written in
+line, the last two with the left-out partials and the constant outputs
+folded in.  Nothing is generated at import.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -652,9 +650,6 @@ _CALLS = {
     "sinh": ("except OverflowError", "{t} = _sinh({a})", "_s1 = _cosh({a})"),
     "cosh": ("except OverflowError", "{t} = _cosh({a})", "_s1 = _sinh({a})"),
 }
-# the line of a ``Tape.float_function`` template that the replay replaces:
-# not Python, so no line of the template's own code can be taken for it
-SPARSE_REPLAY = "<sparse replay>"
 
 
 class Tape:
@@ -745,27 +740,27 @@ class Tape:
             raise ExprError(f"order must be 0..{MAX_ORDER}, got {order}")
         return _run(self.ops, self.outputs, as_point(p), order)
 
-    def float_function(self, template, names, env=None):
-        """The function whose Python source is ``template(constants)``, with
-        each line ``SPARSE_REPLAY`` replaced, at that line's indentation, by
-        the tape's order-1 replay on the floats x1, x2, x3 as straight-line
-        code.  The replay binds expression j's value and first partials to
-        the names ``names[j]`` and ``names[j]`` + ``_1``, ``_2``, ``_3``, but
-        for those in ``constants``: a dict of each of those names that the
-        replay binds to a literal or a constant register (a constant
-        expression's value and partials, a coordinate's partials) or leaves
-        out as a partial fixed at 0, to its float, the same at every point.
-        The source starts ``def NAME(`` and binds x1, x2, x3 before the
-        replay; the function's globals are ``env`` and the replay's own,
-        whose names start with an underscore, as do its registers.  This is
-        the one source generator: the geodesic walk (``riccati._walk``,
-        which folds the constant outputs into its lines) is made by it.
+    def replay(self, names):
+        """The tape's order-1 replay on the floats x1, x2, x3 as straight-line
+        Python lines: (lines, constants, globals).  The lines bind expression
+        j's value and first partials to the names ``names[j]`` and
+        ``names[j]`` + ``_1``, ``_2``, ``_3``, but for those in ``constants``:
+        a dict of each of those names that the replay binds to a literal or a
+        constant register (a constant expression's value and partials, a
+        coordinate's partials) or leaves out as a partial fixed at 0, to its
+        float, the same at every point.  The lines read x1, x2, x3 and the
+        dict ``globals``, whose names but ``ExprError`` start with an
+        underscore, as do the registers the lines assign; a caller puts the
+        lines into the body of its function's source at one indentation and
+        executes it with those globals and its own.  The geodesic walk
+        (``riccati._walk``, which folds the constant outputs into its lines)
+        is the one caller.
 
         Each operation keeps the arithmetic of ``run`` at order 1, a register
         being four floats, on the tape's structure: a register's partial in
         a coordinate whose ``Var`` is not below it is fixed at 0, and is not
-        computed (``_replay``).  A product writes each coefficient i that
-        has a term left as 0.0 + u0 v_i + u_i v0, the Leibniz terms in
+        computed.  A product writes each coefficient i that has a term left
+        as 0.0 + u0 v_i + u_i v0, the Leibniz terms in
         ``_mul``'s order summed from +0.0, as its one-hot product sums them,
         a term with a factor fixed at 0 left out; where the sum of the
         coefficients is inf or nan, which that product spreads over the
@@ -782,49 +777,20 @@ class Tape:
         through the globals, and an exponent as its integer literal, so no
         text of an expression is pasted into the source.
 
-        So the replay gives every value and fault of ``run(p, 1)``.  Each
-        partial it keeps is the run's but for the sign of a zero, and each
-        one it leaves out is +-0.0 in the run, unless a partial it keeps is
-        an inf or a nan in both; and a nan made by adding two nans may carry
-        the other sign bit, for Python's float add keeps its first operand's
-        nan and numpy's add need not (the partial d_1 of sin(x1) + cos(x1)
-        at x1 = nan is -nan here and +nan in ``run``); nans of either sign
-        are the same value."""
-        glob = {
-            "ExprError": ExprError,
-            "_power_series": _power_series,
-            "_function_series": _function_series,
-            "_mul_floats": _mul_floats,
-            "_nan": math.nan,
-            **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
-            **(env or {}),
-        }
-        replay, constants = self._replay(names, glob)
-        text = template(constants)
-        source = re.sub(
-            rf"^( *){re.escape(SPARSE_REPLAY)}$", lambda m: "\n".join(m[1] + line for line in replay), text, flags=re.M
-        )
-        name = text.split("(", 1)[0].removeprefix("def ")
-        exec(compile(source, f"<{name} of a tape>", "exec"), glob)
-        return glob[name]
+        A register is its four names or literals, "0.0" being a partial fixed
+        at 0 by the tape's structure (a coordinate the register does not
+        depend on, Griewank & Walther, ch. 7), for which no line is written:
+        a product leaves out each Leibniz term with such a factor, and a
+        coefficient with none left, and a sum, negation or chain-rule line of
+        such a partial is left out, a sum with one such operand being the
+        other operand.  Every guard stays.
 
-    def _replay(self, names, glob):
-        """The lines of the order-1 replay (``float_function``) and the dict
-        of the outputs it binds to a constant or leaves out.  A register is
-        its four names or literals, "0.0" being a partial fixed at 0 by the
-        tape's structure (a coordinate the register does not depend on,
-        Griewank & Walther, ch. 7), for which no line is written: a product
-        leaves out each Leibniz term with such a factor, and a coefficient
-        with none left, and a sum, negation or chain-rule line of such a
-        partial is left out, a sum with one such operand being the other
-        operand.  Every guard stays.
-
-        This keeps ``run``'s values and faults.  Written out with every
-        partial, each line would be the run's arithmetic, bit for bit but
-        for the sign of a nan.  By induction over the registers, each has
-        that value, and either every partial the replay keeps is that one
-        but for the sign of a zero and each one it leaves out is +-0.0
-        there, or a partial it keeps is an inf or a nan in both.  A
+        So the replay gives every value and fault of ``run(p, 1)``.  Written
+        out with every partial, each line would be the run's arithmetic, bit
+        for bit but for the sign of a nan.  By induction over the registers,
+        each has that value, and either every partial the replay keeps is
+        that one but for the sign of a zero and each one it leaves out is
+        +-0.0 there, or a partial it keeps is an inf or a nan in both.  A
         left-out partial turns into an inf or a nan only at a chain-rule
         line whose derivative is an inf or a nan, where every kept partial
         turns into one too, or where a product's test fires.  A product's
@@ -833,7 +799,19 @@ class Tape:
         here where it fires in the run, with an inf or a nan among the
         terms in both, which ``_mul`` spreads over every coefficient.  A
         power's or a call's value, guards and faults read only its
-        argument's value."""
+        argument's value.  And a nan made by adding two nans may carry the
+        other sign bit, for Python's float add keeps its first operand's nan
+        and numpy's add need not (the partial d_1 of sin(x1) + cos(x1) at
+        x1 = nan is -nan here and +nan in ``run``); nans of either sign are
+        the same value."""
+        glob = {
+            "ExprError": ExprError,
+            "_power_series": _power_series,
+            "_function_series": _function_series,
+            "_mul_floats": _mul_floats,
+            "_nan": math.nan,
+            **{f"_{name}": getattr(math, name) for name in FUNCTIONS},
+        }
         own = {}  # register -> the name of the first expression it computes
         for j, r in enumerate(self.outputs):
             own.setdefault(r, names[j])
@@ -919,7 +897,7 @@ class Tape:
                     constants[names[j] + s] = glob[c] if c.startswith("_k") else float(c)
                 if not constant and names[j] + s != c:
                     lines.append(f"{names[j]}{s} = {c}")
-        return lines, constants
+        return lines, constants, glob
 
 
 def _mul_floats(u, v):
@@ -936,30 +914,34 @@ def _run(ops, outputs, point, order):
     else:
         shape, coords = (N_BY_ORDER[order], len(point)), point.T
     regs = []
-    for kind, a, b, node in ops:
-        if kind == "const":
-            c = np.zeros(shape)
-            c[0] = a
-        elif kind == "var":
-            c = np.zeros(shape)
-            c[0] = coords[a]
-            if order >= 1:
-                c[1 + a] = 1.0
-        elif kind == "*":
-            c = _mul(regs[a], regs[b], order)
-        elif kind == "+":
-            c = regs[a] + regs[b]
-        elif kind == "-":
-            c = regs[a] - regs[b]
-        elif kind == "^":
-            c = _ipow(regs[a], b, order, node)
-        elif kind == "call":
-            c = _compose(regs[a], _function_series(b, _value(regs[a]), node), order)
-        elif kind == "neg":
-            c = -regs[a]
-        else:
-            raise ExprError(f"unbound parameter '{a}'")
-        regs.append(c)
+    # an inf or nan meets a 0 coefficient, or a product leaves the float range,
+    # only where the arrays show it: numpy's warnings would add nothing, and
+    # _power_series' own errstate still raises its faults
+    with np.errstate(all="ignore"):
+        for kind, a, b, node in ops:
+            if kind == "const":
+                c = np.zeros(shape)
+                c[0] = a
+            elif kind == "var":
+                c = np.zeros(shape)
+                c[0] = coords[a]
+                if order >= 1:
+                    c[1 + a] = 1.0
+            elif kind == "*":
+                c = _mul(regs[a], regs[b], order)
+            elif kind == "+":
+                c = regs[a] + regs[b]
+            elif kind == "-":
+                c = regs[a] - regs[b]
+            elif kind == "^":
+                c = _ipow(regs[a], b, order, node)
+            elif kind == "call":
+                c = _compose(regs[a], _function_series(b, _value(regs[a]), node), order)
+            elif kind == "neg":
+                c = -regs[a]
+            else:
+                raise ExprError(f"unbound parameter '{a}'")
+            regs.append(c)
     return [regs[r] for r in outputs]
 
 

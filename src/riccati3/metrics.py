@@ -293,12 +293,18 @@ def cofactors(g11, g12, g13, g22, g23, g33):
 
 def _metric_fault(spec, at, values):
     """The MetricError of the point ``at``, whose component values ``values``
-    (floats) fail ``leading_minors``' rule: it names the first value that is
-    inf or nan at a finite point, or else the minors."""
-    if all(map(math.isfinite, at)):
-        for name, value in zip(COMPONENT_NAMES, values):
-            if not math.isfinite(value):
-                return MetricError(f"metric '{spec.name}' is not finite at {at}: {name} = {value}")
+    (floats) fail ``leading_minors``' rule: it says that a point that is not
+    finite is not, or names the first value that is inf or nan, or else the
+    minors.  Every command refuses a point that is not finite, so such a
+    point is a geodesic stage point whose step's slopes left the float
+    range."""
+    if not all(map(math.isfinite, at)):
+        return MetricError(
+            f"metric '{spec.name}' at {at}: the point is not finite, a step's slopes left the float range"
+        )
+    for name, value in zip(COMPONENT_NAMES, values):
+        if not math.isfinite(value):
+            return MetricError(f"metric '{spec.name}' is not finite at {at}: {name} = {value}")
     (g11, m2, m3), _ = leading_minors(*values)
     detail = f"leading principal minors {g11:.3e}, {m2:.3e}, {m3:.3e}"
     if g11 > 0 and m2 > 0 and 0 < m3 < math.inf:

@@ -493,15 +493,6 @@ def _fmax(p, D):
     return max(map(abs, p), default=0) / D
 
 
-def verify_constraint(inst: ConstraintInstance) -> float:
-    """Max coefficient deviation of lhs - rhs; exact zero on the rational path
-    when the constraint holds.  This expansion is the oracle every
-    classification claim is checked against.
-    """
-    lhs, rhs, D = _constraint_sides(inst.form)
-    return _fmax(psub(lhs, rhs), D)
-
-
 def _verdicts(f):
     """The two verdict makers of one classification: ``infeasible(cert)``, and
     ``sound(branch, signs, witness)``, which raises unless the expanded

@@ -22,8 +22,8 @@ of the bisection that brackets the blow-up time, so the RK4 formula is
 written once.
 The geodesic steps run the same way on the 12 floats of the state
 (x, v, w1, w2): a path is one call of a function generated for the metric
-(``_walk``), on its first path, from its compiled tape
-(``Tape.float_function``).  Each step's four stages are a loop over the
+(``_walk``), on its first path, from the lines of its compiled tape's
+replay (``Tape.replay``).  Each step's four stages are a loop over the
 tape's order-1 replay as straight-line float code (no partial that the
 tape's structure fixes at 0, its powers and functions in line, with the
 series functions as fallbacks); the leading-minor check and the adjugate
@@ -65,7 +65,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import curvature_r_only, orthonormal_perp
-from .exprjet import SPARSE_REPLAY
 # gamma_at is not called here; the benchmark's tracer (perfbench/spans.py)
 # looks it up in this module
 from .metrics import COMPONENT_NAMES, MetricSpec, _metric_fault, gamma_at, metric_jets
@@ -133,16 +132,18 @@ class RiccatiResult(NamedTuple):
 #
 # The walk's one step is the replay, which leaves out every partial that the
 # tape's structure fixes at 0 (in a coordinate whose ``Var`` is not below
-# it) and binds no constant output, then the lines below with those
-# partials and the constant outputs folded in (``Tape.float_function``), on
-# the syntax tree that ``ast`` parses from each line (``_folded``), written
-# out again (``_source``): a product with a constant 0 factor is dropped, a
-# factor 1.0 left out, a line of constants computed as the walk is
-# generated, in the same float operations and order, and the rule decided
-# there where it reads constants only, its raise reading them as floats
-# (partial evaluation).  Where a constant would fold to an inf or a nan,
-# nothing is folded, and the constant outputs are bound by name ahead of
-# the stage.
+# it) and binds no constant output (``Tape.replay``), then the lines below
+# with those partials and the constant outputs folded in, on the syntax tree
+# that ``ast`` parses from each line (``_folded``), written out again
+# (``_source``): a product with a constant 0 factor is dropped, a factor 1.0
+# left out, a line of constants computed as the walk is generated, in the
+# same float operations and order, and the rule decided there where it
+# reads constants only, its raise reading them as floats (partial
+# evaluation).  A constant that is an inf or a nan folds as any other and
+# is written as ``inf`` or ``nan``: a g entry that is one fails the rule,
+# so such a stage never gets past its raise.  A division by a constant 0 is
+# left as written; m3 is the one divisor, and a constant m3 = 0 fails the
+# rule first.
 # Wherever the step over ``gamma_at`` ends in a finite state, this is that
 # step bit for bit.  A dropped value is a product with a factor the tape
 # fixes at 0.  The replay gives the values and faults of ``run(p, 1)``,
@@ -224,11 +225,6 @@ _SUMS = (_each("q{i} = k{i}"), _each("q{i} = q{i} + k{i}"), _each("q{i} = q{i} +
 _PINNED = frozenset(_POINT + tuple(f"{n}{i}" for n in "kqy" for i in range(12)))
 
 
-class _Unfolded(Exception):
-    """Constants that fold to an inf or a nan, or divide by 0: the step of
-    such a tape is its lines as they stand."""
-
-
 # each operator of the stage as its function on floats, its text and how tightly it binds
 _OPS = {ast.Add: (operator.add, "+", 1), ast.Sub: (operator.sub, "-", 1), ast.Mult: (operator.mul, "*", 2),
         ast.Div: (operator.truediv, "/", 2), ast.Gt: (operator.gt, ">", 0), ast.Lt: (operator.lt, "<", 0)}
@@ -253,8 +249,10 @@ def _folded(node, env):
     floats, + - * / and negations, with no negation below a product or to
     the right of a sum.  An operation on two constants is computed; a product
     with a 0 factor is 0, and a factor +-1.0 leaves only its sign; a 0 term
-    of a sum is left out (an expression equals no float).  Where a constant
-    is not finite or a divisor is 0, it raises ``_Unfolded``."""
+    of a sum is left out (an expression equals no float).  A constant that
+    is an inf or a nan is folded as any other.  A division by a divisor that
+    folds to 0 is left as its operands fold: the rule fails on a constant
+    m3 = 0, the one divisor, before the walk reaches it."""
     kind = type(node)
     if kind is ast.Name:
         if node.id == "inf":
@@ -267,7 +265,7 @@ def _folded(node, env):
     else:
         a, b, op = _folded(node.left, env), _folded(node.right, env), type(node.op)
         if op is ast.Div and b == 0.0:
-            raise _Unfolded
+            return ast.BinOp(a, node.op, b)
         if type(a) is float and type(b) is float:
             value = _OPS[op][0](a, b)
         elif op in (ast.Add, ast.Sub):
@@ -283,8 +281,6 @@ def _folded(node, env):
             (aneg, a), (bneg, b) = _signed(a), _signed(b)
             value = a if b == 1.0 else b if a == 1.0 and op is ast.Mult else ast.BinOp(a, node.op, b)
             return _negated(value) if aneg != bneg else value
-    if type(value) is float and not math.isfinite(value):
-        raise _Unfolded
     return value
 
 
@@ -390,23 +386,21 @@ _NEW = _each("y{i} = y{i} + w * q{i}")
 def _fold(constants):
     """The step's lines after the replay, with the outputs ``constants``
     folded in: the stage points after the first stage, the stage, the slope
-    sums and the new state.  Where a constant folds to an inf or a nan, they
-    are the lines as they stand, the stage binding the constants first."""
+    sums and the new state."""
     env = dict(constants)
-    try:
-        stage = _emit(_STAGE, env)
-    except _Unfolded:
-        env, stage = {}, [f"{name} = {value!r}" for name, value in constants.items()] + _STAGE
+    stage = _emit(_STAGE, env)
     # a slope that folds to a constant is 0, each of its terms having a factor
-    # from v, w1 or w2, and so is its sum q at every stage
+    # from v, w1 or w2, and so is its sum q at every stage; it may be a nan
+    # only after a raise that the rule decided as the walk was generated
     env.update({f"q{i}": 0.0 for i in range(12) if f"k{i}" in env})
     return _emit(_POINTS, env), stage, tuple(_emit(s, env) for s in _SUMS), _emit(_NEW, env)
 
 
-def _walk_source(constants):
-    """The walk's source, for a tape whose replay binds the outputs
-    ``constants`` to constants or leaves them out: each step's four stages
-    loop over the replay and the lines of ``_fold``."""
+def _walk_source(replay, constants):
+    """The walk's source around the lines ``replay`` of a tape's replay,
+    which binds the outputs ``constants`` to constants or leaves them out:
+    each step's four stages loop over the replay and the lines of
+    ``_fold``."""
     points, stage, sums, new = _fold(constants)
     return f"""def walk(ys, dt, dt_last):
     steps = len(ys) - 1
@@ -421,14 +415,14 @@ def _walk_source(constants):
             else:
                 c = dt if stage == 3 else h
 {_block(points, 16)}
-{_stage([SPARSE_REPLAY, *stage], sums, 12)}
+{_stage([*replay, *stage], sums, 12)}
         w = dt / 6.0
 {_block(new, 8)}
         ys[step] = {_STATE}"""
 
 
-# the walk's globals besides the tape's and its spec; inf and nan are read by
-# the rule and by constants written out where nothing folds
+# the walk's globals besides the replay's and its spec; inf and nan are read
+# by the rule and by constants that fold to them
 _WALK_GLOBALS = {"inf": math.inf, "nan": math.nan, "_metric_fault": _metric_fault}
 
 
@@ -436,12 +430,16 @@ _WALK_GLOBALS = {"inf": math.inf, "nan": math.nan, "_metric_fault": _metric_faul
 def _walk(spec):
     """The geodesic walk of ``spec``, generated from its tape on its first
     path and kept per spec, as ``metrics.resolve`` keeps the spec: one
-    function, whose steps all loop over the replay and the lines folded
-    with the tape's constants (``_walk_source``), from the start row read
-    with each -0.0 entry as +0.0.  A g that fails ``leading_minors``' rule,
-    written out in the walk, at a stage point raises ``metric_jets``'
-    MetricError, as ``gamma_at`` does at the same point."""
-    return spec.tape.float_function(_walk_source, COMPONENT_NAMES, {**_WALK_GLOBALS, "spec": spec})
+    function, whose steps all loop over the tape's replay (``Tape.replay``)
+    and the lines folded with the tape's constants (``_walk_source``), from
+    the start row read with each -0.0 entry as +0.0.  A g that fails
+    ``leading_minors``' rule, written out in the walk, at a stage point
+    raises ``metric_jets``' MetricError, as ``gamma_at`` does at the same
+    point."""
+    replay, constants, glob = spec.tape.replay(COMPONENT_NAMES)
+    glob.update(_WALK_GLOBALS, spec=spec)
+    exec(compile(_walk_source(replay, constants), "<walk of a tape>", "exec"), glob)
+    return glob["walk"]
 
 
 def _sample_times(T: float, dt: float) -> np.ndarray:

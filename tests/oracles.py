@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from riccati3.curvature import (
     CurvaturePack,
@@ -41,6 +42,7 @@ from riccati3.curvature import (
     ricci_rank,
 )
 from riccati3.exprjet import (
+    FUNCTIONS,
     INDEX_OF,
     MULTI_INDICES,
     N_BY_ORDER,
@@ -879,6 +881,41 @@ def reference_classify(inst):
         _ref_reverse(inst.P, 6), lambda2=inst.lambda3, lambda3=inst.lambda2,
     )
     return _ref_classify_a3(swapped), True
+
+
+# floats at and next to the edges where an evaluator faults or leaves the
+# float range: +-0.0 and the 1e-12 floor of a negative power, exp's, sinh's
+# and cosh's overflow past 709.78, arguments whose square, cube or fourth
+# power underflows or overflows, the smallest subnormal, inf and nan
+EDGE_FLOATS = (0.0, -0.0, 1e-12, -1e-12, 9e-13, 2e-12, 709.7, 710.0, -711.0, 1e-160, 1e-200, 5e-324,
+               1e103, 1e154, 1e200, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+
+def edge_floats():
+    """A hypothesis strategy of floats: one of ``EDGE_FLOATS`` or one in [-3, 3]."""
+    return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-3.0, 3.0))
+
+
+def expressions(params=("a", "a", "u")):
+    """A hypothesis strategy of expressions over the whole grammar: x1, x2,
+    x3, constants from ``edge_floats``, the parameters ``params`` (a name
+    given twice is drawn twice as often), negation, + - * /, integer powers
+    -2..3 and the seven functions."""
+    leaves = st.one_of(
+        st.builds(Var, st.integers(0, 2)),
+        st.builds(Const, edge_floats()),
+        st.builds(Param, st.sampled_from(params)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(Power, children, st.integers(-2, 3)),
+            st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
 
 
 def eval_scalar(e, p, params=None, lib=math):

@@ -6,9 +6,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import eval_scalar, leibniz_contract, mul_tables
+from oracles import edge_floats, eval_scalar, expressions, leibniz_contract, mul_tables
 
 from riccati3.exprjet import (
     DEGREES,
@@ -17,7 +17,6 @@ from riccati3.exprjet import (
     MULTI_INDICES,
     N_BY_ORDER,
     ParseError,
-    SPARSE_REPLAY,
     Tape,
     _MUL_TABLES,
     _PAIR_SCATTERS,
@@ -314,7 +313,7 @@ def test_exp_overflow_is_a_domain_fault_not_an_indefinite_metric():
         with pytest.raises(DomainFault, match=r"^exp overflows the float range in subtree 'exp\(x1\)'$"):
             call()
     assert gamma_at(spec, (30.0, 0.0, 0.0))[0][0][0] == 1.0  # g11
-    with pytest.raises(MetricError, match="not positive definite"):
+    with pytest.raises(MetricError, match="the point is not finite"):
         gamma_at(spec, (math.nan, 0.0, 0.0))
 
 
@@ -361,8 +360,9 @@ def test_power_overflow_is_a_domain_fault_not_an_indefinite_metric(g11, x1, powe
 def test_non_finite_metric_value_is_named(comps, point, named):
     """A metric value that is inf or nan at a finite point is named as such,
     with its point and its first non-finite component, at one point and at the
-    first such point of a batch; at a nan point the metric is not positive
-    definite, as before."""
+    first such point of a batch; at a nan point the message says that the
+    point is not finite, which in a command only a geodesic step's slopes
+    make."""
     spec = custom({"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1", **comps})
     message = rf"^metric 'custom' is not finite at \({re.escape(repr(point)[1:-1])}\): {named}$"
     batch = np.array([[0.0, 0.0, 0.0], point, 2.0 * np.array(point)])
@@ -380,7 +380,7 @@ def test_non_finite_metric_value_is_named(comps, point, named):
             lambda: metric_jets(spec, nan_point, order=1),
             lambda: metric_jets(spec, np.array([[0.0, 0.0, 0.0], nan_point]), order=1),
         ):
-            with pytest.raises(MetricError, match=rf"not positive definite at \({re.escape(repr(nan_point)[1:-1])}\)"):
+            with pytest.raises(MetricError, match=rf"at \({re.escape(repr(nan_point)[1:-1])}\): the point is not finite,"):
                 call()
 
 
@@ -497,21 +497,19 @@ EVERY_OPERATION = {
 
 
 def _sparse_replay(tape):
-    """The function of the order-1 replay of ``tape`` (``SPARSE_REPLAY``):
+    """The function of the order-1 replay of ``tape`` (``Tape.replay``):
     its values and first partials as the columns (values, d_1, d_2, d_3),
     one float per expression in each, with each output the replay leaves
-    out or binds to a constant read from the template's ``constants``; and
-    those constants."""
+    out or binds to a constant read from its ``constants``; and those
+    constants."""
     names = [f"o{j}" for j in range(len(tape.outputs))]
-    seen = {}
-
-    def template(constants):
-        seen.update(constants)
-        read = [[f"_c['{n}{s}']" if n + s in constants else n + s for n in names] for s in ("", "_1", "_2", "_3")]
-        columns = ("(" + "".join(f"{x}, " for x in column) + ")" for column in read)
-        return f"def sparse(x1, x2, x3):\n    {SPARSE_REPLAY}\n    return {', '.join(columns)}"
-
-    return tape.float_function(template, names, {"_c": seen}), seen
+    lines, constants, glob = tape.replay(names)
+    read = [[f"_c['{n}{s}']" if n + s in constants else n + s for n in names] for s in ("", "_1", "_2", "_3")]
+    columns = ("(" + "".join(f"{x}, " for x in column) + ")" for column in read)
+    body = [*lines, f"return {', '.join(columns)}"]
+    glob["_c"] = constants
+    exec(compile("def sparse(x1, x2, x3):\n" + "\n".join("    " + line for line in body), "<sparse>", "exec"), glob)
+    return glob["sparse"], constants
 
 
 def _outcome_of(f, p):
@@ -681,16 +679,37 @@ def test_sparse_replay_is_the_replay_but_for_zero_signs(spec):
     assert both or spec.name != "log-partial"
 
 
+@seed(29)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(expressions(), min_size=1, max_size=3),
+    st.lists(st.tuples(edge_floats(), edge_floats(), edge_floats()), min_size=1, max_size=4),
+    edge_floats(),
+)
+def test_replay_of_random_expressions_is_the_order1_run(exprs, points, a):
+    """A tape of one to three random expressions over the whole grammar
+    (``oracles.expressions``), sharing their repeated subtrees, with the
+    parameter a bound to a float near a fault edge and u unbound: at points
+    whose coordinates are near the fault edges too, the function built from
+    ``Tape.replay`` raises the fault class and message of ``run(p, 1)``, or
+    gives its values bit for bit (but for the sign of a nan) and its
+    partials but for the sign of a zero, outputs whose kept partial is an
+    inf or a nan in both aside (``_replay_against_run``)."""
+    tape = Tape(tuple(exprs), {"a": a})
+    assert len(list(_replay_against_run(tape, points))) == len(points)
+
+
 @pytest.mark.parametrize("name", ["log", "sqrt"])
 def test_one_point_run_of_a_tiny_or_huge_argument_is_the_batch_of_one(name):
     """log and sqrt at a positive argument whose square, cube or fourth power
     underflows to 0, or overflows: ``run`` at one point gives the bytes of a
     batch of one, infinite and zero series terms included, at every order,
-    with no exception."""
+    with no exception and no warning."""
     tape = Tape((parse_expr(f"{name}(x1)"),))
     for x in (5e-324, 1e-200, 1e-160, 1e103, 1e200, 1.7e308):
         for order in range(5):
-            with np.errstate(all="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 (one,) = tape.run((x, 0.0, 0.0), order)
                 (batch,) = tape.run(np.array([[x, 0.0, 0.0]]), order)
             assert one.tobytes() == batch[:, 0].tobytes(), (x, order)

@@ -445,3 +445,16 @@ def test_eigenvector_gradient_matches_fd_oracle():
     rr = ricci_rank(pack_at(sol, p))
     fd = eigenvector_gradient_fd(sol, p, int(np.argmax(np.abs(rr.eigenvalues))))
     assert abs(rank1_checks(pack_at(sol, p)).div_e3 - np.trace(fd)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24: a direction's bits depend on how many share its call")
+def test_detector_bits_do_not_depend_on_the_call_size():
+    """Heisenberg's detector values at 4,000 directions have the same bits
+    when the directions come in calls of 1,024 as in one call."""
+    pack = pack_at(metrics.builtin("heisenberg", L=1.0), (0.1, 0.2, 0.3))
+    X = np.random.default_rng(24).standard_normal((4000, 3))
+    whole = obstruction_values(pack, X)
+    chunks = [obstruction_values(pack, X[s : s + 1024]) for s in range(0, len(X), 1024)]
+    for field in ("D1", "D2", "D", "lhs", "rhs", "residual"):
+        got = np.concatenate([getattr(c, field) for c in chunks])
+        assert got.tobytes() == getattr(whole, field).tobytes(), field

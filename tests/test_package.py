@@ -5,9 +5,10 @@ import inspect
 from pathlib import Path
 
 import riccati3
-from riccati3 import cli, curvature, frame_algebra, obstruction, riccati
+from riccati3 import cli, curvature, exprjet, frame_algebra, obstruction, riccati
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(riccati3.__file__).resolve().parent
 
 # the eigenframe, grid-probe and frame-projection oracles, which live in tests/oracles.py
 TEST_ORACLES = (
@@ -50,6 +51,19 @@ def test_case_expansions_are_not_in_frame_algebra():
     assert [name for name in ("p_polys", "reference_bundle") if hasattr(frame_algebra, name)] == []
     assert list(inspect.signature(frame_algebra.special_direction_polys).parameters) == ["fd", "case"]
     assert "mode" not in inspect.getsource(frame_algebra.special_direction_polys)
+
+
+def test_removed_layers_stay_out_of_the_package():
+    """The walk compiles the lines of ``Tape.replay`` itself: no function
+    template, marker line or regex stands between them, and every tape gets
+    the one folded stage.  The polynomial classifier's residual is checked
+    against the test oracle ``reference_residual``, not a second copy in
+    the package.  No source file names the removed layers."""
+    removed = ("verify_constraint", "float_function", "SPARSE_REPLAY", "_Unfolded")
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert [name for name in removed if name in text] == [], path.name
+    assert not hasattr(exprjet, "re") and hasattr(exprjet.Tape, "replay")
 
 
 def _spans():

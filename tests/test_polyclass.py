@@ -25,7 +25,6 @@ from riccati3.polyclass import (
     pscale,
     tilde_transform,
     trim,
-    verify_constraint,
 )
 
 
@@ -176,14 +175,14 @@ def test_float_instances_keep_their_verdicts(monkeypatch):
 
 def test_verify_czero():
     inst = ConstraintInstance("a12", ("1", "2", "3"), (), ("1", "1"), (), Lambda="4")
-    assert verify_constraint(inst) == 0.0
+    assert reference_residual(inst) == 0.0
 
 
 def test_verify_sqrt2_float_path():
     a = (1.0, 0.5, 2.0)
     d1 = tuple(math.sqrt(2) * x for x in a)
     inst = ConstraintInstance("a12", a, (1.0, 1.0), d1, (0.0,), Lambda=2.0)
-    assert verify_constraint(inst) < 1e-12
+    assert reference_residual(inst) < 1e-12
     assert not inst.exact
     v = classify_a12(inst)
     assert v.branch == "DEqualsSqrtLambdaA" and v.signs == (1,)
@@ -199,7 +198,7 @@ def test_verify_random_nonzero():
         ("1", "1", "1"),
         Lambda="3",
     )
-    assert verify_constraint(inst) > 0
+    assert reference_residual(inst) > 0
 
 
 @pytest.mark.parametrize(
@@ -691,9 +690,9 @@ def test_classifier_never_unsound(a, c, d1, P):
         a[2] = Fraction(1)
     inst = ConstraintInstance("a12", a, c, d1, P, Lambda=Fraction(9, 4))
     v = classify_a12(inst)
-    assert v.oracle_residual == verify_constraint(inst) == reference_residual(inst)
+    assert v.oracle_residual == reference_residual(inst)
     if v.branch != "Infeasible":
-        assert verify_constraint(inst) == 0
+        assert v.oracle_residual == 0
 
 
 def test_equal_eigenvalues_rejected_when_built():
